@@ -15,22 +15,28 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from . import analysis, markov, occupancy, prism, strategy as strategy_mod
 from .errors import NumericalGuardError, ThermarkError, ValidationError
 from .markov import ZoneGains
 from .occupancy import TransitionSchedule
-from .thermal import load_building
+from .thermal import DiscreteThermalModel, load_building
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_GUARD = 3
 
 DEFAULT_GAINS = (0.7, 1.5)  # degC per hour: occupants, radiator
+
+# zone id -> windowed transition schedule plus the deterministic start label
+Schedules = dict[str, tuple[TransitionSchedule, bool]]
 
 
 @dataclass
@@ -47,7 +53,6 @@ class RunConfig:
     band: tuple[float, float] = (20.0, 22.0)
     thetas: tuple[int, ...] = tuple(range(1, 10))
     out_dir: Path = Path(".")
-    seed: int = 0
     radiator_kw: float = 1.0
 
     def gains_for(self, zone_ids: tuple[str, ...]) -> dict[str, ZoneGains]:
@@ -73,11 +78,19 @@ def _parse_range(text: str, what: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _finite_floats(text: str, sep: str) -> tuple[float, ...]:
+    values = tuple(float(p) for p in text.split(sep))
+    if not all(map(math.isfinite, values)):
+        raise ValueError(text)
+    return values
+
+
 def _parse_band(text: str) -> tuple[float, float]:
     try:
-        lo, hi = (float(p) for p in text.split("-"))
+        lo, hi = _finite_floats(text, "-")
     except ValueError:
-        raise ValidationError(f"band must look like '20-22', got {text!r}") from None
+        raise ValidationError(
+            f"band must look like '20-22' with finite numbers, got {text!r}") from None
     if lo >= hi:
         raise ValidationError(f"band low must be below high, got {text!r}")
     return lo, hi
@@ -110,10 +123,8 @@ def _atomic_write(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _load_schedules(
-    config: RunConfig, zone_ids: tuple[str, ...]
-) -> dict[str, tuple[TransitionSchedule, bool]]:
-    """Per zone: windowed transition schedule plus the deterministic start label."""
+def _load_schedules(config: RunConfig, zone_ids: tuple[str, ...]) -> Schedules:
+    """Per zone, in ``zone_ids`` order: windowed schedule and start label."""
     for zid in config.occupancy_paths:
         if zid not in zone_ids:
             raise ValidationError(f"--occupancy references unknown zone {zid!r}")
@@ -187,31 +198,49 @@ def _resolve_tariff(config: RunConfig) -> strategy_mod.Tariff:
     return strategy_mod.parse_tariff(Path(config.tariff))
 
 
+def _compose(config: RunConfig, schedules: Schedules,
+             strat: strategy_mod.HeatingStrategy) -> markov.ComposedModel:
+    """The product chain; only PRISM export and ``--dump-chain`` need it."""
+    horizon = config.window[1] - config.window[0]
+    return markov.compose([
+        markov.unroll_zone(schedule, strat.heating_bits(zid, config.window), horizon,
+                           zone_id=zid, initial_occupied=initial_occupied)
+        for zid, (schedule, initial_occupied) in schedules.items()
+    ])
+
+
+def _load_inputs(config: RunConfig):
+    """Building, per-zone schedules and the single strategy, each parsed once."""
+    network, thermal = load_building(config.building)
+    schedules = _load_schedules(config, thermal.zone_ids)
+    return network, thermal, schedules, _resolve_strategy(config, thermal.zone_ids)
+
+
 def _build_model(config: RunConfig):
     """Load building + occupancy + strategy into a composed model."""
-    network, thermal = load_building(config.building)
+    network, thermal, schedules, strat = _load_inputs(config)
+    return network, thermal, _compose(config, schedules, strat), strat
+
+
+def _trajectories(config: RunConfig, thermal: DiscreteThermalModel, schedules: Schedules,
+                  strategies: list[strategy_mod.HeatingStrategy]):
+    """Per strategy, the expected temperatures from the O(N^2 K) marginal recursion."""
     zone_ids = thermal.zone_ids
-    schedules = _load_schedules(config, zone_ids)
-    strat = _resolve_strategy(config, zone_ids)
-    horizon = config.window[1] - config.window[0]
-    chains = []
-    for zid in zone_ids:
-        schedule, initial_occupied = schedules[zid]
-        chains.append(markov.unroll_zone(
-            schedule,
-            heating=strat.heating_bits(zid, config.window),
-            horizon=horizon,
-            zone_id=zid,
-            initial_occupied=initial_occupied,
-        ))
-    model = markov.compose(chains)
-    return network, thermal, model, strat
+    gains = config.gains_for(zone_ids)
+    marginals = np.array([occupancy.occupancy_marginals(schedule, float(initial_occupied))
+                          for schedule, initial_occupied in schedules.values()]).T
+    out = []
+    for strat in strategies:
+        heating = np.array([strat.heating_bits(zid, config.window) for zid in zone_ids]).T
+        values = analysis.direct_expected_temperatures(
+            thermal, gains, marginals, heating, config.thetas)
+        out.append(analysis.TemperatureTrajectory(zone_ids, config.thetas, values))
+    return out
 
 
 def cmd_analyze(config: RunConfig, dump_chain: bool = False) -> int:
-    _, thermal, model, _ = _build_model(config)
-    gains = config.gains_for(thermal.zone_ids)
-    trajectory = analysis.temperature_trajectory(model, thermal, gains, config.thetas)
+    _, thermal, schedules, strat = _load_inputs(config)
+    (trajectory,) = _trajectories(config, thermal, schedules, [strat])
     report = analysis.comfort_check(trajectory, config.band)
 
     lines = ["theta_hour,zone_id,expected_temp_c"]
@@ -223,7 +252,8 @@ def cmd_analyze(config: RunConfig, dump_chain: bool = False) -> int:
     _atomic_write(config.out_dir / "comfort.json",
                   json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n")
     if dump_chain:
-        rewarded = markov.assign_rewards(model, thermal, gains, config.thetas[0])
+        rewarded = markov.assign_rewards(_compose(config, schedules, strat), thermal,
+                                         config.gains_for(thermal.zone_ids), config.thetas[0])
         _atomic_write(config.out_dir / "chain.json",
                       json.dumps(markov.dump_model(rewarded), indent=2, sort_keys=True) + "\n")
     return EXIT_OK
@@ -241,24 +271,11 @@ def cmd_cost(config: RunConfig, strategy_refs: list[str]) -> int:
     comfort_by_strategy = None
     if config.occupancy_paths:
         schedules = _load_schedules(config, zone_ids)
-        horizon = config.window[1] - config.window[0]
-        gains = config.gains_for(zone_ids)
-        comfort_by_strategy = {}
-        for strat in strategies:
-            chains = [
-                markov.unroll_zone(
-                    schedules[zid][0],
-                    heating=strat.heating_bits(zid, config.window),
-                    horizon=horizon,
-                    zone_id=zid,
-                    initial_occupied=schedules[zid][1],
-                )
-                for zid in zone_ids
-            ]
-            model = markov.compose(chains)
-            trajectory = analysis.temperature_trajectory(model, thermal, gains, config.thetas)
-            report = analysis.comfort_check(trajectory, config.band)
-            comfort_by_strategy[strat.name] = report.as_dict()["summary"]
+        trajectories = _trajectories(config, thermal, schedules, strategies)
+        comfort_by_strategy = {
+            strat.name: analysis.comfort_check(trajectory, config.band).as_dict()["summary"]
+            for strat, trajectory in zip(strategies, trajectories)
+        }
 
     comparison = strategy_mod.compare_strategies(
         strategies, tariff, radiator_kw=config.radiator_kw,
@@ -301,10 +318,6 @@ def cmd_cost(config: RunConfig, strategy_refs: list[str]) -> int:
 def cmd_export(config: RunConfig, name: str, to_stdout: bool = False) -> int:
     _, thermal, model, _ = _build_model(config)
     gains = config.gains_for(thermal.zone_ids)
-    if min(config.thetas) < 1 or max(config.thetas) > model.horizon:
-        raise ValidationError(
-            f"theta range {config.thetas} outside 1..{model.horizon}"
-        )
     artifacts = {}
     for theta in config.thetas:
         rewarded = markov.assign_rewards(model, thermal, gains, theta)
@@ -372,8 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--radiator-kw", type=float, default=1.0,
                        help="radiator power per zone (kW)")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=0,
-                       help="reserved for randomized workflows; commands are deterministic")
 
     p_analyze = sub.add_parser("analyze", help="expected-temperature trajectory + comfort")
     add_common(p_analyze)
@@ -402,6 +413,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     window = _parse_range(args.window, "window")
     horizon = window[1] - window[0]
     thetas = _parse_thetas(args.theta) if args.theta else tuple(range(1, horizon + 1))
+    if min(thetas) < 1 or max(thetas) > horizon:
+        raise ValidationError(f"theta range {thetas} outside 1..{horizon}")
+    if not math.isfinite(args.radiator_kw):
+        raise ValidationError(f"--radiator-kw must be a finite number, got {args.radiator_kw}")
     gains: dict[str, tuple[float, float]] = {}
     default_gains = DEFAULT_GAINS
     for pair in args.gains:
@@ -410,10 +425,11 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         else:
             zone, value = None, pair
         try:
-            q_int, q_rad = (float(v) for v in value.split(","))
+            q_int, q_rad = _finite_floats(value, ",")
         except ValueError:
             raise ValidationError(
-                f"gains must look like 'zone=0.7,1.5' or '0.7,1.5', got {pair!r}"
+                f"gains must look like 'zone=0.7,1.5' or '0.7,1.5' with finite numbers, "
+                f"got {pair!r}"
             ) from None
         if zone is None:
             default_gains = (q_int, q_rad)
@@ -434,7 +450,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         band=_parse_band(args.band),
         thetas=thetas,
         out_dir=Path(args.out),
-        seed=args.seed,
         radiator_kw=args.radiator_kw,
     )
 
@@ -446,6 +461,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "estimate":
             return cmd_estimate(Path(args.occupancy_csv), Path(args.out),
                                 to_stdout=args.stdout)
+        if args.command in ("analyze", "export") and len(args.strategy) > 1:
+            raise ValidationError(
+                f"{args.command} takes one --strategy, got {len(args.strategy)}")
         config = _config_from_args(args)
         if args.command == "analyze":
             return cmd_analyze(config, dump_chain=args.dump_chain)

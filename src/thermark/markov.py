@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .occupancy import TransitionSchedule
+from .occupancy import StepMatrix, TransitionSchedule, occupancy_marginals
 from .thermal import DiscreteThermalModel, matrix_power
 
 SINK_LABEL = "t_sink"
@@ -73,15 +73,13 @@ class ZoneChain:
     def sink_index(self) -> int:
         return 2 * self.horizon + 1
 
-    def outgoing(self, state_index: int) -> list[Transition]:
-        return [t for t in self.transitions if t.source == state_index]
-
     def occupied_marginals(self) -> list[float]:
         """P(occupied at step k) for k = 0..K."""
-        m = [1.0 if self.initial_occupied else 0.0]
-        for pf, pv in zip(self.occ_given_occupied, self.occ_given_empty):
-            m.append(m[-1] * pf + (1.0 - m[-1]) * pv)
-        return m
+        schedule = TransitionSchedule(tuple(
+            StepMatrix(step=k, p_vf=pv, p_vv=1.0 - pv, p_ff=pf, p_fv=1.0 - pf)
+            for k, (pv, pf) in enumerate(zip(self.occ_given_empty, self.occ_given_occupied))
+        ))
+        return occupancy_marginals(schedule, float(self.initial_occupied))
 
 
 def unroll_zone(
@@ -178,9 +176,6 @@ class ComposedModel:
 
     def states_at_step(self, step: int) -> list[ComposedState]:
         return [s for s in self.states if s.step == step]
-
-    def outgoing(self, state_index: int) -> list[Transition]:
-        return [t for t in self.transitions if t.source == state_index]
 
     def heating_at(self, step: int) -> tuple[bool, ...]:
         return tuple(c.heating[step] for c in self.chains)

@@ -41,10 +41,6 @@ class OccupancyDataset:
     def occupied(self, day: int, hour: int) -> bool:
         return self.records[(day, hour)]
 
-    def first_hour_occupied_fraction(self) -> float:
-        first = self.hours[0]
-        return sum(self.records[(d, first)] for d in self.days) / len(self.days)
-
 
 @dataclass(frozen=True)
 class StepMatrix:
@@ -88,10 +84,6 @@ class TransitionSchedule:
     matrices: tuple[StepMatrix, ...]
     hours: tuple[int, ...] = ()
     diagnostics: tuple[Diagnostic, ...] = ()
-
-    @property
-    def steps(self) -> tuple[int, ...]:
-        return tuple(m.step for m in self.matrices)
 
     def __len__(self) -> int:
         return len(self.matrices)

@@ -237,14 +237,7 @@ def energy_by_band(
     radiator_kw: float | dict[str, float] = 1.0,
 ) -> dict[str, float]:
     """kWh billed per tariff band; every heated zone-hour must hit a band."""
-    zone_ids = tuple(strategy.schedule)
-    power = _normalise_power(radiator_kw, zone_ids)
-    energy = {band.name: Fraction(0) for band in tariff.bands}
-    for z, hours in strategy.schedule.items():
-        for h in sorted(hours):
-            band = tariff.band_for_hour(h)
-            energy[band.name] += power[z]
-    return {name: float(e) for name, e in energy.items()}
+    return strategy_cost(strategy, tariff, radiator_kw, notes=()).band_energy_kwh
 
 
 def strategy_cost(

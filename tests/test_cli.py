@@ -278,3 +278,133 @@ class TestWindowHandling:
         ]
         assert main(args) == 2
         assert "deterministic start" in capsys.readouterr().err
+
+
+def bench_config(strategy):
+    from pathlib import Path
+
+    from thermark.cli import RunConfig
+
+    d = two_zone_benchmark_dir()
+    return RunConfig(
+        building=d / "building.json",
+        occupancy_paths={"zone1": d / "occupancy_zone1.csv",
+                         "zone2": d / "occupancy_zone2.csv"},
+        strategy=strategy,
+        out_dir=Path("."),
+    )
+
+
+def composed_comfort(strategy):
+    """Comfort report of the composed-engine trajectory, the reference route."""
+    from thermark.analysis import comfort_check, temperature_trajectory
+    from thermark.cli import _build_model
+
+    config = bench_config(strategy)
+    _, thermal, model, _ = _build_model(config)
+    gains = config.gains_for(thermal.zone_ids)
+    trajectory = temperature_trajectory(model, thermal, gains, config.thetas)
+    return comfort_check(trajectory, config.band).as_dict()
+
+
+class TestDirectRoute:
+    """analyze and cost answer from the marginal recursion, not the product chain."""
+
+    @pytest.mark.parametrize("strategy", ["S1", "S2", "S3", "S4", "S5", "S6"])
+    def test_trajectory_matches_oracle(self, tmp_path, strategy):
+        from thermark.analysis import brute_force_expected_temperature
+        from thermark.cli import _build_model
+        from thermark.markov import assign_rewards
+
+        assert main(pinned_args("analyze", tmp_path, strategy=strategy)) == 0
+        rows = read_trajectory(tmp_path / "trajectory.csv")
+        config = bench_config(strategy)
+        _, thermal, model, _ = _build_model(config)
+        gains = config.gains_for(thermal.zone_ids)
+        assert model.zone_count * model.horizon == 18
+        for theta in config.thetas:
+            rewarded = assign_rewards(model, thermal, gains, theta)
+            oracle = brute_force_expected_temperature(rewarded, theta)
+            for zid, value in oracle.items():
+                assert abs(rows[(8 + theta, zid)] - value) <= 1e-9
+
+    @pytest.mark.parametrize("strategy", ["S1", "S2", "S3", "S4", "S5", "S6"])
+    def test_comfort_matches_composed_engine(self, tmp_path, strategy):
+        assert main(pinned_args("analyze", tmp_path, strategy=strategy)) == 0
+        report = json.loads((tmp_path / "comfort.json").read_text())
+        assert report == composed_comfort(strategy)
+
+    def test_cost_comfort_matches_composed_engine(self, tmp_path):
+        args = pinned_args("cost", tmp_path, strategy="S1",
+                           extra=[a for s in ("S2", "S3", "S4", "S5", "S6")
+                                  for a in ("--strategy", s)])
+        assert main(args) == 0
+        rows = json.loads((tmp_path / "cost.json").read_text())["rows"]
+        assert len(rows) == 6
+        for row in rows:
+            assert row["comfort"] == composed_comfort(row["strategy"])["summary"]
+
+    def test_only_export_and_dump_chain_compose(self, tmp_path, monkeypatch):
+        import thermark.markov
+
+        def refuse(chains):
+            raise RuntimeError("compose called")
+
+        monkeypatch.setattr(thermark.markov, "compose", refuse)
+        assert main(pinned_args("analyze", tmp_path / "a")) == 0
+        cost_args = pinned_args("cost", tmp_path / "c", extra=["--strategy", "S2"])
+        assert main(cost_args) == 0
+        with pytest.raises(RuntimeError, match="compose called"):
+            main(pinned_args("analyze", tmp_path / "d", extra=["--dump-chain"]))
+        with pytest.raises(RuntimeError, match="compose called"):
+            main(pinned_args("export", tmp_path / "e", extra=["--theta", "9"]))
+
+
+def assert_one_line_error(capsys, *fragments):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    for fragment in fragments:
+        assert fragment in err
+
+
+class TestArgumentChecks:
+    @pytest.mark.parametrize("command", ["analyze", "cost"])
+    @pytest.mark.parametrize("theta", ["0-4", "12"])
+    def test_theta_outside_horizon_exits_2(self, tmp_path, capsys, command, theta):
+        assert main(pinned_args(command, tmp_path, extra=["--theta", theta])) == 2
+        assert_one_line_error(capsys, "theta range", "outside 1..9")
+
+    def test_cost_without_occupancy_checks_theta(self, tmp_path, capsys):
+        d = two_zone_benchmark_dir()
+        args = ["cost", "--building", str(d / "building.json"), "--theta", "12",
+                "--out", str(tmp_path)]
+        assert main(args) == 2
+        assert_one_line_error(capsys, "outside 1..9")
+
+    @pytest.mark.parametrize("command", ["analyze", "export"])
+    def test_extra_strategy_exits_2(self, tmp_path, capsys, command):
+        args = pinned_args(command, tmp_path, strategy="S1", extra=["--strategy", "S2"])
+        assert main(args) == 2
+        assert_one_line_error(capsys, "--strategy")
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_radiator_power_exits_2(self, tmp_path, capsys, value):
+        args = pinned_args("cost", tmp_path, extra=[f"--radiator-kw={value}"])
+        assert main(args) == 2
+        assert_one_line_error(capsys, "--radiator-kw")
+        assert not (tmp_path / "cost.json").exists()
+
+    @pytest.mark.parametrize("gains", ["zone1=nan,1.5", "0.7,inf"])
+    def test_non_finite_gains_exit_2(self, tmp_path, capsys, gains):
+        assert main(pinned_args("analyze", tmp_path, extra=["--gains", gains])) == 2
+        assert_one_line_error(capsys, "gains", "finite")
+        assert not (tmp_path / "trajectory.csv").exists()
+
+    def test_non_finite_band_exits_2(self, tmp_path, capsys):
+        assert main(pinned_args("analyze", tmp_path, extra=["--band", "20-inf"])) == 2
+        assert_one_line_error(capsys, "band", "finite")
+
+    def test_seed_flag_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit):
+            main(pinned_args("analyze", tmp_path, extra=["--seed", "1"]))
