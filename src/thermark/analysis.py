@@ -3,8 +3,8 @@
 Three independent evaluation routes are provided:
 
 * :func:`expected_temperature` propagates the state-probability vector
-  through the composed chain and dots it with the assigned rewards (the
-  cumulative-reward query with bound theta + 1).
+  through the composed chain's per-step layers and dots it with the
+  assigned rewards (the cumulative-reward query with bound theta + 1).
 * :func:`direct_expected_temperatures` skips the composed model entirely:
   because the expected gain at step k only needs each zone's occupancy
   marginal at step k-1 and the deterministic heating bit, the whole
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,17 +41,13 @@ def _check_theta(rewarded: RewardedModel, theta: int) -> None:
 
 def state_probabilities(model: ComposedModel) -> np.ndarray:
     """Probability of occupying each composed state at its own step."""
-    prob = np.zeros(len(model.states))
-    prob[0] = 1.0
-    outgoing = defaultdict(list)
-    for t in model.transitions:
-        outgoing[t.source].append(t)
-    for state in model.states:
-        if state.is_sink or prob[state.index] == 0.0:
-            continue
-        for t in outgoing[state.index]:
-            prob[t.target] += prob[state.index] * t.probability
-    return prob
+    p = model.layers[0][model.initial_row]
+    per_step = [np.ones(1), p]
+    for layer in model.layers[1:]:
+        p = p @ layer
+        per_step.append(p)
+    per_step.append(np.array([p.sum()]))  # every step-K state falls into the sink
+    return np.concatenate(per_step)
 
 
 def expected_temperature(rewarded: RewardedModel, theta: int) -> dict[str, float]:
@@ -203,8 +198,9 @@ def temperature_trajectory(
 ) -> TemperatureTrajectory:
     """Evaluate expected temperatures over a theta range.
 
-    Rewards are re-assigned for every theta, since the reward structure
-    depends on the evaluation step.
+    The state probabilities do not depend on theta and are propagated
+    once; rewards are re-assigned for every theta, since the reward
+    structure depends on the evaluation step.
     """
     thetas = tuple(theta_range)
     if not thetas:
@@ -213,11 +209,11 @@ def temperature_trajectory(
         raise ValidationError(
             f"theta range {thetas} outside 1..{model.horizon}"
         )
+    prob = state_probabilities(model)
     rows = []
     for theta in thetas:
-        rewarded = assign_rewards(model, thermal, gains, theta)
-        temps = expected_temperature(rewarded, theta)
-        rows.append([temps[zid] for zid in model.zone_ids])
+        rewards = assign_rewards(model, thermal, gains, theta).rewards
+        rows.append([float(prob @ rewards[zid]) for zid in model.zone_ids])
     return TemperatureTrajectory(
         zone_ids=model.zone_ids, thetas=thetas, values=np.array(rows)
     )
@@ -260,6 +256,8 @@ def comfort_check(
     low, high = band
     if not low < high:
         raise ValidationError(f"band low must be below high, got {band}")
+    if not np.all(np.isfinite(trajectory.values)):
+        raise ValidationError("trajectory holds a non-finite temperature")
     classifications: dict[tuple[int, str], str] = {}
     ever_below = {zid: False for zid in trajectory.zone_ids}
     ever_above = {zid: False for zid in trajectory.zone_ids}

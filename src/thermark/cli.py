@@ -14,10 +14,12 @@ guard (unstable discretisation, oracle size limit).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -116,11 +118,26 @@ def _parse_assignments(pairs: list[str], what: str) -> dict[str, str]:
     return table
 
 
+@functools.cache
+def _file_mode() -> int:
+    """Mode a plainly created file gets: 0o666 less the process umask."""
+    umask = os.umask(0)
+    os.umask(umask)
+    return 0o666 & ~umask
+
+
 def _atomic_write(path: Path, text: str) -> None:
+    """Write through a uniquely named temp file in the target directory."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.chmod(tmp, _file_mode())  # mkstemp creates it 0o600
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _load_schedules(config: RunConfig, zone_ids: tuple[str, ...]) -> Schedules:
@@ -360,7 +377,9 @@ def cmd_estimate(csv_path: Path, out_dir: Path, to_stdout: bool = False) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="thermark",
         description="Occupancy-driven thermal analysis of multi-zone buildings",

@@ -4,7 +4,9 @@ Each zone becomes a layered chain over steps 0..K+1: one initial state,
 an occupied/empty pair per step 1..K, and one absorbing sink. Transitions
 from step k to k+1 all carry the shared label ``t{k+1}``, so composing
 zones synchronizes layer by layer and only same-step tuples are reachable:
-the product has 1 + 2^N * K + 1 states for N zones.
+the product has 1 + 2^N * K + 1 states for N zones. It is held as one
+dense (2^N, 2^N) matrix per step, the Kronecker product of the zones' 2x2
+step matrices; the list of product edges is built from them when read.
 
 Rewards encode expected temperature. For an evaluation step ``theta``, the
 initial state of zone m carries row_m(A^theta) @ T[0]; a state at step k
@@ -21,6 +23,7 @@ hour k-1 raises the temperature observed at step k.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -80,6 +83,11 @@ class ZoneChain:
             for k, (pv, pf) in enumerate(zip(self.occ_given_empty, self.occ_given_occupied))
         ))
         return occupancy_marginals(schedule, float(self.initial_occupied))
+
+    def step_matrix(self, k: int) -> np.ndarray:
+        """2x2 matrix of step k -> k+1; row and column 0 are occupied, 1 empty."""
+        p_occ, p_emp = self.occ_given_occupied[k], self.occ_given_empty[k]
+        return np.array([[p_occ, 1.0 - p_occ], [p_emp, 1.0 - p_emp]])
 
 
 def unroll_zone(
@@ -162,17 +170,45 @@ class ComposedState:
 
 @dataclass(frozen=True)
 class ComposedModel:
-    """Product of zone chains synchronized on the step labels."""
+    """Product of zone chains synchronized on the step labels.
+
+    ``layers[k]`` is the (2^N, 2^N) matrix of step k -> k+1 for k = 0..K-1,
+    rows and columns in ``itertools.product((True, False), repeat=N)``
+    order, the order of each step's states. Step 0 has only the initial
+    state, whose row of ``layers[0]`` is ``initial_row``; every state at
+    step K moves to the sink with probability 1.
+    """
 
     zone_ids: tuple[str, ...]
     horizon: int
     states: tuple[ComposedState, ...]
-    transitions: tuple[Transition, ...]
+    layers: tuple[np.ndarray, ...]
     chains: tuple[ZoneChain, ...]
 
     @property
     def zone_count(self) -> int:
         return len(self.zone_ids)
+
+    @property
+    def initial_row(self) -> int:
+        return int("".join("0" if occ else "1" for occ in self.states[0].occupied), 2)
+
+    @property
+    def transitions(self) -> tuple[Transition, ...]:
+        """Every product edge in state order, built from the layers on each read."""
+        width = 2 ** self.zone_count
+        sink = len(self.states) - 1
+        edges = [Transition(0, 1 + t, p, "t1")
+                 for t, p in enumerate(self.layers[0][self.initial_row].tolist())]
+        for k in range(1, self.horizon):
+            first = 1 + (k - 1) * width
+            for s, row in enumerate(self.layers[k].tolist()):
+                edges += [Transition(first + s, first + width + t, p, f"t{k + 1}")
+                          for t, p in enumerate(row)]
+        last = 1 + (self.horizon - 1) * width
+        edges += [Transition(last + s, sink, 1.0, f"t{self.horizon + 1}") for s in range(width)]
+        edges.append(Transition(sink, sink, 1.0, SINK_LABEL))
+        return tuple(edges)
 
     def states_at_step(self, step: int) -> list[ComposedState]:
         return [s for s in self.states if s.step == step]
@@ -183,11 +219,6 @@ class ComposedModel:
     def occupied_marginals(self) -> np.ndarray:
         """(K+1, N) array of P(zone j occupied at step k)."""
         return np.array([c.occupied_marginals() for c in self.chains]).T
-
-
-def _occupancy_combos(n: int) -> list[tuple[bool, ...]]:
-    # occupied before empty per zone, mirroring the odd/even state parity
-    return list(itertools.product((True, False), repeat=n))
 
 
 def compose(chains: list[ZoneChain] | tuple[ZoneChain, ...]) -> ComposedModel:
@@ -210,10 +241,8 @@ def compose(chains: list[ZoneChain] | tuple[ZoneChain, ...]) -> ComposedModel:
                 f"mismatched horizons: {chains[0].zone_id}={horizon}, {c.zone_id}={c.horizon}"
             )
 
-    n = len(chains)
-    combos = _occupancy_combos(n)
-    combo_rank = {c: i for i, c in enumerate(combos)}
-
+    # occupied before empty per zone, mirroring the odd/even state parity
+    combos = list(itertools.product((True, False), repeat=len(chains)))
     states: list[ComposedState] = [
         ComposedState(
             index=0,
@@ -224,51 +253,18 @@ def compose(chains: list[ZoneChain] | tuple[ZoneChain, ...]) -> ComposedModel:
     ]
     for k in range(1, horizon + 1):
         heat = tuple(c.heating[k] for c in chains)
-        for combo in combos:
-            states.append(
-                ComposedState(
-                    index=len(states), step=k, occupied=combo, heating_on=heat
-                )
-            )
-    sink_index = len(states)
-    states.append(ComposedState(index=sink_index, step=horizon + 1, occupied=None, heating_on=None))
+        states += [ComposedState(index=len(states) + i, step=k, occupied=combo, heating_on=heat)
+                   for i, combo in enumerate(combos)]
+    states.append(ComposedState(index=len(states), step=horizon + 1, occupied=None,
+                                heating_on=None))
 
-    def state_index(step: int, combo: tuple[bool, ...]) -> int:
-        return 1 + (step - 1) * len(combos) + combo_rank[combo]
-
-    def step_prob(k: int, source: tuple[bool, ...], target: tuple[bool, ...]) -> float:
-        p = 1.0
-        for chain, occ_from, occ_to in zip(chains, source, target):
-            p_occ = chain.occ_given_occupied[k] if occ_from else chain.occ_given_empty[k]
-            p *= p_occ if occ_to else 1.0 - p_occ
-        return p
-
-    transitions: list[Transition] = []
-    init_occ = states[0].occupied
-    assert init_occ is not None
-    for combo in combos:
-        transitions.append(
-            Transition(0, state_index(1, combo), step_prob(0, init_occ, combo), "t1")
-        )
-    for k in range(1, horizon):
-        for source in combos:
-            src = state_index(k, source)
-            for target in combos:
-                transitions.append(
-                    Transition(src, state_index(k + 1, target),
-                               step_prob(k, source, target), f"t{k + 1}")
-                )
-    for source in combos:
-        transitions.append(
-            Transition(state_index(horizon, source), sink_index, 1.0, f"t{horizon + 1}")
-        )
-    transitions.append(Transition(sink_index, sink_index, 1.0, SINK_LABEL))
-
+    layers = tuple(functools.reduce(np.kron, [c.step_matrix(k) for c in chains])
+                   for k in range(horizon))
     return ComposedModel(
         zone_ids=tuple(ids),
         horizon=horizon,
         states=tuple(states),
-        transitions=tuple(transitions),
+        layers=layers,
         chains=chains,
     )
 
@@ -359,20 +355,19 @@ def assign_rewards(
         q = expected_gain_vector(model, gains, marginals, k)
         # re-express in thermal matrix order
         full = np.zeros(len(thermal.zone_ids))
-        for j, row in enumerate(order):
-            full[row] = q[j]
+        full[order] = q
         gain_vectors[k] = full
 
+    # states per step 0..K+1; steps past theta and the sink carry zero
+    counts = [1] + [2 ** model.zone_count] * model.horizon + [1]
     rewards: dict[str, np.ndarray] = {}
     for zid in targets:
         row = thermal_rows[zid]
-        values = np.zeros(len(model.states))
-        per_step = {0: float(powers[theta][row] @ t0)}
-        for k in range(1, theta + 1):
-            per_step[k] = float(powers[theta - k][row] @ gain_vectors[k])
-        for s in model.states:
-            values[s.index] = per_step.get(s.step, 0.0)
-        rewards[zid] = values
+        per_step = [float(powers[theta][row] @ t0)]
+        per_step += [float(powers[theta - k][row] @ gain_vectors[k])
+                     for k in range(1, theta + 1)]
+        per_step += [0.0] * (model.horizon + 1 - theta)
+        rewards[zid] = np.repeat(per_step, counts)
 
     return RewardedModel(model=model, thermal=thermal, gains=dict(gains),
                          theta=theta, rewards=rewards)

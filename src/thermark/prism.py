@@ -94,13 +94,13 @@ def export_prism_model(
     for zid in model.zone_ids:
         if zid not in rewarded.rewards:
             raise ValidationError(f"no reward function assigned for zone {zid!r}")
-        vec = rewarded.rewards[zid]
-        for state in model.states:
-            if vec[state.index] < 0:
-                raise ValidationError(
-                    "negative reward unsupported by target: "
-                    f"zone {zid!r}, state {state.index} (step {state.step})"
-                )
+        negative = rewarded.rewards[zid] < 0
+        if negative.any():
+            state = model.states[int(negative.argmax())]
+            raise ValidationError(
+                "negative reward unsupported by target: "
+                f"zone {zid!r}, state {state.index} (step {state.step})"
+            )
 
     lines: list[str] = []
     lines.append(f"// {name}: {len(model.zone_ids)}-zone occupancy/thermal reward model")
@@ -172,19 +172,18 @@ def export_prism_model(
         emitted.append(zid)
 
     step_var = f"step_{idents[model.zone_ids[0]]}"
+    occ_vars = [f"occ_{idents[zid]}" for zid in model.zone_ids]
+    # one guard per non-sink state, in state order; zip below drops the sink
+    guards = [" & ".join([f"{step_var}={state.step}"]
+                         + [f"{var}={int(occ)}" for var, occ in zip(occ_vars, state.occupied)])
+              for state in model.states[:-1]]
     for zid in model.zone_ids:
-        vec = rewarded.rewards[zid]
         lines.append(f'rewards "zone_{idents[zid]}"')
         count = 0
-        for state in model.states:
-            value = vec[state.index]
-            if value == 0.0 or state.occupied is None:
-                continue
-            guard = [f"{step_var}={state.step}"]
-            for j, other in enumerate(model.zone_ids):
-                guard.append(f"occ_{idents[other]}={1 if state.occupied[j] else 0}")
-            lines.append(f"  {' & '.join(guard)} : {_fmt(value)};")
-            count += 1
+        for guard, value in zip(guards, rewarded.rewards[zid].tolist()):
+            if value != 0.0:
+                lines.append(f"  {guard} : {_fmt(value)};")
+                count += 1
         if count == 0:
             lines.append("  // no nonzero rewards for this zone")
         lines.append("endrewards")

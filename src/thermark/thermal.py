@@ -101,9 +101,10 @@ class ContinuousStateSpace:
 class DiscreteThermalModel:
     """Discrete per-hour update T[k+1] = a @ T[k] + gains, plus initial temps.
 
-    ``a`` entries must lie in [0, 1]; constructing one outside that range
-    (an unstable Euler step) is a hard error because the reward weights
-    downstream rely on a non-negative ``a``.
+    ``a``, ``b`` and ``initial_temps`` must be finite, and ``a`` entries
+    must lie in [0, 1]; constructing one outside that range (an unstable
+    Euler step) is a hard error because the reward weights downstream rely
+    on a non-negative ``a``.
     """
 
     a: np.ndarray
@@ -120,6 +121,9 @@ class DiscreteThermalModel:
             raise ValidationError(f"a must be {n}x{n}, got {a.shape}")
         if not self.delta > 0:
             raise ValidationError(f"delta must be positive, got {self.delta}")
+        for name in ("a", "b", "initial_temps"):
+            if not np.all(np.isfinite(np.asarray(getattr(self, name), dtype=float))):
+                raise ValidationError(f"{name} must hold finite numbers only")
         if np.any(a < 0.0) or np.any(a > 1.0):
             raise NumericalGuardError(
                 "unstable discretisation: entries of a fall outside [0, 1]; "

@@ -267,6 +267,17 @@ class TestTrajectory:
             for z in ZONES:
                 assert abs(trajectory.value(theta, z) - oracle[z]) <= 1e-9
 
+    def test_propagates_once_per_call(self, bench_thermal, monkeypatch):
+        import thermark.analysis
+
+        calls = []
+        propagate = thermark.analysis.state_probabilities
+        monkeypatch.setattr(thermark.analysis, "state_probabilities",
+                            lambda model: calls.append(model) or propagate(model))
+        model = random_instance(np.random.default_rng(4))
+        temperature_trajectory(model, bench_thermal, bench_gains(), range(1, 10))
+        assert len(calls) == 1 and calls[0] is model
+
     def test_empty_range_rejected(self, bench_thermal):
         model = build_model([make_schedule(0.4)] * 2, [[False] * 10] * 2)
         with pytest.raises(ValidationError, match="empty"):
@@ -304,6 +315,11 @@ class TestComfort:
         assert report.ever_above["zone1"] and report.ever_above["zone2"]
         assert report.ever_below["zone1"]
         assert report.classifications[(3, "zone1")] == "above"
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_value_rejected(self, bad):
+        with pytest.raises(ValidationError, match="non-finite"):
+            comfort_check(self.make_trajectory([[21.0, 21.0], [bad, 21.0]]), (20.0, 22.0))
 
     def test_band_must_be_ordered(self):
         with pytest.raises(ValidationError, match="band"):

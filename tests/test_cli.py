@@ -408,3 +408,77 @@ class TestArgumentChecks:
     def test_seed_flag_is_gone(self, tmp_path):
         with pytest.raises(SystemExit):
             main(pinned_args("analyze", tmp_path, extra=["--seed", "1"]))
+
+
+def bench_building(**overrides):
+    """The bundled building spec with zone1's fields or the explicit matrices overridden."""
+    spec = json.loads((two_zone_benchmark_dir() / "building.json").read_text())
+    for key, value in overrides.items():
+        if key in spec["explicit_discrete"]:
+            spec["explicit_discrete"][key][0][0] = value
+        else:
+            spec["zones"][0][key] = value
+    return spec
+
+
+class TestBuildingChecks:
+    @pytest.mark.parametrize("override", [
+        {"initial_temp": float("nan")},
+        {"initial_temp": float("inf")},
+        {"a": float("nan")},
+        {"b": float("inf")},
+    ], ids=["nan-initial-temp", "inf-initial-temp", "nan-in-a", "inf-in-b"])
+    def test_non_finite_building_exits_2(self, tmp_path, capsys, override):
+        path = tmp_path / "building.json"
+        path.write_text(json.dumps(bench_building(**override)))
+        out = tmp_path / "out"
+        args = pinned_args("analyze", out)
+        args[args.index("--building") + 1] = str(path)
+        assert main(args) == 2
+        assert_one_line_error(capsys, "finite")
+        assert not out.exists()
+
+
+class TestOutputFiles:
+    def test_stale_temp_name_is_harmless(self, tmp_path):
+        (tmp_path / "trajectory.csv.tmp").mkdir()
+        assert main(pinned_args("analyze", tmp_path)) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "comfort.json", "trajectory.csv", "trajectory.csv.tmp"]
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        import thermark.cli
+
+        def fail(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(thermark.cli.os, "replace", fail)
+        with pytest.raises(OSError, match="replace failed"):
+            thermark.cli._atomic_write(tmp_path / "out.txt", "text")
+        assert not any(tmp_path.iterdir())
+
+    def test_mode_matches_a_plainly_created_file(self, tmp_path):
+        import stat
+
+        from thermark.cli import _atomic_write
+
+        _atomic_write(tmp_path / "atomic.txt", "text")
+        (tmp_path / "plain.txt").write_text("text")
+        modes = {stat.S_IMODE((tmp_path / name).stat().st_mode)
+                 for name in ("atomic.txt", "plain.txt")}
+        assert len(modes) == 1
+
+
+class TestParser:
+    def test_parser_is_built_once(self):
+        from thermark.cli import build_parser
+
+        assert build_parser() is build_parser()
+
+    def test_append_defaults_do_not_leak_between_calls(self, tmp_path):
+        assert main(pinned_args("cost", tmp_path / "one", strategy="S1")) == 0
+        args = pinned_args("cost", tmp_path / "all")
+        del args[args.index("--strategy"):args.index("--strategy") + 2]
+        assert main(args) == 0
+        rows = (tmp_path / "all" / "cost.csv").read_text().splitlines()[1:]
+        assert sorted(row.split(",")[0] for row in rows) == ["S1", "S2", "S3", "S4", "S5", "S6"]

@@ -2,17 +2,22 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
 from conftest import BENCH_A, BENCH_T0, make_schedule, random_schedule
 from thermark import (
+    DiscreteThermalModel,
     ValidationError,
     ZoneGains,
     assign_rewards,
     compose,
+    direct_expected_temperatures,
     expected_temperature,
     relabel_and_merge_rewards,
+    temperature_trajectory,
     unroll_zone,
 )
 from thermark.analysis import state_probabilities
@@ -162,6 +167,78 @@ class TestCompose:
         c1, _ = two_chains()
         with pytest.raises(ValidationError, match="duplicate"):
             compose([c1, c1])
+
+
+def random_chains(rng, n, horizon):
+    return [
+        unroll_zone(random_schedule(rng, horizon),
+                    [bool(rng.integers(0, 2)) for _ in range(horizon + 1)],
+                    horizon, zone_id=f"z{i}", initial_occupied=bool(rng.integers(0, 2)))
+        for i in range(n)
+    ]
+
+
+def product_edges(chains):
+    """Every product edge from the zones' raw probabilities, one entry at a time."""
+    horizon = chains[0].horizon
+    combos = list(itertools.product((True, False), repeat=len(chains)))
+    sink = 1 + len(combos) * horizon
+
+    def index(step, combo):
+        return 1 + (step - 1) * len(combos) + combos.index(combo)
+
+    def prob(k, source, target):
+        p = 1.0
+        for chain, occ_from, occ_to in zip(chains, source, target):
+            p_occ = chain.occ_given_occupied[k] if occ_from else chain.occ_given_empty[k]
+            p *= p_occ if occ_to else 1.0 - p_occ
+        return p
+
+    start = tuple(c.initial_occupied for c in chains)
+    edges = [(0, index(1, t), prob(0, start, t), "t1") for t in combos]
+    for k in range(1, horizon):
+        edges += [(index(k, s), index(k + 1, t), prob(k, s, t), f"t{k + 1}")
+                  for s in combos for t in combos]
+    edges += [(index(horizon, s), sink, 1.0, f"t{horizon + 1}") for s in combos]
+    return edges + [(sink, sink, 1.0, SINK_LABEL)]
+
+
+class TestLayers:
+    def test_transitions_view_equals_per_entry_products(self):
+        rng = np.random.default_rng(41)
+        for _ in range(40):
+            n, horizon = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+            chains = random_chains(rng, n, horizon)
+            model = compose(chains)
+            assert len(model.layers) == horizon
+            assert all(layer.shape == (2 ** n, 2 ** n) for layer in model.layers)
+            edges = [(t.source, t.target, t.probability, t.label) for t in model.transitions]
+            assert edges == product_edges(chains)
+
+    def test_eight_zones_mass_and_direct_recursion(self):
+        rng = np.random.default_rng(88)
+        n, horizon = 8, 9
+        chains = random_chains(rng, n, horizon)
+        model = compose(chains)
+        assert len(model.states) == 1 + 256 * horizon + 1
+        for layer in model.layers:
+            assert layer.shape == (256, 256)
+            assert np.max(np.abs(layer.sum(axis=1) - 1.0)) <= 1e-12
+
+        zone_ids = tuple(c.zone_id for c in chains)
+        raw = rng.uniform(0.1, 1.0, size=(n, n))
+        thermal = DiscreteThermalModel(
+            a=raw / raw.sum(axis=1, keepdims=True), b=np.eye(n), delta=1.0,
+            initial_temps=rng.uniform(10, 25, size=n), zone_ids=zone_ids, derived=False,
+        )
+        gains = {z: ZoneGains(float(rng.uniform(0, 2)), float(rng.uniform(0, 3)))
+                 for z in zone_ids}
+        thetas = range(1, horizon + 1)
+        trajectory = temperature_trajectory(model, thermal, gains, thetas)
+        heat = np.array([model.heating_at(k) for k in range(horizon + 1)], dtype=float)
+        direct = direct_expected_temperatures(thermal, gains, model.occupied_marginals(),
+                                              heat, thetas)
+        assert np.max(np.abs(trajectory.values - direct)) <= 1e-12
 
 
 class TestAssignRewards:
