@@ -128,8 +128,11 @@ def _file_mode() -> int:
 
 def _atomic_write(path: Path, text: str) -> None:
     """Write through a uniquely named temp file in the target directory."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
+    except OSError as exc:
+        raise ValidationError(f"cannot write to {path.parent}: {exc.strerror or exc}") from None
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
@@ -149,17 +152,25 @@ def _load_schedules(config: RunConfig, zone_ids: tuple[str, ...]) -> Schedules:
     for zid in zone_ids:
         if zid not in config.occupancy_paths:
             raise ValidationError(f"no occupancy file given for zone {zid!r} (--occupancy)")
-        path = config.occupancy_paths[zid]
-        try:
-            text = Path(path).read_text()
-        except FileNotFoundError:
-            raise ValidationError(f"occupancy file not found: {path}") from None
-        try:
-            dataset = occupancy.parse_occupancy_csv(text)
-        except ValidationError as exc:
-            raise ValidationError(f"{path}: {exc}") from None
+        dataset = _read_dataset(config.occupancy_paths[zid])
         schedules[zid] = _window_schedule(dataset, config.window, zid)
     return schedules
+
+
+def _read_dataset(path: Path) -> occupancy.OccupancyDataset:
+    """Read and parse one occupancy log; any failure names the file."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ValidationError(f"occupancy file not found: {path}") from None
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot read: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    try:
+        return occupancy.parse_occupancy_csv(text)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def _window_schedule(
@@ -182,9 +193,8 @@ def _window_schedule(
         steps.append(occupancy.StepMatrix(step=k, p_vf=m.p_vf, p_vv=m.p_vv,
                                           p_ff=m.p_ff, p_fv=m.p_fv))
     diags = tuple(d for d in full.diagnostics if start <= d.hour < end)
-    first_frac = sum(
-        dataset.records[(d, start)] for d in dataset.days
-    ) / dataset.day_count
+    first_frac = (int(np.count_nonzero(dataset.grid[:, start - dataset.hours[0]]))
+                  / dataset.day_count)
     if first_frac not in (0.0, 1.0):
         raise ValidationError(
             f"zone {zone_id!r}: occupancy at the window start hour {start} is mixed "
@@ -354,14 +364,7 @@ def cmd_export(config: RunConfig, name: str, to_stdout: bool = False) -> int:
 
 
 def cmd_estimate(csv_path: Path, out_dir: Path, to_stdout: bool = False) -> int:
-    try:
-        text = Path(csv_path).read_text()
-    except FileNotFoundError:
-        raise ValidationError(f"occupancy file not found: {csv_path}") from None
-    try:
-        dataset = occupancy.parse_occupancy_csv(text)
-    except ValidationError as exc:
-        raise ValidationError(f"{csv_path}: {exc}") from None
+    dataset = _read_dataset(csv_path)
     schedule = occupancy.estimate_transition_schedule(dataset)
     payload = schedule.as_dict()
     payload["days"] = dataset.day_count

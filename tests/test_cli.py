@@ -482,3 +482,54 @@ class TestParser:
         assert main(args) == 0
         rows = (tmp_path / "all" / "cost.csv").read_text().splitlines()[1:]
         assert sorted(row.split(",")[0] for row in rows) == ["S1", "S2", "S3", "S4", "S5", "S6"]
+
+
+def occupancy_args(command, log_path, out_dir):
+    """Run ``command`` with ``log_path`` as the only or the first zone's log."""
+    if command == "estimate":
+        return ["estimate", str(log_path), "--out", str(out_dir)]
+    args = pinned_args(command, out_dir)
+    args[args.index("--occupancy") + 1] = f"zone1={log_path}"
+    return args
+
+
+class TestInputFiles:
+    @pytest.mark.parametrize("command", ["estimate", "analyze", "cost", "export"])
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys, command):
+        target = tmp_path / "afile"
+        target.write_text("kept")
+        assert main(occupancy_args(command, seven_day_log_csv(), target)) == 2
+        assert_one_line_error(capsys, "cannot write to", str(target))
+        assert target.read_text() == "kept"
+
+    @pytest.mark.parametrize("command", ["estimate", "analyze"])
+    def test_directory_exits_2(self, tmp_path, capsys, command):
+        log = tmp_path / "logs"
+        log.mkdir()
+        assert main(occupancy_args(command, log, tmp_path / "out")) == 2
+        assert_one_line_error(capsys, str(log), "Is a directory")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["estimate", "analyze"])
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys, command):
+        log = tmp_path / "latin1.csv"
+        log.write_bytes("day,hour,occupied\n1,8,0\n1,9,1 é\n".encode("latin-1"))
+        assert main(occupancy_args(command, log, tmp_path / "out")) == 2
+        assert_one_line_error(capsys, str(log), "not UTF-8 text (byte 30)")
+
+    @pytest.mark.parametrize("command", ["estimate", "analyze"])
+    def test_unreadable_file_exits_2(self, tmp_path, capsys, monkeypatch, command):
+        import pathlib
+
+        log = tmp_path / "locked.csv"
+        log.write_text(seven_day_log_csv().read_text())
+        real_read_text = pathlib.Path.read_text
+
+        def read_text(self, *args, **kwargs):
+            if self == log:
+                raise PermissionError(13, "Permission denied", str(self))
+            return real_read_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(pathlib.Path, "read_text", read_text)
+        assert main(occupancy_args(command, log, tmp_path / "out")) == 2
+        assert_one_line_error(capsys, str(log), "cannot read: Permission denied")

@@ -1,0 +1,122 @@
+"""Fuzzing of occupancy log contents through the command line.
+
+Every run must end in exit 0, 2 or 3 with no traceback; a failing run
+prints one ``error:`` line, and a successful one writes finite numbers only.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import math
+import tempfile
+from pathlib import Path
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from thermark.cli import main  # noqa: E402
+from thermark.datasets import two_zone_benchmark_dir  # noqa: E402
+
+HEADER = "day,hour,occupied"
+# field spellings the grammar accepts, rejects, or accepts only for some fields
+TOKENS = ["0", "1", "2", "8", "9", "17", "23", "24", "-1", "-0", "+1", "01", "1.0", "1_0",
+          "", " ", "\t1 ", '"1"', "#", "x", "\xa01", "١", "99999999999999999999"]
+
+
+@st.composite
+def window_logs(draw) -> str:
+    """A well-formed log over hours 8..17, then up to three mutations."""
+    n_days = draw(st.integers(1, 5))
+    start_occupied = draw(st.booleans())
+    lines = [HEADER]
+    for day in range(1, n_days + 1):
+        lines.append(f"{day},8,{int(start_occupied)}")
+        bits = draw(st.lists(st.booleans(), min_size=9, max_size=9))
+        lines += [f"{day},{hour},{int(bit)}" for hour, bit in zip(range(9, 18), bits)]
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(["token", "insert", "delete", "repeat", "pad", "order"]))
+        if kind == "token":
+            fields = lines[at].split(",")
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(TOKENS))
+            lines[at] = ",".join(fields)
+        elif kind == "insert":
+            lines.insert(at, ",".join(draw(st.lists(st.sampled_from(TOKENS), max_size=4))))
+        elif kind == "delete":
+            del lines[at]
+        elif kind == "repeat":
+            lines.insert(at, lines[at])
+        elif kind == "pad":
+            lines[at] = lines[at].replace(",", draw(st.sampled_from([" ,", ", ", "\t,\t"])))
+        else:
+            lines[1:] = draw(st.permutations(lines[1:]))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline, newline + " \t"]))
+
+
+noise_logs = st.builds(
+    lambda header, body: header + body,
+    st.sampled_from(["", HEADER + "\n", " DAY,Hour , occupied\r\n"]),
+    st.text(alphabet="0123456789,+-#._ \t\r\n\"x\xa0", max_size=60),
+)
+
+
+def numbers(value):
+    if isinstance(value, dict):
+        for item in value.values():
+            yield from numbers(item)
+    elif isinstance(value, list):
+        for item in value:
+            yield from numbers(item)
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        yield value
+
+
+def run(argv: list[str]) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def check_run(command: str, code: int, err: str, out: Path) -> None:
+    hypothesis.event(f"{command} exit {code}")
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err
+    # the vectorised reader and the message loop must agree on the grammar
+    assert "could not be read" not in err
+    if code:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not out.exists()
+        return
+    for path in out.iterdir():
+        if path.suffix == ".json":
+            values = list(numbers(json.loads(path.read_text())))
+        else:
+            values = [float(line.rsplit(",", 1)[1])
+                      for line in path.read_text().splitlines()[1:]]
+        assert all(math.isfinite(v) for v in values), path.name
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(text=st.one_of(window_logs(), noise_logs))
+def test_occupancy_contents_through_estimate_and_analyze(text):
+    bench = two_zone_benchmark_dir()
+    with tempfile.TemporaryDirectory() as tmp:
+        log = Path(tmp) / "zone1.csv"
+        log.write_bytes(text.encode("utf-8"))
+        out = Path(tmp) / "estimate"
+        check_run("estimate", *run(["estimate", str(log), "--out", str(out)]), out)
+        out = Path(tmp) / "analyze"
+        check_run("analyze", *run([
+            "analyze", "--building", str(bench / "building.json"),
+            "--occupancy", f"zone1={log}",
+            "--occupancy", f"zone2={bench / 'occupancy_zone2.csv'}",
+            "--strategy", "S6", "--out", str(out),
+        ]), out)
