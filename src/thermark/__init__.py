@@ -24,6 +24,7 @@ from .markov import (
     assign_rewards,
     compose,
     relabel_and_merge_rewards,
+    step_reward_table,
     unroll_zone,
 )
 from .occupancy import (
@@ -34,7 +35,7 @@ from .occupancy import (
     parse_occupancy_csv,
     sample_dataset,
 )
-from .prism import PrismArtifact, export_prism_model, export_properties
+from .prism import PrismArtifact, export_prism_model, export_properties, render_model
 from .strategy import (
     CostReport,
     HeatingStrategy,
@@ -102,7 +103,9 @@ __all__ = [
     "parse_strategy",
     "parse_tariff",
     "relabel_and_merge_rewards",
+    "render_model",
     "sample_dataset",
+    "step_reward_table",
     "strategy_cost",
     "table2_tariff",
     "temperature_trajectory",

@@ -30,6 +30,9 @@ from .markov import ComposedModel, RewardedModel, ZoneGains, assign_rewards
 from .thermal import DiscreteThermalModel
 
 ORACLE_MAX_PATH_BITS = 22
+# the largest product chain --dump-chain writes, in edges; N=8 zones over
+# K=9 steps (524 801 edges) takes about 0.75 GiB and still fits
+DUMP_MAX_EDGES = 2 ** 20
 
 
 def _check_theta(rewarded: RewardedModel, theta: int) -> None:

@@ -7,8 +7,10 @@ a CSV log). All user-facing hours are absolute hours of the day; internal
 step indices are hour minus the window start. Outputs are deterministic
 and written atomically.
 
-Exit codes: 0 success, 2 validation/configuration error, 3 numerical
-guard (unstable discretisation, oracle size limit).
+Exit codes: 0 success, 2 validation/configuration error (including an
+unreadable input file or an output that cannot be written), 3 numerical
+guard (unstable discretisation, a ``--dump-chain`` chain above
+``analysis.DUMP_MAX_EDGES``).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, markov, occupancy, prism, strategy as strategy_mod
-from .errors import NumericalGuardError, ThermarkError, ValidationError
+from .errors import NumericalGuardError, ThermarkError, ValidationError, read_text
 from .markov import ZoneGains
 from .occupancy import TransitionSchedule
 from .thermal import DiscreteThermalModel, load_building
@@ -138,6 +140,9 @@ def _atomic_write(path: Path, text: str) -> None:
             fh.write(text)
         os.chmod(tmp, _file_mode())  # mkstemp creates it 0o600
         os.replace(tmp, path)
+    except OSError as exc:
+        os.unlink(tmp)
+        raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from None
     except BaseException:
         os.unlink(tmp)
         raise
@@ -159,14 +164,7 @@ def _load_schedules(config: RunConfig, zone_ids: tuple[str, ...]) -> Schedules:
 
 def _read_dataset(path: Path) -> occupancy.OccupancyDataset:
     """Read and parse one occupancy log; any failure names the file."""
-    try:
-        text = path.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise ValidationError(f"occupancy file not found: {path}") from None
-    except OSError as exc:
-        raise ValidationError(f"{path}: cannot read: {exc.strerror or exc}") from None
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    text = read_text(path, "occupancy")
     try:
         return occupancy.parse_occupancy_csv(text)
     except ValidationError as exc:
@@ -225,15 +223,21 @@ def _resolve_tariff(config: RunConfig) -> strategy_mod.Tariff:
     return strategy_mod.parse_tariff(Path(config.tariff))
 
 
-def _compose(config: RunConfig, schedules: Schedules,
-             strat: strategy_mod.HeatingStrategy) -> markov.ComposedModel:
-    """The product chain; only PRISM export and ``--dump-chain`` need it."""
+def _chains(config: RunConfig, schedules: Schedules,
+            strat: strategy_mod.HeatingStrategy) -> list[markov.ZoneChain]:
+    """One unrolled chain per zone, in ``schedules`` order."""
     horizon = config.window[1] - config.window[0]
-    return markov.compose([
+    return [
         markov.unroll_zone(schedule, strat.heating_bits(zid, config.window), horizon,
                            zone_id=zid, initial_occupied=initial_occupied)
         for zid, (schedule, initial_occupied) in schedules.items()
-    ])
+    ]
+
+
+def _compose(config: RunConfig, schedules: Schedules,
+             strat: strategy_mod.HeatingStrategy) -> markov.ComposedModel:
+    """The product chain; only ``--dump-chain`` needs it."""
+    return markov.compose(_chains(config, schedules, strat))
 
 
 def _load_inputs(config: RunConfig):
@@ -267,6 +271,13 @@ def _trajectories(config: RunConfig, thermal: DiscreteThermalModel, schedules: S
 
 def cmd_analyze(config: RunConfig, dump_chain: bool = False) -> int:
     _, thermal, schedules, strat = _load_inputs(config)
+    if dump_chain:
+        width, horizon = 2 ** len(thermal.zone_ids), config.window[1] - config.window[0]
+        edges = width + (horizon - 1) * width ** 2 + width + 1
+        if edges > analysis.DUMP_MAX_EDGES:
+            raise NumericalGuardError(
+                f"--dump-chain: the product chain has {edges} edges, above the limit of "
+                f"{analysis.DUMP_MAX_EDGES}; use fewer zones or a shorter window")
     (trajectory,) = _trajectories(config, thermal, schedules, [strat])
     report = analysis.comfort_check(trajectory, config.band)
 
@@ -343,23 +354,20 @@ def cmd_cost(config: RunConfig, strategy_refs: list[str]) -> int:
 
 
 def cmd_export(config: RunConfig, name: str, to_stdout: bool = False) -> int:
-    _, thermal, model, _ = _build_model(config)
-    gains = config.gains_for(thermal.zone_ids)
-    artifacts = {}
-    for theta in config.thetas:
-        rewarded = markov.assign_rewards(model, thermal, gains, theta)
-        artifacts[theta] = prism.export_prism_model(rewarded, name=name,
-                                                    theta_range=config.thetas)
+    _, thermal, schedules, strat = _load_inputs(config)
+    chains = _chains(config, schedules, strat)
+    table = markov.step_reward_table(chains, thermal, config.gains_for(thermal.zone_ids),
+                                     config.thetas)
+    models = {theta: prism.render_model(chains, rewards, theta, thermal.delta, name)
+              for theta, rewards in zip(config.thetas, table.tolist())}
+    properties = prism.export_properties(config.thetas, thermal.zone_ids)
     if to_stdout:
-        for theta in config.thetas:
-            sys.stdout.write(artifacts[theta].model_text)
-        sys.stdout.write(artifacts[config.thetas[0]].properties_text)
+        sys.stdout.write("".join(models.values()) + properties)
         return EXIT_OK
-    for theta, artifact in artifacts.items():
+    for theta, text in models.items():
         suffix = f"_theta{theta}" if len(config.thetas) > 1 else ""
-        _atomic_write(config.out_dir / f"{name}{suffix}.pm", artifact.model_text)
-    _atomic_write(config.out_dir / f"{name}.props",
-                  artifacts[config.thetas[0]].properties_text)
+        _atomic_write(config.out_dir / f"{name}{suffix}.pm", text)
+    _atomic_write(config.out_dir / f"{name}.props", properties)
     return EXIT_OK
 
 

@@ -8,7 +8,10 @@ the product has 1 + 2^N * K + 1 states for N zones. It is held as one
 dense (2^N, 2^N) matrix per step, the Kronecker product of the zones' 2x2
 step matrices; the list of product edges is built from them when read.
 
-Rewards encode expected temperature. For an evaluation step ``theta``, the
+Rewards encode expected temperature and depend only on the step, so they
+are computed once per step and zone, from the zone chains alone, by
+:func:`step_reward_table`; :func:`assign_rewards` repeats each value over
+the composed states of its step. For an evaluation step ``theta``, the
 initial state of zone m carries row_m(A^theta) @ T[0]; a state at step k
 (1 <= k <= theta) carries row_m(A^(theta-k)) @ Q_k where Q_k[j] is the
 expected heat gain produced by zone j during hour k-1 (internal gain times
@@ -31,7 +34,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .occupancy import StepMatrix, TransitionSchedule, occupancy_marginals
-from .thermal import DiscreteThermalModel, matrix_power
+from .thermal import DiscreteThermalModel
 
 SINK_LABEL = "t_sink"
 
@@ -296,19 +299,61 @@ class RewardedModel:
         return float(self.rewards[zone_id][state_index])
 
 
-def expected_gain_vector(
-    model: ComposedModel,
+def step_reward_table(
+    chains: list[ZoneChain] | tuple[ZoneChain, ...],
+    thermal: DiscreteThermalModel,
     gains: dict[str, ZoneGains],
-    marginals: np.ndarray,
-    k: int,
+    thetas: list[int] | tuple[int, ...] | range,
 ) -> np.ndarray:
-    """Expected heat gain entering each zone during hour k-1 (for step k)."""
-    heat_prev = model.heating_at(k - 1)
-    out = np.empty(model.zone_count)
-    for j, zid in enumerate(model.zone_ids):
-        g = gains[zid]
-        out[j] = g.q_int * marginals[k - 1, j] + g.q_rad * (1.0 if heat_prev[j] else 0.0)
-    return out
+    """Per-step reward of every zone, for each evaluation step in ``thetas``.
+
+    Returns a (len(thetas), N, K+2) array in chain order: entry [t, m, k]
+    is zone m's reward at step k (0..K+1, the sink last) for
+    ``thetas[t]``. The occupancy marginals and the powers A^0..A^max(theta)
+    are computed once for all thetas.
+    """
+    chains = tuple(chains)
+    if not chains:
+        raise ValidationError("rewards need at least one chain")
+    zone_ids = tuple(c.zone_id for c in chains)
+    horizon = chains[0].horizon
+    thetas = tuple(thetas)
+    for theta in thetas:
+        if not 1 <= theta <= horizon:
+            raise ValidationError(f"theta must be within 1..{horizon}, got {theta}")
+    if set(zone_ids) != set(thermal.zone_ids):
+        raise ValidationError(
+            "chain zones must match the thermal model zones: "
+            f"{sorted(zone_ids)} vs {sorted(thermal.zone_ids)}"
+        )
+    # the coupled gain vector needs every zone's gains
+    for zid in zone_ids:
+        if zid not in gains:
+            raise ValidationError(f"no gains declared for zone {zid!r}")
+
+    # chain order may differ from the thermal matrix order
+    rows = [thermal.zone_index(zid) for zid in zone_ids]
+    t0 = np.asarray(thermal.initial_temps, dtype=float)
+    a = np.asarray(thermal.a, dtype=float)
+    powers = [np.eye(len(a))]
+    for _ in range(max(thetas, default=0)):
+        powers.append(powers[-1] @ a)
+
+    # gains[k - 1] enters at step k: occupants by marginal, radiator by bit
+    marginals = np.array([c.occupied_marginals() for c in chains])[:, :-1]
+    heating = np.array([c.heating[:-1] for c in chains], dtype=float)
+    q_int = np.array([[gains[zid].q_int] for zid in zone_ids])
+    q_rad = np.array([[gains[zid].q_rad] for zid in zone_ids])
+    step_gains = np.zeros((horizon, len(rows)))
+    step_gains[:, rows] = (q_int * marginals + q_rad * heating).T
+
+    table = np.zeros((len(thetas), len(chains), horizon + 2))
+    for t, theta in enumerate(thetas):
+        for m, row in enumerate(rows):
+            table[t, m, 0] = powers[theta][row] @ t0
+            table[t, m, 1:theta + 1] = [powers[theta - k][row] @ step_gains[k - 1]
+                                        for k in range(1, theta + 1)]
+    return table
 
 
 def assign_rewards(
@@ -324,51 +369,14 @@ def assign_rewards(
     annotates only those reward functions (merge the results with
     :func:`relabel_and_merge_rewards`).
     """
-    if not 1 <= theta <= model.horizon:
-        raise ValidationError(
-            f"theta must be within 1..{model.horizon}, got {theta}"
-        )
-    if set(model.zone_ids) != set(thermal.zone_ids):
-        raise ValidationError(
-            "composed model zones must match the thermal model zones: "
-            f"{sorted(model.zone_ids)} vs {sorted(thermal.zone_ids)}"
-        )
     targets = tuple(zone_ids) if zone_ids is not None else model.zone_ids
     for zid in targets:
         if zid not in model.zone_ids:
             raise ValidationError(f"unknown zone id {zid!r} in reward assignment")
-    # the coupled gain vector needs every zone's gains, not just the targets'
-    for zid in model.zone_ids:
-        if zid not in gains:
-            raise ValidationError(f"no gains declared for zone {zid!r}")
-
-    thermal_rows = {zid: thermal.zone_index(zid) for zid in model.zone_ids}
-    t0 = np.asarray(thermal.initial_temps, dtype=float)
-    # model zone order may differ from the thermal matrix order
-    order = [thermal_rows[zid] for zid in model.zone_ids]
-
-    powers = [matrix_power(thermal.a, p) for p in range(theta + 1)]
-    marginals = model.occupied_marginals()
-
-    gain_vectors = {}
-    for k in range(1, theta + 1):
-        q = expected_gain_vector(model, gains, marginals, k)
-        # re-express in thermal matrix order
-        full = np.zeros(len(thermal.zone_ids))
-        full[order] = q
-        gain_vectors[k] = full
-
-    # states per step 0..K+1; steps past theta and the sink carry zero
+    (table,) = step_reward_table(model.chains, thermal, gains, (theta,))
+    # states per step 0..K+1
     counts = [1] + [2 ** model.zone_count] * model.horizon + [1]
-    rewards: dict[str, np.ndarray] = {}
-    for zid in targets:
-        row = thermal_rows[zid]
-        per_step = [float(powers[theta][row] @ t0)]
-        per_step += [float(powers[theta - k][row] @ gain_vectors[k])
-                     for k in range(1, theta + 1)]
-        per_step += [0.0] * (model.horizon + 1 - theta)
-        rewards[zid] = np.repeat(per_step, counts)
-
+    rewards = {zid: np.repeat(table[model.zone_ids.index(zid)], counts) for zid in targets}
     return RewardedModel(model=model, thermal=thermal, gains=dict(gains),
                          theta=theta, rewards=rewards)
 

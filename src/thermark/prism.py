@@ -1,17 +1,21 @@
-"""Emission of the composed model in the PRISM modelling language.
+"""Emission of the zone chains in the PRISM modelling language.
 
 One module per zone, each holding a bounded step counter and an occupancy
 variable; all modules share the step labels t1..t{K+1} (plus an absorbing
 t_sink loop), so their parallel composition inside PRISM synchronizes
 layer by layer exactly like :func:`thermark.markov.compose`. Zones whose
 occupancy schedules coincide are emitted through module renaming instead
-of being spelled out twice.
+of being spelled out twice. The model is rendered from the zone chains
+and the per-step reward table of :func:`thermark.markov.step_reward_table`;
+the product chain is never built.
 
-Per-zone reward blocks list one guard/value pair per composed state with
-a nonzero reward. The target language only supports non-negative rewards,
-so any negative value aborts the export. Output is deterministic: equal
-inputs give byte-identical text, and every numeric literal is the
-shortest representation that round-trips to the stored double.
+Every state at a step carries the same reward, so each per-zone reward
+block holds one ``step_<zone>=k : value;`` line per step with a nonzero
+reward; PRISM adds the values of every item whose guard a state
+satisfies. The target language only supports non-negative rewards, so any
+negative value aborts the export. Output is deterministic: equal inputs
+give byte-identical text, and every numeric literal is the shortest
+representation that round-trips to the stored double.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .markov import RewardedModel
+from .markov import RewardedModel, ZoneChain
 
 _IDENT_RE = re.compile(r"[^A-Za-z0-9_]")
 
@@ -76,38 +80,33 @@ def export_properties(theta_range, zone_ids: tuple[str, ...]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def export_prism_model(
-    rewarded: RewardedModel,
+def render_model(
+    chains: list[ZoneChain] | tuple[ZoneChain, ...],
+    rewards: list[list[float]],
+    theta: int,
+    delta: float,
     name: str = "building",
-    theta_range=None,
-) -> PrismArtifact:
-    """Render the rewarded composed model and its property file.
+) -> str:
+    """Model text for one evaluation step ``theta``.
 
-    ``theta_range`` controls the property file only (defaults to the
-    rewards' own theta); the model text always carries the reward
-    structure of ``rewarded.theta``.
+    ``rewards`` holds, per chain, the reward at each step 0..K+1 for
+    ``theta`` (one slice of :func:`thermark.markov.step_reward_table`);
+    ``delta`` is the thermal step length in hours.
     """
-    model = rewarded.model
-    horizon = model.horizon
-    idents = _zone_identifiers(model.zone_ids)
+    zone_ids = tuple(c.zone_id for c in chains)
+    horizon = chains[0].horizon
+    idents = _zone_identifiers(zone_ids)
 
-    for zid in model.zone_ids:
-        if zid not in rewarded.rewards:
-            raise ValidationError(f"no reward function assigned for zone {zid!r}")
-        negative = rewarded.rewards[zid] < 0
-        if negative.any():
-            state = model.states[int(negative.argmax())]
-            raise ValidationError(
-                "negative reward unsupported by target: "
-                f"zone {zid!r}, state {state.index} (step {state.step})"
-            )
+    for zid, per_step in zip(zone_ids, rewards):
+        for step, value in enumerate(per_step):
+            if value < 0:
+                raise ValidationError(
+                    f"negative reward unsupported by target: zone {zid!r}, step {step}"
+                )
 
     lines: list[str] = []
-    lines.append(f"// {name}: {len(model.zone_ids)}-zone occupancy/thermal reward model")
-    lines.append(
-        f"// horizon K={horizon}, theta={rewarded.theta}, "
-        f"step length {_fmt(rewarded.thermal.delta)} h"
-    )
+    lines.append(f"// {name}: {len(zone_ids)}-zone occupancy/thermal reward model")
+    lines.append(f"// horizon K={horizon}, theta={theta}, step length {_fmt(delta)} h")
     lines.append("// modules synchronize on step labels t1..t%d; t_sink loops the"
                  % (horizon + 1))
     lines.append("// absorbing final state")
@@ -115,20 +114,18 @@ def export_prism_model(
     lines.append("dtmc")
     lines.append("")
 
-    emitted: list[str] = []  # zone ids with a spelled-out module, for renaming
-    for zi, zid in enumerate(model.zone_ids):
-        ident = idents[zid]
-        chain = model.chains[zi]
+    emitted: list[ZoneChain] = []  # chains with a spelled-out module, for renaming
+    for chain in chains:
+        ident = idents[chain.zone_id]
         twin = None
-        for prev_zid in emitted:
-            prev = model.chains[model.zone_ids.index(prev_zid)]
+        for prev in emitted:
             if (prev.occ_given_empty == chain.occ_given_empty
                     and prev.occ_given_occupied == chain.occ_given_occupied
                     and prev.initial_occupied == chain.initial_occupied):
-                twin = prev_zid
+                twin = prev
                 break
         if twin is not None:
-            p_ident = idents[twin]
+            p_ident = idents[twin.zone_id]
             lines.append(
                 f"module zone_{ident} = zone_{p_ident} "
                 f"[ step_{p_ident}=step_{ident}, occ_{p_ident}=occ_{ident} ] endmodule"
@@ -169,34 +166,55 @@ def export_prism_model(
         lines.append(f"  [t_sink] step_{ident}={horizon + 1} -> 1:(step_{ident}'={horizon + 1});")
         lines.append("endmodule")
         lines.append("")
-        emitted.append(zid)
+        emitted.append(chain)
 
-    step_var = f"step_{idents[model.zone_ids[0]]}"
-    occ_vars = [f"occ_{idents[zid]}" for zid in model.zone_ids]
-    # one guard per non-sink state, in state order; zip below drops the sink
-    guards = [" & ".join([f"{step_var}={state.step}"]
-                         + [f"{var}={int(occ)}" for var, occ in zip(occ_vars, state.occupied)])
-              for state in model.states[:-1]]
-    for zid in model.zone_ids:
-        lines.append(f'rewards "zone_{idents[zid]}"')
-        count = 0
-        for guard, value in zip(guards, rewarded.rewards[zid].tolist()):
-            if value != 0.0:
-                lines.append(f"  {guard} : {_fmt(value)};")
-                count += 1
-        if count == 0:
-            lines.append("  // no nonzero rewards for this zone")
+    for zid, per_step in zip(zone_ids, rewards):
+        ident = idents[zid]
+        lines.append(f'rewards "zone_{ident}"')
+        entries = [f"  step_{ident}={k} : {_fmt(value)};"
+                   for k, value in enumerate(per_step) if value != 0.0]
+        lines += entries or ["  // no nonzero rewards for this zone"]
         lines.append("endrewards")
         lines.append("")
 
-    model_text = "\n".join(lines)
+    return "\n".join(lines)
+
+
+def export_prism_model(
+    rewarded: RewardedModel,
+    name: str = "building",
+    theta_range=None,
+) -> PrismArtifact:
+    """Render a rewarded composed model and its property file.
+
+    ``theta_range`` controls the property file only (defaults to the
+    rewards' own theta); the model text always carries the reward
+    structure of ``rewarded.theta``. Every state at a step must carry the
+    same reward, as :func:`thermark.markov.assign_rewards` makes them,
+    because the text holds one reward line per step.
+    """
+    model = rewarded.model
+    table = []
+    for zid in model.zone_ids:
+        if zid not in rewarded.rewards:
+            raise ValidationError(f"no reward function assigned for zone {zid!r}")
+        per_step: dict[int, float] = {}
+        for state, value in zip(model.states, rewarded.rewards[zid].tolist()):
+            if per_step.setdefault(state.step, value) != value:
+                raise ValidationError(
+                    f"zone {zid!r}: rewards differ within step {state.step}; "
+                    "the model text holds one reward per step"
+                )
+        table.append([per_step[k] for k in range(model.horizon + 2)])
+
     thetas = list(theta_range) if theta_range is not None else [rewarded.theta]
     return PrismArtifact(
-        model_text=model_text,
+        model_text=render_model(model.chains, table, rewarded.theta,
+                                rewarded.thermal.delta, name),
         properties_text=export_properties(thetas, model.zone_ids),
         metadata={
-            "zones": len(model.zone_ids),
-            "horizon": horizon,
+            "zones": model.zone_count,
+            "horizon": model.horizon,
             "theta_list": thetas,
         },
     )

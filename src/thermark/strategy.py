@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import ValidationError
+from .errors import ValidationError, read_text
 
 BUILTIN_STRATEGY_NAMES = ("S1", "S2", "S3", "S4", "S5", "S6")
 _ON_HOURS = frozenset(range(9, 17))
@@ -192,11 +192,7 @@ def _load_json(source: str | Path | dict, kind: str) -> dict:
         return source
     if isinstance(source, Path) or (isinstance(source, str) and "\n" not in source
                                     and source.strip().endswith(".json")):
-        path = Path(source)
-        try:
-            text = path.read_text()
-        except FileNotFoundError:
-            raise ValidationError(f"{kind} file not found: {path}") from None
+        text = read_text(Path(source), kind)
     else:
         text = str(source)
     try:

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NumericalGuardError, ValidationError
+from .errors import NumericalGuardError, ValidationError, read_text
 
 ROW_SUM_TOL = 1e-12
 
@@ -282,10 +282,9 @@ def load_building(path: str | Path) -> tuple[RCNetwork, DiscreteThermalModel]:
     zone order of the ``zones`` list).
     """
     path = Path(path)
+    text = read_text(path, "building")
     try:
-        raw = json.loads(path.read_text())
-    except FileNotFoundError:
-        raise ValidationError(f"building file not found: {path}") from None
+        raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"building file {path} is not valid JSON: {exc}") from None
 

@@ -56,81 +56,27 @@ module zone_zone2
 endmodule
 
 rewards "zone_zone1"
-  step_zone1=0 & occ_zone1=0 & occ_zone2=0 : 17.001590283057052;
-  step_zone1=1 & occ_zone1=1 & occ_zone2=1 : 1.4999999999999998;
-  step_zone1=1 & occ_zone1=1 & occ_zone2=0 : 1.4999999999999998;
-  step_zone1=1 & occ_zone1=0 & occ_zone2=1 : 1.4999999999999998;
-  step_zone1=1 & occ_zone1=0 & occ_zone2=0 : 1.4999999999999998;
-  step_zone1=2 & occ_zone1=1 & occ_zone2=1 : 1.6986087708093065;
-  step_zone1=2 & occ_zone1=1 & occ_zone2=0 : 1.6986087708093065;
-  step_zone1=2 & occ_zone1=0 & occ_zone2=1 : 1.6986087708093065;
-  step_zone1=2 & occ_zone1=0 & occ_zone2=0 : 1.6986087708093065;
-  step_zone1=3 & occ_zone1=1 & occ_zone2=1 : 0.25122081663872603;
-  step_zone1=3 & occ_zone1=1 & occ_zone2=0 : 0.25122081663872603;
-  step_zone1=3 & occ_zone1=0 & occ_zone2=1 : 0.25122081663872603;
-  step_zone1=3 & occ_zone1=0 & occ_zone2=0 : 0.25122081663872603;
-  step_zone1=4 & occ_zone1=1 & occ_zone2=1 : 0.22358878520672493;
-  step_zone1=4 & occ_zone1=1 & occ_zone2=0 : 0.22358878520672493;
-  step_zone1=4 & occ_zone1=0 & occ_zone2=1 : 0.22358878520672493;
-  step_zone1=4 & occ_zone1=0 & occ_zone2=0 : 0.22358878520672493;
-  step_zone1=5 & occ_zone1=1 & occ_zone2=1 : 0.21106037852025916;
-  step_zone1=5 & occ_zone1=1 & occ_zone2=0 : 0.21106037852025916;
-  step_zone1=5 & occ_zone1=0 & occ_zone2=1 : 0.21106037852025916;
-  step_zone1=5 & occ_zone1=0 & occ_zone2=0 : 0.21106037852025916;
-  step_zone1=6 & occ_zone1=1 & occ_zone2=1 : 0.18913941305189771;
-  step_zone1=6 & occ_zone1=1 & occ_zone2=0 : 0.18913941305189771;
-  step_zone1=6 & occ_zone1=0 & occ_zone2=1 : 0.18913941305189771;
-  step_zone1=6 & occ_zone1=0 & occ_zone2=0 : 0.18913941305189771;
-  step_zone1=7 & occ_zone1=1 & occ_zone2=1 : 0.15122178827777777;
-  step_zone1=7 & occ_zone1=1 & occ_zone2=0 : 0.15122178827777777;
-  step_zone1=7 & occ_zone1=0 & occ_zone2=1 : 0.15122178827777777;
-  step_zone1=7 & occ_zone1=0 & occ_zone2=0 : 0.15122178827777777;
-  step_zone1=8 & occ_zone1=1 & occ_zone2=1 : 0.07893627777777776;
-  step_zone1=8 & occ_zone1=1 & occ_zone2=0 : 0.07893627777777776;
-  step_zone1=8 & occ_zone1=0 & occ_zone2=1 : 0.07893627777777776;
-  step_zone1=8 & occ_zone1=0 & occ_zone2=0 : 0.07893627777777776;
-  step_zone1=9 & occ_zone1=1 & occ_zone2=1 : 0.04666666666666666;
-  step_zone1=9 & occ_zone1=1 & occ_zone2=0 : 0.04666666666666666;
-  step_zone1=9 & occ_zone1=0 & occ_zone2=1 : 0.04666666666666666;
-  step_zone1=9 & occ_zone1=0 & occ_zone2=0 : 0.04666666666666666;
+  step_zone1=0 : 17.001590283057052;
+  step_zone1=1 : 1.4999999999999998;
+  step_zone1=2 : 1.6986087708093065;
+  step_zone1=3 : 0.25122081663872603;
+  step_zone1=4 : 0.22358878520672493;
+  step_zone1=5 : 0.21106037852025916;
+  step_zone1=6 : 0.18913941305189771;
+  step_zone1=7 : 0.15122178827777777;
+  step_zone1=8 : 0.07893627777777776;
+  step_zone1=9 : 0.04666666666666666;
 endrewards
 
 rewards "zone_zone2"
-  step_zone1=0 & occ_zone1=0 & occ_zone2=0 : 17.001073030626028;
-  step_zone1=1 & occ_zone1=1 & occ_zone2=1 : 1.5000000000000004;
-  step_zone1=1 & occ_zone1=1 & occ_zone2=0 : 1.5000000000000004;
-  step_zone1=1 & occ_zone1=0 & occ_zone2=1 : 1.5000000000000004;
-  step_zone1=1 & occ_zone1=0 & occ_zone2=0 : 1.5000000000000004;
-  step_zone1=2 & occ_zone1=1 & occ_zone2=1 : 1.698306132992025;
-  step_zone1=2 & occ_zone1=1 & occ_zone2=0 : 1.698306132992025;
-  step_zone1=2 & occ_zone1=0 & occ_zone2=1 : 1.698306132992025;
-  step_zone1=2 & occ_zone1=0 & occ_zone2=0 : 1.698306132992025;
-  step_zone1=3 & occ_zone1=1 & occ_zone2=1 : 0.25063673221837485;
-  step_zone1=3 & occ_zone1=1 & occ_zone2=0 : 0.25063673221837485;
-  step_zone1=3 & occ_zone1=0 & occ_zone2=1 : 0.25063673221837485;
-  step_zone1=3 & occ_zone1=0 & occ_zone2=0 : 0.25063673221837485;
-  step_zone1=4 & occ_zone1=1 & occ_zone2=1 : 0.22362830965693756;
-  step_zone1=4 & occ_zone1=1 & occ_zone2=0 : 0.22362830965693756;
-  step_zone1=4 & occ_zone1=0 & occ_zone2=1 : 0.22362830965693756;
-  step_zone1=4 & occ_zone1=0 & occ_zone2=0 : 0.22362830965693756;
-  step_zone1=5 & occ_zone1=1 & occ_zone2=1 : 0.21274269112319755;
-  step_zone1=5 & occ_zone1=1 & occ_zone2=0 : 0.21274269112319755;
-  step_zone1=5 & occ_zone1=0 & occ_zone2=1 : 0.21274269112319755;
-  step_zone1=5 & occ_zone1=0 & occ_zone2=0 : 0.21274269112319755;
-  step_zone1=6 & occ_zone1=1 & occ_zone2=1 : 0.19954577690995107;
-  step_zone1=6 & occ_zone1=1 & occ_zone2=0 : 0.19954577690995107;
-  step_zone1=6 & occ_zone1=0 & occ_zone2=1 : 0.19954577690995107;
-  step_zone1=6 & occ_zone1=0 & occ_zone2=0 : 0.19954577690995107;
-  step_zone1=7 & occ_zone1=1 & occ_zone2=1 : 0.1791378512777778;
-  step_zone1=7 & occ_zone1=1 & occ_zone2=0 : 0.1791378512777778;
-  step_zone1=7 & occ_zone1=0 & occ_zone2=1 : 0.1791378512777778;
-  step_zone1=7 & occ_zone1=0 & occ_zone2=0 : 0.1791378512777778;
-  step_zone1=8 & occ_zone1=1 & occ_zone2=1 : 0.11155394444444444;
-  step_zone1=8 & occ_zone1=1 & occ_zone2=0 : 0.11155394444444444;
-  step_zone1=8 & occ_zone1=0 & occ_zone2=1 : 0.11155394444444444;
-  step_zone1=8 & occ_zone1=0 & occ_zone2=0 : 0.11155394444444444;
-  step_zone1=9 & occ_zone1=1 & occ_zone2=1 : 0.09333333333333332;
-  step_zone1=9 & occ_zone1=1 & occ_zone2=0 : 0.09333333333333332;
-  step_zone1=9 & occ_zone1=0 & occ_zone2=1 : 0.09333333333333332;
-  step_zone1=9 & occ_zone1=0 & occ_zone2=0 : 0.09333333333333332;
+  step_zone2=0 : 17.001073030626028;
+  step_zone2=1 : 1.5000000000000004;
+  step_zone2=2 : 1.698306132992025;
+  step_zone2=3 : 0.25063673221837485;
+  step_zone2=4 : 0.22362830965693756;
+  step_zone2=5 : 0.21274269112319755;
+  step_zone2=6 : 0.19954577690995107;
+  step_zone2=7 : 0.1791378512777778;
+  step_zone2=8 : 0.11155394444444444;
+  step_zone2=9 : 0.09333333333333332;
 endrewards

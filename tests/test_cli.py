@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from thermark import ValidationError
 from thermark.cli import main
 from thermark.datasets import two_zone_benchmark_dir, seven_day_log_csv
 
@@ -344,20 +345,23 @@ class TestDirectRoute:
         for row in rows:
             assert row["comfort"] == composed_comfort(row["strategy"])["summary"]
 
-    def test_only_export_and_dump_chain_compose(self, tmp_path, monkeypatch):
+    def test_only_dump_chain_composes(self, tmp_path, monkeypatch):
         import thermark.markov
 
-        def refuse(chains):
-            raise RuntimeError("compose called")
+        def refuse(name):
+            def refused(*args, **kwargs):
+                raise RuntimeError(f"{name} called")
+            return refused
 
-        monkeypatch.setattr(thermark.markov, "compose", refuse)
+        monkeypatch.setattr(thermark.markov, "compose", refuse("compose"))
+        monkeypatch.setattr(thermark.markov, "assign_rewards", refuse("assign_rewards"))
         assert main(pinned_args("analyze", tmp_path / "a")) == 0
         cost_args = pinned_args("cost", tmp_path / "c", extra=["--strategy", "S2"])
         assert main(cost_args) == 0
+        assert main(pinned_args("export", tmp_path / "e", extra=["--theta", "9"])) == 0
+        assert main(pinned_args("export", tmp_path / "f", extra=["--theta", "1-9"])) == 0
         with pytest.raises(RuntimeError, match="compose called"):
             main(pinned_args("analyze", tmp_path / "d", extra=["--dump-chain"]))
-        with pytest.raises(RuntimeError, match="compose called"):
-            main(pinned_args("export", tmp_path / "e", extra=["--theta", "9"]))
 
 
 def assert_one_line_error(capsys, *fragments):
@@ -439,6 +443,83 @@ class TestBuildingChecks:
         assert not out.exists()
 
 
+class TestJsonInputFiles:
+    """Building, strategy and tariff files share the occupancy logs' read checks."""
+
+    @staticmethod
+    def directory(tmp_path):
+        path = tmp_path / "input.json"
+        path.mkdir()
+        return path, "Is a directory"
+
+    @staticmethod
+    def utf16_bom(tmp_path):
+        path = tmp_path / "input.json"
+        path.write_bytes(b"\xff\xfe")
+        return path, "not UTF-8 text (byte 0)"
+
+    @staticmethod
+    def missing(tmp_path):
+        return tmp_path / "input.json", "file not found"
+
+    @pytest.mark.parametrize("make", ["directory", "utf16_bom", "missing"])
+    @pytest.mark.parametrize("command,flag", [
+        ("analyze", "--building"), ("cost", "--building"), ("export", "--building"),
+        ("analyze", "--strategy"), ("cost", "--strategy"), ("cost", "--tariff"),
+    ])
+    def test_unreadable_file_exits_2(self, tmp_path, capsys, command, flag, make):
+        path, reason = getattr(self, make)(tmp_path)
+        args = pinned_args(command, tmp_path / "out")
+        if flag in args:
+            args[args.index(flag) + 1] = str(path)
+        else:
+            args += [flag, str(path)]
+        assert main(args) == 2
+        assert_one_line_error(capsys, str(path), reason)
+        assert not (tmp_path / "out").exists()
+
+
+class TestDumpChainLimit:
+    def test_edge_formula_counts_the_dumped_edges(self, tmp_path):
+        assert main(pinned_args("analyze", tmp_path, extra=["--dump-chain"])) == 0
+        dumped = json.loads((tmp_path / "chain.json").read_text())
+        width, horizon = 2 ** 2, 9
+        assert len(dumped["transitions"]) == width + (horizon - 1) * width ** 2 + width + 1
+
+    def test_eight_zones_over_nine_steps_fit(self):
+        from thermark.analysis import DUMP_MAX_EDGES
+
+        width = 2 ** 8
+        assert width + 8 * width ** 2 + width + 1 <= DUMP_MAX_EDGES
+
+    def test_ten_zones_exit_3_before_composing(self, tmp_path, capsys, monkeypatch):
+        import thermark.markov
+
+        def refuse(chains):
+            raise RuntimeError("compose called")
+
+        monkeypatch.setattr(thermark.markov, "compose", refuse)
+        zone_ids = [f"zone{i}" for i in range(10)]
+        building = {
+            "zones": [{"id": z, "capacitance": 2.0, "resistance": 2.0, "initial_temp": 18.0}
+                      for z in zone_ids],
+            "edges": [[a, b] for i, a in enumerate(zone_ids)
+                      for b in (zone_ids[i - 1], zone_ids[(i + 1) % 10])],
+        }
+        (tmp_path / "building.json").write_text(json.dumps(building))
+        log = tmp_path / "log.csv"
+        log.write_text("day,hour,occupied\n" + "".join(
+            f"{d},{h},{int(h > 8 and (d + h) % 3 == 0)}\n"
+            for d in (1, 2, 3) for h in range(8, 18)))
+        args = ["analyze", "--building", str(tmp_path / "building.json"),
+                "--out", str(tmp_path / "out"), "--dump-chain"]
+        for z in zone_ids:
+            args += ["--occupancy", f"{z}={log}"]
+        assert main(args) == 3
+        assert_one_line_error(capsys, "--dump-chain", "limit")
+        assert not (tmp_path / "out").exists()
+
+
 class TestOutputFiles:
     def test_stale_temp_name_is_harmless(self, tmp_path):
         (tmp_path / "trajectory.csv.tmp").mkdir()
@@ -453,9 +534,17 @@ class TestOutputFiles:
             raise OSError("replace failed")
 
         monkeypatch.setattr(thermark.cli.os, "replace", fail)
-        with pytest.raises(OSError, match="replace failed"):
+        with pytest.raises(ValidationError, match=r"cannot write .*out\.txt: replace failed"):
             thermark.cli._atomic_write(tmp_path / "out.txt", "text")
         assert not any(tmp_path.iterdir())
+
+    def test_target_that_is_a_directory_exits_2(self, tmp_path, capsys):
+        (tmp_path / "trajectory.csv").mkdir()
+        assert main(pinned_args("analyze", tmp_path)) == 2
+        assert_one_line_error(capsys, f"cannot write {tmp_path / 'trajectory.csv'}: ",
+                              "Is a directory")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["trajectory.csv"]
+        assert not any((tmp_path / "trajectory.csv").iterdir())
 
     def test_mode_matches_a_plainly_created_file(self, tmp_path):
         import stat

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import re
 import shutil
 import subprocess
@@ -10,19 +11,24 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_schedule
+import prism_eval
+from conftest import make_schedule, random_schedule
+from test_cli import pinned_args, read_trajectory
 from thermark import (
     DiscreteThermalModel,
     ValidationError,
     ZoneGains,
     assign_rewards,
     compose,
+    direct_expected_temperatures,
     expected_temperature,
     export_prism_model,
     export_properties,
+    render_model,
+    step_reward_table,
     unroll_zone,
 )
-from thermark.cli import RunConfig, _build_model
+from thermark.cli import RunConfig, _build_model, main
 from thermark.datasets import two_zone_benchmark_dir
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -93,23 +99,27 @@ module zone_room
 endmodule
 
 rewards "zone_room"
-  step_room=0 & occ_room=0 : 20;
-  step_room=1 & occ_room=1 : 1.5;
-  step_room=1 & occ_room=0 : 1.5;
+  step_room=0 : 20;
+  step_room=1 : 1.5;
 endrewards
 """
         assert artifact.model_text == expected
 
-    def test_reward_entry_count_matches_nonzero_states(self):
-        rewarded = one_zone_rewarded()
-        artifact = export_prism_model(rewarded, name="room_model")
-        emitted = len(re.findall(r"^  step_\w+=\d.* : .*;$", artifact.model_text, re.M))
-        nonzero = sum(
-            int(rewarded.rewards[zid][s.index] != 0.0)
-            for zid in rewarded.rewards
-            for s in rewarded.model.states
-        )
-        assert emitted == nonzero == 3
+    def test_one_reward_line_per_nonzero_step(self, bench_thermal):
+        # zone2 has no gains of its own, so its reward at step theta, row e2 @ Q, is zero
+        chains = [unroll_zone(make_schedule(p_vf=0.4), [True] * 10, 9, zone_id="zone1"),
+                  unroll_zone(make_schedule(p_vf=0.2), [False] * 10, 9, zone_id="zone2")]
+        gains = {"zone1": ZoneGains(0.7, 1.5), "zone2": ZoneGains(0.0, 0.0)}
+        rewarded = assign_rewards(compose(chains), bench_thermal, gains, 4)
+        text = export_prism_model(rewarded, name="lines").model_text
+        for zid in ("zone1", "zone2"):
+            block = text.split(f'rewards "zone_{zid}"\n')[1].split("endrewards")[0]
+            steps = [int(k) for k in re.findall(rf"^  step_{zid}=(\d+) : \S+;$", block, re.M)]
+            per_step = {s.step: rewarded.reward(zid, s.index) for s in rewarded.model.states}
+            assert steps == [k for k, value in sorted(per_step.items()) if value != 0.0]
+            assert len(block.splitlines()) == len(steps)
+        assert len(re.findall(r"^  step_zone1=", text, re.M)) == 5
+        assert len(re.findall(r"^  step_zone2=", text, re.M)) == 4
 
 
 class TestValidationAndLiterals:
@@ -120,8 +130,17 @@ class TestValidationAndLiterals:
         model = compose(chains)
         gains = {"zone1": ZoneGains(0.7, -1.5), "zone2": ZoneGains(0.7, 1.5)}
         rewarded = assign_rewards(model, bench_thermal, gains, 3)
-        with pytest.raises(ValidationError, match="negative reward unsupported"):
+        with pytest.raises(ValidationError,
+                           match=r"negative reward unsupported by target: zone 'zone1', step 1$"):
             export_prism_model(rewarded, name="bad")
+
+    def test_rewards_varying_within_a_step_rejected(self):
+        rewarded = one_zone_rewarded()
+        rewards = rewarded.rewards["room"].copy()
+        rewards[2] += 0.25  # the second state of step 1
+        hand_built = dataclasses.replace(rewarded, rewards={"room": rewards})
+        with pytest.raises(ValidationError, match="rewards differ within step 1"):
+            export_prism_model(hand_built, name="bad")
 
     def test_probability_literals_round_trip(self):
         artifact = export_prism_model(pinned_rewarded(), name="x")
@@ -149,6 +168,104 @@ class TestValidationAndLiterals:
                 ) in artifact.model_text
         spelled_out = re.findall(r"^module zone_\w+$", artifact.model_text, re.M)
         assert spelled_out == ["module zone_zone1"]
+
+
+def random_instance(rng, n, horizon, twins=False):
+    """Chains in a shuffled zone order, plus a random stable thermal model."""
+    zone_ids = tuple(f"z{j}" for j in range(n))
+    a = rng.uniform(0.0, 1.0, (n, n))
+    thermal = DiscreteThermalModel(
+        a=a / a.sum(axis=1, keepdims=True), b=np.eye(n), delta=1.0,
+        initial_temps=rng.uniform(12.0, 20.0, n), zone_ids=zone_ids, derived=False)
+    shared = random_schedule(rng, horizon)
+    chains = [unroll_zone(shared if twins else random_schedule(rng, horizon),
+                          [bool(b) for b in rng.integers(0, 2, horizon + 1)], horizon,
+                          zone_id=zid, initial_occupied=bool(rng.integers(0, 2)) and not twins)
+              for zid in zone_ids]
+    gains = {zid: ZoneGains(float(rng.uniform(0, 1)), float(rng.uniform(0, 2)))
+             for zid in zone_ids}
+    return [chains[j] for j in rng.permutation(n)], thermal, gains
+
+
+def direct_route(chains, thermal, gains, thetas):
+    """(len(thetas), N) expected temperatures from the marginal recursion."""
+    by_id = {c.zone_id: c for c in chains}
+    ordered = [by_id[zid] for zid in thermal.zone_ids]
+    marginals = np.array([c.occupied_marginals() for c in ordered]).T
+    heating = np.array([c.heating for c in ordered]).T
+    return direct_expected_temperatures(thermal, gains, marginals, heating, thetas)
+
+
+class TestEvaluator:
+    """The text-only evaluator in ``prism_eval`` checks what PRISM would answer."""
+
+    def test_golden_agrees_with_direct_route(self, tmp_path):
+        answers = prism_eval.answer((GOLDEN / "two_zone_benchmark.pm").read_text(),
+                                    (GOLDEN / "two_zone_benchmark.props").read_text())
+        assert [(reward, bound) for reward, bound, _ in answers][-2:] == [
+            ("zone_zone1", 10), ("zone_zone2", 10)]
+        assert main(pinned_args("analyze", tmp_path)) == 0
+        rows = read_trajectory(tmp_path / "trajectory.csv")
+        for reward, _, value in answers[-2:]:
+            assert abs(value - rows[(17, reward.removeprefix("zone_"))]) <= 1e-12
+
+    def test_every_theta_of_the_bundled_export(self, tmp_path):
+        assert main(pinned_args("analyze", tmp_path / "a")) == 0
+        rows = read_trajectory(tmp_path / "a" / "trajectory.csv")
+        assert main(pinned_args("export", tmp_path / "e", extra=["--name", "b"])) == 0
+        props = (tmp_path / "e" / "b.props").read_text()
+        for theta in range(1, 10):
+            model = (tmp_path / "e" / f"b_theta{theta}.pm").read_text()
+            answers = [(r, v) for r, bound, v in prism_eval.answer(model, props)
+                       if bound == theta + 1]
+            assert len(answers) == 2
+            for reward, value in answers:
+                assert abs(value - rows[(8 + theta, reward.removeprefix("zone_"))]) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_instances(self, seed):
+        rng = np.random.default_rng(700 + seed)
+        n, horizon = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+        self.check_every_theta(*random_instance(rng, n, horizon))
+
+    def test_six_zones_six_steps(self):
+        self.check_every_theta(*random_instance(np.random.default_rng(17), 6, 6))
+
+    def test_twin_schedules_use_module_renaming(self):
+        chains, thermal, gains = random_instance(np.random.default_rng(5), 3, 5, twins=True)
+        text = self.check_every_theta(chains, thermal, gains)
+        assert len(re.findall(r"^module zone_\w+ = zone_\w+ \[", text, re.M)) == 2
+
+    def test_half_matching_schedules_are_spelled_out(self):
+        # z1 copies z0; z2 shares only p_ff with z0 and z3 only p_vf
+        _, thermal, gains = random_instance(np.random.default_rng(9), 4, 4)
+        p_vf, p_ff = [0.3, 0.5, 0.2, 0.6], [0.7, 0.4, 0.9, 0.5]
+        schedules = [make_schedule(p_vf, p_ff), make_schedule(p_vf, p_ff),
+                     make_schedule([0.4, 0.1, 0.6, 0.3], p_ff),
+                     make_schedule(p_vf, [0.2, 0.8, 0.6, 0.3])]
+        chains = [unroll_zone(sched, [True, False, True, True, False], 4, zone_id=f"z{j}")
+                  for j, sched in enumerate(schedules)]
+        text = self.check_every_theta(chains, thermal, gains)
+        assert re.findall(r"^module zone_(\w+)", text, re.M) == ["z0", "z1", "z2", "z3"]
+        assert re.findall(r"^module zone_\w+ = zone_\w+", text, re.M) == [
+            "module zone_z1 = zone_z0"]
+
+    @staticmethod
+    def check_every_theta(chains, thermal, gains) -> str:
+        """Evaluate every theta's model text against the direct route; return the last."""
+        thetas = range(1, chains[0].horizon + 1)
+        zone_ids = tuple(c.zone_id for c in chains)
+        table = step_reward_table(chains, thermal, gains, thetas)
+        expected = direct_route(chains, thermal, gains, thetas)
+        props = export_properties(thetas, zone_ids)
+        for t, theta in enumerate(thetas):
+            text = render_model(chains, table[t].tolist(), theta, thermal.delta)
+            values = {reward: v for reward, bound, v in prism_eval.answer(text, props)
+                      if bound == theta + 1}
+            for zid in zone_ids:
+                got = values[f"zone_{zid}"]
+                assert abs(got - expected[t, thermal.zone_index(zid)]) <= 1e-12
+        return text
 
 
 class TestProperties:
