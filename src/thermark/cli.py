@@ -496,6 +496,10 @@ def main(argv: list[str] | None = None) -> int:
                 f"{args.command} takes one --strategy, got {len(args.strategy)}")
         config = _config_from_args(args)
         if args.command == "analyze":
+            if args.dump_chain and args.theta and len(config.thetas) > 1:
+                raise ValidationError(
+                    f"--dump-chain writes the rewards of one theta, but --theta {args.theta} "
+                    f"names {len(config.thetas)}")
             return cmd_analyze(config, dump_chain=args.dump_chain)
         if args.command == "cost":
             refs = list(args.strategy) or list(strategy_mod.BUILTIN_STRATEGY_NAMES)

@@ -30,7 +30,8 @@ CSV_HEADER = ("day", "hour", "occupied")
 # every byte a data row may hold; anything else rejects the body
 _ROW_ALPHABET = b"0123456789+-, \t\n"
 _INTEGER = re.compile(r"[ \t]*[+-]?[0-9]+[ \t]*")
-_BLANK_LINE = re.compile(r"\n[ \t]+(?=\n)")
+_SPLIT_NUMBER = re.compile(rb"[0-9+-][ \t]+[0-9+-]")  # a space or tab inside a number
+_COMMA, _NEWLINE, _PLUS, _MINUS, _ZERO = b",\n+-0"
 _MAX_DAY = 2**63 - 1  # the largest day an int64 column holds
 
 
@@ -185,7 +186,9 @@ def parse_occupancy_csv(source: io.TextIOBase | str) -> OccupancyDataset:
     text = source if isinstance(source, str) else source.read()
     if not text:
         raise ValidationError("no records: file is empty")
-    header, _, body = text.replace("\r\n", "\n").replace("\r", "\n").partition("\n")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    header, _, body = text.partition("\n")
     if tuple(h.strip().lower() for h in header.split(",")) != CSV_HEADER:
         raise ValidationError(f"expected header 'day,hour,occupied', got {header!r}")
 
@@ -198,28 +201,33 @@ def parse_occupancy_csv(source: io.TextIOBase | str) -> OccupancyDataset:
 def _read_grid(body: str) -> OccupancyDataset | None:
     """The dataset a well-formed body holds, or None if anything is wrong.
 
-    One ``loadtxt`` pass reads every row; the rest are array tests. A
-    rejected body goes to ``_fault`` for its message.
+    One structural pass over the ASCII bytes: byte checks, then the layout
+    of the separators, then all three columns read at once. The checks
+    leave numpy only ``[+-]?[0-9]+`` tokens to read; the rest are array
+    tests. A rejected body goes to ``_fault`` for its message.
     """
-    if not body.isascii():
+    data = _row_bytes(body)
+    if data is None:
         return None
-    body = _BLANK_LINE.sub("\n", f"\n{body}\n")  # loadtxt rejects whitespace-only lines
-    data = body.encode("ascii")
-    squeezed = data.translate(None, b" \t")
-    if data.translate(None, _ROW_ALPHABET) or not squeezed.strip(b"\n"):
+    n_rows = _row_count(data)
+    if not n_rows and (data.startswith(b"\n") or b"\n\n" in data):
+        # a blank line fails the layout test; look for one only then, as the
+        # search costs more than that test on a long log
+        while b"\n\n" in data:
+            data = data.replace(b"\n\n", b"\n")
+        data = data.removeprefix(b"\n")
+        n_rows = _row_count(data)
+    if not n_rows:
         return None
-    try:
-        rows = np.loadtxt(io.StringIO(body), delimiter=",", dtype=np.int64,
-                          ndmin=2, comments=None)
-    except ValueError:
-        return None
-    # loadtxt reads "01" or "+1" as 1, so count the rows whose third token
-    # is exactly one 0 or 1
-    if rows.shape[1] != 3 or squeezed.count(b",0\n") + squeezed.count(b",1\n") != len(rows):
-        return None
+    # the checks leave exactly three tokens per row; with ``count`` numpy
+    # allocates once instead of growing 4096 values at a time, but it would
+    # fill a shortfall with garbage, so the count must be known to be right
+    rows = np.fromstring(data.replace(b"\n", b","), np.int64, count=3 * n_rows,
+                         sep=",").reshape(n_rows, 3)
     first, last = int(rows[:, 1].min()), int(rows[:, 1].max())
     n_hours = last - first + 1
-    if rows[:, 0].min() < 1 or first < 0 or last > 23 or len(rows) % n_hours:
+    if (rows[:, 0].min() < 1 or first < 0 or last > 23 or rows[:, 2].max() > 1
+            or n_rows % n_hours):
         return None
     blocks = rows.reshape(-1, n_hours, 3)
     if not _is_day_blocks(blocks, first):
@@ -227,8 +235,56 @@ def _read_grid(body: str) -> OccupancyDataset | None:
         blocks = rows[np.lexsort((rows[:, 1], rows[:, 0]))].reshape(-1, n_hours, 3)
         if not _is_day_blocks(blocks, first):
             return None
+    # numpy reads a number beyond the int64 range as an int64 limit, a
+    # negative one too as the largest; a day read as the largest can only
+    # be the last day, so then read the days exactly
+    if blocks[-1, 0, 0] == _MAX_DAY and not all(
+            1 <= int(line.partition(b",")[0]) <= _MAX_DAY for line in data.splitlines()):
+        return None
     return OccupancyDataset(days=tuple(blocks[:, 0, 0].tolist()),
                             hours=tuple(range(first, last + 1)), grid=blocks[:, :, 2])
+
+
+def _row_bytes(body: str) -> bytes | None:
+    """The body as ASCII bytes without spaces or tabs, ending in a newline;
+    None if it holds a byte no row may hold or a space or tab inside a
+    number."""
+    if not body.isascii():
+        return None
+    data = body.encode("ascii")
+    if data.translate(None, _ROW_ALPHABET):
+        return None
+    if b" " in data or b"\t" in data:
+        if _SPLIT_NUMBER.search(data):
+            return None
+        data = data.translate(None, b" \t")
+    if data and not data.endswith(b"\n"):
+        data += b"\n"
+    return data
+
+
+def _row_count(data: bytes) -> int:
+    """How many rows ``data`` holds if every line is ``day,hour,occupied``
+    with no empty field, a one-byte occupied field and a sign only at the
+    start of a day or hour followed by a digit; 0 otherwise, also for any
+    blank line."""
+    a = np.frombuffer(data, np.uint8)
+    commas = (a == _COMMA).nonzero()[0]
+    lines = (a == _NEWLINE).nonzero()[0]  # where each row ends
+    n_rows = len(lines)
+    if not n_rows or len(commas) != 2 * n_rows:
+        return 0
+    day_end, hour_end = commas[0::2], commas[1::2]
+    # the separators run comma, comma, newline with a field before each
+    if (day_end[0] < 1 or (hour_end - day_end).min() < 2 or ((lines - hour_end) != 2).any()
+            or n_rows > 1 and (day_end[1:] - lines[:-1]).min() < 2):
+        return 0
+    if b"+" in data or b"-" in data:
+        signs = ((a == _PLUS) | (a == _MINUS)).nonzero()[0]
+        before, after = a[signs - 1], a[signs + 1]  # a[-1] is the final newline
+        if not (((before == _COMMA) | (before == _NEWLINE)) & (after >= _ZERO)).all():
+            return 0
+    return n_rows
 
 
 def _is_day_blocks(blocks: np.ndarray, first: int) -> bool:

@@ -74,6 +74,15 @@ class TestAnalyze:
         dump = json.loads((tmp_path / "chain.json").read_text())
         assert len(dump["states"]) == 38
 
+    def test_dump_chain_takes_one_theta(self, tmp_path, capsys):
+        assert main(pinned_args("analyze", tmp_path / "a", extra=["--theta", "4",
+                                                                  "--dump-chain"])) == 0
+        assert json.loads((tmp_path / "a" / "chain.json").read_text())["theta"] == 4
+        assert main(pinned_args("analyze", tmp_path / "b", extra=["--theta", "3-5",
+                                                                  "--dump-chain"])) == 2
+        assert_one_line_error(capsys, "--dump-chain", "--theta 3-5 names 3")
+        assert not (tmp_path / "b").exists()
+
     def test_unstable_derived_building_exits_3(self, tmp_path, capsys):
         building = {
             "zones": [

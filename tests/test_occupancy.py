@@ -16,7 +16,7 @@ from thermark import (
     sample_dataset,
 )
 from thermark.datasets import seven_day_log_csv
-from thermark.occupancy import OccupancyDataset, dataset_to_csv
+from thermark.occupancy import OccupancyDataset, _fault, _read_grid, dataset_to_csv
 
 
 @pytest.fixture
@@ -75,6 +75,8 @@ GRAMMAR_CASES = [
     ("plus-sign-day", H + "+1,8,0\n1,9,1\n", ((1,), (8, 9))),
     ("minus-zero-hour", H + "1,-0,0\n1,1,1\n", ((1,), (0, 1))),
     ("leading-zeros", H + "01,08,0\n1,09,1\n", ((1,), (8, 9))),
+    ("zero-padded-hour", H + "1,0008,0\n", ((1,), (8,))),
+    ("zero-padded-20-digit-day", H + "00000000000000000001,8,0\n", ((1,), (8,))),
     ("blank-lines", H + "\n1,8,0\n\n\n1,9,1\n\n", ((1,), (8, 9))),
     ("whitespace-only-lines", H + " \t\n1,8,0\n  \n1,9,1\n\t", ((1,), (8, 9))),
     ("no-final-newline", H + "1,8,0\n1,9,1", ((1,), (8, 9))),
@@ -92,7 +94,16 @@ GRAMMAR_CASES = [
     ("trailing-comma", H + "1,8,0,\n", "line 2: expected 3 fields, got 4"),
     ("two-fields", H + "1,8,0\n1,9\n", "line 3: expected 3 fields, got 2"),
     ("empty-field", H + "1,,0\n", "line 2: day and hour must be integers"),
+    ("empty-first-day", H + ",8,0\n", "line 2: day and hour must be integers"),
+    ("empty-later-day", H + "1,8,0\n,9,1\n", "line 3: day and hour must be integers"),
     ("space-inside-number", H + "1 2,8,0\n", "line 2: day and hour must be integers"),
+    ("tab-inside-number", H + "1\t2,8,0\n", "line 2: day and hour must be integers"),
+    ("bare-sign", H + "1,-,0\n", "line 2: day and hour must be integers"),
+    ("sign-after-digit", H + "1,8-,0\n", "line 2: day and hour must be integers"),
+    ("doubled-sign", H + "+-1,8,0\n", "line 2: day and hour must be integers"),
+    ("signed-occupied", H + "1,8,-0\n", "line 2: occupied must be 0 or 1, got '-0'"),
+    ("20-digit-day", H + "99999999999999999999,8,0\n",
+     "line 2: day must be at most 9223372036854775807"),
     ("day-0", H + "0,8,0\n", "line 2: day must be a positive integer"),
     ("day-negative", H + "1,8,0\n-3,8,0\n", "line 3: day must be a positive integer"),
     ("hour-24", H + "1,24,0\n", "line 2: hour must be in 0..23"),
@@ -221,6 +232,78 @@ class TestColumnarMatchesPerRowReference:
         got = [(m.p_vf, m.p_vv, m.p_ff, m.p_fv) for m in schedule.matrices]
         assert [[p.hex() for p in step] for step in got] == \
             [[p.hex() for p in step] for step in expected]
+
+
+def mutated_bodies(st):
+    """Log bodies over the row alphabet: a well-formed log of a few days,
+    then up to four fields respelled (a sign, leading zeros, emptied, a 2,
+    an 18-21 digit day, spaces or tabs around or inside), a repeated row,
+    blank lines, rows in any order, and up to two bytes inserted, replaced
+    or deleted."""
+    respell = st.sampled_from(["+", "-", "0", "00", "0" * 19, "", "2", "pad", "split", "big"])
+    big = st.one_of(st.integers(10**17, 10**21 - 1), st.sampled_from([2**63 - 1, 2**63]))
+    gap = st.sampled_from(["", " ", "\t", " \t"])
+
+    @st.composite
+    def bodies(draw):
+        first = draw(st.integers(0, 23))
+        hours = range(first, draw(st.integers(first, min(first + 2, 23))) + 1)
+        days = sorted(draw(st.sets(st.integers(1, 40), min_size=1, max_size=3)))
+        rows = [[str(d), str(h), str(draw(st.integers(0, 1)))] for d in days for h in hours]
+        for _ in range(draw(st.integers(0, 4))):
+            row = draw(st.integers(0, len(rows) - 1))
+            field, kind = draw(st.integers(0, 2)), draw(respell)
+            token = rows[row][field]
+            if kind in ("+", "-", "0", "00", "0" * 19):
+                token = kind + token
+            elif kind in ("", "2"):
+                token = kind
+            elif kind == "pad":
+                token = draw(gap) + token + draw(gap)
+            elif kind == "split":
+                token = "1" + draw(st.sampled_from([" ", "\t"])) + token
+            else:  # a big day for every row of this row's day
+                day, token = rows[row][0], str(draw(big))
+                rows = [[token, *r[1:]] if r[0] == day else r for r in rows]
+                continue
+            rows[row][field] = token
+        lines = [",".join(row) for row in rows]
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(st.sampled_from(lines)))
+        if draw(st.booleans()):
+            lines = draw(st.permutations(lines))
+        for _ in range(draw(st.integers(0, 2))):
+            lines.insert(draw(st.integers(0, len(lines))), draw(gap))
+        body = "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n", "\n \n"]))
+        for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+            at = draw(st.integers(0, len(body)))
+            body = (body[:at] + draw(st.sampled_from(["", *"0123456789+-, \t\n"]))
+                    + body[at + draw(st.integers(0, 1)):])
+        return body
+
+    return bodies()
+
+
+class TestStructuralPassMatchesRowReader:
+    @pytest.mark.filterwarnings("error")
+    def test_mutated_bodies(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        fallback = "occupancy rows could not be read"
+
+        @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(mutated_bodies(hypothesis.strategies))
+        def agree(body):
+            dataset = _read_grid(body)
+            fault = str(_fault(body))
+            if dataset is None:
+                assert fault != fallback, body
+                return
+            assert fault == fallback, body  # the row reader finds no fault either
+            days, hours, records = reference_parse(H + body)
+            assert dataset == OccupancyDataset(
+                days, hours, [[records[(d, h)] for h in hours] for d in days])
+
+        agree()
 
 
 class TestEstimate:
