@@ -23,7 +23,6 @@ from .markov import (
     ZoneGains,
     assign_rewards,
     compose,
-    relabel_and_merge_rewards,
     step_reward_table,
     unroll_zone,
 )
@@ -102,7 +101,6 @@ __all__ = [
     "parse_occupancy_csv",
     "parse_strategy",
     "parse_tariff",
-    "relabel_and_merge_rewards",
     "render_model",
     "sample_dataset",
     "step_reward_table",

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, markov, occupancy, prism, strategy as strategy_mod
-from .errors import NumericalGuardError, ThermarkError, ValidationError, read_text
+from .errors import NumericalGuardError, ThermarkError, ValidationError, read_bytes, read_text
 from .markov import ZoneGains
 from .occupancy import TransitionSchedule
 from .thermal import DiscreteThermalModel, load_building
@@ -164,9 +164,9 @@ def _load_schedules(config: RunConfig, zone_ids: tuple[str, ...]) -> Schedules:
 
 def _read_dataset(path: Path) -> occupancy.OccupancyDataset:
     """Read and parse one occupancy log; any failure names the file."""
-    text = read_text(path, "occupancy")
+    data = read_bytes(path, "occupancy")
     try:
-        return occupancy.parse_occupancy_csv(text)
+        return occupancy.parse_occupancy_csv(data)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
 

@@ -361,55 +361,14 @@ def assign_rewards(
     thermal: DiscreteThermalModel,
     gains: dict[str, ZoneGains],
     theta: int,
-    zone_ids: list[str] | tuple[str, ...] | None = None,
 ) -> RewardedModel:
-    """Attach the theta-specific reward structure for the given zones.
-
-    ``zone_ids`` defaults to every zone in the model; passing a subset
-    annotates only those reward functions (merge the results with
-    :func:`relabel_and_merge_rewards`).
-    """
-    targets = tuple(zone_ids) if zone_ids is not None else model.zone_ids
-    for zid in targets:
-        if zid not in model.zone_ids:
-            raise ValidationError(f"unknown zone id {zid!r} in reward assignment")
+    """Attach the theta-specific reward structure of every zone."""
     (table,) = step_reward_table(model.chains, thermal, gains, (theta,))
     # states per step 0..K+1
     counts = [1] + [2 ** model.zone_count] * model.horizon + [1]
-    rewards = {zid: np.repeat(table[model.zone_ids.index(zid)], counts) for zid in targets}
+    rewards = {zid: np.repeat(row, counts) for zid, row in zip(model.zone_ids, table)}
     return RewardedModel(model=model, thermal=thermal, gains=dict(gains),
                          theta=theta, rewards=rewards)
-
-
-def relabel_and_merge_rewards(models: list[RewardedModel]) -> RewardedModel:
-    """Merge reward annotations produced on the same composed model.
-
-    Reward vectors are concatenated per state; zones may not repeat and
-    all parts must share the model, thermal matrices and theta.
-    """
-    if not models:
-        raise ValidationError("nothing to merge")
-    base = models[0]
-    merged: dict[str, np.ndarray] = {}
-    for part in models:
-        if part.model is not base.model and (
-            part.model.zone_ids != base.model.zone_ids
-            or part.model.horizon != base.model.horizon
-        ):
-            raise ValidationError("cannot merge rewards from different composed models")
-        if part.theta != base.theta:
-            raise ValidationError(
-                f"theta mismatch in merge: {part.theta} != {base.theta}"
-            )
-        for zid, vec in part.rewards.items():
-            if zid in merged:
-                raise ValidationError(f"duplicate reward function for zone {zid!r}")
-            merged[zid] = vec
-    gains = {}
-    for part in models:
-        gains.update(part.gains)
-    return RewardedModel(model=base.model, thermal=base.thermal, gains=gains,
-                         theta=base.theta, rewards=merged)
 
 
 def dump_model(rewarded: RewardedModel) -> dict:

@@ -16,10 +16,13 @@ diagnostics instead of failing.
 from __future__ import annotations
 
 import bisect
+import functools
 import io
+import os
 import random
 import re
-from collections.abc import Iterator, Mapping
+import threading
+from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +36,11 @@ _INTEGER = re.compile(r"[ \t]*[+-]?[0-9]+[ \t]*")
 _SPLIT_NUMBER = re.compile(rb"[0-9+-][ \t]+[0-9+-]")  # a space or tab inside a number
 _COMMA, _NEWLINE, _PLUS, _MINUS, _ZERO = b",\n+-0"
 _MAX_DAY = 2**63 - 1  # the largest day an int64 column holds
+# a body longer than this is read in line-aligned pieces, in parallel; small
+# pieces keep the buffers each thread holds at once small
+PIECE_BYTES = 128 * 1024
+_pool = None  # the piece reader's ThreadPoolExecutor, built on the first long body
+_pool_lock = threading.Lock()
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,96 +179,181 @@ class TransitionSchedule:
         }
 
 
-def parse_occupancy_csv(source: io.TextIOBase | str) -> OccupancyDataset:
+def parse_occupancy_csv(source: bytes | str | io.IOBase) -> OccupancyDataset:
     """Parse a ``day,hour,occupied`` CSV into a dataset.
 
-    The header is ``day,hour,occupied`` (case and spaces around names
-    ignored). Every other line is blank (spaces and tabs only) or a row
-    ``day,hour,occupied``: day and hour are ASCII integers with an optional
-    sign and optional spaces or tabs around them, and occupied is exactly
-    ``0`` or ``1`` with optional spaces or tabs around it. Days are
+    ``source`` is the file's bytes (UTF-8), its text, or a stream of
+    either. The header is ``day,hour,occupied`` (case and spaces around
+    names ignored). Every other line is blank (spaces and tabs only) or a
+    row ``day,hour,occupied``: day and hour are ASCII integers with an
+    optional sign and optional spaces or tabs around them, and occupied is
+    exactly ``0`` or ``1`` with optional spaces or tabs around it. Days are
     positive, hours lie in 0..23, every (day, hour) pair appears exactly
     once, and every day covers the same contiguous hour window. Lines may
     end in LF, CRLF or CR.
     """
-    text = source if isinstance(source, str) else source.read()
-    if not text:
+    data = source if isinstance(source, (bytes, str)) else source.read()
+    if isinstance(data, str):
+        data = data.encode("utf-8", "surrogatepass")
+    elif not data.isascii():
+        try:
+            _text(data)
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"not UTF-8 text (byte {exc.start})") from None
+    if not data:
         raise ValidationError("no records: file is empty")
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    header, _, body = text.partition("\n")
-    if tuple(h.strip().lower() for h in header.split(",")) != CSV_HEADER:
-        raise ValidationError(f"expected header 'day,hour,occupied', got {header!r}")
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    header, _, body = data.partition(b"\n")
+    if tuple(h.strip().lower() for h in _text(header).split(",")) != CSV_HEADER:
+        raise ValidationError(f"expected header 'day,hour,occupied', got {_text(header)!r}")
 
     dataset = _read_grid(body)
     if dataset is None:
-        raise _fault(body)
+        raise _fault(_text(body))
     return dataset
 
 
-def _read_grid(body: str) -> OccupancyDataset | None:
+def _text(data: bytes) -> str:
+    """UTF-8 bytes as text; text handed to the parser comes back unchanged."""
+    return data.decode("utf-8", "surrogatepass")
+
+
+def _read_grid(body: bytes) -> OccupancyDataset | None:
     """The dataset a well-formed body holds, or None if anything is wrong.
 
-    One structural pass over the ASCII bytes: byte checks, then the layout
-    of the separators, then all three columns read at once. The checks
-    leave numpy only ``[+-]?[0-9]+`` tokens to read; the rest are array
-    tests. A rejected body goes to ``_fault`` for its message.
+    One structural pass over the bytes: byte checks, then per piece the
+    layout of the separators and all three columns read at once, then
+    array checks over the joined columns. The checks leave numpy only
+    ``[+-]?[0-9]+`` tokens to read. A body longer than ``PIECE_BYTES`` is
+    cut into line-aligned pieces read on the process-wide pool, one thread
+    per usable CPU; a shorter body, or any body on one CPU, is read inline.
+    A rejected body goes to ``_fault`` for its message.
     """
     data = _row_bytes(body)
     if data is None:
         return None
-    n_rows = _row_count(data)
-    if not n_rows and (data.startswith(b"\n") or b"\n\n" in data):
+    columns = _read_columns(data)
+    if columns is None and (data.startswith(b"\n") or b"\n\n" in data):
         # a blank line fails the layout test; look for one only then, as the
         # search costs more than that test on a long log
         while b"\n\n" in data:
             data = data.replace(b"\n\n", b"\n")
         data = data.removeprefix(b"\n")
-        n_rows = _row_count(data)
+        columns = _read_columns(data)
+    if columns is None:
+        return None
+    day, hour, occupied = columns
+    first, last = int(hour.min()), int(hour.max())
+    n_hours = last - first + 1
+    if (day.min() < 1 or first < 0 or last > 23 or occupied.max() > 1
+            or len(day) % n_hours):
+        return None
+    if not _is_day_blocks(day, hour, first, n_hours):
+        # not in day-major order: sort by day, then hour, and look again
+        order = np.lexsort((hour, day))
+        day, hour, occupied = day[order], hour[order], occupied[order]
+        if not _is_day_blocks(day, hour, first, n_hours):
+            return None
+    days = day[::n_hours]
+    # numpy reads a number beyond the int64 range as an int64 limit, a
+    # negative one too as the largest; a day read as the largest can only
+    # be the last day, so then read the days exactly
+    if days[-1] == _MAX_DAY and not all(
+            1 <= int(line.partition(b",")[0]) <= _MAX_DAY for line in data.splitlines()):
+        return None
+    return OccupancyDataset(days=tuple(days.tolist()), hours=tuple(range(first, last + 1)),
+                            grid=occupied.reshape(-1, n_hours))
+
+
+def _row_bytes(body: bytes) -> bytes | None:
+    """The body without spaces or tabs, ending in a newline; None if it
+    holds a byte no row may hold or a space or tab inside a number."""
+    if body.translate(None, _ROW_ALPHABET):
+        return None
+    if b" " in body or b"\t" in body:
+        if _SPLIT_NUMBER.search(body):
+            return None
+        body = body.translate(None, b" \t")
+    if body and not body.endswith(b"\n"):
+        body += b"\n"
+    return body
+
+
+def _read_columns(data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The day, hour and occupied columns of rows ending in newlines; None
+    if there are none or any line fails ``_row_count``. A body of one piece
+    is read inline into int64 columns; a longer one piece by piece, each
+    into compact columns, then joined."""
+    if len(data) <= PIECE_BYTES:
+        rows = _read_rows(data)
+        return None if rows is None else tuple(rows.T)
+    ends, end = [], 0
+    while end < len(data):
+        end = data.find(b"\n", end + PIECE_BYTES - 1) + 1 or len(data)
+        ends.append(end)
+    pieces = _map_pieces(functools.partial(_read_piece, data), list(zip([0, *ends], ends)))
+    if any(piece is None for piece in pieces):
+        return None
+    return tuple(np.concatenate(column) for column in zip(*pieces))
+
+
+def _read_piece(data: bytes, bounds: tuple[int, int]) -> tuple | None:
+    """Day (int64), hour and occupied (int8) columns of ``data[start:end]``,
+    whole lines; None if its layout is wrong."""
+    rows = _read_rows(data[slice(*bounds)])
+    if rows is None:
+        return None
+    # an hour outside 0..23 is rejected, so clipping keeps the verdict in a
+    # byte; occupied is one digit after the layout check
+    hour = np.minimum(rows[:, 1], 24)
+    return rows[:, 0].copy(), np.maximum(hour, -1, out=hour).astype(np.int8), \
+        rows[:, 2].astype(np.int8)
+
+
+def _read_rows(data: bytes) -> np.ndarray | None:
+    """The ``(rows, 3)`` int64 block of whole lines, or None if their
+    layout is wrong."""
+    n_rows = _row_count(data)
     if not n_rows:
         return None
     # the checks leave exactly three tokens per row; with ``count`` numpy
     # allocates once instead of growing 4096 values at a time, but it would
     # fill a shortfall with garbage, so the count must be known to be right
-    rows = np.fromstring(data.replace(b"\n", b","), np.int64, count=3 * n_rows,
+    return np.fromstring(data.replace(b"\n", b","), np.int64, count=3 * n_rows,
                          sep=",").reshape(n_rows, 3)
-    first, last = int(rows[:, 1].min()), int(rows[:, 1].max())
-    n_hours = last - first + 1
-    if (rows[:, 0].min() < 1 or first < 0 or last > 23 or rows[:, 2].max() > 1
-            or n_rows % n_hours):
-        return None
-    blocks = rows.reshape(-1, n_hours, 3)
-    if not _is_day_blocks(blocks, first):
-        # not in day-major order: sort by day, then hour, and look again
-        blocks = rows[np.lexsort((rows[:, 1], rows[:, 0]))].reshape(-1, n_hours, 3)
-        if not _is_day_blocks(blocks, first):
-            return None
-    # numpy reads a number beyond the int64 range as an int64 limit, a
-    # negative one too as the largest; a day read as the largest can only
-    # be the last day, so then read the days exactly
-    if blocks[-1, 0, 0] == _MAX_DAY and not all(
-            1 <= int(line.partition(b",")[0]) <= _MAX_DAY for line in data.splitlines()):
-        return None
-    return OccupancyDataset(days=tuple(blocks[:, 0, 0].tolist()),
-                            hours=tuple(range(first, last + 1)), grid=blocks[:, :, 2])
 
 
-def _row_bytes(body: str) -> bytes | None:
-    """The body as ASCII bytes without spaces or tabs, ending in a newline;
-    None if it holds a byte no row may hold or a space or tab inside a
-    number."""
-    if not body.isascii():
-        return None
-    data = body.encode("ascii")
-    if data.translate(None, _ROW_ALPHABET):
-        return None
-    if b" " in data or b"\t" in data:
-        if _SPLIT_NUMBER.search(data):
-            return None
-        data = data.translate(None, b" \t")
-    if data and not data.endswith(b"\n"):
-        data += b"\n"
-    return data
+def _map_pieces(read: Callable, bounds: list[tuple[int, int]]) -> list:
+    """``read`` over every piece, in order: inline for one piece or one
+    usable CPU, otherwise on the process-wide pool, built on first use."""
+    global _pool
+    if len(bounds) < 2 or (workers := _usable_cpus()) < 2:
+        return [read(b) for b in bounds]
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor  # kept off import time
+
+            _pool = ThreadPoolExecutor(workers, thread_name_prefix="thermark-parse")
+        pool = _pool
+    return list(pool.map(read, bounds))
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _forget_pool() -> None:
+    """In a forked child: the pool's threads did not survive the fork."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _row_count(data: bytes) -> int:
@@ -287,11 +380,12 @@ def _row_count(data: bytes) -> int:
     return n_rows
 
 
-def _is_day_blocks(blocks: np.ndarray, first: int) -> bool:
-    """Whether each block of rows is one day's hours ``first, first+1, ...``
-    in order, with the days strictly ascending from block to block."""
-    day = blocks[:, :, 0]
-    return bool((blocks[:, :, 1] == np.arange(first, first + blocks.shape[1])).all()
+def _is_day_blocks(day: np.ndarray, hour: np.ndarray, first: int, n_hours: int) -> bool:
+    """Whether each block of ``n_hours`` rows is one day's hours ``first,
+    first+1, ...`` in order, with the days strictly ascending from block to
+    block."""
+    day = day.reshape(-1, n_hours)
+    return bool((hour.reshape(-1, n_hours) == np.arange(first, first + n_hours)).all()
                 and (day == day[:, :1]).all() and (day[1:, 0] > day[:-1, 0]).all())
 
 

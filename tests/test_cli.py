@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import thermark
 from thermark import ValidationError
 from thermark.cli import main
 from thermark.datasets import two_zone_benchmark_dir, seven_day_log_csv
@@ -621,13 +626,24 @@ class TestInputFiles:
 
         log = tmp_path / "locked.csv"
         log.write_text(seven_day_log_csv().read_text())
-        real_read_text = pathlib.Path.read_text
+        real_read_bytes = pathlib.Path.read_bytes
 
-        def read_text(self, *args, **kwargs):
+        def read_bytes(self):
             if self == log:
                 raise PermissionError(13, "Permission denied", str(self))
-            return real_read_text(self, *args, **kwargs)
+            return real_read_bytes(self)
 
-        monkeypatch.setattr(pathlib.Path, "read_text", read_text)
+        monkeypatch.setattr(pathlib.Path, "read_bytes", read_bytes)
         assert main(occupancy_args(command, log, tmp_path / "out")) == 2
         assert_one_line_error(capsys, str(log), "cannot read: Permission denied")
+
+
+def test_import_loads_no_thread_pool():
+    # the occupancy piece reader imports concurrent.futures when it first
+    # builds its pool, so a short run pays nothing for it
+    path = [str(Path(thermark.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    check = "import sys, thermark.cli; print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
+    out = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "[]"

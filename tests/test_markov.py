@@ -16,7 +16,6 @@ from thermark import (
     compose,
     direct_expected_temperatures,
     expected_temperature,
-    relabel_and_merge_rewards,
     temperature_trajectory,
     unroll_zone,
 )
@@ -308,11 +307,11 @@ class TestAssignRewards:
             assign_rewards(model, bench_thermal, bench_gains(), 10)
 
     def test_gains_required_for_every_zone(self, bench_thermal):
-        # the coupled gain vector reads every zone, even when annotating one
+        # the coupled gain vector reads every zone
         model = compose(two_chains())
         partial = {"zone1": ZoneGains(0.7, 1.5)}
         with pytest.raises(ValidationError, match="zone2"):
-            assign_rewards(model, bench_thermal, partial, 2, zone_ids=["zone1"])
+            assign_rewards(model, bench_thermal, partial, 2)
 
     def test_rewards_nonnegative_for_nonnegative_inputs(self, bench_thermal):
         rng = np.random.default_rng(31)
@@ -365,40 +364,6 @@ class TestAssignRewards:
             )
             assert fwd["zone1"] == pytest.approx(rev["zone1"], abs=1e-12)
             assert fwd["zone2"] == pytest.approx(rev["zone2"], abs=1e-12)
-
-
-class TestMergeRewards:
-    def test_partial_assignments_merge(self, bench_thermal):
-        model = compose(two_chains(heat1=[True] * 10, heat2=[True] * 10))
-        both = assign_rewards(model, bench_thermal, bench_gains(), 3)
-        only1 = assign_rewards(model, bench_thermal, bench_gains(), 3, zone_ids=["zone1"])
-        only2 = assign_rewards(model, bench_thermal, bench_gains(), 3, zone_ids=["zone2"])
-        merged = relabel_and_merge_rewards([only1, only2])
-        assert set(merged.rewards) == {"zone1", "zone2"}
-        for zid in ("zone1", "zone2"):
-            assert np.array_equal(merged.rewards[zid], both.rewards[zid])
-
-    def test_merge_order_does_not_matter(self, bench_thermal):
-        model = compose(two_chains())
-        only1 = assign_rewards(model, bench_thermal, bench_gains(), 2, zone_ids=["zone1"])
-        only2 = assign_rewards(model, bench_thermal, bench_gains(), 2, zone_ids=["zone2"])
-        ab = relabel_and_merge_rewards([only1, only2])
-        ba = relabel_and_merge_rewards([only2, only1])
-        for zid in ("zone1", "zone2"):
-            assert np.array_equal(ab.rewards[zid], ba.rewards[zid])
-
-    def test_merge_with_itself_rejected(self, bench_thermal):
-        model = compose(two_chains())
-        only1 = assign_rewards(model, bench_thermal, bench_gains(), 2, zone_ids=["zone1"])
-        with pytest.raises(ValidationError, match="duplicate"):
-            relabel_and_merge_rewards([only1, only1])
-
-    def test_merge_requires_matching_theta(self, bench_thermal):
-        model = compose(two_chains())
-        only1 = assign_rewards(model, bench_thermal, bench_gains(), 2, zone_ids=["zone1"])
-        only2 = assign_rewards(model, bench_thermal, bench_gains(), 3, zone_ids=["zone2"])
-        with pytest.raises(ValidationError, match="theta"):
-            relabel_and_merge_rewards([only1, only2])
 
 
 class TestDump:

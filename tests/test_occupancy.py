@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import concurrent.futures
+import os
+import sys
+import threading
+import time
 from collections.abc import Mapping
 
 import numpy as np
@@ -15,6 +20,7 @@ from thermark import (
     parse_occupancy_csv,
     sample_dataset,
 )
+from thermark import occupancy
 from thermark.datasets import seven_day_log_csv
 from thermark.occupancy import OccupancyDataset, _fault, _read_grid, dataset_to_csv
 
@@ -108,6 +114,7 @@ GRAMMAR_CASES = [
     ("day-negative", H + "1,8,0\n-3,8,0\n", "line 3: day must be a positive integer"),
     ("hour-24", H + "1,24,0\n", "line 2: hour must be in 0..23"),
     ("hour-negative", H + "1,-1,0\n", "line 2: hour must be in 0..23"),
+    ("hour-265", H + "1,8,0\n1,265,1\n", "line 3: hour must be in 0..23"),  # 9 in a byte
     ("duplicate", H + "1,8,0\n1,9,1\n1,8,1\n", "line 4: duplicate record for day 1, hour 8"),
     ("duplicate-spelled-differently", H + "1,8,0\n+1,08,0\n",
      "line 3: duplicate record for day 1, hour 8"),
@@ -130,22 +137,33 @@ GRAMMAR_CASES = [
 ]
 
 
+def assert_verdict(text, verdict):
+    if isinstance(verdict, str):
+        with pytest.raises(ValidationError) as info:
+            parse_occupancy_csv(text)
+        assert str(info.value) == verdict
+    else:
+        dataset = parse_occupancy_csv(text)
+        assert (dataset.days, dataset.hours) == verdict
+
+
+def assert_largest_day_accepted():
+    dataset = parse_occupancy_csv(H + "9223372036854775807,8,1\n9223372036854775807,9,0\n")
+    assert dataset.days == (2**63 - 1,)
+    assert dataset.occupied(2**63 - 1, 8)
+
+
+GRAMMAR_PARAMS = dict(argnames="text, verdict", argvalues=[case[1:] for case in GRAMMAR_CASES],
+                      ids=[case[0] for case in GRAMMAR_CASES])
+
+
 class TestGrammar:
-    @pytest.mark.parametrize("text, verdict", [case[1:] for case in GRAMMAR_CASES],
-                             ids=[case[0] for case in GRAMMAR_CASES])
+    @pytest.mark.parametrize(**GRAMMAR_PARAMS)
     def test_verdict(self, text, verdict):
-        if isinstance(verdict, str):
-            with pytest.raises(ValidationError) as info:
-                parse_occupancy_csv(text)
-            assert str(info.value) == verdict
-        else:
-            dataset = parse_occupancy_csv(text)
-            assert (dataset.days, dataset.hours) == verdict
+        assert_verdict(text, verdict)
 
     def test_largest_day_is_accepted(self):
-        dataset = parse_occupancy_csv(H + "9223372036854775807,8,1\n9223372036854775807,9,0\n")
-        assert dataset.days == (2**63 - 1,)
-        assert dataset.occupied(2**63 - 1, 8)
+        assert_largest_day_accepted()
 
 
 class TestDataset:
@@ -284,26 +302,135 @@ def mutated_bodies(st):
     return bodies()
 
 
+def assert_structural_pass_matches_row_reader():
+    hypothesis = pytest.importorskip("hypothesis")
+    fallback = "occupancy rows could not be read"
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(mutated_bodies(hypothesis.strategies))
+    def agree(body):
+        dataset = _read_grid(body.encode())
+        fault = str(_fault(body))
+        if dataset is None:
+            assert fault != fallback, body
+            return
+        assert fault == fallback, body  # the row reader finds no fault either
+        days, hours, records = reference_parse(H + body)
+        assert dataset == OccupancyDataset(
+            days, hours, [[records[(d, h)] for h in hours] for d in days])
+
+    agree()
+
+
 class TestStructuralPassMatchesRowReader:
     @pytest.mark.filterwarnings("error")
     def test_mutated_bodies(self):
-        hypothesis = pytest.importorskip("hypothesis")
-        fallback = "occupancy rows could not be read"
+        assert_structural_pass_matches_row_reader()
 
-        @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
-        @hypothesis.given(mutated_bodies(hypothesis.strategies))
-        def agree(body):
-            dataset = _read_grid(body)
-            fault = str(_fault(body))
-            if dataset is None:
-                assert fault != fallback, body
-                return
-            assert fault == fallback, body  # the row reader finds no fault either
-            days, hours, records = reference_parse(H + body)
-            assert dataset == OccupancyDataset(
-                days, hours, [[records[(d, h)] for h in hours] for d in days])
 
-        agree()
+@pytest.fixture
+def small_pieces(monkeypatch):
+    """Read every body in pieces of a few bytes on the pool, even on one CPU."""
+    monkeypatch.setattr(occupancy, "PIECE_BYTES", 7)
+    monkeypatch.setattr(occupancy, "_usable_cpus", lambda: 2)
+
+
+def long_log(days=5000, hours=range(24), seed=8):
+    """A canonical log, far longer than one piece, and its dataset."""
+    grid = np.random.default_rng(seed).random((days, len(hours))) < 0.4
+    dataset = OccupancyDataset(tuple(range(1, days + 1)), tuple(hours), grid)
+    return dataset_to_csv(dataset).encode(), dataset
+
+
+class TestPieces:
+    """The piece path gives every verdict and message of one inline read."""
+
+    @pytest.mark.parametrize(**GRAMMAR_PARAMS)
+    def test_verdict_in_pieces(self, small_pieces, text, verdict):
+        assert_verdict(text, verdict)
+
+    def test_largest_day_in_pieces(self, small_pieces):
+        assert_largest_day_accepted()
+
+    @pytest.mark.filterwarnings("error")
+    def test_mutated_bodies_in_pieces(self, small_pieces):
+        assert_structural_pass_matches_row_reader()
+        assert occupancy._pool is not None
+
+    def test_pool_and_inline_read_equal(self, monkeypatch):
+        data, dataset = long_log()
+        assert len(data) > 2 * occupancy.PIECE_BYTES
+        monkeypatch.setattr(occupancy, "_usable_cpus", lambda: 2)
+        pooled = parse_occupancy_csv(data)
+        assert occupancy._pool is not None
+        monkeypatch.setattr(occupancy, "PIECE_BYTES", len(data))
+        inline = parse_occupancy_csv(data)
+        assert pooled == inline == dataset
+
+    def test_one_cpu_never_starts_the_pool(self, monkeypatch):
+        data, dataset = long_log(days=2000)
+        monkeypatch.setattr(occupancy, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(occupancy, "_pool", None)
+        assert parse_occupancy_csv(data) == dataset
+        assert occupancy._pool is None
+
+    def test_concurrent_parses_share_one_pool(self, small_pieces, monkeypatch):
+        # short bodies, so the threads reach the first pool together
+        data, dataset = long_log(days=3, hours=range(8, 10))
+        monkeypatch.setattr(occupancy, "_pool", None)
+        built = []
+
+        class CountedPool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountedPool)
+        results = []
+        start = threading.Barrier(6)
+
+        def parse():
+            start.wait(timeout=60)
+            results.append(parse_occupancy_csv(data))
+
+        threads = [threading.Thread(target=parse) for _ in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            for pool in built:
+                pool.shutdown()
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [dataset] * 6
+        assert len(built) == 1
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")  # fork with threads running
+    def test_parse_after_fork(self, monkeypatch):
+        # the child inherits the parent's pool object but none of its threads
+        data, dataset = long_log(days=2000)
+        monkeypatch.setattr(occupancy, "_usable_cpus", lambda: 2)
+        assert parse_occupancy_csv(data) == dataset
+        assert occupancy._pool is not None
+        pid = os.fork()
+        if pid == 0:
+            try:
+                os._exit(0 if parse_occupancy_csv(data) == dataset else 1)
+            finally:
+                os._exit(2)
+        deadline = time.monotonic() + 30
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.02)
+        if done[0] == 0:
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child hung parsing a long log")
+        assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
 class TestEstimate:
