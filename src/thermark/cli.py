@@ -22,6 +22,7 @@ import math
 import os
 import sys
 import tempfile
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -128,8 +129,9 @@ def _file_mode() -> int:
     return 0o666 & ~umask
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    """Write through a uniquely named temp file in the target directory."""
+def _atomic_write(path: Path, text: str | Iterable[str]) -> None:
+    """Write ``text``, or each of its pieces in turn, through a uniquely
+    named temp file in the target directory."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
@@ -137,7 +139,7 @@ def _atomic_write(path: Path, text: str) -> None:
         raise ValidationError(f"cannot write to {path.parent}: {exc.strerror or exc}") from None
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         os.chmod(tmp, _file_mode())  # mkstemp creates it 0o600
         os.replace(tmp, path)
     except OSError as exc:
@@ -292,8 +294,7 @@ def cmd_analyze(config: RunConfig, dump_chain: bool = False) -> int:
     if dump_chain:
         rewarded = markov.assign_rewards(_compose(config, schedules, strat), thermal,
                                          config.gains_for(thermal.zone_ids), config.thetas[0])
-        _atomic_write(config.out_dir / "chain.json",
-                      json.dumps(markov.dump_model(rewarded), indent=2, sort_keys=True) + "\n")
+        _atomic_write(config.out_dir / "chain.json", markov.dump_model(rewarded))
     return EXIT_OK
 
 

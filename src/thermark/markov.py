@@ -4,14 +4,15 @@ Each zone becomes a layered chain over steps 0..K+1: one initial state,
 an occupied/empty pair per step 1..K, and one absorbing sink. Transitions
 from step k to k+1 all carry the shared label ``t{k+1}``, so composing
 zones synchronizes layer by layer and only same-step tuples are reachable:
-the product has 1 + 2^N * K + 1 states for N zones. It is held as one
-dense (2^N, 2^N) matrix per step, the Kronecker product of the zones' 2x2
-step matrices; the list of product edges is built from them when read.
+the product has 1 + 2^N * K + 1 states for N zones. A zone chain is held
+as its per-step probabilities and the product as one dense (2^N, 2^N)
+matrix per step, the Kronecker product of the zones' 2x2 step matrices;
+:meth:`ComposedModel.edges` walks them to yield every product edge.
 
 Rewards encode expected temperature and depend only on the step, so they
-are computed once per step and zone, from the zone chains alone, by
-:func:`step_reward_table`; :func:`assign_rewards` repeats each value over
-the composed states of its step. For an evaluation step ``theta``, the
+are held as one value per step and zone, computed from the zone chains
+alone by :func:`step_reward_table`; every state of a step carries its
+step's value. For an evaluation step ``theta``, the
 initial state of zone m carries row_m(A^theta) @ T[0]; a state at step k
 (1 <= k <= theta) carries row_m(A^(theta-k)) @ Q_k where Q_k[j] is the
 expected heat gain produced by zone j during hour k-1 (internal gain times
@@ -28,6 +29,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,20 +43,6 @@ SINK_LABEL = "t_sink"
 
 
 @dataclass(frozen=True)
-class ChainState:
-    """One state of an unrolled zone chain; labels are None on the sink."""
-
-    index: int
-    step: int
-    occupied: bool | None
-    heating_on: bool | None
-
-    @property
-    def is_sink(self) -> bool:
-        return self.occupied is None
-
-
-@dataclass(frozen=True)
 class Transition:
     source: int
     target: int
@@ -63,21 +52,16 @@ class Transition:
 
 @dataclass(frozen=True)
 class ZoneChain:
-    """Layered occupancy chain of a single zone over horizon K."""
+    """Layered occupancy chain of a single zone over horizon K, held as its
+    per-step occupancy probabilities and heating bits."""
 
     zone_id: str
     horizon: int
-    states: tuple[ChainState, ...]
-    transitions: tuple[Transition, ...]
     initial_occupied: bool
     heating: tuple[bool, ...]  # per step 0..K
     # per step 0..K-1: P(occupied at k+1 | empty at k) and | occupied at k)
     occ_given_empty: tuple[float, ...]
     occ_given_occupied: tuple[float, ...]
-
-    @property
-    def sink_index(self) -> int:
-        return 2 * self.horizon + 1
 
     def occupied_marginals(self) -> list[float]:
         """P(occupied at step k) for k = 0..K."""
@@ -103,9 +87,7 @@ def unroll_zone(
     """Unroll a time-dependent occupancy schedule into a layered chain.
 
     ``schedule`` must provide at least ``horizon`` step matrices and
-    ``heating`` one on/off bit per step 0..horizon. States follow the
-    parity convention: per step, the odd index is the occupied state and
-    the even index the empty one.
+    ``heating`` one on/off bit per step 0..horizon.
     """
     if horizon < 1:
         raise ValidationError(f"horizon must be >= 1, got {horizon}")
@@ -118,40 +100,11 @@ def unroll_zone(
         raise ValidationError(
             f"heating covers {len(heating)} steps but steps 0..{horizon} are needed"
         )
-    heating = heating[: horizon + 1]
-
-    states: list[ChainState] = [
-        ChainState(index=0, step=0, occupied=initial_occupied, heating_on=heating[0])
-    ]
-    for k in range(1, horizon + 1):
-        states.append(ChainState(index=2 * k - 1, step=k, occupied=True, heating_on=heating[k]))
-        states.append(ChainState(index=2 * k, step=k, occupied=False, heating_on=heating[k]))
-    sink_index = 2 * horizon + 1
-    states.append(ChainState(index=sink_index, step=horizon + 1, occupied=None, heating_on=None))
-
-    transitions: list[Transition] = []
-
-    def fan_out(source: ChainState, k: int) -> None:
-        mat = schedule.matrix(k)
-        p_occ = mat.p_ff if source.occupied else mat.p_vf
-        transitions.append(Transition(source.index, 2 * (k + 1) - 1, p_occ, f"t{k + 1}"))
-        transitions.append(Transition(source.index, 2 * (k + 1), 1.0 - p_occ, f"t{k + 1}"))
-
-    fan_out(states[0], 0)
-    for k in range(1, horizon):
-        fan_out(states[2 * k - 1], k)
-        fan_out(states[2 * k], k)
-    transitions.append(Transition(2 * horizon - 1, sink_index, 1.0, f"t{horizon + 1}"))
-    transitions.append(Transition(2 * horizon, sink_index, 1.0, f"t{horizon + 1}"))
-    transitions.append(Transition(sink_index, sink_index, 1.0, SINK_LABEL))
-
     return ZoneChain(
         zone_id=zone_id,
         horizon=horizon,
-        states=tuple(states),
-        transitions=tuple(transitions),
         initial_occupied=initial_occupied,
-        heating=heating,
+        heating=heating[: horizon + 1],
         occ_given_empty=tuple(schedule.matrix(k).p_vf for k in range(horizon)),
         occ_given_occupied=tuple(schedule.matrix(k).p_ff for k in range(horizon)),
     )
@@ -199,29 +152,27 @@ class ComposedModel:
     @property
     def transitions(self) -> tuple[Transition, ...]:
         """Every product edge in state order, built from the layers on each read."""
+        return tuple(itertools.starmap(Transition, self.edges()))
+
+    def edges(self) -> Iterator[tuple[int, int, float, str]]:
+        """Every product edge as (source, target, probability, label), in
+        state order, walked from the layers one row at a time."""
         width = 2 ** self.zone_count
         sink = len(self.states) - 1
-        edges = [Transition(0, 1 + t, p, "t1")
-                 for t, p in enumerate(self.layers[0][self.initial_row].tolist())]
+        for t, p in enumerate(self.layers[0][self.initial_row].tolist()):
+            yield 0, 1 + t, p, "t1"
         for k in range(1, self.horizon):
-            first = 1 + (k - 1) * width
-            for s, row in enumerate(self.layers[k].tolist()):
-                edges += [Transition(first + s, first + width + t, p, f"t{k + 1}")
-                          for t, p in enumerate(row)]
+            first, label = 1 + (k - 1) * width, f"t{k + 1}"
+            for s, row in enumerate(self.layers[k]):
+                for t, p in enumerate(row.tolist()):
+                    yield first + s, first + width + t, p, label
         last = 1 + (self.horizon - 1) * width
-        edges += [Transition(last + s, sink, 1.0, f"t{self.horizon + 1}") for s in range(width)]
-        edges.append(Transition(sink, sink, 1.0, SINK_LABEL))
-        return tuple(edges)
-
-    def states_at_step(self, step: int) -> list[ComposedState]:
-        return [s for s in self.states if s.step == step]
+        for s in range(width):
+            yield last + s, sink, 1.0, f"t{self.horizon + 1}"
+        yield sink, sink, 1.0, SINK_LABEL
 
     def heating_at(self, step: int) -> tuple[bool, ...]:
         return tuple(c.heating[step] for c in self.chains)
-
-    def occupied_marginals(self) -> np.ndarray:
-        """(K+1, N) array of P(zone j occupied at step k)."""
-        return np.array([c.occupied_marginals() for c in self.chains]).T
 
 
 def compose(chains: list[ZoneChain] | tuple[ZoneChain, ...]) -> ComposedModel:
@@ -244,7 +195,7 @@ def compose(chains: list[ZoneChain] | tuple[ZoneChain, ...]) -> ComposedModel:
                 f"mismatched horizons: {chains[0].zone_id}={horizon}, {c.zone_id}={c.horizon}"
             )
 
-    # occupied before empty per zone, mirroring the odd/even state parity
+    # occupied before empty per zone
     combos = list(itertools.product((True, False), repeat=len(chains)))
     states: list[ComposedState] = [
         ComposedState(
@@ -282,21 +233,18 @@ class ZoneGains:
 
 @dataclass(frozen=True)
 class RewardedModel:
-    """A composed model annotated with per-zone reward vectors for one theta."""
+    """A composed model annotated with per-zone, per-step rewards for one theta."""
 
     model: ComposedModel
     thermal: DiscreteThermalModel
     gains: dict[str, ZoneGains]
     theta: int
-    # zone id -> reward value per composed state (aligned with model.states)
+    # zone id -> reward at each step 0..K+1, carried by every state of the step
     rewards: dict[str, np.ndarray]
 
     @property
     def zone_ids(self) -> tuple[str, ...]:
         return self.model.zone_ids
-
-    def reward(self, zone_id: str, state_index: int) -> float:
-        return float(self.rewards[zone_id][state_index])
 
 
 def step_reward_table(
@@ -362,34 +310,36 @@ def assign_rewards(
     gains: dict[str, ZoneGains],
     theta: int,
 ) -> RewardedModel:
-    """Attach the theta-specific reward structure of every zone."""
+    """Attach the theta-specific reward of every zone at every step."""
     (table,) = step_reward_table(model.chains, thermal, gains, (theta,))
-    # states per step 0..K+1
-    counts = [1] + [2 ** model.zone_count] * model.horizon + [1]
-    rewards = {zid: np.repeat(row, counts) for zid, row in zip(model.zone_ids, table)}
     return RewardedModel(model=model, thermal=thermal, gains=dict(gains),
-                         theta=theta, rewards=rewards)
+                         theta=theta, rewards=dict(zip(model.zone_ids, table)))
 
 
-def dump_model(rewarded: RewardedModel) -> dict:
-    """JSON-friendly dump of states, labels, rewards and transitions."""
+def dump_model(rewarded: RewardedModel) -> Iterator[str]:
+    """The text ``json.dumps(..., indent=2, sort_keys=True)`` gives for the
+    zones, horizon, theta, every state with its labels and rewards, and
+    every edge, yielded in pieces from the states and
+    :meth:`ComposedModel.edges`, so no edge is held as an object."""
     model = rewarded.model
-    return {
-        "zones": list(model.zone_ids),
-        "horizon": model.horizon,
-        "theta": rewarded.theta,
-        "states": [
-            {
-                "index": s.index,
-                "step": s.step,
-                "occupied": None if s.occupied is None else list(s.occupied),
-                "heating_on": None if s.heating_on is None else list(s.heating_on),
-                "rewards": {zid: rewarded.reward(zid, s.index) for zid in rewarded.rewards},
-            }
-            for s in model.states
-        ],
-        "transitions": [
-            {"from": t.source, "to": t.target, "probability": t.probability, "label": t.label}
-            for t in model.transitions
-        ],
-    }
+    per_step = [{zid: float(rewarded.rewards[zid][k]) for zid in model.zone_ids}
+                for k in range(model.horizon + 2)]
+
+    def nested(value, depth: int) -> str:  # as json.dumps writes it depth levels down
+        return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + "  " * depth)
+
+    yield f'{{\n  "horizon": {model.horizon},\n  "states": [\n'
+    yield ",\n".join("    " + nested({
+        "index": s.index, "step": s.step, "occupied": s.occupied,
+        "heating_on": s.heating_on, "rewards": per_step[s.step],
+    }, 2) for s in model.states)
+    yield f'\n  ],\n  "theta": {rewarded.theta},\n  "transitions": [\n'
+    # a finite float's repr is its JSON text, and labels need no escaping
+    edges = (f'    {{\n      "from": {source},\n      "label": "{label}",\n'
+             f'      "probability": {p!r},\n      "to": {target}\n    }}'
+             for source, target, p, label in model.edges())
+    separator = ""
+    while piece := ",\n".join(itertools.islice(edges, 4096)):
+        yield separator + piece
+        separator = ",\n"
+    yield f'\n  ],\n  "zones": {nested(list(model.zone_ids), 1)}\n}}\n'

@@ -234,13 +234,6 @@ def _read_grid(body: bytes) -> OccupancyDataset | None:
     if data is None:
         return None
     columns = _read_columns(data)
-    if columns is None and (data.startswith(b"\n") or b"\n\n" in data):
-        # a blank line fails the layout test; look for one only then, as the
-        # search costs more than that test on a long log
-        while b"\n\n" in data:
-            data = data.replace(b"\n\n", b"\n")
-        data = data.removeprefix(b"\n")
-        columns = _read_columns(data)
     if columns is None:
         return None
     day, hour, occupied = columns
@@ -260,7 +253,7 @@ def _read_grid(body: bytes) -> OccupancyDataset | None:
     # negative one too as the largest; a day read as the largest can only
     # be the last day, so then read the days exactly
     if days[-1] == _MAX_DAY and not all(
-            1 <= int(line.partition(b",")[0]) <= _MAX_DAY for line in data.splitlines()):
+            1 <= int(line.partition(b",")[0]) <= _MAX_DAY for line in data.splitlines() if line):
         return None
     return OccupancyDataset(days=tuple(days.tolist()), hours=tuple(range(first, last + 1)),
                             grid=occupied.reshape(-1, n_hours))
@@ -281,19 +274,19 @@ def _row_bytes(body: bytes) -> bytes | None:
 
 
 def _read_columns(data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """The day, hour and occupied columns of rows ending in newlines; None
-    if there are none or any line fails ``_row_count``. A body of one piece
-    is read inline into int64 columns; a longer one piece by piece, each
-    into compact columns, then joined."""
+    """The day, hour and occupied columns of rows ending in newlines, blank
+    lines skipped; None if there are none or any other line fails
+    ``_row_count``. A body of one piece is read inline into int64 columns;
+    a longer one piece by piece, each into compact columns, then joined."""
     if len(data) <= PIECE_BYTES:
-        rows = _read_rows(data)
-        return None if rows is None else tuple(rows.T)
+        rows = _read_lines(data)
+        return None if rows is None or not len(rows) else tuple(rows.T)
     ends, end = [], 0
     while end < len(data):
         end = data.find(b"\n", end + PIECE_BYTES - 1) + 1 or len(data)
         ends.append(end)
     pieces = _map_pieces(functools.partial(_read_piece, data), list(zip([0, *ends], ends)))
-    if any(piece is None for piece in pieces):
+    if any(piece is None for piece in pieces) or not sum(len(p[0]) for p in pieces):
         return None
     return tuple(np.concatenate(column) for column in zip(*pieces))
 
@@ -301,7 +294,7 @@ def _read_columns(data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray] | No
 def _read_piece(data: bytes, bounds: tuple[int, int]) -> tuple | None:
     """Day (int64), hour and occupied (int8) columns of ``data[start:end]``,
     whole lines; None if its layout is wrong."""
-    rows = _read_rows(data[slice(*bounds)])
+    rows = _read_lines(data[slice(*bounds)])
     if rows is None:
         return None
     # an hour outside 0..23 is rejected, so clipping keeps the verdict in a
@@ -309,6 +302,20 @@ def _read_piece(data: bytes, bounds: tuple[int, int]) -> tuple | None:
     hour = np.minimum(rows[:, 1], 24)
     return rows[:, 0].copy(), np.maximum(hour, -1, out=hour).astype(np.int8), \
         rows[:, 2].astype(np.int8)
+
+
+def _read_lines(data: bytes) -> np.ndarray | None:
+    """``_read_rows`` of whole lines, blank lines skipped; a piece of blank
+    lines alone holds no rows."""
+    rows = _read_rows(data)
+    if rows is None and (data.startswith(b"\n") or b"\n\n" in data):
+        # a blank line fails the layout test; look for one only then, as the
+        # search costs more than that test on a long piece
+        while b"\n\n" in data:
+            data = data.replace(b"\n\n", b"\n")
+        data = data.removeprefix(b"\n")
+        rows = _read_rows(data) if data else np.empty((0, 3), np.int64)
+    return rows
 
 
 def _read_rows(data: bytes) -> np.ndarray | None:

@@ -188,24 +188,11 @@ def export_prism_model(
     """Render a rewarded composed model and its property file.
 
     ``theta_range`` controls the property file only (defaults to the
-    rewards' own theta); the model text always carries the reward
-    structure of ``rewarded.theta``. Every state at a step must carry the
-    same reward, as :func:`thermark.markov.assign_rewards` makes them,
-    because the text holds one reward line per step.
+    rewards' own theta); the model text always carries the per-step
+    rewards of ``rewarded.theta``.
     """
     model = rewarded.model
-    table = []
-    for zid in model.zone_ids:
-        if zid not in rewarded.rewards:
-            raise ValidationError(f"no reward function assigned for zone {zid!r}")
-        per_step: dict[int, float] = {}
-        for state, value in zip(model.states, rewarded.rewards[zid].tolist()):
-            if per_step.setdefault(state.step, value) != value:
-                raise ValidationError(
-                    f"zone {zid!r}: rewards differ within step {state.step}; "
-                    "the model text holds one reward per step"
-                )
-        table.append([per_step[k] for k in range(model.horizon + 2)])
+    table = [rewarded.rewards[zid].tolist() for zid in model.zone_ids]
 
     thetas = list(theta_range) if theta_range is not None else [rewarded.theta]
     return PrismArtifact(

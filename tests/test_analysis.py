@@ -151,7 +151,7 @@ class TestCrossEngine:
             model = random_instance(rng)
             gains = {z: ZoneGains(float(rng.uniform(0, 2)), float(rng.uniform(0, 3)))
                      for z in ZONES}
-            marginals = model.occupied_marginals()
+            marginals = np.array([c.occupied_marginals() for c in model.chains]).T
             heat = np.array([[model.heating_at(k)[j] for j in range(2)]
                              for k in range(10)], dtype=float)
             thetas = list(range(1, 10))

@@ -79,6 +79,11 @@ class TestAnalyze:
         dump = json.loads((tmp_path / "chain.json").read_text())
         assert len(dump["states"]) == 38
 
+    def test_dump_chain_matches_golden(self, tmp_path):
+        assert main(pinned_args("analyze", tmp_path, extra=["--dump-chain"])) == 0
+        golden = Path(__file__).parent / "golden" / "two_zone_benchmark_chain.json"
+        assert (tmp_path / "chain.json").read_bytes() == golden.read_bytes()
+
     def test_dump_chain_takes_one_theta(self, tmp_path, capsys):
         assert main(pinned_args("analyze", tmp_path / "a", extra=["--theta", "4",
                                                                   "--dump-chain"])) == 0
@@ -493,6 +498,27 @@ class TestJsonInputFiles:
         assert not (tmp_path / "out").exists()
 
 
+def ring_args(tmp_path, n):
+    """``analyze --dump-chain`` of an n-zone ring over the 8-17 window (K=9)."""
+    zone_ids = [f"zone{i}" for i in range(n)]
+    building = {
+        "zones": [{"id": z, "capacitance": 2.0, "resistance": 2.0, "initial_temp": 18.0}
+                  for z in zone_ids],
+        "edges": [[a, b] for i, a in enumerate(zone_ids)
+                  for b in (zone_ids[i - 1], zone_ids[(i + 1) % n])],
+    }
+    (tmp_path / "building.json").write_text(json.dumps(building))
+    log = tmp_path / "log.csv"
+    log.write_text("day,hour,occupied\n" + "".join(
+        f"{d},{h},{int(h > 8 and (d + h) % 3 == 0)}\n"
+        for d in (1, 2, 3) for h in range(8, 18)))
+    args = ["analyze", "--building", str(tmp_path / "building.json"),
+            "--out", str(tmp_path / "out"), "--dump-chain"]
+    for z in zone_ids:
+        args += ["--occupancy", f"{z}={log}"]
+    return args
+
+
 class TestDumpChainLimit:
     def test_edge_formula_counts_the_dumped_edges(self, tmp_path):
         assert main(pinned_args("analyze", tmp_path, extra=["--dump-chain"])) == 0
@@ -513,25 +539,23 @@ class TestDumpChainLimit:
             raise RuntimeError("compose called")
 
         monkeypatch.setattr(thermark.markov, "compose", refuse)
-        zone_ids = [f"zone{i}" for i in range(10)]
-        building = {
-            "zones": [{"id": z, "capacitance": 2.0, "resistance": 2.0, "initial_temp": 18.0}
-                      for z in zone_ids],
-            "edges": [[a, b] for i, a in enumerate(zone_ids)
-                      for b in (zone_ids[i - 1], zone_ids[(i + 1) % 10])],
-        }
-        (tmp_path / "building.json").write_text(json.dumps(building))
-        log = tmp_path / "log.csv"
-        log.write_text("day,hour,occupied\n" + "".join(
-            f"{d},{h},{int(h > 8 and (d + h) % 3 == 0)}\n"
-            for d in (1, 2, 3) for h in range(8, 18)))
-        args = ["analyze", "--building", str(tmp_path / "building.json"),
-                "--out", str(tmp_path / "out"), "--dump-chain"]
-        for z in zone_ids:
-            args += ["--occupancy", f"{z}={log}"]
-        assert main(args) == 3
+        assert main(ring_args(tmp_path, 10)) == 3
         assert_one_line_error(capsys, "--dump-chain", "limit")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.skipif(sys.platform == "win32", reason="needs the resource module")
+    def test_seven_zones_dump_in_bounded_memory(self, tmp_path):
+        # a fresh interpreter reports its own peak: RUSAGE_CHILDREN would give
+        # the largest child this process ever waited for. Streamed from the
+        # layers, the 148 k edges need about 34 MiB; one object per edge 206 MiB.
+        check = ("import resource, sys; from thermark.cli import main; code = main(sys.argv[1:]); "
+                 "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss; "
+                 "print(peak if sys.platform == 'darwin' else peak * 1024); sys.exit(code)")
+        out = subprocess.run([sys.executable, "-c", check, *ring_args(tmp_path, 7)],
+                             env=subprocess_env(), capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert (tmp_path / "out" / "chain.json").read_bytes().endswith(b"\n  ]\n}\n")
+        assert int(out.stdout.split()[-1]) < 100 * 2 ** 20
 
 
 class TestOutputFiles:
@@ -638,12 +662,16 @@ class TestInputFiles:
         assert_one_line_error(capsys, str(log), "cannot read: Permission denied")
 
 
+def subprocess_env():
+    """This environment, with the imported thermark first on the path."""
+    path = [str(Path(thermark.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+
+
 def test_import_loads_no_thread_pool():
     # the occupancy piece reader imports concurrent.futures when it first
     # builds its pool, so a short run pays nothing for it
-    path = [str(Path(thermark.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     check = "import sys, thermark.cli; print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
-    out = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", check], env=subprocess_env(), capture_output=True,
                          text=True, timeout=60, check=True)
     assert out.stdout.strip() == "[]"

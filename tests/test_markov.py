@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -38,49 +39,46 @@ def two_chains(schedule=None, heat1=None, heat2=None, horizon=9):
 
 
 class TestUnroll:
+    # a zone chain holds only its per-step probabilities; its states and edges
+    # are those of the single-zone product
     def test_state_and_transition_counts_horizon_nine(self):
         chain, _ = two_chains()
-        assert len(chain.states) == 1 + 2 * 9 + 1 == 20
+        model = compose([chain])
+        assert len(model.states) == 1 + 2 * 9 + 1 == 20
         # initial fan-out, four per interior boundary, two into the sink, self-loop
-        assert len(chain.transitions) == 2 + 4 * 8 + 2 + 1 == 37
+        assert len(model.transitions) == 2 + 4 * 8 + 2 + 1 == 37
 
     def test_smallest_horizon_structure(self):
         schedule = make_schedule(p_vf=[0.3], p_ff=[0.8])
         chain = unroll_zone(schedule, [False, False], horizon=1, zone_id="z")
-        assert [s.index for s in chain.states] == [0, 1, 2, 3]
-        outgoing = {t.source: [] for t in chain.transitions}
-        for t in chain.transitions:
-            outgoing[t.source].append(t)
-        assert {(t.target, t.probability) for t in outgoing[0]} == {(1, 0.3), (2, 0.7)}
-        assert [(t.target, t.probability) for t in outgoing[1]] == [(3, 1.0)]
-        assert [(t.target, t.probability) for t in outgoing[2]] == [(3, 1.0)]
-        assert [(t.target, t.probability, t.label) for t in outgoing[3]] == [
-            (3, 1.0, SINK_LABEL)
+        model = compose([chain])
+        assert [s.index for s in model.states] == [0, 1, 2, 3]
+        assert [(t.source, t.target, t.probability, t.label) for t in model.transitions] == [
+            (0, 1, 0.3, "t1"), (0, 2, 0.7, "t1"), (1, 3, 1.0, "t2"), (2, 3, 1.0, "t2"),
+            (3, 3, 1.0, SINK_LABEL),
         ]
 
     def test_parity_convention(self):
         chain, _ = two_chains()
-        for s in chain.states:
+        for s in compose([chain]).states:
             if 1 <= s.step <= chain.horizon:
-                assert s.occupied == (s.index % 2 == 1)
+                assert s.occupied == (s.index % 2 == 1,)
 
     def test_outgoing_probabilities_sum_to_one(self):
         chain, _ = two_chains()
-        sums = {}
-        for t in chain.transitions:
-            sums[t.source] = sums.get(t.source, 0.0) + t.probability
-        assert all(abs(v - 1.0) <= 1e-12 for v in sums.values())
+        for k in range(chain.horizon):
+            assert np.all(np.abs(chain.step_matrix(k).sum(axis=1) - 1.0) <= 1e-12)
 
     def test_transition_labels_follow_steps(self):
         chain, _ = two_chains()
-        by_state = {s.index: s for s in chain.states}
-        for t in chain.transitions:
-            src = by_state[t.source]
+        model = compose([chain])
+        for t in model.transitions:
+            src = model.states[t.source]
             if t.label == SINK_LABEL:
                 assert src.is_sink
             else:
                 assert t.label == f"t{src.step + 1}"
-                assert by_state[t.target].step == src.step + 1
+                assert model.states[t.target].step == src.step + 1
 
     def test_deterministic_occupancy_single_spine(self):
         schedule = make_schedule(p_vf=1.0, p_ff=1.0)
@@ -120,19 +118,6 @@ class TestCompose:
                 model = compose(chains)
                 assert len(model.states) == 1 + (2 ** n) * horizon + 1
 
-    def test_single_chain_composition_is_isomorphic(self):
-        chain, _ = two_chains()
-        model = compose([chain])
-        assert len(model.states) == len(chain.states)
-        chain_sums = {}
-        for t in chain.transitions:
-            chain_sums.setdefault(t.source, []).append(t.probability)
-        model_sums = {}
-        for t in model.transitions:
-            model_sums.setdefault(t.source, []).append(t.probability)
-        for src, probs in chain_sums.items():
-            assert sorted(model_sums[src]) == pytest.approx(sorted(probs))
-
     def test_deterministic_chains_single_path(self):
         schedule = make_schedule(p_vf=1.0, p_ff=1.0)
         chains = [
@@ -141,7 +126,7 @@ class TestCompose:
         model = compose(chains)
         prob = state_probabilities(model)
         for step in range(1, 10):
-            step_probs = sorted(prob[s.index] for s in model.states_at_step(step))
+            step_probs = sorted(prob[s.index] for s in model.states if s.step == step)
             assert step_probs == pytest.approx([0.0, 0.0, 0.0, 1.0], abs=0)
 
     def test_outgoing_probabilities_sum_to_one(self):
@@ -205,9 +190,13 @@ def product_edges(chains):
 class TestLayers:
     def test_transitions_view_equals_per_entry_products(self):
         rng = np.random.default_rng(41)
-        for _ in range(40):
-            n, horizon = int(rng.integers(1, 5)), int(rng.integers(1, 6))
-            chains = random_chains(rng, n, horizon)
+        # one fixed single zone: its fan-out, the sink edges and the t_sink loop
+        single = unroll_zone(make_schedule(p_vf=[0.3, 0.6], p_ff=[0.8, 0.1]), [False] * 3, 2,
+                             zone_id="z", initial_occupied=True)
+        instances = [[single]] + [random_chains(rng, int(rng.integers(1, 5)),
+                                                int(rng.integers(1, 6))) for _ in range(40)]
+        for chains in instances:
+            n, horizon = len(chains), chains[0].horizon
             model = compose(chains)
             assert len(model.layers) == horizon
             assert all(layer.shape == (2 ** n, 2 ** n) for layer in model.layers)
@@ -235,8 +224,8 @@ class TestLayers:
         thetas = range(1, horizon + 1)
         trajectory = temperature_trajectory(model, thermal, gains, thetas)
         heat = np.array([model.heating_at(k) for k in range(horizon + 1)], dtype=float)
-        direct = direct_expected_temperatures(thermal, gains, model.occupied_marginals(),
-                                              heat, thetas)
+        marginals = np.array([c.occupied_marginals() for c in chains]).T
+        direct = direct_expected_temperatures(thermal, gains, marginals, heat, thetas)
         assert np.max(np.abs(trajectory.values - direct)) <= 1e-12
 
 
@@ -247,36 +236,28 @@ class TestAssignRewards:
         model = compose([c1, c2])
         theta = 3
         rewarded = assign_rewards(model, bench_thermal, bench_gains(), theta)
-        marginals = model.occupied_marginals()
+        marginals = np.array([c.occupied_marginals() for c in (c1, c2)]).T
         for zi, zid in enumerate(("zone1", "zone2")):
+            per_step = rewarded.rewards[zid]
+            assert per_step.shape == (1 + 9 + 1,)
             row = matrix_power(BENCH_A, theta)[zi]
-            assert rewarded.reward(zid, 0) == pytest.approx(float(row @ BENCH_T0), abs=1e-12)
-            for s in model.states:
-                if s.is_sink or s.step == 0:
-                    continue
-                if s.step > theta:
-                    assert rewarded.reward(zid, s.index) == 0.0
+            assert per_step[0] == pytest.approx(float(row @ BENCH_T0), abs=1e-12)
+            for step in range(1, 10):
+                if step > theta:
+                    assert per_step[step] == 0.0
                 else:
-                    gain = np.array([
-                        0.7 * marginals[s.step - 1, j] + 1.5
-                        for j in range(2)
-                    ])
-                    weight = matrix_power(BENCH_A, theta - s.step)[zi]
-                    assert rewarded.reward(zid, s.index) == pytest.approx(
-                        float(weight @ gain), abs=1e-12
-                    )
+                    gain = 0.7 * marginals[step - 1] + 1.5
+                    weight = matrix_power(BENCH_A, theta - step)[zi]
+                    assert per_step[step] == pytest.approx(float(weight @ gain), abs=1e-12)
 
     def test_selective_heating_theta_one_values(self, bench_thermal):
         heat = [True, True] + [False] * 8
         c1, c2 = two_chains(heat1=heat, heat2=heat)
         model = compose([c1, c2])
-        rewarded = assign_rewards(model, bench_thermal, bench_gains(), 1)
-        assert rewarded.reward("zone1", 0) == pytest.approx(17.4002, abs=1e-4)
-        for s in model.states_at_step(1):
-            assert rewarded.reward("zone1", s.index) == pytest.approx(1.5, abs=1e-12)
-        for step in range(2, 10):
-            for s in model.states_at_step(step):
-                assert rewarded.reward("zone1", s.index) == 0.0
+        per_step = assign_rewards(model, bench_thermal, bench_gains(), 1).rewards["zone1"]
+        assert per_step[0] == pytest.approx(17.4002, abs=1e-4)
+        assert per_step[1] == pytest.approx(1.5, abs=1e-12)
+        assert per_step[2:].tolist() == [0.0] * 9
 
     def test_zero_gains(self, bench_thermal):
         model = compose(two_chains())
@@ -285,11 +266,8 @@ class TestAssignRewards:
         rewarded = assign_rewards(model, bench_thermal, gains, theta)
         for zi, zid in enumerate(("zone1", "zone2")):
             expected = float(matrix_power(BENCH_A, theta)[zi] @ BENCH_T0)
-            assert rewarded.reward(zid, 0) == pytest.approx(expected, abs=1e-12)
-            assert all(
-                rewarded.reward(zid, s.index) == 0.0
-                for s in model.states if s.index != 0
-            )
+            assert rewarded.rewards[zid][0] == pytest.approx(expected, abs=1e-12)
+            assert rewarded.rewards[zid][1:].tolist() == [0.0] * 10
 
     def test_sink_always_zero(self, bench_thermal):
         model = compose(two_chains(heat1=[True] * 10, heat2=[True] * 10))
@@ -297,7 +275,7 @@ class TestAssignRewards:
             rewarded = assign_rewards(model, bench_thermal, bench_gains(), theta)
             sink = model.states[-1]
             assert sink.is_sink
-            assert rewarded.reward("zone1", sink.index) == 0.0
+            assert rewarded.rewards["zone1"][sink.step] == 0.0
 
     def test_theta_out_of_range(self, bench_thermal):
         model = compose(two_chains())
@@ -366,12 +344,62 @@ class TestAssignRewards:
             assert fwd["zone2"] == pytest.approx(rev["zone2"], abs=1e-12)
 
 
+def expected_dump(rewarded):
+    """``chain.json`` as one ``json.dumps`` of the chain, edges from ``product_edges``."""
+    model = rewarded.model
+    return json.dumps({
+        "zones": list(model.zone_ids),
+        "horizon": model.horizon,
+        "theta": rewarded.theta,
+        "states": [
+            {
+                "index": s.index,
+                "step": s.step,
+                "occupied": None if s.occupied is None else list(s.occupied),
+                "heating_on": None if s.heating_on is None else list(s.heating_on),
+                "rewards": {zid: float(rewarded.rewards[zid][s.step]) for zid in model.zone_ids},
+            }
+            for s in model.states
+        ],
+        "transitions": [
+            {"from": source, "to": target, "probability": p, "label": label}
+            for source, target, p, label in product_edges(model.chains)
+        ],
+    }, indent=2, sort_keys=True) + "\n"
+
+
 class TestDump:
     def test_dump_shape(self, bench_thermal):
         model = compose(two_chains())
         rewarded = assign_rewards(model, bench_thermal, bench_gains(), 2)
-        dump = dump_model(rewarded)
+        dump = json.loads("".join(dump_model(rewarded)))
         assert dump["zones"] == ["zone1", "zone2"]
         assert len(dump["states"]) == 38
         assert len(dump["transitions"]) == len(model.transitions)
-        assert dump["states"][0]["rewards"]["zone1"] == rewarded.reward("zone1", 0)
+        assert dump["states"][0]["rewards"]["zone1"] == rewarded.rewards["zone1"][0]
+        assert [s["rewards"]["zone2"] for s in dump["states"][1:5]] == [
+            rewarded.rewards["zone2"][1]] * 4
+
+    def test_streamed_text_equals_one_json_dumps(self):
+        # ids JSON must escape, and ids whose sorted order is not chain order
+        names = ["zoné", 'z"1', "zone10", "zone2"]
+        rng = np.random.default_rng(5)
+        for _ in range(30):
+            n, horizon = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+            zone_ids = tuple(str(z) for z in rng.permutation(names)[:n])
+            raw = rng.uniform(0.1, 1.0, size=(n, n))
+            thermal = DiscreteThermalModel(
+                a=raw / raw.sum(axis=1, keepdims=True), b=np.eye(n), delta=1.0,
+                initial_temps=rng.uniform(10, 25, size=n), zone_ids=zone_ids, derived=False,
+            )
+            chains = [
+                unroll_zone(random_schedule(rng, horizon),
+                            [bool(b) for b in rng.integers(0, 2, horizon + 1)], horizon,
+                            zone_id=zid, initial_occupied=bool(rng.integers(0, 2)))
+                for zid in zone_ids
+            ]
+            gains = {z: ZoneGains(float(rng.uniform(0, 2)), float(rng.uniform(0, 3)))
+                     for z in zone_ids}
+            theta = int(rng.integers(1, horizon + 1))
+            rewarded = assign_rewards(compose(chains), thermal, gains, theta)
+            assert "".join(dump_model(rewarded)) == expected_dump(rewarded)

@@ -85,6 +85,9 @@ GRAMMAR_CASES = [
     ("zero-padded-20-digit-day", H + "00000000000000000001,8,0\n", ((1,), (8,))),
     ("blank-lines", H + "\n1,8,0\n\n\n1,9,1\n\n", ((1,), (8, 9))),
     ("whitespace-only-lines", H + " \t\n1,8,0\n  \n1,9,1\n\t", ((1,), (8, 9))),
+    ("long-blank-run", H + "1,8,0\n" + "\n" * 20 + "1,9,1\n", ((1,), (8, 9))),
+    ("largest-day-and-blank-line", H + "9223372036854775807,8,1\n\n9223372036854775807,9,0\n",
+     ((2**63 - 1,), (8, 9))),
     ("no-final-newline", H + "1,8,0\n1,9,1", ((1,), (8, 9))),
     ("crlf", "day,hour,occupied\r\n1,8,0\r\n1,9,1\r\n", ((1,), (8, 9))),
     ("cr", "day,hour,occupied\r1,8,0\r1,9,1\r", ((1,), (8, 9))),
@@ -366,6 +369,20 @@ class TestPieces:
         monkeypatch.setattr(occupancy, "PIECE_BYTES", len(data))
         inline = parse_occupancy_csv(data)
         assert pooled == inline == dataset
+
+    def test_blank_line_rereads_only_its_piece(self, monkeypatch):
+        data, dataset = long_log(days=2000)
+        middle = data.index(b"\n", len(data) // 2) + 1
+        reads = []
+        read_rows = occupancy._read_rows
+        monkeypatch.setattr(occupancy, "_read_rows",
+                            lambda d: reads.append(len(d)) or read_rows(d))
+        assert parse_occupancy_csv(data) == dataset
+        pieces = len(reads)
+        assert pieces > 2
+        reads.clear()
+        assert parse_occupancy_csv(data[:middle] + b"\n" + data[middle:]) == dataset
+        assert len(reads) == pieces + 1
 
     def test_one_cpu_never_starts_the_pool(self, monkeypatch):
         data, dataset = long_log(days=2000)
