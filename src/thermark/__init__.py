@@ -41,7 +41,6 @@ from .strategy import (
     Tariff,
     builtin_strategy,
     compare_strategies,
-    energy_by_band,
     parse_strategy,
     parse_tariff,
     strategy_cost,
@@ -56,7 +55,6 @@ from .thermal import (
     discretize_forward_euler,
     load_building,
     matrix_power,
-    validate_network,
 )
 
 __version__ = "0.1.0"
@@ -90,7 +88,6 @@ __all__ = [
     "compose",
     "direct_expected_temperatures",
     "discretize_forward_euler",
-    "energy_by_band",
     "estimate_transition_schedule",
     "expected_temperature",
     "export_prism_model",
@@ -108,5 +105,4 @@ __all__ = [
     "table2_tariff",
     "temperature_trajectory",
     "unroll_zone",
-    "validate_network",
 ]

@@ -1,11 +1,15 @@
 """Expected zone temperatures as expected cumulative rewards.
 
-Three independent evaluation routes are provided:
+Three evaluation routes are provided:
 
 * :func:`expected_temperature` propagates the state-probability vector
   through the composed chain's per-step layers and dots the probability
   mass of each step with that step's reward (the cumulative-reward query
-  with bound theta + 1).
+  with bound theta + 1). Every state of a step carries the same reward,
+  so for any layers whose rows sum to one this is the sum of the per-step
+  rewards: the route checks :func:`thermark.markov.step_reward_table` and
+  the mass of each layer, not the edges :func:`thermark.markov.compose`
+  builds.
 * :func:`direct_expected_temperatures` skips the composed model entirely:
   because the expected gain at step k only needs each zone's occupancy
   marginal at step k-1 and the deterministic heating bit, the whole
@@ -193,9 +197,6 @@ class TemperatureTrajectory:
 
     def value(self, theta: int, zone_id: str) -> float:
         return float(self.values[self.thetas.index(theta), self.zone_ids.index(zone_id)])
-
-    def series(self, zone_id: str) -> np.ndarray:
-        return self.values[:, self.zone_ids.index(zone_id)]
 
 
 def temperature_trajectory(

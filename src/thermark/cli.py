@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, markov, occupancy, prism, strategy as strategy_mod
-from .errors import NumericalGuardError, ThermarkError, ValidationError, read_bytes, read_text
+from .errors import NumericalGuardError, ThermarkError, ValidationError, read_bytes
 from .markov import ZoneGains
 from .occupancy import TransitionSchedule
 from .thermal import DiscreteThermalModel, load_building
@@ -187,21 +187,17 @@ def _window_schedule(
         )
     full = occupancy.estimate_transition_schedule(dataset)
     offset = start - dataset.hours[0]
-    steps = []
-    for k in range(end - start):
-        m = full.matrix(offset + k)
-        steps.append(occupancy.StepMatrix(step=k, p_vf=m.p_vf, p_vv=m.p_vv,
-                                          p_ff=m.p_ff, p_fv=m.p_fv))
     diags = tuple(d for d in full.diagnostics if start <= d.hour < end)
-    first_frac = (int(np.count_nonzero(dataset.grid[:, start - dataset.hours[0]]))
-                  / dataset.day_count)
+    first_frac = int(np.count_nonzero(dataset.grid[:, offset])) / dataset.day_count
     if first_frac not in (0.0, 1.0):
         raise ValidationError(
             f"zone {zone_id!r}: occupancy at the window start hour {start} is mixed "
             f"({first_frac:.2f} of days); the chain needs a deterministic start"
         )
+    # the sliced matrices keep the full log's step numbers; the chains read
+    # them by position only
     schedule = TransitionSchedule(
-        matrices=tuple(steps),
+        matrices=full.matrices[offset:offset + end - start],
         hours=tuple(range(start, end + 1)),
         diagnostics=diags,
     )
@@ -236,12 +232,6 @@ def _chains(config: RunConfig, schedules: Schedules,
     ]
 
 
-def _compose(config: RunConfig, schedules: Schedules,
-             strat: strategy_mod.HeatingStrategy) -> markov.ComposedModel:
-    """The product chain; only ``--dump-chain`` needs it."""
-    return markov.compose(_chains(config, schedules, strat))
-
-
 def _load_inputs(config: RunConfig):
     """Building, per-zone schedules and the single strategy, each parsed once."""
     network, thermal = load_building(config.building)
@@ -252,7 +242,7 @@ def _load_inputs(config: RunConfig):
 def _build_model(config: RunConfig):
     """Load building + occupancy + strategy into a composed model."""
     network, thermal, schedules, strat = _load_inputs(config)
-    return network, thermal, _compose(config, schedules, strat), strat
+    return network, thermal, markov.compose(_chains(config, schedules, strat)), strat
 
 
 def _trajectories(config: RunConfig, thermal: DiscreteThermalModel, schedules: Schedules,
@@ -292,8 +282,9 @@ def cmd_analyze(config: RunConfig, dump_chain: bool = False) -> int:
     _atomic_write(config.out_dir / "comfort.json",
                   json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n")
     if dump_chain:
-        rewarded = markov.assign_rewards(_compose(config, schedules, strat), thermal,
-                                         config.gains_for(thermal.zone_ids), config.thetas[0])
+        model = markov.compose(_chains(config, schedules, strat))
+        rewarded = markov.assign_rewards(model, thermal, config.gains_for(thermal.zone_ids),
+                                         config.thetas[0])
         _atomic_write(config.out_dir / "chain.json", markov.dump_model(rewarded))
     return EXIT_OK
 

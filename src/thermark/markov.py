@@ -119,10 +119,6 @@ class ComposedState:
     occupied: tuple[bool, ...] | None
     heating_on: tuple[bool, ...] | None
 
-    @property
-    def is_sink(self) -> bool:
-        return self.occupied is None
-
 
 @dataclass(frozen=True)
 class ComposedModel:

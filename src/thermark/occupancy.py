@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import bisect
 import functools
-import io
 import os
 import random
 import re
@@ -79,9 +78,6 @@ class OccupancyDataset:
     def records(self) -> Mapping[tuple[int, int], bool]:
         """Read-only ``(day, hour) -> occupied`` view of ``grid``."""
         return _Records(self)
-
-    def occupied(self, day: int, hour: int) -> bool:
-        return self.records[(day, hour)]
 
 
 class _Records(Mapping):
@@ -179,20 +175,19 @@ class TransitionSchedule:
         }
 
 
-def parse_occupancy_csv(source: bytes | str | io.IOBase) -> OccupancyDataset:
+def parse_occupancy_csv(data: bytes | str) -> OccupancyDataset:
     """Parse a ``day,hour,occupied`` CSV into a dataset.
 
-    ``source`` is the file's bytes (UTF-8), its text, or a stream of
-    either. The header is ``day,hour,occupied`` (case and spaces around
-    names ignored). Every other line is blank (spaces and tabs only) or a
-    row ``day,hour,occupied``: day and hour are ASCII integers with an
-    optional sign and optional spaces or tabs around them, and occupied is
-    exactly ``0`` or ``1`` with optional spaces or tabs around it. Days are
+    ``data`` is the file's bytes (UTF-8) or its text. The header is
+    ``day,hour,occupied`` (case and spaces around names ignored). Every
+    other line is blank (spaces and tabs only) or a row
+    ``day,hour,occupied``: day and hour are ASCII integers with an optional
+    sign and optional spaces or tabs around them, and occupied is exactly
+    ``0`` or ``1`` with optional spaces or tabs around it. Days are
     positive, hours lie in 0..23, every (day, hour) pair appears exactly
     once, and every day covers the same contiguous hour window. Lines may
     end in LF, CRLF or CR.
     """
-    data = source if isinstance(source, (bytes, str)) else source.read()
     if isinstance(data, str):
         data = data.encode("utf-8", "surrogatepass")
     elif not data.isascii():

@@ -31,11 +31,10 @@ _IDENT_RE = re.compile(r"[^A-Za-z0-9_]")
 
 @dataclass(frozen=True)
 class PrismArtifact:
-    """Rendered model and property sources plus descriptive metadata."""
+    """Rendered model and property sources."""
 
     model_text: str
     properties_text: str
-    metadata: dict
 
 
 def _fmt(x: float) -> str:
@@ -199,9 +198,4 @@ def export_prism_model(
         model_text=render_model(model.chains, table, rewarded.theta,
                                 rewarded.thermal.delta, name),
         properties_text=export_properties(thetas, model.zone_ids),
-        metadata={
-            "zones": model.zone_count,
-            "horizon": model.horizon,
-            "theta_list": thetas,
-        },
     )

@@ -17,7 +17,7 @@ for them rather than silently diverging.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -43,12 +43,6 @@ class HeatingStrategy:
         """On/off bit per step 0..K for a [start, end] hour window."""
         start, end = window
         return [h in self.hours_for(zone_id) for h in range(start, end + 1)]
-
-    def restricted_to(self, zone_id: str) -> "HeatingStrategy":
-        return HeatingStrategy(
-            name=f"{self.name}[{zone_id}]",
-            schedule={zone_id: self.hours_for(zone_id)},
-        )
 
 
 @dataclass(frozen=True)
@@ -94,11 +88,7 @@ class CostReport:
     strategy: str
     band_energy_kwh: dict[str, float]
     total_cost_minor: int
-    notes: tuple[str, ...] = field(default_factory=tuple)
-
-    @property
-    def total_cost_major(self) -> float:
-        return self.total_cost_minor / 100.0
+    notes: tuple[str, ...]
 
 
 def builtin_strategy(name: str, zone_ids: list[str] | tuple[str, ...]) -> HeatingStrategy:
@@ -138,9 +128,9 @@ def table2_tariff() -> Tariff:
     ))
 
 
-def parse_strategy(source: str | Path | dict,
+def parse_strategy(source: Path | dict,
                    zone_ids: tuple[str, ...] | None = None) -> HeatingStrategy:
-    """Load a strategy from JSON text/file/dict.
+    """Load a strategy from a JSON file or an already parsed dict.
 
     Schema: ``{"name": "...", "schedule": {"zone-id": [8, 9], ...}}``.
     When ``zone_ids`` is given, schedule keys must be declared zones.
@@ -165,8 +155,8 @@ def parse_strategy(source: str | Path | dict,
     return HeatingStrategy(name=name, schedule=schedule)
 
 
-def parse_tariff(source: str | Path | dict) -> Tariff:
-    """Load a tariff from JSON text/file/dict.
+def parse_tariff(source: Path | dict) -> Tariff:
+    """Load a tariff from a JSON file or an already parsed dict.
 
     Schema: ``{"bands": [{"name": "...", "start": 8, "end": 10,
     "price_minor_per_kwh": 10}, ...]}``.
@@ -187,16 +177,11 @@ def parse_tariff(source: str | Path | dict) -> Tariff:
     return Tariff(bands=bands)
 
 
-def _load_json(source: str | Path | dict, kind: str) -> dict:
+def _load_json(source: Path | dict, kind: str) -> dict:
     if isinstance(source, dict):
         return source
-    if isinstance(source, Path) or (isinstance(source, str) and "\n" not in source
-                                    and source.strip().endswith(".json")):
-        text = read_text(Path(source), kind)
-    else:
-        text = str(source)
     try:
-        return json.loads(text)
+        return json.loads(read_text(source, kind))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"invalid {kind} JSON: {exc}") from None
 
@@ -213,48 +198,24 @@ def validate_strategy_window(strategy: HeatingStrategy, window: tuple[int, int])
                 )
 
 
-def _normalise_power(radiator_kw: float | dict[str, float],
-                     zone_ids: tuple[str, ...]) -> dict[str, Fraction]:
-    if isinstance(radiator_kw, dict):
-        table = {z: radiator_kw.get(z, 1.0) for z in zone_ids}
-    else:
-        table = {z: radiator_kw for z in zone_ids}
-    out = {}
-    for z, kw in table.items():
-        if kw < 0:
-            raise ValidationError(f"negative radiator power for zone {z!r}")
-        out[z] = Fraction(str(kw))
-    return out
-
-
-def energy_by_band(
-    strategy: HeatingStrategy,
-    tariff: Tariff,
-    radiator_kw: float | dict[str, float] = 1.0,
-) -> dict[str, float]:
-    """kWh billed per tariff band; every heated zone-hour must hit a band."""
-    return strategy_cost(strategy, tariff, radiator_kw, notes=()).band_energy_kwh
-
-
 def strategy_cost(
     strategy: HeatingStrategy,
     tariff: Tariff,
-    radiator_kw: float | dict[str, float] = 1.0,
-    notes: tuple[str, ...] | None = None,
+    radiator_kw: float = 1.0,
 ) -> CostReport:
-    """Exact total cost in minor currency units plus per-band energies."""
-    zone_ids = tuple(strategy.schedule)
-    power = _normalise_power(radiator_kw, zone_ids)
+    """Exact total cost in minor currency units plus per-band energies;
+    every heated zone-hour must fall in a band."""
+    if radiator_kw < 0:
+        raise ValidationError(f"negative radiator power {radiator_kw}")
+    power = Fraction(str(radiator_kw))
     price = {band.name: band.price_minor_per_kwh for band in tariff.bands}
     energy = {band.name: Fraction(0) for band in tariff.bands}
     total = Fraction(0)
-    for z, hours in strategy.schedule.items():
+    for hours in strategy.schedule.values():
         for h in sorted(hours):
             band = tariff.band_for_hour(h)
-            energy[band.name] += power[z]
-            total += power[z] * price[band.name]
-    if notes is None:
-        notes = builtin_discrepancy_notes(strategy, tariff)
+            energy[band.name] += power
+            total += power * price[band.name]
     if total.denominator != 1:
         total_minor = round(total)
     else:
@@ -263,7 +224,7 @@ def strategy_cost(
         strategy=strategy.name,
         band_energy_kwh={name: float(e) for name, e in energy.items()},
         total_cost_minor=total_minor,
-        notes=notes,
+        notes=builtin_discrepancy_notes(strategy, tariff),
     )
 
 
@@ -310,7 +271,7 @@ class StrategyComparison:
 def compare_strategies(
     strategies: list[HeatingStrategy],
     tariff: Tariff,
-    radiator_kw: float | dict[str, float] = 1.0,
+    radiator_kw: float = 1.0,
     comfort_by_strategy: dict[str, dict] | None = None,
 ) -> StrategyComparison:
     """Rank strategies by exact cost; ties break on the strategy name.

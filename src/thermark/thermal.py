@@ -193,78 +193,6 @@ def matrix_power(a: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class NetworkDiagnostics:
-    """Report-only findings from validate_network."""
-
-    errors: tuple[str, ...]
-    warnings: tuple[str, ...]
-
-    @property
-    def clean(self) -> bool:
-        return not self.errors and not self.warnings
-
-
-def validate_network(
-    zones: list[dict] | tuple[Zone, ...],
-    edges: list[tuple[str, str]] | tuple[tuple[str, str], ...],
-) -> NetworkDiagnostics:
-    """Check a topology without constructing it; never raises.
-
-    Accepts either Zone objects or raw dicts so malformed input can still
-    be diagnosed. Errors are invariant violations; warnings cover
-    disconnected zones and one-way edge declarations.
-    """
-    errors: list[str] = []
-    warnings: list[str] = []
-
-    norm: list[Zone] = []
-    for z in zones:
-        if isinstance(z, Zone):
-            norm.append(z)
-        else:
-            try:
-                norm.append(
-                    Zone(
-                        id=str(z["id"]),
-                        capacitance=float(z["capacitance"]),
-                        resistance=float(z["resistance"]),
-                        initial_temp=float(z.get("initial_temp", 0.0)),
-                    )
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                errors.append(f"malformed zone entry {z!r}: {exc}")
-
-    ids = [z.id for z in norm]
-    seen: set[str] = set()
-    for zid in ids:
-        if zid in seen:
-            errors.append(f"duplicate zone id {zid!r}")
-        seen.add(zid)
-    for z in norm:
-        if not z.capacitance > 0:
-            errors.append(f"non-positive capacitance on zone {z.id!r}")
-        if not z.resistance > 0:
-            errors.append(f"non-positive resistance on zone {z.id!r}")
-
-    edge_set = {(a, b) for a, b in edges}
-    for a, b in edge_set:
-        if a == b:
-            errors.append(f"self-edge on zone {a!r}")
-        if a not in seen or b not in seen:
-            errors.append(f"edge ({a!r}, {b!r}) references an undeclared zone")
-        elif (b, a) not in edge_set:
-            warnings.append(f"edge ({a!r}, {b!r}) has no reverse edge ({b!r}, {a!r})")
-
-    if len(norm) > 1:
-        touched = {a for a, _ in edge_set} | {b for _, b in edge_set}
-        for zid in ids:
-            if zid not in touched:
-                warnings.append(f"zone {zid!r} is disconnected from the rest of the network")
-
-    return NetworkDiagnostics(errors=tuple(errors), warnings=tuple(warnings))
-
-
 def load_building(path: str | Path) -> tuple[RCNetwork, DiscreteThermalModel]:
     """Load a building topology JSON file and derive its discrete model.
 

@@ -245,8 +245,7 @@ class TestTrajectory:
     def test_no_heating_trajectory_is_monotone(self, bench_thermal):
         model = build_model([make_schedule(0.4)] * 2, [[False] * 10] * 2)
         trajectory = temperature_trajectory(model, bench_thermal, bench_gains(), range(1, 10))
-        for z in ZONES:
-            series = trajectory.series(z)
+        for series in trajectory.values.T:
             assert np.all(np.diff(series) >= -1e-12)
 
     def test_singleton_range_matches_single_call(self, bench_thermal):

@@ -116,6 +116,22 @@ class TestAnalyze:
         assert "unstable" in capsys.readouterr().err
 
 
+class TestGoldenOutputs:
+    def test_outputs_match_golden_files(self, tmp_path):
+        d = two_zone_benchmark_dir()
+        occupancy = ["--occupancy", f"zone1={d / 'occupancy_zone1.csv'}",
+                     "--occupancy", f"zone2={d / 'occupancy_zone2.csv'}"]
+        assert main(pinned_args("analyze", tmp_path)) == 0
+        assert main(["cost", "--building", str(d / "building.json"), *occupancy,
+                     "--out", str(tmp_path)]) == 0
+        assert main(["estimate", str(d / "occupancy_zone1.csv"), "--out", str(tmp_path)]) == 0
+        golden = Path(__file__).parent / "golden"
+        for name in ("trajectory.csv", "comfort.json", "cost.csv", "cost.json",
+                     "schedule.json"):
+            expected = (golden / f"two_zone_benchmark_{name}").read_bytes()
+            assert (tmp_path / name).read_bytes() == expected, name
+
+
 class TestCost:
     def test_builtin_table(self, tmp_path):
         args = pinned_args("cost", tmp_path)
@@ -417,6 +433,17 @@ class TestArgumentChecks:
         assert main(args) == 2
         assert_one_line_error(capsys, "--radiator-kw")
         assert not (tmp_path / "cost.json").exists()
+
+    def test_negative_radiator_power_exits_2(self, tmp_path, capsys):
+        d = two_zone_benchmark_dir()
+        empty = tmp_path / "none.json"
+        empty.write_text(json.dumps({"name": "none", "schedule": {}}))
+        base = ["cost", "--building", str(d / "building.json"), "--radiator-kw=-1"]
+        for extra in ([], ["--strategy", str(empty)]):
+            out = tmp_path / "out"
+            assert main([*base, *extra, "--out", str(out)]) == 2
+            assert_one_line_error(capsys, "radiator")
+            assert not out.exists()
 
     @pytest.mark.parametrize("gains", ["zone1=nan,1.5", "0.7,inf"])
     def test_non_finite_gains_exit_2(self, tmp_path, capsys, gains):

@@ -75,7 +75,7 @@ class TestUnroll:
         for t in model.transitions:
             src = model.states[t.source]
             if t.label == SINK_LABEL:
-                assert src.is_sink
+                assert src.occupied is None
             else:
                 assert t.label == f"t{src.step + 1}"
                 assert model.states[t.target].step == src.step + 1
@@ -85,7 +85,7 @@ class TestUnroll:
         chain = unroll_zone(schedule, [False] * 10, 9, zone_id="z")
         prob = state_probabilities(compose([chain]))
         for s in compose([chain]).states:
-            if s.is_sink or s.step == 0:
+            if s.occupied is None or s.step == 0:
                 continue
             expected = 1.0 if s.occupied == (True,) else 0.0
             assert prob[s.index] == pytest.approx(expected, abs=0)
@@ -274,7 +274,7 @@ class TestAssignRewards:
         for theta in (1, 5, 9):
             rewarded = assign_rewards(model, bench_thermal, bench_gains(), theta)
             sink = model.states[-1]
-            assert sink.is_sink
+            assert sink.occupied is None
             assert rewarded.rewards["zone1"][sink.step] == 0.0
 
     def test_theta_out_of_range(self, bench_thermal):

@@ -34,8 +34,8 @@ class TestParse:
     def test_benchmark_file(self, benchmark_dataset):
         assert benchmark_dataset.day_count == 7
         assert benchmark_dataset.hours == tuple(range(8, 18))
-        assert not benchmark_dataset.occupied(1, 8)
-        assert benchmark_dataset.occupied(1, 9)
+        assert not benchmark_dataset.records[(1, 8)]
+        assert benchmark_dataset.records[(1, 9)]
 
     def test_empty_file(self):
         with pytest.raises(ValidationError, match="no records"):
@@ -153,7 +153,7 @@ def assert_verdict(text, verdict):
 def assert_largest_day_accepted():
     dataset = parse_occupancy_csv(H + "9223372036854775807,8,1\n9223372036854775807,9,0\n")
     assert dataset.days == (2**63 - 1,)
-    assert dataset.occupied(2**63 - 1, 8)
+    assert dataset.records[(2**63 - 1, 8)]
 
 
 GRAMMAR_PARAMS = dict(argnames="text, verdict", argvalues=[case[1:] for case in GRAMMAR_CASES],
@@ -494,7 +494,7 @@ class TestEstimate:
         remap = {d: max(benchmark_dataset.days) + 1 - d for d in benchmark_dataset.days}
         shuffled = parse_occupancy_csv(
             "day,hour,occupied\n" + "\n".join(
-                f"{remap[d]},{h},{1 if benchmark_dataset.occupied(d, h) else 0}"
+                f"{remap[d]},{h},{1 if benchmark_dataset.records[(d, h)] else 0}"
                 for d in benchmark_dataset.days
                 for h in benchmark_dataset.hours
             )

@@ -11,7 +11,6 @@ from thermark import (
     ValidationError,
     builtin_strategy,
     compare_strategies,
-    energy_by_band,
     parse_strategy,
     parse_tariff,
     strategy_cost,
@@ -91,16 +90,12 @@ class TestTariff:
 class TestEnergyAndCost:
     def test_reference_table_energies(self):
         tariff = table2_tariff()
-        assert energy_by_band(builtin_strategy("S2", ZONES), tariff) == {
-            "economy": 2.0, "off-peak": 6.0, "peak": 8.0}
-        assert energy_by_band(builtin_strategy("S3", ZONES), tariff) == {
-            "economy": 1.0, "off-peak": 3.0, "peak": 4.0}
-        assert energy_by_band(builtin_strategy("S5", ZONES), tariff) == {
-            "economy": 2.0, "off-peak": 2.0, "peak": 4.0}
-        assert energy_by_band(builtin_strategy("S6", ZONES), tariff) == {
-            "economy": 4.0, "off-peak": 0.0, "peak": 0.0}
-        assert energy_by_band(builtin_strategy("S1", ZONES), tariff) == {
-            "economy": 0.0, "off-peak": 0.0, "peak": 0.0}
+        energy = lambda name: strategy_cost(builtin_strategy(name, ZONES), tariff).band_energy_kwh
+        assert energy("S2") == {"economy": 2.0, "off-peak": 6.0, "peak": 8.0}
+        assert energy("S3") == {"economy": 1.0, "off-peak": 3.0, "peak": 4.0}
+        assert energy("S5") == {"economy": 2.0, "off-peak": 2.0, "peak": 4.0}
+        assert energy("S6") == {"economy": 4.0, "off-peak": 0.0, "peak": 0.0}
+        assert energy("S1") == {"economy": 0.0, "off-peak": 0.0, "peak": 0.0}
 
     def test_reference_table_costs_exact(self):
         tariff = table2_tariff()
@@ -113,14 +108,15 @@ class TestEnergyAndCost:
     def test_cost_is_integer_minor_units(self):
         report = strategy_cost(builtin_strategy("S2", ZONES), table2_tariff())
         assert isinstance(report.total_cost_minor, int)
-        assert report.total_cost_major == pytest.approx(2.70)
+        assert report.total_cost_minor == 270
 
     def test_cost_additive_over_zones(self):
         tariff = table2_tariff()
         s2 = builtin_strategy("S2", ZONES)
         total = strategy_cost(s2, tariff).total_cost_minor
         parts = sum(
-            strategy_cost(s2.restricted_to(z), tariff).total_cost_minor for z in ZONES
+            strategy_cost(HeatingStrategy(z, {z: s2.hours_for(z)}), tariff).total_cost_minor
+            for z in ZONES
         )
         assert parts == total
 
@@ -135,7 +131,7 @@ class TestEnergyAndCost:
     def test_heated_hour_outside_bands_is_error(self):
         strategy = HeatingStrategy("odd", {"zone1": frozenset({7})})
         with pytest.raises(ValidationError, match="outside every tariff band"):
-            energy_by_band(strategy, table2_tariff())
+            strategy_cost(strategy, table2_tariff())
 
     def test_fractional_radiator_power(self):
         tariff = table2_tariff()
@@ -146,6 +142,8 @@ class TestEnergyAndCost:
     def test_negative_power_rejected(self):
         with pytest.raises(ValidationError, match="negative radiator"):
             strategy_cost(builtin_strategy("S6", ZONES), table2_tariff(), radiator_kw=-1.0)
+        with pytest.raises(ValidationError, match="negative radiator"):
+            strategy_cost(HeatingStrategy("none", {}), table2_tariff(), radiator_kw=-1.0)
 
 
 class TestDiscrepancyNotes:

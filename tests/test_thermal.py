@@ -16,7 +16,6 @@ from thermark import (
     discretize_forward_euler,
     load_building,
     matrix_power,
-    validate_network,
 )
 from conftest import BENCH_A
 
@@ -95,6 +94,13 @@ class TestBuildStateSpace:
                 edges=(),
             )
 
+    def test_duplicate_ids_and_undeclared_edge_ends_rejected(self):
+        zone = Zone(id="z", capacitance=1.0, resistance=1.0, initial_temp=0.0)
+        with pytest.raises(ValidationError, match="unique"):
+            RCNetwork(zones=(zone, zone), edges=())
+        with pytest.raises(ValidationError, match="undeclared"):
+            RCNetwork(zones=(zone,), edges=(("z", "w"),))
+
 
 class TestDiscretize:
     def test_two_zone_forward_euler(self):
@@ -172,40 +178,6 @@ class TestMatrixPower:
             matrix_power(np.zeros((2, 3)), 1)
         with pytest.raises(ValidationError):
             matrix_power(np.eye(2), -1)
-
-
-class TestValidateNetwork:
-    def test_clean_two_zone_report(self):
-        net = two_zone_network()
-        report = validate_network(net.zones, net.edges)
-        assert report.clean
-
-    def test_negative_capacitance_reported(self):
-        report = validate_network(
-            [{"id": "z1", "capacitance": -1.0, "resistance": 1.0}], []
-        )
-        assert any("non-positive capacitance" in e for e in report.errors)
-
-    def test_one_way_edge_warns(self):
-        report = validate_network(
-            [
-                {"id": "z1", "capacitance": 1.0, "resistance": 1.0},
-                {"id": "z2", "capacitance": 1.0, "resistance": 1.0},
-            ],
-            [("z1", "z2")],
-        )
-        assert any("no reverse edge" in w for w in report.warnings)
-
-    def test_disconnected_zone_warns(self):
-        report = validate_network(
-            [
-                {"id": "a", "capacitance": 1.0, "resistance": 1.0},
-                {"id": "b", "capacitance": 1.0, "resistance": 1.0},
-                {"id": "c", "capacitance": 1.0, "resistance": 1.0},
-            ],
-            [("a", "b"), ("b", "a")],
-        )
-        assert any("disconnected" in w for w in report.warnings)
 
 
 class TestLoadBuilding:
