@@ -30,7 +30,6 @@ from .occupancy import (
     OccupancyDataset,
     TransitionSchedule,
     estimate_transition_schedule,
-    occupancy_marginals,
     parse_occupancy_csv,
     sample_dataset,
 )
@@ -94,7 +93,6 @@ __all__ = [
     "export_properties",
     "load_building",
     "matrix_power",
-    "occupancy_marginals",
     "parse_occupancy_csv",
     "parse_strategy",
     "parse_tariff",

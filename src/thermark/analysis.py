@@ -2,14 +2,16 @@
 
 Three evaluation routes are provided:
 
-* :func:`expected_temperature` propagates the state-probability vector
-  through the composed chain's per-step layers and dots the probability
-  mass of each step with that step's reward (the cumulative-reward query
-  with bound theta + 1). Every state of a step carries the same reward,
-  so for any layers whose rows sum to one this is the sum of the per-step
-  rewards: the route checks :func:`thermark.markov.step_reward_table` and
-  the mass of each layer, not the edges :func:`thermark.markov.compose`
-  builds.
+* :func:`expected_temperature` and :func:`temperature_trajectory` run one
+  forward pass over the composed chain's per-step layers. Over the 2^N
+  states s of step k the pass carries p_k(s) = P(X_k = s) and
+  m_k(s) = E[T_k 1{X_k = s}], and steps them with
+  m_{k+1} = P_k^T (m_k A^T + p_k g_k) and p_{k+1} = p_k P_k, where g_k(s)
+  is the heat gain of state s during hour k (its own occupancy bits and
+  the step's heating bits). E[T_theta] is the sum of m_theta over the
+  states, so the route reads every edge :func:`thermark.markov.compose`
+  built, and one pass serves every theta. It never reads the assigned
+  rewards.
 * :func:`direct_expected_temperatures` skips the composed model entirely:
   because the expected gain at step k only needs each zone's occupancy
   marginal at step k-1 and the deterministic heating bit, the whole
@@ -17,9 +19,10 @@ Three evaluation routes are provided:
   O(N^2) per step.
 * :func:`brute_force_expected_temperature` enumerates every occupancy
   path, runs the per-path temperature recursion, and averages under the
-  exact path measure. It is deliberately built from the raw transition
-  probabilities and gains rather than the assigned rewards, so agreement
-  with the other routes validates the reward construction itself.
+  exact path measure. It is deliberately built from the zone chains' raw
+  transition probabilities and gains rather than the layers or the
+  assigned rewards, so agreement with the forward pass validates
+  :func:`thermark.markov.compose`.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalGuardError, ValidationError
-from .markov import ComposedModel, RewardedModel, ZoneGains, step_reward_table
+from .markov import ComposedModel, RewardedModel, ZoneGains, _check_zones
 from .thermal import DiscreteThermalModel
 
 ORACLE_MAX_PATH_BITS = 22
@@ -48,29 +51,41 @@ def _check_theta(rewarded: RewardedModel, theta: int) -> None:
         )
 
 
-def state_probabilities(model: ComposedModel) -> np.ndarray:
-    """Probability of occupying each composed state at its own step."""
-    p = model.layers[0][model.initial_row]
-    per_step = [np.ones(1), p]
-    for layer in model.layers[1:]:
+def _forward_pass(model: ComposedModel, thermal: DiscreteThermalModel,
+                  gains: dict[str, ZoneGains], last: int) -> np.ndarray:
+    """E[T_k] for k = 0..last in the model's zone order, propagated
+    through ``model.layers`` (see the module docstring)."""
+    zone_ids = model.zone_ids
+    _check_zones(zone_ids, thermal, gains)
+    # A and T0 permuted from thermal order into chain order
+    order = [thermal.zone_index(zid) for zid in zone_ids]
+    a_t = np.asarray(thermal.a, dtype=float)[np.ix_(order, order)].T
+    t0 = np.asarray(thermal.initial_temps, dtype=float)[order]
+    # occupant gain of every state of a step, rows in layer order
+    occupant = np.array(list(itertools.product((1.0, 0.0), repeat=len(zone_ids))))
+    occupant *= [gains[zid].q_int for zid in zone_ids]
+    q_rad = np.array([gains[zid].q_rad for zid in zone_ids])
+
+    p = np.zeros(len(occupant))
+    p[model.initial_row] = 1.0
+    m = np.outer(p, t0)
+    expected = [t0]
+    for k in range(last):
+        gain = occupant + q_rad * np.array(model.heating_at(k), dtype=float)
+        layer = model.layers[k]
+        m = layer.T @ (m @ a_t + p[:, None] * gain)
         p = p @ layer
-        per_step.append(p)
-    per_step.append(np.array([p.sum()]))  # every step-K state falls into the sink
-    return np.concatenate(per_step)
-
-
-def step_masses(model: ComposedModel) -> np.ndarray:
-    """Probability mass of each step 0..K+1: the sum over its states."""
-    width = 2 ** model.zone_count
-    starts = [0, *range(1, width * model.horizon + 2, width)]
-    return np.add.reduceat(state_probabilities(model), starts)
+        expected.append(m.sum(axis=0))
+    return np.array(expected)
 
 
 def expected_temperature(rewarded: RewardedModel, theta: int) -> dict[str, float]:
-    """Expected temperature per zone at step theta via forward propagation."""
+    """Expected temperature per zone at step theta, by the forward pass
+    over the composed model's layers."""
     _check_theta(rewarded, theta)
-    mass = step_masses(rewarded.model)
-    return {zid: float(mass @ rewarded.rewards[zid]) for zid in rewarded.model.zone_ids}
+    model = rewarded.model
+    values = _forward_pass(model, rewarded.thermal, rewarded.gains, theta)[theta]
+    return dict(zip(model.zone_ids, values.tolist()))
 
 
 def direct_expected_temperatures(
@@ -205,11 +220,8 @@ def temperature_trajectory(
     gains: dict[str, ZoneGains],
     theta_range: list[int] | tuple[int, ...] | range,
 ) -> TemperatureTrajectory:
-    """Evaluate expected temperatures over a theta range.
-
-    The step masses do not depend on theta and are propagated once; the
-    per-step rewards of every theta come from one reward table.
-    """
+    """Evaluate expected temperatures over a theta range, by one forward
+    pass over the composed model's layers up to the largest theta."""
     thetas = tuple(theta_range)
     if not thetas:
         raise ValidationError("empty theta range")
@@ -217,9 +229,9 @@ def temperature_trajectory(
         raise ValidationError(
             f"theta range {thetas} outside 1..{model.horizon}"
         )
-    table = step_reward_table(model.chains, thermal, gains, thetas)
+    expected = _forward_pass(model, thermal, gains, max(thetas))
     return TemperatureTrajectory(
-        zone_ids=model.zone_ids, thetas=thetas, values=table @ step_masses(model)
+        zone_ids=model.zone_ids, thetas=thetas, values=expected[list(thetas)]
     )
 
 

@@ -250,8 +250,9 @@ def _trajectories(config: RunConfig, thermal: DiscreteThermalModel, schedules: S
     """Per strategy, the expected temperatures from the O(N^2 K) marginal recursion."""
     zone_ids = thermal.zone_ids
     gains = config.gains_for(zone_ids)
-    marginals = np.array([occupancy.occupancy_marginals(schedule, float(initial_occupied))
-                          for schedule, initial_occupied in schedules.values()]).T
+    # the marginals do not depend on heating: any strategy's chains give them
+    marginals = np.array([chain.occupied_marginals()
+                          for chain in _chains(config, schedules, strategies[0])]).T
     out = []
     for strat in strategies:
         heating = np.array([strat.heating_bits(zid, config.window) for zid in zone_ids]).T

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .occupancy import StepMatrix, TransitionSchedule, occupancy_marginals
+from .occupancy import TransitionSchedule
 from .thermal import DiscreteThermalModel
 
 SINK_LABEL = "t_sink"
@@ -64,12 +64,12 @@ class ZoneChain:
     occ_given_occupied: tuple[float, ...]
 
     def occupied_marginals(self) -> list[float]:
-        """P(occupied at step k) for k = 0..K."""
-        schedule = TransitionSchedule(tuple(
-            StepMatrix(step=k, p_vf=pv, p_vv=1.0 - pv, p_ff=pf, p_fv=1.0 - pf)
-            for k, (pv, pf) in enumerate(zip(self.occ_given_empty, self.occ_given_occupied))
-        ))
-        return occupancy_marginals(schedule, float(self.initial_occupied))
+        """P(occupied at step k) for k = 0..K:
+        m[k+1] = m[k]*p_ff[k] + (1-m[k])*p_vf[k]."""
+        m = [float(self.initial_occupied)]
+        for p_vf, p_ff in zip(self.occ_given_empty, self.occ_given_occupied):
+            m.append(m[-1] * p_ff + (1.0 - m[-1]) * p_vf)
+        return m
 
     def step_matrix(self, k: int) -> np.ndarray:
         """2x2 matrix of step k -> k+1; row and column 0 are occupied, 1 empty."""
@@ -243,6 +243,19 @@ class RewardedModel:
         return self.model.zone_ids
 
 
+def _check_zones(zone_ids: tuple[str, ...], thermal: DiscreteThermalModel,
+                 gains: dict[str, ZoneGains]) -> None:
+    if set(zone_ids) != set(thermal.zone_ids):
+        raise ValidationError(
+            "chain zones must match the thermal model zones: "
+            f"{sorted(zone_ids)} vs {sorted(thermal.zone_ids)}"
+        )
+    # the coupled gain vector needs every zone's gains
+    for zid in zone_ids:
+        if zid not in gains:
+            raise ValidationError(f"no gains declared for zone {zid!r}")
+
+
 def step_reward_table(
     chains: list[ZoneChain] | tuple[ZoneChain, ...],
     thermal: DiscreteThermalModel,
@@ -265,15 +278,7 @@ def step_reward_table(
     for theta in thetas:
         if not 1 <= theta <= horizon:
             raise ValidationError(f"theta must be within 1..{horizon}, got {theta}")
-    if set(zone_ids) != set(thermal.zone_ids):
-        raise ValidationError(
-            "chain zones must match the thermal model zones: "
-            f"{sorted(zone_ids)} vs {sorted(thermal.zone_ids)}"
-        )
-    # the coupled gain vector needs every zone's gains
-    for zid in zone_ids:
-        if zid not in gains:
-            raise ValidationError(f"no gains declared for zone {zid!r}")
+    _check_zones(zone_ids, thermal, gains)
 
     # chain order may differ from the thermal matrix order
     rows = [thermal.zone_index(zid) for zid in zone_ids]

@@ -433,17 +433,12 @@ def _fault(body: str) -> ValidationError:
     return ValidationError("occupancy rows could not be read")
 
 
-def estimate_transition_schedule(
-    dataset: OccupancyDataset, smoothing: float = 0.0
-) -> TransitionSchedule:
+def estimate_transition_schedule(dataset: OccupancyDataset) -> TransitionSchedule:
     """Estimate per-hour transition matrices by raw day counting.
 
-    ``smoothing`` adds a pseudo-count to every transition cell (0 keeps the
-    raw frequencies). With smoothing 0, an hour whose conditioning state
-    never occurs defaults to stay-in-state and is flagged in diagnostics.
+    An hour whose conditioning state never occurs defaults to
+    stay-in-state and is flagged in diagnostics.
     """
-    if smoothing < 0:
-        raise ValidationError(f"smoothing must be >= 0, got {smoothing}")
     hours = dataset.hours
     if len(hours) < 2:
         raise ValidationError("need at least two hours to estimate transitions")
@@ -459,10 +454,10 @@ def estimate_transition_schedule(
         n_fv = occupied[k] - n_ff
         n_vf = occupied[k + 1] - n_ff
         n_vv = dataset.day_count - n_ff - n_fv - n_vf
-        denom_v = n_vf + n_vv + 2 * smoothing
-        denom_f = n_ff + n_fv + 2 * smoothing
+        denom_v = n_vf + n_vv
+        denom_f = n_ff + n_fv
         if denom_v > 0:
-            p_vf = (n_vf + smoothing) / denom_v
+            p_vf = n_vf / denom_v
         else:
             p_vf = 0.0
             diags.append(Diagnostic(
@@ -470,7 +465,7 @@ def estimate_transition_schedule(
                 reason="no day was empty at this hour; defaulted to stay-in-state",
             ))
         if denom_f > 0:
-            p_ff = (n_ff + smoothing) / denom_f
+            p_ff = n_ff / denom_f
         else:
             p_ff = 1.0
             diags.append(Diagnostic(
@@ -481,22 +476,6 @@ def estimate_transition_schedule(
                                    p_ff=p_ff, p_fv=1.0 - p_ff))
     return TransitionSchedule(matrices=tuple(matrices), hours=hours,
                               diagnostics=tuple(diags))
-
-
-def occupancy_marginals(schedule: TransitionSchedule, initial_occupied_prob: float) -> list[float]:
-    """Forward-propagate P(occupied at step k) through the schedule.
-
-    m[0] is the initial probability; m[k+1] = m[k]*p_ff[k] + (1-m[k])*p_vf[k].
-    Returns one value per step 0..len(schedule).
-    """
-    if not 0.0 <= initial_occupied_prob <= 1.0:
-        raise ValidationError(
-            f"initial_occupied_prob must be in [0, 1], got {initial_occupied_prob}"
-        )
-    m = [float(initial_occupied_prob)]
-    for mat in schedule.matrices:
-        m.append(m[-1] * mat.p_ff + (1.0 - m[-1]) * mat.p_vf)
-    return m
 
 
 def sample_dataset(

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
 
 from conftest import BENCH_A, BENCH_T0, make_schedule, random_schedule
 from thermark import (
+    DiscreteThermalModel,
     NumericalGuardError,
     ValidationError,
     ZoneGains,
@@ -111,8 +115,6 @@ class TestCrossEngine:
                     assert abs(engine[z] - oracle[z]) <= 1e-9
 
     def test_engine_matches_oracle_across_sizes(self):
-        from thermark import DiscreteThermalModel
-
         rng = np.random.default_rng(321)
         for _ in range(30):
             n = int(rng.integers(1, 3))
@@ -183,8 +185,9 @@ class TestCrossEngine:
         rng = np.random.default_rng(77)
         model = random_instance(rng)
 
-        def evaluate(gains):
-            rewarded = assign_rewards(model, bench_thermal, gains, 6)
+        def evaluate(gains, t0=BENCH_T0):
+            thermal = dataclasses.replace(bench_thermal, initial_temps=np.asarray(t0))
+            rewarded = assign_rewards(model, thermal, gains, 6)
             return expected_temperature(rewarded, 6)
 
         g1 = {z: ZoneGains(0.4, 1.1) for z in ZONES}
@@ -195,6 +198,13 @@ class TestCrossEngine:
         e0, es = evaluate(zero), evaluate(g_sum)
         for z in ZONES:
             assert abs((e1[z] + e2[z] - e0[z]) - es[z]) <= 1e-9
+
+        # linear in T0 and the gains together: a zero start without gains stays zero
+        t1, t2 = np.array([18.0, 16.0]), np.array([-3.0, 5.5])
+        ea, eb, eab = evaluate(g1, t1), evaluate(g2, t2), evaluate(g_sum, t1 + t2)
+        assert evaluate(zero, np.zeros(2)) == {z: 0.0 for z in ZONES}
+        for z in ZONES:
+            assert abs((ea[z] + eb[z]) - eab[z]) <= 1e-9
 
     def test_heating_monotonicity(self, bench_thermal):
         rng = np.random.default_rng(99)
@@ -266,16 +276,20 @@ class TestTrajectory:
             for z in ZONES:
                 assert abs(trajectory.value(theta, z) - oracle[z]) <= 1e-9
 
-    def test_propagates_once_per_call(self, bench_thermal, monkeypatch):
-        import thermark.analysis
+    def test_propagates_once_per_call(self, bench_thermal):
+        # one pass up to the largest theta reads each layer once, for every theta
+        class CountingLayers(tuple):
+            def __getitem__(self, k):
+                reads.append(k)
+                return super().__getitem__(k)
 
-        calls = []
-        propagate = thermark.analysis.state_probabilities
-        monkeypatch.setattr(thermark.analysis, "state_probabilities",
-                            lambda model: calls.append(model) or propagate(model))
+        reads = []
         model = random_instance(np.random.default_rng(4))
-        temperature_trajectory(model, bench_thermal, bench_gains(), range(1, 10))
-        assert len(calls) == 1 and calls[0] is model
+        counted = dataclasses.replace(model, layers=CountingLayers(model.layers))
+        trajectory = temperature_trajectory(counted, bench_thermal, bench_gains(), [7, 2, 5])
+        assert sorted(reads) == list(range(7))
+        expected = temperature_trajectory(model, bench_thermal, bench_gains(), range(1, 10))
+        assert np.array_equal(trajectory.values, expected.values[[6, 1, 4]])
 
     def test_empty_range_rejected(self, bench_thermal):
         model = build_model([make_schedule(0.4)] * 2, [[False] * 10] * 2)
@@ -286,6 +300,70 @@ class TestTrajectory:
         model = build_model([make_schedule(0.4)] * 2, [[False] * 10] * 2)
         with pytest.raises(ValidationError, match="theta"):
             temperature_trajectory(model, bench_thermal, bench_gains(), [0, 1])
+
+
+def ring_thermal(rng, zone_ids):
+    """A thermal model whose zones each exchange heat with the next one."""
+    n = len(zone_ids)
+    a = np.diag(rng.uniform(0.5, 0.9, size=n))
+    a[np.arange(n), (np.arange(n) + 1) % n] += 1.0 - a.diagonal()
+    return DiscreteThermalModel(a=a, b=np.eye(n), delta=1.0,
+                                initial_temps=rng.uniform(10, 25, size=n),
+                                zone_ids=tuple(zone_ids), derived=False)
+
+
+def direct(model, thermal, gains, thetas):
+    marginals = np.array([c.occupied_marginals() for c in model.chains]).T
+    heat = np.array([model.heating_at(k) for k in range(model.horizon + 1)], dtype=float)
+    return direct_expected_temperatures(thermal, gains, marginals, heat, thetas)
+
+
+class TestForwardPassReadsLayers:
+    """The forward pass answers from ``model.layers``, so a wrong layer shows."""
+
+    def test_swapped_layer_columns_move_the_engine(self, bench_thermal):
+        heat = [True] * 10
+        model = build_model([make_schedule(0.4)] * 2, [heat, heat])
+        layers = list(model.layers)
+        layers[2] = layers[2][:, [3, 1, 2, 0]]
+        mutant = dataclasses.replace(model, layers=tuple(layers))
+        gains = bench_gains()
+        before = expected_temperature(assign_rewards(model, bench_thermal, gains, 5), 5)
+        after = expected_temperature(assign_rewards(mutant, bench_thermal, gains, 5), 5)
+        assert before["zone1"] == pytest.approx(25.94144, abs=1e-5)
+        assert before["zone1"] - after["zone1"] > 1e-3
+        # the direct recursion reads the zone chains, which the mutant shares
+        assert np.array_equal(direct(model, bench_thermal, gains, [5]),
+                              direct(mutant, bench_thermal, gains, [5]))
+
+    def test_reversed_kronecker_order_moves_the_trajectory(self, bench_thermal):
+        model = random_instance(np.random.default_rng(8))
+        reversed_layers = tuple(
+            functools.reduce(np.kron, [c.step_matrix(k) for c in reversed(model.chains)])
+            for k in range(model.horizon))
+        mutant = dataclasses.replace(model, layers=reversed_layers)
+        thetas = range(1, 10)
+        right = temperature_trajectory(model, bench_thermal, bench_gains(), thetas)
+        wrong = temperature_trajectory(mutant, bench_thermal, bench_gains(), thetas)
+        assert np.max(np.abs(right.values - wrong.values)) > 1e-3
+
+    @pytest.mark.parametrize("n, horizon", [(8, 9), (8, 23), (10, 9), (10, 23)])
+    def test_matches_direct_recursion_past_the_oracle(self, n, horizon):
+        # N*K from 72 to 230: far past the oracle's 2^22 paths
+        rng = np.random.default_rng(n * 100 + horizon)
+        zone_ids = [f"z{i}" for i in range(n)]
+        model = compose([
+            unroll_zone(random_schedule(rng, horizon),
+                        [bool(b) for b in rng.integers(0, 2, horizon + 1)], horizon,
+                        zone_id=z, initial_occupied=bool(rng.integers(0, 2)))
+            for z in zone_ids
+        ])
+        thermal = ring_thermal(rng, zone_ids)
+        gains = {z: ZoneGains(float(rng.uniform(0, 2)), float(rng.uniform(0, 3)))
+                 for z in zone_ids}
+        thetas = range(1, horizon + 1)
+        trajectory = temperature_trajectory(model, thermal, gains, thetas)
+        assert np.max(np.abs(trajectory.values - direct(model, thermal, gains, thetas))) <= 1e-9
 
 
 class TestComfort:

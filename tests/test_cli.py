@@ -572,12 +572,17 @@ class TestDumpChainLimit:
 
     @pytest.mark.skipif(sys.platform == "win32", reason="needs the resource module")
     def test_seven_zones_dump_in_bounded_memory(self, tmp_path):
-        # a fresh interpreter reports its own peak: RUSAGE_CHILDREN would give
-        # the largest child this process ever waited for. Streamed from the
-        # layers, the 148 k edges need about 34 MiB; one object per edge 206 MiB.
+        # a fresh interpreter reports its own peak: on Linux that is VmHWM,
+        # which belongs to its own address space, while ru_maxrss carries the
+        # test process's high-water mark across fork and exec (and
+        # RUSAGE_CHILDREN would give the largest child this process ever
+        # waited for). Streamed from the layers, the 148 k edges need about
+        # 34 MiB; one object per edge 206 MiB.
         check = ("import resource, sys; from thermark.cli import main; code = main(sys.argv[1:]); "
-                 "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss; "
-                 "print(peak if sys.platform == 'darwin' else peak * 1024); sys.exit(code)")
+                 "peak = (int(open('/proc/self/status').read().split('VmHWM:')[1].split()[0]) "
+                 "* 1024 if sys.platform == 'linux' "
+                 "else resource.getrusage(resource.RUSAGE_SELF).ru_maxrss); "
+                 "print(peak); sys.exit(code)")
         out = subprocess.run([sys.executable, "-c", check, *ring_args(tmp_path, 7)],
                              env=subprocess_env(), capture_output=True, text=True, timeout=120)
         assert out.returncode == 0, out.stderr

@@ -20,7 +20,6 @@ from thermark import (
     temperature_trajectory,
     unroll_zone,
 )
-from thermark.analysis import state_probabilities
 from thermark.markov import SINK_LABEL, dump_model
 from thermark.thermal import matrix_power
 
@@ -82,13 +81,13 @@ class TestUnroll:
 
     def test_deterministic_occupancy_single_spine(self):
         schedule = make_schedule(p_vf=1.0, p_ff=1.0)
-        chain = unroll_zone(schedule, [False] * 10, 9, zone_id="z")
-        prob = state_probabilities(compose([chain]))
-        for s in compose([chain]).states:
-            if s.occupied is None or s.step == 0:
-                continue
-            expected = 1.0 if s.occupied == (True,) else 0.0
-            assert prob[s.index] == pytest.approx(expected, abs=0)
+        model = compose([unroll_zone(schedule, [False] * 10, 9, zone_id="z")])
+        p = model.layers[0][model.initial_row]
+        for step in range(1, 10):
+            states = [s for s in model.states if s.step == step]
+            assert p.tolist() == [1.0 if s.occupied == (True,) else 0.0 for s in states]
+            if step < 9:
+                p = p @ model.layers[step]
 
     def test_short_schedule_rejected(self):
         schedule = make_schedule(p_vf=[0.5, 0.5])
@@ -124,10 +123,11 @@ class TestCompose:
             unroll_zone(schedule, [False] * 10, 9, zone_id=f"z{i}") for i in range(2)
         ]
         model = compose(chains)
-        prob = state_probabilities(model)
+        p = model.layers[0][model.initial_row]
         for step in range(1, 10):
-            step_probs = sorted(prob[s.index] for s in model.states if s.step == step)
-            assert step_probs == pytest.approx([0.0, 0.0, 0.0, 1.0], abs=0)
+            assert sorted(p.tolist()) == [0.0, 0.0, 0.0, 1.0]
+            if step < 9:
+                p = p @ model.layers[step]
 
     def test_outgoing_probabilities_sum_to_one(self):
         rng = np.random.default_rng(13)

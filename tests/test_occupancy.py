@@ -16,9 +16,9 @@ from conftest import make_schedule, random_schedule
 from thermark import (
     ValidationError,
     estimate_transition_schedule,
-    occupancy_marginals,
     parse_occupancy_csv,
     sample_dataset,
+    unroll_zone,
 )
 from thermark import occupancy
 from thermark.datasets import seven_day_log_csv
@@ -210,17 +210,17 @@ def reference_parse(text):
     return days, hours, records
 
 
-def reference_estimate(days, hours, records, smoothing):
+def reference_estimate(days, hours, records):
     """Per-step (p_vf, p_ff, fallback hours) from one dict lookup per day and hour."""
     steps = []
     for h0, h1 in zip(hours, hours[1:]):
         n = {(a, b): 0 for a in (False, True) for b in (False, True)}
         for d in days:
             n[(records[(d, h0)], records[(d, h1)])] += 1
-        denom_v = n[(False, True)] + n[(False, False)] + 2 * smoothing
-        denom_f = n[(True, True)] + n[(True, False)] + 2 * smoothing
-        p_vf = (n[(False, True)] + smoothing) / denom_v if denom_v > 0 else 0.0
-        p_ff = (n[(True, True)] + smoothing) / denom_f if denom_f > 0 else 1.0
+        denom_v = n[(False, True)] + n[(False, False)]
+        denom_f = n[(True, True)] + n[(True, False)]
+        p_vf = n[(False, True)] / denom_v if denom_v > 0 else 0.0
+        p_ff = n[(True, True)] / denom_f if denom_f > 0 else 1.0
         steps.append((p_vf, 1.0 - p_vf, p_ff, 1.0 - p_ff))
     return steps
 
@@ -247,9 +247,8 @@ class TestColumnarMatchesPerRowReference:
         assert dataset.hours == ref_hours
         assert np.array_equal(dataset.grid, [[records[(d, h)] for h in ref_hours] for d in days])
 
-        smoothing = (0.0, 0.5, 1)[seed % 3]
-        schedule = estimate_transition_schedule(dataset, smoothing=smoothing)
-        expected = reference_estimate(days, ref_hours, records, smoothing)
+        schedule = estimate_transition_schedule(dataset)
+        expected = reference_estimate(days, ref_hours, records)
         got = [(m.p_vf, m.p_vv, m.p_ff, m.p_fv) for m in schedule.matrices]
         assert [[p.hex() for p in step] for step in got] == \
             [[p.hex() for p in step] for step in expected]
@@ -503,14 +502,6 @@ class TestEstimate:
         for a, b in zip(base.matrices, other.matrices):
             assert a == b
 
-    def test_smoothing_fills_degenerate_rows(self):
-        rows = ["day,hour,occupied"] + [f"{d},{h},1" for d in (1, 2) for h in (8, 9)]
-        dataset = parse_occupancy_csv("\n".join(rows))
-        smoothed = estimate_transition_schedule(dataset, smoothing=1.0)
-        assert smoothed.matrix(0).p_vf == pytest.approx(0.5)
-        assert not smoothed.diagnostics
-        assert smoothed.matrix(0).p_ff == pytest.approx(3 / 4)  # (2+1)/(2+2)
-
     def test_reestimation_converges_to_the_generator(self):
         rng = np.random.default_rng(5)
         truth = random_schedule(rng, 9)
@@ -523,35 +514,36 @@ class TestEstimate:
         assert worst < 0.05
 
 
+def marginals(schedule, initial_occupied):
+    """A zone chain's occupancy marginals over every step of ``schedule``."""
+    return unroll_zone(schedule, [False] * (len(schedule) + 1), len(schedule),
+                       initial_occupied=initial_occupied).occupied_marginals()
+
+
 class TestMarginals:
     def test_one_step_from_benchmark(self, benchmark_dataset):
         schedule = estimate_transition_schedule(benchmark_dataset)
-        m = occupancy_marginals(schedule, initial_occupied_prob=0.0)
+        m = marginals(schedule, initial_occupied=False)
         assert m[0] == 0.0
         assert m[1] == pytest.approx(3 / 7, abs=1e-15)
 
     def test_absorbing_occupied(self):
         schedule = make_schedule(p_vf=0.0, p_ff=1.0)
-        m = occupancy_marginals(schedule, initial_occupied_prob=1.0)
+        m = marginals(schedule, initial_occupied=True)
         assert all(v == 1.0 for v in m)
 
     def test_memoryless_mixing(self):
         schedule = make_schedule(p_vf=0.5, p_ff=0.5)
-        for start in (0.0, 0.3, 1.0):
-            m = occupancy_marginals(schedule, initial_occupied_prob=start)
+        for start in (False, True):
+            m = marginals(schedule, initial_occupied=start)
             assert all(v == pytest.approx(0.5) for v in m[1:])
 
     def test_marginals_stay_probabilities(self):
         rng = np.random.default_rng(23)
         for _ in range(50):
             schedule = random_schedule(rng, int(rng.integers(1, 15)))
-            m = occupancy_marginals(schedule, float(rng.uniform(0, 1)))
+            m = marginals(schedule, bool(rng.integers(0, 2)))
             assert all(0.0 <= v <= 1.0 for v in m)
-
-    def test_initial_probability_validated(self):
-        schedule = make_schedule(p_vf=0.5)
-        with pytest.raises(ValidationError):
-            occupancy_marginals(schedule, 1.5)
 
 
 class TestGenerator:
