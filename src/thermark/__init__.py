@@ -33,7 +33,7 @@ from .occupancy import (
     parse_occupancy_csv,
     sample_dataset,
 )
-from .prism import PrismArtifact, export_prism_model, export_properties, render_model
+from .prism import PrismArtifact, export_prism_model, export_properties, render_models
 from .strategy import (
     CostReport,
     HeatingStrategy,
@@ -96,7 +96,7 @@ __all__ = [
     "parse_occupancy_csv",
     "parse_strategy",
     "parse_tariff",
-    "render_model",
+    "render_models",
     "sample_dataset",
     "step_reward_table",
     "strategy_cost",

@@ -351,13 +351,12 @@ def cmd_export(config: RunConfig, name: str, to_stdout: bool = False) -> int:
     chains = _chains(config, schedules, strat)
     table = markov.step_reward_table(chains, thermal, config.gains_for(thermal.zone_ids),
                                      config.thetas)
-    models = {theta: prism.render_model(chains, rewards, theta, thermal.delta, name)
-              for theta, rewards in zip(config.thetas, table.tolist())}
+    models = prism.render_models(chains, table.tolist(), config.thetas, thermal.delta, name)
     properties = prism.export_properties(config.thetas, thermal.zone_ids)
     if to_stdout:
-        sys.stdout.write("".join(models.values()) + properties)
+        sys.stdout.write("".join(models) + properties)
         return EXIT_OK
-    for theta, text in models.items():
+    for theta, text in zip(config.thetas, models):
         suffix = f"_theta{theta}" if len(config.thetas) > 1 else ""
         _atomic_write(config.out_dir / f"{name}{suffix}.pm", text)
     _atomic_write(config.out_dir / f"{name}.props", properties)

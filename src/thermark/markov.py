@@ -294,14 +294,17 @@ def step_reward_table(
     q_int = np.array([[gains[zid].q_int] for zid in zone_ids])
     q_rad = np.array([[gains[zid].q_rad] for zid in zone_ids])
     step_gains = np.zeros((horizon, len(rows)))
-    step_gains[:, rows] = (q_int * marginals + q_rad * heating).T
-
     table = np.zeros((len(thetas), len(chains), horizon + 2))
-    for t, theta in enumerate(thetas):
-        for m, row in enumerate(rows):
-            table[t, m, 0] = powers[theta][row] @ t0
-            table[t, m, 1:theta + 1] = [powers[theta - k][row] @ step_gains[k - 1]
-                                        for k in range(1, theta + 1)]
+
+    # gains near the float limit overflow to inf or nan without a warning;
+    # the PRISM renderer rejects a non-finite entry with one error line
+    with np.errstate(over="ignore", invalid="ignore"):
+        step_gains[:, rows] = (q_int * marginals + q_rad * heating).T
+        for t, theta in enumerate(thetas):
+            for m, row in enumerate(rows):
+                table[t, m, 0] = powers[theta][row] @ t0
+                table[t, m, 1:theta + 1] = [powers[theta - k][row] @ step_gains[k - 1]
+                                            for k in range(1, theta + 1)]
     return table
 
 

@@ -13,13 +13,17 @@ Every state at a step carries the same reward, so each per-zone reward
 block holds one ``step_<zone>=k : value;`` line per step with a nonzero
 reward; PRISM adds the values of every item whose guard a state
 satisfies. The target language only supports non-negative rewards, so any
-negative value aborts the export. Output is deterministic: equal inputs
-give byte-identical text, and every numeric literal is the shortest
-representation that round-trips to the stored double.
+negative value aborts the export, as does a non-finite one (gains so large
+that the rewards overflow). The modules do not depend on the evaluation
+step theta, so :func:`render_models` renders them once for all thetas.
+Output is deterministic: equal inputs give byte-identical text, and every
+numeric literal is the shortest representation that round-trips to the
+stored double.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -79,33 +83,36 @@ def export_properties(theta_range, zone_ids: tuple[str, ...]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_model(
+def render_models(
     chains: list[ZoneChain] | tuple[ZoneChain, ...],
-    rewards: list[list[float]],
-    theta: int,
+    table: list[list[list[float]]],
+    thetas: list[int] | tuple[int, ...] | range,
     delta: float,
     name: str = "building",
-) -> str:
-    """Model text for one evaluation step ``theta``.
+) -> list[str]:
+    """Model text for each evaluation step in ``thetas``, in order.
 
-    ``rewards`` holds, per chain, the reward at each step 0..K+1 for
-    ``theta`` (one slice of :func:`thermark.markov.step_reward_table`);
-    ``delta`` is the thermal step length in hours.
+    ``table`` holds, per theta, per chain, the reward at each step 0..K+1
+    (:func:`thermark.markov.step_reward_table` as nested lists); ``delta``
+    is the thermal step length in hours. The modules do not depend on
+    theta, so they are rendered once and shared by every text; each text
+    adds its own header lines and reward blocks.
     """
     zone_ids = tuple(c.zone_id for c in chains)
     horizon = chains[0].horizon
     idents = _zone_identifiers(zone_ids)
 
-    for zid, per_step in zip(zone_ids, rewards):
-        for step, value in enumerate(per_step):
-            if value < 0:
-                raise ValidationError(
-                    f"negative reward unsupported by target: zone {zid!r}, step {step}"
-                )
+    for rewards in table:
+        for zid, per_step in zip(zone_ids, rewards):
+            for step, value in enumerate(per_step):
+                if not math.isfinite(value):
+                    raise ValidationError(f"non-finite reward: zone {zid!r}, step {step}")
+                if value < 0:
+                    raise ValidationError(
+                        f"negative reward unsupported by target: zone {zid!r}, step {step}"
+                    )
 
     lines: list[str] = []
-    lines.append(f"// {name}: {len(zone_ids)}-zone occupancy/thermal reward model")
-    lines.append(f"// horizon K={horizon}, theta={theta}, step length {_fmt(delta)} h")
     lines.append("// modules synchronize on step labels t1..t%d; t_sink loops the"
                  % (horizon + 1))
     lines.append("// absorbing final state")
@@ -167,16 +174,25 @@ def render_model(
         lines.append("")
         emitted.append(chain)
 
-    for zid, per_step in zip(zone_ids, rewards):
-        ident = idents[zid]
-        lines.append(f'rewards "zone_{ident}"')
-        entries = [f"  step_{ident}={k} : {_fmt(value)};"
-                   for k, value in enumerate(per_step) if value != 0.0]
-        lines += entries or ["  // no nonzero rewards for this zone"]
-        lines.append("endrewards")
-        lines.append("")
+    shared = "".join(f"{line}\n" for line in lines)
 
-    return "\n".join(lines)
+    texts = []
+    for theta, rewards in zip(thetas, table, strict=True):
+        blocks: list[str] = []
+        for zid, per_step in zip(zone_ids, rewards):
+            ident = idents[zid]
+            blocks.append(f'rewards "zone_{ident}"')
+            entries = [f"  step_{ident}={k} : {_fmt(value)};"
+                       for k, value in enumerate(per_step) if value != 0.0]
+            blocks += entries or ["  // no nonzero rewards for this zone"]
+            blocks.append("endrewards")
+            blocks.append("")
+        texts.append(
+            f"// {name}: {len(zone_ids)}-zone occupancy/thermal reward model\n"
+            f"// horizon K={horizon}, theta={theta}, step length {_fmt(delta)} h\n"
+            + shared + "\n".join(blocks)
+        )
+    return texts
 
 
 def export_prism_model(
@@ -195,7 +211,7 @@ def export_prism_model(
 
     thetas = list(theta_range) if theta_range is not None else [rewarded.theta]
     return PrismArtifact(
-        model_text=render_model(model.chains, table, rewarded.theta,
-                                rewarded.thermal.delta, name),
+        model_text=render_models(model.chains, [table], [rewarded.theta],
+                                 rewarded.thermal.delta, name)[0],
         properties_text=export_properties(thetas, model.zone_ids),
     )

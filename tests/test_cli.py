@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -207,6 +208,32 @@ class TestExport:
         assert main(args) == 2
         args = pinned_args("export", tmp_path, extra=["--theta", "12"])
         assert main(args) == 2
+
+    def test_bundled_theta_range_is_pinned(self, tmp_path, capsys):
+        # sha256 of every file of `export --strategy S6 --theta 1-9` on the
+        # bundled data, recorded before the modules were shared between thetas
+        pinned = {
+            "building_theta1.pm": "dd7c204bc3a3dc77e04fb850be64560ee29aa31f663f40309acdead48bae37e1",
+            "building_theta2.pm": "5e0413db1d742049dcc791ae8bf9e6ffcccdb7bd9f4422c51337d4c6d9c75c76",
+            "building_theta3.pm": "e77c5cdae840f69b3d495695b944b4c153a033ed11fdb684b505d92dc8ed56d4",
+            "building_theta4.pm": "23b4affbe2d6498e9eeff7e943cdf4985862ec83b64714fbdb3bfb581d36e01f",
+            "building_theta5.pm": "17b597d563b9e05f2dbf17751bcda35d079f5aba50c56deb25fc412212d5a29e",
+            "building_theta6.pm": "6faf3fced15bb8972bf4c659e2529720203621db27ef42f1d060d75ff9ddbc72",
+            "building_theta7.pm": "e0f5283d7acb2e362ed32f4d414b0034d970d7567615eac4b475a5b91b041353",
+            "building_theta8.pm": "4f814b7cdd8f8ed60de91038edf7a675bb7904c304a0a5c28a7ef50f9a1ac4c3",
+            "building_theta9.pm": "3e69b8a78b60f9540fea74c9c77477ad6ec3a52a36ae70b31fc6d6fffa310c8a",
+            "building.props": "d65ba40451c4b281bbfd4d16ff656b4c4217daa8130bd7f42280b81648aabce0",
+        }
+        assert main(pinned_args("export", tmp_path, extra=["--theta", "1-9"])) == 0
+        assert sorted(f.name for f in tmp_path.iterdir()) == sorted(pinned)
+        for name, digest in pinned.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+        capsys.readouterr()
+        assert main(pinned_args("export", tmp_path / "unused",
+                                extra=["--theta", "1-9", "--stdout"])) == 0
+        files = [f"building_theta{theta}.pm" for theta in range(1, 10)] + ["building.props"]
+        expected = "".join((tmp_path / name).read_text() for name in files)
+        assert capsys.readouterr().out == expected
 
 
 class TestEstimate:
@@ -698,6 +725,20 @@ def subprocess_env():
     """This environment, with the imported thermark first on the path."""
     path = [str(Path(thermark.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+
+
+@pytest.mark.parametrize("command", ["analyze", "cost", "export"])
+def test_overflowing_gains_exit_2_with_one_line(tmp_path, command):
+    # the rewards and the recursion overflow to inf and nan; numpy must not
+    # warn about it, and the non-finite values must not reach a writer
+    args = pinned_args(command, tmp_path, strategy="S2", extra=["--gains", "1.7e308,1.7e308"])
+    out = subprocess.run([sys.executable, "-m", "thermark.cli", *args], env=subprocess_env(),
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1, out.stderr
+    assert "non-finite" in out.stderr
+    assert "Traceback" not in out.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_import_loads_no_thread_pool():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import re
 import shutil
 import subprocess
@@ -23,7 +24,7 @@ from thermark import (
     expected_temperature,
     export_prism_model,
     export_properties,
-    render_model,
+    render_models,
     step_reward_table,
     unroll_zone,
 )
@@ -250,14 +251,60 @@ class TestEvaluator:
         table = step_reward_table(chains, thermal, gains, thetas)
         expected = direct_route(chains, thermal, gains, thetas)
         props = export_properties(thetas, zone_ids)
-        for t, theta in enumerate(thetas):
-            text = render_model(chains, table[t].tolist(), theta, thermal.delta)
+        texts = render_models(chains, table.tolist(), thetas, thermal.delta)
+        for t, (theta, text) in enumerate(zip(thetas, texts)):
             values = {reward: v for reward, bound, v in prism_eval.answer(text, props)
                       if bound == theta + 1}
             for zid in zone_ids:
                 got = values[f"zone_{zid}"]
                 assert abs(got - expected[t, thermal.zone_index(zid)]) <= 1e-12
         return text
+
+
+class TestRenderModels:
+    """One call renders every theta; each text equals a call for its theta alone."""
+
+    @staticmethod
+    def check_each_theta_alone(chains, thermal, gains) -> list[str]:
+        thetas = range(1, chains[0].horizon + 1)
+        table = step_reward_table(chains, thermal, gains, thetas).tolist()
+        texts = render_models(chains, table, thetas, thermal.delta, "m")
+        assert len(texts) == len(thetas)
+        for theta, rewards, text in zip(thetas, table, texts):
+            assert text == render_models(chains, [rewards], [theta], thermal.delta, "m")[0]
+        return texts
+
+    def test_twin_schedules(self, bench_thermal):
+        schedule = make_schedule(p_vf=0.4)
+        chains = [unroll_zone(schedule, [True] * 10, 9, zone_id=z)
+                  for z in ("zone1", "zone2")]
+        gains = {z: ZoneGains(0.7, 1.5) for z in ("zone1", "zone2")}
+        for text in self.check_each_theta_alone(chains, bench_thermal, gains):
+            assert re.findall(r"^module .*$", text, re.M) == [
+                "module zone_zone1",
+                "module zone_zone2 = zone_zone1 "
+                "[ step_zone1=step_zone2, occ_zone1=occ_zone2 ] endmodule"]
+
+    def test_zone_with_zero_gains(self, bench_thermal):
+        # zone2's reward at step theta, row e2 @ Q, is zero at every theta
+        chains = [unroll_zone(make_schedule(p_vf=0.4), [True] * 10, 9, zone_id="zone1"),
+                  unroll_zone(make_schedule(p_vf=0.2), [False] * 10, 9, zone_id="zone2")]
+        gains = {"zone1": ZoneGains(0.7, 1.5), "zone2": ZoneGains(0.0, 0.0)}
+        texts = self.check_each_theta_alone(chains, bench_thermal, gains)
+        for theta, text in enumerate(texts, start=1):
+            assert f"// horizon K=9, theta={theta}, step length 1 h\n" in text
+            assert len(re.findall(r"^  step_zone1=", text, re.M)) == theta + 1
+            assert len(re.findall(r"^  step_zone2=", text, re.M)) == theta
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_reward_rejected(self, bench_thermal, value):
+        chains = [unroll_zone(make_schedule(p_vf=0.4), [True] * 10, 9, zone_id=z)
+                  for z in ("zone1", "zone2")]
+        gains = {z: ZoneGains(0.7, 1.5) for z in ("zone1", "zone2")}
+        table = step_reward_table(chains, bench_thermal, gains, [1, 2]).tolist()
+        table[1][1][2] = value
+        with pytest.raises(ValidationError, match=r"^non-finite reward: zone 'zone2', step 2$"):
+            render_models(chains, table, [1, 2], bench_thermal.delta)
 
 
 class TestProperties:
