@@ -16,7 +16,8 @@ Three evaluation routes are provided:
   because the expected gain at step k only needs each zone's occupancy
   marginal at step k-1 and the deterministic heating bit, the whole
   trajectory is the forward recursion E[k+1] = A @ E[k] + Q[k+1], costing
-  O(N^2) per step.
+  O(N^2) per step. Given a stack of heating arrays, one recursion steps
+  every strategy with one stacked product per step.
 * :func:`brute_force_expected_temperature` enumerates every occupancy
   path, runs the per-path temperature recursion, and averages under the
   exact path measure. It is deliberately built from the zone chains' raw
@@ -96,36 +97,45 @@ def direct_expected_temperatures(
 ) -> np.ndarray:
     """Expected temperatures without building the composed model.
 
-    ``marginals`` and ``heating`` are (K+1, N) arrays in the thermal
-    model's zone order: P(zone occupied at step k) and the heating bit at
-    step k. Returns an array of shape (len(thetas), N).
+    ``marginals`` is a (K+1, N) array in the thermal model's zone order,
+    P(zone occupied at step k). ``heating`` holds the heating bit at step
+    k, either as one (K+1, N) array or as a stack (S, K+1, N) of S
+    strategies' arrays. Returns an array of shape (len(thetas), N), or
+    (S, len(thetas), N) for a stack: one recursion steps every strategy,
+    each with the same matrix-vector product a lone strategy gets.
     """
     thetas = list(thetas)
     if not thetas:
         raise ValidationError("empty theta range")
     marginals = np.asarray(marginals, dtype=float)
     heat = np.asarray(heating, dtype=float)
+    stacked = heat.ndim == 3
+    if not stacked:
+        heat = heat[None]
     n = len(thermal.zone_ids)
-    if marginals.shape[1] != n or heat.shape[1] != n:
+    if marginals.shape[1] != n or heat.ndim != 3 or heat.shape[2] != n:
         raise ValidationError("marginals/heating column count must match the zone count")
     max_theta = max(thetas)
-    if min(thetas) < 1 or max_theta > marginals.shape[0] - 1 or max_theta > heat.shape[0] - 1:
+    if min(thetas) < 1 or max_theta > marginals.shape[0] - 1 or max_theta > heat.shape[1] - 1:
         raise ValidationError("theta range exceeds the available schedule steps")
 
     q_int = np.array([gains[zid].q_int for zid in thermal.zone_ids])
     q_rad = np.array([gains[zid].q_rad for zid in thermal.zone_ids])
     a = np.asarray(thermal.a, dtype=float)
 
-    by_theta = {}
-    expected = np.asarray(thermal.initial_temps, dtype=float).copy()
+    # expected[k, s] is strategy s's E[T_k] as an (N, 1) column
+    expected = np.empty((max_theta + 1, len(heat), n, 1))
+    expected[0, :, :, 0] = thermal.initial_temps
     # gains near the float limit overflow to inf or nan without a warning;
-    # comfort_check rejects the non-finite trajectory with one error line
+    # the comfort checks reject the non-finite trajectory with one error line
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, max_theta + 1):
-            gain = q_int * marginals[k - 1] + q_rad * heat[k - 1]
-            expected = a @ expected + gain
-            by_theta[k] = expected.copy()
-    return np.array([by_theta[t] for t in thetas])
+        # gain[k - 1, s], produced during hour k - 1, enters at step k
+        gain = (q_int * marginals[:max_theta, None] + q_rad * heat[:, :max_theta].swapaxes(0, 1))
+        for before, after, produced in zip(expected, expected[1:], gain[..., None]):
+            np.matmul(a, before, out=after)
+            after += produced
+    values = expected[thetas, :, :, 0].swapaxes(0, 1)
+    return values if stacked else values[0]
 
 
 def brute_force_expected_temperature(rewarded: RewardedModel, theta: int) -> dict[str, float]:
@@ -273,35 +283,56 @@ class ComfortReport:
         }
 
 
+def _outside_band(values: np.ndarray,
+                  band: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the values below and above [low, high]. Ties are within,
+    and a non-finite value is rejected before any is classified."""
+    low, high = band
+    if not low < high:
+        raise ValidationError(f"band low must be below high, got {band}")
+    if not np.isfinite(values).all():
+        raise ValidationError("trajectory holds a non-finite temperature")
+    return values < low, values > high
+
+
 def comfort_check(
     trajectory: TemperatureTrajectory, band: tuple[float, float]
 ) -> ComfortReport:
     """Classify every trajectory point against [low, high]; ties are within."""
-    low, high = band
-    if not low < high:
-        raise ValidationError(f"band low must be below high, got {band}")
-    if not np.all(np.isfinite(trajectory.values)):
-        raise ValidationError("trajectory holds a non-finite temperature")
+    below, above = _outside_band(trajectory.values, band)
+    zone_ids = trajectory.zone_ids
     classifications: dict[tuple[int, str], str] = {}
-    ever_below = {zid: False for zid in trajectory.zone_ids}
-    ever_above = {zid: False for zid in trajectory.zone_ids}
-    for ti, theta in enumerate(trajectory.thetas):
-        for zi, zid in enumerate(trajectory.zone_ids):
-            v = trajectory.values[ti, zi]
-            if v < low:
+    ever_below = {zid: False for zid in zone_ids}
+    ever_above = {zid: False for zid in zone_ids}
+    for theta, below_row, above_row in zip(trajectory.thetas, below.tolist(), above.tolist()):
+        for zid, is_below, is_above in zip(zone_ids, below_row, above_row):
+            if is_below:
                 cls = "below"
                 ever_below[zid] = True
-            elif v > high:
+            elif is_above:
                 cls = "above"
                 ever_above[zid] = True
             else:
                 cls = "within"
             classifications[(theta, zid)] = cls
     return ComfortReport(
-        band=(low, high),
-        zone_ids=trajectory.zone_ids,
+        band=tuple(band),
+        zone_ids=zone_ids,
         thetas=trajectory.thetas,
         classifications=classifications,
         ever_below=ever_below,
         ever_above=ever_above,
     )
+
+
+def comfort_summaries(values: np.ndarray, zone_ids: tuple[str, ...],
+                      band: tuple[float, float]) -> list[dict[str, dict[str, bool]]]:
+    """Per strategy of a (S, len(thetas), N) stack of trajectories, whether
+    each zone is ever below or ever above [low, high]: the ``summary`` of
+    :meth:`ComfortReport.as_dict`, by the rule of :func:`comfort_check`."""
+    below, above = _outside_band(values, band)
+    return [
+        {zid: {"ever_below": b, "ever_above": a}
+         for zid, b, a in zip(zone_ids, below_row, above_row)}
+        for below_row, above_row in zip(below.any(axis=1).tolist(), above.any(axis=1).tolist())
+    ]

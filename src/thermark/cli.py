@@ -246,20 +246,18 @@ def _build_model(config: RunConfig):
 
 
 def _trajectories(config: RunConfig, thermal: DiscreteThermalModel, schedules: Schedules,
-                  strategies: list[strategy_mod.HeatingStrategy]):
-    """Per strategy, the expected temperatures from the O(N^2 K) marginal recursion."""
+                  strategies: list[strategy_mod.HeatingStrategy]) -> np.ndarray:
+    """Expected temperatures of every strategy, (S, len(thetas), N), from one
+    run of the O(N^2 K) marginal recursion."""
     zone_ids = thermal.zone_ids
     gains = config.gains_for(zone_ids)
     # the marginals do not depend on heating: any strategy's chains give them
     marginals = np.array([chain.occupied_marginals()
                           for chain in _chains(config, schedules, strategies[0])]).T
-    out = []
-    for strat in strategies:
-        heating = np.array([strat.heating_bits(zid, config.window) for zid in zone_ids]).T
-        values = analysis.direct_expected_temperatures(
-            thermal, gains, marginals, heating, config.thetas)
-        out.append(analysis.TemperatureTrajectory(zone_ids, config.thetas, values))
-    return out
+    heating = np.array([[strat.heating_bits(zid, config.window) for zid in zone_ids]
+                        for strat in strategies], dtype=float).swapaxes(1, 2)
+    return analysis.direct_expected_temperatures(
+        thermal, gains, marginals, heating, config.thetas)
 
 
 def cmd_analyze(config: RunConfig, dump_chain: bool = False) -> int:
@@ -271,7 +269,8 @@ def cmd_analyze(config: RunConfig, dump_chain: bool = False) -> int:
             raise NumericalGuardError(
                 f"--dump-chain: the product chain has {edges} edges, above the limit of "
                 f"{analysis.DUMP_MAX_EDGES}; use fewer zones or a shorter window")
-    (trajectory,) = _trajectories(config, thermal, schedules, [strat])
+    (values,) = _trajectories(config, thermal, schedules, [strat])
+    trajectory = analysis.TemperatureTrajectory(thermal.zone_ids, config.thetas, values)
     report = analysis.comfort_check(trajectory, config.band)
 
     lines = ["theta_hour,zone_id,expected_temp_c"]
@@ -302,10 +301,10 @@ def cmd_cost(config: RunConfig, strategy_refs: list[str]) -> int:
     comfort_by_strategy = None
     if config.occupancy_paths:
         schedules = _load_schedules(config, zone_ids)
-        trajectories = _trajectories(config, thermal, schedules, strategies)
+        summaries = analysis.comfort_summaries(
+            _trajectories(config, thermal, schedules, strategies), zone_ids, config.band)
         comfort_by_strategy = {
-            strat.name: analysis.comfort_check(trajectory, config.band).as_dict()["summary"]
-            for strat, trajectory in zip(strategies, trajectories)
+            strat.name: summary for strat, summary in zip(strategies, summaries)
         }
 
     comparison = strategy_mod.compare_strategies(

@@ -14,7 +14,8 @@ block holds one ``step_<zone>=k : value;`` line per step with a nonzero
 reward; PRISM adds the values of every item whose guard a state
 satisfies. The target language only supports non-negative rewards, so any
 negative value aborts the export, as does a non-finite one (gains so large
-that the rewards overflow). The modules do not depend on the evaluation
+that the rewards overflow) and a zone whose rewards for one theta sum to a
+non-finite value. The modules do not depend on the evaluation
 step theta, so :func:`render_models` renders them once for all thetas.
 Output is deterministic: equal inputs give byte-identical text, and every
 numeric literal is the shortest representation that round-trips to the
@@ -102,7 +103,7 @@ def render_models(
     horizon = chains[0].horizon
     idents = _zone_identifiers(zone_ids)
 
-    for rewards in table:
+    for theta, rewards in zip(thetas, table, strict=True):
         for zid, per_step in zip(zone_ids, rewards):
             for step, value in enumerate(per_step):
                 if not math.isfinite(value):
@@ -111,6 +112,11 @@ def render_models(
                     raise ValidationError(
                         f"negative reward unsupported by target: zone {zid!r}, step {step}"
                     )
+            # PRISM answers the query with this sum, which can overflow
+            # although every term is finite
+            if not math.isfinite(sum(per_step)):
+                raise ValidationError(
+                    f"non-finite reward sum: zone {zid!r}, theta {theta}")
 
     lines: list[str] = []
     lines.append("// modules synchronize on step labels t1..t%d; t_sink loops the"

@@ -3,8 +3,11 @@
 A strategy is a per-zone set of hour-of-day slots during which the
 radiator runs; a tariff is a list of non-overlapping price bands. Each
 heated zone-hour is billed to the band containing the slot's start hour
-at radiator_kw * 1 h. Prices are integer minor currency units per kWh and
-all cost arithmetic is exact (Fractions internally, minor units out).
+at radiator_kw * 1 h. Prices are integer minor currency units per kWh.
+Billing counts each band's heated zone-hours and takes one exact product
+per band: a band's energy is power * count and the total is
+power * sum(count * price), with the power read as the exact decimal it
+is written as; only the total is rounded, to whole minor units.
 
 Built-ins cover the six benchmark strategies: S1 all off, S2 both zones
 on over the 9..16 evaluation hours, S3/S4 single-zone variants of S2,
@@ -16,12 +19,11 @@ for them rather than silently diverging.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import ValidationError, read_text
+from .errors import JsonValue, ValidationError
 
 BUILTIN_STRATEGY_NAMES = ("S1", "S2", "S3", "S4", "S5", "S6")
 _ON_HOURS = frozenset(range(9, 17))
@@ -42,7 +44,8 @@ class HeatingStrategy:
     def heating_bits(self, zone_id: str, window: tuple[int, int]) -> list[bool]:
         """On/off bit per step 0..K for a [start, end] hour window."""
         start, end = window
-        return [h in self.hours_for(zone_id) for h in range(start, end + 1)]
+        hours = self.hours_for(zone_id)
+        return [h in hours for h in range(start, end + 1)]
 
 
 @dataclass(frozen=True)
@@ -132,18 +135,16 @@ def parse_strategy(source: Path | dict,
                    zone_ids: tuple[str, ...] | None = None) -> HeatingStrategy:
     """Load a strategy from a JSON file or an already parsed dict.
 
-    Schema: ``{"name": "...", "schedule": {"zone-id": [8, 9], ...}}``.
-    When ``zone_ids`` is given, schedule keys must be declared zones.
+    Schema: ``{"name": "...", "schedule": {"zone-id": [8, 9], ...}}``;
+    the name is a string and the hours JSON integers. When ``zone_ids`` is
+    given, schedule keys must be declared zones.
     """
-    raw = _load_json(source, "strategy")
-    try:
-        name = str(raw["name"])
-        schedule = {
-            str(z): frozenset(int(h) for h in hours)
-            for z, hours in raw["schedule"].items()
-        }
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise ValidationError(f"malformed strategy: {exc}") from None
+    raw = JsonValue.load(source, "strategy")
+    name = raw.field("name").string()
+    schedule = {
+        z: frozenset(h.integer() for h in hours.elements())
+        for z, hours in raw.field("schedule").items()
+    }
     if zone_ids is not None:
         for z in schedule:
             if z not in zone_ids:
@@ -159,31 +160,20 @@ def parse_tariff(source: Path | dict) -> Tariff:
     """Load a tariff from a JSON file or an already parsed dict.
 
     Schema: ``{"bands": [{"name": "...", "start": 8, "end": 10,
-    "price_minor_per_kwh": 10}, ...]}``.
+    "price_minor_per_kwh": 10}, ...]}``; each name is a string and the
+    hours and price are JSON integers.
     """
-    raw = _load_json(source, "tariff")
-    try:
-        bands = tuple(
-            TariffBand(
-                name=str(b["name"]),
-                start=int(b["start"]),
-                end=int(b["end"]),
-                price_minor_per_kwh=int(b["price_minor_per_kwh"]),
-            )
-            for b in raw["bands"]
+    raw = JsonValue.load(source, "tariff")
+    bands = tuple(
+        TariffBand(
+            name=b.field("name").string(),
+            start=b.field("start").integer(),
+            end=b.field("end").integer(),
+            price_minor_per_kwh=b.field("price_minor_per_kwh").integer(),
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed tariff: {exc}") from None
+        for b in raw.field("bands").elements()
+    )
     return Tariff(bands=bands)
-
-
-def _load_json(source: Path | dict, kind: str) -> dict:
-    if isinstance(source, dict):
-        return source
-    try:
-        return json.loads(read_text(source, kind))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"invalid {kind} JSON: {exc}") from None
 
 
 def validate_strategy_window(strategy: HeatingStrategy, window: tuple[int, int]) -> None:
@@ -208,22 +198,16 @@ def strategy_cost(
     if radiator_kw < 0:
         raise ValidationError(f"negative radiator power {radiator_kw}")
     power = Fraction(str(radiator_kw))
-    price = {band.name: band.price_minor_per_kwh for band in tariff.bands}
-    energy = {band.name: Fraction(0) for band in tariff.bands}
-    total = Fraction(0)
+    counts = {band.name: 0 for band in tariff.bands}
     for hours in strategy.schedule.values():
         for h in sorted(hours):
-            band = tariff.band_for_hour(h)
-            energy[band.name] += power
-            total += power * price[band.name]
-    if total.denominator != 1:
-        total_minor = round(total)
-    else:
-        total_minor = int(total)
+            counts[tariff.band_for_hour(h).name] += 1
+    price = {band.name: band.price_minor_per_kwh for band in tariff.bands}
+    total = power * sum(count * price[name] for name, count in counts.items())
     return CostReport(
         strategy=strategy.name,
-        band_energy_kwh={name: float(e) for name, e in energy.items()},
-        total_cost_minor=total_minor,
+        band_energy_kwh={name: float(power * count) for name, count in counts.items()},
+        total_cost_minor=round(total),
         notes=builtin_discrepancy_notes(strategy, tariff),
     )
 

@@ -206,28 +206,6 @@ class TestCrossEngine:
         for z in ZONES:
             assert abs((ea[z] + eb[z]) - eab[z]) <= 1e-9
 
-    def test_heating_monotonicity(self, bench_thermal):
-        rng = np.random.default_rng(99)
-        for _ in range(10):
-            schedules = [random_schedule(rng, 9) for _ in ZONES]
-            heats = [[bool(rng.integers(0, 2)) for _ in range(10)] for _ in ZONES]
-            zone_pick = int(rng.integers(0, 2))
-            off_steps = [k for k in range(10) if not heats[zone_pick][k]]
-            if not off_steps:
-                continue
-            flip = off_steps[int(rng.integers(0, len(off_steps)))]
-            more = [list(h) for h in heats]
-            more[zone_pick][flip] = True
-            base_model = build_model(schedules, heats)
-            more_model = build_model(schedules, more)
-            for theta in (1, 5, 9):
-                base = expected_temperature(
-                    assign_rewards(base_model, bench_thermal, bench_gains(), theta), theta)
-                bumped = expected_temperature(
-                    assign_rewards(more_model, bench_thermal, bench_gains(), theta), theta)
-                for z in ZONES:
-                    assert bumped[z] >= base[z] - 1e-12
-
     def test_theta_mismatch_rejected(self, bench_thermal):
         model = build_model([make_schedule(0.4)] * 2, [[False] * 10] * 2)
         rewarded = assign_rewards(model, bench_thermal, bench_gains(), 3)

@@ -498,6 +498,11 @@ def bench_building(**overrides):
     return spec
 
 
+def one_band_tariff(**overrides):
+    return {"bands": [{"name": "day", "start": 8, "end": 17, "price_minor_per_kwh": 10,
+                       **overrides}]}
+
+
 class TestBuildingChecks:
     @pytest.mark.parametrize("override", [
         {"initial_temp": float("nan")},
@@ -549,6 +554,33 @@ class TestJsonInputFiles:
             args += [flag, str(path)]
         assert main(args) == 2
         assert_one_line_error(capsys, str(path), reason)
+        assert not (tmp_path / "out").exists()
+
+    # nothing is coerced: one line names the file, the key path and the expected type
+    @pytest.mark.parametrize("flag,content,reason", [
+        ("--strategy", {"name": "x", "schedule": {"zone1": "8"}},
+         "schedule.zone1: expected a list, got a string"),
+        ("--strategy", {"name": "x", "schedule": {"zone1": [8.5]}},
+         "schedule.zone1[0]: expected an integer, got a float"),
+        ("--strategy", {"name": "x", "schedule": {"zone1": [True]}},
+         "schedule.zone1[0]: expected an integer, got a boolean"),
+        ("--strategy", {"name": 5, "schedule": {}}, "name: expected a string, got an integer"),
+        ("--tariff", one_band_tariff(start=8.7), "bands[0].start: expected an integer, got a float"),
+        ("--tariff", one_band_tariff(price_minor_per_kwh=True),
+         "bands[0].price_minor_per_kwh: expected an integer, got a boolean"),
+        ("--tariff", {"bands": [{"name": "day", "start": 8}]}, "bands[0]: missing key 'end'"),
+        ("--tariff", [one_band_tariff()], "top level: expected an object, got a list"),
+    ])
+    def test_wrong_json_type_exits_2(self, tmp_path, capsys, flag, content, reason):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(content))
+        args = pinned_args("cost", tmp_path / "out")
+        if flag in args:
+            args[args.index(flag) + 1] = str(path)
+        else:
+            args += [flag, str(path)]
+        assert main(args) == 2
+        assert_one_line_error(capsys, f"error: {path}: {reason}\n")
         assert not (tmp_path / "out").exists()
 
 
@@ -738,6 +770,20 @@ def test_overflowing_gains_exit_2_with_one_line(tmp_path, command):
     assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1, out.stderr
     assert "non-finite" in out.stderr
     assert "Traceback" not in out.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["analyze", "export"])
+def test_reward_sum_overflow_exits_2_with_one_line(tmp_path, command):
+    # every per-step reward of zone2 stays finite, but their sum for
+    # theta=7 does not; analyze's recursion overflows there too
+    args = pinned_args(command, tmp_path, strategy="S2", extra=["--gains", "1e308,0"])
+    out = subprocess.run([sys.executable, "-m", "thermark.cli", *args], env=subprocess_env(),
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1, out.stderr
+    if command == "export":
+        assert out.stderr == "error: non-finite reward sum: zone 'zone2', theta 7\n"
     assert list(tmp_path.iterdir()) == []
 
 
