@@ -29,12 +29,12 @@ Three evaluation routes are provided:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalGuardError, ValidationError
 from .markov import ComposedModel, RewardedModel, ZoneGains, _check_zones
+from .records import Record
 from .thermal import DiscreteThermalModel
 
 ORACLE_MAX_PATH_BITS = 22
@@ -220,8 +220,7 @@ def brute_force_expected_temperature(rewarded: RewardedModel, theta: int) -> dic
     }
 
 
-@dataclass(frozen=True)
-class TemperatureTrajectory:
+class TemperatureTrajectory(Record):
     """Expected temperature per (theta, zone)."""
 
     zone_ids: tuple[str, ...]
@@ -253,8 +252,7 @@ def temperature_trajectory(
     )
 
 
-@dataclass(frozen=True)
-class ComfortReport:
+class ComfortReport(Record):
     """Classification of a trajectory against a comfort band."""
 
     band: tuple[float, float]

@@ -23,7 +23,6 @@ import os
 import sys
 import tempfile
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +31,7 @@ from . import analysis, markov, occupancy, prism, strategy as strategy_mod
 from .errors import NumericalGuardError, ThermarkError, ValidationError, read_bytes
 from .markov import ZoneGains
 from .occupancy import TransitionSchedule
+from .records import Factory, Record
 from .thermal import DiscreteThermalModel, load_building
 
 EXIT_OK = 0
@@ -44,15 +44,14 @@ DEFAULT_GAINS = (0.7, 1.5)  # degC per hour: occupants, radiator
 Schedules = dict[str, tuple[TransitionSchedule, bool]]
 
 
-@dataclass
-class RunConfig:
+class RunConfig(Record):
     """Resolved settings shared by the subcommands."""
 
     building: Path
-    occupancy_paths: dict[str, Path] = field(default_factory=dict)
+    occupancy_paths: dict[str, Path] = Factory(dict)
     strategy: str = "S1"
     tariff: str = "table2"
-    gains: dict[str, tuple[float, float]] = field(default_factory=dict)
+    gains: dict[str, tuple[float, float]] = Factory(dict)
     default_gains: tuple[float, float] = DEFAULT_GAINS
     window: tuple[int, int] = (8, 17)
     band: tuple[float, float] = (20.0, 22.0)

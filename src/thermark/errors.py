@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import json
 import math
+import sys
+from collections.abc import Iterable
 from pathlib import Path
 from typing import NoReturn
 
@@ -83,17 +85,12 @@ class JsonValue:
     def _fail(self, problem: str) -> NoReturn:
         steps, node = [], self
         while node._parent is not None:
-            step = node._step
-            if isinstance(step, int):
-                steps.append(f"[{step}]")
-            else:
-                steps.append(f".{step}" if step.isidentifier() else f"[{json.dumps(step)}]")
+            steps.append(node._step)
             node = node._parent
-        path = "".join(reversed(steps)).removeprefix(".") or "top level"
-        raise ValidationError(f"{self._source}: {path}: {problem}")
+        raise json_error(self._source, reversed(steps), problem)
 
     def _expect(self, expected: str) -> NoReturn:
-        self._fail(f"expected {expected}, got {_json_type(self.value)}")
+        self._fail(expected_type(expected, self.value))
 
     def _object(self) -> dict:
         if not isinstance(self.value, dict):
@@ -129,13 +126,28 @@ class JsonValue:
         return self.value
 
 
+def json_error(source: object, steps: Iterable[str | int], problem: str) -> ValidationError:
+    """One line naming the input, the key path that ``steps`` (keys and list
+    indices, outermost first) spell, such as ``bands[0].start``, and the problem."""
+    path = "".join(f"[{step}]" if isinstance(step, int)
+                   else f".{step}" if step.isidentifier() else f"[{json.dumps(step)}]"
+                   for step in steps).removeprefix(".")
+    return ValidationError(f"{source}: {path or 'top level'}: {problem}")
+
+
+def expected_type(expected: str, value: object) -> str:
+    """The problem of a value that is not of the ``expected`` JSON type."""
+    return f"expected {expected}, got {_json_type(value)}"
+
+
 def _json_type(value: object) -> str:
     if value is None:
         return "null"
     if isinstance(value, bool):
         return "a boolean"
     if isinstance(value, int):
-        return "an integer"
+        beyond = abs(value) > sys.float_info.max
+        return "an integer beyond the float range" if beyond else "an integer"
     if isinstance(value, float):
         return "a float" if math.isfinite(value) else "a non-finite number"
     if isinstance(value, str):

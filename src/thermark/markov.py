@@ -31,27 +31,25 @@ import functools
 import itertools
 import json
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
 from .occupancy import TransitionSchedule
+from .records import Record
 from .thermal import DiscreteThermalModel
 
 SINK_LABEL = "t_sink"
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(Record):
     source: int
     target: int
     probability: float
     label: str
 
 
-@dataclass(frozen=True)
-class ZoneChain:
+class ZoneChain(Record):
     """Layered occupancy chain of a single zone over horizon K, held as its
     per-step occupancy probabilities and heating bits."""
 
@@ -110,8 +108,7 @@ def unroll_zone(
     )
 
 
-@dataclass(frozen=True)
-class ComposedState:
+class ComposedState(Record):
     """Synchronized tuple of same-step zone states; labels None on the sink."""
 
     index: int
@@ -120,8 +117,7 @@ class ComposedState:
     heating_on: tuple[bool, ...] | None
 
 
-@dataclass(frozen=True)
-class ComposedModel:
+class ComposedModel(Record):
     """Product of zone chains synchronized on the step labels.
 
     ``layers[k]`` is the (2^N, 2^N) matrix of step k -> k+1 for k = 0..K-1,
@@ -219,16 +215,14 @@ def compose(chains: list[ZoneChain] | tuple[ZoneChain, ...]) -> ComposedModel:
     )
 
 
-@dataclass(frozen=True)
-class ZoneGains:
+class ZoneGains(Record):
     """Per-step temperature gains (degC per step) of one zone's heat sources."""
 
     q_int: float
     q_rad: float
 
 
-@dataclass(frozen=True)
-class RewardedModel:
+class RewardedModel(Record):
     """A composed model annotated with per-zone, per-step rewards for one theta."""
 
     model: ComposedModel

@@ -22,11 +22,11 @@ import random
 import re
 import threading
 from collections.abc import Callable, Iterator, Mapping
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
+from .records import Record
 
 CSV_HEADER = ("day", "hour", "occupied")
 # every byte a data row may hold; anything else rejects the body
@@ -42,8 +42,7 @@ _pool = None  # the piece reader's ThreadPoolExecutor, built on the first long b
 _pool_lock = threading.Lock()
 
 
-@dataclass(frozen=True, eq=False)
-class OccupancyDataset:
+class OccupancyDataset(Record):
     """Per-(day, hour) boolean records over a contiguous hour window.
 
     ``grid[i, j]`` is whether day ``days[i]`` was occupied at hour
@@ -105,8 +104,7 @@ class _Records(Mapping):
         return self._dataset.grid.size
 
 
-@dataclass(frozen=True)
-class StepMatrix:
+class StepMatrix(Record):
     """Stochastic occupancy matrix for one hour boundary.
 
     Row "empty": (p_vf, p_vv); row "occupied": (p_ff, p_fv). v = empty,
@@ -130,8 +128,7 @@ class StepMatrix:
             raise ValidationError(f"step {self.step}: occupied row does not sum to 1")
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(Record):
     hour: int
     condition: str  # "empty" or "occupied"
     reason: str
@@ -140,8 +137,7 @@ class Diagnostic:
         return {"hour": self.hour, "condition": self.condition, "reason": self.reason}
 
 
-@dataclass(frozen=True)
-class TransitionSchedule:
+class TransitionSchedule(Record):
     """One StepMatrix per hour boundary, step k covering hour[k] -> hour[k+1]."""
 
     matrices: tuple[StepMatrix, ...]

@@ -26,16 +26,15 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 
 from .errors import ValidationError
 from .markov import RewardedModel, ZoneChain
+from .records import Record
 
 _IDENT_RE = re.compile(r"[^A-Za-z0-9_]")
 
 
-@dataclass(frozen=True)
-class PrismArtifact:
+class PrismArtifact(Record):
     """Rendered model and property sources."""
 
     model_text: str

@@ -19,11 +19,12 @@ for them rather than silently diverging.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 from .errors import JsonValue, ValidationError
+from .records import Record
 
 BUILTIN_STRATEGY_NAMES = ("S1", "S2", "S3", "S4", "S5", "S6")
 _ON_HOURS = frozenset(range(9, 17))
@@ -31,8 +32,7 @@ _ALTERNATING_HOURS = frozenset({9, 11, 13, 15})
 _SELECTIVE_HOURS = frozenset({8, 9})
 
 
-@dataclass(frozen=True)
-class HeatingStrategy:
+class HeatingStrategy(Record):
     """Named per-zone radiator schedule (hour-of-day slots with heating on)."""
 
     name: str
@@ -48,8 +48,7 @@ class HeatingStrategy:
         return [h in hours for h in range(start, end + 1)]
 
 
-@dataclass(frozen=True)
-class TariffBand:
+class TariffBand(Record):
     name: str
     start: int  # inclusive hour
     end: int    # exclusive hour
@@ -65,8 +64,7 @@ class TariffBand:
         return self.start <= hour < self.end
 
 
-@dataclass(frozen=True)
-class Tariff:
+class Tariff(Record):
     bands: tuple[TariffBand, ...]
 
     def __post_init__(self) -> None:
@@ -84,8 +82,7 @@ class Tariff:
         raise ValidationError(f"hour {hour} is outside every tariff band")
 
 
-@dataclass(frozen=True)
-class CostReport:
+class CostReport(Record):
     """Band energies and exact total for one strategy."""
 
     strategy: str
@@ -194,7 +191,14 @@ def strategy_cost(
     radiator_kw: float = 1.0,
 ) -> CostReport:
     """Exact total cost in minor currency units plus per-band energies;
-    every heated zone-hour must fall in a band."""
+    every heated zone-hour must fall in a band, and the total must lie
+    within the float range that ratios and reports use."""
+    return _strategy_cost(strategy, tariff, radiator_kw, tariff == table2_tariff())
+
+
+def _strategy_cost(strategy: HeatingStrategy, tariff: Tariff, radiator_kw: float,
+                   on_table2: bool) -> CostReport:
+    """:func:`strategy_cost`, told whether ``tariff`` equals table 2's."""
     if radiator_kw < 0:
         raise ValidationError(f"negative radiator power {radiator_kw}")
     power = Fraction(str(radiator_kw))
@@ -203,19 +207,21 @@ def strategy_cost(
         for h in sorted(hours):
             counts[tariff.band_for_hour(h).name] += 1
     price = {band.name: band.price_minor_per_kwh for band in tariff.bands}
-    total = power * sum(count * price[name] for name, count in counts.items())
+    total = round(power * sum(count * price[name] for name, count in counts.items()))
+    if total > sys.float_info.max:
+        raise ValidationError(f"strategy {strategy.name!r}: total cost is above "
+                              f"{sys.float_info.max:.4g} minor units")
     return CostReport(
         strategy=strategy.name,
         band_energy_kwh={name: float(power * count) for name, count in counts.items()},
-        total_cost_minor=round(total),
-        notes=builtin_discrepancy_notes(strategy, tariff),
+        total_cost_minor=total,
+        notes=builtin_discrepancy_notes(strategy) if on_table2 else (),
     )
 
 
-def builtin_discrepancy_notes(strategy: HeatingStrategy, tariff: Tariff) -> tuple[str, ...]:
-    """Known inconsistencies in commonly quoted reference figures for S5/S6."""
-    if tariff != table2_tariff():
-        return ()
+def builtin_discrepancy_notes(strategy: HeatingStrategy) -> tuple[str, ...]:
+    """Known inconsistencies in commonly quoted reference figures for S5/S6,
+    which apply when the strategy is billed on :func:`table2_tariff`."""
     if strategy.name == "S5" and all(
         hours == _ALTERNATING_HOURS for hours in strategy.schedule.values()
     ):
@@ -235,8 +241,7 @@ def builtin_discrepancy_notes(strategy: HeatingStrategy, tariff: Tariff) -> tupl
     return ()
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
+class ComparisonRow(Record):
     strategy: str
     total_cost_minor: int
     band_energy_kwh: dict[str, float]
@@ -245,8 +250,7 @@ class ComparisonRow:
     notes: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class StrategyComparison:
+class StrategyComparison(Record):
     rows: tuple[ComparisonRow, ...]
     baseline: str | None  # cheapest nonzero-cost strategy
     flags: tuple[str, ...]
@@ -266,7 +270,8 @@ def compare_strategies(
     """
     if not strategies:
         raise ValidationError("compare_strategies needs at least one strategy")
-    reports = {s.name: strategy_cost(s, tariff, radiator_kw) for s in strategies}
+    on_table2 = tariff == table2_tariff()
+    reports = {s.name: _strategy_cost(s, tariff, radiator_kw, on_table2) for s in strategies}
     nonzero = [r for r in reports.values() if r.total_cost_minor > 0]
     flags: list[str] = []
     baseline = None

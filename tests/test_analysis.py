@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 
 import numpy as np
@@ -186,7 +185,7 @@ class TestCrossEngine:
         model = random_instance(rng)
 
         def evaluate(gains, t0=BENCH_T0):
-            thermal = dataclasses.replace(bench_thermal, initial_temps=np.asarray(t0))
+            thermal = bench_thermal.replace(initial_temps=np.asarray(t0))
             rewarded = assign_rewards(model, thermal, gains, 6)
             return expected_temperature(rewarded, 6)
 
@@ -263,7 +262,7 @@ class TestTrajectory:
 
         reads = []
         model = random_instance(np.random.default_rng(4))
-        counted = dataclasses.replace(model, layers=CountingLayers(model.layers))
+        counted = model.replace(layers=CountingLayers(model.layers))
         trajectory = temperature_trajectory(counted, bench_thermal, bench_gains(), [7, 2, 5])
         assert sorted(reads) == list(range(7))
         expected = temperature_trajectory(model, bench_thermal, bench_gains(), range(1, 10))
@@ -304,7 +303,7 @@ class TestForwardPassReadsLayers:
         model = build_model([make_schedule(0.4)] * 2, [heat, heat])
         layers = list(model.layers)
         layers[2] = layers[2][:, [3, 1, 2, 0]]
-        mutant = dataclasses.replace(model, layers=tuple(layers))
+        mutant = model.replace(layers=tuple(layers))
         gains = bench_gains()
         before = expected_temperature(assign_rewards(model, bench_thermal, gains, 5), 5)
         after = expected_temperature(assign_rewards(mutant, bench_thermal, gains, 5), 5)
@@ -319,7 +318,7 @@ class TestForwardPassReadsLayers:
         reversed_layers = tuple(
             functools.reduce(np.kron, [c.step_matrix(k) for c in reversed(model.chains)])
             for k in range(model.horizon))
-        mutant = dataclasses.replace(model, layers=reversed_layers)
+        mutant = model.replace(layers=reversed_layers)
         thetas = range(1, 10)
         right = temperature_trajectory(model, bench_thermal, bench_gains(), thetas)
         wrong = temperature_trajectory(mutant, bench_thermal, bench_gains(), thetas)

@@ -520,6 +520,46 @@ class TestBuildingChecks:
         assert_one_line_error(capsys, "finite")
         assert not out.exists()
 
+    # nothing is coerced: one line names the file, the key path and the expected type
+    @pytest.mark.parametrize("edit,reason", [
+        (lambda text: text.replace("1.37", "1" + "0" * 400),
+         "zones[0].capacitance: expected a finite number, got an integer beyond the float range"),
+        (lambda text: text.replace("1.37", "1" + "0" * 4400),
+         "zones[0].capacitance: expected a finite number, got a non-finite number"),
+        (lambda text: text.replace("1.37", '"1.37"'),
+         "zones[0].capacitance: expected a finite number, got a string"),
+        (lambda text: text.replace("18.0", "true"),
+         "zones[0].initial_temp: expected a finite number, got a boolean"),
+        (lambda text: text.replace('"zone1"', "7", 1),
+         "zones[0].id: expected a string, got an integer"),
+        (lambda text: f"[{text}]", "top level: expected an object, got a list"),
+        (lambda text: text.replace('"resistance": 5.5897, ', ""),
+         "zones[1]: missing key 'resistance'"),
+        (lambda text: text.replace('[["zone1", "zone2"]', '["zone1zone2"'),
+         "edges[0]: expected a list, got a string"),
+        (lambda text: text.replace('["zone1", "zone2"]', '["zone1", "zone2", "zone1"]'),
+         "edges[0]: expected two zone ids, got 3 values"),
+        (lambda text: text.replace("0.3007", '"0.3007"'),
+         "explicit_discrete.a[1][0]: expected a finite number, got a string"),
+        (lambda text: text.replace("0.7299", "true"),
+         "explicit_discrete.b[0][0]: expected a finite number, got a boolean"),
+        (lambda text: text.replace("[0.0, 1.0]", "[0.0, 1.0, 0.0]"),
+         "explicit_discrete.b: expected rows of equal length"),
+        (lambda text: text.replace('"delta": 1.0', '"delta": "1"'),
+         "explicit_discrete.delta: expected a finite number, got a string"),
+    ], ids=["401-digits", "4400-digits", "string-number", "boolean-number", "integer-id",
+            "top-level-list", "missing-key", "string-edge", "three-ended-edge", "string-in-a",
+            "boolean-in-b", "ragged-b", "string-delta"])
+    def test_wrong_json_type_exits_2(self, tmp_path, capsys, edit, reason):
+        path = tmp_path / "building.json"
+        path.write_text(edit(json.dumps(bench_building())))
+        out = tmp_path / "out"
+        args = pinned_args("cost", out)
+        args[args.index("--building") + 1] = str(path)
+        assert main(args) == 2
+        assert_one_line_error(capsys, f"error: {path}: {reason}\n")
+        assert not out.exists()
+
 
 class TestJsonInputFiles:
     """Building, strategy and tariff files share the occupancy logs' read checks."""
@@ -785,6 +825,31 @@ def test_reward_sum_overflow_exits_2_with_one_line(tmp_path, command):
     if command == "export":
         assert out.stderr == "error: non-finite reward sum: zone 'zone2', theta 7\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_price_beyond_float_range_exits_2_with_one_line(tmp_path):
+    tariff = tmp_path / "tariff.json"
+    tariff.write_text(json.dumps(one_band_tariff(price_minor_per_kwh=10 ** 400)))
+    out_dir = tmp_path / "out"
+    args = pinned_args("cost", out_dir, extra=["--tariff", str(tariff)])
+    out = subprocess.run([sys.executable, "-m", "thermark.cli", *args], env=subprocess_env(),
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 2, out.stderr
+    assert out.stderr == "error: strategy 'S6': total cost is above 1.798e+308 minor units\n"
+    assert not out_dir.exists()
+
+
+def test_import_uses_no_dataclasses():
+    # generating dataclass methods cost about 1 ms per class in every fresh
+    # process; the records are built on thermark.records instead
+    check = ("import sys, numpy; before = set(sys.modules); import thermark, thermark.cli; "
+             "classes = [c for m in list(sys.modules.values()) if m.__name__.startswith('thermark')"
+             " for c in vars(m).values() if isinstance(c, type)]; "
+             "print(sorted(m for m in set(sys.modules) - before if 'dataclass' in m), "
+             "[c.__name__ for c in classes if hasattr(c, '__dataclass_fields__')])")
+    out = subprocess.run([sys.executable, "-c", check], env=subprocess_env(), capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "[] []"
 
 
 def test_import_loads_no_thread_pool():

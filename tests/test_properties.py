@@ -12,7 +12,6 @@ exact accumulation.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -113,7 +112,7 @@ def test_expected_temperature_is_monotone_in_heating_bits(instance, data):
     assume(off)
     k = data.draw(st.sampled_from(off))
     bumped = list(chains)
-    bumped[m] = dataclasses.replace(chains[m], heating=tuple(
+    bumped[m] = chains[m].replace(heating=tuple(
         bit or step == k for step, bit in enumerate(chains[m].heating)))
     thetas = range(1, chains[0].horizon + 1)
     base = temperature_trajectory(compose(chains), thermal, gains, thetas).values

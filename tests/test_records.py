@@ -1,0 +1,137 @@
+"""The shared base of the package's immutable record types."""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from thermark import NumericalGuardError, ValidationError
+from thermark.cli import RunConfig
+from thermark.occupancy import Diagnostic, OccupancyDataset, StepMatrix, TransitionSchedule
+from thermark.records import Factory, Record
+from thermark.strategy import TariffBand
+from thermark.thermal import DiscreteThermalModel, RCNetwork, Zone
+
+
+def step(**changes):
+    fields = {"step": 0, "p_vf": 0.25, "p_vv": 0.75, "p_ff": 0.5, "p_fv": 0.5}
+    return StepMatrix(**{**fields, **changes})
+
+
+class TestFrozen:
+    def test_assignment_raises(self):
+        s = step()
+        with pytest.raises(AttributeError, match="cannot assign to field 'p_vf'"):
+            s.p_vf = 0.5
+        with pytest.raises(AttributeError, match="cannot assign to field 'extra'"):
+            s.extra = 1
+        assert s.p_vf == 0.25 and "extra" not in vars(s)
+
+    def test_deletion_raises(self):
+        s = step()
+        with pytest.raises(AttributeError, match="cannot delete field 'step'"):
+            del s.step
+        assert s.step == 0
+
+
+class TestValueSemantics:
+    def test_equal_by_value_and_hashed_alike(self):
+        assert step() == step() and step() is not step()
+        assert hash(step()) == hash(step())
+        assert step() != step(step=1)
+        assert len({step(), step(), step(step=1)}) == 2
+
+    def test_other_classes_never_equal(self):
+        assert Diagnostic(8, "empty", "x") != (8, "empty", "x")
+        assert Zone("z", 1.0, 1.0, 0.0) != Diagnostic("z", 1.0, 1.0)
+
+    def test_unhashable_field_makes_record_unhashable(self):
+        config = RunConfig(building=Path("b.json"))
+        with pytest.raises(TypeError):
+            hash(config)
+
+    def test_occupancy_dataset_keeps_its_own_equality(self):
+        # it compares grids with np.array_equal and, defining __eq__ itself,
+        # is unhashable
+        a = OccupancyDataset((1, 2), (8,), np.array([[True], [False]]))
+        b = OccupancyDataset((1, 2), (8,), np.array([[1], [0]]))
+        assert a == b and a is not b
+        assert a != OccupancyDataset((1, 2), (8,), np.array([[True], [True]]))
+        with pytest.raises(TypeError):
+            hash(a)
+
+
+class TestConstruction:
+    def test_repr_lists_fields_in_order(self):
+        assert repr(Diagnostic(8, "empty", "never")) == (
+            "Diagnostic(hour=8, condition='empty', reason='never')")
+
+    def test_defaults(self):
+        schedule = TransitionSchedule(matrices=(step(),))
+        assert schedule.hours == () and schedule.diagnostics == ()
+
+    def test_factory_default_is_new_per_instance(self):
+        a, b = RunConfig(building=Path("a")), RunConfig(building=Path("b"))
+        assert a.gains == {} and a.occupancy_paths == {}
+        assert a.gains is not b.gains and a.occupancy_paths is not b.occupancy_paths
+
+    def test_positional_and_keyword_arguments(self):
+        assert Diagnostic(8, "empty", "x") == Diagnostic(reason="x", hour=8, condition="empty")
+
+    @pytest.mark.parametrize("call", [
+        lambda: Diagnostic(8, "empty"),
+        lambda: Diagnostic(8, "empty", "x", "y"),
+        lambda: Diagnostic(8, "empty", "x", colour="red"),
+        lambda: Diagnostic(8, "empty", "x", hour=9),
+    ], ids=["missing", "extra-positional", "unknown", "repeated"])
+    def test_bad_arguments_raise_type_error(self, call):
+        with pytest.raises(TypeError):
+            call()
+
+    def test_replace_builds_a_validated_copy(self):
+        s = step()
+        moved = s.replace(step=3)
+        assert moved == step(step=3) and s.step == 0
+        with pytest.raises(ValidationError):
+            s.replace(p_vf=1.5)
+        with pytest.raises(TypeError):
+            s.replace(colour="red")
+
+    def test_field_without_default_after_one_with_is_rejected(self):
+        with pytest.raises(TypeError, match="'b' without a default"):
+            class Bad(Record):
+                a: int = 0
+                b: int
+
+    def test_factory_default_in_a_new_record(self):
+        class Bag(Record):
+            items: list = Factory(list)
+
+        assert Bag().items == [] and Bag().items is not Bag().items
+        assert Bag([1]).items == [1]
+
+
+class TestPostInit:
+    def test_step_matrix_out_of_range(self):
+        with pytest.raises(ValidationError, match="outside"):
+            step(p_vf=1.25, p_vv=-0.25)
+
+    def test_tariff_band_start_not_before_end(self):
+        with pytest.raises(ValidationError, match="start must precede end"):
+            TariffBand("day", 10, 10, 5)
+
+    def test_duplicate_zone_ids(self):
+        zone = Zone("z", 1.0, 1.0, 0.0)
+        with pytest.raises(ValidationError, match="unique"):
+            RCNetwork(zones=(zone, zone), edges=())
+
+    def test_unstable_a(self):
+        with pytest.raises(NumericalGuardError, match="unstable"):
+            DiscreteThermalModel(a=np.array([[1.5]]), b=np.eye(1), delta=1.0,
+                                 initial_temps=np.zeros(1), zone_ids=("z",))
+
+    def test_post_init_normalises_through_the_frozen_guard(self):
+        dataset = OccupancyDataset((1,), (8,), [[1]])
+        assert dataset.grid.dtype == bool and not dataset.grid.flags.writeable
