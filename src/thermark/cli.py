@@ -387,32 +387,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, building_required: bool = True) -> None:
-        p.add_argument("--building", required=building_required,
-                       help="building topology JSON file")
+    def add_common(p: argparse.ArgumentParser, *extra: str) -> None:
+        """The options every model subcommand reads, then those of ``extra``."""
+        p.add_argument("--building", required=True, help="building topology JSON file")
         p.add_argument("--occupancy", action="append", default=[],
                        metavar="ZONE=PATH", help="occupancy CSV per zone (repeatable)")
         p.add_argument("--strategy", action="append", default=[],
                        help="builtin name (S1..S6) or strategy JSON path (repeatable)")
-        p.add_argument("--tariff", default="table2",
-                       help="'table2' or tariff JSON path")
         p.add_argument("--gains", action="append", default=[],
                        metavar="ZONE=Q_INT,Q_RAD", help="per-zone gains in degC/hour")
         p.add_argument("--window", default="8-17", help="operating hours, e.g. 8-17")
-        p.add_argument("--band", default="20-22", help="comfort band, e.g. 20-22")
         p.add_argument("--theta", default=None,
                        help="evaluation step or range (defaults to the full window)")
-        p.add_argument("--radiator-kw", type=float, default=1.0,
-                       help="radiator power per zone (kW)")
         p.add_argument("--out", default=".", help="output directory")
+        options = {
+            "--band": dict(default="20-22", help="comfort band, e.g. 20-22"),
+            "--tariff": dict(default="table2", help="'table2' or tariff JSON path"),
+            "--radiator-kw": dict(type=float, default=1.0, help="radiator power per zone (kW)"),
+        }
+        for flag in extra:
+            p.add_argument(flag, **options[flag])
 
     p_analyze = sub.add_parser("analyze", help="expected-temperature trajectory + comfort")
-    add_common(p_analyze)
+    add_common(p_analyze, "--band")
     p_analyze.add_argument("--dump-chain", action="store_true",
                            help="also write the composed chain as chain.json")
 
     p_cost = sub.add_parser("cost", help="energy and cost per strategy")
-    add_common(p_cost)
+    add_common(p_cost, "--band", "--tariff", "--radiator-kw")
 
     p_export = sub.add_parser("export", help="emit PRISM model/properties")
     add_common(p_export)
@@ -435,8 +437,11 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     thetas = _parse_thetas(args.theta) if args.theta else tuple(range(1, horizon + 1))
     if min(thetas) < 1 or max(thetas) > horizon:
         raise ValidationError(f"theta range {thetas} outside 1..{horizon}")
-    if not math.isfinite(args.radiator_kw):
-        raise ValidationError(f"--radiator-kw must be a finite number, got {args.radiator_kw}")
+    optional = {}  # a subcommand that does not take an option keeps RunConfig's default
+    if "radiator_kw" in args:
+        if not math.isfinite(args.radiator_kw):
+            raise ValidationError(f"--radiator-kw must be a finite number, got {args.radiator_kw}")
+        optional["radiator_kw"] = args.radiator_kw
     gains: dict[str, tuple[float, float]] = {}
     default_gains = DEFAULT_GAINS
     for pair in args.gains:
@@ -458,19 +463,21 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     occupancy_paths = {
         z: Path(p) for z, p in _parse_assignments(args.occupancy, "--occupancy").items()
     }
+    if "tariff" in args:
+        optional["tariff"] = args.tariff
+    if "band" in args:
+        optional["band"] = _parse_band(args.band)
     strategy_refs = list(args.strategy)
     return RunConfig(
         building=Path(args.building),
         occupancy_paths=occupancy_paths,
         strategy=strategy_refs[0] if strategy_refs else "S1",
-        tariff=args.tariff,
         gains=gains,
         default_gains=default_gains,
         window=window,
-        band=_parse_band(args.band),
         thetas=thetas,
         out_dir=Path(args.out),
-        radiator_kw=args.radiator_kw,
+        **optional,
     )
 
 

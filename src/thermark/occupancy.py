@@ -16,12 +16,9 @@ diagnostics instead of failing.
 from __future__ import annotations
 
 import bisect
-import functools
-import os
 import random
 import re
-import threading
-from collections.abc import Callable, Iterator, Mapping
+from collections.abc import Iterator, Mapping
 
 import numpy as np
 
@@ -35,11 +32,11 @@ _INTEGER = re.compile(r"[ \t]*[+-]?[0-9]+[ \t]*")
 _SPLIT_NUMBER = re.compile(rb"[0-9+-][ \t]+[0-9+-]")  # a space or tab inside a number
 _COMMA, _NEWLINE, _PLUS, _MINUS, _ZERO = b",\n+-0"
 _MAX_DAY = 2**63 - 1  # the largest day an int64 column holds
-# a body longer than this is read in line-aligned pieces, in parallel; small
-# pieces keep the buffers each thread holds at once small
-PIECE_BYTES = 128 * 1024
-_pool = None  # the piece reader's ThreadPoolExecutor, built on the first long body
-_pool_lock = threading.Lock()
+# a body at least this long is first tried as fixed-stride day blocks; the
+# inline reader is faster below about 15 KB, a 180-day, 10-hour log
+STRIDE_MIN_BYTES = 32 * 1024
+_STRIDE_DAY_DIGITS = 18  # every day of at most 18 digits fits an int64
+_STRIDE_RUNS = 19  # runs of equal day width; unpadded days of 1 to 18 digits make 18
 
 
 class OccupancyDataset(Record):
@@ -213,21 +210,24 @@ def _text(data: bytes) -> str:
 def _read_grid(body: bytes) -> OccupancyDataset | None:
     """The dataset a well-formed body holds, or None if anything is wrong.
 
-    One structural pass over the bytes: byte checks, then per piece the
+    Byte checks first. A body of at least ``STRIDE_MIN_BYTES`` whose days
+    all repeat the first day's lines byte for byte, apart from the day
+    digits and the occupied bit, is read as fixed-stride day blocks by
+    ``_read_strides``. Any other body takes one structural pass: the
     layout of the separators and all three columns read at once, then
-    array checks over the joined columns. The checks leave numpy only
-    ``[+-]?[0-9]+`` tokens to read. A body longer than ``PIECE_BYTES`` is
-    cut into line-aligned pieces read on the process-wide pool, one thread
-    per usable CPU; a shorter body, or any body on one CPU, is read inline.
-    A rejected body goes to ``_fault`` for its message.
+    array checks over the columns. The checks leave numpy only
+    ``[+-]?[0-9]+`` tokens to read. A rejected body goes to ``_fault``
+    for its message.
     """
     data = _row_bytes(body)
     if data is None:
         return None
-    columns = _read_columns(data)
-    if columns is None:
+    if len(data) >= STRIDE_MIN_BYTES and (dataset := _read_strides(data)) is not None:
+        return dataset
+    rows = _read_lines(data)
+    if rows is None or not len(rows):
         return None
-    day, hour, occupied = columns
+    day, hour, occupied = rows.T
     first, last = int(hour.min()), int(hour.max())
     n_hours = last - first + 1
     if (day.min() < 1 or first < 0 or last > 23 or occupied.max() > 1
@@ -264,44 +264,85 @@ def _row_bytes(body: bytes) -> bytes | None:
     return body
 
 
-def _read_columns(data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """The day, hour and occupied columns of rows ending in newlines, blank
-    lines skipped; None if there are none or any other line fails
-    ``_row_count``. A body of one piece is read inline into int64 columns;
-    a longer one piece by piece, each into compact columns, then joined."""
-    if len(data) <= PIECE_BYTES:
-        rows = _read_lines(data)
-        return None if rows is None or not len(rows) else tuple(rows.T)
-    ends, end = [], 0
-    while end < len(data):
-        end = data.find(b"\n", end + PIECE_BYTES - 1) + 1 or len(data)
-        ends.append(end)
-    pieces = _map_pieces(functools.partial(_read_piece, data), list(zip([0, *ends], ends)))
-    if any(piece is None for piece in pieces) or not sum(len(p[0]) for p in pieces):
-        return None
-    return tuple(np.concatenate(column) for column in zip(*pieces))
+def _read_strides(data: bytes) -> OccupancyDataset | None:
+    """The dataset of rows ending in newlines if every day repeats the
+    first day's lines byte for byte, apart from its day digits and
+    occupied bits; None otherwise.
 
-
-def _read_piece(data: bytes, bounds: tuple[int, int]) -> tuple | None:
-    """Day (int64), hour and occupied (int8) columns of ``data[start:end]``,
-    whole lines; None if its layout is wrong."""
-    rows = _read_lines(data[slice(*bounds)])
+    The first day's lines, at most 24, are read by ``_read_rows`` and must
+    hold one row per hour in ascending order. The body is then walked in
+    runs of days of equal digit count, each a zero-copy ``(days, block
+    bytes)`` view checked by columns: the first day's bytes everywhere
+    else, the same day digits on every line of a block, occupied 0 or 1.
+    Days are read from their digit columns; a day of more than 18
+    digits, a day below 1, days that do not strictly ascend, a partial
+    last block or more than 19 runs decline the body.
+    """
+    head_end = 0
+    for _ in range(24):
+        if not (end := data.find(b"\n", head_end) + 1):
+            break
+        head_end = end
+    head = data[:head_end]
+    rows = _read_rows(head)
     if rows is None:
         return None
-    # an hour outside 0..23 is rejected, so clipping keeps the verdict in a
-    # byte; occupied is one digit after the layout check
-    hour = np.minimum(rows[:, 1], 24)
-    return rows[:, 0].copy(), np.maximum(hour, -1, out=hour).astype(np.int8), \
-        rows[:, 2].astype(np.int8)
+    n_hours = int((rows[:, 0] != rows[0, 0]).argmax()) or len(rows)
+    first = int(rows[0, 1])
+    if first < 0 or first + n_hours > 24 or (
+            rows[:n_hours, 1] != np.arange(first, first + n_hours)).any():
+        return None
+    # each of the first day's lines past its day digits, occupied read as 0,
+    # and where those tails start in a block of days of no digits
+    tails = [line[line.index(b","):-1] + b"0\n" for line in head.split(b"\n")[:n_hours]]
+    lengths = np.array([len(t) for t in tails])
+    tail_at = np.cumsum(lengths) - lengths
+    lines = np.arange(n_hours)
+    a = np.frombuffer(data, np.uint8)
+    days, grids, at = [], [], 0
+    for _ in range(_STRIDE_RUNS):
+        width = data.find(b",", at) - at
+        if not 1 <= width <= _STRIDE_DAY_DIGITS:
+            return None
+        block = int(lengths.sum()) + n_hours * width
+        blocks = a[at:at + (len(data) - at) // block * block].reshape(-1, block)
+        # the run ends at the latest before the first block whose first day
+        # is not ``width`` digits long, as at the first day of more digits
+        ends = blocks[:, width] == _COMMA
+        blocks = blocks[:len(blocks) if ends.all() else ends.argmin()]
+        day_at = (tail_at + lines * width)[:, None] + np.arange(width)
+        occupied_at = tail_at + lengths - 2 + (lines + 1) * width
+        # over the row alphabet, b | 0x0F is 0x3F only for a digit and
+        # b | 0x01 is 0x31 only for 0 or 1: one compare checks every byte
+        mask = np.zeros(block, np.uint8)
+        mask[day_at], mask[occupied_at] = 0x0F, 0x01
+        template = np.frombuffer(b"".join(b"0" * width + t for t in tails), np.uint8) | mask
+        digits = blocks[:, day_at]
+        if not (len(blocks) and ((blocks | mask) == template).all()
+                and (digits == digits[:, :1]).all()):
+            return None
+        days.append((digits[:, 0] - _ZERO).astype(np.int64)
+                    @ 10 ** np.arange(width - 1, -1, -1, dtype=np.int64))
+        grids.append(blocks[:, occupied_at] == _ZERO + 1)
+        at += len(blocks) * block
+        if at == len(data):
+            break
+    else:
+        return None
+    day = np.concatenate(days)
+    if day[0] < 1 or (day[1:] <= day[:-1]).any():
+        return None
+    return OccupancyDataset(days=tuple(day.tolist()), hours=tuple(range(first, first + n_hours)),
+                            grid=np.concatenate(grids))
 
 
 def _read_lines(data: bytes) -> np.ndarray | None:
-    """``_read_rows`` of whole lines, blank lines skipped; a piece of blank
+    """``_read_rows`` of whole lines, blank lines skipped; a body of blank
     lines alone holds no rows."""
     rows = _read_rows(data)
     if rows is None and (data.startswith(b"\n") or b"\n\n" in data):
         # a blank line fails the layout test; look for one only then, as the
-        # search costs more than that test on a long piece
+        # search costs more than that test on a long body
         while b"\n\n" in data:
             data = data.replace(b"\n\n", b"\n")
         data = data.removeprefix(b"\n")
@@ -320,38 +361,6 @@ def _read_rows(data: bytes) -> np.ndarray | None:
     # fill a shortfall with garbage, so the count must be known to be right
     return np.fromstring(data.replace(b"\n", b","), np.int64, count=3 * n_rows,
                          sep=",").reshape(n_rows, 3)
-
-
-def _map_pieces(read: Callable, bounds: list[tuple[int, int]]) -> list:
-    """``read`` over every piece, in order: inline for one piece or one
-    usable CPU, otherwise on the process-wide pool, built on first use."""
-    global _pool
-    if len(bounds) < 2 or (workers := _usable_cpus()) < 2:
-        return [read(b) for b in bounds]
-    with _pool_lock:
-        if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor  # kept off import time
-
-            _pool = ThreadPoolExecutor(workers, thread_name_prefix="thermark-parse")
-        pool = _pool
-    return list(pool.map(read, bounds))
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _forget_pool() -> None:
-    """In a forked child: the pool's threads did not survive the fork."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _row_count(data: bytes) -> int:

@@ -116,8 +116,10 @@ class DiscreteThermalModel(Record):
     def __post_init__(self) -> None:
         a = np.asarray(self.a, dtype=float)
         n = len(self.zone_ids)
-        if a.shape != (n, n):
-            raise ValidationError(f"a must be {n}x{n}, got {a.shape}")
+        for name in ("a", "b"):
+            shape = np.shape(getattr(self, name))
+            if shape != (n, n):
+                raise ValidationError(f"{name} must be {n}x{n}, got {shape}")
         if not self.delta > 0:
             raise ValidationError(f"delta must be positive, got {self.delta}")
         for name in ("a", "b", "initial_temps"):

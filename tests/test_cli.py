@@ -486,6 +486,20 @@ class TestArgumentChecks:
         with pytest.raises(SystemExit):
             main(pinned_args("analyze", tmp_path, extra=["--seed", "1"]))
 
+    # each subcommand takes only the options it reads
+    @pytest.mark.parametrize("command, option", [
+        ("analyze", "--tariff=/nonexistent"), ("export", "--tariff=/nonexistent"),
+        ("analyze", "--radiator-kw=-1"), ("export", "--radiator-kw=-1"),
+        ("export", "--band=20-22"),
+    ])
+    def test_option_the_command_never_reads_exits_2(self, tmp_path, capsys, command, option):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as info:
+            main(pinned_args(command, out, extra=[option]))
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def bench_building(**overrides):
     """The bundled building spec with zone1's fields or the explicit matrices overridden."""
@@ -518,6 +532,18 @@ class TestBuildingChecks:
         args[args.index("--building") + 1] = str(path)
         assert main(args) == 2
         assert_one_line_error(capsys, "finite")
+        assert not out.exists()
+
+    def test_b_of_wrong_shape_exits_2(self, tmp_path, capsys):
+        spec = bench_building()
+        spec["explicit_discrete"]["b"] = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        path = tmp_path / "building.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "out"
+        args = pinned_args("analyze", out)
+        args[args.index("--building") + 1] = str(path)
+        assert main(args) == 2
+        assert_one_line_error(capsys, "b must be 2x2, got (3, 3)")
         assert not out.exists()
 
     # nothing is coerced: one line names the file, the key path and the expected type
@@ -853,8 +879,7 @@ def test_import_uses_no_dataclasses():
 
 
 def test_import_loads_no_thread_pool():
-    # the occupancy piece reader imports concurrent.futures when it first
-    # builds its pool, so a short run pays nothing for it
+    # nothing in thermark runs on threads, so nothing imports concurrent.futures
     check = "import sys, thermark.cli; print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
     out = subprocess.run([sys.executable, "-c", check], env=subprocess_env(), capture_output=True,
                          text=True, timeout=60, check=True)

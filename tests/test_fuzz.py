@@ -1,4 +1,5 @@
-"""Fuzzing of occupancy log contents through the command line.
+"""Fuzzing of occupancy log contents and of option values through the
+command line.
 
 Every run must end in exit 0, 2 or 3 with no traceback; a failing run
 prints one ``error:`` line, and a successful one writes finite numbers only.
@@ -10,6 +11,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -95,11 +97,13 @@ def check_run(command: str, code: int, err: str, out: Path) -> None:
         assert not out.exists()
         return
     for path in out.iterdir():
+        text = path.read_text()
         if path.suffix == ".json":
-            values = list(numbers(json.loads(path.read_text())))
-        else:
-            values = [float(line.rsplit(",", 1)[1])
-                      for line in path.read_text().splitlines()[1:]]
+            values = list(numbers(json.loads(text)))
+        elif path.name == "trajectory.csv":
+            values = [float(line.rsplit(",", 1)[1]) for line in text.splitlines()[1:]]
+        else:  # cost.csv and the PRISM files spell a non-finite number inf or nan
+            values = [float(word) for word in re.findall(r"\b(?:inf|nan)\b", text, re.I)]
         assert all(math.isfinite(v) for v in values), path.name
 
 
@@ -120,3 +124,60 @@ def test_occupancy_contents_through_estimate_and_analyze(text):
             "--occupancy", f"zone2={bench / 'occupancy_zone2.csv'}",
             "--strategy", "S6", "--out", str(out),
         ]), out)
+
+
+# option values the CLI accepts or rejects; {bench} is the bundled data's
+# directory and {tmp} an empty scratch directory
+OPTION_VALUES = {
+    "--window": ["8-17", "9-12", "8-9", "0-23", "17-8", "8-8", "8", "-1-5", "8-24", "08-17",
+                 "8-17-3", "a-b", "", " 8-17", "1e1-17", "8 - 17"],
+    "--theta": ["1", "9", "3-5", "1-9", "9-9", "0", "10", "5-3", "-1", "1.5", "", "x", "1-",
+                "99999999999999999999"],
+    "--band": ["20-22", "20.5-21.5", "-5-30", "20-20", "22-20", "20", "nan-22", "20-inf",
+               "-inf-inf", "1e308-1e309", "a-b", "--", ""],
+    "--gains": ["0.7,1.5", "0,0", "zone1=0,0", "zone2=3,4", "zone3=1,1", "zone1=1e308,1e308",
+                "1e300,1e300", "nan,1", "1,inf", "-1,1", "1", "1,2,3", "zone1=", "=1,1", ""],
+    "--radiator-kw": ["1", "0", "-0", "-1", "2.5", "1e-300", "1e308", "1e400", "nan", "inf",
+                      "-inf"],
+    "--occupancy": ["zone1={bench}/occupancy_zone1.csv", "zone2={bench}/occupancy_zone2.csv",
+                    "zone2={bench}/occupancy_zone1.csv", "zone3={bench}/occupancy_zone1.csv",
+                    "zone1", "={bench}/occupancy_zone1.csv", "zone1=", "zone1={tmp}",
+                    "zone2={tmp}/missing.csv", "zone1={bench}/building.json"],
+}
+# the options each subcommand takes, beyond --building, --strategy and --out
+COMMAND_OPTIONS = {
+    "analyze": ("--window", "--theta", "--band", "--gains", "--occupancy"),
+    "cost": ("--window", "--theta", "--band", "--gains", "--radiator-kw", "--occupancy"),
+    "export": ("--window", "--theta", "--gains", "--occupancy"),
+}
+
+
+@st.composite
+def option_lists(draw) -> list[tuple[str, str]]:
+    """The bundled zone logs, then up to four options set to drawn values;
+    ``--gains`` and ``--occupancy`` may repeat, a later value of any other
+    option wins."""
+    options = [("--occupancy", OPTION_VALUES["--occupancy"][0]),
+               ("--occupancy", OPTION_VALUES["--occupancy"][1])]
+    if draw(st.integers(0, 4)) == 0:
+        del options[draw(st.integers(0, 1))]
+    for _ in range(draw(st.integers(0, 4))):
+        option = draw(st.sampled_from(sorted(OPTION_VALUES)))
+        options.append((option, draw(st.sampled_from(OPTION_VALUES[option]))))
+    return options
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(options=option_lists())
+def test_option_values_through_analyze_cost_and_export(options):
+    bench = two_zone_benchmark_dir()
+    with tempfile.TemporaryDirectory() as tmp:
+        for command, takes in COMMAND_OPTIONS.items():
+            out = Path(tmp) / command
+            argv = [command, "--building", str(bench / "building.json"), "--strategy", "S6",
+                    "--out", str(out)]
+            # one argument per option, so a value that starts with '-' stays a value
+            argv += [f"{option}={value.format(bench=bench, tmp=tmp)}"
+                     for option, value in options if option in takes]
+            check_run(command, *run(argv), out)

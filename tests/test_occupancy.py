@@ -2,11 +2,6 @@
 
 from __future__ import annotations
 
-import concurrent.futures
-import os
-import sys
-import threading
-import time
 from collections.abc import Mapping
 
 import numpy as np
@@ -22,7 +17,8 @@ from thermark import (
 )
 from thermark import occupancy
 from thermark.datasets import seven_day_log_csv
-from thermark.occupancy import OccupancyDataset, _fault, _read_grid, dataset_to_csv
+from thermark.occupancy import (
+    OccupancyDataset, _fault, _read_grid, _read_strides, _row_bytes, dataset_to_csv)
 
 
 @pytest.fixture
@@ -331,122 +327,173 @@ class TestStructuralPassMatchesRowReader:
 
 
 @pytest.fixture
-def small_pieces(monkeypatch):
-    """Read every body in pieces of a few bytes on the pool, even on one CPU."""
-    monkeypatch.setattr(occupancy, "PIECE_BYTES", 7)
-    monkeypatch.setattr(occupancy, "_usable_cpus", lambda: 2)
+def stride_first(monkeypatch):
+    """Offer every body, however short, to the stride reader first."""
+    monkeypatch.setattr(occupancy, "STRIDE_MIN_BYTES", 0)
 
 
 def long_log(days=5000, hours=range(24), seed=8):
-    """A canonical log, far longer than one piece, and its dataset."""
+    """A canonical log, far longer than ``STRIDE_MIN_BYTES``, and its dataset."""
     grid = np.random.default_rng(seed).random((days, len(hours))) < 0.4
     dataset = OccupancyDataset(tuple(range(1, days + 1)), tuple(hours), grid)
     return dataset_to_csv(dataset).encode(), dataset
 
 
+def read_strides(data):
+    """What the stride reader makes of a file's body, spaces and tabs removed."""
+    return _read_strides(_row_bytes(data.partition(b"\n")[2]))
+
+
+# (id, file text, verdict as in GRAMMAR_CASES, whether the stride reader
+# reads it rather than declining)
+STRIDE_CASES = [
+    ("day-width-9-to-10", H + "".join(f"{d},8,{d % 2}\n{d},9,1\n" for d in range(8, 12)),
+     ((8, 9, 10, 11), (8, 9)), True),
+    ("day-width-99-to-100", H + "".join(f"{d},0,0\n{d},1,{d % 2}\n" for d in range(98, 102)),
+     ((98, 99, 100, 101), (0, 1)), True),
+    ("zero-padded-days", H + "01,8,0\n01,9,1\n02,8,1\n02,9,0\n", ((1, 2), (8, 9)), True),
+    ("padding-changes", H + "1,8,0\n1,9,1\n02,8,1\n02,9,0\n003,8,0\n003,9,0\n",
+     ((1, 2, 3), (8, 9)), True),
+    ("padding-shrinks", H + "001,8,0\n001,9,1\n2,8,1\n2,9,0\n", ((1, 2), (8, 9)), True),
+    ("18-digit-day", H + "999999999999999999,8,0\n999999999999999999,9,1\n",
+     ((10**18 - 1,), (8, 9)), True),
+    ("signed-hours", H + "1,+8,0\n1,09,1\n2,+8,1\n2,09,0\n", ((1, 2), (8, 9)), True),
+    ("19-runs", H + "".join(f"{d:0{2 + d % 2}},8,0\n{d:0{2 + d % 2}},9,1\n" for d in range(2, 21)),
+     (tuple(range(2, 21)), (8, 9)), True),
+    ("20-runs", H + "".join(f"{d:0{2 + d % 2}},8,0\n{d:0{2 + d % 2}},9,1\n" for d in range(1, 21)),
+     (tuple(range(1, 21)), (8, 9)), False),
+    ("first-day-hours-out-of-order", H + "1,9,0\n1,8,1\n2,9,0\n2,8,1\n",
+     ((1, 2), (8, 9)), False),
+    ("later-day-respells-an-hour", H + "1,8,0\n1,9,1\n2,08,0\n2,9,1\n", ((1, 2), (8, 9)), False),
+    ("later-day-respells-an-hour-same-width", H + "1,08,0\n1,9,1\n2,+8,0\n2,9,1\n",
+     ((1, 2), (8, 9)), False),
+    ("duplicate-day", H + "1,8,0\n1,9,1\n2,8,0\n2,9,1\n2,8,1\n2,9,0\n",
+     "line 6: duplicate record for day 2, hour 8", False),
+    ("descending-days", H + "2,8,0\n2,9,1\n1,8,0\n1,9,1\n", ((1, 2), (8, 9)), False),
+    ("day-digits-differ-within-a-day", H + "1,8,0\n2,9,1\n", "gap in data: day 1 is missing hour 9",
+     False),
+    ("19-digit-day", H + "1000000000000000000,8,0\n1000000000000000000,9,1\n",
+     ((10**18,), (8, 9)), False),
+    ("20-digit-day", H + "10000000000000000000,8,0\n10000000000000000000,9,1\n",
+     "line 2: day must be at most 9223372036854775807", False),
+    ("day-0", H + "0,8,0\n0,9,1\n", "line 2: day must be a positive integer", False),
+    ("partial-last-day", H + "1,8,0\n1,9,1\n2,8,0\n", "gap in data: day 2 is missing hour 9",
+     False),
+    ("occupied-2", H + "1,8,0\n1,9,1\n2,8,0\n2,9,2\n", "line 5: occupied must be 0 or 1, got '2'",
+     False),
+    ("blank-line-between-days", H + "1,8,0\n1,9,1\n\n2,8,0\n2,9,1\n", ((1, 2), (8, 9)), False),
+    ("hour-window-widens", H + "1,8,0\n2,8,0\n2,9,1\n", "gap in data: day 1 is missing hour 9",
+     False),
+]
+
+
+def day_block_bodies(st):
+    """Well-formed logs of ascending days whose digit counts change, hours
+    spelled one way on every day, then up to two lines changed: a day digit,
+    an hour respelled, occupied 2, a line dropped or repeated, or two days
+    swapped."""
+
+    @st.composite
+    def bodies(draw):
+        first = draw(st.integers(0, 22))
+        hours = range(first, draw(st.integers(first, min(first + 3, 23))) + 1)
+        spelled = [draw(st.sampled_from([str(h), f"0{h}", f"+{h}"])) for h in hours]
+        days = sorted(draw(st.sets(st.sampled_from([*range(1, 12), *range(95, 105), 999, 1000]),
+                                   min_size=1, max_size=8)))
+        pad = draw(st.sampled_from(["", "0", "00"]))
+        blocks = [[f"{pad}{d},{h},{draw(st.integers(0, 1))}" for h in spelled] for d in days]
+        for _ in range(draw(st.integers(0, 2))):
+            block = draw(st.integers(0, len(blocks) - 1))
+            line = draw(st.integers(0, len(hours) - 1))
+            kind = draw(st.sampled_from(["day", "hour", "occupied", "drop", "repeat", "swap"]))
+            day, hour, occupied = blocks[block][line].split(",")
+            if kind == "day":
+                blocks[block][line] = f"{int(day) + 1},{hour},{occupied}"
+            elif kind == "hour":
+                blocks[block][line] = f"{day},0{hour},{occupied}"
+            elif kind == "occupied":
+                blocks[block][line] = f"{day},{hour},2"
+            elif kind == "drop":
+                del blocks[block][line]
+            elif kind == "repeat":
+                blocks.insert(block, list(blocks[block]))
+            else:
+                other = draw(st.integers(0, len(blocks) - 1))
+                blocks[block], blocks[other] = blocks[other], blocks[block]
+        return "".join(line + "\n" for block in blocks for line in block)
+
+    return bodies()
+
+
 class TestPieces:
-    """The piece path gives every verdict and message of one inline read."""
+    """The stride reader, offered every body, leaves each verdict and
+    message of the inline reader as it was."""
 
     @pytest.mark.parametrize(**GRAMMAR_PARAMS)
-    def test_verdict_in_pieces(self, small_pieces, text, verdict):
+    def test_verdict_in_pieces(self, stride_first, text, verdict):
         assert_verdict(text, verdict)
 
-    def test_largest_day_in_pieces(self, small_pieces):
+    def test_largest_day_in_pieces(self, stride_first):
         assert_largest_day_accepted()
 
     @pytest.mark.filterwarnings("error")
-    def test_mutated_bodies_in_pieces(self, small_pieces):
+    def test_mutated_bodies_in_pieces(self, stride_first):
         assert_structural_pass_matches_row_reader()
-        assert occupancy._pool is not None
 
-    def test_pool_and_inline_read_equal(self, monkeypatch):
+    @pytest.mark.parametrize("text, verdict, strided", [case[1:] for case in STRIDE_CASES],
+                             ids=[case[0] for case in STRIDE_CASES])
+    def test_stride_case(self, monkeypatch, text, verdict, strided):
+        assert_verdict(text, verdict)  # the inline reader: the body is short
+        inline = None if isinstance(verdict, str) else parse_occupancy_csv(text)
+        monkeypatch.setattr(occupancy, "STRIDE_MIN_BYTES", 0)
+        assert_verdict(text, verdict)
+        dataset = read_strides(text.encode())
+        assert (dataset is not None) == strided
+        if strided:
+            assert dataset == inline
+
+    def test_stride_reader_declines_or_agrees(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        strided = []
+
+        @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(st.one_of(mutated_bodies(st), day_block_bodies(st)))
+        def agree(body):
+            data = _row_bytes(body.encode())
+            dataset = None if data is None else _read_strides(data)
+            if dataset is not None:
+                strided.append(body)
+                assert dataset == _read_grid(body.encode()), body  # the inline reader
+        agree()
+        assert len(strided) > 60  # the property reaches the stride reader
+
+    def test_stride_and_inline_read_equal(self, monkeypatch):
         data, dataset = long_log()
-        assert len(data) > 2 * occupancy.PIECE_BYTES
-        monkeypatch.setattr(occupancy, "_usable_cpus", lambda: 2)
-        pooled = parse_occupancy_csv(data)
-        assert occupancy._pool is not None
-        monkeypatch.setattr(occupancy, "PIECE_BYTES", len(data))
-        inline = parse_occupancy_csv(data)
-        assert pooled == inline == dataset
+        assert len(data) > occupancy.STRIDE_MIN_BYTES
+        assert read_strides(data) == dataset
+        strided = parse_occupancy_csv(data)
+        monkeypatch.setattr(occupancy, "STRIDE_MIN_BYTES", len(data) + 1)
+        assert strided == parse_occupancy_csv(data) == dataset
 
-    def test_blank_line_rereads_only_its_piece(self, monkeypatch):
-        data, dataset = long_log(days=2000)
-        middle = data.index(b"\n", len(data) // 2) + 1
-        reads = []
-        read_rows = occupancy._read_rows
-        monkeypatch.setattr(occupancy, "_read_rows",
-                            lambda d: reads.append(len(d)) or read_rows(d))
-        assert parse_occupancy_csv(data) == dataset
-        pieces = len(reads)
-        assert pieces > 2
-        reads.clear()
-        assert parse_occupancy_csv(data[:middle] + b"\n" + data[middle:]) == dataset
-        assert len(reads) == pieces + 1
-
-    def test_one_cpu_never_starts_the_pool(self, monkeypatch):
-        data, dataset = long_log(days=2000)
-        monkeypatch.setattr(occupancy, "_usable_cpus", lambda: 1)
-        monkeypatch.setattr(occupancy, "_pool", None)
-        assert parse_occupancy_csv(data) == dataset
-        assert occupancy._pool is None
-
-    def test_concurrent_parses_share_one_pool(self, small_pieces, monkeypatch):
-        # short bodies, so the threads reach the first pool together
-        data, dataset = long_log(days=3, hours=range(8, 10))
-        monkeypatch.setattr(occupancy, "_pool", None)
-        built = []
-
-        class CountedPool(concurrent.futures.ThreadPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                built.append(self)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountedPool)
-        results = []
-        start = threading.Barrier(6)
-
-        def parse():
-            start.wait(timeout=60)
-            results.append(parse_occupancy_csv(data))
-
-        threads = [threading.Thread(target=parse) for _ in range(6)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-            for pool in built:
-                pool.shutdown()
-        assert not any(thread.is_alive() for thread in threads)
-        assert results == [dataset] * 6
-        assert len(built) == 1
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    @pytest.mark.filterwarnings("ignore::DeprecationWarning")  # fork with threads running
-    def test_parse_after_fork(self, monkeypatch):
-        # the child inherits the parent's pool object but none of its threads
-        data, dataset = long_log(days=2000)
-        monkeypatch.setattr(occupancy, "_usable_cpus", lambda: 2)
-        assert parse_occupancy_csv(data) == dataset
-        assert occupancy._pool is not None
-        pid = os.fork()
-        if pid == 0:
-            try:
-                os._exit(0 if parse_occupancy_csv(data) == dataset else 1)
-            finally:
-                os._exit(2)
-        deadline = time.monotonic() + 30
-        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
-            time.sleep(0.02)
-        if done[0] == 0:
-            os.kill(pid, 9)
-            os.waitpid(pid, 0)
-            pytest.fail("the forked child hung parsing a long log")
-        assert os.waitstatus_to_exitcode(done[1]) == 0
+    @pytest.mark.parametrize("edit, verdict", [
+        (lambda d: d.replace(b"\n2500,7,", b"\n2500,07,"), None),
+        (lambda d: d.replace(b"\n4999,", b"\n4998,"),
+         "line 119954: duplicate record for day 4998, hour 0"),
+        (lambda d: d[:-2] + b"2\n", "line 120001: occupied must be 0 or 1, got '2'"),
+        (lambda d: d[:d.rindex(b"\n", 0, -1) + 1], "gap in data: day 5000 is missing hour 23"),
+        (lambda d: d + b"\n\n", None),
+    ], ids=["respelled-hour", "repeated-day", "occupied-2", "partial-last-day", "blank-lines"])
+    def test_long_log_declined_reads_inline(self, edit, verdict):
+        data, dataset = long_log()
+        text = edit(data)
+        assert read_strides(text) is None
+        if verdict is None:
+            assert parse_occupancy_csv(text) == dataset
+        else:
+            with pytest.raises(ValidationError) as info:
+                parse_occupancy_csv(text)
+            assert str(info.value) == verdict
 
 
 class TestEstimate:
