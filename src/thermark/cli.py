@@ -116,6 +116,8 @@ def _parse_assignments(pairs: list[str], what: str) -> dict[str, str]:
         if "=" not in pair:
             raise ValidationError(f"{what} must look like 'zone=value', got {pair!r}")
         zone, value = pair.split("=", 1)
+        if zone in table:
+            raise ValidationError(f"{what} names zone {zone!r} twice")
         table[zone] = value
     return table
 
@@ -295,6 +297,13 @@ def cmd_cost(config: RunConfig, strategy_refs: list[str]) -> int:
     zone_ids = thermal.zone_ids
     tariff = _resolve_tariff(config)
     strategies = [_resolve_strategy(config, zone_ids, ref) for ref in strategy_refs]
+    names = [strat.name for strat in strategies]
+    for i, name in enumerate(names):
+        first = names.index(name)
+        if first < i:
+            raise ValidationError(
+                f"--strategy {strategy_refs[first]} and --strategy {strategy_refs[i]} are both "
+                f"named {name!r}; each compared strategy needs its own name")
 
     # with occupancy data on hand, rank comfort alongside cost
     comfort_by_strategy = None

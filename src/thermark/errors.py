@@ -1,5 +1,5 @@
 """Exception types shared across the package, the one input-file reader,
-and the typed reader of the strategy and tariff JSON files."""
+and the schema walk that reads the building, strategy and tariff JSON files."""
 
 from __future__ import annotations
 
@@ -7,8 +7,8 @@ import json
 import math
 import sys
 from collections.abc import Iterable
+from itertools import repeat
 from pathlib import Path
-from typing import NoReturn
 
 
 class ThermarkError(Exception):
@@ -53,77 +53,128 @@ def read_text(path: Path, kind: str) -> str:
     return text
 
 
-class JsonValue:
-    """One value of a parsed JSON input, with the key path that reached it.
+def read_json(source: Path | dict, kind: str, schema: object) -> object:
+    """Parse a JSON file, or take an already parsed dict, and check it
+    against ``schema`` in one walk; ``kind`` names the input in the
+    not-found message and stands in for a dict's file name.
 
-    Each accessor checks the value's JSON type and, when it does not
-    match, raises a one-line :class:`ValidationError` that names the input,
-    the key path (``bands[0].start``) and the expected type. Nothing is
-    coerced: an integer must be a JSON integer, not a boolean or a float.
+    A schema is a plain literal:
+
+    - ``str``, ``int`` or ``float``: a JSON string, a JSON integer, or a
+      finite JSON number; never a boolean, and nothing is coerced
+    - ``[S]``: a list whose elements match ``S``
+    - ``{S}``: such a list with no element repeated
+    - ``(what, S1, S2, ...)``: a list of exactly the elements ``S1``,
+      ``S2``, ...; ``what`` names them when the length is wrong
+    - ``{str: S}``: an object whose values match ``S``, under any keys
+    - ``{"key": S, "other?": S}``: an object with exactly these keys; a
+      trailing ``?`` marks one that may be left out
+
+    An integer literal longer than ``int()`` reads (4 300 digits) is read
+    as a non-finite number. The first mismatch raises a one-line
+    :class:`ValidationError` naming the input, the key path and the problem.
     """
-
-    __slots__ = ("value", "_source", "_parent", "_step")
-
-    def __init__(self, value: object, source: str,
-                 parent: JsonValue | None = None, step: str | int = "") -> None:
-        self.value = value
-        self._source = source
-        self._parent = parent
-        self._step = step  # the key or list index that reached the value
-
-    @classmethod
-    def load(cls, source: Path | dict, kind: str) -> JsonValue:
-        """Read and parse a JSON file, or wrap an already parsed dict; ``kind``
-        names the input in messages (and stands in for a dict's file name)."""
-        if isinstance(source, dict):
-            return cls(source, kind)
+    if isinstance(source, dict):
+        raw, name = source, kind
+    else:
+        text = read_text(source, kind)
         try:
-            return cls(json.loads(read_text(source, kind)), str(source))
-        except ValueError as exc:  # a syntax error, or an integer literal too long to read
-            raise ValidationError(f"{source}: invalid {kind} JSON: {exc}") from None
+            if text.startswith("\ufeff"):  # json.loads says so; the decoder alone does not
+                raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+            raw = _DECODER.decode(text)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{source}: not valid JSON: {exc}") from None
+        except RecursionError:
+            raise ValidationError(f"{source}: not valid JSON: nested too deeply") from None
+        name = source
+    try:
+        _walk(raw, schema)
+    except _Mismatch as exc:
+        raise json_error(name, reversed(exc.steps), str(exc)) from None
+    return raw
 
-    def _fail(self, problem: str) -> NoReturn:
-        steps, node = [], self
-        while node._parent is not None:
-            steps.append(node._step)
-            node = node._parent
-        raise json_error(self._source, reversed(steps), problem)
 
-    def _expect(self, expected: str) -> NoReturn:
-        self._fail(expected_type(expected, self.value))
+def _int_or_infinity(literal: str) -> int | float:
+    """An integer literal as an int or, when it is longer than ``int()``
+    reads, as a float: an infinity."""
+    try:
+        return int(literal)
+    except ValueError:
+        return float(literal)
 
-    def _object(self) -> dict:
-        if not isinstance(self.value, dict):
-            self._expect("an object")
-        return self.value
 
-    def field(self, key: str) -> JsonValue:
-        """The member ``key`` of an object, which must be there."""
-        obj = self._object()
-        if key not in obj:
-            self._fail(f"missing key {key!r}")
-        return JsonValue(obj[key], self._source, self, key)
+_DECODER = json.JSONDecoder(parse_int=_int_or_infinity)
 
-    def items(self) -> list[tuple[str, JsonValue]]:
-        """The members of an object, in file order."""
-        return [(key, JsonValue(value, self._source, self, key))
-                for key, value in self._object().items()]
 
-    def elements(self) -> list[JsonValue]:
-        """The elements of a list."""
-        if not isinstance(self.value, list):
-            self._expect("a list")
-        return [JsonValue(value, self._source, self, i) for i, value in enumerate(self.value)]
+class _Mismatch(Exception):
+    """A value that does not match its schema; ``steps`` gathers the key
+    path, innermost first, as the walk unwinds."""
 
-    def integer(self) -> int:
-        if type(self.value) is not int:
-            self._expect("an integer")
-        return self.value
+    def __init__(self, problem: str) -> None:
+        super().__init__(problem)
+        self.steps: list[str | int] = []
 
-    def string(self) -> str:
-        if not isinstance(self.value, str):
-            self._expect("a string")
-        return self.value
+
+_LEAF_NAMES = {str: "a string", int: "an integer", float: "a finite number"}
+
+
+def _walk(value: object, schema: object) -> None:
+    """Raise :class:`_Mismatch` at the first part of ``value`` that does not
+    match ``schema`` (see :func:`read_json`)."""
+    form = type(schema)
+    if form is type:
+        if type(value) is schema:
+            if schema is not float or value - value == 0.0:  # inf - inf and nan - nan are nan
+                return
+        elif schema is float and type(value) is int and abs(value) <= sys.float_info.max:
+            return
+        raise _Mismatch(expected_type(_LEAF_NAMES[schema], value))
+    fixed = None  # the schema of every member of a list or a map
+    if form is dict:
+        if type(value) is not dict:
+            raise _Mismatch(expected_type("an object", value))
+        if str in schema:
+            fixed, members = schema[str], value.items()
+        else:
+            members, missing = [], None
+            for key, item in schema.items():
+                name = key.rstrip("?")
+                if name in value:
+                    members.append((name, value[name], item))
+                elif name == key and missing is None:
+                    missing = key
+            if len(members) < len(value):
+                names = {key.rstrip("?") for key in schema}
+                raise _Mismatch(f"unknown key {next(k for k in value if k not in names)!r}")
+            if missing is not None:
+                raise _Mismatch(f"missing key {missing!r}")
+    elif type(value) is not list:
+        raise _Mismatch(expected_type("a list", value))
+    elif form is tuple:
+        if len(value) != len(schema) - 1:
+            raise _Mismatch(f"expected {schema[0]}, got {len(value)} values")
+        members = zip(range(len(value)), value, schema[1:])
+    else:
+        (fixed,) = schema
+        members = enumerate(value)
+    # a leaf of the expected kind passes in these loops; anything else is walked
+    try:
+        if fixed is None:
+            for step, member, item in members:
+                if type(member) is not item or item is float and member - member != 0.0:
+                    _walk(member, item)
+        else:
+            for step, member in members:
+                if type(member) is not fixed or fixed is float and member - member != 0.0:
+                    _walk(member, fixed)
+    except _Mismatch as exc:
+        exc.steps.append(step)
+        raise
+    if form is set and len(set(value)) < len(value):
+        step = next(i for i, member in enumerate(value) if member in value[:i])
+        exc = _Mismatch(f"{value[step]!r} is listed twice")
+        exc.steps.append(step)
+        raise exc
 
 
 def json_error(source: object, steps: Iterable[str | int], problem: str) -> ValidationError:

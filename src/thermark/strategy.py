@@ -23,7 +23,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import JsonValue, ValidationError
+from .errors import ValidationError, read_json
 from .records import Record
 
 BUILTIN_STRATEGY_NAMES = ("S1", "S2", "S3", "S4", "S5", "S6")
@@ -128,20 +128,23 @@ def table2_tariff() -> Tariff:
     ))
 
 
+STRATEGY_SCHEMA = {"name": str, "schedule": {str: {int}}}
+TARIFF_SCHEMA = {
+    "bands": [{"name": str, "start": int, "end": int, "price_minor_per_kwh": int}],
+}
+
+
 def parse_strategy(source: Path | dict,
                    zone_ids: tuple[str, ...] | None = None) -> HeatingStrategy:
     """Load a strategy from a JSON file or an already parsed dict.
 
-    Schema: ``{"name": "...", "schedule": {"zone-id": [8, 9], ...}}``;
-    the name is a string and the hours JSON integers. When ``zone_ids`` is
+    Schema (:data:`STRATEGY_SCHEMA`, read by :func:`errors.read_json`):
+    ``{"name": "...", "schedule": {"zone-id": [8, 9], ...}}``; the name is
+    a string and the hours distinct JSON integers. When ``zone_ids`` is
     given, schedule keys must be declared zones.
     """
-    raw = JsonValue.load(source, "strategy")
-    name = raw.field("name").string()
-    schedule = {
-        z: frozenset(h.integer() for h in hours.elements())
-        for z, hours in raw.field("schedule").items()
-    }
+    raw = read_json(source, "strategy", STRATEGY_SCHEMA)
+    schedule = {z: frozenset(hours) for z, hours in raw["schedule"].items()}
     if zone_ids is not None:
         for z in schedule:
             if z not in zone_ids:
@@ -150,27 +153,18 @@ def parse_strategy(source: Path | dict,
         for h in hours:
             if not 0 <= h <= 23:
                 raise ValidationError(f"strategy hour {h} for zone {z!r} outside 0..23")
-    return HeatingStrategy(name=name, schedule=schedule)
+    return HeatingStrategy(name=raw["name"], schedule=schedule)
 
 
 def parse_tariff(source: Path | dict) -> Tariff:
     """Load a tariff from a JSON file or an already parsed dict.
 
-    Schema: ``{"bands": [{"name": "...", "start": 8, "end": 10,
-    "price_minor_per_kwh": 10}, ...]}``; each name is a string and the
-    hours and price are JSON integers.
+    Schema (:data:`TARIFF_SCHEMA`): ``{"bands": [{"name": "...", "start": 8,
+    "end": 10, "price_minor_per_kwh": 10}, ...]}``; each name is a string
+    and the hours and price are JSON integers.
     """
-    raw = JsonValue.load(source, "tariff")
-    bands = tuple(
-        TariffBand(
-            name=b.field("name").string(),
-            start=b.field("start").integer(),
-            end=b.field("end").integer(),
-            price_minor_per_kwh=b.field("price_minor_per_kwh").integer(),
-        )
-        for b in raw.field("bands").elements()
-    )
-    return Tariff(bands=bands)
+    raw = read_json(source, "tariff", TARIFF_SCHEMA)
+    return Tariff(bands=tuple(TariffBand(**band) for band in raw["bands"]))
 
 
 def validate_strategy_window(strategy: HeatingStrategy, window: tuple[int, int]) -> None:
@@ -271,8 +265,8 @@ def compare_strategies(
     if not strategies:
         raise ValidationError("compare_strategies needs at least one strategy")
     on_table2 = tariff == table2_tariff()
-    reports = {s.name: _strategy_cost(s, tariff, radiator_kw, on_table2) for s in strategies}
-    nonzero = [r for r in reports.values() if r.total_cost_minor > 0]
+    reports = [_strategy_cost(s, tariff, radiator_kw, on_table2) for s in strategies]
+    nonzero = [r for r in reports if r.total_cost_minor > 0]
     flags: list[str] = []
     baseline = None
     if nonzero:
@@ -281,17 +275,16 @@ def compare_strategies(
         flags.append("zero-cost baseline excluded: no strategy has a nonzero cost")
 
     rows = []
-    for s in sorted(strategies, key=lambda s: (reports[s.name].total_cost_minor, s.name)):
-        report = reports[s.name]
+    for report in sorted(reports, key=lambda r: (r.total_cost_minor, r.strategy)):
         if baseline is not None and report.total_cost_minor > 0:
             ratio = report.total_cost_minor / baseline.total_cost_minor
         else:
             ratio = None
             if report.total_cost_minor == 0 and baseline is not None:
-                flags.append(f"{s.name}: zero-cost strategy excluded from ratios")
-        comfort = (comfort_by_strategy or {}).get(s.name)
+                flags.append(f"{report.strategy}: zero-cost strategy excluded from ratios")
+        comfort = (comfort_by_strategy or {}).get(report.strategy)
         rows.append(ComparisonRow(
-            strategy=s.name,
+            strategy=report.strategy,
             total_cost_minor=report.total_cost_minor,
             band_energy_kwh=report.band_energy_kwh,
             cost_ratio=ratio,

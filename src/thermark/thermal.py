@@ -22,15 +22,11 @@ coupling between two zones need not be symmetric.
 
 from __future__ import annotations
 
-import json
-import math
-import sys
 from pathlib import Path
-from typing import NoReturn
 
 import numpy as np
 
-from .errors import NumericalGuardError, ValidationError, expected_type, json_error, read_text
+from .errors import NumericalGuardError, ValidationError, json_error, read_json
 from .records import Record
 
 ROW_SUM_TOL = 1e-12
@@ -123,9 +119,9 @@ class DiscreteThermalModel(Record):
         if not self.delta > 0:
             raise ValidationError(f"delta must be positive, got {self.delta}")
         for name in ("a", "b", "initial_temps"):
-            if not np.all(np.isfinite(np.asarray(getattr(self, name), dtype=float))):
+            if not np.isfinite(np.asarray(getattr(self, name), dtype=float)).all():
                 raise ValidationError(f"{name} must hold finite numbers only")
-        if np.any(a < 0.0) or np.any(a > 1.0):
+        if (a < 0.0).any() or (a > 1.0).any():
             raise NumericalGuardError(
                 "unstable discretisation: entries of a fall outside [0, 1]; "
                 "use a smaller step length"
@@ -194,10 +190,19 @@ def matrix_power(a: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+BUILDING_SCHEMA = {
+    "zones": [{"id": str, "capacitance": float, "resistance": float, "initial_temp": float}],
+    "edges?": [("two zone ids", str, str)],
+    "delta?": float,
+    "explicit_discrete?": {"a": [[float]], "b": [[float]], "delta?": float},
+}
+
+
 def load_building(path: str | Path) -> tuple[RCNetwork, DiscreteThermalModel]:
     """Load a building topology JSON file and derive its discrete model.
 
-    Schema::
+    The file matches :data:`BUILDING_SCHEMA`, read by
+    :func:`errors.read_json`::
 
         {
           "zones": [{"id": "...", "capacitance": x, "resistance": x,
@@ -207,142 +212,31 @@ def load_building(path: str | Path) -> tuple[RCNetwork, DiscreteThermalModel]:
           "explicit_discrete": {"a": [[...]], "b": [[...]], "delta": x}
         }
 
-    Ids are strings and every ``x`` and matrix entry a finite JSON number,
-    never a boolean or a string; nothing is coerced. ``edges`` and
-    ``delta`` (1 by default) are optional. ``explicit_discrete`` is
-    optional too; when present it overrides the forward-Euler derivation
-    and its matrices are taken literally (in the zone order of the
-    ``zones`` list). A value of the wrong type raises a one-line
-    :class:`ValidationError` naming the file, the key path and the
-    expected type.
+    Ids are strings and every ``x`` and matrix entry a finite JSON number.
+    ``edges`` and ``delta`` (1 by default) are optional. ``explicit_discrete``
+    is optional too; when present it overrides the forward-Euler derivation
+    and its matrices, whose rows must be of equal length, are taken
+    literally (in the zone order of the ``zones`` list).
     """
     path = Path(path)
-    text = read_text(path, "building")
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"building file {path} is not valid JSON: {exc}") from None
-    except ValueError:  # an integer literal longer than int() reads
-        raw = json.loads(text, parse_int=_json_int)
-
-    raw = _leaf(path, raw, "an object")
-    zones = [_zone(path, z, i) for i, z in enumerate(_member(path, raw, "zones", "a list"))]
-    edges = _member(path, raw, "edges", "a list", default=[])
-    for i, edge in enumerate(edges):
-        # the _leaf calls here only raise: they run on a value of the wrong type
-        if type(edge) is not list:
-            _leaf(path, edge, "a list", ("edges", i))
-        if len(edge) != 2:
-            raise json_error(path, ("edges", i), f"expected two zone ids, got {len(edge)} values")
-        for j, end in enumerate(edge):
-            if type(end) is not str:
-                _leaf(path, end, "a string", ("edges", i, j))
-
-    network = RCNetwork(zones=tuple(zones), edges=tuple(map(tuple, edges)))
+    raw = read_json(path, "building", BUILDING_SCHEMA)
+    zones = tuple(Zone(z["id"], float(z["capacitance"]), float(z["resistance"]),
+                       float(z["initial_temp"])) for z in raw["zones"])
+    network = RCNetwork(zones=zones, edges=tuple(map(tuple, raw.get("edges", ()))))
     initial = np.array([z.initial_temp for z in zones])
 
-    explicit = _member(path, raw, "explicit_discrete", "an object", default=None)
+    explicit = raw.get("explicit_discrete")
     if explicit is not None:
-        model = DiscreteThermalModel(
-            a=_matrix(path, explicit, "a"),
-            b=_matrix(path, explicit, "b"),
-            delta=_member(path, explicit, "delta", _FINITE, ("explicit_discrete",), 1.0),
+        for key in ("a", "b"):
+            if len({len(row) for row in explicit[key]}) > 1:
+                raise json_error(path, ("explicit_discrete", key), "expected rows of equal length")
+        return network, DiscreteThermalModel(
+            a=np.array(explicit["a"], dtype=float),
+            b=np.array(explicit["b"], dtype=float),
+            delta=float(explicit.get("delta", 1.0)),
             initial_temps=initial,
             zone_ids=network.zone_ids,
             derived=False,
         )
-    else:
-        ss = build_state_space(network)
-        delta = _member(path, raw, "delta", _FINITE, (), 1.0)
-        model = discretize_forward_euler(ss, delta=delta, initial_temps=initial)
-    return network, model
-
-
-def _json_int(literal: str) -> int | float:
-    """An integer literal as an int or, when it is longer than ``int()``
-    reads (4300 digits), as a float: an infinity, which is no finite number."""
-    try:
-        return int(literal)
-    except ValueError:
-        return float(literal)
-
-
-_FINITE = "a finite number"
-_JSON_TYPES = {"an object": dict, "a list": list, "a string": str}
-_REQUIRED = object()
-
-
-def _is_finite(value: object) -> bool:
-    """Whether ``value`` is a JSON number (not a boolean) that is a finite float."""
-    if type(value) is float:
-        return math.isfinite(value)
-    return type(value) is int and -sys.float_info.max <= value <= sys.float_info.max
-
-
-def _leaf(path: Path, value: object, expected: str, where: tuple[str | int, ...] = (),
-          step: str | int | None = None):
-    """``value``, as a float if ``expected`` is a finite number, when it has
-    the expected JSON type; otherwise a one-line error at the key path
-    ``where``, plus ``step`` when given (a tuple is built only then)."""
-    if expected == _FINITE:
-        if _is_finite(value):
-            return float(value)
-    elif type(value) is _JSON_TYPES[expected]:
-        return value
-    raise json_error(path, where if step is None else (*where, step),
-                     expected_type(expected, value))
-
-
-def _member(path: Path, obj: dict, key: str, expected: str,
-            where: tuple[str | int, ...] = (), default: object = _REQUIRED):
-    """:func:`_leaf` of ``obj[key]``, where ``where`` leads to ``obj``; a
-    missing key gives ``default`` or, when there is none, an error."""
-    if key in obj:
-        return _leaf(path, obj[key], expected, where, key)
-    if default is _REQUIRED:
-        raise json_error(path, where, f"missing key {key!r}")
-    return default
-
-
-def _zone(path: Path, z: object, i: int) -> Zone:
-    """``zones[i]``: an object with a string id and three finite numbers."""
-    if type(z) is dict:
-        try:
-            zid, c, r, t0 = z["id"], z["capacitance"], z["resistance"], z["initial_temp"]
-        except KeyError:
-            pass
-        else:
-            if type(zid) is str and _is_finite(c) and _is_finite(r) and _is_finite(t0):
-                return Zone(zid, float(c), float(r), float(t0))
-    # a faulty zone: the checked reads below raise at its first fault
-    where = ("zones", i)
-    z = _leaf(path, z, "an object", where)
-    return Zone(
-        id=_member(path, z, "id", "a string", where),
-        capacitance=_member(path, z, "capacitance", _FINITE, where),
-        resistance=_member(path, z, "resistance", _FINITE, where),
-        initial_temp=_member(path, z, "initial_temp", _FINITE, where),
-    )
-
-
-def _matrix(path: Path, explicit: dict, key: str) -> np.ndarray:
-    """``explicit_discrete[key]``: a list of equal-length rows of finite numbers."""
-    rows = _member(path, explicit, key, "a list", ("explicit_discrete",))
-    width = len(rows[0]) if rows and type(rows[0]) is list else 0
-    for row in rows:
-        if type(row) is not list or len(row) != width:
-            _matrix_fault(path, rows, ("explicit_discrete", key))
-        for x in row:
-            # a float first, inline: the entries are nearly always floats
-            if not (type(x) is float and math.isfinite(x)) and not _is_finite(x):
-                _matrix_fault(path, rows, ("explicit_discrete", key))
-    return np.array(rows, dtype=float)
-
-
-def _matrix_fault(path: Path, rows: list, where: tuple[str, str]) -> NoReturn:
-    """Raise the one-line error for the first fault of a matrix."""
-    for i, row in enumerate(rows):
-        _leaf(path, row, "a list", where, i)
-        for j, x in enumerate(row):
-            _leaf(path, x, _FINITE, (*where, i), j)
-    raise json_error(path, where, "expected rows of equal length")
+    delta = float(raw.get("delta", 1.0))
+    return network, discretize_forward_euler(build_state_space(network), delta, initial)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,8 @@ import thermark
 from thermark import ValidationError
 from thermark.cli import main
 from thermark.datasets import two_zone_benchmark_dir, seven_day_log_csv
+from thermark.strategy import parse_strategy, parse_tariff
+from thermark.thermal import load_building
 
 
 def pinned_args(command, out_dir, strategy="S6", extra=()):
@@ -454,6 +457,27 @@ class TestArgumentChecks:
         assert_one_line_error(capsys, "--strategy")
         assert not any(tmp_path.iterdir())
 
+    # one zone's log, or one strategy name, given twice would leave one unread or misbilled
+    @pytest.mark.parametrize("command,extra,reason", [
+        ("analyze", ["--occupancy", "zone1={d}/occupancy_zone2.csv"],
+         "--occupancy names zone 'zone1' twice"),
+        ("export", ["--occupancy", "zone2={d}/occupancy_zone2.csv"],
+         "--occupancy names zone 'zone2' twice"),
+        ("cost", ["--strategy", "S6"],
+         "--strategy S6 and --strategy S6 are both named 'S6'"),
+        ("cost", ["--strategy", "{tmp}/a.json", "--strategy", "{tmp}/b.json"],
+         "--strategy {tmp}/a.json and --strategy {tmp}/b.json are both named 'X'"),
+    ])
+    def test_repeated_zone_or_strategy_name_exits_2(self, tmp_path, capsys, command, extra,
+                                                    reason):
+        (tmp_path / "a.json").write_text(json.dumps({"name": "X", "schedule": {"zone1": [9]}}))
+        (tmp_path / "b.json").write_text(json.dumps({"name": "X", "schedule": {"zone1": [12]}}))
+        names = dict(d=two_zone_benchmark_dir(), tmp=tmp_path)
+        out = tmp_path / "out"
+        assert main(pinned_args(command, out, extra=[arg.format(**names) for arg in extra])) == 2
+        assert_one_line_error(capsys, reason.format(**names))
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_radiator_power_exits_2(self, tmp_path, capsys, value):
         args = pinned_args("cost", tmp_path, extra=[f"--radiator-kw={value}"])
@@ -573,9 +597,25 @@ class TestBuildingChecks:
          "explicit_discrete.b: expected rows of equal length"),
         (lambda text: text.replace('"delta": 1.0', '"delta": "1"'),
          "explicit_discrete.delta: expected a finite number, got a string"),
+        (lambda text: text.replace('"capacitance": 1.37', '"capacitnce": 1.37'),
+         "zones[0]: unknown key 'capacitnce'"),
+        (lambda text: text.replace('"explicit_discrete"', '"explicit_dicrete"'),
+         "top level: unknown key 'explicit_dicrete'"),
+        (lambda text: text[:text.index('"explicit_discrete"')] + '"explicit_discrete": null}',
+         "explicit_discrete: expected an object, got null"),
+        (lambda text: "{" + text,
+         "not valid JSON: Expecting property name enclosed in double quotes: "
+         "line 1 column 2 (char 1)"),
+        (lambda text: "[" * 100_000, "not valid JSON: nested too deeply"),
+        (lambda text: "\ufeff" + text,
+         "not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+        (lambda text: '{"zones": [%s]]}' % ("1" * 5000),
+         "not valid JSON: Expecting ',' delimiter: line 1 column 5013 (char 5012)"),
     ], ids=["401-digits", "4400-digits", "string-number", "boolean-number", "integer-id",
             "top-level-list", "missing-key", "string-edge", "three-ended-edge", "string-in-a",
-            "boolean-in-b", "ragged-b", "string-delta"])
+            "boolean-in-b", "ragged-b", "string-delta", "unknown-key", "misspelt-explicit",
+            "null-explicit", "syntax-error", "deep-nesting",
+            "utf-8-bom", "syntax-error-after-5000-digits"])
     def test_wrong_json_type_exits_2(self, tmp_path, capsys, edit, reason):
         path = tmp_path / "building.json"
         path.write_text(edit(json.dumps(bench_building())))
@@ -622,6 +662,17 @@ class TestJsonInputFiles:
         assert_one_line_error(capsys, str(path), reason)
         assert not (tmp_path / "out").exists()
 
+    def test_shipped_inputs_load(self):
+        """The bundled files and README's examples pass the schemas."""
+        d = two_zone_benchmark_dir()
+        network, _ = load_building(d / "building.json")
+        parse_tariff(d / "tariff.json")
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        strategy = re.search(r"Strategy\s+JSON:\s+`(.+?)`", readme, re.S).group(1)
+        tariff = re.search(r"Tariff\s+JSON:\s+`(.+?)`", readme, re.S).group(1)
+        parse_strategy(json.loads(strategy), zone_ids=network.zone_ids)
+        parse_tariff(json.loads(tariff))
+
     # nothing is coerced: one line names the file, the key path and the expected type
     @pytest.mark.parametrize("flag,content,reason", [
         ("--strategy", {"name": "x", "schedule": {"zone1": "8"}},
@@ -636,10 +687,23 @@ class TestJsonInputFiles:
          "bands[0].price_minor_per_kwh: expected an integer, got a boolean"),
         ("--tariff", {"bands": [{"name": "day", "start": 8}]}, "bands[0]: missing key 'end'"),
         ("--tariff", [one_band_tariff()], "top level: expected an object, got a list"),
+        pytest.param("--strategy", {"name": "x", "schedul": {"zone1": [9]}},
+                     "top level: unknown key 'schedul'", id="unknown-key"),
+        pytest.param("--strategy", {"name": "x", "schedule": {"zone1": [9, 9]}},
+                     "schedule.zone1[1]: 9 is listed twice", id="repeated-hour"),
+        pytest.param("--tariff", one_band_tariff(prce=10), "bands[0]: unknown key 'prce'",
+                     id="unknown-band-key"),
+        # text, not a document: a literal longer than int() reads is a non-finite number
+        pytest.param("--strategy", '{"name": "x", "schedule": {"zone1": [%s]}}' % ("9" * 5000),
+                     "schedule.zone1[0]: expected an integer, got a non-finite number",
+                     id="5000-digit-hour"),
+        pytest.param("--tariff", '{"bands": [}',
+                     "not valid JSON: Expecting value: line 1 column 12 (char 11)",
+                     id="syntax-error"),
     ])
     def test_wrong_json_type_exits_2(self, tmp_path, capsys, flag, content, reason):
         path = tmp_path / "input.json"
-        path.write_text(json.dumps(content))
+        path.write_text(content if isinstance(content, str) else json.dumps(content))
         args = pinned_args("cost", tmp_path / "out")
         if flag in args:
             args[args.index(flag) + 1] = str(path)

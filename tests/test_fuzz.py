@@ -1,5 +1,5 @@
-"""Fuzzing of occupancy log contents and of option values through the
-command line.
+"""Fuzzing of occupancy log contents, of option values and of the building,
+strategy and tariff JSON files through the command line.
 
 Every run must end in exit 0, 2 or 3 with no traceback; a failing run
 prints one ``error:`` line, and a successful one writes finite numbers only.
@@ -155,8 +155,8 @@ COMMAND_OPTIONS = {
 @st.composite
 def option_lists(draw) -> list[tuple[str, str]]:
     """The bundled zone logs, then up to four options set to drawn values;
-    ``--gains`` and ``--occupancy`` may repeat, a later value of any other
-    option wins."""
+    ``--gains`` may repeat, a zone named twice by ``--occupancy`` exits 2,
+    and a later value of any other option wins."""
     options = [("--occupancy", OPTION_VALUES["--occupancy"][0]),
                ("--occupancy", OPTION_VALUES["--occupancy"][1])]
     if draw(st.integers(0, 4)) == 0:
@@ -181,3 +181,87 @@ def test_option_values_through_analyze_cost_and_export(options):
             argv += [f"{option}={value.format(bench=bench, tmp=tmp)}"
                      for option, value in options if option in takes]
             check_run(command, *run(argv), out)
+
+
+LONG_LITERAL = "1" * 5000  # longer than int() reads
+# values a mutation puts in place of another, or under a new key
+JSON_VALUES = [None, True, False, 0, 1, -1, 8, 9, 17, 23, 24, 10 ** 400, 0.0, -0.0, 0.5, 1.0,
+               1e-300, 1e308, float("inf"), float("nan"), "", "zone1", "zone2", "9", "S2",
+               LONG_LITERAL, [], [9], [9, 9], ["zone1", "zone2"], [[1.0, 0.0], [0.0, 1.0]], {},
+               {"zone1": [9]}]
+
+
+def json_inputs() -> dict[str, object]:
+    """A valid document per JSON option: the bundled building and tariff and
+    a strategy file over both zones."""
+    bench = two_zone_benchmark_dir()
+    return {
+        "--building": json.loads((bench / "building.json").read_text()),
+        "--strategy": {"name": "custom", "schedule": {"zone1": [8, 9], "zone2": [12, 16]}},
+        "--tariff": json.loads((bench / "tariff.json").read_text()),
+    }
+
+
+def containers(value):
+    """Every object and list inside ``value``, itself included."""
+    if isinstance(value, (dict, list)):
+        yield value
+        for item in value.values() if isinstance(value, dict) else value:
+            yield from containers(item)
+
+
+@st.composite
+def mutated_inputs(draw) -> tuple[str, str]:
+    """One JSON option and the text of its document after one to three
+    mutations of a member's value, type or key, or, now and then, with the
+    whole document replaced."""
+    flag = draw(st.sampled_from(["--building", "--strategy", "--tariff"]))
+    doc = json_inputs()[flag]
+    values = st.sampled_from(JSON_VALUES)
+    for _ in range(draw(st.integers(1, 3))):
+        node = draw(st.sampled_from(list(containers(doc))))
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        kind = draw(st.sampled_from(["value", "delete", "add",
+                                     "rename" if isinstance(node, dict) else "repeat"]))
+        if kind == "add" or not keys:
+            if isinstance(node, dict):
+                node[draw(st.sampled_from(["extra", "zone3", "delta", "a"]))] = draw(values)
+            else:
+                node.append(draw(values))
+            continue
+        key = draw(st.sampled_from(keys))
+        if kind == "value":
+            node[key] = draw(values)
+        elif kind == "delete":
+            del node[key]
+        elif kind == "rename":
+            node[draw(st.sampled_from([key[:-1], key + "s", key.upper(), ""]))] = node.pop(key)
+        else:
+            node.insert(key, node[key])
+    if draw(st.integers(0, 9)) == 0:
+        doc = draw(values)
+    # json.dumps cannot write an integer literal that int() cannot read
+    return flag, json.dumps(doc).replace(json.dumps(LONG_LITERAL), LONG_LITERAL)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(mutated=mutated_inputs())
+def test_json_inputs_through_cost_and_analyze(mutated):
+    flag, text = mutated
+    bench = two_zone_benchmark_dir()
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for option, doc in json_inputs().items():
+            paths[option] = Path(tmp) / f"{option[2:]}.json"
+            paths[option].write_text(text if option == flag else json.dumps(doc))
+        inputs = ["--building", str(paths["--building"]),
+                  "--occupancy", f"zone1={bench / 'occupancy_zone1.csv'}",
+                  "--occupancy", f"zone2={bench / 'occupancy_zone2.csv'}",
+                  "--strategy", str(paths["--strategy"])]
+        out = Path(tmp) / "cost"
+        check_run("cost", *run(["cost", *inputs, "--tariff", str(paths["--tariff"]),
+                                "--out", str(out)]), out)
+        if flag != "--tariff":
+            out = Path(tmp) / "analyze"
+            check_run("analyze", *run(["analyze", *inputs, "--out", str(out)]), out)

@@ -189,6 +189,14 @@ class TestCompare:
         assert [r.strategy for r in comparison.rows] == ["S3", "S4"]
         assert comparison.rows[0].total_cost_minor == comparison.rows[1].total_cost_minor
 
+    def test_each_row_bills_its_own_strategy(self):
+        comparison = compare_strategies(
+            [HeatingStrategy("X", {"zone1": frozenset({9})}),
+             HeatingStrategy("X", {"zone1": frozenset({9, 10, 11})})],
+            table2_tariff(),
+        )
+        assert [r.total_cost_minor for r in comparison.rows] == [10, 40]
+
     def test_needs_at_least_one_strategy(self):
         with pytest.raises(ValidationError, match="at least one"):
             compare_strategies([], table2_tariff())
