@@ -110,14 +110,21 @@ def _parse_thetas(text: str) -> tuple[int, ...]:
         raise ValidationError(f"theta must be an integer or range, got {text!r}") from None
 
 
-def _parse_assignments(pairs: list[str], what: str) -> dict[str, str]:
+def _parse_assignments(pairs: list[str], what: str,
+                       default: bool = False) -> dict[str | None, str]:
+    """``zone=value`` pairs as a table, each zone at most once; with
+    ``default``, a bare value is the default, under the key None."""
     table = {}
     for pair in pairs:
-        if "=" not in pair:
+        if "=" in pair:
+            zone, value = pair.split("=", 1)
+        elif default:
+            zone, value = None, pair
+        else:
             raise ValidationError(f"{what} must look like 'zone=value', got {pair!r}")
-        zone, value = pair.split("=", 1)
         if zone in table:
-            raise ValidationError(f"{what} names zone {zone!r} twice")
+            raise ValidationError(f"{what} gives the default twice" if zone is None
+                                  else f"{what} names zone {zone!r} twice")
         table[zone] = value
     return table
 
@@ -453,14 +460,11 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         optional["radiator_kw"] = args.radiator_kw
     gains: dict[str, tuple[float, float]] = {}
     default_gains = DEFAULT_GAINS
-    for pair in args.gains:
-        if "=" in pair:
-            zone, value = pair.split("=", 1)
-        else:
-            zone, value = None, pair
+    for zone, value in _parse_assignments(args.gains, "--gains", default=True).items():
         try:
             q_int, q_rad = _finite_floats(value, ",")
         except ValueError:
+            pair = value if zone is None else f"{zone}={value}"
             raise ValidationError(
                 f"gains must look like 'zone=0.7,1.5' or '0.7,1.5' with finite numbers, "
                 f"got {pair!r}"

@@ -71,8 +71,9 @@ def read_json(source: Path | dict, kind: str, schema: object) -> object:
       trailing ``?`` marks one that may be left out
 
     An integer literal longer than ``int()`` reads (4 300 digits) is read
-    as a non-finite number. The first mismatch raises a one-line
-    :class:`ValidationError` naming the input, the key path and the problem.
+    as a non-finite number, and an object that gives one key twice is
+    rejected. The first mismatch raises a one-line :class:`ValidationError`
+    naming the input, the key path and the problem.
     """
     if isinstance(source, dict):
         raw, name = source, kind
@@ -86,6 +87,8 @@ def read_json(source: Path | dict, kind: str, schema: object) -> object:
             raise ValidationError(f"{source}: not valid JSON: {exc}") from None
         except RecursionError:
             raise ValidationError(f"{source}: not valid JSON: nested too deeply") from None
+        except _RepeatedKey as exc:
+            raise ValidationError(f"{source}: an object gives key {exc.args[0]!r} twice") from None
         name = source
     try:
         _walk(raw, schema)
@@ -103,7 +106,24 @@ def _int_or_infinity(literal: str) -> int | float:
         return float(literal)
 
 
-_DECODER = json.JSONDecoder(parse_int=_int_or_infinity)
+class _RepeatedKey(Exception):
+    """A JSON object gives the key ``args[0]`` twice."""
+
+
+def _object(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's members as a dict; a key given twice raises
+    :class:`_RepeatedKey`, where a plain dict would keep the last value."""
+    members = dict(pairs)
+    if len(members) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise _RepeatedKey(key)
+            seen.add(key)
+    return members
+
+
+_DECODER = json.JSONDecoder(parse_int=_int_or_infinity, object_pairs_hook=_object)
 
 
 class _Mismatch(Exception):

@@ -26,17 +26,22 @@ from .errors import ValidationError
 from .records import Record
 
 CSV_HEADER = ("day", "hour", "occupied")
-# every byte a data row may hold; anything else rejects the body
-_ROW_ALPHABET = b"0123456789+-, \t\n"
+# every byte a data row may hold; anything else rejects the body. The stride
+# reader takes no space or tab.
+_STRIDE_ALPHABET = b"0123456789+-,\n"
+_ROW_ALPHABET = _STRIDE_ALPHABET + b" \t"
 _INTEGER = re.compile(r"[ \t]*[+-]?[0-9]+[ \t]*")
 _SPLIT_NUMBER = re.compile(rb"[0-9+-][ \t]+[0-9+-]")  # a space or tab inside a number
-_COMMA, _NEWLINE, _PLUS, _MINUS, _ZERO = b",\n+-0"
+_COMMA, _NEWLINE, _PLUS, _MINUS, _ZERO, _NINE = b",\n+-09"
 _MAX_DAY = 2**63 - 1  # the largest day an int64 column holds
 # a body at least this long is first tried as fixed-stride day blocks; the
 # inline reader is faster below about 15 KB, a 180-day, 10-hour log
 STRIDE_MIN_BYTES = 32 * 1024
 _STRIDE_DAY_DIGITS = 18  # every day of at most 18 digits fits an int64
 _STRIDE_RUNS = 19  # runs of equal day width; unpadded days of 1 to 18 digits make 18
+# day blocks checked at once, so no temporary grows with the body; one
+# compare per run over a 1.1 MB log made 1-2 MB of them and ran slower
+_STRIDE_SLICE_BYTES = 128 * 1024
 
 
 class OccupancyDataset(Record):
@@ -210,20 +215,20 @@ def _text(data: bytes) -> str:
 def _read_grid(body: bytes) -> OccupancyDataset | None:
     """The dataset a well-formed body holds, or None if anything is wrong.
 
-    Byte checks first. A body of at least ``STRIDE_MIN_BYTES`` whose days
-    all repeat the first day's lines byte for byte, apart from the day
-    digits and the occupied bit, is read as fixed-stride day blocks by
-    ``_read_strides``. Any other body takes one structural pass: the
-    layout of the separators and all three columns read at once, then
-    array checks over the columns. The checks leave numpy only
-    ``[+-]?[0-9]+`` tokens to read. A rejected body goes to ``_fault``
-    for its message.
+    A body of at least ``STRIDE_MIN_BYTES`` whose days all repeat the
+    first day's lines byte for byte, apart from the day digits and the
+    occupied bit, is read as fixed-stride day blocks by ``_read_strides``,
+    which checks every byte itself. Any other body has its bytes checked
+    and then takes one structural pass: the layout of the separators and
+    all three columns read at once, then array checks over the columns.
+    The checks leave numpy only ``[+-]?[0-9]+`` tokens to read. A rejected
+    body goes to ``_fault`` for its message.
     """
+    if len(body) >= STRIDE_MIN_BYTES and (dataset := _read_strides(body)) is not None:
+        return dataset
     data = _row_bytes(body)
     if data is None:
         return None
-    if len(data) >= STRIDE_MIN_BYTES and (dataset := _read_strides(data)) is not None:
-        return dataset
     rows = _read_lines(data)
     if rows is None or not len(rows):
         return None
@@ -265,18 +270,21 @@ def _row_bytes(body: bytes) -> bytes | None:
 
 
 def _read_strides(data: bytes) -> OccupancyDataset | None:
-    """The dataset of rows ending in newlines if every day repeats the
-    first day's lines byte for byte, apart from its day digits and
-    occupied bits; None otherwise.
+    """The dataset a body holds if every day repeats the first day's lines
+    byte for byte, apart from its day digits and occupied bits; None
+    otherwise.
 
-    The first day's lines, at most 24, are read by ``_read_rows`` and must
-    hold one row per hour in ascending order. The body is then walked in
-    runs of days of equal digit count, each a zero-copy ``(days, block
-    bytes)`` view checked by columns: the first day's bytes everywhere
-    else, the same day digits on every line of a block, occupied 0 or 1.
-    Days are read from their digit columns; a day of more than 18
+    The head, the first 24 lines, may hold only digits, signs, commas and
+    newlines; ``_read_rows`` reads it, and the first day's lines in it must
+    hold one row per hour in ascending order. The body is then walked in runs of days of
+    equal digit count, each a zero-copy ``(days, block bytes)`` view
+    checked by columns, ``_STRIDE_SLICE_BYTES`` of blocks at a time: the
+    first day's bytes everywhere else, the same decimal digits on every
+    line of a block, occupied 0 or 1. So every byte of the body is checked
+    here. Days are read from their digit columns; a day of more than 18
     digits, a day below 1, days that do not strictly ascend, a partial
-    last block or more than 19 runs decline the body.
+    last block (as when the body does not end in a newline) or more than
+    19 runs decline the body.
     """
     head_end = 0
     for _ in range(24):
@@ -284,6 +292,8 @@ def _read_strides(data: bytes) -> OccupancyDataset | None:
             break
         head_end = end
     head = data[:head_end]
+    if head.translate(None, _STRIDE_ALPHABET):
+        return None
     rows = _read_rows(head)
     if rows is None:
         return None
@@ -310,30 +320,36 @@ def _read_strides(data: bytes) -> OccupancyDataset | None:
         # is not ``width`` digits long, as at the first day of more digits
         ends = blocks[:, width] == _COMMA
         blocks = blocks[:len(blocks) if ends.all() else ends.argmin()]
+        if not len(blocks):
+            return None
         day_at = (tail_at + lines * width)[:, None] + np.arange(width)
         occupied_at = tail_at + lengths - 2 + (lines + 1) * width
-        # over the row alphabet, b | 0x0F is 0x3F only for a digit and
-        # b | 0x01 is 0x31 only for 0 or 1: one compare checks every byte
+        # b | 0x0F is 0x3F only for 0-9 and :;<=>?, and b | 0x01 is 0x31
+        # only for 0 or 1: one compare checks every byte but the day digits'
+        # upper bound
         mask = np.zeros(block, np.uint8)
         mask[day_at], mask[occupied_at] = 0x0F, 0x01
         template = np.frombuffer(b"".join(b"0" * width + t for t in tails), np.uint8) | mask
-        digits = blocks[:, day_at]
-        if not (len(blocks) and ((blocks | mask) == template).all()
-                and (digits == digits[:, :1]).all()):
-            return None
-        days.append((digits[:, 0] - _ZERO).astype(np.int64)
-                    @ 10 ** np.arange(width - 1, -1, -1, dtype=np.int64))
-        grids.append(blocks[:, occupied_at] == _ZERO + 1)
+        powers = 10 ** np.arange(width - 1, -1, -1, dtype=np.int64)
+        step = max(1, _STRIDE_SLICE_BYTES // block)
+        for part in (blocks[i:i + step] for i in range(0, len(blocks), step)):
+            digits = part[:, day_at]
+            if not (((part | mask) == template).all() and (digits == digits[:, :1]).all()
+                    and (digits[:, 0] <= _NINE).all()):
+                return None
+            days.append((digits[:, 0] - _ZERO).astype(np.int64) @ powers)
+            grids.append(part[:, occupied_at] == _ZERO + 1)
         at += len(blocks) * block
         if at == len(data):
             break
     else:
         return None
-    day = np.concatenate(days)
+    day, grid = np.concatenate(days), np.concatenate(grids)
+    del days, grids  # the pieces go before the dataset copies the grid
     if day[0] < 1 or (day[1:] <= day[:-1]).any():
         return None
     return OccupancyDataset(days=tuple(day.tolist()), hours=tuple(range(first, first + n_hours)),
-                            grid=np.concatenate(grids))
+                            grid=grid)
 
 
 def _read_lines(data: bytes) -> np.ndarray | None:

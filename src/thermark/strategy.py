@@ -68,6 +68,11 @@ class Tariff(Record):
     bands: tuple[TariffBand, ...]
 
     def __post_init__(self) -> None:
+        # bands are billed by name, so one name would bill two bands at one price
+        names = [band.name for band in self.bands]
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise ValidationError(f"tariff has two bands named {name!r}")
         ordered = sorted(self.bands, key=lambda b: b.start)
         for prev, cur in zip(ordered, ordered[1:]):
             if cur.start < prev.end:

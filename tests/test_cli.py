@@ -457,7 +457,8 @@ class TestArgumentChecks:
         assert_one_line_error(capsys, "--strategy")
         assert not any(tmp_path.iterdir())
 
-    # one zone's log, or one strategy name, given twice would leave one unread or misbilled
+    # one zone's log or gains, or one strategy name, given twice would leave one unread or
+    # misbilled
     @pytest.mark.parametrize("command,extra,reason", [
         ("analyze", ["--occupancy", "zone1={d}/occupancy_zone2.csv"],
          "--occupancy names zone 'zone1' twice"),
@@ -467,6 +468,10 @@ class TestArgumentChecks:
          "--strategy S6 and --strategy S6 are both named 'S6'"),
         ("cost", ["--strategy", "{tmp}/a.json", "--strategy", "{tmp}/b.json"],
          "--strategy {tmp}/a.json and --strategy {tmp}/b.json are both named 'X'"),
+        ("analyze", ["--gains", "zone1=5,5", "--gains", "zone1=0.7,1.5"],
+         "--gains names zone 'zone1' twice"),
+        ("cost", ["--gains", "5,5", "--gains", "zone2=1,1", "--gains", "0.7,1.5"],
+         "--gains gives the default twice"),
     ])
     def test_repeated_zone_or_strategy_name_exits_2(self, tmp_path, capsys, command, extra,
                                                     reason):
@@ -611,11 +616,16 @@ class TestBuildingChecks:
          "not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
         (lambda text: '{"zones": [%s]]}' % ("1" * 5000),
          "not valid JSON: Expecting ',' delimiter: line 1 column 5013 (char 5012)"),
+        (lambda text: text.replace('"capacitance": 1.37', '"capacitance": 1.37, "capacitance": 9'),
+         "an object gives key 'capacitance' twice"),
+        (lambda text: text.replace('{"zones"', '{"edges": [], "zones"'),
+         "an object gives key 'edges' twice"),
     ], ids=["401-digits", "4400-digits", "string-number", "boolean-number", "integer-id",
             "top-level-list", "missing-key", "string-edge", "three-ended-edge", "string-in-a",
             "boolean-in-b", "ragged-b", "string-delta", "unknown-key", "misspelt-explicit",
             "null-explicit", "syntax-error", "deep-nesting",
-            "utf-8-bom", "syntax-error-after-5000-digits"])
+            "utf-8-bom", "syntax-error-after-5000-digits", "repeated-zone-key",
+            "repeated-top-level-key"])
     def test_wrong_json_type_exits_2(self, tmp_path, capsys, edit, reason):
         path = tmp_path / "building.json"
         path.write_text(edit(json.dumps(bench_building())))
@@ -662,6 +672,17 @@ class TestJsonInputFiles:
         assert_one_line_error(capsys, str(path), reason)
         assert not (tmp_path / "out").exists()
 
+    def test_two_bands_of_one_name_exit_2(self, tmp_path, capsys):
+        """Bands are billed by name: one name would bill both at one price."""
+        path = tmp_path / "tariff.json"
+        path.write_text(json.dumps({"bands": [
+            {"name": "day", "start": 8, "end": 12, "price_minor_per_kwh": 10},
+            {"name": "day", "start": 12, "end": 17, "price_minor_per_kwh": 100}]}))
+        out = tmp_path / "out"
+        assert main(pinned_args("cost", out, "S2", ["--tariff", str(path)])) == 2
+        assert_one_line_error(capsys, "tariff has two bands named 'day'")
+        assert not out.exists()
+
     def test_shipped_inputs_load(self):
         """The bundled files and README's examples pass the schemas."""
         d = two_zone_benchmark_dir()
@@ -700,6 +721,13 @@ class TestJsonInputFiles:
         pytest.param("--tariff", '{"bands": [}',
                      "not valid JSON: Expecting value: line 1 column 12 (char 11)",
                      id="syntax-error"),
+        # a repeated key would keep its last value
+        pytest.param("--strategy", '{"name": "a", "name": "b", "schedule": {"zone1": [9]}}',
+                     "an object gives key 'name' twice", id="repeated-key"),
+        pytest.param("--strategy", '{"name": "a", "schedule": {"zone1": [9], "zone1": [12]}}',
+                     "an object gives key 'zone1' twice", id="repeated-zone"),
+        pytest.param("--tariff", json.dumps(one_band_tariff())[:-3] + ', "end": 12}]}',
+                     "an object gives key 'end' twice", id="repeated-band-key"),
     ])
     def test_wrong_json_type_exits_2(self, tmp_path, capsys, flag, content, reason):
         path = tmp_path / "input.json"

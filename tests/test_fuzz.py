@@ -155,8 +155,9 @@ COMMAND_OPTIONS = {
 @st.composite
 def option_lists(draw) -> list[tuple[str, str]]:
     """The bundled zone logs, then up to four options set to drawn values;
-    ``--gains`` may repeat, a zone named twice by ``--occupancy`` exits 2,
-    and a later value of any other option wins."""
+    a zone named twice by ``--occupancy`` or ``--gains``, or the default
+    given twice by ``--gains``, exits 2, and a later value of any other
+    option wins."""
     options = [("--occupancy", OPTION_VALUES["--occupancy"][0]),
                ("--occupancy", OPTION_VALUES["--occupancy"][1])]
     if draw(st.integers(0, 4)) == 0:
