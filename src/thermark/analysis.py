@@ -3,15 +3,17 @@
 Three evaluation routes are provided:
 
 * :func:`expected_temperature` and :func:`temperature_trajectory` run one
-  forward pass over the composed chain's per-step layers. Over the 2^N
-  states s of step k the pass carries p_k(s) = P(X_k = s) and
+  forward pass over the composed chain's per-step zone factors. Over the
+  2^N states s of step k the pass carries p_k(s) = P(X_k = s) and
   m_k(s) = E[T_k 1{X_k = s}], and steps them with
   m_{k+1} = P_k^T (m_k A^T + p_k g_k) and p_{k+1} = p_k P_k, where g_k(s)
   is the heat gain of state s during hour k (its own occupancy bits and
-  the step's heating bits). E[T_theta] is the sum of m_theta over the
-  states, so the route reads every edge :func:`thermark.markov.compose`
-  built, and one pass serves every theta. It never reads the assigned
-  rewards.
+  the step's heating bits). P_k is the Kronecker product of the zones'
+  2x2 step matrices, so it is applied one zone axis at a time, in
+  O(N 2^N) per carried column, and never built. E[T_theta] is the sum of
+  m_theta over the states, so the route reads every factor
+  :func:`thermark.markov.compose` stacked, and one pass serves every
+  theta. It never reads the assigned rewards.
 * :func:`direct_expected_temperatures` skips the composed model entirely:
   because the expected gain at step k only needs each zone's occupancy
   marginal at step k-1 and the deterministic heating bit, the whole
@@ -21,7 +23,7 @@ Three evaluation routes are provided:
 * :func:`brute_force_expected_temperature` enumerates every occupancy
   path, runs the per-path temperature recursion, and averages under the
   exact path measure. It is deliberately built from the zone chains' raw
-  transition probabilities and gains rather than the layers or the
+  transition probabilities and gains rather than the factors or the
   assigned rewards, so agreement with the forward pass validates
   :func:`thermark.markov.compose`.
 """
@@ -54,34 +56,38 @@ def _check_theta(rewarded: RewardedModel, theta: int) -> None:
 def _forward_pass(model: ComposedModel, thermal: DiscreteThermalModel,
                   gains: dict[str, ZoneGains], last: int) -> np.ndarray:
     """E[T_k] for k = 0..last in the model's zone order, propagated
-    through ``model.layers`` (see the module docstring)."""
+    through ``model.factors`` (see the module docstring)."""
     zone_ids = model.zone_ids
+    n = len(zone_ids)
     _check_zones(zone_ids, thermal, gains)
     # A and T0 permuted from thermal order into chain order
     order = [thermal.zone_index(zid) for zid in zone_ids]
     a_t = np.asarray(thermal.a, dtype=float)[np.ix_(order, order)].T
     t0 = np.asarray(thermal.initial_temps, dtype=float)[order]
-    # occupant gain of every state of a step, rows in layer order
-    occupant = np.array(list(itertools.product((1.0, 0.0), repeat=len(zone_ids))))
+    # occupant gain of every state of a step, rows in state order
+    occupant = np.array(list(itertools.product((1.0, 0.0), repeat=n)))
     occupant *= [gains[zid].q_int for zid in zone_ids]
     q_rad = np.array([gains[zid].q_rad for zid in zone_ids])
 
-    p = np.zeros(len(occupant))
-    p[model.initial_row] = 1.0
-    m = np.outer(p, t0)
+    # carried[:, :n] is m_k and carried[:, n] is p_k
+    start = int("".join("0" if c.initial_occupied else "1" for c in model.chains), 2)
+    carried = np.zeros((2 ** n, n + 1))
+    carried[start] = [*t0, 1.0]
     expected = [t0]
     for k in range(last):
+        m, p = carried[:, :n], carried[:, n:]
         gain = occupant + q_rad * np.array(model.heating_at(k), dtype=float)
-        layer = model.layers[k]
-        m = layer.T @ (m @ a_t + p[:, None] * gain)
-        p = p @ layer
-        expected.append(m.sum(axis=0))
+        carried = np.concatenate([m @ a_t + p * gain, p], axis=1)
+        # P_k^T one zone at a time: zone j's bit is axis 1 of this view
+        for j, factor in enumerate(model.factors[k]):
+            carried = np.matmul(factor.T, carried.reshape(2 ** j, 2, -1)).reshape(2 ** n, -1)
+        expected.append(carried[:, :n].sum(axis=0))
     return np.array(expected)
 
 
 def expected_temperature(rewarded: RewardedModel, theta: int) -> dict[str, float]:
     """Expected temperature per zone at step theta, by the forward pass
-    over the composed model's layers."""
+    over the composed model's factors."""
     _check_theta(rewarded, theta)
     model = rewarded.model
     values = _forward_pass(model, rewarded.thermal, rewarded.gains, theta)[theta]
@@ -238,7 +244,7 @@ def temperature_trajectory(
     theta_range: list[int] | tuple[int, ...] | range,
 ) -> TemperatureTrajectory:
     """Evaluate expected temperatures over a theta range, by one forward
-    pass over the composed model's layers up to the largest theta."""
+    pass over the composed model's factors up to the largest theta."""
     thetas = tuple(theta_range)
     if not thetas:
         raise ValidationError("empty theta range")

@@ -5,9 +5,10 @@ an occupied/empty pair per step 1..K, and one absorbing sink. Transitions
 from step k to k+1 all carry the shared label ``t{k+1}``, so composing
 zones synchronizes layer by layer and only same-step tuples are reachable:
 the product has 1 + 2^N * K + 1 states for N zones. A zone chain is held
-as its per-step probabilities and the product as one dense (2^N, 2^N)
-matrix per step, the Kronecker product of the zones' 2x2 step matrices;
-:meth:`ComposedModel.edges` walks them to yield every product edge.
+as its per-step probabilities and the product as the zones' 2x2 step
+matrices, one (N, 2, 2) stack per step: the product's step matrix is
+their Kronecker product, which :meth:`ComposedModel.edges` builds one
+step at a time to yield every product edge.
 
 Rewards encode expected temperature and depend only on the step, so they
 are held as one value per step and zone, computed from the zone chains
@@ -120,17 +121,17 @@ class ComposedState(Record):
 class ComposedModel(Record):
     """Product of zone chains synchronized on the step labels.
 
-    ``layers[k]`` is the (2^N, 2^N) matrix of step k -> k+1 for k = 0..K-1,
-    rows and columns in ``itertools.product((True, False), repeat=N)``
-    order, the order of each step's states. Step 0 has only the initial
-    state, whose row of ``layers[0]`` is ``initial_row``; every state at
-    step K moves to the sink with probability 1.
+    ``factors[k, j]`` is ``chains[j].step_matrix(k)``, zone j's 2x2 matrix
+    of step k -> k+1 for k = 0..K-1. The product's matrix of step k is the
+    Kronecker product of ``factors[k]`` in chain order, rows and columns in
+    ``itertools.product((True, False), repeat=N)`` order, the order of
+    each step's states. Step 0 has only the initial state, and every state
+    at step K moves to the sink with probability 1.
     """
 
     zone_ids: tuple[str, ...]
     horizon: int
-    states: tuple[ComposedState, ...]
-    layers: tuple[np.ndarray, ...]
+    factors: np.ndarray  # (K, N, 2, 2)
     chains: tuple[ZoneChain, ...]
 
     @property
@@ -138,27 +139,38 @@ class ComposedModel(Record):
         return len(self.zone_ids)
 
     @property
-    def initial_row(self) -> int:
-        return int("".join("0" if occ else "1" for occ in self.states[0].occupied), 2)
+    def states(self) -> tuple[ComposedState, ...]:
+        """Every product state in index order, built from the chains on each read."""
+        combos = list(itertools.product((True, False), repeat=self.zone_count))
+        states = [ComposedState(0, 0, tuple(c.initial_occupied for c in self.chains),
+                                self.heating_at(0))]
+        for k in range(1, self.horizon + 1):
+            heat = self.heating_at(k)
+            states += [ComposedState(len(states) + i, k, combo, heat)
+                       for i, combo in enumerate(combos)]
+        states.append(ComposedState(len(states), self.horizon + 1, None, None))
+        return tuple(states)
 
     @property
     def transitions(self) -> tuple[Transition, ...]:
-        """Every product edge in state order, built from the layers on each read."""
+        """Every product edge in state order, built from the factors on each read."""
         return tuple(itertools.starmap(Transition, self.edges()))
 
     def edges(self) -> Iterator[tuple[int, int, float, str]]:
         """Every product edge as (source, target, probability, label), in
-        state order, walked from the layers one row at a time."""
+        state order, walked one row at a time from each step's Kronecker
+        layer, built while that step is walked."""
         width = 2 ** self.zone_count
-        sink = len(self.states) - 1
-        for t, p in enumerate(self.layers[0][self.initial_row].tolist()):
-            yield 0, 1 + t, p, "t1"
-        for k in range(1, self.horizon):
-            first, label = 1 + (k - 1) * width, f"t{k + 1}"
-            for s, row in enumerate(self.layers[k]):
+        start = int("".join("0" if c.initial_occupied else "1" for c in self.chains), 2)
+        for k, factors in enumerate(self.factors):
+            layer, label = functools.reduce(np.kron, factors), f"t{k + 1}"
+            # step 0 holds only the initial state, so only its row is walked
+            rows = enumerate(layer) if k else [(0, layer[start])]
+            first = 1 + (k - 1) * width if k else 0
+            for s, row in rows:
                 for t, p in enumerate(row.tolist()):
-                    yield first + s, first + width + t, p, label
-        last = 1 + (self.horizon - 1) * width
+                    yield first + s, 1 + k * width + t, p, label
+        last, sink = 1 + (self.horizon - 1) * width, 1 + self.horizon * width
         for s in range(width):
             yield last + s, sink, 1.0, f"t{self.horizon + 1}"
         yield sink, sink, 1.0, SINK_LABEL
@@ -186,33 +198,9 @@ def compose(chains: list[ZoneChain] | tuple[ZoneChain, ...]) -> ComposedModel:
             raise ValidationError(
                 f"mismatched horizons: {chains[0].zone_id}={horizon}, {c.zone_id}={c.horizon}"
             )
-
-    # occupied before empty per zone
-    combos = list(itertools.product((True, False), repeat=len(chains)))
-    states: list[ComposedState] = [
-        ComposedState(
-            index=0,
-            step=0,
-            occupied=tuple(c.initial_occupied for c in chains),
-            heating_on=tuple(c.heating[0] for c in chains),
-        )
-    ]
-    for k in range(1, horizon + 1):
-        heat = tuple(c.heating[k] for c in chains)
-        states += [ComposedState(index=len(states) + i, step=k, occupied=combo, heating_on=heat)
-                   for i, combo in enumerate(combos)]
-    states.append(ComposedState(index=len(states), step=horizon + 1, occupied=None,
-                                heating_on=None))
-
-    layers = tuple(functools.reduce(np.kron, [c.step_matrix(k) for c in chains])
-                   for k in range(horizon))
-    return ComposedModel(
-        zone_ids=tuple(ids),
-        horizon=horizon,
-        states=tuple(states),
-        layers=layers,
-        chains=chains,
-    )
+    factors = np.array([[c.step_matrix(k) for c in chains] for k in range(horizon)])
+    factors.flags.writeable = False
+    return ComposedModel(zone_ids=tuple(ids), horizon=horizon, factors=factors, chains=chains)
 
 
 class ZoneGains(Record):

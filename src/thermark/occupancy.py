@@ -65,12 +65,6 @@ class OccupancyDataset(Record):
         grid.flags.writeable = False
         object.__setattr__(self, "grid", grid)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, OccupancyDataset):
-            return NotImplemented
-        return (self.days == other.days and self.hours == other.hours
-                and np.array_equal(self.grid, other.grid))
-
     @property
     def day_count(self) -> int:
         return len(self.days)

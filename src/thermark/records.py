@@ -11,15 +11,19 @@ instance. Creating the class compiles one ``__init__``:
 
 so Python binds the arguments, and a missing, unknown or repeated one
 raises ``TypeError``. Freezing, equality and hashing by value, ``repr``
-and :meth:`Record.replace` are written once, here. ``dataclasses`` would
-generate and compile six or more methods per class at import, about a
-millisecond each, in every fresh process.
+and :meth:`Record.replace` are written once, here; a field that holds an
+``ndarray`` compares with ``np.array_equal`` and makes the record
+unhashable. ``dataclasses`` would generate and compile six or more
+methods per class at import, about a millisecond each, in every fresh
+process.
 """
 
 from __future__ import annotations
 
 import inspect
 from collections.abc import Callable
+
+import numpy as np
 
 
 class Factory:
@@ -79,7 +83,9 @@ class Record:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return all(a is b or (np.array_equal(a, b) if isinstance(a, np.ndarray)
+                              or isinstance(b, np.ndarray) else a == b)
+                   for a, b in zip(self._values(), other._values()))
 
     def __hash__(self) -> int:
         return hash(self._values())

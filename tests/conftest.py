@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -51,3 +53,9 @@ def random_schedule(rng: np.random.Generator, steps: int) -> TransitionSchedule:
         )
         for k in range(steps)
     ))
+
+
+def dense_layers(model) -> list[np.ndarray]:
+    """The product's (2^N, 2^N) matrix of each step k -> k+1, the Kronecker
+    product of the zones' factors in chain order."""
+    return [functools.reduce(np.kron, factors) for factors in model.factors]

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 import pytest
 
@@ -254,15 +252,16 @@ class TestTrajectory:
                 assert abs(trajectory.value(theta, z) - oracle[z]) <= 1e-9
 
     def test_propagates_once_per_call(self, bench_thermal):
-        # one pass up to the largest theta reads each layer once, for every theta
-        class CountingLayers(tuple):
-            def __getitem__(self, k):
-                reads.append(k)
-                return super().__getitem__(k)
+        # one pass up to the largest theta reads each step's factors once, for every theta
+        class CountingFactors(np.ndarray):
+            def __getitem__(self, key):
+                if self.ndim == 4:
+                    reads.append(key)
+                return super().__getitem__(key)
 
         reads = []
         model = random_instance(np.random.default_rng(4))
-        counted = model.replace(layers=CountingLayers(model.layers))
+        counted = model.replace(factors=model.factors.view(CountingFactors))
         trajectory = temperature_trajectory(counted, bench_thermal, bench_gains(), [7, 2, 5])
         assert sorted(reads) == list(range(7))
         expected = temperature_trajectory(model, bench_thermal, bench_gains(), range(1, 10))
@@ -296,14 +295,16 @@ def direct(model, thermal, gains, thetas):
 
 
 class TestForwardPassReadsLayers:
-    """The forward pass answers from ``model.layers``, so a wrong layer shows."""
+    """The forward pass answers from each step's zone factors, the layers
+    of the product chain, so a wrong factor shows."""
 
-    def test_swapped_layer_columns_move_the_engine(self, bench_thermal):
+    def test_swapped_factor_rows_move_the_engine(self, bench_thermal):
+        # zone1 leaves step 2 with the occupied and empty rows exchanged
         heat = [True] * 10
         model = build_model([make_schedule(0.4)] * 2, [heat, heat])
-        layers = list(model.layers)
-        layers[2] = layers[2][:, [3, 1, 2, 0]]
-        mutant = model.replace(layers=tuple(layers))
+        factors = model.factors.copy()
+        factors[2, 0] = factors[2, 0, ::-1]
+        mutant = model.replace(factors=factors)
         gains = bench_gains()
         before = expected_temperature(assign_rewards(model, bench_thermal, gains, 5), 5)
         after = expected_temperature(assign_rewards(mutant, bench_thermal, gains, 5), 5)
@@ -314,19 +315,19 @@ class TestForwardPassReadsLayers:
                               direct(mutant, bench_thermal, gains, [5]))
 
     def test_reversed_kronecker_order_moves_the_trajectory(self, bench_thermal):
+        # zone j's factor applied on zone N-1-j's axis
         model = random_instance(np.random.default_rng(8))
-        reversed_layers = tuple(
-            functools.reduce(np.kron, [c.step_matrix(k) for c in reversed(model.chains)])
-            for k in range(model.horizon))
-        mutant = model.replace(layers=reversed_layers)
+        mutant = model.replace(factors=model.factors[:, ::-1])
         thetas = range(1, 10)
         right = temperature_trajectory(model, bench_thermal, bench_gains(), thetas)
         wrong = temperature_trajectory(mutant, bench_thermal, bench_gains(), thetas)
         assert np.max(np.abs(right.values - wrong.values)) > 1e-3
 
-    @pytest.mark.parametrize("n, horizon", [(8, 9), (8, 23), (10, 9), (10, 23)])
+    @pytest.mark.parametrize("n, horizon",
+                             [(8, 9), (8, 23), (10, 9), (10, 23), (12, 23), (16, 9)])
     def test_matches_direct_recursion_past_the_oracle(self, n, horizon):
-        # N*K from 72 to 230: far past the oracle's 2^22 paths
+        # N*K from 72 to 276: far past the oracle's 2^22 paths, and at N=12
+        # and 16 past any dense (2^N, 2^N) layer (3 GB and 400 GB)
         rng = np.random.default_rng(n * 100 + horizon)
         zone_ids = [f"z{i}" for i in range(n)]
         model = compose([

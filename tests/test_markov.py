@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import BENCH_A, BENCH_T0, make_schedule, random_schedule
+from conftest import BENCH_A, BENCH_T0, dense_layers, make_schedule, random_schedule
 from thermark import (
     DiscreteThermalModel,
     ValidationError,
@@ -82,12 +83,9 @@ class TestUnroll:
     def test_deterministic_occupancy_single_spine(self):
         schedule = make_schedule(p_vf=1.0, p_ff=1.0)
         model = compose([unroll_zone(schedule, [False] * 10, 9, zone_id="z")])
-        p = model.layers[0][model.initial_row]
-        for step in range(1, 10):
+        for step, p in enumerate(step_masses(model), start=1):
             states = [s for s in model.states if s.step == step]
             assert p.tolist() == [1.0 if s.occupied == (True,) else 0.0 for s in states]
-            if step < 9:
-                p = p @ model.layers[step]
 
     def test_short_schedule_rejected(self):
         schedule = make_schedule(p_vf=[0.5, 0.5])
@@ -122,12 +120,10 @@ class TestCompose:
         chains = [
             unroll_zone(schedule, [False] * 10, 9, zone_id=f"z{i}") for i in range(2)
         ]
-        model = compose(chains)
-        p = model.layers[0][model.initial_row]
-        for step in range(1, 10):
+        masses = step_masses(compose(chains))
+        assert len(masses) == 9
+        for p in masses:
             assert sorted(p.tolist()) == [0.0, 0.0, 0.0, 1.0]
-            if step < 9:
-                p = p @ model.layers[step]
 
     def test_outgoing_probabilities_sum_to_one(self):
         rng = np.random.default_rng(13)
@@ -151,6 +147,34 @@ class TestCompose:
         c1, _ = two_chains()
         with pytest.raises(ValidationError, match="duplicate"):
             compose([c1, c1])
+
+    def test_holds_only_the_zone_factors(self):
+        # a dense layer per step would be 23 * 4^10 floats, 193 MB
+        chains = random_chains(np.random.default_rng(10), 10, 23)
+        tracemalloc.start()
+        try:
+            model = compose(chains)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        assert model.factors.shape == (23, 10, 2, 2)
+        for k in (0, 22):
+            assert [f.tolist() for f in model.factors[k]] == [
+                c.step_matrix(k).tolist() for c in chains]
+
+
+def step_masses(model):
+    """P(X_k = s) over the states of each step k = 1..K, propagated from
+    the initial state through the dense layers."""
+    combos = list(itertools.product((True, False), repeat=model.zone_count))
+    p = np.zeros(len(combos))
+    p[combos.index(model.states[0].occupied)] = 1.0
+    masses = []
+    for layer in dense_layers(model):
+        p = p @ layer
+        masses.append(p)
+    return masses
 
 
 def random_chains(rng, n, horizon):
@@ -198,8 +222,7 @@ class TestLayers:
         for chains in instances:
             n, horizon = len(chains), chains[0].horizon
             model = compose(chains)
-            assert len(model.layers) == horizon
-            assert all(layer.shape == (2 ** n, 2 ** n) for layer in model.layers)
+            assert model.factors.shape == (horizon, n, 2, 2)
             edges = [(t.source, t.target, t.probability, t.label) for t in model.transitions]
             assert edges == product_edges(chains)
 
@@ -209,9 +232,10 @@ class TestLayers:
         chains = random_chains(rng, n, horizon)
         model = compose(chains)
         assert len(model.states) == 1 + 256 * horizon + 1
-        for layer in model.layers:
+        for layer, p in zip(dense_layers(model), step_masses(model)):
             assert layer.shape == (256, 256)
             assert np.max(np.abs(layer.sum(axis=1) - 1.0)) <= 1e-12
+            assert abs(p.sum() - 1.0) <= 1e-12
 
         zone_ids = tuple(c.zone_id for c in chains)
         raw = rng.uniform(0.1, 1.0, size=(n, n))

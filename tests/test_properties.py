@@ -1,9 +1,10 @@
 """Property tests of the evaluation core and of billing.
 
 On random small instances the forward pass over the composed chain's
-layers must agree with the direct marginal recursion, must not depend on
-the order the zones are composed in, and must not cool a zone when a
-heating bit is switched on; every layer must be row-stochastic. The
+zone factors must agree with the direct marginal recursion and with the
+path-enumeration oracle, must not depend on the order the zones are
+composed in, and must not cool a zone when a heating bit is switched on;
+every dense layer the factors make must be row-stochastic. The
 batched routes are checked against one-at-a-time references: stacked
 trajectories against one call per strategy, the comfort summary against
 the scalar classification rule, and per-band billing against per-hour
@@ -22,20 +23,24 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from conftest import dense_layers  # noqa: E402
 from thermark import (  # noqa: E402
     DiscreteThermalModel,
     HeatingStrategy,
     TemperatureTrajectory,
     ValidationError,
     ZoneGains,
+    assign_rewards,
+    brute_force_expected_temperature,
     comfort_check,
     compose,
     direct_expected_temperatures,
+    expected_temperature,
     strategy_cost,
     temperature_trajectory,
     unroll_zone,
 )
-from thermark.analysis import comfort_summaries  # noqa: E402
+from thermark.analysis import ORACLE_MAX_PATH_BITS, comfort_summaries  # noqa: E402
 from thermark.occupancy import StepMatrix, TransitionSchedule  # noqa: E402
 from thermark.strategy import Tariff, TariffBand  # noqa: E402
 
@@ -45,10 +50,12 @@ examples = settings(max_examples=60, deadline=None, derandomize=True, database=N
 
 
 @st.composite
-def instances(draw):
-    """Zone chains over N <= 5 zones and K <= 6 steps, a row-stochastic A,
-    a start temperature and gains per zone, and an order to compose in."""
-    n, horizon = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+def instances(draw, max_path_bits=30):
+    """Zone chains over N <= 5 zones and K <= 6 steps with N*K <=
+    ``max_path_bits``, a row-stochastic A, a start temperature and gains
+    per zone, and an order to compose in."""
+    n = draw(st.integers(1, 5))
+    horizon = draw(st.integers(1, min(6, max_path_bits // n)))
     zone_ids = tuple(f"z{i}" for i in range(n))
     raw = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n * n, max_size=n * n)))
     raw = raw.reshape(n, n)
@@ -90,11 +97,25 @@ def test_forward_pass_matches_direct_recursion_in_any_zone_order(instance):
     assert np.max(np.abs(permuted.values - trajectory.values[:, order])) <= 1e-12
 
 
+@settings(max_examples=80, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(instance=instances(max_path_bits=ORACLE_MAX_PATH_BITS), data=st.data())
+def test_oracle_matches_the_forward_pass(instance, data):
+    thermal, chains, gains, _ = instance
+    horizon = chains[0].horizon
+    # drawn from the last step down, so most examples enumerate every step
+    theta = data.draw(st.integers(1, horizon).map(lambda back: horizon + 1 - back))
+    rewarded = assign_rewards(compose(chains), thermal, gains, theta)
+    oracle = brute_force_expected_temperature(rewarded, theta)
+    engine = expected_temperature(rewarded, theta)
+    assert max(abs(oracle[zid] - engine[zid]) for zid in engine) <= 1e-9
+
+
 @examples
 @given(instance=instances())
 def test_every_layer_is_row_stochastic(instance):
     _, chains, _, _ = instance
-    layers = compose(chains).layers
+    layers = dense_layers(compose(chains))
     assert len(layers) == chains[0].horizon
     for layer in layers:
         assert np.all(layer >= 0.0)

@@ -7,8 +7,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from thermark import NumericalGuardError, ValidationError
+from thermark import (
+    NumericalGuardError,
+    TemperatureTrajectory,
+    ValidationError,
+    compose,
+    load_building,
+    unroll_zone,
+)
 from thermark.cli import RunConfig
+from thermark.datasets import two_zone_benchmark_dir
 from thermark.occupancy import Diagnostic, OccupancyDataset, StepMatrix, TransitionSchedule
 from thermark.records import Factory, Record
 from thermark.strategy import TariffBand
@@ -52,15 +60,34 @@ class TestValueSemantics:
         with pytest.raises(TypeError):
             hash(config)
 
-    def test_occupancy_dataset_keeps_its_own_equality(self):
-        # it compares grids with np.array_equal and, defining __eq__ itself,
-        # is unhashable
+    def test_occupancy_dataset_compares_grids_by_value(self):
+        # np.array_equal: a bool grid equals the same grid of ints, and a
+        # record holding an array is unhashable
         a = OccupancyDataset((1, 2), (8,), np.array([[True], [False]]))
         b = OccupancyDataset((1, 2), (8,), np.array([[1], [0]]))
         assert a == b and a is not b
         assert a != OccupancyDataset((1, 2), (8,), np.array([[True], [True]]))
         with pytest.raises(TypeError):
             hash(a)
+
+    def test_records_holding_arrays_compare_by_value(self):
+        thermal = load_building(two_zone_benchmark_dir() / "building.json")[1]
+        assert thermal == load_building(two_zone_benchmark_dir() / "building.json")[1]
+        assert thermal != thermal.replace(initial_temps=thermal.initial_temps + 1.0)
+
+        chain = unroll_zone(TransitionSchedule((step(),)), [True, False], 1, zone_id="z")
+        assert compose([chain]) == compose([chain])
+        assert compose([chain]) != compose([chain.replace(occ_given_empty=(0.5,))])
+        assert compose([chain]) != compose([chain.replace(zone_id="y")])
+
+        values = np.array([[20.0, 21.5]])
+        trajectory = TemperatureTrajectory(("a", "b"), (1,), values)
+        assert trajectory == TemperatureTrajectory(("a", "b"), (1,), values.copy())
+        assert trajectory != TemperatureTrajectory(("a", "b"), (1,), values + 0.5)
+        assert trajectory != TemperatureTrajectory(("a", "b"), (2,), values)
+        for record in (thermal, compose([chain]), trajectory):
+            with pytest.raises(TypeError):
+                hash(record)
 
 
 class TestConstruction:
