@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
 import sys
-import tempfile
 from collections.abc import Iterable
 from pathlib import Path
 
@@ -129,26 +129,38 @@ def _parse_assignments(pairs: list[str], what: str,
     return table
 
 
-@functools.cache
-def _file_mode() -> int:
-    """Mode a plainly created file gets: 0o666 less the process umask."""
-    umask = os.umask(0)
-    os.umask(umask)
-    return 0o666 & ~umask
+def _make_out_dir(out_dir: Path) -> None:
+    """Create the output directory, and its parents, unless it exists."""
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"cannot write to {out_dir}: {exc.strerror or exc}") from None
 
 
 def _atomic_write(path: Path, text: str | Iterable[str]) -> None:
-    """Write ``text``, or each of its pieces in turn, through a uniquely
-    named temp file in the target directory."""
+    """Write ``text``, or each of its pieces in turn, as UTF-8 to the temp
+    file ``.<name>.<n>.tmp`` beside ``path`` (the first ``n`` from 0 whose
+    name is free), then rename it onto ``path``. The directory must exist;
+    a failed write removes the temp file."""
+    for n in itertools.count():
+        tmp = path.parent / f".{path.name}.{n}.tmp"
+        try:
+            # the kernel applies the umask, as for a plainly created file
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
+        except OSError as exc:
+            raise ValidationError(
+                f"cannot write to {path.parent}: {exc.strerror or exc}") from None
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
-    except OSError as exc:
-        raise ValidationError(f"cannot write to {path.parent}: {exc.strerror or exc}") from None
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.writelines([text] if isinstance(text, str) else text)
-        os.chmod(tmp, _file_mode())  # mkstemp creates it 0o600
+        try:
+            for piece in [text] if isinstance(text, str) else text:
+                data = memoryview(piece.encode())
+                while data:
+                    data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except OSError as exc:
         os.unlink(tmp)
@@ -286,6 +298,7 @@ def cmd_analyze(config: RunConfig, dump_chain: bool = False) -> int:
         hour = config.window[0] + theta
         for zi, zid in enumerate(trajectory.zone_ids):
             lines.append(f"{hour},{zid},{float(trajectory.values[ti, zi])!r}")
+    _make_out_dir(config.out_dir)
     _atomic_write(config.out_dir / "trajectory.csv", "\n".join(lines) + "\n")
     _atomic_write(config.out_dir / "comfort.json",
                   json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n")
@@ -338,6 +351,7 @@ def cmd_cost(config: RunConfig, strategy_refs: list[str]) -> int:
         cells += [repr(row.band_energy_kwh.get(b, 0.0)) for b in band_names]
         cells += [str(row.total_cost_minor), f"{row.total_cost_minor / 100:.2f}", ratio, note]
         lines.append(",".join(cells))
+    _make_out_dir(config.out_dir)
     _atomic_write(config.out_dir / "cost.csv", "\n".join(lines) + "\n")
 
     payload = {
@@ -365,11 +379,12 @@ def cmd_export(config: RunConfig, name: str, to_stdout: bool = False) -> int:
     chains = _chains(config, schedules, strat)
     table = markov.step_reward_table(chains, thermal, config.gains_for(thermal.zone_ids),
                                      config.thetas)
-    models = prism.render_models(chains, table.tolist(), config.thetas, thermal.delta, name)
+    models = prism.render_models(chains, table, config.thetas, thermal.delta, name)
     properties = prism.export_properties(config.thetas, thermal.zone_ids)
     if to_stdout:
         sys.stdout.write("".join(models) + properties)
         return EXIT_OK
+    _make_out_dir(config.out_dir)
     for theta, text in zip(config.thetas, models):
         suffix = f"_theta{theta}" if len(config.thetas) > 1 else ""
         _atomic_write(config.out_dir / f"{name}{suffix}.pm", text)
@@ -390,6 +405,7 @@ def cmd_estimate(csv_path: Path, out_dir: Path, to_stdout: bool = False) -> int:
     if to_stdout:
         sys.stdout.write(text_out)
     else:
+        _make_out_dir(out_dir)
         _atomic_write(out_dir / "schedule.json", text_out)
     return EXIT_OK
 

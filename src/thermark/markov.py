@@ -282,11 +282,14 @@ def step_reward_table(
     # the PRISM renderer rejects a non-finite entry with one error line
     with np.errstate(over="ignore", invalid="ignore"):
         step_gains[:, rows] = (q_int * marginals + q_rad * heating).T
+        # each entry is one ndarray.dot of two vectors, a BLAS ddot: batching
+        # them into one matrix product changes the last bits of some entries
+        power_rows = [[power[row] for row in rows] for power in powers]
+        vectors = [t0, *step_gains]
         for t, theta in enumerate(thetas):
-            for m, row in enumerate(rows):
-                table[t, m, 0] = powers[theta][row] @ t0
-                table[t, m, 1:theta + 1] = [powers[theta - k][row] @ step_gains[k - 1]
-                                            for k in range(1, theta + 1)]
+            table[t, :, :theta + 1] = [
+                [power_rows[theta - k][m].dot(vectors[k]) for k in range(theta + 1)]
+                for m in range(len(rows))]
     return table
 
 

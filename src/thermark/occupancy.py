@@ -49,6 +49,9 @@ class OccupancyDataset(Record):
 
     ``grid[i, j]`` is whether day ``days[i]`` was occupied at hour
     ``hours[j]``. Days ascend but may skip numbers; the grid is read-only.
+    A read-only bool array is kept as it is, which is how the readers hand
+    over the grid they build; any other grid is copied, so a caller's
+    array never becomes read-only.
     """
 
     days: tuple[int, ...]
@@ -56,13 +59,15 @@ class OccupancyDataset(Record):
     grid: np.ndarray
 
     def __post_init__(self) -> None:
-        grid = np.array(self.grid, dtype=bool)
+        grid = self.grid
+        if not (type(grid) is np.ndarray and grid.dtype == bool and not grid.flags.writeable):
+            grid = np.array(grid, dtype=bool)
+            grid.flags.writeable = False
         if grid.shape != (len(self.days), len(self.hours)):
             raise ValidationError(
                 f"grid shape {grid.shape} does not match {len(self.days)} days "
                 f"x {len(self.hours)} hours"
             )
-        grid.flags.writeable = False
         object.__setattr__(self, "grid", grid)
 
     @property
@@ -246,7 +251,13 @@ def _read_grid(body: bytes) -> OccupancyDataset | None:
             1 <= int(line.partition(b",")[0]) <= _MAX_DAY for line in data.splitlines() if line):
         return None
     return OccupancyDataset(days=tuple(days.tolist()), hours=tuple(range(first, last + 1)),
-                            grid=occupied.reshape(-1, n_hours))
+                            grid=_read_only(occupied.reshape(-1, n_hours).astype(bool)))
+
+
+def _read_only(grid: np.ndarray) -> np.ndarray:
+    """A fresh bool grid made read-only, which the dataset takes without a copy."""
+    grid.flags.writeable = False
+    return grid
 
 
 def _row_bytes(body: bytes) -> bytes | None:
@@ -339,11 +350,11 @@ def _read_strides(data: bytes) -> OccupancyDataset | None:
     else:
         return None
     day, grid = np.concatenate(days), np.concatenate(grids)
-    del days, grids  # the pieces go before the dataset copies the grid
+    del days, grids  # the pieces go before the days are read into a tuple
     if day[0] < 1 or (day[1:] <= day[:-1]).any():
         return None
     return OccupancyDataset(days=tuple(day.tolist()), hours=tuple(range(first, first + n_hours)),
-                            grid=grid)
+                            grid=_read_only(grid))
 
 
 def _read_lines(data: bytes) -> np.ndarray | None:
@@ -522,7 +533,7 @@ def sample_dataset(
     return OccupancyDataset(
         days=tuple(range(1, days + 1)),
         hours=tuple(range(first_hour, first_hour + len(schedule) + 1)),
-        grid=np.array(grid, dtype=bool),
+        grid=_read_only(np.array(grid, dtype=bool)),
     )
 
 

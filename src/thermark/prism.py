@@ -27,6 +27,8 @@ from __future__ import annotations
 import math
 import re
 
+import numpy as np
+
 from .errors import ValidationError
 from .markov import RewardedModel, ZoneChain
 from .records import Record
@@ -85,7 +87,7 @@ def export_properties(theta_range, zone_ids: tuple[str, ...]) -> str:
 
 def render_models(
     chains: list[ZoneChain] | tuple[ZoneChain, ...],
-    table: list[list[list[float]]],
+    table: np.ndarray | list[list[list[float]]],
     thetas: list[int] | tuple[int, ...] | range,
     delta: float,
     name: str = "building",
@@ -93,29 +95,33 @@ def render_models(
     """Model text for each evaluation step in ``thetas``, in order.
 
     ``table`` holds, per theta, per chain, the reward at each step 0..K+1
-    (:func:`thermark.markov.step_reward_table` as nested lists); ``delta``
-    is the thermal step length in hours. The modules do not depend on
-    theta, so they are rendered once and shared by every text; each text
-    adds its own header lines and reward blocks.
+    (:func:`thermark.markov.step_reward_table`, as an array or nested
+    lists); ``delta`` is the thermal step length in hours. The modules do
+    not depend on theta, so they are rendered once and shared by every
+    text; each text adds its own header lines and reward blocks.
     """
     zone_ids = tuple(c.zone_id for c in chains)
     horizon = chains[0].horizon
     idents = _zone_identifiers(zone_ids)
+    values = np.asarray(table, dtype=float).reshape(len(thetas), len(zone_ids), horizon + 2)
 
-    for theta, rewards in zip(thetas, table, strict=True):
-        for zid, per_step in zip(zone_ids, rewards):
-            for step, value in enumerate(per_step):
-                if not math.isfinite(value):
-                    raise ValidationError(f"non-finite reward: zone {zid!r}, step {step}")
-                if value < 0:
-                    raise ValidationError(
-                        f"negative reward unsupported by target: zone {zid!r}, step {step}"
-                    )
-            # PRISM answers the query with this sum, which can overflow
-            # although every term is finite
-            if not math.isfinite(sum(per_step)):
-                raise ValidationError(
-                    f"non-finite reward sum: zone {zid!r}, theta {theta}")
+    # the first fault by theta, then zone: a step's non-finite or negative
+    # reward, else the zone's sum over the steps, which PRISM answers the
+    # query with and which can overflow although every term is finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        step_faults = ~np.isfinite(values) | (values < 0)
+        sum_faults = ~np.isfinite(np.add.accumulate(values, axis=-1)[..., -1])
+    faults = np.flatnonzero(step_faults.any(axis=-1) | sum_faults)
+    if faults.size:
+        t, m = divmod(int(faults[0]), len(zone_ids))
+        zid = zone_ids[m]
+        if not step_faults[t, m].any():
+            raise ValidationError(f"non-finite reward sum: zone {zid!r}, theta {thetas[t]}")
+        step = int(step_faults[t, m].argmax())
+        if not math.isfinite(values[t, m, step]):
+            raise ValidationError(f"non-finite reward: zone {zid!r}, step {step}")
+        raise ValidationError(
+            f"negative reward unsupported by target: zone {zid!r}, step {step}")
 
     lines: list[str] = []
     lines.append("// modules synchronize on step labels t1..t%d; t_sink loops the"
@@ -182,12 +188,14 @@ def render_models(
     shared = "".join(f"{line}\n" for line in lines)
 
     texts = []
-    for theta, rewards in zip(thetas, table, strict=True):
+    for theta, rewards in zip(thetas, values.tolist()):
         blocks: list[str] = []
         for zid, per_step in zip(zone_ids, rewards):
             ident = idents[zid]
             blocks.append(f'rewards "zone_{ident}"')
-            entries = [f"  step_{ident}={k} : {_fmt(value)};"
+            # only an integer-valued reward needs _fmt; repr is the rest's text
+            entries = [f"  step_{ident}={k} : "
+                       f"{_fmt(value) if value.is_integer() else repr(value)};"
                        for k, value in enumerate(per_step) if value != 0.0]
             blocks += entries or ["  // no nonzero rewards for this zone"]
             blocks.append("endrewards")

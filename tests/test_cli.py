@@ -814,6 +814,17 @@ class TestOutputFiles:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "comfort.json", "trajectory.csv", "trajectory.csv.tmp"]
 
+    def test_taken_temp_name_moves_on(self, tmp_path):
+        from thermark.cli import _atomic_write
+
+        (tmp_path / ".out.txt.0.tmp").write_text("stale")
+        (tmp_path / ".out.txt.1.tmp").mkdir()
+        _atomic_write(tmp_path / "out.txt", ["te", "xt"])
+        assert (tmp_path / "out.txt").read_text() == "text"
+        assert (tmp_path / ".out.txt.0.tmp").read_text() == "stale"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            ".out.txt.0.tmp", ".out.txt.1.tmp", "out.txt"]
+
     def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
         import thermark.cli
 
@@ -823,6 +834,23 @@ class TestOutputFiles:
         monkeypatch.setattr(thermark.cli.os, "replace", fail)
         with pytest.raises(ValidationError, match=r"cannot write .*out\.txt: replace failed"):
             thermark.cli._atomic_write(tmp_path / "out.txt", "text")
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("call, message", [
+        ("open", r"cannot write to .*: open failed"),
+        ("write", r"cannot write .*out\.txt: write failed"),
+    ])
+    def test_failed_open_or_write_leaves_no_temp_file(self, tmp_path, monkeypatch, call,
+                                                      message):
+        import thermark.cli
+
+        def fail(*args):
+            raise OSError(f"{call} failed")
+
+        monkeypatch.setattr(thermark.cli.os, call, fail)
+        with pytest.raises(ValidationError, match=message):
+            thermark.cli._atomic_write(tmp_path / "out.txt", "text")
+        monkeypatch.undo()
         assert not any(tmp_path.iterdir())
 
     def test_target_that_is_a_directory_exits_2(self, tmp_path, capsys):
@@ -843,6 +871,39 @@ class TestOutputFiles:
         modes = {stat.S_IMODE((tmp_path / name).stat().st_mode)
                  for name in ("atomic.txt", "plain.txt")}
         assert len(modes) == 1
+
+    @pytest.mark.parametrize("umask, mode", [(0o027, 0o640), (0o002, 0o664)])
+    def test_mode_follows_a_changed_umask(self, tmp_path, umask, mode):
+        # the umask in force at each write applies, not one read earlier
+        import stat
+
+        from thermark.cli import _atomic_write
+
+        _atomic_write(tmp_path / "before.txt", "text")
+        previous = os.umask(umask)
+        try:
+            _atomic_write(tmp_path / "atomic.txt", "text")
+            (tmp_path / "plain.txt").write_text("text")
+        finally:
+            os.umask(previous)
+        modes = {stat.S_IMODE((tmp_path / name).stat().st_mode)
+                 for name in ("atomic.txt", "plain.txt")}
+        assert modes == {mode}
+
+    @pytest.mark.parametrize("command", ["analyze", "cost", "export", "estimate"])
+    def test_out_is_created_once(self, tmp_path, monkeypatch, command):
+        made = []
+        mkdir = Path.mkdir
+
+        def spy(path, *args, **kwargs):
+            made.append(path)
+            mkdir(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "mkdir", spy)
+        # the parent exists, so pathlib makes no recursive call
+        out = tmp_path / "out"
+        assert main(occupancy_args(command, seven_day_log_csv(), out)) == 0
+        assert made == [out] and any(out.iterdir())
 
 
 class TestParser:

@@ -18,6 +18,7 @@ from thermark import (
     compose,
     direct_expected_temperatures,
     expected_temperature,
+    step_reward_table,
     temperature_trajectory,
     unroll_zone,
 )
@@ -349,6 +350,46 @@ class TestAssignRewards:
         propagated = matrix_power(BENCH_A, theta_prime - theta) @ e_vec
         assert e_prime["zone1"] == pytest.approx(propagated[0], abs=1e-12)
         assert e_prime["zone2"] == pytest.approx(propagated[1], abs=1e-12)
+
+    def test_table_entries_are_single_dot_products(self):
+        # every entry is one row of a power of A dotted with one vector, bit
+        # for bit: a batched matrix product sums in another order on some
+        # BLAS builds and would move the last bits of the PRISM rewards
+        rng = np.random.default_rng(19)
+        for _ in range(40):
+            n, horizon = int(rng.integers(1, 9)), int(rng.integers(1, 24))
+            zone_ids = tuple(f"z{i}" for i in range(n))
+            a = rng.random((n, n))
+            a *= rng.uniform(0.5, 1.0) / a.sum(axis=1, keepdims=True)
+            thermal = DiscreteThermalModel(a=a, b=np.eye(n), delta=1.0,
+                                           initial_temps=rng.uniform(10, 25, n),
+                                           zone_ids=zone_ids)
+            chains = [unroll_zone(random_schedule(rng, horizon), rng.random(horizon + 1) < 0.5,
+                                  horizon, zone_id=str(zid),
+                                  initial_occupied=bool(rng.integers(0, 2)))
+                      for zid in rng.permutation(zone_ids)]
+            gains = {zid: ZoneGains(*rng.uniform(0, 3, 2).tolist()) for zid in zone_ids}
+            thetas = sorted(rng.choice(np.arange(1, horizon + 1), replace=False,
+                                       size=int(rng.integers(1, horizon + 1))).tolist())
+            table = step_reward_table(chains, thermal, gains, thetas)
+
+            powers = [np.eye(n)]
+            for _ in range(max(thetas)):
+                powers.append(powers[-1] @ a)
+            step_gains = np.zeros((horizon, n))
+            for chain in chains:
+                q = gains[chain.zone_id]
+                step_gains[:, thermal.zone_index(chain.zone_id)] = (
+                    q.q_int * np.array(chain.occupied_marginals()[:-1])
+                    + q.q_rad * np.array(chain.heating[:-1], dtype=float))
+            expected = np.zeros_like(table)
+            for t, theta in enumerate(thetas):
+                for m, chain in enumerate(chains):
+                    row = thermal.zone_index(chain.zone_id)
+                    expected[t, m, 0] = np.dot(powers[theta][row], thermal.initial_temps)
+                    for k in range(1, theta + 1):
+                        expected[t, m, k] = np.dot(powers[theta - k][row], step_gains[k - 1])
+            assert table.tobytes() == expected.tobytes()
 
     def test_zone_order_invariance(self, bench_thermal):
         schedule_a = make_schedule(p_vf=0.4, p_ff=0.7)

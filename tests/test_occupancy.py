@@ -187,6 +187,27 @@ class TestDataset:
         with pytest.raises(ValidationError, match="grid shape"):
             OccupancyDataset(days=(1, 2), hours=(8, 9, 10), grid=np.zeros((2, 2), bool))
 
+    def test_reader_grid_is_taken_without_a_copy(self, monkeypatch):
+        handed = []
+        post_init = OccupancyDataset.__post_init__
+
+        def spy(dataset):
+            handed.append(dataset.grid)
+            post_init(dataset)
+
+        monkeypatch.setattr(OccupancyDataset, "__post_init__", spy)
+        # the short log takes the column reader, the long one the day-block reader
+        for body in (seven_day_log_csv().read_bytes(), long_log(days=400)[0]):
+            dataset = parse_occupancy_csv(body)
+            assert np.shares_memory(dataset.grid, handed[-1])
+            assert not dataset.grid.flags.writeable
+
+    def test_caller_grid_is_copied(self):
+        grid = np.array([[True, False]])
+        dataset = OccupancyDataset(days=(1,), hours=(8, 9), grid=grid)
+        assert not np.shares_memory(dataset.grid, grid)
+        assert grid.flags.writeable and not dataset.grid.flags.writeable
+
     def test_equality_compares_contents(self):
         grid = np.array([[True, False]])
         a = OccupancyDataset(days=(1,), hours=(8, 9), grid=grid)

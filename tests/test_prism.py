@@ -307,6 +307,82 @@ class TestRenderModels:
             render_models(chains, table, [1, 2], bench_thermal.delta)
 
 
+def first_fault(table, thetas, zone_ids):
+    """The message of the first faulty reward, found one value at a time:
+    per theta, then per zone, its steps in order, then its sum."""
+    for theta, rewards in zip(thetas, table):
+        for zid, per_step in zip(zone_ids, rewards):
+            for step, value in enumerate(per_step):
+                if not math.isfinite(value):
+                    return f"non-finite reward: zone {zid!r}, step {step}"
+                if value < 0:
+                    return f"negative reward unsupported by target: zone {zid!r}, step {step}"
+            if not math.isfinite(sum(per_step)):
+                return f"non-finite reward sum: zone {zid!r}, theta {theta}"
+    return None
+
+
+class TestRewardFaults:
+    """The first faulty reward is reported by theta, then zone, then step,
+    and a zone's sum only after its steps."""
+
+    ZONES = ("zone1", "zone2", "zone3")
+    THETAS = tuple(range(1, 10))
+
+    @pytest.fixture
+    def setup(self):
+        thermal = DiscreteThermalModel(
+            a=np.full((3, 3), 0.3), b=np.eye(3), delta=1.0,
+            initial_temps=np.array([18.0, 16.0, 17.0]), zone_ids=self.ZONES)
+        chains = [unroll_zone(make_schedule(p_vf=0.1 * (i + 2)), [i != 1] * 10, 9, zone_id=zid)
+                  for i, zid in enumerate(self.ZONES)]
+        gains = {zid: ZoneGains(0.7, 1.5) for zid in self.ZONES}
+        return chains, thermal, step_reward_table(chains, thermal, gains, self.THETAS).tolist()
+
+    # (theta, zone index, step, value); two 1e308 terms overflow their zone's sum
+    OVERFLOW_7_2 = [(7, 1, 1, 1e308), (7, 1, 2, 1e308)]
+
+    @pytest.mark.parametrize("faults, message", [
+        (OVERFLOW_7_2 + [(8, 0, 3, math.nan), (7, 2, 0, -1.0)],
+         "non-finite reward sum: zone 'zone2', theta 7"),
+        (OVERFLOW_7_2 + [(7, 1, 5, math.inf), (7, 1, 4, -1.0)],
+         "negative reward unsupported by target: zone 'zone2', step 4"),
+        (OVERFLOW_7_2 + [(7, 1, 6, -math.inf)],
+         "non-finite reward: zone 'zone2', step 6"),
+        (OVERFLOW_7_2 + [(7, 0, 10, math.nan), (3, 2, 9, -0.5)],
+         "negative reward unsupported by target: zone 'zone3', step 9"),
+        (OVERFLOW_7_2 + [(7, 0, 10, math.nan), (8, 0, 0, math.inf)],
+         "non-finite reward: zone 'zone1', step 10"),
+    ], ids=["sum-before-later-zone", "first-step-first", "minus-inf-is-non-finite",
+            "earlier-theta-first", "earlier-zone-first"])
+    def test_first_fault_message(self, setup, faults, message):
+        chains, thermal, table = setup
+        for theta, m, step, value in faults:
+            table[theta - 1][m][step] = value
+        assert first_fault(table, self.THETAS, self.ZONES) == message
+        with pytest.raises(ValidationError) as info:
+            render_models(chains, table, self.THETAS, thermal.delta)
+        assert str(info.value) == message
+
+    def test_random_faults_match_the_value_loop(self, setup):
+        chains, thermal, clean = setup
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            table = [[list(row) for row in rewards] for rewards in clean]
+            for _ in range(int(rng.integers(1, 5))):
+                theta, m, step = (int(rng.integers(1, 10)), int(rng.integers(0, 3)),
+                                  int(rng.integers(0, 11)))
+                table[theta - 1][m][step] = float(rng.choice(
+                    [math.nan, math.inf, -math.inf, -1e-300, -2.0, 1e308]))
+            message = first_fault(table, self.THETAS, self.ZONES)
+            if message is None:
+                render_models(chains, table, self.THETAS, thermal.delta)
+                continue
+            with pytest.raises(ValidationError) as info:
+                render_models(chains, table, self.THETAS, thermal.delta)
+            assert str(info.value) == message
+
+
 class TestProperties:
     def test_full_range_two_zones(self):
         text = export_properties(range(1, 10), ("zone1", "zone2"))

@@ -11,6 +11,8 @@ from thermark import (
     NumericalGuardError,
     TemperatureTrajectory,
     ValidationError,
+    ZoneGains,
+    assign_rewards,
     compose,
     load_building,
     unroll_zone,
@@ -88,6 +90,22 @@ class TestValueSemantics:
         for record in (thermal, compose([chain]), trajectory):
             with pytest.raises(TypeError):
                 hash(record)
+
+    def test_rewarded_model_compares_reward_dicts_by_value(self):
+        # rewards is a dict of arrays: the dict's own == would ask an array
+        # for its truth value
+        _, thermal = load_building(two_zone_benchmark_dir() / "building.json")
+        model = compose([unroll_zone(TransitionSchedule((step(),) * 3), [True] * 4, 3,
+                                     zone_id=zid) for zid in thermal.zone_ids])
+        gains = {zid: ZoneGains(0.7, 1.5) for zid in thermal.zone_ids}
+        rewarded = assign_rewards(model, thermal, gains, 3)
+        assert rewarded == assign_rewards(model, thermal, dict(gains), 3)
+        assert rewarded != assign_rewards(model, thermal, gains, 2)
+        assert rewarded != rewarded.replace(
+            rewards={**rewarded.rewards, "zone1": rewarded.rewards["zone1"] + 1.0})
+        assert rewarded != rewarded.replace(rewards={"zone1": rewarded.rewards["zone1"]})
+        with pytest.raises(TypeError):
+            hash(rewarded)
 
 
 class TestConstruction:
