@@ -198,30 +198,23 @@ def _window_schedule(
     window: tuple[int, int],
     zone_id: str,
 ) -> tuple[TransitionSchedule, bool]:
-    """Estimate and slice a dataset's schedule to the operating window."""
+    """Estimate a dataset's schedule on the operating window's hours only."""
     start, end = window
     if dataset.hours[0] > start or dataset.hours[-1] < end:
         raise ValidationError(
             f"zone {zone_id!r}: dataset hours {dataset.hours[0]}-{dataset.hours[-1]} "
             f"do not cover the window {start}-{end}"
         )
-    full = occupancy.estimate_transition_schedule(dataset)
     offset = start - dataset.hours[0]
-    diags = tuple(d for d in full.diagnostics if start <= d.hour < end)
-    first_frac = int(np.count_nonzero(dataset.grid[:, offset])) / dataset.day_count
+    grid = dataset.grid[:, offset:offset + end - start + 1]  # read-only, so kept uncopied
+    first_frac = int(np.count_nonzero(grid[:, 0])) / dataset.day_count
     if first_frac not in (0.0, 1.0):
         raise ValidationError(
             f"zone {zone_id!r}: occupancy at the window start hour {start} is mixed "
             f"({first_frac:.2f} of days); the chain needs a deterministic start"
         )
-    # the sliced matrices keep the full log's step numbers; the chains read
-    # them by position only
-    schedule = TransitionSchedule(
-        matrices=full.matrices[offset:offset + end - start],
-        hours=tuple(range(start, end + 1)),
-        diagnostics=diags,
-    )
-    return schedule, first_frac == 1.0
+    windowed = occupancy.OccupancyDataset(dataset.days, tuple(range(start, end + 1)), grid)
+    return occupancy.estimate_transition_schedule(windowed), first_frac == 1.0
 
 
 def _resolve_strategy(config: RunConfig, zone_ids: tuple[str, ...],
@@ -334,6 +327,8 @@ def cmd_cost(config: RunConfig, strategy_refs: list[str]) -> int:
         comfort_by_strategy = {
             strat.name: summary for strat, summary in zip(strategies, summaries)
         }
+    else:
+        config.gains_for(zone_ids)  # checked with or without logs, as the trajectories do
 
     comparison = strategy_mod.compare_strategies(
         strategies, tariff, radiator_kw=config.radiator_kw,
@@ -465,6 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     window = _parse_range(args.window, "window")
+    if window[1] > 23:
+        raise ValidationError(f"window must end by hour 23, got {args.window!r}")
     horizon = window[1] - window[0]
     thetas = _parse_thetas(args.theta) if args.theta else tuple(range(1, horizon + 1))
     if min(thetas) < 1 or max(thetas) > horizon:

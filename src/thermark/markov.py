@@ -220,10 +220,6 @@ class RewardedModel(Record):
     # zone id -> reward at each step 0..K+1, carried by every state of the step
     rewards: dict[str, np.ndarray]
 
-    @property
-    def zone_ids(self) -> tuple[str, ...]:
-        return self.model.zone_ids
-
 
 def _check_zones(zone_ids: tuple[str, ...], thermal: DiscreteThermalModel,
                  gains: dict[str, ZoneGains]) -> None:

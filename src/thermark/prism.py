@@ -3,11 +3,14 @@
 One module per zone, each holding a bounded step counter and an occupancy
 variable; all modules share the step labels t1..t{K+1} (plus an absorbing
 t_sink loop), so their parallel composition inside PRISM synchronizes
-layer by layer exactly like :func:`thermark.markov.compose`. Zones whose
-occupancy schedules coincide are emitted through module renaming instead
-of being spelled out twice. The model is rendered from the zone chains
-and the per-step reward table of :func:`thermark.markov.step_reward_table`;
-the product chain is never built.
+layer by layer exactly like :func:`thermark.markov.compose`. Step k, the
+window's k-th hour boundary (schedules are estimated on the window's
+hours), is emitted by one rule: a command per occupancy reachable at k,
+the start label at step 0 and either occupancy after it. A zone whose
+probabilities and start label match an earlier zone's renames that
+zone's module. The model is rendered from the zone chains and the
+per-step reward table of :func:`thermark.markov.step_reward_table`; the
+product chain is never built.
 
 Every state at a step carries the same reward, so each per-zone reward
 block holds one ``step_<zone>=k : value;`` line per step with a nonzero
@@ -123,67 +126,34 @@ def render_models(
         raise ValidationError(
             f"negative reward unsupported by target: zone {zid!r}, step {step}")
 
-    lines: list[str] = []
-    lines.append("// modules synchronize on step labels t1..t%d; t_sink loops the"
-                 % (horizon + 1))
-    lines.append("// absorbing final state")
-    lines.append("")
-    lines.append("dtmc")
-    lines.append("")
+    lines = [f"// modules synchronize on step labels t1..t{horizon + 1}; t_sink loops the",
+             "// absorbing final state", "", "dtmc", ""]
 
-    emitted: list[ZoneChain] = []  # chains with a spelled-out module, for renaming
+    # (probabilities, start label) of each spelled-out module -> its identifier
+    spelled: dict[tuple, str] = {}
     for chain in chains:
         ident = idents[chain.zone_id]
-        twin = None
-        for prev in emitted:
-            if (prev.occ_given_empty == chain.occ_given_empty
-                    and prev.occ_given_occupied == chain.occ_given_occupied
-                    and prev.initial_occupied == chain.initial_occupied):
-                twin = prev
-                break
-        if twin is not None:
-            p_ident = idents[twin.zone_id]
-            lines.append(
-                f"module zone_{ident} = zone_{p_ident} "
-                f"[ step_{p_ident}=step_{ident}, occ_{p_ident}=occ_{ident} ] endmodule"
-            )
-            lines.append("")
+        key = (chain.occ_given_empty, chain.occ_given_occupied, chain.initial_occupied)
+        twin = spelled.setdefault(key, ident)
+        if twin != ident:
+            lines += [f"module zone_{ident} = zone_{twin} "
+                      f"[ step_{twin}=step_{ident}, occ_{twin}=occ_{ident} ] endmodule", ""]
             continue
 
-        lines.append(f"module zone_{ident}")
-        lines.append(f"  step_{ident} : [0..{horizon + 1}] init 0;")
-        lines.append(f"  occ_{ident} : [0..1] init {1 if chain.initial_occupied else 0};")
-        lines.append("")
         init_occ = 1 if chain.initial_occupied else 0
-        for k in range(horizon):
-            p_occ_from_empty = chain.occ_given_empty[k]
-            p_occ_from_occ = chain.occ_given_occupied[k]
-            if k == 0:
-                p = p_occ_from_occ if chain.initial_occupied else p_occ_from_empty
-                lines.append(
-                    f"  [t1] step_{ident}=0 & occ_{ident}={init_occ} -> "
-                    f"{_fmt(p)}:(step_{ident}'=1)&(occ_{ident}'=1) + "
-                    f"{_fmt(1.0 - p)}:(step_{ident}'=1)&(occ_{ident}'=0);"
-                )
-            else:
-                lines.append(
-                    f"  [t{k + 1}] step_{ident}={k} & occ_{ident}=1 -> "
-                    f"{_fmt(p_occ_from_occ)}:(step_{ident}'={k + 1})&(occ_{ident}'=1) + "
-                    f"{_fmt(1.0 - p_occ_from_occ)}:(step_{ident}'={k + 1})&(occ_{ident}'=0);"
-                )
-                lines.append(
-                    f"  [t{k + 1}] step_{ident}={k} & occ_{ident}=0 -> "
-                    f"{_fmt(p_occ_from_empty)}:(step_{ident}'={k + 1})&(occ_{ident}'=1) + "
-                    f"{_fmt(1.0 - p_occ_from_empty)}:(step_{ident}'={k + 1})&(occ_{ident}'=0);"
-                )
-        lines.append(
-            f"  [t{horizon + 1}] step_{ident}={horizon} -> "
-            f"1:(step_{ident}'={horizon + 1})&(occ_{ident}'=0);"
-        )
-        lines.append(f"  [t_sink] step_{ident}={horizon + 1} -> 1:(step_{ident}'={horizon + 1});")
-        lines.append("endmodule")
-        lines.append("")
-        emitted.append(chain)
+        lines += [f"module zone_{ident}", f"  step_{ident} : [0..{horizon + 1}] init 0;",
+                  f"  occ_{ident} : [0..1] init {init_occ};", ""]
+        # step 0 leaves the start label only, a later step either occupancy
+        for k, sources in enumerate([(init_occ,)] + [(1, 0)] * (horizon - 1)):
+            for occ in sources:
+                p = (chain.occ_given_occupied if occ else chain.occ_given_empty)[k]
+                lines.append(f"  [t{k + 1}] step_{ident}={k} & occ_{ident}={occ} -> "
+                             f"{_fmt(p)}:(step_{ident}'={k + 1})&(occ_{ident}'=1) + "
+                             f"{_fmt(1.0 - p)}:(step_{ident}'={k + 1})&(occ_{ident}'=0);")
+        lines += [f"  [t{horizon + 1}] step_{ident}={horizon} -> "
+                  f"1:(step_{ident}'={horizon + 1})&(occ_{ident}'=0);",
+                  f"  [t_sink] step_{ident}={horizon + 1} -> 1:(step_{ident}'={horizon + 1});",
+                  "endmodule", ""]
 
     shared = "".join(f"{line}\n" for line in lines)
 
@@ -220,11 +190,10 @@ def export_prism_model(
     rewards of ``rewarded.theta``.
     """
     model = rewarded.model
-    table = [rewarded.rewards[zid].tolist() for zid in model.zone_ids]
-
+    table = np.array([[rewarded.rewards[zid] for zid in model.zone_ids]])
     thetas = list(theta_range) if theta_range is not None else [rewarded.theta]
     return PrismArtifact(
-        model_text=render_models(model.chains, [table], [rewarded.theta],
+        model_text=render_models(model.chains, table, [rewarded.theta],
                                  rewarded.thermal.delta, name)[0],
         properties_text=export_properties(thetas, model.zone_ids),
     )

@@ -345,6 +345,34 @@ class TestWindowHandling:
         assert main(args) == 2
         assert "deterministic start" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["analyze", "export"])
+    @pytest.mark.parametrize("padded", [False, True])
+    def test_window_matches_logs_cut_to_it(self, tmp_path, command, padded):
+        # the bundled logs cover 8..17; padded, they also hold hours 6, 7 and
+        # 18, occupied on odd days, so the window starts two columns in
+        d = two_zone_benchmark_dir()
+        logs = {}
+        for zid in ("zone1", "zone2"):
+            header, *rows = (d / f"occupancy_{zid}.csv").read_text().splitlines()
+            if padded:
+                days = {int(row.split(",")[0]) for row in rows}
+                rows += [f"{day},{hour},{day % 2}" for day in days for hour in (6, 7, 18)]
+            rows.sort(key=lambda row: tuple(map(int, row.split(",")[:2])))
+            for kind, keep in (("full", rows),
+                               ("cut", [r for r in rows if 8 <= int(r.split(",")[1]) <= 12])):
+                path = tmp_path / f"{kind}_{zid}.csv"
+                path.write_text("\n".join([header, *keep]) + "\n")
+                logs.setdefault(kind, []).extend(["--occupancy", f"{zid}={path}"])
+        for kind, occupancy in logs.items():
+            args = [command, "--building", str(d / "building.json"), *occupancy,
+                    "--strategy", "S6", "--window", "8-12", "--out", str(tmp_path / kind)]
+            assert main(args) == 0
+        names = sorted(f.name for f in (tmp_path / "full").iterdir())
+        assert names == sorted(f.name for f in (tmp_path / "cut").iterdir())
+        assert len(names) == (2 if command == "analyze" else 5)
+        for name in names:
+            assert (tmp_path / "full" / name).read_bytes() == (tmp_path / "cut" / name).read_bytes()
+
 
 def bench_config(strategy):
     from pathlib import Path
@@ -449,6 +477,22 @@ class TestArgumentChecks:
                 "--out", str(tmp_path)]
         assert main(args) == 2
         assert_one_line_error(capsys, "outside 1..9")
+
+    # cost checks the gains and the window with or without logs, as
+    # analyze and export do
+    @pytest.mark.parametrize("extra,reason", [
+        (["--gains", "nosuch=1,1"], "--gains references unknown zone 'nosuch'"),
+        (["--gains=-5,1"], "gains for zone 'zone1' must be >= 0"),
+        (["--strategy", "S1", "--window", "0-99"], "window must end by hour 23, got '0-99'"),
+    ])
+    def test_cost_without_occupancy_checks_gains_and_window(self, tmp_path, capsys, extra,
+                                                            reason):
+        d = two_zone_benchmark_dir()
+        out = tmp_path / "out"
+        assert main(["cost", "--building", str(d / "building.json"), *extra,
+                     "--out", str(out)]) == 2
+        assert_one_line_error(capsys, reason)
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["analyze", "export"])
     def test_extra_strategy_exits_2(self, tmp_path, capsys, command):

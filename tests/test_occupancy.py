@@ -202,6 +202,12 @@ class TestDataset:
             assert np.shares_memory(dataset.grid, handed[-1])
             assert not dataset.grid.flags.writeable
 
+    def test_window_view_is_taken_without_a_copy(self):
+        dataset = parse_occupancy_csv(seven_day_log_csv().read_bytes())
+        view = dataset.grid[:, 1:4]
+        windowed = OccupancyDataset(dataset.days, dataset.hours[1:4], view)
+        assert windowed.grid is view
+
     def test_caller_grid_is_copied(self):
         grid = np.array([[True, False]])
         dataset = OccupancyDataset(days=(1,), hours=(8, 9), grid=grid)

@@ -243,6 +243,31 @@ class TestEvaluator:
         assert re.findall(r"^module zone_\w+ = zone_\w+", text, re.M) == [
             "module zone_z1 = zone_z0"]
 
+    def test_other_start_is_spelled_out(self):
+        # z1 shares z0's schedule but starts occupied; z2 matches z1, not z0
+        _, thermal, gains = random_instance(np.random.default_rng(11), 3, 4)
+        schedule = make_schedule([0.3, 0.5, 0.2, 0.6], [0.7, 0.4, 0.9, 0.5])
+        chains = [unroll_zone(schedule, [True, False, True, True, False], 4, zone_id=f"z{j}",
+                              initial_occupied=start)
+                  for j, start in enumerate((False, True, True))]
+        text = self.check_every_theta(chains, thermal, gains)
+        assert re.findall(r"^module zone_(\w+)$", text, re.M) == ["z0", "z1"]
+        assert re.findall(r"^module zone_\w+ = zone_\w+", text, re.M) == [
+            "module zone_z2 = zone_z1"]
+        assert "  [t1] step_z0=0 & occ_z0=0 -> " in text
+        assert "  [t1] step_z1=0 & occ_z1=1 -> " in text
+        assert "step_z0=0 & occ_z0=1" not in text and "step_z1=0 & occ_z1=0" not in text
+
+    def test_three_twins_rename_the_first(self):
+        _, thermal, gains = random_instance(np.random.default_rng(12), 3, 4)
+        schedule = make_schedule([0.3, 0.5, 0.2, 0.6], [0.7, 0.4, 0.9, 0.5])
+        chains = [unroll_zone(schedule, [True, False, True, True, False], 4, zone_id=f"z{j}")
+                  for j in range(3)]
+        text = self.check_every_theta(chains, thermal, gains)
+        assert re.findall(r"^module zone_(\w+)$", text, re.M) == ["z0"]
+        assert re.findall(r"^module zone_\w+ = zone_\w+", text, re.M) == [
+            "module zone_z1 = zone_z0", "module zone_z2 = zone_z0"]
+
     @staticmethod
     def check_every_theta(chains, thermal, gains) -> str:
         """Evaluate every theta's model text against the direct route; return the last."""
