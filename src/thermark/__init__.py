@@ -31,9 +31,8 @@ from .occupancy import (
     TransitionSchedule,
     estimate_transition_schedule,
     parse_occupancy_csv,
-    sample_dataset,
 )
-from .prism import PrismArtifact, export_prism_model, export_properties, render_models
+from .prism import export_properties, render_models
 from .strategy import (
     CostReport,
     HeatingStrategy,
@@ -53,7 +52,6 @@ from .thermal import (
     build_state_space,
     discretize_forward_euler,
     load_building,
-    matrix_power,
 )
 
 __version__ = "0.1.0"
@@ -67,7 +65,6 @@ __all__ = [
     "HeatingStrategy",
     "NumericalGuardError",
     "OccupancyDataset",
-    "PrismArtifact",
     "RCNetwork",
     "RewardedModel",
     "Tariff",
@@ -89,15 +86,12 @@ __all__ = [
     "discretize_forward_euler",
     "estimate_transition_schedule",
     "expected_temperature",
-    "export_prism_model",
     "export_properties",
     "load_building",
-    "matrix_power",
     "parse_occupancy_csv",
     "parse_strategy",
     "parse_tariff",
     "render_models",
-    "sample_dataset",
     "step_reward_table",
     "strategy_cost",
     "table2_tariff",

@@ -233,9 +233,6 @@ class TemperatureTrajectory(Record):
     thetas: tuple[int, ...]
     values: np.ndarray  # (len(thetas), len(zone_ids))
 
-    def value(self, theta: int, zone_id: str) -> float:
-        return float(self.values[self.thetas.index(theta), self.zone_ids.index(zone_id)])
-
 
 def temperature_trajectory(
     model: ComposedModel,

@@ -22,6 +22,7 @@ import json
 import math
 import os
 import sys
+import unicodedata
 from collections.abc import Iterable
 from pathlib import Path
 
@@ -252,12 +253,6 @@ def _load_inputs(config: RunConfig):
     return network, thermal, schedules, _resolve_strategy(config, thermal.zone_ids)
 
 
-def _build_model(config: RunConfig):
-    """Load building + occupancy + strategy into a composed model."""
-    network, thermal, schedules, strat = _load_inputs(config)
-    return network, thermal, markov.compose(_chains(config, schedules, strat)), strat
-
-
 def _trajectories(config: RunConfig, thermal: DiscreteThermalModel, schedules: Schedules,
                   strategies: list[strategy_mod.HeatingStrategy]) -> np.ndarray:
     """Expected temperatures of every strategy, (S, len(thetas), N), from one
@@ -370,6 +365,11 @@ def cmd_cost(config: RunConfig, strategy_refs: list[str]) -> int:
 
 
 def cmd_export(config: RunConfig, name: str, to_stdout: bool = False) -> int:
+    # the name is a file name inside --out and a line of the model's header
+    if (not name or "/" in name or name.startswith(".")
+            or any(unicodedata.category(c) == "Cc" for c in name)):
+        raise ValidationError(f"--name must be a file name with no '/', leading '.' "
+                              f"or control character, got {name!r}")
     _, thermal, schedules, strat = _load_inputs(config)
     chains = _chains(config, schedules, strat)
     table = markov.step_reward_table(chains, thermal, config.gains_for(thermal.zone_ids),

@@ -53,10 +53,9 @@ def read_text(path: Path, kind: str) -> str:
     return text
 
 
-def read_json(source: Path | dict, kind: str, schema: object) -> object:
-    """Parse a JSON file, or take an already parsed dict, and check it
-    against ``schema`` in one walk; ``kind`` names the input in the
-    not-found message and stands in for a dict's file name.
+def read_json(path: Path, kind: str, schema: object) -> object:
+    """Parse a JSON file and check it against ``schema`` in one walk;
+    ``kind`` names the file's role in the not-found message.
 
     A schema is a plain literal:
 
@@ -75,25 +74,21 @@ def read_json(source: Path | dict, kind: str, schema: object) -> object:
     rejected. The first mismatch raises a one-line :class:`ValidationError`
     naming the input, the key path and the problem.
     """
-    if isinstance(source, dict):
-        raw, name = source, kind
-    else:
-        text = read_text(source, kind)
-        try:
-            if text.startswith("\ufeff"):  # json.loads says so; the decoder alone does not
-                raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
-            raw = _DECODER.decode(text)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{source}: not valid JSON: {exc}") from None
-        except RecursionError:
-            raise ValidationError(f"{source}: not valid JSON: nested too deeply") from None
-        except _RepeatedKey as exc:
-            raise ValidationError(f"{source}: an object gives key {exc.args[0]!r} twice") from None
-        name = source
+    text = read_text(path, kind)
+    try:
+        if text.startswith("\ufeff"):  # json.loads says so; the decoder alone does not
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        raw = _DECODER.decode(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path}: not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ValidationError(f"{path}: not valid JSON: nested too deeply") from None
+    except _RepeatedKey as exc:
+        raise ValidationError(f"{path}: an object gives key {exc.args[0]!r} twice") from None
     try:
         _walk(raw, schema)
     except _Mismatch as exc:
-        raise json_error(name, reversed(exc.steps), str(exc)) from None
+        raise json_error(path, reversed(exc.steps), str(exc)) from None
     return raw
 
 

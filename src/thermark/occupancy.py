@@ -16,7 +16,6 @@ diagnostics instead of failing.
 from __future__ import annotations
 
 import bisect
-import random
 import re
 from collections.abc import Iterator, Mapping
 
@@ -502,44 +501,3 @@ def estimate_transition_schedule(dataset: OccupancyDataset) -> TransitionSchedul
                                    p_ff=p_ff, p_fv=1.0 - p_ff))
     return TransitionSchedule(matrices=tuple(matrices), hours=hours,
                               diagnostics=tuple(diags))
-
-
-def sample_dataset(
-    schedule: TransitionSchedule,
-    days: int,
-    seed: int,
-    initial_occupied_prob: float = 0.0,
-    first_hour: int | None = None,
-) -> OccupancyDataset:
-    """Sample a synthetic dataset whose rows follow ``schedule``.
-
-    Day 1..days each start occupied with probability
-    ``initial_occupied_prob`` and then evolve by the per-step matrices.
-    Deterministic for a fixed seed.
-    """
-    if days <= 0:
-        raise ValidationError(f"days must be positive, got {days}")
-    if first_hour is None:
-        first_hour = schedule.hours[0] if schedule.hours else 0
-    rng = random.Random(seed)
-    grid = []
-    for _ in range(days):
-        occ = rng.random() < initial_occupied_prob
-        row = [occ]
-        for mat in schedule.matrices:
-            occ = rng.random() < (mat.p_ff if occ else mat.p_vf)
-            row.append(occ)
-        grid.append(row)
-    return OccupancyDataset(
-        days=tuple(range(1, days + 1)),
-        hours=tuple(range(first_hour, first_hour + len(schedule) + 1)),
-        grid=_read_only(np.array(grid, dtype=bool)),
-    )
-
-
-def dataset_to_csv(dataset: OccupancyDataset) -> str:
-    """Render a dataset back to the canonical CSV text."""
-    lines = ["day,hour,occupied"]
-    for day, row in zip(dataset.days, dataset.grid.tolist()):
-        lines.extend(f"{day},{hour},{int(occ)}" for hour, occ in zip(dataset.hours, row))
-    return "\n".join(lines) + "\n"

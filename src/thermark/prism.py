@@ -33,17 +33,9 @@ import re
 import numpy as np
 
 from .errors import ValidationError
-from .markov import RewardedModel, ZoneChain
-from .records import Record
+from .markov import ZoneChain
 
 _IDENT_RE = re.compile(r"[^A-Za-z0-9_]")
-
-
-class PrismArtifact(Record):
-    """Rendered model and property sources."""
-
-    model_text: str
-    properties_text: str
 
 
 def _fmt(x: float) -> str:
@@ -176,24 +168,3 @@ def render_models(
             + shared + "\n".join(blocks)
         )
     return texts
-
-
-def export_prism_model(
-    rewarded: RewardedModel,
-    name: str = "building",
-    theta_range=None,
-) -> PrismArtifact:
-    """Render a rewarded composed model and its property file.
-
-    ``theta_range`` controls the property file only (defaults to the
-    rewards' own theta); the model text always carries the per-step
-    rewards of ``rewarded.theta``.
-    """
-    model = rewarded.model
-    table = np.array([[rewarded.rewards[zid] for zid in model.zone_ids]])
-    thetas = list(theta_range) if theta_range is not None else [rewarded.theta]
-    return PrismArtifact(
-        model_text=render_models(model.chains, table, [rewarded.theta],
-                                 rewarded.thermal.delta, name)[0],
-        properties_text=export_properties(thetas, model.zone_ids),
-    )

@@ -139,16 +139,16 @@ TARIFF_SCHEMA = {
 }
 
 
-def parse_strategy(source: Path | dict,
+def parse_strategy(path: Path,
                    zone_ids: tuple[str, ...] | None = None) -> HeatingStrategy:
-    """Load a strategy from a JSON file or an already parsed dict.
+    """Load a strategy from a JSON file.
 
     Schema (:data:`STRATEGY_SCHEMA`, read by :func:`errors.read_json`):
     ``{"name": "...", "schedule": {"zone-id": [8, 9], ...}}``; the name is
     a string and the hours distinct JSON integers. When ``zone_ids`` is
     given, schedule keys must be declared zones.
     """
-    raw = read_json(source, "strategy", STRATEGY_SCHEMA)
+    raw = read_json(path, "strategy", STRATEGY_SCHEMA)
     schedule = {z: frozenset(hours) for z, hours in raw["schedule"].items()}
     if zone_ids is not None:
         for z in schedule:
@@ -161,14 +161,14 @@ def parse_strategy(source: Path | dict,
     return HeatingStrategy(name=raw["name"], schedule=schedule)
 
 
-def parse_tariff(source: Path | dict) -> Tariff:
-    """Load a tariff from a JSON file or an already parsed dict.
+def parse_tariff(path: Path) -> Tariff:
+    """Load a tariff from a JSON file.
 
     Schema (:data:`TARIFF_SCHEMA`): ``{"bands": [{"name": "...", "start": 8,
     "end": 10, "price_minor_per_kwh": 10}, ...]}``; each name is a string
     and the hours and price are JSON integers.
     """
-    raw = read_json(source, "tariff", TARIFF_SCHEMA)
+    raw = read_json(path, "tariff", TARIFF_SCHEMA)
     return Tariff(bands=tuple(TariffBand(**band) for band in raw["bands"]))
 
 

@@ -107,7 +107,6 @@ class DiscreteThermalModel(Record):
     delta: float
     initial_temps: np.ndarray
     zone_ids: tuple[str, ...]
-    derived: bool = True
 
     def __post_init__(self) -> None:
         a = np.asarray(self.a, dtype=float)
@@ -177,19 +176,6 @@ def discretize_forward_euler(
     )
 
 
-def matrix_power(a: np.ndarray, k: int) -> np.ndarray:
-    """k-fold repeated matrix product; k = 0 gives the identity."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValidationError(f"matrix_power needs a square matrix, got shape {a.shape}")
-    if k < 0:
-        raise ValidationError(f"matrix_power needs k >= 0, got {k}")
-    out = np.eye(a.shape[0])
-    for _ in range(k):
-        out = out @ a
-    return out
-
-
 BUILDING_SCHEMA = {
     "zones": [{"id": str, "capacitance": float, "resistance": float, "initial_temp": float}],
     "edges?": [("two zone ids", str, str)],
@@ -236,7 +222,6 @@ def load_building(path: str | Path) -> tuple[RCNetwork, DiscreteThermalModel]:
             delta=float(explicit.get("delta", 1.0)),
             initial_temps=initial,
             zone_ids=network.zone_ids,
-            derived=False,
         )
     delta = float(raw.get("delta", 1.0))
     return network, discretize_forward_euler(build_state_space(network), delta, initial)

@@ -1,14 +1,17 @@
-"""Shared fixtures: the benchmark thermal model and schedule builders."""
+"""Shared fixtures: the benchmark thermal model, schedule builders and
+the data generators and reference helpers that only tests need."""
 
 from __future__ import annotations
 
 import functools
+import random
 
 import numpy as np
 import pytest
 
-from thermark import DiscreteThermalModel
-from thermark.occupancy import StepMatrix, TransitionSchedule
+from thermark import DiscreteThermalModel, compose
+from thermark.cli import RunConfig, _chains, _load_inputs
+from thermark.occupancy import OccupancyDataset, StepMatrix, TransitionSchedule
 
 BENCH_A = np.array([[0.7001, 0.2999], [0.3007, 0.6993]])
 BENCH_B = np.diag([0.7299, 1.0])
@@ -24,7 +27,6 @@ def bench_thermal() -> DiscreteThermalModel:
         delta=1.0,
         initial_temps=BENCH_T0.copy(),
         zone_ids=("zone1", "zone2"),
-        derived=False,
     )
 
 
@@ -59,3 +61,51 @@ def dense_layers(model) -> list[np.ndarray]:
     """The product's (2^N, 2^N) matrix of each step k -> k+1, the Kronecker
     product of the zones' factors in chain order."""
     return [functools.reduce(np.kron, factors) for factors in model.factors]
+
+
+def matrix_power(a, k: int) -> np.ndarray:
+    """k-fold repeated matrix product ``out @ a``; k = 0 gives the identity."""
+    a = np.asarray(a, dtype=float)
+    out = np.eye(a.shape[0])
+    for _ in range(k):
+        out = out @ a
+    return out
+
+
+def build_model(config: RunConfig):
+    """Network, thermal model, composed model and strategy of a run, read
+    by the CLI's own loaders."""
+    network, thermal, schedules, strat = _load_inputs(config)
+    return network, thermal, compose(_chains(config, schedules, strat)), strat
+
+
+def sample_dataset(schedule: TransitionSchedule, days: int, seed: int,
+                   initial_occupied_prob: float = 0.0,
+                   first_hour: int | None = None) -> OccupancyDataset:
+    """A synthetic dataset whose rows follow ``schedule``: days 1..days each
+    start occupied with probability ``initial_occupied_prob`` and then
+    evolve by the per-step matrices. Deterministic for a fixed seed."""
+    if first_hour is None:
+        first_hour = schedule.hours[0] if schedule.hours else 0
+    rng = random.Random(seed)
+    grid = []
+    for _ in range(days):
+        occ = rng.random() < initial_occupied_prob
+        row = [occ]
+        for mat in schedule.matrices:
+            occ = rng.random() < (mat.p_ff if occ else mat.p_vf)
+            row.append(occ)
+        grid.append(row)
+    return OccupancyDataset(
+        days=tuple(range(1, days + 1)),
+        hours=tuple(range(first_hour, first_hour + len(schedule) + 1)),
+        grid=np.array(grid, dtype=bool),
+    )
+
+
+def dataset_to_csv(dataset: OccupancyDataset) -> str:
+    """A dataset as canonical CSV text."""
+    lines = ["day,hour,occupied"]
+    for day, row in zip(dataset.days, dataset.grid.tolist()):
+        lines.extend(f"{day},{hour},{int(occ)}" for hour, occ in zip(dataset.hours, row))
+    return "\n".join(lines) + "\n"

@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import BENCH_A, BENCH_T0, make_schedule, random_schedule
+from conftest import BENCH_A, BENCH_T0, build_model, make_schedule, matrix_power, random_schedule
 from thermark import (
     ZoneGains,
     assign_rewards,
@@ -27,17 +27,19 @@ from thermark import (
     discretize_forward_euler,
     estimate_transition_schedule,
     expected_temperature,
-    export_prism_model,
+    export_properties,
     parse_occupancy_csv,
+    render_models,
+    step_reward_table,
     strategy_cost,
     table2_tariff,
     temperature_trajectory,
     unroll_zone,
 )
-from thermark.cli import RunConfig, _build_model
+from thermark.cli import RunConfig
 from thermark.datasets import two_zone_benchmark_dir, seven_day_log_csv
 from thermark.strategy import compare_strategies
-from thermark.thermal import RCNetwork, Zone, matrix_power
+from thermark.thermal import RCNetwork, Zone
 from test_prism import GOLDEN
 
 ZONES = ("zone1", "zone2")
@@ -55,7 +57,7 @@ def bench_thermal_model():
 
     return DiscreteThermalModel(
         a=BENCH_A.copy(), b=np.diag([0.7299, 1.0]), delta=1.0,
-        initial_temps=BENCH_T0.copy(), zone_ids=ZONES, derived=False,
+        initial_temps=BENCH_T0.copy(), zone_ids=ZONES,
     )
 
 
@@ -175,7 +177,7 @@ def bundled_trajectories():
             },
             strategy=name,
         )
-        _, thermal, model, _ = _build_model(config)
+        _, thermal, model, _ = build_model(config)
         trajectories[name] = temperature_trajectory(
             model, thermal, bench_gains(), range(1, 10))
     elapsed = time.perf_counter() - start
@@ -230,7 +232,7 @@ class TestCriterion6Structure:
         thermal_by_n = {
             1: DiscreteThermalModel(
                 a=np.array([[1.0]]), b=np.array([[1.0]]), delta=1.0,
-                initial_temps=np.array([18.0]), zone_ids=("zone1",), derived=False,
+                initial_temps=np.array([18.0]), zone_ids=("zone1",),
             ),
             2: bench_thermal_model(),
         }
@@ -306,11 +308,14 @@ class TestCriterion8PrismExport:
     def test_golden_files(self):
         from test_prism import pinned_rewarded
 
-        artifact = export_prism_model(pinned_rewarded(), name="two_zone_benchmark",
-                                      theta_range=range(1, 10))
+        rewarded = pinned_rewarded()
+        chains, thermal = rewarded.model.chains, rewarded.thermal
+        table = step_reward_table(chains, thermal, rewarded.gains, [9])
+        model_text = render_models(chains, table, [9], thermal.delta, "two_zone_benchmark")[0]
+        properties_text = export_properties(range(1, 10), rewarded.model.zone_ids)
         ok = (
-            artifact.model_text == (GOLDEN / "two_zone_benchmark.pm").read_text()
-            and artifact.properties_text == (GOLDEN / "two_zone_benchmark.props").read_text()
+            model_text == (GOLDEN / "two_zone_benchmark.pm").read_text()
+            and properties_text == (GOLDEN / "two_zone_benchmark.props").read_text()
         )
         assert report("8 PRISM export golden", ok)
 

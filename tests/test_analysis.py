@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import BENCH_A, BENCH_T0, make_schedule, random_schedule
+from conftest import BENCH_A, BENCH_T0, make_schedule, matrix_power, random_schedule
 from thermark import (
     DiscreteThermalModel,
     NumericalGuardError,
@@ -21,7 +21,6 @@ from thermark import (
     unroll_zone,
 )
 from thermark.analysis import TemperatureTrajectory
-from thermark.thermal import matrix_power
 
 ZONES = ("zone1", "zone2")
 
@@ -123,7 +122,7 @@ class TestCrossEngine:
             thermal = DiscreteThermalModel(
                 a=a, b=np.eye(n), delta=1.0,
                 initial_temps=rng.uniform(10, 25, size=n),
-                zone_ids=zone_ids, derived=False,
+                zone_ids=zone_ids,
             )
             chains = [
                 unroll_zone(
@@ -238,8 +237,8 @@ class TestTrajectory:
         trajectory = temperature_trajectory(model, bench_thermal, bench_gains(), [4])
         single = expected_temperature(
             assign_rewards(model, bench_thermal, bench_gains(), 4), 4)
-        for z in ZONES:
-            assert trajectory.value(4, z) == pytest.approx(single[z], abs=0)
+        for j, z in enumerate(ZONES):
+            assert trajectory.values[0, j] == pytest.approx(single[z], abs=0)
 
     def test_trajectory_matches_oracle_pointwise(self, bench_thermal):
         rng = np.random.default_rng(2024)
@@ -248,8 +247,8 @@ class TestTrajectory:
         for theta in range(1, 10):
             rewarded = assign_rewards(model, bench_thermal, bench_gains(), theta)
             oracle = brute_force_expected_temperature(rewarded, theta)
-            for z in ZONES:
-                assert abs(trajectory.value(theta, z) - oracle[z]) <= 1e-9
+            for j, z in enumerate(ZONES):
+                assert abs(trajectory.values[theta - 1, j] - oracle[z]) <= 1e-9
 
     def test_propagates_once_per_call(self, bench_thermal):
         # one pass up to the largest theta reads each step's factors once, for every theta
@@ -285,7 +284,7 @@ def ring_thermal(rng, zone_ids):
     a[np.arange(n), (np.arange(n) + 1) % n] += 1.0 - a.diagonal()
     return DiscreteThermalModel(a=a, b=np.eye(n), delta=1.0,
                                 initial_temps=rng.uniform(10, 25, size=n),
-                                zone_ids=tuple(zone_ids), derived=False)
+                                zone_ids=tuple(zone_ids))
 
 
 def direct(model, thermal, gains, thetas):

@@ -206,6 +206,17 @@ class TestExport:
         assert "dtmc" in out and 'R{"zone_zone1"}' in out
         assert not (tmp_path / "building.pm").exists()
 
+    @pytest.mark.parametrize("stdout", [False, True])
+    @pytest.mark.parametrize("name", ["../escaped", "", ".hidden", "a/b", "a\nb"])
+    def test_name_that_is_not_a_plain_file_name_exits_2(self, tmp_path, capsys, name, stdout):
+        """--name is a file name inside --out and a line of the model's header."""
+        extra = ["--name", name] + (["--stdout"] if stdout else [])
+        assert main(pinned_args("export", tmp_path / "out", extra=extra)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --name") and captured.err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_theta_range_exits_2(self, tmp_path):
         args = pinned_args("export", tmp_path, extra=["--theta", "0-4"])
         assert main(args) == 2
@@ -261,6 +272,15 @@ class TestEstimate:
             for key in ("p_vf", "p_vv", "p_ff", "p_fv"):
                 assert step[key] in (0.0, 1.0)
 
+    @pytest.mark.parametrize("days,warnings", [
+        (4, ["low sample: only 4 day(s) in the dataset"]), (5, [])])
+    def test_low_sample_below_five_days(self, tmp_path, days, warnings):
+        path = tmp_path / "log.csv"
+        path.write_text("day,hour,occupied\n" + "".join(
+            f"{d},{h},{(d + h) % 2}\n" for d in range(1, days + 1) for h in range(8, 12)))
+        assert main(["estimate", str(path), "--out", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "schedule.json").read_text())["warnings"] == warnings
+
     def test_stdout(self, capsys, tmp_path):
         assert main(["estimate", str(seven_day_log_csv()), "--stdout"]) == 0
         out = capsys.readouterr().out
@@ -269,8 +289,7 @@ class TestEstimate:
     def test_large_synthetic_log_recovers_generator(self, tmp_path):
         import numpy as np
 
-        from conftest import random_schedule
-        from thermark.occupancy import dataset_to_csv, sample_dataset
+        from conftest import dataset_to_csv, random_schedule, sample_dataset
 
         rng = np.random.default_rng(8)
         truth = random_schedule(rng, 9)
@@ -345,6 +364,15 @@ class TestWindowHandling:
         assert main(args) == 2
         assert "deterministic start" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("hours,code", [([16], 0), ([16, 17], 2)])
+    def test_strategy_slot_at_the_window_end_exits_2(self, tmp_path, capsys, hours, code):
+        # a slot heats the hour that starts at it, so window 8-17 ends with slot 16
+        path = tmp_path / "late.json"
+        path.write_text(json.dumps({"name": "late", "schedule": {"zone1": hours}}))
+        assert main(pinned_args("analyze", tmp_path / "out", strategy=str(path))) == code
+        if code:
+            assert_one_line_error(capsys, "hour 17", "outside the operating window 8-17")
+
     @pytest.mark.parametrize("command", ["analyze", "export"])
     @pytest.mark.parametrize("padded", [False, True])
     def test_window_matches_logs_cut_to_it(self, tmp_path, command, padded):
@@ -391,11 +419,11 @@ def bench_config(strategy):
 
 def composed_comfort(strategy):
     """Comfort report of the composed-engine trajectory, the reference route."""
+    from conftest import build_model
     from thermark.analysis import comfort_check, temperature_trajectory
-    from thermark.cli import _build_model
 
     config = bench_config(strategy)
-    _, thermal, model, _ = _build_model(config)
+    _, thermal, model, _ = build_model(config)
     gains = config.gains_for(thermal.zone_ids)
     trajectory = temperature_trajectory(model, thermal, gains, config.thetas)
     return comfort_check(trajectory, config.band).as_dict()
@@ -406,14 +434,14 @@ class TestDirectRoute:
 
     @pytest.mark.parametrize("strategy", ["S1", "S2", "S3", "S4", "S5", "S6"])
     def test_trajectory_matches_oracle(self, tmp_path, strategy):
+        from conftest import build_model
         from thermark.analysis import brute_force_expected_temperature
-        from thermark.cli import _build_model
         from thermark.markov import assign_rewards
 
         assert main(pinned_args("analyze", tmp_path, strategy=strategy)) == 0
         rows = read_trajectory(tmp_path / "trajectory.csv")
         config = bench_config(strategy)
-        _, thermal, model, _ = _build_model(config)
+        _, thermal, model, _ = build_model(config)
         gains = config.gains_for(thermal.zone_ids)
         assert model.zone_count * model.horizon == 18
         for theta in config.thetas:
@@ -727,7 +755,7 @@ class TestJsonInputFiles:
         assert_one_line_error(capsys, "tariff has two bands named 'day'")
         assert not out.exists()
 
-    def test_shipped_inputs_load(self):
+    def test_shipped_inputs_load(self, tmp_path):
         """The bundled files and README's examples pass the schemas."""
         d = two_zone_benchmark_dir()
         network, _ = load_building(d / "building.json")
@@ -735,8 +763,10 @@ class TestJsonInputFiles:
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         strategy = re.search(r"Strategy\s+JSON:\s+`(.+?)`", readme, re.S).group(1)
         tariff = re.search(r"Tariff\s+JSON:\s+`(.+?)`", readme, re.S).group(1)
-        parse_strategy(json.loads(strategy), zone_ids=network.zone_ids)
-        parse_tariff(json.loads(tariff))
+        (tmp_path / "strategy.json").write_text(strategy)
+        (tmp_path / "tariff.json").write_text(tariff)
+        parse_strategy(tmp_path / "strategy.json", zone_ids=network.zone_ids)
+        parse_tariff(tmp_path / "tariff.json")
 
     # nothing is coerced: one line names the file, the key path and the expected type
     @pytest.mark.parametrize("flag,content,reason", [
@@ -813,6 +843,20 @@ class TestDumpChainLimit:
         dumped = json.loads((tmp_path / "chain.json").read_text())
         width, horizon = 2 ** 2, 9
         assert len(dumped["transitions"]) == width + (horizon - 1) * width ** 2 + width + 1
+
+    @pytest.mark.parametrize("limit,code", [(137, 0), (136, 3)])
+    def test_limit_is_the_exact_edge_count(self, tmp_path, capsys, monkeypatch, limit, code):
+        # the bundled two zones over K=9 steps make 4 + 8 * 16 + 4 + 1 = 137 edges
+        from thermark import analysis
+
+        monkeypatch.setattr(analysis, "DUMP_MAX_EDGES", limit)
+        out = tmp_path / "out"
+        assert main(pinned_args("analyze", out, extra=["--dump-chain"])) == code
+        if code:
+            assert_one_line_error(capsys, "137 edges", "limit of 136")
+            assert not out.exists()
+        else:
+            assert len(json.loads((out / "chain.json").read_text())["transitions"]) == 137
 
     def test_eight_zones_over_nine_steps_fit(self):
         from thermark.analysis import DUMP_MAX_EDGES
@@ -1060,6 +1104,16 @@ def test_price_beyond_float_range_exits_2_with_one_line(tmp_path):
     assert out.returncode == 2, out.stderr
     assert out.stderr == "error: strategy 'S6': total cost is above 1.798e+308 minor units\n"
     assert not out_dir.exists()
+
+
+def test_all_lists_every_public_import_once():
+    import thermark
+
+    assert len(set(thermark.__all__)) == len(thermark.__all__)
+    assert all(hasattr(thermark, name) for name in thermark.__all__)
+    public = {name for name, value in vars(thermark).items()
+              if callable(value) and not name.startswith("_")}
+    assert public == set(thermark.__all__)
 
 
 def test_import_uses_no_dataclasses():

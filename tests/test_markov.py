@@ -9,7 +9,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import BENCH_A, BENCH_T0, dense_layers, make_schedule, random_schedule
+from conftest import (BENCH_A, BENCH_T0, dense_layers, make_schedule, matrix_power,
+                      random_schedule)
 from thermark import (
     DiscreteThermalModel,
     ValidationError,
@@ -23,7 +24,6 @@ from thermark import (
     unroll_zone,
 )
 from thermark.markov import SINK_LABEL, dump_model
-from thermark.thermal import matrix_power
 
 
 def bench_gains():
@@ -242,7 +242,7 @@ class TestLayers:
         raw = rng.uniform(0.1, 1.0, size=(n, n))
         thermal = DiscreteThermalModel(
             a=raw / raw.sum(axis=1, keepdims=True), b=np.eye(n), delta=1.0,
-            initial_temps=rng.uniform(10, 25, size=n), zone_ids=zone_ids, derived=False,
+            initial_temps=rng.uniform(10, 25, size=n), zone_ids=zone_ids,
         )
         gains = {z: ZoneGains(float(rng.uniform(0, 2)), float(rng.uniform(0, 3)))
                  for z in zone_ids}
@@ -455,7 +455,7 @@ class TestDump:
             raw = rng.uniform(0.1, 1.0, size=(n, n))
             thermal = DiscreteThermalModel(
                 a=raw / raw.sum(axis=1, keepdims=True), b=np.eye(n), delta=1.0,
-                initial_temps=rng.uniform(10, 25, size=n), zone_ids=zone_ids, derived=False,
+                initial_temps=rng.uniform(10, 25, size=n), zone_ids=zone_ids,
             )
             chains = [
                 unroll_zone(random_schedule(rng, horizon),

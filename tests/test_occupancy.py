@@ -8,18 +8,16 @@ from collections.abc import Mapping
 import numpy as np
 import pytest
 
-from conftest import make_schedule, random_schedule
+from conftest import dataset_to_csv, make_schedule, random_schedule, sample_dataset
 from thermark import (
     ValidationError,
     estimate_transition_schedule,
     parse_occupancy_csv,
-    sample_dataset,
     unroll_zone,
 )
 from thermark import occupancy
 from thermark.datasets import seven_day_log_csv
-from thermark.occupancy import (
-    OccupancyDataset, _fault, _read_grid, _read_strides, dataset_to_csv)
+from thermark.occupancy import OccupancyDataset, _fault, _read_grid, _read_strides
 
 
 @pytest.fixture

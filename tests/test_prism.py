@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import prism_eval
-from conftest import make_schedule, random_schedule
+from conftest import build_model, make_schedule, random_schedule
 from test_cli import pinned_args, read_trajectory
 from thermark import (
     DiscreteThermalModel,
@@ -22,13 +22,12 @@ from thermark import (
     compose,
     direct_expected_temperatures,
     expected_temperature,
-    export_prism_model,
     export_properties,
     render_models,
     step_reward_table,
     unroll_zone,
 )
-from thermark.cli import RunConfig, _build_model, main
+from thermark.cli import RunConfig, main
 from thermark.datasets import two_zone_benchmark_dir
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -44,15 +43,23 @@ def pinned_rewarded(theta=9):
         },
         strategy="S6",
     )
-    _, thermal, model, _ = _build_model(config)
+    _, thermal, model, _ = build_model(config)
     gains = {z: ZoneGains(0.7, 1.5) for z in model.zone_ids}
     return assign_rewards(model, thermal, gains, theta)
+
+
+def model_text(rewarded, name):
+    """The model text ``export`` writes for ``rewarded``'s theta: its
+    chains' :func:`step_reward_table` rendered by :func:`render_models`."""
+    chains, thermal, theta = rewarded.model.chains, rewarded.thermal, rewarded.theta
+    table = step_reward_table(chains, thermal, rewarded.gains, [theta])
+    return render_models(chains, table, [theta], thermal.delta, name)[0]
 
 
 def one_zone_rewarded():
     thermal = DiscreteThermalModel(
         a=np.array([[1.0]]), b=np.array([[1.0]]), delta=1.0,
-        initial_temps=np.array([20.0]), zone_ids=("room",), derived=False,
+        initial_temps=np.array([20.0]), zone_ids=("room",),
     )
     schedule = make_schedule(p_vf=[0.25], p_ff=[0.5])
     chain = unroll_zone(schedule, [True, False], 1, zone_id="room")
@@ -62,25 +69,23 @@ def one_zone_rewarded():
 
 class TestGolden:
     def test_model_text_matches_golden(self):
-        artifact = export_prism_model(pinned_rewarded(), name="two_zone_benchmark",
-                                      theta_range=range(1, 10))
-        assert artifact.model_text == (GOLDEN / "two_zone_benchmark.pm").read_text()
+        text = model_text(pinned_rewarded(), "two_zone_benchmark")
+        assert text == (GOLDEN / "two_zone_benchmark.pm").read_text()
 
     def test_properties_match_golden(self):
-        artifact = export_prism_model(pinned_rewarded(), name="two_zone_benchmark",
-                                      theta_range=range(1, 10))
-        assert artifact.properties_text == (GOLDEN / "two_zone_benchmark.props").read_text()
+        text = export_properties(range(1, 10), pinned_rewarded().model.zone_ids)
+        assert text == (GOLDEN / "two_zone_benchmark.props").read_text()
 
     def test_export_is_deterministic(self):
-        a = export_prism_model(pinned_rewarded(), name="x", theta_range=range(1, 10))
-        b = export_prism_model(pinned_rewarded(), name="x", theta_range=range(1, 10))
-        assert a.model_text == b.model_text
-        assert a.properties_text == b.properties_text
+        a, b = pinned_rewarded(), pinned_rewarded()
+        assert model_text(a, "x") == model_text(b, "x")
+        assert (export_properties(range(1, 10), a.model.zone_ids)
+                == export_properties(range(1, 10), b.model.zone_ids))
 
 
 class TestOneZone:
     def test_hand_written_model(self):
-        artifact = export_prism_model(one_zone_rewarded(), name="room_model")
+        text = model_text(one_zone_rewarded(), "room_model")
         expected = """\
 // room_model: 1-zone occupancy/thermal reward model
 // horizon K=1, theta=1, step length 1 h
@@ -103,7 +108,7 @@ rewards "zone_room"
   step_room=1 : 1.5;
 endrewards
 """
-        assert artifact.model_text == expected
+        assert text == expected
 
     def test_one_reward_line_per_nonzero_step(self, bench_thermal):
         # zone2 has no gains of its own, so its reward at step theta, row e2 @ Q, is zero
@@ -111,7 +116,7 @@ endrewards
                   unroll_zone(make_schedule(p_vf=0.2), [False] * 10, 9, zone_id="zone2")]
         gains = {"zone1": ZoneGains(0.7, 1.5), "zone2": ZoneGains(0.0, 0.0)}
         rewarded = assign_rewards(compose(chains), bench_thermal, gains, 4)
-        text = export_prism_model(rewarded, name="lines").model_text
+        text = model_text(rewarded, "lines")
         for zid in ("zone1", "zone2"):
             block = text.split(f'rewards "zone_{zid}"\n')[1].split("endrewards")[0]
             steps = [int(k) for k in re.findall(rf"^  step_{zid}=(\d+) : \S+;$", block, re.M)]
@@ -133,16 +138,16 @@ class TestValidationAndLiterals:
         rewarded = assign_rewards(model, bench_thermal, gains, 3)
         with pytest.raises(ValidationError,
                            match=r"negative reward unsupported by target: zone 'zone1', step 1$"):
-            export_prism_model(rewarded, name="bad")
+            model_text(rewarded, "bad")
 
     def test_probability_literals_round_trip(self):
-        artifact = export_prism_model(pinned_rewarded(), name="x")
         rewarded = pinned_rewarded()
+        text = model_text(rewarded, "x")
         probs = set()
         for chain in rewarded.model.chains:
             probs.update(chain.occ_given_empty)
             probs.update(chain.occ_given_occupied)
-        emitted = re.findall(r"(\d\.\d+):", artifact.model_text)
+        emitted = re.findall(r"(\d\.\d+):", text)
         emitted_values = {float(e) for e in emitted}
         for p in probs:
             if p not in (0.0, 1.0):
@@ -155,11 +160,11 @@ class TestValidationAndLiterals:
         model = compose(chains)
         gains = {z: ZoneGains(0.7, 1.5) for z in ("zone1", "zone2")}
         rewarded = assign_rewards(model, bench_thermal, gains, 2)
-        artifact = export_prism_model(rewarded, name="twins")
+        text = model_text(rewarded, "twins")
         assert ("module zone_zone2 = zone_zone1 "
                 "[ step_zone1=step_zone2, occ_zone1=occ_zone2 ] endmodule"
-                ) in artifact.model_text
-        spelled_out = re.findall(r"^module zone_\w+$", artifact.model_text, re.M)
+                ) in text
+        spelled_out = re.findall(r"^module zone_\w+$", text, re.M)
         assert spelled_out == ["module zone_zone1"]
 
 
@@ -169,7 +174,7 @@ def random_instance(rng, n, horizon, twins=False):
     a = rng.uniform(0.0, 1.0, (n, n))
     thermal = DiscreteThermalModel(
         a=a / a.sum(axis=1, keepdims=True), b=np.eye(n), delta=1.0,
-        initial_temps=rng.uniform(12.0, 20.0, n), zone_ids=zone_ids, derived=False)
+        initial_temps=rng.uniform(12.0, 20.0, n), zone_ids=zone_ids)
     shared = random_schedule(rng, horizon)
     chains = [unroll_zone(shared if twins else random_schedule(rng, horizon),
                           [bool(b) for b in rng.integers(0, 2, horizon + 1)], horizon,
@@ -434,11 +439,10 @@ class TestPrismIntegration:
     def test_prism_agrees_with_engine(self, tmp_path):
         for theta in (1, 5, 9):
             rewarded = pinned_rewarded(theta)
-            artifact = export_prism_model(rewarded, name="check", theta_range=[theta])
             model_path = tmp_path / f"check_{theta}.pm"
             props_path = tmp_path / f"check_{theta}.props"
-            model_path.write_text(artifact.model_text)
-            props_path.write_text(artifact.properties_text)
+            model_path.write_text(model_text(rewarded, "check"))
+            props_path.write_text(export_properties([theta], rewarded.model.zone_ids))
             engine = expected_temperature(rewarded, theta)
             for prop_index, zid in enumerate(rewarded.model.zone_ids, start=1):
                 out = subprocess.run(

@@ -62,7 +62,7 @@ def instances(draw, max_path_bits=30):
     thermal = DiscreteThermalModel(
         a=raw / raw.sum(axis=1, keepdims=True), b=np.eye(n), delta=1.0,
         initial_temps=np.array(draw(st.lists(st.floats(-10.0, 40.0), min_size=n, max_size=n))),
-        zone_ids=zone_ids, derived=False,
+        zone_ids=zone_ids,
     )
     chains = []
     for zid in zone_ids:
@@ -150,7 +150,7 @@ def test_stacked_trajectories_equal_one_call_per_strategy(data, n, horizon, stra
     raw = rng.uniform(0.05, 1.0, (n, n))
     thermal = DiscreteThermalModel(
         a=raw / raw.sum(axis=1, keepdims=True), b=np.eye(n), delta=1.0,
-        initial_temps=rng.uniform(-10.0, 40.0, n), zone_ids=zone_ids, derived=False)
+        initial_temps=rng.uniform(-10.0, 40.0, n), zone_ids=zone_ids)
     gains = {zid: ZoneGains(*rng.uniform(0.0, 3.0, 2).tolist()) for zid in zone_ids}
     marginals = rng.uniform(0.0, 1.0, (horizon + 1, n))
     heating = rng.integers(0, 2, (strategies, horizon + 1, n)).astype(bool)

@@ -223,15 +223,19 @@ class TestParsing:
         strategy = parse_strategy(path, zone_ids=ZONES)
         assert strategy.hours_for("zone1") == frozenset({8, 9})
 
-    def test_unknown_zone_rejected(self):
+    def test_unknown_zone_rejected(self, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"name": "x", "schedule": {"nope": [9]}}))
         with pytest.raises(ValidationError, match="unknown zone"):
-            parse_strategy({"name": "x", "schedule": {"nope": [9]}}, zone_ids=ZONES)
+            parse_strategy(path, zone_ids=ZONES)
 
     def test_window_validation(self):
         strategy = HeatingStrategy("x", {"zone1": frozenset({7})})
         with pytest.raises(ValidationError, match="outside the operating window"):
             validate_strategy_window(strategy, (8, 17))
 
-    def test_bad_hours_rejected(self):
+    def test_bad_hours_rejected(self, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"name": "x", "schedule": {"zone1": [25]}}))
         with pytest.raises(ValidationError, match="outside 0..23"):
-            parse_strategy({"name": "x", "schedule": {"zone1": [25]}})
+            parse_strategy(path)
