@@ -302,27 +302,16 @@ def comfort_check(
     """Classify every trajectory point against [low, high]; ties are within."""
     below, above = _outside_band(trajectory.values, band)
     zone_ids = trajectory.zone_ids
-    classifications: dict[tuple[int, str], str] = {}
-    ever_below = {zid: False for zid in zone_ids}
-    ever_above = {zid: False for zid in zone_ids}
-    for theta, below_row, above_row in zip(trajectory.thetas, below.tolist(), above.tolist()):
-        for zid, is_below, is_above in zip(zone_ids, below_row, above_row):
-            if is_below:
-                cls = "below"
-                ever_below[zid] = True
-            elif is_above:
-                cls = "above"
-                ever_above[zid] = True
-            else:
-                cls = "within"
-            classifications[(theta, zid)] = cls
+    labels = np.where(below, "below", np.where(above, "above", "within")).tolist()
     return ComfortReport(
         band=tuple(band),
         zone_ids=zone_ids,
         thetas=trajectory.thetas,
-        classifications=classifications,
-        ever_below=ever_below,
-        ever_above=ever_above,
+        classifications={(theta, zid): label
+                         for theta, row in zip(trajectory.thetas, labels)
+                         for zid, label in zip(zone_ids, row)},
+        ever_below=dict(zip(zone_ids, below.any(axis=0).tolist())),
+        ever_above=dict(zip(zone_ids, above.any(axis=0).tolist())),
     )
 
 

@@ -16,20 +16,21 @@ guard (unstable discretisation, a ``--dump-chain`` chain above
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
+import io
 import itertools
 import json
 import math
 import os
 import sys
-import unicodedata
 from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
 
 from . import analysis, markov, occupancy, prism, strategy as strategy_mod
-from .errors import NumericalGuardError, ThermarkError, ValidationError, read_bytes
+from .errors import NumericalGuardError, ThermarkError, ValidationError, is_name, read_bytes
 from .markov import ZoneGains
 from .occupancy import TransitionSchedule
 from .records import Factory, Record
@@ -40,6 +41,7 @@ EXIT_VALIDATION = 2
 EXIT_GUARD = 3
 
 DEFAULT_GAINS = (0.7, 1.5)  # degC per hour: occupants, radiator
+NAME_MAX = 255  # bytes in one file name on common file systems
 
 # zone id -> windowed transition schedule plus the deterministic start label
 Schedules = dict[str, tuple[TransitionSchedule, bool]]
@@ -50,10 +52,9 @@ class RunConfig(Record):
 
     building: Path
     occupancy_paths: dict[str, Path] = Factory(dict)
-    strategy: str = "S1"
+    strategies: tuple[str, ...] = ("S1",)  # builtin names or strategy JSON paths
     tariff: str = "table2"
-    gains: dict[str, tuple[float, float]] = Factory(dict)
-    default_gains: tuple[float, float] = DEFAULT_GAINS
+    gains: dict[str | None, tuple[float, float]] = Factory(dict)  # None: the default
     window: tuple[int, int] = (8, 17)
     band: tuple[float, float] = (20.0, 22.0)
     thetas: tuple[int, ...] = tuple(range(1, 10))
@@ -62,11 +63,12 @@ class RunConfig(Record):
 
     def gains_for(self, zone_ids: tuple[str, ...]) -> dict[str, ZoneGains]:
         for zid in self.gains:
-            if zid not in zone_ids:
+            if zid is not None and zid not in zone_ids:
                 raise ValidationError(f"--gains references unknown zone {zid!r}")
+        default = self.gains.get(None, DEFAULT_GAINS)
         table = {}
         for zid in zone_ids:
-            q_int, q_rad = self.gains.get(zid, self.default_gains)
+            q_int, q_rad = self.gains.get(zid, default)
             if q_int < 0 or q_rad < 0:
                 raise ValidationError(f"gains for zone {zid!r} must be >= 0")
             table[zid] = ZoneGains(q_int=q_int, q_rad=q_rad)
@@ -128,6 +130,14 @@ def _parse_assignments(pairs: list[str], what: str,
                                   else f"{what} names zone {zone!r} twice")
         table[zone] = value
     return table
+
+
+def _csv_text(rows: Iterable[list]) -> str:
+    """Rows as CSV lines ended by ``\n``; a cell holding a comma or a quote
+    is quoted, every other cell is written as it is."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
 
 
 def _make_out_dir(out_dir: Path) -> None:
@@ -219,12 +229,11 @@ def _window_schedule(
 
 
 def _resolve_strategy(config: RunConfig, zone_ids: tuple[str, ...],
-                      name_or_path: str | None = None) -> strategy_mod.HeatingStrategy:
-    ref = name_or_path if name_or_path is not None else config.strategy
+                      ref: str) -> strategy_mod.HeatingStrategy:
     if ref in strategy_mod.BUILTIN_STRATEGY_NAMES:
         strat = strategy_mod.builtin_strategy(ref, zone_ids)
     else:
-        strat = strategy_mod.parse_strategy(Path(ref), zone_ids=zone_ids)
+        strat = strategy_mod.parse_strategy(Path(ref), zone_ids)
     strategy_mod.validate_strategy_window(strat, config.window)
     return strat
 
@@ -250,7 +259,8 @@ def _load_inputs(config: RunConfig):
     """Building, per-zone schedules and the single strategy, each parsed once."""
     network, thermal = load_building(config.building)
     schedules = _load_schedules(config, thermal.zone_ids)
-    return network, thermal, schedules, _resolve_strategy(config, thermal.zone_ids)
+    (ref,) = config.strategies
+    return network, thermal, schedules, _resolve_strategy(config, thermal.zone_ids, ref)
 
 
 def _trajectories(config: RunConfig, thermal: DiscreteThermalModel, schedules: Schedules,
@@ -281,13 +291,12 @@ def cmd_analyze(config: RunConfig, dump_chain: bool = False) -> int:
     trajectory = analysis.TemperatureTrajectory(thermal.zone_ids, config.thetas, values)
     report = analysis.comfort_check(trajectory, config.band)
 
-    lines = ["theta_hour,zone_id,expected_temp_c"]
-    for ti, theta in enumerate(trajectory.thetas):
-        hour = config.window[0] + theta
-        for zi, zid in enumerate(trajectory.zone_ids):
-            lines.append(f"{hour},{zid},{float(trajectory.values[ti, zi])!r}")
+    rows = [["theta_hour", "zone_id", "expected_temp_c"]]
+    for theta, values in zip(trajectory.thetas, trajectory.values.tolist()):
+        rows += ([config.window[0] + theta, zid, repr(value)]
+                 for zid, value in zip(trajectory.zone_ids, values))
     _make_out_dir(config.out_dir)
-    _atomic_write(config.out_dir / "trajectory.csv", "\n".join(lines) + "\n")
+    _atomic_write(config.out_dir / "trajectory.csv", _csv_text(rows))
     _atomic_write(config.out_dir / "comfort.json",
                   json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n")
     if dump_chain:
@@ -298,51 +307,42 @@ def cmd_analyze(config: RunConfig, dump_chain: bool = False) -> int:
     return EXIT_OK
 
 
-def cmd_cost(config: RunConfig, strategy_refs: list[str]) -> int:
-    if not strategy_refs:
-        raise ValidationError("no strategies given (--strategy)")
+def cmd_cost(config: RunConfig) -> int:
     _, thermal = load_building(config.building)
     zone_ids = thermal.zone_ids
     tariff = _resolve_tariff(config)
-    strategies = [_resolve_strategy(config, zone_ids, ref) for ref in strategy_refs]
+    strategies = [_resolve_strategy(config, zone_ids, ref) for ref in config.strategies]
     names = [strat.name for strat in strategies]
     for i, name in enumerate(names):
         first = names.index(name)
         if first < i:
             raise ValidationError(
-                f"--strategy {strategy_refs[first]} and --strategy {strategy_refs[i]} are both "
-                f"named {name!r}; each compared strategy needs its own name")
+                f"--strategy {config.strategies[first]} and --strategy {config.strategies[i]} "
+                f"are both named {name!r}; each compared strategy needs its own name")
 
     # with occupancy data on hand, rank comfort alongside cost
-    comfort_by_strategy = None
+    comfort = {}
     if config.occupancy_paths:
         schedules = _load_schedules(config, zone_ids)
         summaries = analysis.comfort_summaries(
             _trajectories(config, thermal, schedules, strategies), zone_ids, config.band)
-        comfort_by_strategy = {
-            strat.name: summary for strat, summary in zip(strategies, summaries)
-        }
+        comfort = dict(zip(names, summaries))
     else:
         config.gains_for(zone_ids)  # checked with or without logs, as the trajectories do
 
-    comparison = strategy_mod.compare_strategies(
-        strategies, tariff, radiator_kw=config.radiator_kw,
-        comfort_by_strategy=comfort_by_strategy,
-    )
+    comparison = strategy_mod.compare_strategies(strategies, tariff,
+                                                 radiator_kw=config.radiator_kw)
 
     band_names = [b.name for b in tariff.bands]
-    header = ["strategy"] + [f"energy_{b}_kwh" for b in band_names] + [
-        "total_cost_minor", "total_cost", "cost_ratio_vs_cheapest", "notes"]
-    lines = [",".join(header)]
+    rows = [["strategy"] + [f"energy_{b}_kwh" for b in band_names] + [
+        "total_cost_minor", "total_cost", "cost_ratio_vs_cheapest", "notes"]]
     for row in comparison.rows:
         ratio = "" if row.cost_ratio is None else repr(row.cost_ratio)
         note = " | ".join(row.notes).replace(",", ";")
-        cells = [row.strategy]
-        cells += [repr(row.band_energy_kwh.get(b, 0.0)) for b in band_names]
-        cells += [str(row.total_cost_minor), f"{row.total_cost_minor / 100:.2f}", ratio, note]
-        lines.append(",".join(cells))
+        rows.append([row.strategy, *(repr(row.band_energy_kwh.get(b, 0.0)) for b in band_names),
+                     row.total_cost_minor, f"{row.total_cost_minor / 100:.2f}", ratio, note])
     _make_out_dir(config.out_dir)
-    _atomic_write(config.out_dir / "cost.csv", "\n".join(lines) + "\n")
+    _atomic_write(config.out_dir / "cost.csv", _csv_text(rows))
 
     payload = {
         "baseline": comparison.baseline,
@@ -353,7 +353,7 @@ def cmd_cost(config: RunConfig, strategy_refs: list[str]) -> int:
                 "band_energy_kwh": r.band_energy_kwh,
                 "total_cost_minor": r.total_cost_minor,
                 "cost_ratio_vs_cheapest": r.cost_ratio,
-                "comfort": r.comfort,
+                "comfort": comfort.get(r.strategy),
                 "notes": list(r.notes),
             }
             for r in comparison.rows
@@ -366,10 +366,17 @@ def cmd_cost(config: RunConfig, strategy_refs: list[str]) -> int:
 
 def cmd_export(config: RunConfig, name: str, to_stdout: bool = False) -> int:
     # the name is a file name inside --out and a line of the model's header
-    if (not name or "/" in name or name.startswith(".")
-            or any(unicodedata.category(c) == "Cc" for c in name)):
+    if not is_name(name) or "/" in name or name.startswith("."):
         raise ValidationError(f"--name must be a file name with no '/', leading '.' "
                               f"or control character, got {name!r}")
+    # each output is first written as .<file>.0.tmp, and the longest such name,
+    # .<name>_theta<k>.pm.0.tmp or .<name>.props.0.tmp, must fit in one file name
+    suffix = f"_theta{max(config.thetas)}" if len(config.thetas) > 1 else ""
+    limit = NAME_MAX - max(len(f".{suffix}.pm.0.tmp"), len("..props.0.tmp"))
+    if len(name.encode()) > limit:
+        raise ValidationError(f"--name must be at most {limit} UTF-8 bytes with these thetas, "
+                              f"so that its temp file names fit in {NAME_MAX}; "
+                              f"got {len(name.encode())}")
     _, thermal, schedules, strat = _load_inputs(config)
     chains = _chains(config, schedules, strat)
     table = markov.step_reward_table(chains, thermal, config.gains_for(thermal.zone_ids),
@@ -459,6 +466,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
+    strategies = tuple(args.strategy) or (
+        strategy_mod.BUILTIN_STRATEGY_NAMES if args.command == "cost" else ("S1",))
+    if args.command != "cost" and len(strategies) > 1:
+        raise ValidationError(f"{args.command} takes one --strategy, got {len(strategies)}")
     window = _parse_range(args.window, "window")
     if window[1] > 23:
         raise ValidationError(f"window must end by hour 23, got {args.window!r}")
@@ -471,8 +482,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         if not math.isfinite(args.radiator_kw):
             raise ValidationError(f"--radiator-kw must be a finite number, got {args.radiator_kw}")
         optional["radiator_kw"] = args.radiator_kw
-    gains: dict[str, tuple[float, float]] = {}
-    default_gains = DEFAULT_GAINS
+    gains = {}
     for zone, value in _parse_assignments(args.gains, "--gains", default=True).items():
         try:
             q_int, q_rad = _finite_floats(value, ",")
@@ -482,10 +492,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
                 f"gains must look like 'zone=0.7,1.5' or '0.7,1.5' with finite numbers, "
                 f"got {pair!r}"
             ) from None
-        if zone is None:
-            default_gains = (q_int, q_rad)
-        else:
-            gains[zone] = (q_int, q_rad)
+        gains[zone] = (q_int, q_rad)
     occupancy_paths = {
         z: Path(p) for z, p in _parse_assignments(args.occupancy, "--occupancy").items()
     }
@@ -493,13 +500,11 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         optional["tariff"] = args.tariff
     if "band" in args:
         optional["band"] = _parse_band(args.band)
-    strategy_refs = list(args.strategy)
     return RunConfig(
         building=Path(args.building),
         occupancy_paths=occupancy_paths,
-        strategy=strategy_refs[0] if strategy_refs else "S1",
+        strategies=strategies,
         gains=gains,
-        default_gains=default_gains,
         window=window,
         thetas=thetas,
         out_dir=Path(args.out),
@@ -514,9 +519,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "estimate":
             return cmd_estimate(Path(args.occupancy_csv), Path(args.out),
                                 to_stdout=args.stdout)
-        if args.command in ("analyze", "export") and len(args.strategy) > 1:
-            raise ValidationError(
-                f"{args.command} takes one --strategy, got {len(args.strategy)}")
         config = _config_from_args(args)
         if args.command == "analyze":
             if args.dump_chain and args.theta and len(config.thetas) > 1:
@@ -525,11 +527,8 @@ def main(argv: list[str] | None = None) -> int:
                     f"names {len(config.thetas)}")
             return cmd_analyze(config, dump_chain=args.dump_chain)
         if args.command == "cost":
-            refs = list(args.strategy) or list(strategy_mod.BUILTIN_STRATEGY_NAMES)
-            return cmd_cost(config, refs)
-        if args.command == "export":
-            return cmd_export(config, name=args.name, to_stdout=args.stdout)
-        raise ValidationError(f"unknown command {args.command!r}")
+            return cmd_cost(config)
+        return cmd_export(config, name=args.name, to_stdout=args.stdout)
     except NumericalGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD

@@ -1,11 +1,13 @@
 """Exception types shared across the package, the one input-file reader,
-and the schema walk that reads the building, strategy and tariff JSON files."""
+the name rule, and the schema walk that reads the building, strategy and
+tariff JSON files."""
 
 from __future__ import annotations
 
 import json
 import math
 import sys
+import unicodedata
 from collections.abc import Iterable
 from itertools import repeat
 from pathlib import Path
@@ -21,6 +23,17 @@ class ValidationError(ThermarkError):
 
 class NumericalGuardError(ThermarkError):
     """A numerical safety guard tripped (Euler instability, oracle size limit)."""
+
+
+class Name:
+    """Schema leaf of :func:`read_json`: a JSON string that :func:`is_name`
+    accepts. Zone ids, strategy names and tariff band names are names."""
+
+
+def is_name(text: str) -> bool:
+    """The name rule: non-empty, with no control character (Unicode
+    category Cc), so a name stays on its one line of every output."""
+    return bool(text) and not any(unicodedata.category(c) == "Cc" for c in text)
 
 
 def read_bytes(path: Path, kind: str) -> bytes:
@@ -61,6 +74,7 @@ def read_json(path: Path, kind: str, schema: object) -> object:
 
     - ``str``, ``int`` or ``float``: a JSON string, a JSON integer, or a
       finite JSON number; never a boolean, and nothing is coerced
+    - :class:`Name`: a JSON string that passes the name rule
     - ``[S]``: a list whose elements match ``S``
     - ``{S}``: such a list with no element repeated
     - ``(what, S1, S2, ...)``: a list of exactly the elements ``S1``,
@@ -130,7 +144,7 @@ class _Mismatch(Exception):
         self.steps: list[str | int] = []
 
 
-_LEAF_NAMES = {str: "a string", int: "an integer", float: "a finite number"}
+_LEAF_NAMES = {str: "a string", Name: "a string", int: "an integer", float: "a finite number"}
 
 
 def _walk(value: object, schema: object) -> None:
@@ -143,6 +157,10 @@ def _walk(value: object, schema: object) -> None:
                 return
         elif schema is float and type(value) is int and abs(value) <= sys.float_info.max:
             return
+        elif schema is Name and type(value) is str:
+            if is_name(value):
+                return
+            raise _Mismatch(f"expected a non-empty name with no control character, got {value!r}")
         raise _Mismatch(expected_type(_LEAF_NAMES[schema], value))
     fixed = None  # the schema of every member of a list or a map
     if form is dict:

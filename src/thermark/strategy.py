@@ -23,7 +23,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import ValidationError, read_json
+from .errors import Name, ValidationError, read_json
 from .records import Record
 
 BUILTIN_STRATEGY_NAMES = ("S1", "S2", "S3", "S4", "S5", "S6")
@@ -88,12 +88,14 @@ class Tariff(Record):
 
 
 class CostReport(Record):
-    """Band energies and exact total for one strategy."""
+    """Band energies and exact total for one strategy; in a comparison, also
+    its cost ratio against the cheapest nonzero-cost strategy."""
 
     strategy: str
     band_energy_kwh: dict[str, float]
     total_cost_minor: int
     notes: tuple[str, ...]
+    cost_ratio: float | None = None
 
 
 def builtin_strategy(name: str, zone_ids: list[str] | tuple[str, ...]) -> HeatingStrategy:
@@ -133,27 +135,25 @@ def table2_tariff() -> Tariff:
     ))
 
 
-STRATEGY_SCHEMA = {"name": str, "schedule": {str: {int}}}
+STRATEGY_SCHEMA = {"name": Name, "schedule": {str: {int}}}
 TARIFF_SCHEMA = {
-    "bands": [{"name": str, "start": int, "end": int, "price_minor_per_kwh": int}],
+    "bands": [{"name": Name, "start": int, "end": int, "price_minor_per_kwh": int}],
 }
 
 
-def parse_strategy(path: Path,
-                   zone_ids: tuple[str, ...] | None = None) -> HeatingStrategy:
+def parse_strategy(path: Path, zone_ids: tuple[str, ...]) -> HeatingStrategy:
     """Load a strategy from a JSON file.
 
     Schema (:data:`STRATEGY_SCHEMA`, read by :func:`errors.read_json`):
     ``{"name": "...", "schedule": {"zone-id": [8, 9], ...}}``; the name is
-    a string and the hours distinct JSON integers. When ``zone_ids`` is
-    given, schedule keys must be declared zones.
+    a :class:`errors.Name` and the hours distinct JSON integers. Schedule
+    keys must be among ``zone_ids``.
     """
     raw = read_json(path, "strategy", STRATEGY_SCHEMA)
     schedule = {z: frozenset(hours) for z, hours in raw["schedule"].items()}
-    if zone_ids is not None:
-        for z in schedule:
-            if z not in zone_ids:
-                raise ValidationError(f"strategy references unknown zone id {z!r}")
+    for z in schedule:
+        if z not in zone_ids:
+            raise ValidationError(f"strategy references unknown zone id {z!r}")
     for z, hours in schedule.items():
         for h in hours:
             if not 0 <= h <= 23:
@@ -165,8 +165,8 @@ def parse_tariff(path: Path) -> Tariff:
     """Load a tariff from a JSON file.
 
     Schema (:data:`TARIFF_SCHEMA`): ``{"bands": [{"name": "...", "start": 8,
-    "end": 10, "price_minor_per_kwh": 10}, ...]}``; each name is a string
-    and the hours and price are JSON integers.
+    "end": 10, "price_minor_per_kwh": 10}, ...]}``; each name is a
+    :class:`errors.Name` and the hours and price are JSON integers.
     """
     raw = read_json(path, "tariff", TARIFF_SCHEMA)
     return Tariff(bands=tuple(TariffBand(**band) for band in raw["bands"]))
@@ -240,17 +240,8 @@ def builtin_discrepancy_notes(strategy: HeatingStrategy) -> tuple[str, ...]:
     return ()
 
 
-class ComparisonRow(Record):
-    strategy: str
-    total_cost_minor: int
-    band_energy_kwh: dict[str, float]
-    cost_ratio: float | None  # vs the cheapest nonzero-cost strategy
-    comfort: dict | None
-    notes: tuple[str, ...]
-
-
 class StrategyComparison(Record):
-    rows: tuple[ComparisonRow, ...]
+    rows: tuple[CostReport, ...]
     baseline: str | None  # cheapest nonzero-cost strategy
     flags: tuple[str, ...]
 
@@ -259,13 +250,11 @@ def compare_strategies(
     strategies: list[HeatingStrategy],
     tariff: Tariff,
     radiator_kw: float = 1.0,
-    comfort_by_strategy: dict[str, dict] | None = None,
 ) -> StrategyComparison:
     """Rank strategies by exact cost; ties break on the strategy name.
 
     Ratios are taken against the cheapest strategy with nonzero cost;
-    zero-cost strategies carry no ratio. ``comfort_by_strategy`` may map
-    strategy names to comfort summaries to include in the rows.
+    zero-cost strategies carry no ratio.
     """
     if not strategies:
         raise ValidationError("compare_strategies needs at least one strategy")
@@ -282,19 +271,10 @@ def compare_strategies(
     rows = []
     for report in sorted(reports, key=lambda r: (r.total_cost_minor, r.strategy)):
         if baseline is not None and report.total_cost_minor > 0:
-            ratio = report.total_cost_minor / baseline.total_cost_minor
-        else:
-            ratio = None
-            if report.total_cost_minor == 0 and baseline is not None:
-                flags.append(f"{report.strategy}: zero-cost strategy excluded from ratios")
-        comfort = (comfort_by_strategy or {}).get(report.strategy)
-        rows.append(ComparisonRow(
-            strategy=report.strategy,
-            total_cost_minor=report.total_cost_minor,
-            band_energy_kwh=report.band_energy_kwh,
-            cost_ratio=ratio,
-            comfort=comfort,
-            notes=report.notes,
-        ))
+            report = report.replace(
+                cost_ratio=report.total_cost_minor / baseline.total_cost_minor)
+        elif report.total_cost_minor == 0 and baseline is not None:
+            flags.append(f"{report.strategy}: zero-cost strategy excluded from ratios")
+        rows.append(report)
     return StrategyComparison(rows=tuple(rows), baseline=baseline.strategy if baseline else None,
                               flags=tuple(flags))

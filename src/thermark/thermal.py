@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NumericalGuardError, ValidationError, json_error, read_json
+from .errors import Name, NumericalGuardError, ValidationError, json_error, read_json
 from .records import Record
 
 ROW_SUM_TOL = 1e-12
@@ -177,7 +177,7 @@ def discretize_forward_euler(
 
 
 BUILDING_SCHEMA = {
-    "zones": [{"id": str, "capacitance": float, "resistance": float, "initial_temp": float}],
+    "zones": [{"id": Name, "capacitance": float, "resistance": float, "initial_temp": float}],
     "edges?": [("two zone ids", str, str)],
     "delta?": float,
     "explicit_discrete?": {"a": [[float]], "b": [[float]], "delta?": float},
@@ -198,11 +198,11 @@ def load_building(path: str | Path) -> tuple[RCNetwork, DiscreteThermalModel]:
           "explicit_discrete": {"a": [[...]], "b": [[...]], "delta": x}
         }
 
-    Ids are strings and every ``x`` and matrix entry a finite JSON number.
-    ``edges`` and ``delta`` (1 by default) are optional. ``explicit_discrete``
-    is optional too; when present it overrides the forward-Euler derivation
-    and its matrices, whose rows must be of equal length, are taken
-    literally (in the zone order of the ``zones`` list).
+    Ids are names (:class:`errors.Name`) and every ``x`` and matrix entry a
+    finite JSON number. ``edges`` and ``delta`` (1 by default) are optional.
+    ``explicit_discrete`` is optional too; when present it overrides the
+    forward-Euler derivation and its matrices, whose rows must be of equal
+    length, are taken literally (in the zone order of the ``zones`` list).
     """
     path = Path(path)
     raw = read_json(path, "building", BUILDING_SCHEMA)

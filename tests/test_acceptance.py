@@ -175,7 +175,7 @@ def bundled_trajectories():
                 "zone1": d / "occupancy_zone1.csv",
                 "zone2": d / "occupancy_zone2.csv",
             },
-            strategy=name,
+            strategies=(name,),
         )
         _, thermal, model, _ = build_model(config)
         trajectories[name] = temperature_trajectory(

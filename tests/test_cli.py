@@ -217,6 +217,24 @@ class TestExport:
         assert captured.err.startswith("error: --name") and captured.err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
+    # every output is first written as .<file>.0.tmp, whose name must fit in
+    # 255 bytes: .<name>_theta9.pm.0.tmp over 1-9, .<name>.props.0.tmp at 9
+    @pytest.mark.parametrize("theta,longest", [("1-9", 238), ("9", 242)])
+    @pytest.mark.parametrize("over", [0, 1])
+    def test_name_length_counts_the_temp_file_name(self, tmp_path, capsys, theta, longest, over):
+        name = "é" + "n" * (longest + over - 2)  # one two-byte character: UTF-8 bytes count
+        out = tmp_path / "out"
+        code = main(pinned_args("export", out, extra=["--theta", theta, "--name", name]))
+        if over:
+            assert code == 2
+            assert_one_line_error(capsys, f"--name must be at most {longest} UTF-8 bytes",
+                                  f"got {longest + 1}")
+            assert not out.exists()
+        else:
+            assert code == 0
+            suffix = "_theta9" if theta == "1-9" else ""
+            assert (out / f"{name}{suffix}.pm").is_file() and (out / f"{name}.props").is_file()
+
     def test_bad_theta_range_exits_2(self, tmp_path):
         args = pinned_args("export", tmp_path, extra=["--theta", "0-4"])
         assert main(args) == 2
@@ -248,6 +266,67 @@ class TestExport:
         files = [f"building_theta{theta}.pm" for theta in range(1, 10)] + ["building.props"]
         expected = "".join((tmp_path / name).read_text() for name in files)
         assert capsys.readouterr().out == expected
+
+
+def renamed_inputs(tmp_path, zone, strategy, band):
+    """The bundled building with zone1 renamed ``zone``, a strategy named
+    ``strategy`` that heats it, and a tariff whose first band is ``band``."""
+    spec = json.loads((two_zone_benchmark_dir() / "building.json").read_text())
+    spec["zones"][0]["id"] = zone
+    spec["edges"] = [[zone if z == "zone1" else z for z in edge] for edge in spec["edges"]]
+    files = {"building": spec,
+             "strategy": {"name": strategy, "schedule": {zone: [9, 10], "zone2": [13]}},
+             "tariff": {"bands": [{"name": band, "start": 8, "end": 12, "price_minor_per_kwh": 10},
+                                  {"name": "late", "start": 12, "end": 17,
+                                   "price_minor_per_kwh": 20}]}}
+    for kind, content in files.items():
+        (tmp_path / f"{kind}.json").write_text(json.dumps(content))
+    d = two_zone_benchmark_dir()
+    return ["--building", str(tmp_path / "building.json"),
+            "--occupancy", f"{zone}={d / 'occupancy_zone1.csv'}",
+            "--occupancy", f"zone2={d / 'occupancy_zone2.csv'}",
+            "--strategy", str(tmp_path / "strategy.json")]
+
+
+class TestNames:
+    """Zone ids, strategy names and band names are written to the CSV
+    outputs through one CSV writer, so any name that passes the name rule
+    reads back as one cell."""
+
+    @pytest.mark.parametrize("name", ["Room 1, east", 'a"b'])
+    def test_csv_reads_back_every_name(self, tmp_path, name):
+        import csv
+
+        args = renamed_inputs(tmp_path, zone=name, strategy=name, band=name)
+        assert main(["analyze", *args, "--out", str(tmp_path / "a")]) == 0
+        assert main(["cost", *args, "--strategy", "S1", "--tariff", str(tmp_path / "tariff.json"),
+                     "--out", str(tmp_path / "c")]) == 0
+        with open(tmp_path / "a" / "trajectory.csv", newline="") as f:
+            header, *rows = csv.reader(f)
+        assert len(rows) == 18 and all(len(row) == 3 for row in rows)
+        assert [row[1] for row in rows[:2]] == [name, "zone2"]
+        with open(tmp_path / "c" / "cost.csv", newline="") as f:
+            header, *rows = csv.reader(f)
+        assert header[:3] == ["strategy", f"energy_{name}_kwh", "energy_late_kwh"]
+        assert all(len(row) == len(header) for row in rows)
+        assert {row[0]: row[3] for row in rows} == {"S1": "0", name: "40"}
+
+    # the name rule: non-empty, with no control character
+    @pytest.mark.parametrize("zone,strategy,band,reason", [
+        ("a\nb", "x", "day", "building.json: zones[0].id: expected a non-empty name with no "
+                             "control character, got 'a\\nb'"),
+        ("zone1", "", "day", "strategy.json: name: expected a non-empty name with no "
+                             "control character, got ''"),
+        ("zone1", "x", "d\ray", "tariff.json: bands[0].name: expected a non-empty name with no "
+                                "control character, got 'd\\ray'"),
+    ], ids=["newline-zone", "empty-strategy", "cr-band"])
+    def test_name_breaking_a_line_exits_2(self, tmp_path, capsys, zone, strategy, band, reason):
+        args = renamed_inputs(tmp_path, zone=zone, strategy=strategy, band=band)
+        out = tmp_path / "out"
+        assert main(["cost", *args, "--tariff", str(tmp_path / "tariff.json"),
+                     "--out", str(out)]) == 2
+        assert_one_line_error(capsys, reason)
+        assert not out.exists()
 
 
 class TestEstimate:
@@ -412,7 +491,7 @@ def bench_config(strategy):
         building=d / "building.json",
         occupancy_paths={"zone1": d / "occupancy_zone1.csv",
                          "zone2": d / "occupancy_zone2.csv"},
-        strategy=strategy,
+        strategies=(strategy,),
         out_dir=Path("."),
     )
 
@@ -521,6 +600,20 @@ class TestArgumentChecks:
                      "--out", str(out)]) == 2
         assert_one_line_error(capsys, reason)
         assert not out.exists()
+
+    def test_strategies_are_resolved_once(self, tmp_path):
+        from thermark.cli import _config_from_args, build_parser
+
+        def strategies(*argv):
+            return _config_from_args(build_parser().parse_args(
+                [*argv, "--building", "absent.json"])).strategies
+
+        assert strategies("analyze") == strategies("export") == ("S1",)
+        assert strategies("cost") == ("S1", "S2", "S3", "S4", "S5", "S6")
+        assert strategies("cost", "--strategy", "S6", "--strategy", "S2") == ("S6", "S2")
+        # checked before any other option or file
+        with pytest.raises(ValidationError, match="^analyze takes one --strategy, got 2$"):
+            strategies("analyze", "--strategy", "S1", "--strategy", "S2", "--window", "9-8")
 
     @pytest.mark.parametrize("command", ["analyze", "export"])
     def test_extra_strategy_exits_2(self, tmp_path, capsys, command):

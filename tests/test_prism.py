@@ -41,7 +41,7 @@ def pinned_rewarded(theta=9):
             "zone1": d / "occupancy_zone1.csv",
             "zone2": d / "occupancy_zone2.csv",
         },
-        strategy="S6",
+        strategies=("S6",),
     )
     _, thermal, model, _ = build_model(config)
     gains = {z: ZoneGains(0.7, 1.5) for z in model.zone_ids}

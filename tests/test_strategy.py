@@ -201,20 +201,6 @@ class TestCompare:
         with pytest.raises(ValidationError, match="at least one"):
             compare_strategies([], table2_tariff())
 
-    def test_comfort_summaries_carried_through(self):
-        comfort = {
-            "S2": {"zone1": {"ever_below": False, "ever_above": True}},
-            "S6": {"zone1": {"ever_below": False, "ever_above": False}},
-        }
-        comparison = compare_strategies(
-            [builtin_strategy("S2", ZONES), builtin_strategy("S6", ZONES)],
-            table2_tariff(),
-            comfort_by_strategy=comfort,
-        )
-        by_name = {r.strategy: r for r in comparison.rows}
-        assert by_name["S2"].comfort["zone1"]["ever_above"] is True
-        assert by_name["S6"].comfort["zone1"]["ever_above"] is False
-
 
 class TestParsing:
     def test_parse_strategy_json(self, tmp_path):
@@ -238,4 +224,4 @@ class TestParsing:
         path = tmp_path / "s.json"
         path.write_text(json.dumps({"name": "x", "schedule": {"zone1": [25]}}))
         with pytest.raises(ValidationError, match="outside 0..23"):
-            parse_strategy(path)
+            parse_strategy(path, zone_ids=ZONES)
