@@ -7,7 +7,6 @@ cost, and exports the models for external probabilistic model checking.
 """
 
 from .analysis import (
-    ComfortReport,
     TemperatureTrajectory,
     brute_force_expected_temperature,
     comfort_check,
@@ -57,7 +56,6 @@ from .thermal import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ComfortReport",
     "ComposedModel",
     "ContinuousStateSpace",
     "CostReport",

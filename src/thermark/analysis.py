@@ -255,74 +255,21 @@ def temperature_trajectory(
     )
 
 
-class ComfortReport(Record):
-    """Classification of a trajectory against a comfort band."""
+def comfort_check(values: np.ndarray, band: tuple[float, float]
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Classify every point of a (S, len(thetas), N) stack of trajectories
+    against [low, high]. Ties are within, and a non-finite value is
+    rejected before any is classified.
 
-    band: tuple[float, float]
-    zone_ids: tuple[str, ...]
-    thetas: tuple[int, ...]
-    classifications: dict[tuple[int, str], str]  # (theta, zone) -> below/within/above
-    ever_below: dict[str, bool]
-    ever_above: dict[str, bool]
-
-    def as_dict(self) -> dict:
-        return {
-            "band": {"low": self.band[0], "high": self.band[1]},
-            "points": [
-                {
-                    "theta": theta,
-                    "zone": zid,
-                    "classification": self.classifications[(theta, zid)],
-                }
-                for theta in self.thetas
-                for zid in self.zone_ids
-            ],
-            "summary": {
-                zid: {"ever_below": self.ever_below[zid], "ever_above": self.ever_above[zid]}
-                for zid in self.zone_ids
-            },
-        }
-
-
-def _outside_band(values: np.ndarray,
-                  band: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
-    """Masks of the values below and above [low, high]. Ties are within,
-    and a non-finite value is rejected before any is classified."""
+    Returns each point's class, ``"below"``, ``"within"`` or ``"above"``,
+    as an (S, len(thetas), N) array, and the (S, N) masks of the zones
+    each strategy ever takes below and ever takes above the band.
+    """
     low, high = band
     if not low < high:
         raise ValidationError(f"band low must be below high, got {band}")
     if not np.isfinite(values).all():
         raise ValidationError("trajectory holds a non-finite temperature")
-    return values < low, values > high
-
-
-def comfort_check(
-    trajectory: TemperatureTrajectory, band: tuple[float, float]
-) -> ComfortReport:
-    """Classify every trajectory point against [low, high]; ties are within."""
-    below, above = _outside_band(trajectory.values, band)
-    zone_ids = trajectory.zone_ids
-    labels = np.where(below, "below", np.where(above, "above", "within")).tolist()
-    return ComfortReport(
-        band=tuple(band),
-        zone_ids=zone_ids,
-        thetas=trajectory.thetas,
-        classifications={(theta, zid): label
-                         for theta, row in zip(trajectory.thetas, labels)
-                         for zid, label in zip(zone_ids, row)},
-        ever_below=dict(zip(zone_ids, below.any(axis=0).tolist())),
-        ever_above=dict(zip(zone_ids, above.any(axis=0).tolist())),
-    )
-
-
-def comfort_summaries(values: np.ndarray, zone_ids: tuple[str, ...],
-                      band: tuple[float, float]) -> list[dict[str, dict[str, bool]]]:
-    """Per strategy of a (S, len(thetas), N) stack of trajectories, whether
-    each zone is ever below or ever above [low, high]: the ``summary`` of
-    :meth:`ComfortReport.as_dict`, by the rule of :func:`comfort_check`."""
-    below, above = _outside_band(values, band)
-    return [
-        {zid: {"ever_below": b, "ever_above": a}
-         for zid, b, a in zip(zone_ids, below_row, above_row)}
-        for below_row, above_row in zip(below.any(axis=1).tolist(), above.any(axis=1).tolist())
-    ]
+    below, above = values < low, values > high
+    classes = np.where(below, "below", np.where(above, "above", "within"))
+    return classes, below.any(axis=1), above.any(axis=1)

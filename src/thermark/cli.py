@@ -140,14 +140,6 @@ def _csv_text(rows: Iterable[list]) -> str:
     return buffer.getvalue()
 
 
-def _make_out_dir(out_dir: Path) -> None:
-    """Create the output directory, and its parents, unless it exists."""
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ValidationError(f"cannot write to {out_dir}: {exc.strerror or exc}") from None
-
-
 def _atomic_write(path: Path, text: str | Iterable[str]) -> None:
     """Write ``text``, or each of its pieces in turn, as UTF-8 to the temp
     file ``.<name>.<n>.tmp`` beside ``path`` (the first ``n`` from 0 whose
@@ -179,6 +171,21 @@ def _atomic_write(path: Path, text: str | Iterable[str]) -> None:
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def _json(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _write_outputs(out_dir: Path, files: dict[str, str | Iterable[str]]) -> None:
+    """Create ``out_dir``, and its parents, unless it exists, then write
+    each file into it through :func:`_atomic_write`, in order."""
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"cannot write to {out_dir}: {exc.strerror or exc}") from None
+    for name, text in files.items():
+        _atomic_write(out_dir / name, text)
 
 
 def _load_schedules(config: RunConfig, zone_ids: tuple[str, ...]) -> Schedules:
@@ -228,22 +235,6 @@ def _window_schedule(
     return occupancy.estimate_transition_schedule(windowed), first_frac == 1.0
 
 
-def _resolve_strategy(config: RunConfig, zone_ids: tuple[str, ...],
-                      ref: str) -> strategy_mod.HeatingStrategy:
-    if ref in strategy_mod.BUILTIN_STRATEGY_NAMES:
-        strat = strategy_mod.builtin_strategy(ref, zone_ids)
-    else:
-        strat = strategy_mod.parse_strategy(Path(ref), zone_ids)
-    strategy_mod.validate_strategy_window(strat, config.window)
-    return strat
-
-
-def _resolve_tariff(config: RunConfig) -> strategy_mod.Tariff:
-    if config.tariff == "table2":
-        return strategy_mod.table2_tariff()
-    return strategy_mod.parse_tariff(Path(config.tariff))
-
-
 def _chains(config: RunConfig, schedules: Schedules,
             strat: strategy_mod.HeatingStrategy) -> list[markov.ZoneChain]:
     """One unrolled chain per zone, in ``schedules`` order."""
@@ -255,63 +246,22 @@ def _chains(config: RunConfig, schedules: Schedules,
     ]
 
 
-def _load_inputs(config: RunConfig):
-    """Building, per-zone schedules and the single strategy, each parsed once."""
-    network, thermal = load_building(config.building)
-    schedules = _load_schedules(config, thermal.zone_ids)
-    (ref,) = config.strategies
-    return network, thermal, schedules, _resolve_strategy(config, thermal.zone_ids, ref)
-
-
-def _trajectories(config: RunConfig, thermal: DiscreteThermalModel, schedules: Schedules,
-                  strategies: list[strategy_mod.HeatingStrategy]) -> np.ndarray:
-    """Expected temperatures of every strategy, (S, len(thetas), N), from one
-    run of the O(N^2 K) marginal recursion."""
-    zone_ids = thermal.zone_ids
-    gains = config.gains_for(zone_ids)
-    # the marginals do not depend on heating: any strategy's chains give them
-    marginals = np.array([chain.occupied_marginals()
-                          for chain in _chains(config, schedules, strategies[0])]).T
-    heating = np.array([[strat.heating_bits(zid, config.window) for zid in zone_ids]
-                        for strat in strategies], dtype=float).swapaxes(1, 2)
-    return analysis.direct_expected_temperatures(
-        thermal, gains, marginals, heating, config.thetas)
-
-
-def cmd_analyze(config: RunConfig, dump_chain: bool = False) -> int:
-    _, thermal, schedules, strat = _load_inputs(config)
-    if dump_chain:
-        width, horizon = 2 ** len(thermal.zone_ids), config.window[1] - config.window[0]
-        edges = width + (horizon - 1) * width ** 2 + width + 1
-        if edges > analysis.DUMP_MAX_EDGES:
-            raise NumericalGuardError(
-                f"--dump-chain: the product chain has {edges} edges, above the limit of "
-                f"{analysis.DUMP_MAX_EDGES}; use fewer zones or a shorter window")
-    (values,) = _trajectories(config, thermal, schedules, [strat])
-    trajectory = analysis.TemperatureTrajectory(thermal.zone_ids, config.thetas, values)
-    report = analysis.comfort_check(trajectory, config.band)
-
-    rows = [["theta_hour", "zone_id", "expected_temp_c"]]
-    for theta, values in zip(trajectory.thetas, trajectory.values.tolist()):
-        rows += ([config.window[0] + theta, zid, repr(value)]
-                 for zid, value in zip(trajectory.zone_ids, values))
-    _make_out_dir(config.out_dir)
-    _atomic_write(config.out_dir / "trajectory.csv", _csv_text(rows))
-    _atomic_write(config.out_dir / "comfort.json",
-                  json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n")
-    if dump_chain:
-        model = markov.compose(_chains(config, schedules, strat))
-        rewarded = markov.assign_rewards(model, thermal, config.gains_for(thermal.zone_ids),
-                                         config.thetas[0])
-        _atomic_write(config.out_dir / "chain.json", markov.dump_model(rewarded))
-    return EXIT_OK
-
-
-def cmd_cost(config: RunConfig) -> int:
+def _load_inputs(config: RunConfig) -> tuple[DiscreteThermalModel, dict[str, ZoneGains],
+                                              list[strategy_mod.HeatingStrategy]]:
+    """The thermal model, the gains table and the resolved strategies,
+    checked in that order: the building, the strategies, the gains."""
     _, thermal = load_building(config.building)
     zone_ids = thermal.zone_ids
-    tariff = _resolve_tariff(config)
-    strategies = [_resolve_strategy(config, zone_ids, ref) for ref in config.strategies]
+    for zid in zone_ids:
+        if "=" in zid:
+            raise ValidationError(f"{config.building}: zone id {zid!r} holds '=', which "
+                                  f"--occupancy and --gains read as the end of the zone id")
+    strategies = []
+    for ref in config.strategies:
+        strategies.append(strategy_mod.builtin_strategy(ref, zone_ids)
+                          if ref in strategy_mod.BUILTIN_STRATEGY_NAMES
+                          else strategy_mod.parse_strategy(Path(ref), zone_ids))
+        strategy_mod.validate_strategy_window(strategies[-1], config.window)
     names = [strat.name for strat in strategies]
     for i, name in enumerate(names):
         first = names.index(name)
@@ -319,16 +269,75 @@ def cmd_cost(config: RunConfig) -> int:
             raise ValidationError(
                 f"--strategy {config.strategies[first]} and --strategy {config.strategies[i]} "
                 f"are both named {name!r}; each compared strategy needs its own name")
+    return thermal, config.gains_for(zone_ids), strategies
 
+
+def _trajectories(config: RunConfig, thermal: DiscreteThermalModel,
+                  gains: dict[str, ZoneGains], schedules: Schedules,
+                  strategies: list[strategy_mod.HeatingStrategy]) -> np.ndarray:
+    """Expected temperatures of every strategy, (S, len(thetas), N), from one
+    run of the O(N^2 K) marginal recursion."""
+    # the marginals do not depend on heating: any strategy's chains give them
+    marginals = np.array([chain.occupied_marginals()
+                          for chain in _chains(config, schedules, strategies[0])]).T
+    heating = np.array([[strat.heating_bits(zid, config.window) for zid in thermal.zone_ids]
+                        for strat in strategies], dtype=float).swapaxes(1, 2)
+    return analysis.direct_expected_temperatures(
+        thermal, gains, marginals, heating, config.thetas)
+
+
+def _ever_flags(zone_ids: tuple[str, ...], ever_below: np.ndarray,
+               ever_above: np.ndarray) -> list[dict[str, dict[str, bool]]]:
+    """Per strategy, each zone's ``ever_below`` and ``ever_above`` flags."""
+    return [{zid: {"ever_below": b, "ever_above": a} for zid, b, a in zip(zone_ids, *flags)}
+            for flags in zip(ever_below.tolist(), ever_above.tolist())]
+
+
+def cmd_analyze(config: RunConfig, dump_chain: bool = False) -> int:
+    thermal, gains, (strat,) = _load_inputs(config)
+    zone_ids = thermal.zone_ids
+    schedules = _load_schedules(config, zone_ids)
+    if dump_chain:
+        width, horizon = 2 ** len(zone_ids), config.window[1] - config.window[0]
+        edges = width + (horizon - 1) * width ** 2 + width + 1
+        if edges > analysis.DUMP_MAX_EDGES:
+            raise NumericalGuardError(
+                f"--dump-chain: the product chain has {edges} edges, above the limit of "
+                f"{analysis.DUMP_MAX_EDGES}; use fewer zones or a shorter window")
+    values = _trajectories(config, thermal, gains, schedules, [strat])
+    classes, ever_below, ever_above = analysis.comfort_check(values, config.band)
+
+    rows = [["theta_hour", "zone_id", "expected_temp_c"]]
+    for theta, temps in zip(config.thetas, values[0].tolist()):
+        rows += ([config.window[0] + theta, zid, repr(t)] for zid, t in zip(zone_ids, temps))
+    comfort = {
+        "band": {"low": config.band[0], "high": config.band[1]},
+        "points": [{"theta": theta, "zone": zid, "classification": label}
+                   for theta, labels in zip(config.thetas, classes[0].tolist())
+                   for zid, label in zip(zone_ids, labels)],
+        "summary": _ever_flags(zone_ids, ever_below, ever_above)[0],
+    }
+    outputs = {"trajectory.csv": _csv_text(rows), "comfort.json": _json(comfort)}
+    if dump_chain:
+        model = markov.compose(_chains(config, schedules, strat))
+        outputs["chain.json"] = markov.dump_model(
+            markov.assign_rewards(model, thermal, gains, config.thetas[0]))
+    _write_outputs(config.out_dir, outputs)
+    return EXIT_OK
+
+
+def cmd_cost(config: RunConfig) -> int:
+    thermal, gains, strategies = _load_inputs(config)
+    tariff = (strategy_mod.table2_tariff() if config.tariff == "table2"
+              else strategy_mod.parse_tariff(Path(config.tariff)))
     # with occupancy data on hand, rank comfort alongside cost
     comfort = {}
     if config.occupancy_paths:
-        schedules = _load_schedules(config, zone_ids)
-        summaries = analysis.comfort_summaries(
-            _trajectories(config, thermal, schedules, strategies), zone_ids, config.band)
-        comfort = dict(zip(names, summaries))
-    else:
-        config.gains_for(zone_ids)  # checked with or without logs, as the trajectories do
+        schedules = _load_schedules(config, thermal.zone_ids)
+        _, ever_below, ever_above = analysis.comfort_check(
+            _trajectories(config, thermal, gains, schedules, strategies), config.band)
+        comfort = dict(zip((strat.name for strat in strategies),
+                           _ever_flags(thermal.zone_ids, ever_below, ever_above)))
 
     comparison = strategy_mod.compare_strategies(strategies, tariff,
                                                  radiator_kw=config.radiator_kw)
@@ -341,8 +350,6 @@ def cmd_cost(config: RunConfig) -> int:
         note = " | ".join(row.notes).replace(",", ";")
         rows.append([row.strategy, *(repr(row.band_energy_kwh.get(b, 0.0)) for b in band_names),
                      row.total_cost_minor, f"{row.total_cost_minor / 100:.2f}", ratio, note])
-    _make_out_dir(config.out_dir)
-    _atomic_write(config.out_dir / "cost.csv", _csv_text(rows))
 
     payload = {
         "baseline": comparison.baseline,
@@ -359,8 +366,7 @@ def cmd_cost(config: RunConfig) -> int:
             for r in comparison.rows
         ],
     }
-    _atomic_write(config.out_dir / "cost.json",
-                  json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_outputs(config.out_dir, {"cost.csv": _csv_text(rows), "cost.json": _json(payload)})
     return EXIT_OK
 
 
@@ -377,20 +383,17 @@ def cmd_export(config: RunConfig, name: str, to_stdout: bool = False) -> int:
         raise ValidationError(f"--name must be at most {limit} UTF-8 bytes with these thetas, "
                               f"so that its temp file names fit in {NAME_MAX}; "
                               f"got {len(name.encode())}")
-    _, thermal, schedules, strat = _load_inputs(config)
-    chains = _chains(config, schedules, strat)
-    table = markov.step_reward_table(chains, thermal, config.gains_for(thermal.zone_ids),
-                                     config.thetas)
+    thermal, gains, (strat,) = _load_inputs(config)
+    chains = _chains(config, _load_schedules(config, thermal.zone_ids), strat)
+    table = markov.step_reward_table(chains, thermal, gains, config.thetas)
     models = prism.render_models(chains, table, config.thetas, thermal.delta, name)
-    properties = prism.export_properties(config.thetas, thermal.zone_ids)
+    outputs = {f"{name}_theta{theta}.pm" if len(config.thetas) > 1 else f"{name}.pm": text
+               for theta, text in zip(config.thetas, models)}
+    outputs[f"{name}.props"] = prism.export_properties(config.thetas, thermal.zone_ids)
     if to_stdout:
-        sys.stdout.write("".join(models) + properties)
-        return EXIT_OK
-    _make_out_dir(config.out_dir)
-    for theta, text in zip(config.thetas, models):
-        suffix = f"_theta{theta}" if len(config.thetas) > 1 else ""
-        _atomic_write(config.out_dir / f"{name}{suffix}.pm", text)
-    _atomic_write(config.out_dir / f"{name}.props", properties)
+        sys.stdout.write("".join(outputs.values()))
+    else:
+        _write_outputs(config.out_dir, outputs)
     return EXIT_OK
 
 
@@ -403,12 +406,10 @@ def cmd_estimate(csv_path: Path, out_dir: Path, to_stdout: bool = False) -> int:
     if dataset.day_count < 5:
         warnings.append(f"low sample: only {dataset.day_count} day(s) in the dataset")
     payload["warnings"] = warnings
-    text_out = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if to_stdout:
-        sys.stdout.write(text_out)
+        sys.stdout.write(_json(payload))
     else:
-        _make_out_dir(out_dir)
-        _atomic_write(out_dir / "schedule.json", text_out)
+        _write_outputs(out_dir, {"schedule.json": _json(payload)})
     return EXIT_OK
 
 
@@ -516,6 +517,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # argparse before Python 3.13 reads the value of "--opt=--" as [], not "--"
+        for arg in itertools.takewhile("--".__ne__, sys.argv[1:] if argv is None else argv):
+            option, _, value = arg.partition("=")
+            if option.startswith("--") and value == "--":
+                raise ValidationError(f"{option} cannot take the value '--'")
         if args.command == "estimate":
             return cmd_estimate(Path(args.occupancy_csv), Path(args.out),
                                 to_stdout=args.stdout)

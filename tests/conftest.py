@@ -9,8 +9,8 @@ import random
 import numpy as np
 import pytest
 
-from thermark import DiscreteThermalModel, compose
-from thermark.cli import RunConfig, _chains, _load_inputs
+from thermark import DiscreteThermalModel, compose, load_building
+from thermark.cli import RunConfig, _chains, _load_inputs, _load_schedules
 from thermark.occupancy import OccupancyDataset, StepMatrix, TransitionSchedule
 
 BENCH_A = np.array([[0.7001, 0.2999], [0.3007, 0.6993]])
@@ -75,7 +75,9 @@ def matrix_power(a, k: int) -> np.ndarray:
 def build_model(config: RunConfig):
     """Network, thermal model, composed model and strategy of a run, read
     by the CLI's own loaders."""
-    network, thermal, schedules, strat = _load_inputs(config)
+    network, _ = load_building(config.building)
+    thermal, _, (strat,) = _load_inputs(config)
+    schedules = _load_schedules(config, thermal.zone_ids)
     return network, thermal, compose(_chains(config, schedules, strat)), strat
 
 

@@ -20,7 +20,6 @@ from thermark import (
     temperature_trajectory,
     unroll_zone,
 )
-from thermark.analysis import TemperatureTrajectory
 
 ZONES = ("zone1", "zone2")
 
@@ -344,37 +343,33 @@ class TestForwardPassReadsLayers:
 
 
 class TestComfort:
-    def make_trajectory(self, values):
-        values = np.asarray(values, dtype=float)
-        return TemperatureTrajectory(
-            zone_ids=ZONES,
-            thetas=tuple(range(1, len(values) + 1)),
-            values=values,
-        )
+    def check(self, values):
+        """comfort_check of one strategy's trajectory, as a stack of one."""
+        return comfort_check(np.asarray(values, dtype=float)[None], (20.0, 22.0))
 
     def test_all_within(self):
-        report = comfort_check(self.make_trajectory([[21.0, 21.0]] * 4), (20.0, 22.0))
-        assert all(v == "within" for v in report.classifications.values())
-        assert not any(report.ever_above.values())
-        assert not any(report.ever_below.values())
+        classes, ever_below, ever_above = self.check([[21.0, 21.0]] * 4)
+        assert classes.shape == (1, 4, 2)
+        assert (classes == "within").all()
+        assert not ever_above.any()
+        assert not ever_below.any()
 
     def test_boundary_counts_as_within(self):
-        report = comfort_check(self.make_trajectory([[22.0, 20.0]]), (20.0, 22.0))
-        assert report.classifications[(1, "zone1")] == "within"
-        assert report.classifications[(1, "zone2")] == "within"
+        classes, _, _ = self.check([[22.0, 20.0]])
+        assert classes.tolist() == [[["within", "within"]]]
 
     def test_late_day_overshoot_flagged(self):
-        values = [[19.0, 19.0], [21.0, 21.0], [22.5, 23.0]]
-        report = comfort_check(self.make_trajectory(values), (20.0, 22.0))
-        assert report.ever_above["zone1"] and report.ever_above["zone2"]
-        assert report.ever_below["zone1"]
-        assert report.classifications[(3, "zone1")] == "above"
+        classes, ever_below, ever_above = self.check([[19.0, 19.0], [21.0, 21.0], [22.5, 23.0]])
+        assert ever_above.tolist() == [[True, True]]
+        assert ever_below.tolist() == [[True, True]]
+        assert classes[0, 2, 0] == "above"
+        assert classes[0, 0, 1] == "below"
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_value_rejected(self, bad):
         with pytest.raises(ValidationError, match="non-finite"):
-            comfort_check(self.make_trajectory([[21.0, 21.0], [bad, 21.0]]), (20.0, 22.0))
+            self.check([[21.0, 21.0], [bad, 21.0]])
 
     def test_band_must_be_ordered(self):
         with pytest.raises(ValidationError, match="band"):
-            comfort_check(self.make_trajectory([[21.0, 21.0]]), (22.0, 20.0))
+            comfort_check(np.full((1, 1, 2), 21.0), (22.0, 20.0))

@@ -329,6 +329,18 @@ class TestNames:
         assert not out.exists()
 
 
+    # --occupancy and --gains end a zone id at its first '=', so no run could
+    # give such a zone its log or its gains; cost rejects it without logs too
+    @pytest.mark.parametrize("command", ["analyze", "cost", "export"])
+    def test_zone_id_holding_equals_exits_2(self, tmp_path, capsys, command):
+        args = renamed_inputs(tmp_path, zone="a=b", strategy="x", band="day")
+        out = tmp_path / "out"
+        assert main([command, *(args[:2] if command == "cost" else args),
+                     "--out", str(out)]) == 2
+        assert_one_line_error(capsys, f"{tmp_path / 'building.json'}: zone id 'a=b' holds '='")
+        assert not out.exists()
+
+
 class TestEstimate:
     def test_benchmark_estimates(self, tmp_path):
         assert main(["estimate", str(seven_day_log_csv()), "--out", str(tmp_path)]) == 0
@@ -497,15 +509,27 @@ def bench_config(strategy):
 
 
 def composed_comfort(strategy):
-    """Comfort report of the composed-engine trajectory, the reference route."""
+    """comfort.json's content from the composed-engine trajectory, classed
+    point by point: the reference route."""
     from conftest import build_model
-    from thermark.analysis import comfort_check, temperature_trajectory
+    from thermark.analysis import temperature_trajectory
 
     config = bench_config(strategy)
     _, thermal, model, _ = build_model(config)
     gains = config.gains_for(thermal.zone_ids)
     trajectory = temperature_trajectory(model, thermal, gains, config.thetas)
-    return comfort_check(trajectory, config.band).as_dict()
+    (low, high), zone_ids = config.band, thermal.zone_ids
+    classes = [["below" if v < low else "above" if v > high else "within" for v in row]
+               for row in trajectory.values.tolist()]
+    return {
+        "band": {"low": low, "high": high},
+        "points": [{"theta": theta, "zone": zid, "classification": label}
+                   for theta, row in zip(config.thetas, classes)
+                   for zid, label in zip(zone_ids, row)],
+        "summary": {zid: {"ever_below": any(row[j] == "below" for row in classes),
+                          "ever_above": any(row[j] == "above" for row in classes)}
+                    for j, zid in enumerate(zone_ids)},
+    }
 
 
 class TestDirectRoute:
@@ -647,6 +671,46 @@ class TestArgumentChecks:
         assert main(pinned_args(command, out, extra=[arg.format(**names) for arg in extra])) == 2
         assert_one_line_error(capsys, reason.format(**names))
         assert not out.exists()
+
+    # each command checks the building, then the strategies, then the gains, then
+    # the tariff (cost only), then the logs: of two faults, the earlier one is named
+    @pytest.mark.parametrize("command,extra,reason", [
+        ("analyze", ["--building", "{tmp}/absent.json", "--strategy", "S9"],
+         "building file not found: {tmp}/absent.json"),
+        ("analyze", ["--strategy", "S9", "--occupancy", "zone2={tmp}/absent.csv"],
+         "strategy file not found: S9"),
+        ("export", ["--gains", "zone3=1,1", "--occupancy", "zone2={tmp}/absent.csv"],
+         "--gains references unknown zone 'zone3'"),
+        ("cost", ["--strategy", "S2", "--strategy", "S2", "--gains", "zone3=1,1"],
+         "--strategy S2 and --strategy S2 are both named 'S2'"),
+        ("cost", ["--tariff", "{tmp}/absent.json", "--gains", "zone3=1,1"],
+         "--gains references unknown zone 'zone3'"),
+        ("cost", ["--tariff", "{tmp}/absent.json", "--occupancy", "zone2={tmp}/absent.csv"],
+         "tariff file not found: {tmp}/absent.json"),
+    ])
+    def test_the_first_fault_in_check_order_is_named(self, tmp_path, capsys, command, extra,
+                                                      reason):
+        d = two_zone_benchmark_dir()
+        out = tmp_path / "out"
+        argv = [command, "--building", str(d / "building.json"),
+                "--occupancy", f"zone1={d / 'occupancy_zone1.csv'}",
+                *(arg.format(tmp=tmp_path) for arg in extra), "--out", str(out)]
+        assert main(argv) == 2
+        assert_one_line_error(capsys, reason.format(tmp=tmp_path))
+        assert not out.exists()
+
+    # argparse before Python 3.13 gives such a value as [], which ended in a traceback
+    @pytest.mark.parametrize("command,option", [
+        ("analyze", "--band"), ("analyze", "--window"), ("cost", "--gains"),
+        ("cost", "--strategy"), ("export", "--building"), ("export", "--name"),
+        ("estimate", "--out")])
+    def test_option_value_of_two_dashes_exits_2(self, tmp_path, capsys, command, option):
+        out = tmp_path / "out"
+        args = ([command, str(two_zone_benchmark_dir() / "occupancy_zone1.csv")]
+                if command == "estimate" else pinned_args(command, out))
+        assert main([*args, f"{option}=--"]) == 2
+        assert_one_line_error(capsys, f"{option} cannot take the value '--'")
+        assert not out.exists() and not Path("--").exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_radiator_power_exits_2(self, tmp_path, capsys, value):

@@ -5,12 +5,13 @@ Each instance is a building of one to three zones with one occupancy log
 per zone. The logs are padded by up to three hours around the operating
 window and are named to ``--occupancy`` in an order shuffled against the
 building's. A run also takes a bare ``--gains`` pair plus per-zone pairs,
-a strategy file, a two-band tariff file and a theta subset. ``analyze``
-and ``cost`` run through :func:`thermark.cli.main`. :func:`reference`
-recomputes their numbers from the instance alone: day counts to
-transition probabilities (with the stay-in-state defaults), occupancy
-marginals, the forward recursion of expected temperatures, and band sums
-in integers.
+a strategy file, a two-band tariff file and a theta subset. ``analyze``,
+``cost``, ``export`` and ``estimate`` run through
+:func:`thermark.cli.main`. :func:`reference` recomputes their numbers
+from the instance alone: day counts to transition probabilities (with the
+stay-in-state defaults), occupancy marginals, the forward recursion of
+expected temperatures, and band sums in integers. ``export``'s models are
+answered by the text-only evaluator in ``prism_eval``.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+import prism_eval  # noqa: E402
 from thermark.cli import main  # noqa: E402
 
 # names that a CSV cell must quote sit beside plain ones
@@ -76,6 +78,16 @@ def instances(draw) -> dict:
     )
 
 
+def step_probabilities(now: list[bool], after: list[bool]) -> tuple[float, float]:
+    """(p_ff, p_vf) from one hour's column of days to the next: an hour with
+    no occupied day stays occupied, one with no empty day stays empty."""
+    occupied = sum(now)
+    empty = len(now) - occupied
+    stayed = sum(x and y for x, y in zip(now, after))
+    arrived = sum(y and not x for x, y in zip(now, after))
+    return stayed / occupied if occupied else 1.0, arrived / empty if empty else 0.0
+
+
 def reference(case: dict) -> dict:
     """Expected temperatures per strategy and theta, comfort summaries and costs."""
     zones, start, horizon = case["zones"], case["start"], case["horizon"]
@@ -94,12 +106,7 @@ def reference(case: dict) -> dict:
                 for h in range(start, start + horizon + 1)]
         m = [float(cols[0][0])]
         for now, after in zip(cols, cols[1:]):
-            occupied = sum(now)
-            empty = case["days"] - occupied
-            stayed = sum(x and y for x, y in zip(now, after))
-            arrived = sum(y and not x for x, y in zip(now, after))
-            p_ff = stayed / occupied if occupied else 1.0
-            p_vf = arrived / empty if empty else 0.0
+            p_ff, p_vf = step_probabilities(now, after)
             m.append(m[-1] * p_ff + (1.0 - m[-1]) * p_vf)
         marginals.append(m)
     gains = [case["zone_gains"].get(zid, case["bare_gains"] or DEFAULT_GAINS) for zid in ids]
@@ -128,7 +135,7 @@ def reference(case: dict) -> dict:
 
 
 def arguments(case: dict, root: Path) -> list[str]:
-    """The inputs written under ``root`` and the options both commands share."""
+    """The inputs written under ``root`` and the options every model command takes."""
     (root / "building.json").write_text(json.dumps(dict(
         zones=[{key: z[key] for key in ("id", "capacitance", "resistance", "initial_temp")}
                for z in case["zones"]],
@@ -138,8 +145,7 @@ def arguments(case: dict, root: Path) -> list[str]:
     lo, hi = case["thetas"][0], case["thetas"][-1]
     args = ["--building", str(root / "building.json"), "--strategy", str(root / "strategy.json"),
             "--window", f"{case['start']}-{case['start'] + case['horizon']}",
-            "--theta", str(lo) if lo == hi else f"{lo}-{hi}",
-            "--band", "{}-{}".format(*case["band"])]
+            "--theta", str(lo) if lo == hi else f"{lo}-{hi}"]
     paths = {}
     for i, z in enumerate(case["zones"]):
         paths[z["id"]] = root / f"log{i}.csv"
@@ -166,7 +172,7 @@ def test_analyze_and_cost_match_the_reference(case):
     name, ids = case["strategy"]["name"], [z["id"] for z in case["zones"]]
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        args = arguments(case, root)
+        args = [*arguments(case, root), "--band", "{}-{}".format(*case["band"])]
         assert main(["analyze", *args, "--out", str(root / "a")]) == 0
         assert main(["cost", *args, "--strategy", "S1", "--tariff", str(root / "tariff.json"),
                      "--out", str(root / "c")]) == 0
@@ -194,3 +200,35 @@ def test_analyze_and_cost_match_the_reference(case):
         assert by_name[strategy]["total_cost_minor"] == run["total"]
         assert by_name[strategy]["band_energy_kwh"] == run["energy"]
         assert by_name[strategy]["comfort"] == run["comfort"]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(instances())
+def test_export_and_estimate_match_the_reference(case):
+    expected = reference(case)[case["strategy"]["name"]]["trajectory"]
+    thetas = case["thetas"]
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        args = arguments(case, root)
+        assert main(["export", *args, "--name", "m", "--out", str(root / "e")]) == 0
+        props = (root / "e" / "m.props").read_text()
+        for theta, point in zip(thetas, expected):
+            model = (root / "e" / (f"m_theta{theta}.pm" if len(thetas) > 1 else "m.pm"))
+            # the queries of one theta come in the building's zone order
+            answers = [value for _, bound, value in prism_eval.answer(model.read_text(), props)
+                       if bound == theta + 1]
+            assert answers == pytest.approx(point, rel=1e-9, abs=1e-9)
+
+        for i, zone in enumerate(case["zones"]):
+            assert main(["estimate", str(root / f"log{i}.csv"), "--out", str(root / f"s{i}")]) == 0
+            schedule = json.loads((root / f"s{i}" / "schedule.json").read_text())
+            assert schedule["days"] == case["days"]
+            cols = [[row[k] for row in zone["grid"]] for k in range(len(zone["hours"]))]
+            steps = []
+            for k, (now, after) in enumerate(zip(cols, cols[1:])):
+                p_ff, p_vf = step_probabilities(now, after)
+                steps.append(dict(step=k, hour_from=zone["hours"][k], hour_to=zone["hours"][k + 1],
+                                  p_ff=p_ff, p_fv=1.0 - p_ff, p_vf=p_vf, p_vv=1.0 - p_vf))
+            # one division of two day counts per probability, so they agree exactly
+            assert schedule["steps"] == steps

@@ -8,6 +8,8 @@ prints one ``error:`` line, and a successful one writes finite numbers only.
 from __future__ import annotations
 
 import contextlib
+import copy
+import csv
 import io
 import json
 import math
@@ -98,10 +100,15 @@ def check_run(command: str, code: int, err: str, out: Path) -> None:
         return
     for path in out.iterdir():
         text = path.read_text()
+        if path.suffix == ".csv":
+            # a name holding a comma or a quote is still one cell
+            with open(path, newline="") as f:
+                header, *rows = csv.reader(f)
+            assert all(len(row) == len(header) for row in rows), path.name
         if path.suffix == ".json":
             values = list(numbers(json.loads(text)))
         elif path.name == "trajectory.csv":
-            values = [float(line.rsplit(",", 1)[1]) for line in text.splitlines()[1:]]
+            values = [float(row[2]) for row in rows]
         else:  # cost.csv and the PRISM files spell a non-finite number inf or nan
             values = [float(word) for word in re.findall(r"\b(?:inf|nan)\b", text, re.I)]
         assert all(math.isfinite(v) for v in values), path.name
@@ -126,6 +133,10 @@ def test_occupancy_contents_through_estimate_and_analyze(text):
         ]), out)
 
 
+# names that a CSV cell must quote, that break a line, that name a path or
+# hold the '=' of a ZONE=VALUE option
+NAMES = ["a,b", 'a"b', "a\nb", "a\rb", "a\x00b", "a/b", "..", "a=b"]
+
 # option values the CLI accepts or rejects; {bench} is the bundled data's
 # directory and {tmp} an empty scratch directory
 OPTION_VALUES = {
@@ -143,12 +154,13 @@ OPTION_VALUES = {
                     "zone2={bench}/occupancy_zone1.csv", "zone3={bench}/occupancy_zone1.csv",
                     "zone1", "={bench}/occupancy_zone1.csv", "zone1=", "zone1={tmp}",
                     "zone2={tmp}/missing.csv", "zone1={bench}/building.json"],
+    "--name": ["building", *NAMES],
 }
 # the options each subcommand takes, beyond --building, --strategy and --out
 COMMAND_OPTIONS = {
     "analyze": ("--window", "--theta", "--band", "--gains", "--occupancy"),
     "cost": ("--window", "--theta", "--band", "--gains", "--radiator-kw", "--occupancy"),
-    "export": ("--window", "--theta", "--gains", "--occupancy"),
+    "export": ("--window", "--theta", "--gains", "--occupancy", "--name"),
 }
 
 
@@ -192,14 +204,22 @@ JSON_VALUES = [None, True, False, 0, 1, -1, 8, 9, 17, 23, 24, 10 ** 400, 0.0, -0
                {"zone1": [9]}]
 
 
-def json_inputs() -> dict[str, object]:
-    """A valid document per JSON option: the bundled building and tariff and
-    a strategy file over both zones."""
+def json_inputs(zone: str = "zone1", strategy: str = "custom",
+                band: str = "economy") -> dict[str, object]:
+    """A valid document per JSON option: the bundled building with zone1
+    named ``zone``, a strategy file named ``strategy`` over both zones, and
+    the bundled tariff with its first band named ``band``."""
     bench = two_zone_benchmark_dir()
+    building = json.loads((bench / "building.json").read_text())
+    building["zones"][0]["id"] = zone
+    building["edges"] = [[zone if z == "zone1" else z for z in edge]
+                         for edge in building["edges"]]
+    tariff = json.loads((bench / "tariff.json").read_text())
+    tariff["bands"][0]["name"] = band
     return {
-        "--building": json.loads((bench / "building.json").read_text()),
-        "--strategy": {"name": "custom", "schedule": {"zone1": [8, 9], "zone2": [12, 16]}},
-        "--tariff": json.loads((bench / "tariff.json").read_text()),
+        "--building": building,
+        "--strategy": {"name": strategy, "schedule": {zone: [8, 9], "zone2": [12, 16]}},
+        "--tariff": tariff,
     }
 
 
@@ -212,14 +232,23 @@ def containers(value):
 
 
 @st.composite
-def mutated_inputs(draw) -> tuple[str, str]:
-    """One JSON option and the text of its document after one to three
-    mutations of a member's value, type or key, or, now and then, with the
-    whole document replaced."""
+def mutated_inputs(draw) -> tuple[str, str, dict[str, str]]:
+    """Zone1's id, the mutated JSON option and the text of each option's
+    document. Now and then zone1 (in every document), the strategy or the
+    tariff's first band is renamed to one of ``NAMES``. Then one document
+    takes one to three mutations of a member's value, type or key (none to
+    three after a rename), or, now and then, is replaced whole."""
+    names = {"zone": "zone1", "strategy": "custom", "band": "economy"}
+    renamed = draw(st.integers(0, 2)) == 0
+    if renamed:
+        names[draw(st.sampled_from(sorted(names)))] = draw(st.sampled_from(NAMES))
+    docs = json_inputs(**names)
     flag = draw(st.sampled_from(["--building", "--strategy", "--tariff"]))
-    doc = json_inputs()[flag]
-    values = st.sampled_from(JSON_VALUES)
-    for _ in range(draw(st.integers(1, 3))):
+    doc = docs[flag]
+    # a copy, so that a later mutation of a drawn list or object leaves JSON_VALUES as it is
+    values = st.sampled_from(JSON_VALUES).map(copy.deepcopy)
+    # a renamed input may take no other mutation, so that its names reach the outputs
+    for _ in range(draw(st.integers(0 if renamed else 1, 3))):
         node = draw(st.sampled_from(list(containers(doc))))
         keys = list(node) if isinstance(node, dict) else list(range(len(node)))
         kind = draw(st.sampled_from(["value", "delete", "add",
@@ -240,24 +269,26 @@ def mutated_inputs(draw) -> tuple[str, str]:
         else:
             node.insert(key, node[key])
     if draw(st.integers(0, 9)) == 0:
-        doc = draw(values)
+        docs[flag] = draw(values)
     # json.dumps cannot write an integer literal that int() cannot read
-    return flag, json.dumps(doc).replace(json.dumps(LONG_LITERAL), LONG_LITERAL)
+    texts = {option: json.dumps(doc).replace(json.dumps(LONG_LITERAL), LONG_LITERAL)
+             for option, doc in docs.items()}
+    return names["zone"], flag, texts
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(mutated=mutated_inputs())
 def test_json_inputs_through_cost_and_analyze(mutated):
-    flag, text = mutated
+    zone, flag, texts = mutated
     bench = two_zone_benchmark_dir()
     with tempfile.TemporaryDirectory() as tmp:
         paths = {}
-        for option, doc in json_inputs().items():
+        for option, text in texts.items():
             paths[option] = Path(tmp) / f"{option[2:]}.json"
-            paths[option].write_text(text if option == flag else json.dumps(doc))
+            paths[option].write_text(text)
         inputs = ["--building", str(paths["--building"]),
-                  "--occupancy", f"zone1={bench / 'occupancy_zone1.csv'}",
+                  "--occupancy", f"{zone}={bench / 'occupancy_zone1.csv'}",
                   "--occupancy", f"zone2={bench / 'occupancy_zone2.csv'}",
                   "--strategy", str(paths["--strategy"])]
         out = Path(tmp) / "cost"

@@ -27,7 +27,6 @@ from conftest import dense_layers  # noqa: E402
 from thermark import (  # noqa: E402
     DiscreteThermalModel,
     HeatingStrategy,
-    TemperatureTrajectory,
     ValidationError,
     ZoneGains,
     assign_rewards,
@@ -40,7 +39,7 @@ from thermark import (  # noqa: E402
     temperature_trajectory,
     unroll_zone,
 )
-from thermark.analysis import ORACLE_MAX_PATH_BITS, comfort_summaries  # noqa: E402
+from thermark.analysis import ORACLE_MAX_PATH_BITS  # noqa: E402
 from thermark.occupancy import StepMatrix, TransitionSchedule  # noqa: E402
 from thermark.strategy import Tariff, TariffBand  # noqa: E402
 
@@ -182,25 +181,21 @@ def test_comfort_summary_follows_the_scalar_rule(data, strategies, thetas, n):
     values = np.array(data.draw(st.lists(temperature, min_size=strategies * thetas * n,
                                          max_size=strategies * thetas * n)))
     values = values.reshape(strategies, thetas, n)
-    zone_ids = tuple(f"z{i}" for i in range(n))
-    summaries = comfort_summaries(values, zone_ids, BAND)
-    assert len(summaries) == strategies
-    for trajectory, summary in zip(values, summaries):
-        report = comfort_check(
-            TemperatureTrajectory(zone_ids, tuple(range(1, thetas + 1)), trajectory), BAND)
-        for (theta, zid), cls in report.classifications.items():
-            assert cls == scalar_class(trajectory[theta - 1, zone_ids.index(zid)])
-        for j, zid in enumerate(zone_ids):
-            classes = [scalar_class(v) for v in trajectory[:, j]]
-            expected = {"ever_below": "below" in classes, "ever_above": "above" in classes}
-            assert summary[zid] == expected
-            assert report.as_dict()["summary"][zid] == expected
+    classes, ever_below, ever_above = comfort_check(values, BAND)
+    assert classes.shape == values.shape
+    for index, value in np.ndenumerate(values):
+        assert classes[index] == scalar_class(value)
+    for s, trajectory in enumerate(values):
+        for j in range(n):
+            column = [scalar_class(v) for v in trajectory[:, j]]
+            assert ever_below[s, j] == ("below" in column)
+            assert ever_above[s, j] == ("above" in column)
 
     if values.size:
         values.flat[data.draw(st.integers(0, values.size - 1))] = data.draw(
             st.sampled_from([math.nan, math.inf, -math.inf]))
         with pytest.raises(ValidationError, match="non-finite"):
-            comfort_summaries(values, zone_ids, BAND)
+            comfort_check(values, BAND)
 
 
 @st.composite
