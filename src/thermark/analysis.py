@@ -256,20 +256,19 @@ def temperature_trajectory(
 
 
 def comfort_check(values: np.ndarray, band: tuple[float, float]
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Classify every point of a (S, len(thetas), N) stack of trajectories
-    against [low, high]. Ties are within, and a non-finite value is
-    rejected before any is classified.
+    against [low, high]. Ties are within, and a non-finite value or band
+    edge is rejected before any point is classified.
 
-    Returns each point's class, ``"below"``, ``"within"`` or ``"above"``,
-    as an (S, len(thetas), N) array, and the (S, N) masks of the zones
-    each strategy ever takes below and ever takes above the band.
+    Returns the (S, len(thetas), N) masks of the points below and above
+    the band (a point in neither is within), then the (S, N) masks of the
+    zones each strategy ever takes below and ever takes above it.
     """
     low, high = band
-    if not low < high:
-        raise ValidationError(f"band low must be below high, got {band}")
+    if not -np.inf < low < high < np.inf:
+        raise ValidationError(f"band must be finite with low below high, got {band}")
     if not np.isfinite(values).all():
         raise ValidationError("trajectory holds a non-finite temperature")
     below, above = values < low, values > high
-    classes = np.where(below, "below", np.where(above, "above", "within"))
-    return classes, below.any(axis=1), above.any(axis=1)
+    return below, above, below.any(axis=1), above.any(axis=1)

@@ -20,11 +20,11 @@ import csv
 import functools
 import io
 import itertools
-import json
 import math
 import os
 import sys
 from collections.abc import Iterable
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 import numpy as np
@@ -173,8 +173,71 @@ def _atomic_write(path: Path, text: str | Iterable[str]) -> None:
         raise
 
 
-def _json(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+# the JSON outputs are written from fixed layouts, in the bytes json.dumps(payload, indent=2,
+# sort_keys=True) + "\n" gives: strings by _quote (ensure_ascii), keys sorted, numbers by repr
+_BOOL, _CLASS = ("false", "true"), ("within", "below", "above")  # _CLASS[below - above]
+
+
+def _block(items: Iterable[str], indent: str, brackets: str = "[]") -> str:
+    """A JSON list (or object) of items written at ``indent`` plus two spaces."""
+    items = ",\n".join(items)
+    return f"{brackets[0]}\n{items}\n{indent}{brackets[1]}" if items else brackets
+
+
+def _strings(values: Iterable[str], indent: str) -> str:
+    return _block((f"{indent}  {_quote(v)}" for v in values), indent)
+
+
+def _summary(zone_ids: tuple[str, ...], ever_below: np.ndarray, ever_above: np.ndarray,
+             indent: str) -> str:
+    """Each zone's ``ever_above`` and ``ever_below`` flags, zones in id order."""
+    i = indent + "  "
+    flags = sorted(zip(zone_ids, ever_below.tolist(), ever_above.tolist()))
+    return _block((f'{i}{_quote(z)}: {{\n{i}  "ever_above": {_BOOL[a]},\n'
+                   f'{i}  "ever_below": {_BOOL[b]}\n{i}}}' for z, b, a in flags), indent, "{}")
+
+
+def _comfort_json(band: tuple[float, float], thetas: tuple[int, ...], zone_ids: tuple[str, ...],
+                  masks: tuple[np.ndarray, ...]) -> str:
+    """comfort.json from one strategy's masks; comfort_check rejects a non-finite band."""
+    below, above, ever_below, ever_above = masks
+    zones = [_quote(z) for z in zone_ids]
+    points = (f'    {{\n      "classification": "{_CLASS[b - a]}",\n      "theta": {theta},\n'
+              f'      "zone": {z}\n    }}' for theta, row_b, row_a in
+              zip(thetas, below.tolist(), above.tolist()) for z, b, a in zip(zones, row_b, row_a))
+    return (f'{{\n  "band": {{\n    "high": {band[1]!r},\n    "low": {band[0]!r}\n  }},\n'
+            f'  "points": {_block(points, "  ")},\n'
+            f'  "summary": {_summary(zone_ids, ever_below, ever_above, "  ")}\n}}\n')
+
+
+def _cost_json(comparison: strategy_mod.StrategyComparison, zone_ids: tuple[str, ...],
+               ever: dict[str, tuple[np.ndarray, np.ndarray]]) -> str:
+    """cost.json from the ranked rows and the (N,) ever_below and ever_above masks
+    of each strategy that has them; compare_strategies keeps each number finite."""
+    rows = ('    {\n      "band_energy_kwh": %s,\n      "comfort": %s,\n'
+            '      "cost_ratio_vs_cheapest": %s,\n      "notes": %s,\n      "strategy": %s,\n'
+            '      "total_cost_minor": %s\n    }' % (
+                _block((f"        {_quote(band)}: {kwh!r}" for band, kwh in
+                        sorted(r.band_energy_kwh.items())), "      ", "{}"),
+                _summary(zone_ids, *ever[r.strategy], "      ") if r.strategy in ever else "null",
+                "null" if r.cost_ratio is None else repr(r.cost_ratio),
+                _strings(r.notes, "      "), _quote(r.strategy), r.total_cost_minor)
+            for r in comparison.rows)
+    baseline = "null" if comparison.baseline is None else _quote(comparison.baseline)
+    return (f'{{\n  "baseline": {baseline},\n  "flags": {_strings(comparison.flags, "  ")},\n'
+            f'  "rows": {_block(rows, "  ")}\n}}\n')
+
+
+def _schedule_json(schedule: TransitionSchedule, days: int, warnings: list[str]) -> str:
+    """schedule.json; each probability was checked to lie in [0, 1]."""
+    steps = (f'    {{\n      "hour_from": {h0},\n      "hour_to": {h1},\n      "p_ff": {m.p_ff!r},'
+             f'\n      "p_fv": {m.p_fv!r},\n      "p_vf": {m.p_vf!r},\n      "p_vv": {m.p_vv!r},'
+             f'\n      "step": {m.step}\n    }}'
+             for m, h0, h1 in zip(schedule.matrices, schedule.hours, schedule.hours[1:]))
+    diagnostics = (f'    {{\n      "condition": {_quote(d.condition)},\n      "hour": {d.hour},\n'
+                   f'      "reason": {_quote(d.reason)}\n    }}' for d in schedule.diagnostics)
+    return (f'{{\n  "days": {days},\n  "diagnostics": {_block(diagnostics, "  ")},\n'
+            f'  "steps": {_block(steps, "  ")},\n  "warnings": {_strings(warnings, "  ")}\n}}\n')
 
 
 def _write_outputs(out_dir: Path, files: dict[str, str | Iterable[str]]) -> None:
@@ -286,13 +349,6 @@ def _trajectories(config: RunConfig, thermal: DiscreteThermalModel,
         thermal, gains, marginals, heating, config.thetas)
 
 
-def _ever_flags(zone_ids: tuple[str, ...], ever_below: np.ndarray,
-               ever_above: np.ndarray) -> list[dict[str, dict[str, bool]]]:
-    """Per strategy, each zone's ``ever_below`` and ``ever_above`` flags."""
-    return [{zid: {"ever_below": b, "ever_above": a} for zid, b, a in zip(zone_ids, *flags)}
-            for flags in zip(ever_below.tolist(), ever_above.tolist())]
-
-
 def cmd_analyze(config: RunConfig, dump_chain: bool = False) -> int:
     thermal, gains, (strat,) = _load_inputs(config)
     zone_ids = thermal.zone_ids
@@ -305,19 +361,13 @@ def cmd_analyze(config: RunConfig, dump_chain: bool = False) -> int:
                 f"--dump-chain: the product chain has {edges} edges, above the limit of "
                 f"{analysis.DUMP_MAX_EDGES}; use fewer zones or a shorter window")
     values = _trajectories(config, thermal, gains, schedules, [strat])
-    classes, ever_below, ever_above = analysis.comfort_check(values, config.band)
+    masks = tuple(mask[0] for mask in analysis.comfort_check(values, config.band))
 
     rows = [["theta_hour", "zone_id", "expected_temp_c"]]
     for theta, temps in zip(config.thetas, values[0].tolist()):
         rows += ([config.window[0] + theta, zid, repr(t)] for zid, t in zip(zone_ids, temps))
-    comfort = {
-        "band": {"low": config.band[0], "high": config.band[1]},
-        "points": [{"theta": theta, "zone": zid, "classification": label}
-                   for theta, labels in zip(config.thetas, classes[0].tolist())
-                   for zid, label in zip(zone_ids, labels)],
-        "summary": _ever_flags(zone_ids, ever_below, ever_above)[0],
-    }
-    outputs = {"trajectory.csv": _csv_text(rows), "comfort.json": _json(comfort)}
+    outputs = {"trajectory.csv": _csv_text(rows),
+               "comfort.json": _comfort_json(config.band, config.thetas, zone_ids, masks)}
     if dump_chain:
         model = markov.compose(_chains(config, schedules, strat))
         outputs["chain.json"] = markov.dump_model(
@@ -331,13 +381,12 @@ def cmd_cost(config: RunConfig) -> int:
     tariff = (strategy_mod.table2_tariff() if config.tariff == "table2"
               else strategy_mod.parse_tariff(Path(config.tariff)))
     # with occupancy data on hand, rank comfort alongside cost
-    comfort = {}
+    ever = {}
     if config.occupancy_paths:
         schedules = _load_schedules(config, thermal.zone_ids)
-        _, ever_below, ever_above = analysis.comfort_check(
+        _, _, ever_below, ever_above = analysis.comfort_check(
             _trajectories(config, thermal, gains, schedules, strategies), config.band)
-        comfort = dict(zip((strat.name for strat in strategies),
-                           _ever_flags(thermal.zone_ids, ever_below, ever_above)))
+        ever = {strat.name: flags for strat, *flags in zip(strategies, ever_below, ever_above)}
 
     comparison = strategy_mod.compare_strategies(strategies, tariff,
                                                  radiator_kw=config.radiator_kw)
@@ -350,23 +399,8 @@ def cmd_cost(config: RunConfig) -> int:
         note = " | ".join(row.notes).replace(",", ";")
         rows.append([row.strategy, *(repr(row.band_energy_kwh.get(b, 0.0)) for b in band_names),
                      row.total_cost_minor, f"{row.total_cost_minor / 100:.2f}", ratio, note])
-
-    payload = {
-        "baseline": comparison.baseline,
-        "flags": list(comparison.flags),
-        "rows": [
-            {
-                "strategy": r.strategy,
-                "band_energy_kwh": r.band_energy_kwh,
-                "total_cost_minor": r.total_cost_minor,
-                "cost_ratio_vs_cheapest": r.cost_ratio,
-                "comfort": comfort.get(r.strategy),
-                "notes": list(r.notes),
-            }
-            for r in comparison.rows
-        ],
-    }
-    _write_outputs(config.out_dir, {"cost.csv": _csv_text(rows), "cost.json": _json(payload)})
+    _write_outputs(config.out_dir, {"cost.csv": _csv_text(rows),
+                                    "cost.json": _cost_json(comparison, thermal.zone_ids, ever)})
     return EXIT_OK
 
 
@@ -400,16 +434,13 @@ def cmd_export(config: RunConfig, name: str, to_stdout: bool = False) -> int:
 def cmd_estimate(csv_path: Path, out_dir: Path, to_stdout: bool = False) -> int:
     dataset = _read_dataset(csv_path)
     schedule = occupancy.estimate_transition_schedule(dataset)
-    payload = schedule.as_dict()
-    payload["days"] = dataset.day_count
-    warnings = []
-    if dataset.day_count < 5:
-        warnings.append(f"low sample: only {dataset.day_count} day(s) in the dataset")
-    payload["warnings"] = warnings
+    warnings = ([f"low sample: only {dataset.day_count} day(s) in the dataset"]
+                if dataset.day_count < 5 else [])
+    text = _schedule_json(schedule, dataset.day_count, warnings)
     if to_stdout:
-        sys.stdout.write(_json(payload))
+        sys.stdout.write(text)
     else:
-        _write_outputs(out_dir, {"schedule.json": _json(payload)})
+        _write_outputs(out_dir, {"schedule.json": text})
     return EXIT_OK
 
 

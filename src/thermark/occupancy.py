@@ -133,9 +133,6 @@ class Diagnostic(Record):
     condition: str  # "empty" or "occupied"
     reason: str
 
-    def as_dict(self) -> dict:
-        return {"hour": self.hour, "condition": self.condition, "reason": self.reason}
-
 
 class TransitionSchedule(Record):
     """One StepMatrix per hour boundary, step k covering hour[k] -> hour[k+1]."""
@@ -152,23 +149,6 @@ class TransitionSchedule(Record):
             return self.matrices[step]
         except IndexError:
             raise ValidationError(f"schedule has no step {step}") from None
-
-    def as_dict(self) -> dict:
-        return {
-            "steps": [
-                {
-                    "step": m.step,
-                    "hour_from": self.hours[i] if self.hours else m.step,
-                    "hour_to": self.hours[i + 1] if self.hours else m.step + 1,
-                    "p_vf": m.p_vf,
-                    "p_vv": m.p_vv,
-                    "p_ff": m.p_ff,
-                    "p_fv": m.p_fv,
-                }
-                for i, m in enumerate(self.matrices)
-            ],
-            "diagnostics": [d.as_dict() for d in self.diagnostics],
-        }
 
 
 def parse_occupancy_csv(data: bytes | str) -> OccupancyDataset:
@@ -481,22 +461,12 @@ def estimate_transition_schedule(dataset: OccupancyDataset) -> TransitionSchedul
         n_vv = dataset.day_count - n_ff - n_fv - n_vf
         denom_v = n_vf + n_vv
         denom_f = n_ff + n_fv
-        if denom_v > 0:
-            p_vf = n_vf / denom_v
-        else:
-            p_vf = 0.0
-            diags.append(Diagnostic(
-                hour=h0, condition="empty",
-                reason="no day was empty at this hour; defaulted to stay-in-state",
-            ))
-        if denom_f > 0:
-            p_ff = n_ff / denom_f
-        else:
-            p_ff = 1.0
-            diags.append(Diagnostic(
-                hour=h0, condition="occupied",
-                reason="no day was occupied at this hour; defaulted to stay-in-state",
-            ))
+        for condition, denom in (("empty", denom_v), ("occupied", denom_f)):
+            if not denom:
+                diags.append(Diagnostic(hour=h0, condition=condition, reason=(
+                    f"no day was {condition} at this hour; defaulted to stay-in-state")))
+        p_vf = n_vf / denom_v if denom_v else 0.0
+        p_ff = n_ff / denom_f if denom_f else 1.0
         matrices.append(StepMatrix(step=k, p_vf=p_vf, p_vv=1.0 - p_vf,
                                    p_ff=p_ff, p_fv=1.0 - p_ff))
     return TransitionSchedule(matrices=tuple(matrices), hours=hours,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -348,22 +350,23 @@ class TestComfort:
         return comfort_check(np.asarray(values, dtype=float)[None], (20.0, 22.0))
 
     def test_all_within(self):
-        classes, ever_below, ever_above = self.check([[21.0, 21.0]] * 4)
-        assert classes.shape == (1, 4, 2)
-        assert (classes == "within").all()
+        below, above, ever_below, ever_above = self.check([[21.0, 21.0]] * 4)
+        assert below.shape == above.shape == (1, 4, 2)
+        assert not below.any() and not above.any()
         assert not ever_above.any()
         assert not ever_below.any()
 
     def test_boundary_counts_as_within(self):
-        classes, _, _ = self.check([[22.0, 20.0]])
-        assert classes.tolist() == [[["within", "within"]]]
+        below, above, _, _ = self.check([[22.0, 20.0]])
+        assert below.tolist() == above.tolist() == [[[False, False]]]
 
     def test_late_day_overshoot_flagged(self):
-        classes, ever_below, ever_above = self.check([[19.0, 19.0], [21.0, 21.0], [22.5, 23.0]])
+        below, above, ever_below, ever_above = self.check(
+            [[19.0, 19.0], [21.0, 21.0], [22.5, 23.0]])
         assert ever_above.tolist() == [[True, True]]
         assert ever_below.tolist() == [[True, True]]
-        assert classes[0, 2, 0] == "above"
-        assert classes[0, 0, 1] == "below"
+        assert below.tolist() == [[[True, True], [False, False], [False, False]]]
+        assert above.tolist() == [[[False, False], [False, False], [True, True]]]
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_value_rejected(self, bad):
@@ -373,3 +376,9 @@ class TestComfort:
     def test_band_must_be_ordered(self):
         with pytest.raises(ValidationError, match="band"):
             comfort_check(np.full((1, 1, 2), 21.0), (22.0, 20.0))
+
+    @pytest.mark.parametrize("band", [(-math.inf, 22.0), (20.0, math.inf), (math.nan, 22.0),
+                                      (20.0, math.nan)])
+    def test_band_must_be_finite(self, band):
+        with pytest.raises(ValidationError, match="band must be finite"):
+            comfort_check(np.full((1, 1, 2), 21.0), band)

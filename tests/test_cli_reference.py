@@ -1,17 +1,18 @@
 """The CLI's wiring on random small instances, against a reference that
 shares no code with thermark.
 
-Each instance is a building of one to three zones with one occupancy log
-per zone. The logs are padded by up to three hours around the operating
-window and are named to ``--occupancy`` in an order shuffled against the
-building's. A run also takes a bare ``--gains`` pair plus per-zone pairs,
-a strategy file, a two-band tariff file and a theta subset. ``analyze``,
-``cost``, ``export`` and ``estimate`` run through
+Each instance is a building of one to four zones with one occupancy log
+per zone, of one to thirty days. The logs are padded by up to three hours
+around the operating window and are named to ``--occupancy`` in an order
+shuffled against the building's. A run also takes a bare ``--gains`` pair
+plus per-zone pairs, a strategy file, a two-band tariff file and a theta
+subset. ``analyze``, ``cost``, ``export`` and ``estimate`` run through
 :func:`thermark.cli.main`. :func:`reference` recomputes their numbers
 from the instance alone: day counts to transition probabilities (with the
 stay-in-state defaults), occupancy marginals, the forward recursion of
-expected temperatures, and band sums in integers. ``export``'s models are
-answered by the text-only evaluator in ``prism_eval``.
+expected temperatures, each point's comfort class, and band sums in
+integers. ``export``'s models are answered by the text-only evaluator in
+``prism_eval``.
 """
 
 from __future__ import annotations
@@ -41,9 +42,10 @@ GAIN_VALUES = [0.0, 0.4, 1.1, 2.5]
 
 @st.composite
 def instances(draw) -> dict:
-    n = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 4))
     zone_ids = draw(st.permutations(ZONE_NAMES))[:n]
-    start, horizon, days = draw(st.integers(6, 9)), draw(st.integers(2, 6)), draw(st.integers(1, 6))
+    start, horizon = draw(st.integers(6, 9)), draw(st.integers(2, 6))
+    days = draw(st.integers(1, 30))
     zones = []
     for zid in zone_ids:
         hours = range(start - draw(st.integers(0, 3)), start + horizon + draw(st.integers(0, 3)) + 1)
@@ -89,7 +91,8 @@ def step_probabilities(now: list[bool], after: list[bool]) -> tuple[float, float
 
 
 def reference(case: dict) -> dict:
-    """Expected temperatures per strategy and theta, comfort summaries and costs."""
+    """Expected temperatures per strategy and theta, comfort classes and
+    summaries, and costs."""
     zones, start, horizon = case["zones"], case["start"], case["horizon"]
     ids = [z["id"] for z in zones]
     n = len(ids)
@@ -126,6 +129,9 @@ def reference(case: dict) -> dict:
                 counts[next(b["name"] for b in case["bands"] if b["start"] <= h < b["end"])] += 1
         out[name] = dict(
             trajectory=points,
+            # a point on an edge of the band is within it
+            classes=[["below" if v < low else "above" if v > high else "within" for v in p]
+                     for p in points],
             comfort={zid: {"ever_below": any(p[i] < low for p in points),
                            "ever_above": any(p[i] > high for p in points)}
                      for i, zid in enumerate(ids)},
@@ -189,6 +195,10 @@ def test_analyze_and_cost_match_the_reference(case):
     values = [v for point in expected[name]["trajectory"] for v in point]
     for row, value in zip(rows, values):
         assert float(row[2]) == pytest.approx(value, rel=1e-9, abs=1e-9)
+    assert comfort["points"] == [
+        {"theta": theta, "zone": zid, "classification": label}
+        for theta, labels in zip(case["thetas"], expected[name]["classes"])
+        for zid, label in zip(ids, labels)]
     assert comfort["summary"] == expected[name]["comfort"]
 
     assert cost_header[1:1 + len(case["bands"])] == [

@@ -2,7 +2,8 @@
 strategy and tariff JSON files through the command line.
 
 Every run must end in exit 0, 2 or 3 with no traceback; a failing run
-prints one ``error:`` line, and a successful one writes finite numbers only.
+prints one ``error:`` line, and a successful one writes finite numbers only,
+and every JSON file in json's own ``indent=2, sort_keys=True`` layout.
 """
 
 from __future__ import annotations
@@ -106,7 +107,10 @@ def check_run(command: str, code: int, err: str, out: Path) -> None:
                 header, *rows = csv.reader(f)
             assert all(len(row) == len(header) for row in rows), path.name
         if path.suffix == ".json":
-            values = list(numbers(json.loads(text)))
+            # the writers share no code with json, so json itself is the oracle
+            document = json.loads(text)
+            assert text == json.dumps(document, indent=2, sort_keys=True) + "\n", path.name
+            values = list(numbers(document))
         elif path.name == "trajectory.csv":
             values = [float(row[2]) for row in rows]
         else:  # cost.csv and the PRISM files spell a non-finite number inf or nan
@@ -196,6 +200,15 @@ def test_option_values_through_analyze_cost_and_export(options):
             check_run(command, *run(argv), out)
 
 
+# names that the JSON outputs must escape: a quote, a backslash, non-ASCII text
+# (one character outside the BMP), a line separator, and DEL, a control character
+ESCAPED = ['a"b', "a\\b", "é", "😀", "a\u2028b", "a\x7fb"]
+# values that keep a document schema-valid in place of a leaf of the same type
+LEAF_VALUES = {
+    int: [0, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 24],
+    float: [-0.0, 0.0, 5e-324, 0.1 + 0.2, 0.5, 1.0, 2.0, 18.0, 21.5, 1e16],
+    str: ["zone1", "zone2", *ESCAPED],
+}
 LONG_LITERAL = "1" * 5000  # longer than int() reads
 # values a mutation puts in place of another, or under a new key
 JSON_VALUES = [None, True, False, 0, 1, -1, 8, 9, 17, 23, 24, 10 ** 400, 0.0, -0.0, 0.5, 1.0,
@@ -231,20 +244,36 @@ def containers(value):
             yield from containers(item)
 
 
+def leaves(value):
+    """``(container, key)`` of every string or number inside ``value``."""
+    for node in containers(value):
+        for key, item in node.items() if isinstance(node, dict) else enumerate(node):
+            if type(item) in LEAF_VALUES:
+                yield node, key
+
+
 @st.composite
 def mutated_inputs(draw) -> tuple[str, str, dict[str, str]]:
     """Zone1's id, the mutated JSON option and the text of each option's
-    document. Now and then zone1 (in every document), the strategy or the
-    tariff's first band is renamed to one of ``NAMES``. Then one document
-    takes one to three mutations of a member's value, type or key (none to
-    three after a rename), or, now and then, is replaced whole."""
+    document. Half the time zone1 (in every document), the strategy or the
+    tariff's first band is renamed to one of ``NAMES`` or ``ESCAPED``. Then
+    one document is mutated. Two times in three it takes one or two values
+    of the same JSON type at a leaf (none to two after a rename), so it
+    stays schema-valid. Otherwise it takes one to three mutations of a
+    member's value, type or key (none to three after a rename), or, now
+    and then, is replaced whole."""
     names = {"zone": "zone1", "strategy": "custom", "band": "economy"}
-    renamed = draw(st.integers(0, 2)) == 0
+    renamed = draw(st.booleans())
     if renamed:
-        names[draw(st.sampled_from(sorted(names)))] = draw(st.sampled_from(NAMES))
+        names[draw(st.sampled_from(sorted(names)))] = draw(st.sampled_from(NAMES + ESCAPED))
     docs = json_inputs(**names)
     flag = draw(st.sampled_from(["--building", "--strategy", "--tariff"]))
     doc = docs[flag]
+    if draw(st.integers(0, 2)):
+        for _ in range(draw(st.integers(0 if renamed else 1, 2))):
+            node, key = draw(st.sampled_from(list(leaves(doc))))
+            node[key] = draw(st.sampled_from(LEAF_VALUES[type(node[key])]))
+        return names["zone"], flag, {option: json.dumps(d) for option, d in docs.items()}
     # a copy, so that a later mutation of a drawn list or object leaves JSON_VALUES as it is
     values = st.sampled_from(JSON_VALUES).map(copy.deepcopy)
     # a renamed input may take no other mutation, so that its names reach the outputs
@@ -276,24 +305,33 @@ def mutated_inputs(draw) -> tuple[str, str, dict[str, str]]:
     return names["zone"], flag, texts
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(mutated=mutated_inputs())
-def test_json_inputs_through_cost_and_analyze(mutated):
-    zone, flag, texts = mutated
+def test_json_inputs_through_cost_and_analyze():
     bench = two_zone_benchmark_dir()
-    with tempfile.TemporaryDirectory() as tmp:
-        paths = {}
-        for option, text in texts.items():
-            paths[option] = Path(tmp) / f"{option[2:]}.json"
-            paths[option].write_text(text)
-        inputs = ["--building", str(paths["--building"]),
-                  "--occupancy", f"{zone}={bench / 'occupancy_zone1.csv'}",
-                  "--occupancy", f"zone2={bench / 'occupancy_zone2.csv'}",
-                  "--strategy", str(paths["--strategy"])]
-        out = Path(tmp) / "cost"
-        check_run("cost", *run(["cost", *inputs, "--tariff", str(paths["--tariff"]),
-                                "--out", str(out)]), out)
-        if flag != "--tariff":
-            out = Path(tmp) / "analyze"
-            check_run("analyze", *run(["analyze", *inputs, "--out", str(out)]), out)
+    codes = []
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(mutated=mutated_inputs())
+    def run_inputs(mutated):
+        zone, flag, texts = mutated
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {}
+            for option, text in texts.items():
+                paths[option] = Path(tmp) / f"{option[2:]}.json"
+                paths[option].write_text(text)
+            inputs = ["--building", str(paths["--building"]),
+                      "--occupancy", f"{zone}={bench / 'occupancy_zone1.csv'}",
+                      "--occupancy", f"zone2={bench / 'occupancy_zone2.csv'}",
+                      "--strategy", str(paths["--strategy"])]
+            commands = {"cost": ["--tariff", str(paths["--tariff"])]}
+            if flag != "--tariff":
+                commands["analyze"] = []
+            for command, extra in commands.items():
+                out = Path(tmp) / command
+                code, err = run([command, *inputs, *extra, "--out", str(out)])
+                codes.append(code)
+                check_run(command, code, err, out)
+
+    run_inputs()
+    # the schema-valid mutations carry most runs past the schema to the writers
+    assert codes.count(0) * 3 >= len(codes), (codes.count(0), len(codes))

@@ -181,10 +181,11 @@ def test_comfort_summary_follows_the_scalar_rule(data, strategies, thetas, n):
     values = np.array(data.draw(st.lists(temperature, min_size=strategies * thetas * n,
                                          max_size=strategies * thetas * n)))
     values = values.reshape(strategies, thetas, n)
-    classes, ever_below, ever_above = comfort_check(values, BAND)
-    assert classes.shape == values.shape
+    below, above, ever_below, ever_above = comfort_check(values, BAND)
+    assert below.shape == above.shape == values.shape
     for index, value in np.ndenumerate(values):
-        assert classes[index] == scalar_class(value)
+        assert (below[index], above[index]) == (scalar_class(value) == "below",
+                                                scalar_class(value) == "above")
     for s, trajectory in enumerate(values):
         for j in range(n):
             column = [scalar_class(v) for v in trajectory[:, j]]
