@@ -11,7 +11,6 @@ from .analysis import (
     brute_force_expected_temperature,
     comfort_check,
     direct_expected_temperatures,
-    expected_temperature,
     temperature_trajectory,
 )
 from .errors import NumericalGuardError, ThermarkError, ValidationError
@@ -83,7 +82,6 @@ __all__ = [
     "direct_expected_temperatures",
     "discretize_forward_euler",
     "estimate_transition_schedule",
-    "expected_temperature",
     "export_properties",
     "load_building",
     "parse_occupancy_csv",

@@ -2,18 +2,17 @@
 
 Three evaluation routes are provided:
 
-* :func:`expected_temperature` and :func:`temperature_trajectory` run one
-  forward pass over the composed chain's per-step zone factors. Over the
-  2^N states s of step k the pass carries p_k(s) = P(X_k = s) and
-  m_k(s) = E[T_k 1{X_k = s}], and steps them with
-  m_{k+1} = P_k^T (m_k A^T + p_k g_k) and p_{k+1} = p_k P_k, where g_k(s)
-  is the heat gain of state s during hour k (its own occupancy bits and
-  the step's heating bits). P_k is the Kronecker product of the zones'
-  2x2 step matrices, so it is applied one zone axis at a time, in
-  O(N 2^N) per carried column, and never built. E[T_theta] is the sum of
-  m_theta over the states, so the route reads every factor
-  :func:`thermark.markov.compose` stacked, and one pass serves every
-  theta. It never reads the assigned rewards.
+* :func:`temperature_trajectory` runs one forward pass over the composed
+  chain's per-step zone factors. Over the 2^N states s of step k the pass
+  carries p_k(s) = P(X_k = s) and m_k(s) = E[T_k 1{X_k = s}], and steps
+  them with m_{k+1} = P_k^T (m_k A^T + p_k g_k) and p_{k+1} = p_k P_k,
+  where g_k(s) is the heat gain of state s during hour k (its own
+  occupancy bits and the step's heating bits). P_k is the Kronecker
+  product of the zones' 2x2 step matrices, so it is applied one zone axis
+  at a time, in O(N 2^N) per carried column, and never built.
+  E[T_theta] is the sum of m_theta over the states, so the route reads
+  every factor :func:`thermark.markov.compose` stacked, and one pass up to
+  the largest theta serves every theta. It never reads the rewards.
 * :func:`direct_expected_temperatures` skips the composed model entirely:
   because the expected gain at step k only needs each zone's occupancy
   marginal at step k-1 and the deterministic heating bit, the whole
@@ -25,7 +24,8 @@ Three evaluation routes are provided:
   exact path measure. It is deliberately built from the zone chains' raw
   transition probabilities and gains rather than the factors or the
   assigned rewards, so agreement with the forward pass validates
-  :func:`thermark.markov.compose`.
+  :func:`thermark.markov.compose`. It alone takes a
+  :class:`thermark.markov.RewardedModel`, for its theta, thermal model and gains.
 """
 
 from __future__ import annotations
@@ -40,58 +40,6 @@ from .records import Record
 from .thermal import DiscreteThermalModel
 
 ORACLE_MAX_PATH_BITS = 22
-# the largest product chain --dump-chain writes, in edges; N=8 zones over
-# K=9 steps (524 801 edges, a 59 MB chain.json) takes 1.4 s and 38 MiB peak
-# RSS as a fresh process on a 2-vCPU VM, and still fits
-DUMP_MAX_EDGES = 2 ** 20
-
-
-def _check_theta(rewarded: RewardedModel, theta: int) -> None:
-    if theta != rewarded.theta:
-        raise ValidationError(
-            f"rewards were assigned for theta={rewarded.theta}, not theta={theta}"
-        )
-
-
-def _forward_pass(model: ComposedModel, thermal: DiscreteThermalModel,
-                  gains: dict[str, ZoneGains], last: int) -> np.ndarray:
-    """E[T_k] for k = 0..last in the model's zone order, propagated
-    through ``model.factors`` (see the module docstring)."""
-    zone_ids = model.zone_ids
-    n = len(zone_ids)
-    _check_zones(zone_ids, thermal, gains)
-    # A and T0 permuted from thermal order into chain order
-    order = [thermal.zone_index(zid) for zid in zone_ids]
-    a_t = np.asarray(thermal.a, dtype=float)[np.ix_(order, order)].T
-    t0 = np.asarray(thermal.initial_temps, dtype=float)[order]
-    # occupant gain of every state of a step, rows in state order
-    occupant = np.array(list(itertools.product((1.0, 0.0), repeat=n)))
-    occupant *= [gains[zid].q_int for zid in zone_ids]
-    q_rad = np.array([gains[zid].q_rad for zid in zone_ids])
-
-    # carried[:, :n] is m_k and carried[:, n] is p_k
-    start = int("".join("0" if c.initial_occupied else "1" for c in model.chains), 2)
-    carried = np.zeros((2 ** n, n + 1))
-    carried[start] = [*t0, 1.0]
-    expected = [t0]
-    for k in range(last):
-        m, p = carried[:, :n], carried[:, n:]
-        gain = occupant + q_rad * np.array(model.heating_at(k), dtype=float)
-        carried = np.concatenate([m @ a_t + p * gain, p], axis=1)
-        # P_k^T one zone at a time: zone j's bit is axis 1 of this view
-        for j, factor in enumerate(model.factors[k]):
-            carried = np.matmul(factor.T, carried.reshape(2 ** j, 2, -1)).reshape(2 ** n, -1)
-        expected.append(carried[:, :n].sum(axis=0))
-    return np.array(expected)
-
-
-def expected_temperature(rewarded: RewardedModel, theta: int) -> dict[str, float]:
-    """Expected temperature per zone at step theta, by the forward pass
-    over the composed model's factors."""
-    _check_theta(rewarded, theta)
-    model = rewarded.model
-    values = _forward_pass(model, rewarded.thermal, rewarded.gains, theta)[theta]
-    return dict(zip(model.zone_ids, values.tolist()))
 
 
 def direct_expected_temperatures(
@@ -158,13 +106,16 @@ def brute_force_expected_temperature(rewarded: RewardedModel, theta: int) -> dic
     1.7e-14·Σ|x_i|. A BLAS dot product would not do, because its
     summation order is unspecified.
     """
-    _check_theta(rewarded, theta)
+    if theta != rewarded.theta:
+        raise ValidationError(
+            f"rewards were assigned for theta={rewarded.theta}, not theta={theta}"
+        )
     model = rewarded.model
     n = model.zone_count
     if n * model.horizon > ORACLE_MAX_PATH_BITS:
         raise NumericalGuardError(
             f"path enumeration over {n} zones x {model.horizon} steps exceeds "
-            f"2^{ORACLE_MAX_PATH_BITS} paths; use expected_temperature instead"
+            f"2^{ORACLE_MAX_PATH_BITS} paths; use temperature_trajectory instead"
         )
 
     thermal = rewarded.thermal
@@ -240,8 +191,9 @@ def temperature_trajectory(
     gains: dict[str, ZoneGains],
     theta_range: list[int] | tuple[int, ...] | range,
 ) -> TemperatureTrajectory:
-    """Evaluate expected temperatures over a theta range, by one forward
-    pass over the composed model's factors up to the largest theta."""
+    """Evaluate expected temperatures over a theta range, in the model's
+    zone order, by one forward pass over the composed model's factors up
+    to the largest theta (see the module docstring)."""
     thetas = tuple(theta_range)
     if not thetas:
         raise ValidationError("empty theta range")
@@ -249,9 +201,33 @@ def temperature_trajectory(
         raise ValidationError(
             f"theta range {thetas} outside 1..{model.horizon}"
         )
-    expected = _forward_pass(model, thermal, gains, max(thetas))
+    zone_ids = model.zone_ids
+    n = len(zone_ids)
+    _check_zones(zone_ids, thermal, gains)
+    # A and T0 permuted from thermal order into chain order
+    order = [thermal.zone_index(zid) for zid in zone_ids]
+    a_t = np.asarray(thermal.a, dtype=float)[np.ix_(order, order)].T
+    t0 = np.asarray(thermal.initial_temps, dtype=float)[order]
+    # occupant gain of every state of a step, rows in state order
+    occupant = np.array(list(itertools.product((1.0, 0.0), repeat=n)))
+    occupant *= [gains[zid].q_int for zid in zone_ids]
+    q_rad = np.array([gains[zid].q_rad for zid in zone_ids])
+
+    # carried[:, :n] is m_k and carried[:, n] is p_k
+    start = int("".join("0" if c.initial_occupied else "1" for c in model.chains), 2)
+    carried = np.zeros((2 ** n, n + 1))
+    carried[start] = [*t0, 1.0]
+    expected = [t0]
+    for k in range(max(thetas)):
+        m, p = carried[:, :n], carried[:, n:]
+        gain = occupant + q_rad * np.array(model.heating_at(k), dtype=float)
+        carried = np.concatenate([m @ a_t + p * gain, p], axis=1)
+        # P_k^T one zone at a time: zone j's bit is axis 1 of this view
+        for j, factor in enumerate(model.factors[k]):
+            carried = np.matmul(factor.T, carried.reshape(2 ** j, 2, -1)).reshape(2 ** n, -1)
+        expected.append(carried[:, :n].sum(axis=0))
     return TemperatureTrajectory(
-        zone_ids=model.zone_ids, thetas=thetas, values=expected[list(thetas)]
+        zone_ids=zone_ids, thetas=thetas, values=np.array(expected)[list(thetas)]
     )
 
 

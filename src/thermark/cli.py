@@ -10,7 +10,7 @@ and written atomically.
 Exit codes: 0 success, 2 validation/configuration error (including an
 unreadable input file or an output that cannot be written), 3 numerical
 guard (unstable discretisation, a ``--dump-chain`` chain above
-``analysis.DUMP_MAX_EDGES``).
+``DUMP_MAX_EDGES``).
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import itertools
 import math
 import os
 import sys
+import types
 from collections.abc import Iterable
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
@@ -33,7 +34,7 @@ from . import analysis, markov, occupancy, prism, strategy as strategy_mod
 from .errors import NumericalGuardError, ThermarkError, ValidationError, is_name, read_bytes
 from .markov import ZoneGains
 from .occupancy import TransitionSchedule
-from .records import Factory, Record
+from .records import Record
 from .thermal import DiscreteThermalModel, load_building
 
 EXIT_OK = 0
@@ -42,6 +43,11 @@ EXIT_GUARD = 3
 
 DEFAULT_GAINS = (0.7, 1.5)  # degC per hour: occupants, radiator
 NAME_MAX = 255  # bytes in one file name on common file systems
+# the largest product chain --dump-chain writes, in edges; N=8 zones over
+# K=9 steps (524 801 edges, a 59 MB chain.json) takes 1.4 s and 38 MiB peak
+# RSS as a fresh process on a 2-vCPU VM, and still fits
+DUMP_MAX_EDGES = 2 ** 20
+_NO_ENTRIES = types.MappingProxyType({})  # RunConfig's shared, read-only default mapping
 
 # zone id -> windowed transition schedule plus the deterministic start label
 Schedules = dict[str, tuple[TransitionSchedule, bool]]
@@ -51,10 +57,10 @@ class RunConfig(Record):
     """Resolved settings shared by the subcommands."""
 
     building: Path
-    occupancy_paths: dict[str, Path] = Factory(dict)
+    occupancy_paths: dict[str, Path] = _NO_ENTRIES
     strategies: tuple[str, ...] = ("S1",)  # builtin names or strategy JSON paths
     tariff: str = "table2"
-    gains: dict[str | None, tuple[float, float]] = Factory(dict)  # None: the default
+    gains: dict[str | None, tuple[float, float]] = _NO_ENTRIES  # None: the default
     window: tuple[int, int] = (8, 17)
     band: tuple[float, float] = (20.0, 22.0)
     thetas: tuple[int, ...] = tuple(range(1, 10))
@@ -336,13 +342,12 @@ def _load_inputs(config: RunConfig) -> tuple[DiscreteThermalModel, dict[str, Zon
 
 
 def _trajectories(config: RunConfig, thermal: DiscreteThermalModel,
-                  gains: dict[str, ZoneGains], schedules: Schedules,
+                  gains: dict[str, ZoneGains], chains: list[markov.ZoneChain],
                   strategies: list[strategy_mod.HeatingStrategy]) -> np.ndarray:
     """Expected temperatures of every strategy, (S, len(thetas), N), from one
-    run of the O(N^2 K) marginal recursion."""
-    # the marginals do not depend on heating: any strategy's chains give them
-    marginals = np.array([chain.occupied_marginals()
-                          for chain in _chains(config, schedules, strategies[0])]).T
+    run of the O(N^2 K) marginal recursion. The marginals do not depend on
+    heating, so ``chains``, one per zone in thermal order, may be any strategy's."""
+    marginals = np.array([chain.occupied_marginals() for chain in chains]).T
     heating = np.array([[strat.heating_bits(zid, config.window) for zid in thermal.zone_ids]
                         for strat in strategies], dtype=float).swapaxes(1, 2)
     return analysis.direct_expected_temperatures(
@@ -356,11 +361,12 @@ def cmd_analyze(config: RunConfig, dump_chain: bool = False) -> int:
     if dump_chain:
         width, horizon = 2 ** len(zone_ids), config.window[1] - config.window[0]
         edges = width + (horizon - 1) * width ** 2 + width + 1
-        if edges > analysis.DUMP_MAX_EDGES:
+        if edges > DUMP_MAX_EDGES:
             raise NumericalGuardError(
                 f"--dump-chain: the product chain has {edges} edges, above the limit of "
-                f"{analysis.DUMP_MAX_EDGES}; use fewer zones or a shorter window")
-    values = _trajectories(config, thermal, gains, schedules, [strat])
+                f"{DUMP_MAX_EDGES}; use fewer zones or a shorter window")
+    chains = _chains(config, schedules, strat)
+    values = _trajectories(config, thermal, gains, chains, [strat])
     masks = tuple(mask[0] for mask in analysis.comfort_check(values, config.band))
 
     rows = [["theta_hour", "zone_id", "expected_temp_c"]]
@@ -369,9 +375,9 @@ def cmd_analyze(config: RunConfig, dump_chain: bool = False) -> int:
     outputs = {"trajectory.csv": _csv_text(rows),
                "comfort.json": _comfort_json(config.band, config.thetas, zone_ids, masks)}
     if dump_chain:
-        model = markov.compose(_chains(config, schedules, strat))
-        outputs["chain.json"] = markov.dump_model(
-            markov.assign_rewards(model, thermal, gains, config.thetas[0]))
+        (rewards,) = markov.step_reward_table(chains, thermal, gains, config.thetas[:1])
+        outputs["chain.json"] = markov.dump_model(markov.compose(chains), rewards,
+                                                  config.thetas[0])
     _write_outputs(config.out_dir, outputs)
     return EXIT_OK
 
@@ -383,9 +389,9 @@ def cmd_cost(config: RunConfig) -> int:
     # with occupancy data on hand, rank comfort alongside cost
     ever = {}
     if config.occupancy_paths:
-        schedules = _load_schedules(config, thermal.zone_ids)
+        chains = _chains(config, _load_schedules(config, thermal.zone_ids), strategies[0])
         _, _, ever_below, ever_above = analysis.comfort_check(
-            _trajectories(config, thermal, gains, schedules, strategies), config.band)
+            _trajectories(config, thermal, gains, chains, strategies), config.band)
         ever = {strat.name: flags for strat, *flags in zip(strategies, ever_below, ever_above)}
 
     comparison = strategy_mod.compare_strategies(strategies, tariff,

@@ -211,7 +211,7 @@ class ZoneGains(Record):
 
 
 class RewardedModel(Record):
-    """A composed model annotated with per-zone, per-step rewards for one theta."""
+    """A composed model with per-zone, per-step rewards for one theta: the oracle's input."""
 
     model: ComposedModel
     thermal: DiscreteThermalModel
@@ -301,14 +301,13 @@ def assign_rewards(
                          theta=theta, rewards=dict(zip(model.zone_ids, table)))
 
 
-def dump_model(rewarded: RewardedModel) -> Iterator[str]:
+def dump_model(model: ComposedModel, rewards: np.ndarray, theta: int) -> Iterator[str]:
     """The text ``json.dumps(..., indent=2, sort_keys=True)`` gives for the
     zones, horizon, theta, every state with its labels and rewards, and
     every edge, yielded in pieces from the states and
-    :meth:`ComposedModel.edges`, so no edge is held as an object."""
-    model = rewarded.model
-    per_step = [{zid: float(rewarded.rewards[zid][k]) for zid in model.zone_ids}
-                for k in range(model.horizon + 2)]
+    :meth:`ComposedModel.edges`, so no edge is held as an object.
+    ``rewards`` is theta's (N, K+2) row of :func:`step_reward_table`."""
+    per_step = [dict(zip(model.zone_ids, column)) for column in np.asarray(rewards).T.tolist()]
 
     def nested(value, depth: int) -> str:  # as json.dumps writes it depth levels down
         return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + "  " * depth)
@@ -318,7 +317,7 @@ def dump_model(rewarded: RewardedModel) -> Iterator[str]:
         "index": s.index, "step": s.step, "occupied": s.occupied,
         "heating_on": s.heating_on, "rewards": per_step[s.step],
     }, 2) for s in model.states)
-    yield f'\n  ],\n  "theta": {rewarded.theta},\n  "transitions": [\n'
+    yield f'\n  ],\n  "theta": {theta},\n  "transitions": [\n'
     # a finite float's repr is its JSON text, and labels need no escaping
     edges = (f'    {{\n      "from": {source},\n      "label": "{label}",\n'
              f'      "probability": {p!r},\n      "to": {target}\n    }}'

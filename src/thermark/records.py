@@ -2,8 +2,8 @@
 
 A record class subclasses :class:`Record` and lists its fields as
 annotations, in order; a class attribute with a field's name is that
-field's default, and a :class:`Factory` default is called anew for each
-instance. Creating the class compiles one ``__init__``:
+field's default, shared by every instance that takes it. Creating the
+class compiles one ``__init__``:
 
     def __init__(self, a, b=_d_b):
         self.__dict__.update(a=a, b=b)
@@ -21,20 +21,8 @@ at import, about a millisecond each, in every fresh process.
 from __future__ import annotations
 
 import inspect
-from collections.abc import Callable
 
 import numpy as np
-
-
-class Factory:
-    """A field default made by calling ``make()`` for each instance, so
-    instances never share a mutable default."""
-
-    __slots__ = ("make",)
-
-    def __init__(self, make: Callable[[], object]) -> None:
-        self.make = make
-
 
 _MISSING = object()
 
@@ -58,15 +46,11 @@ class Record:
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(inspect.get_annotations(cls))
-        namespace = {"_MISSING": _MISSING}
+        namespace = {}
         params, body = [], []
         for name in cls._fields:
             default = cls.__dict__.get(name, _MISSING)
-            if isinstance(default, Factory):
-                namespace[f"_f_{name}"] = default.make
-                params.append(f"{name}=_MISSING")
-                body.append(f"    if {name} is _MISSING:\n        {name} = _f_{name}()\n")
-            elif default is not _MISSING:
+            if default is not _MISSING:
                 namespace[f"_d_{name}"] = default
                 params.append(f"{name}=_d_{name}")
             elif params and "=" in params[-1]:

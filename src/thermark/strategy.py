@@ -190,8 +190,8 @@ def strategy_cost(
     radiator_kw: float = 1.0,
 ) -> CostReport:
     """Exact total cost in minor currency units plus per-band energies;
-    every heated zone-hour must fall in a band, and the total must lie
-    within the float range that ratios and reports use."""
+    every heated zone-hour must fall in a band, and the total and each
+    band's energy must lie within the float range that ratios and reports use."""
     return _strategy_cost(strategy, tariff, radiator_kw, tariff == table2_tariff())
 
 
@@ -210,9 +210,14 @@ def _strategy_cost(strategy: HeatingStrategy, tariff: Tariff, radiator_kw: float
     if total > sys.float_info.max:
         raise ValidationError(f"strategy {strategy.name!r}: total cost is above "
                               f"{sys.float_info.max:.4g} minor units")
+    energy = {name: power * count for name, count in counts.items()}
+    for name, kwh in energy.items():
+        if kwh > sys.float_info.max:
+            raise ValidationError(f"strategy {strategy.name!r}: energy in band {name!r} is "
+                                  f"above {sys.float_info.max:.4g} kWh")
     return CostReport(
         strategy=strategy.name,
-        band_energy_kwh={name: float(power * count) for name, count in counts.items()},
+        band_energy_kwh={name: float(kwh) for name, kwh in energy.items()},
         total_cost_minor=total,
         notes=builtin_discrepancy_notes(strategy) if on_table2 else (),
     )

@@ -159,9 +159,8 @@ def discretize_forward_euler(
     delta: float,
     initial_temps: np.ndarray | None = None,
 ) -> DiscreteThermalModel:
-    """Forward-Euler step: a = I + delta * a_hat, b = delta * b_hat."""
-    if not delta > 0:
-        raise ValidationError(f"delta must be positive, got {delta}")
+    """Forward-Euler step: a = I + delta * a_hat, b = delta * b_hat; the
+    model rejects a delta that is not positive."""
     n = len(ss.zone_ids)
     a = np.eye(n) + delta * np.asarray(ss.a_hat, dtype=float)
     b = delta * np.asarray(ss.b_hat, dtype=float)

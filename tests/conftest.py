@@ -9,7 +9,7 @@ import random
 import numpy as np
 import pytest
 
-from thermark import DiscreteThermalModel, compose, load_building
+from thermark import DiscreteThermalModel, compose, load_building, temperature_trajectory
 from thermark.cli import RunConfig, _chains, _load_inputs, _load_schedules
 from thermark.occupancy import OccupancyDataset, StepMatrix, TransitionSchedule
 
@@ -70,6 +70,12 @@ def matrix_power(a, k: int) -> np.ndarray:
     for _ in range(k):
         out = out @ a
     return out
+
+
+def forward_temps(model, thermal, gains, theta: int) -> dict[str, float]:
+    """E[T_theta] per zone by the forward pass over the composed model."""
+    (values,) = temperature_trajectory(model, thermal, gains, [theta]).values
+    return dict(zip(model.zone_ids, values.tolist()))
 
 
 def build_model(config: RunConfig):

@@ -26,7 +26,6 @@ from thermark import (
     compose,
     discretize_forward_euler,
     estimate_transition_schedule,
-    expected_temperature,
     export_properties,
     parse_occupancy_csv,
     render_models,
@@ -123,9 +122,10 @@ class TestCriterion3EngineOracle:
                     initial_occupied=bool(rng.integers(0, 2)),
                 ))
             model = compose(chains)
+            values = temperature_trajectory(model, thermal, gains, range(1, 10)).values
             for theta in range(1, 10):
                 rewarded = assign_rewards(model, thermal, gains, theta)
-                engine = expected_temperature(rewarded, theta)
+                engine = dict(zip(model.zone_ids, values[theta - 1].tolist()))
                 oracle = brute_force_expected_temperature(rewarded, theta)
                 for z in ZONES:
                     worst = max(worst, abs(engine[z] - oracle[z]))
@@ -143,8 +143,9 @@ class TestCriterion4ClosedForms:
         ])
         zero = {z: ZoneGains(0.0, 0.0) for z in ZONES}
         worst = 0.0
+        values = temperature_trajectory(model, thermal, zero, range(1, 10)).values
         for theta in range(1, 10):
-            temps = expected_temperature(assign_rewards(model, thermal, zero, theta), theta)
+            temps = dict(zip(model.zone_ids, values[theta - 1].tolist()))
             closed = matrix_power(BENCH_A, theta) @ BENCH_T0
             worst = max(worst, abs(temps["zone1"] - closed[0]),
                         abs(temps["zone2"] - closed[1]))
@@ -153,8 +154,8 @@ class TestCriterion4ClosedForms:
         s6_model = compose([
             unroll_zone(make_schedule(0.4), heat, 9, zone_id=z) for z in ZONES
         ])
-        temps = expected_temperature(
-            assign_rewards(s6_model, thermal, bench_gains(), 1), 1)
+        temps = dict(zip(s6_model.zone_ids, temperature_trajectory(
+            s6_model, thermal, bench_gains(), [1]).values[0].tolist()))
         s6_ok = (abs(temps["zone1"] - 18.9002) <= 1e-3
                  and abs(temps["zone2"] - 18.1014) <= 1e-3)
         ok = worst <= 1e-12 and s6_ok

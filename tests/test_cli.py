@@ -577,6 +577,7 @@ class TestDirectRoute:
                 raise RuntimeError(f"{name} called")
             return refused
 
+        compose = thermark.markov.compose
         monkeypatch.setattr(thermark.markov, "compose", refuse("compose"))
         monkeypatch.setattr(thermark.markov, "assign_rewards", refuse("assign_rewards"))
         assert main(pinned_args("analyze", tmp_path / "a")) == 0
@@ -586,6 +587,23 @@ class TestDirectRoute:
         assert main(pinned_args("export", tmp_path / "f", extra=["--theta", "1-9"])) == 0
         with pytest.raises(RuntimeError, match="compose called"):
             main(pinned_args("analyze", tmp_path / "d", extra=["--dump-chain"]))
+        # the dump composes, but takes its rewards from the reward table
+        monkeypatch.setattr(thermark.markov, "compose", compose)
+        assert main(pinned_args("analyze", tmp_path / "g", extra=["--dump-chain"])) == 0
+
+    def test_dump_chain_unrolls_each_zone_once(self, tmp_path, monkeypatch):
+        import thermark.markov
+
+        unrolled = []
+        unroll_zone = thermark.markov.unroll_zone
+
+        def counted(*args, **kwargs):
+            unrolled.append(kwargs["zone_id"])
+            return unroll_zone(*args, **kwargs)
+
+        monkeypatch.setattr(thermark.markov, "unroll_zone", counted)
+        assert main(pinned_args("analyze", tmp_path, extra=["--dump-chain"])) == 0
+        assert unrolled == ["zone1", "zone2"]
 
 
 def assert_one_line_error(capsys, *fragments):
@@ -1004,9 +1022,9 @@ class TestDumpChainLimit:
     @pytest.mark.parametrize("limit,code", [(137, 0), (136, 3)])
     def test_limit_is_the_exact_edge_count(self, tmp_path, capsys, monkeypatch, limit, code):
         # the bundled two zones over K=9 steps make 4 + 8 * 16 + 4 + 1 = 137 edges
-        from thermark import analysis
+        import thermark.cli
 
-        monkeypatch.setattr(analysis, "DUMP_MAX_EDGES", limit)
+        monkeypatch.setattr(thermark.cli, "DUMP_MAX_EDGES", limit)
         out = tmp_path / "out"
         assert main(pinned_args("analyze", out, extra=["--dump-chain"])) == code
         if code:
@@ -1016,7 +1034,7 @@ class TestDumpChainLimit:
             assert len(json.loads((out / "chain.json").read_text())["transitions"]) == 137
 
     def test_eight_zones_over_nine_steps_fit(self):
-        from thermark.analysis import DUMP_MAX_EDGES
+        from thermark.cli import DUMP_MAX_EDGES
 
         width = 2 ** 8
         assert width + 8 * width ** 2 + width + 1 <= DUMP_MAX_EDGES
@@ -1260,6 +1278,21 @@ def test_price_beyond_float_range_exits_2_with_one_line(tmp_path):
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 2, out.stderr
     assert out.stderr == "error: strategy 'S6': total cost is above 1.798e+308 minor units\n"
+    assert not out_dir.exists()
+
+
+def test_band_energy_beyond_float_range_exits_2_with_one_line(tmp_path):
+    # priced 0, the band's total stays 0 while its energy does not fit a float
+    tariff = tmp_path / "tariff.json"
+    tariff.write_text(json.dumps({"bands": [{"name": "all", "start": 0, "end": 24,
+                                             "price_minor_per_kwh": 0}]}))
+    out_dir = tmp_path / "out"
+    args = ["cost", "--building", str(two_zone_benchmark_dir() / "building.json"),
+            "--tariff", str(tariff), "--radiator-kw", "1e308", "--out", str(out_dir)]
+    out = subprocess.run([sys.executable, "-m", "thermark.cli", *args], env=subprocess_env(),
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 2, out.stderr
+    assert out.stderr == "error: strategy 'S2': energy in band 'all' is above 1.798e+308 kWh\n"
     assert not out_dir.exists()
 
 

@@ -9,8 +9,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import (BENCH_A, BENCH_T0, dense_layers, make_schedule, matrix_power,
-                      random_schedule)
+from conftest import (BENCH_A, BENCH_T0, dense_layers, forward_temps, make_schedule,
+                      matrix_power, random_schedule)
 from thermark import (
     DiscreteThermalModel,
     ValidationError,
@@ -18,7 +18,6 @@ from thermark import (
     assign_rewards,
     compose,
     direct_expected_temperatures,
-    expected_temperature,
     step_reward_table,
     temperature_trajectory,
     unroll_zone,
@@ -342,10 +341,8 @@ class TestAssignRewards:
         c1, c2 = two_chains(heat1=heat, heat2=heat)
         model = compose([c1, c2])
         gains = {"zone1": ZoneGains(0.0, 1.5), "zone2": ZoneGains(0.0, 0.9)}
-        e_theta = expected_temperature(assign_rewards(model, bench_thermal, gains, theta), theta)
-        e_prime = expected_temperature(
-            assign_rewards(model, bench_thermal, gains, theta_prime), theta_prime
-        )
+        e_theta = forward_temps(model, bench_thermal, gains, theta)
+        e_prime = forward_temps(model, bench_thermal, gains, theta_prime)
         e_vec = np.array([e_theta["zone1"], e_theta["zone2"]])
         propagated = matrix_power(BENCH_A, theta_prime - theta) @ e_vec
         assert e_prime["zone1"] == pytest.approx(propagated[0], abs=1e-12)
@@ -399,30 +396,26 @@ class TestAssignRewards:
         c1 = unroll_zone(schedule_a, heat_a, 9, zone_id="zone1")
         c2 = unroll_zone(schedule_b, heat_b, 9, zone_id="zone2")
         for theta in (1, 4, 9):
-            fwd = expected_temperature(
-                assign_rewards(compose([c1, c2]), bench_thermal, bench_gains(), theta), theta
-            )
-            rev = expected_temperature(
-                assign_rewards(compose([c2, c1]), bench_thermal, bench_gains(), theta), theta
-            )
+            fwd = forward_temps(compose([c1, c2]), bench_thermal, bench_gains(), theta)
+            rev = forward_temps(compose([c2, c1]), bench_thermal, bench_gains(), theta)
             assert fwd["zone1"] == pytest.approx(rev["zone1"], abs=1e-12)
             assert fwd["zone2"] == pytest.approx(rev["zone2"], abs=1e-12)
 
 
-def expected_dump(rewarded):
+def expected_dump(model, rewards, theta):
     """``chain.json`` as one ``json.dumps`` of the chain, edges from ``product_edges``."""
-    model = rewarded.model
     return json.dumps({
         "zones": list(model.zone_ids),
         "horizon": model.horizon,
-        "theta": rewarded.theta,
+        "theta": theta,
         "states": [
             {
                 "index": s.index,
                 "step": s.step,
                 "occupied": None if s.occupied is None else list(s.occupied),
                 "heating_on": None if s.heating_on is None else list(s.heating_on),
-                "rewards": {zid: float(rewarded.rewards[zid][s.step]) for zid in model.zone_ids},
+                "rewards": {zid: float(rewards[m][s.step])
+                            for m, zid in enumerate(model.zone_ids)},
             }
             for s in model.states
         ],
@@ -436,14 +429,14 @@ def expected_dump(rewarded):
 class TestDump:
     def test_dump_shape(self, bench_thermal):
         model = compose(two_chains())
-        rewarded = assign_rewards(model, bench_thermal, bench_gains(), 2)
-        dump = json.loads("".join(dump_model(rewarded)))
+        (rewards,) = step_reward_table(model.chains, bench_thermal, bench_gains(), [2])
+        dump = json.loads("".join(dump_model(model, rewards, 2)))
         assert dump["zones"] == ["zone1", "zone2"]
+        assert dump["theta"] == 2
         assert len(dump["states"]) == 38
         assert len(dump["transitions"]) == len(model.transitions)
-        assert dump["states"][0]["rewards"]["zone1"] == rewarded.rewards["zone1"][0]
-        assert [s["rewards"]["zone2"] for s in dump["states"][1:5]] == [
-            rewarded.rewards["zone2"][1]] * 4
+        assert dump["states"][0]["rewards"]["zone1"] == rewards[0, 0]
+        assert [s["rewards"]["zone2"] for s in dump["states"][1:5]] == [rewards[1, 1]] * 4
 
     def test_streamed_text_equals_one_json_dumps(self):
         # ids JSON must escape, and ids whose sorted order is not chain order
@@ -466,5 +459,6 @@ class TestDump:
             gains = {z: ZoneGains(float(rng.uniform(0, 2)), float(rng.uniform(0, 3)))
                      for z in zone_ids}
             theta = int(rng.integers(1, horizon + 1))
-            rewarded = assign_rewards(compose(chains), thermal, gains, theta)
-            assert "".join(dump_model(rewarded)) == expected_dump(rewarded)
+            model = compose(chains)
+            (rewards,) = step_reward_table(chains, thermal, gains, [theta])
+            assert "".join(dump_model(model, rewards, theta)) == expected_dump(model, rewards, theta)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import prism_eval
-from conftest import build_model, make_schedule, random_schedule
+from conftest import build_model, forward_temps, make_schedule, random_schedule
 from test_cli import pinned_args, read_trajectory
 from thermark import (
     DiscreteThermalModel,
@@ -21,7 +21,6 @@ from thermark import (
     assign_rewards,
     compose,
     direct_expected_temperatures,
-    expected_temperature,
     export_properties,
     render_models,
     step_reward_table,
@@ -443,7 +442,7 @@ class TestPrismIntegration:
             props_path = tmp_path / f"check_{theta}.props"
             model_path.write_text(model_text(rewarded, "check"))
             props_path.write_text(export_properties([theta], rewarded.model.zone_ids))
-            engine = expected_temperature(rewarded, theta)
+            engine = forward_temps(rewarded.model, rewarded.thermal, rewarded.gains, theta)
             for prop_index, zid in enumerate(rewarded.model.zone_ids, start=1):
                 out = subprocess.run(
                     ["prism", str(model_path), str(props_path), "-prop", str(prop_index)],

@@ -23,7 +23,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from conftest import dense_layers  # noqa: E402
+from conftest import dense_layers, forward_temps  # noqa: E402
 from thermark import (  # noqa: E402
     DiscreteThermalModel,
     HeatingStrategy,
@@ -34,7 +34,6 @@ from thermark import (  # noqa: E402
     comfort_check,
     compose,
     direct_expected_temperatures,
-    expected_temperature,
     strategy_cost,
     temperature_trajectory,
     unroll_zone,
@@ -104,9 +103,9 @@ def test_oracle_matches_the_forward_pass(instance, data):
     horizon = chains[0].horizon
     # drawn from the last step down, so most examples enumerate every step
     theta = data.draw(st.integers(1, horizon).map(lambda back: horizon + 1 - back))
-    rewarded = assign_rewards(compose(chains), thermal, gains, theta)
-    oracle = brute_force_expected_temperature(rewarded, theta)
-    engine = expected_temperature(rewarded, theta)
+    model = compose(chains)
+    oracle = brute_force_expected_temperature(assign_rewards(model, thermal, gains, theta), theta)
+    engine = forward_temps(model, thermal, gains, theta)
     assert max(abs(oracle[zid] - engine[zid]) for zid in engine) <= 1e-9
 
 

@@ -20,7 +20,7 @@ from thermark import (
 from thermark.cli import RunConfig
 from thermark.datasets import two_zone_benchmark_dir
 from thermark.occupancy import Diagnostic, OccupancyDataset, StepMatrix, TransitionSchedule
-from thermark.records import Factory, Record
+from thermark.records import Record
 from thermark.strategy import TariffBand
 from thermark.thermal import DiscreteThermalModel, RCNetwork, Zone
 
@@ -117,10 +117,16 @@ class TestConstruction:
         schedule = TransitionSchedule(matrices=(step(),))
         assert schedule.hours == () and schedule.diagnostics == ()
 
-    def test_factory_default_is_new_per_instance(self):
+    def test_shared_default_mappings_are_read_only(self):
         a, b = RunConfig(building=Path("a")), RunConfig(building=Path("b"))
         assert a.gains == {} and a.occupancy_paths == {}
-        assert a.gains is not b.gains and a.occupancy_paths is not b.occupancy_paths
+        # one default serves every instance, so no instance may write to it
+        assert a.gains is b.gains and a.occupancy_paths is b.occupancy_paths
+        with pytest.raises(TypeError):
+            a.gains[None] = (0.7, 1.5)
+        with pytest.raises(TypeError):
+            a.occupancy_paths["zone1"] = Path("log.csv")
+        assert b.gains == {} and b.occupancy_paths == {}
 
     def test_positional_and_keyword_arguments(self):
         assert Diagnostic(8, "empty", "x") == Diagnostic(reason="x", hour=8, condition="empty")
@@ -149,13 +155,6 @@ class TestConstruction:
             class Bad(Record):
                 a: int = 0
                 b: int
-
-    def test_factory_default_in_a_new_record(self):
-        class Bag(Record):
-            items: list = Factory(list)
-
-        assert Bag().items == [] and Bag().items is not Bag().items
-        assert Bag([1]).items == [1]
 
 
 class TestPostInit:

@@ -197,6 +197,17 @@ class TestCompare:
         )
         assert [r.total_cost_minor for r in comparison.rows] == [10, 40]
 
+    def test_band_energy_beyond_float_range_rejected(self):
+        # priced 0, the band's total stays 0 while its energy does not fit a float
+        tariff = Tariff(bands=(TariffBand("all", 0, 24, 0),))
+        strategies = [builtin_strategy("S1", ZONES), builtin_strategy("S2", ZONES)]
+        with pytest.raises(ValidationError, match=r"^strategy 'S2': energy in band 'all' "
+                                                  r"is above 1\.798e\+308 kWh$"):
+            compare_strategies(strategies, tariff, radiator_kw=1e308)
+        # at a tenth of that power the 16 heated zone-hours fit
+        report = compare_strategies(strategies, tariff, radiator_kw=1e307).rows[1]
+        assert report.band_energy_kwh == {"all": 1.6e308}
+
     def test_needs_at_least_one_strategy(self):
         with pytest.raises(ValidationError, match="at least one"):
             compare_strategies([], table2_tariff())
