@@ -49,9 +49,6 @@ NAME_MAX = 255  # bytes in one file name on common file systems
 DUMP_MAX_EDGES = 2 ** 20
 _NO_ENTRIES = types.MappingProxyType({})  # RunConfig's shared, read-only default mapping
 
-# zone id -> windowed transition schedule plus the deterministic start label
-Schedules = dict[str, tuple[TransitionSchedule, bool]]
-
 
 class RunConfig(Record):
     """Resolved settings shared by the subcommands."""
@@ -79,6 +76,16 @@ class RunConfig(Record):
                 raise ValidationError(f"gains for zone {zid!r} must be >= 0")
             table[zid] = ZoneGains(q_int=q_int, q_rad=q_rad)
         return table
+
+
+class Schedules(Record):
+    """Every zone's windowed step probabilities, rows in ``zone_ids`` order,
+    and its deterministic start label."""
+
+    zone_ids: tuple[str, ...]
+    p_vf: np.ndarray  # (N, K): P(occupied at k+1 | empty at k)
+    p_ff: np.ndarray  # (N, K): P(occupied at k+1 | occupied at k)
+    initial_occupied: list[bool]
 
 
 def _parse_range(text: str, what: str) -> tuple[int, int]:
@@ -258,17 +265,28 @@ def _write_outputs(out_dir: Path, files: dict[str, str | Iterable[str]]) -> None
 
 
 def _load_schedules(config: RunConfig, zone_ids: tuple[str, ...]) -> Schedules:
-    """Per zone, in ``zone_ids`` order: windowed schedule and start label."""
+    """Every zone's windowed schedule and start label, in ``zone_ids``
+    order, read and estimated as one batch. On any fault the zones are read
+    and checked again one at a time, in order, so the error names the
+    first fault that reading meets, as the batch need not."""
     for zid in config.occupancy_paths:
         if zid not in zone_ids:
             raise ValidationError(f"--occupancy references unknown zone {zid!r}")
-    schedules = {}
+    paths = [config.occupancy_paths.get(zid) for zid in zone_ids]
+    if None not in paths:
+        try:
+            # one log file at a time is held, as the parser takes them in turn
+            return _window_schedules(config, zone_ids, occupancy.parse_occupancy_logs(
+                read_bytes(path, "occupancy") for path in paths))
+        except ValidationError:
+            pass
+    datasets = []
     for zid in zone_ids:
         if zid not in config.occupancy_paths:
             raise ValidationError(f"no occupancy file given for zone {zid!r} (--occupancy)")
-        dataset = _read_dataset(config.occupancy_paths[zid])
-        schedules[zid] = _window_schedule(dataset, config.window, zid)
-    return schedules
+        datasets.append(_read_dataset(config.occupancy_paths[zid]))
+        _window_schedules(config, (zid,), datasets[-1:])
+    return _window_schedules(config, zone_ids, datasets)
 
 
 def _read_dataset(path: Path) -> occupancy.OccupancyDataset:
@@ -280,39 +298,40 @@ def _read_dataset(path: Path) -> occupancy.OccupancyDataset:
         raise ValidationError(f"{path}: {exc}") from None
 
 
-def _window_schedule(
-    dataset: occupancy.OccupancyDataset,
-    window: tuple[int, int],
-    zone_id: str,
-) -> tuple[TransitionSchedule, bool]:
-    """Estimate a dataset's schedule on the operating window's hours only."""
-    start, end = window
-    if dataset.hours[0] > start or dataset.hours[-1] < end:
+def _window_schedules(config: RunConfig, zone_ids: tuple[str, ...],
+                      datasets: list[occupancy.OccupancyDataset]) -> Schedules:
+    """Estimate every zone's schedule on the operating window's hours only,
+    all in one count. Raises for the first zone whose log does not cover
+    the window, else for the first whose days do not all start alike."""
+    start, end = config.window
+    for zid, dataset in zip(zone_ids, datasets):
+        if dataset.hours[0] > start or dataset.hours[-1] < end:
+            raise ValidationError(
+                f"zone {zid!r}: dataset hours {dataset.hours[0]}-{dataset.hours[-1]} "
+                f"do not cover the window {start}-{end}"
+            )
+    # the window's columns, read-only views taken without a copy
+    p_vf, p_ff, occupied, days = occupancy.estimate_steps(
+        [d.grid[:, start - d.hours[0]:end - d.hours[0] + 1] for d in datasets])
+    at_start = occupied[:, 0]
+    mixed = np.flatnonzero((at_start != 0) & (at_start != days))
+    if len(mixed):
+        i = mixed[0]
         raise ValidationError(
-            f"zone {zone_id!r}: dataset hours {dataset.hours[0]}-{dataset.hours[-1]} "
-            f"do not cover the window {start}-{end}"
+            f"zone {zone_ids[i]!r}: occupancy at the window start hour {start} is mixed "
+            f"({int(at_start[i]) / int(days[i]):.2f} of days); the chain needs a "
+            f"deterministic start"
         )
-    offset = start - dataset.hours[0]
-    grid = dataset.grid[:, offset:offset + end - start + 1]  # read-only, so kept uncopied
-    first_frac = int(np.count_nonzero(grid[:, 0])) / dataset.day_count
-    if first_frac not in (0.0, 1.0):
-        raise ValidationError(
-            f"zone {zone_id!r}: occupancy at the window start hour {start} is mixed "
-            f"({first_frac:.2f} of days); the chain needs a deterministic start"
-        )
-    windowed = occupancy.OccupancyDataset(dataset.days, tuple(range(start, end + 1)), grid)
-    return occupancy.estimate_transition_schedule(windowed), first_frac == 1.0
+    return Schedules(zone_ids, p_vf, p_ff, (at_start == days).tolist())
 
 
 def _chains(config: RunConfig, schedules: Schedules,
             strat: strategy_mod.HeatingStrategy) -> list[markov.ZoneChain]:
     """One unrolled chain per zone, in ``schedules`` order."""
-    horizon = config.window[1] - config.window[0]
-    return [
-        markov.unroll_zone(schedule, strat.heating_bits(zid, config.window), horizon,
-                           zone_id=zid, initial_occupied=initial_occupied)
-        for zid, (schedule, initial_occupied) in schedules.items()
-    ]
+    return markov.unroll_zones(
+        schedules.zone_ids, schedules.p_vf, schedules.p_ff,
+        [strat.heating_bits(zid, config.window) for zid in schedules.zone_ids],
+        config.window[1] - config.window[0], schedules.initial_occupied)
 
 
 def _load_inputs(config: RunConfig) -> tuple[DiscreteThermalModel, dict[str, ZoneGains],

@@ -9,7 +9,6 @@ import math
 import sys
 import unicodedata
 from collections.abc import Iterable
-from itertools import repeat
 from pathlib import Path
 
 

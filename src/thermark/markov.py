@@ -31,7 +31,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
@@ -88,25 +88,48 @@ def unroll_zone(
     ``schedule`` must provide at least ``horizon`` step matrices and
     ``heating`` one on/off bit per step 0..horizon.
     """
+    (chain,) = unroll_zones((zone_id,), [[m.p_vf for m in schedule.matrices]],
+                            [[m.p_ff for m in schedule.matrices]], [heating], horizon,
+                            [initial_occupied])
+    return chain
+
+
+def unroll_zones(
+    zone_ids: Sequence[str],
+    p_vf: np.ndarray | Sequence[Sequence[float]],
+    p_ff: np.ndarray | Sequence[Sequence[float]],
+    heating: Sequence[Sequence[bool]],
+    horizon: int,
+    initial_occupied: Sequence[bool],
+) -> list[ZoneChain]:
+    """One layered chain per zone, from the rows of its step probabilities.
+
+    Row m of the ``(N, steps)`` arrays ``p_vf`` and ``p_ff`` holds zone
+    ``zone_ids[m]``'s P(occupied at k+1 | empty at k) and | occupied at k)
+    for each step k; they must cover at least ``horizon`` steps, and
+    ``heating[m]`` must give one on/off bit per step 0..horizon.
+    """
     if horizon < 1:
         raise ValidationError(f"horizon must be >= 1, got {horizon}")
-    if len(schedule) < horizon:
+    p_vf, p_ff = np.asarray(p_vf, dtype=float), np.asarray(p_ff, dtype=float)
+    if p_vf.shape[1] < horizon:
         raise ValidationError(
-            f"schedule covers {len(schedule)} steps but the horizon needs {horizon}"
+            f"schedule covers {p_vf.shape[1]} steps but the horizon needs {horizon}"
         )
-    heating = tuple(bool(h) for h in heating)
-    if len(heating) < horizon + 1:
-        raise ValidationError(
-            f"heating covers {len(heating)} steps but steps 0..{horizon} are needed"
-        )
-    return ZoneChain(
-        zone_id=zone_id,
-        horizon=horizon,
-        initial_occupied=initial_occupied,
-        heating=heating[: horizon + 1],
-        occ_given_empty=tuple(schedule.matrix(k).p_vf for k in range(horizon)),
-        occ_given_occupied=tuple(schedule.matrix(k).p_ff for k in range(horizon)),
-    )
+    chains = []
+    for zone_id, bits, start, occ_given_empty, occ_given_occupied in zip(
+            zone_ids, heating, initial_occupied, p_vf[:, :horizon].tolist(),
+            p_ff[:, :horizon].tolist()):
+        bits = tuple(map(bool, bits))
+        if len(bits) < horizon + 1:
+            raise ValidationError(
+                f"heating covers {len(bits)} steps but steps 0..{horizon} are needed"
+            )
+        chains.append(ZoneChain(zone_id=zone_id, horizon=horizon, initial_occupied=start,
+                                heating=bits[:horizon + 1],
+                                occ_given_empty=tuple(occ_given_empty),
+                                occ_given_occupied=tuple(occ_given_occupied)))
+    return chains
 
 
 class ComposedState(Record):
@@ -271,21 +294,27 @@ def step_reward_table(
     heating = np.array([c.heating[:-1] for c in chains], dtype=float)
     q_int = np.array([[gains[zid].q_int] for zid in zone_ids])
     q_rad = np.array([[gains[zid].q_rad] for zid in zone_ids])
-    step_gains = np.zeros((horizon, len(rows)))
+    vectors = np.zeros((horizon + 1, len(rows)))  # T[0], then the gains entering at steps 1..K
     table = np.zeros((len(thetas), len(chains), horizon + 2))
 
     # gains near the float limit overflow to inf or nan without a warning;
     # the PRISM renderer rejects a non-finite entry with one error line
     with np.errstate(over="ignore", invalid="ignore"):
-        step_gains[:, rows] = (q_int * marginals + q_rad * heating).T
-        # each entry is one ndarray.dot of two vectors, a BLAS ddot: batching
-        # them into one matrix product changes the last bits of some entries
-        power_rows = [[power[row] for row in rows] for power in powers]
-        vectors = [t0, *step_gains]
+        vectors[0] = t0
+        vectors[1:, rows] = (q_int * marginals + q_rad * heating).T
+        # (theta + 1, N, 1, N) rows of A^theta..A^0, each zone's row, in chain order
+        power_rows = np.array(powers)[:, rows, None, :]
         for t, theta in enumerate(thetas):
-            table[t, :, :theta + 1] = [
-                [power_rows[theta - k][m].dot(vectors[k]) for k in range(theta + 1)]
-                for m in range(len(rows))]
+            # entry [m, k] is row_m(A^(theta-k)) . v_k, each one (1, N) @ (N, 1)
+            # product of the stack, which numpy hands to the BLAS ddot that
+            # ndarray.dot calls on two vectors, so every entry keeps its bits; a
+            # gemv or gemm over the same numbers sums in another order and moves
+            # the last bits of some. numpy's dot of two one-element vectors is
+            # a plain product, which keeps the sign of a zero that ddot drops
+            column = vectors[:theta + 1, None, :, None]
+            products = (np.matmul(power_rows[theta::-1], column) if len(rows) > 1
+                        else power_rows[theta::-1] * column)
+            table[t, :, :theta + 1] = products[..., 0, 0].T
     return table
 
 

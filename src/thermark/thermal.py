@@ -67,9 +67,6 @@ class RCNetwork(Record):
     def zone_ids(self) -> tuple[str, ...]:
         return tuple(z.id for z in self.zones)
 
-    def neighbours(self, zone_id: str) -> tuple[str, ...]:
-        return tuple(b for a, b in self.edges if a == zone_id)
-
 
 class ContinuousStateSpace(Record):
     """Continuous-time model dT/dt = a_hat @ T + b_hat @ Q (1/hour units)."""
@@ -144,12 +141,11 @@ def build_state_space(network: RCNetwork) -> ContinuousStateSpace:
     ids = network.zone_ids
     n = len(ids)
     index = {zid: i for i, zid in enumerate(ids)}
+    coupling = np.array([1.0 / (z.capacitance * z.resistance) for z in network.zones])
+    rows = [index[a] for a, _ in network.edges]
     a_hat = np.zeros((n, n))
-    for zi, zone in enumerate(network.zones):
-        coupling = 1.0 / (zone.capacitance * zone.resistance)
-        for nb in network.neighbours(zone.id):
-            a_hat[zi, index[nb]] = coupling
-        a_hat[zi, zi] = -a_hat[zi].sum()
+    a_hat[rows, [index[b] for _, b in network.edges]] = coupling[rows]
+    np.fill_diagonal(a_hat, -a_hat.sum(axis=1))  # each row's sum, its diagonal still zero
     b_hat = np.diag([1.0 / z.capacitance for z in network.zones])
     return ContinuousStateSpace(a_hat=a_hat, b_hat=b_hat, zone_ids=ids)
 

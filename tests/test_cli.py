@@ -455,6 +455,46 @@ class TestWindowHandling:
         assert main(args) == 2
         assert "deterministic start" in capsys.readouterr().err
 
+    # the logs are read as one batch, but a run with faults names the first
+    # one met when each zone's log is read and checked in turn, in zone order
+    LOGS = {
+        "good": "".join(f"{d},{h},{int(h == 12)}\n" for d in (1, 2) for h in range(8, 18)),
+        "uncovered": "".join(f"{d},{h},0\n" for d in (1, 2) for h in range(9, 12)),
+        "bad-row": "1,8,0\n1,9,2\n",
+        "mixed-start": "".join(f"{d},{h},{int(d == 1)}\n" for d in (1, 2) for h in range(8, 18)),
+    }
+
+    @pytest.mark.parametrize("logs,extra,message", [
+        ({"zone1": "uncovered", "zone2": "bad-row"}, [],
+         "zone 'zone1': dataset hours 9-11 do not cover the window 8-17"),
+        ({"zone1": "bad-row", "zone2": "mixed-start"}, [],
+         "{zone1}: line 3: occupied must be 0 or 1, got '2'"),
+        ({"zone2": "mixed-start", "zone3": None}, [],
+         "zone 'zone2': occupancy at the window start hour 8 is mixed (0.50 of days); "
+         "the chain needs a deterministic start"),
+        ({"zone1": "bad-row", "zone3": None}, ["--occupancy", "attic={zone1}"],
+         "--occupancy references unknown zone 'attic'"),
+    ], ids=["uncovered-before-bad-row", "bad-row-before-mixed-start",
+            "mixed-start-before-missing-file", "unknown-zone-before-all"])
+    def test_first_fault_in_zone_order_is_named(self, tmp_path, capsys, logs, extra, message):
+        zone_ids = ("zone1", "zone2", "zone3")
+        (tmp_path / "building.json").write_text(json.dumps({
+            "zones": [{"id": z, "capacitance": 2.0, "resistance": 2.0, "initial_temp": 18.0}
+                      for z in zone_ids],
+            "edges": [["zone1", "zone2"], ["zone2", "zone3"], ["zone3", "zone1"]]}))
+        paths = {z: tmp_path / f"{z}.csv" for z in zone_ids}
+        for zid, path in paths.items():
+            kind = logs.get(zid, "good")
+            if kind is not None:
+                path.write_text("day,hour,occupied\n" + self.LOGS[kind])
+        out = tmp_path / "out"
+        argv = ["analyze", "--building", str(tmp_path / "building.json"),
+                *(a for zid, path in paths.items() for a in ("--occupancy", f"{zid}={path}")),
+                *(a.format(**paths) for a in extra), "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message.format(**paths)}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("hours,code", [([16], 0), ([16, 17], 2)])
     def test_strategy_slot_at_the_window_end_exits_2(self, tmp_path, capsys, hours, code):
         # a slot heats the hour that starts at it, so window 8-17 ends with slot 16
@@ -595,13 +635,14 @@ class TestDirectRoute:
         import thermark.markov
 
         unrolled = []
-        unroll_zone = thermark.markov.unroll_zone
+        unroll_zones = thermark.markov.unroll_zones
 
-        def counted(*args, **kwargs):
-            unrolled.append(kwargs["zone_id"])
-            return unroll_zone(*args, **kwargs)
+        def counted(zone_ids, *args, **kwargs):
+            unrolled.extend(zone_ids)
+            return unroll_zones(zone_ids, *args, **kwargs)
 
-        monkeypatch.setattr(thermark.markov, "unroll_zone", counted)
+        monkeypatch.setattr(thermark.markov, "unroll_zones", counted)
+        monkeypatch.setattr(thermark.markov, "unroll_zone", None)  # the CLI unrolls in one batch
         assert main(pinned_args("analyze", tmp_path, extra=["--dump-chain"])) == 0
         assert unrolled == ["zone1", "zone2"]
 

@@ -350,11 +350,14 @@ class TestAssignRewards:
 
     def test_table_entries_are_single_dot_products(self):
         # every entry is one row of a power of A dotted with one vector, bit
-        # for bit: a batched matrix product sums in another order on some
-        # BLAS builds and would move the last bits of the PRISM rewards
+        # for bit. The table stacks them as (1, N) @ (N, 1) products, and
+        # numpy hands each such product to the BLAS ddot that ndarray.dot
+        # calls on two vectors; a gemv or gemm over the same rows sums in
+        # blocks of another order and moves the last bits of some PRISM
+        # rewards. N of 16 and 64 run the ddot kernel's unrolled blocks
         rng = np.random.default_rng(19)
-        for _ in range(40):
-            n, horizon = int(rng.integers(1, 9)), int(rng.integers(1, 24))
+        for n in [int(rng.integers(1, 9)) for _ in range(40)] + [16, 64]:
+            horizon = int(rng.integers(1, 24))
             zone_ids = tuple(f"z{i}" for i in range(n))
             a = rng.random((n, n))
             a *= rng.uniform(0.5, 1.0) / a.sum(axis=1, keepdims=True)
@@ -387,6 +390,16 @@ class TestAssignRewards:
                     for k in range(1, theta + 1):
                         expected[t, m, k] = np.dot(powers[theta - k][row], step_gains[k - 1])
             assert table.tobytes() == expected.tobytes()
+
+    def test_one_zone_entry_keeps_the_sign_of_zero(self):
+        # numpy's dot of two one-element vectors is their plain product; the
+        # ddot route adds it to 0.0, which would turn -0.0 into 0.0
+        thermal = DiscreteThermalModel(a=np.array([[0.5]]), b=np.eye(1), delta=1.0,
+                                       initial_temps=np.array([-0.0]), zone_ids=("z",))
+        chain = unroll_zone(make_schedule(0.5), [False] * 10, 9, zone_id="z")
+        table = step_reward_table([chain], thermal, {"z": ZoneGains(-0.0, -0.0)}, [1, 9])
+        assert np.signbit(table[:, 0, :10]).tolist() == [[True, True] + [False] * 8,
+                                                         [True] * 10]
 
     def test_zone_order_invariance(self, bench_thermal):
         schedule_a = make_schedule(p_vf=0.4, p_ff=0.7)

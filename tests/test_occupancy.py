@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import tracemalloc
 from collections.abc import Mapping
 
@@ -17,7 +18,17 @@ from thermark import (
 )
 from thermark import occupancy
 from thermark.datasets import seven_day_log_csv
-from thermark.occupancy import OccupancyDataset, _fault, _read_grid, _read_strides
+from thermark.occupancy import OccupancyDataset, _fault, _read_inline, _read_strides
+
+
+def read_grid(body: bytes) -> OccupancyDataset | None:
+    """What ``parse_occupancy_csv`` reads in one body, or None where it
+    raises: the day-block reader's dataset if the body is long and it reads
+    it, else the row reader's."""
+    if len(body) >= occupancy.STRIDE_MIN_BYTES and (dataset := _read_strides(body)) is not None:
+        return dataset
+    datasets = _read_inline([body])
+    return None if datasets is None else datasets[0]
 
 
 @pytest.fixture
@@ -333,7 +344,7 @@ def assert_structural_pass_matches_row_reader():
     @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @hypothesis.given(mutated_bodies(hypothesis.strategies))
     def agree(body):
-        dataset = _read_grid(body.encode())
+        dataset = read_grid(body.encode())
         fault = str(_fault(body))
         if dataset is None:
             assert fault != fallback, body
@@ -518,7 +529,7 @@ class TestPieces:
             dataset = _read_strides(body.encode())
             if dataset is not None:
                 strided.append(body)
-                assert dataset == _read_grid(body.encode()), body  # the inline reader
+                assert dataset == read_grid(body.encode()), body  # the inline reader
         agree()
         assert len(strided) > 60  # the property reaches the stride reader
 
@@ -534,7 +545,7 @@ class TestPieces:
         body = long_log()[0].partition(b"\n")[2]
         tracemalloc.start()
         try:
-            dataset = _read_grid(body)
+            dataset = read_grid(body)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -674,3 +685,130 @@ class TestGenerator:
         assert a == b
         c = sample_dataset(truth, days=25, seed=5)
         assert c != a
+
+
+def log_bytes(rng, window, days, hours=None, spelling=()):
+    """A log of ``days`` random day numbers over ``hours`` (the window's by
+    default), with random occupancy but the window's first hour alike on
+    every day, written in the given spelling."""
+    start, end = window
+    hours = range(start, end + 1) if hours is None else hours
+    numbers = np.sort(rng.choice(np.arange(1, 3 * days + 1), days, replace=False)).tolist()
+    grid = rng.random((days, len(hours))) < rng.uniform(0.1, 0.9)
+    grid[:, start - hours[0]] = bool(rng.integers(0, 2))
+    rows = [[str(d), str(h), str(int(o))]
+            for d, row in zip(numbers, grid.tolist()) for h, o in zip(hours, row)]
+    for row in rows:
+        for field in (0, 1):
+            if "signs" in spelling and rng.random() < 0.3:
+                row[field] = "+" + row[field]
+            if "zeros" in spelling and rng.random() < 0.3:
+                row[field] = "00" + row[field].lstrip("+")
+    lines = [",".join(row) for row in rows]
+    if "shuffled" in spelling:
+        rng.shuffle(lines)
+    if "blank" in spelling:
+        for _ in range(3):
+            lines.insert(int(rng.integers(0, len(lines) + 1)), " \t" if rng.random() < 0.5 else "")
+    text = "day,hour,occupied\n" + "\n".join(lines) + "\n"
+    return (text.replace("\n", "\r\n") if "crlf" in spelling else text).encode()
+
+
+# kind -> (each zone's log as (days, hours or None, spelling), whether the
+# batch reads the logs; logs over other hour windows, and several logs
+# one of which holds a blank line, are read one at a time)
+BATCH_CASES = {
+    "different-day-counts": ([(1, None, ()), (7, None, ()), (30, None, ())], True),
+    "hours-wider-than-window": ([(9, "wide", ()), (12, "wide", ())], True),
+    "hour-windows-differ": ([(9, "wide", ()), (12, None, ()), (5, "full", ())], False),
+    "not-day-major": ([(8, "wide", ()), (11, "wide", ("shuffled",))], True),
+    "crlf-signs-zeros": ([(6, None, ("crlf",)), (9, None, ("signs", "zeros")),
+                          (4, None, ("crlf", "signs"))], True),
+    "blank-lines": ([(6, None, ()), (9, None, ("blank",))], False),
+    "long-log": ([(400, "full", ()), (10, "full", ("signs",)), (3, "full", ())], True),
+    "two-identical-logs": ([(10, None, ()), "same"], True),
+}
+
+
+class TestParseLogs:
+    GOOD = "day,hour,occupied\n1,8,0\n1,9,1\n"
+    BAD_ROW = "day,hour,occupied\n1,8,0\n1,9,2\n"
+    BAD_HEADER = "day,hour\n1,8,0\n"
+
+    @pytest.mark.parametrize("logs, message", [
+        ([GOOD, BAD_ROW, BAD_HEADER], "line 3: occupied must be 0 or 1, got '2'"),
+        ([GOOD, BAD_HEADER, BAD_ROW], "expected header 'day,hour,occupied', got 'day,hour'"),
+        ([BAD_ROW, ""], "line 3: occupied must be 0 or 1, got '2'"),
+        ([GOOD, "", BAD_ROW], "no records: file is empty"),
+    ], ids=["row-before-header", "header-before-row", "row-before-empty", "empty-before-row"])
+    def test_the_first_faulty_log_names_the_error(self, logs, message):
+        # each log's own error, as parse_occupancy_csv gives it, of the first faulty one
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            occupancy.parse_occupancy_logs(logs)
+
+    def test_each_log_gets_its_own_dataset(self):
+        logs = [self.GOOD, long_log(days=300)[0], self.GOOD.replace("1,9,1", "1,9,0"),
+                "day,hour,occupied\n\n2,8,1\n2,9,1\n"]  # a blank line: read one at a time
+        assert occupancy.parse_occupancy_logs(iter(logs)) == [parse_occupancy_csv(log)
+                                                              for log in logs]
+        assert occupancy.parse_occupancy_logs([]) == []
+
+
+class TestBatchedIngestion:
+    """The CLI reads every zone's log as one batch and estimates them all
+    at once; each zone's chain is float for float the one-log route's."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("kind", BATCH_CASES)
+    def test_each_chain_equals_the_one_log_route(self, tmp_path, monkeypatch, kind, seed):
+        from thermark.cli import RunConfig, _chains, _load_schedules
+        from thermark.strategy import HeatingStrategy
+
+        rng = np.random.default_rng([seed, *map(ord, kind)])
+        start = int(rng.integers(1, 18))
+        window = (start, start + int(rng.integers(1, 6)))
+        wide = range(start - 1, min(window[1] + 2, 24))
+        specs, batched = BATCH_CASES[kind]
+        logs = []
+        for spec in specs:
+            if spec == "same":
+                logs.append(logs[-1])
+                continue
+            days, hours, spelling = spec
+            hours = {None: None, "wide": wide, "full": range(24)}[hours]
+            logs.append(log_bytes(rng, window, days, hours, spelling))
+        if kind == "long-log":
+            assert len(logs[0]) > occupancy.STRIDE_MIN_BYTES
+        zone_ids = tuple(f"zone{i + 1}" for i in range(len(logs)))
+        paths = {}
+        for zid, data in zip(zone_ids, logs):
+            paths[zid] = tmp_path / f"{zid}.csv"
+            paths[zid].write_bytes(data)
+        config = RunConfig(building=tmp_path / "building.json", occupancy_paths=paths,
+                           window=window)
+        strat = HeatingStrategy(name="h", schedule={
+            zid: frozenset(rng.choice(np.arange(*window), 2).tolist()) for zid in zone_ids})
+
+        split = bool(seed % 2)  # the logs read inline go in several batches
+        if split:
+            monkeypatch.setattr(occupancy, "_BATCH_BYTES", int(rng.integers(100, 400)))
+        one_at_a_time = []
+        read_each = occupancy._read_each
+        monkeypatch.setattr(occupancy, "_read_each",
+                            lambda bodies: one_at_a_time.extend(bodies) or read_each(bodies))
+        chains = _chains(config, _load_schedules(config, zone_ids), strat)
+        monkeypatch.undo()
+        if batched or not split:  # a batch of one log declines for neither reason
+            assert (not one_at_a_time) == batched
+
+        expected = []
+        for zid, data in zip(zone_ids, logs):
+            dataset = parse_occupancy_csv(data)
+            columns = slice(start - dataset.hours[0], window[1] - dataset.hours[0] + 1)
+            windowed = OccupancyDataset(dataset.days, tuple(range(start, window[1] + 1)),
+                                        dataset.grid[:, columns])
+            expected.append(unroll_zone(
+                estimate_transition_schedule(windowed), strat.heating_bits(zid, window),
+                window[1] - start, zone_id=zid, initial_occupied=bool(windowed.grid[0, 0])))
+        assert repr(chains) == repr(expected)  # every float's repr is its exact value
+        assert chains == expected

@@ -1,0 +1,78 @@
+"""Time in-process ``analyze`` and ``export`` along the zone axis, for this
+checkout against another one.
+
+For each zone count N, perfbench's generator writes a ring building and N
+20-day logs over the window 0-23 (K=23). Both checkouts' CLIs are loaded
+side by side, under two package names, and called in alternation with the
+same arguments (``analyze --strategy S2`` and ``export --strategy S6
+--theta 1-9``). Each call is timed by perfbench's calibrated clock, so host
+drift moves both columns alike. Prints one Markdown row per N and command.
+
+    python tools/n_axis.py --base <other checkout> [--n 7 32 128] [--calls 41]
+
+Run it from the root of this checkout; it writes only to a temporary
+directory.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import shutil
+import statistics
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+COMMANDS = {"analyze": ["--strategy", "S2"], "export": ["--strategy", "S6", "--theta", "1-9"]}
+
+
+def load_cli(checkout: Path, name: str):
+    """The ``thermark.cli`` module of ``checkout``, imported as package ``name``."""
+    package = checkout / "src" / "thermark"
+    spec = importlib.util.spec_from_file_location(
+        name, package / "__init__.py", submodule_search_locations=[str(package)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return importlib.import_module(f"{name}.cli")
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.partition("\n\n")[0])
+    parser.add_argument("--base", type=Path, required=True, help="checkout to compare against")
+    parser.add_argument("--n", type=int, nargs="+", default=[7, 32, 128], help="zone counts")
+    parser.add_argument("--calls", type=int, default=41, help="calls of each CLI per cell")
+    args = parser.parse_args()
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+    from kernel import CalibratedClock
+
+    clis = {"base": load_cli(args.base.resolve(), "thermark_base"),
+            "this": load_cli(ROOT, "thermark_this")}
+    clock = CalibratedClock()
+    print("| N | command | base | this checkout | ratio |\n| --- | --- | --- | --- | --- |")
+    with tempfile.TemporaryDirectory() as tmp:
+        for n in args.n:
+            work = Path(tmp) / f"n{n}"
+            inst = workloads._generated("n_axis", work, 3, n=n, window=(0, 23), days=20,
+                                        analyze_strategy="S2", cost_strategies=("S2",))
+            for command, extra in COMMANDS.items():
+                out = work / "out"
+                argv = [command, *inst.common_args(), *extra, "--out", str(out)]
+                times = {name: [] for name in clis}
+                for i in range(args.calls):
+                    for name in (list(clis) if i % 2 else list(clis)[::-1]):
+                        shutil.rmtree(out, ignore_errors=True)
+                        code, _, calibrated = clock.time(lambda: clis[name].main(argv))
+                        if code != 0:
+                            raise SystemExit(f"{name} {command} at N={n} exited {code}")
+                        times[name].append(calibrated)
+                base, this = (statistics.median(times[name][1:]) * 1e3 for name in clis)
+                print(f"| {n} | {command} | {base:.1f} ms | {this:.1f} ms | {this / base:.2f} |",
+                      flush=True)
+
+
+if __name__ == "__main__":
+    main()
