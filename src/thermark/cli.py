@@ -275,7 +275,9 @@ def _load_schedules(config: RunConfig, zone_ids: tuple[str, ...]) -> Schedules:
     paths = [config.occupancy_paths.get(zid) for zid in zone_ids]
     if None not in paths:
         try:
-            # one log file at a time is held, as the parser takes them in turn
+            # the parser takes the files in turn and holds at most two long
+            # bodies at once: the first read as day blocks, which later logs
+            # of its layout are checked against, and the current one
             return _window_schedules(config, zone_ids, occupancy.parse_occupancy_logs(
                 read_bytes(path, "occupancy") for path in paths))
         except ValidationError:
@@ -325,12 +327,20 @@ def _window_schedules(config: RunConfig, zone_ids: tuple[str, ...],
     return Schedules(zone_ids, p_vf, p_ff, (at_start == days).tolist())
 
 
+def _heating_bits(config: RunConfig, zone_ids: tuple[str, ...],
+                  strategies: list[strategy_mod.HeatingStrategy]) -> list[list[list[bool]]]:
+    """Each strategy's on/off bits over the window, one list per zone in
+    ``zone_ids`` order; built once per run for the chains and the
+    trajectories alike."""
+    return [[strat.heating_bits(zid, config.window) for zid in zone_ids] for strat in strategies]
+
+
 def _chains(config: RunConfig, schedules: Schedules,
-            strat: strategy_mod.HeatingStrategy) -> list[markov.ZoneChain]:
-    """One unrolled chain per zone, in ``schedules`` order."""
+            heating: list[list[bool]]) -> list[markov.ZoneChain]:
+    """One unrolled chain per zone, in ``schedules`` order, heated by one
+    strategy's bits in that order."""
     return markov.unroll_zones(
-        schedules.zone_ids, schedules.p_vf, schedules.p_ff,
-        [strat.heating_bits(zid, config.window) for zid in schedules.zone_ids],
+        schedules.zone_ids, schedules.p_vf, schedules.p_ff, heating,
         config.window[1] - config.window[0], schedules.initial_occupied)
 
 
@@ -362,15 +372,15 @@ def _load_inputs(config: RunConfig) -> tuple[DiscreteThermalModel, dict[str, Zon
 
 def _trajectories(config: RunConfig, thermal: DiscreteThermalModel,
                   gains: dict[str, ZoneGains], chains: list[markov.ZoneChain],
-                  strategies: list[strategy_mod.HeatingStrategy]) -> np.ndarray:
+                  heating: list[list[list[bool]]]) -> np.ndarray:
     """Expected temperatures of every strategy, (S, len(thetas), N), from one
-    run of the O(N^2 K) marginal recursion. The marginals do not depend on
-    heating, so ``chains``, one per zone in thermal order, may be any strategy's."""
+    run of the O(N^2 K) marginal recursion; ``heating`` holds each
+    strategy's ``_heating_bits`` in thermal order. The marginals do not depend
+    on heating, so ``chains``, one per zone in thermal order, may be any
+    strategy's."""
     marginals = np.array([chain.occupied_marginals() for chain in chains]).T
-    heating = np.array([[strat.heating_bits(zid, config.window) for zid in thermal.zone_ids]
-                        for strat in strategies], dtype=float).swapaxes(1, 2)
     return analysis.direct_expected_temperatures(
-        thermal, gains, marginals, heating, config.thetas)
+        thermal, gains, marginals, np.array(heating, dtype=float).swapaxes(1, 2), config.thetas)
 
 
 def cmd_analyze(config: RunConfig, dump_chain: bool = False) -> int:
@@ -384,8 +394,9 @@ def cmd_analyze(config: RunConfig, dump_chain: bool = False) -> int:
             raise NumericalGuardError(
                 f"--dump-chain: the product chain has {edges} edges, above the limit of "
                 f"{DUMP_MAX_EDGES}; use fewer zones or a shorter window")
-    chains = _chains(config, schedules, strat)
-    values = _trajectories(config, thermal, gains, chains, [strat])
+    heating = _heating_bits(config, zone_ids, [strat])
+    chains = _chains(config, schedules, heating[0])
+    values = _trajectories(config, thermal, gains, chains, heating)
     masks = tuple(mask[0] for mask in analysis.comfort_check(values, config.band))
 
     rows = [["theta_hour", "zone_id", "expected_temp_c"]]
@@ -408,9 +419,10 @@ def cmd_cost(config: RunConfig) -> int:
     # with occupancy data on hand, rank comfort alongside cost
     ever = {}
     if config.occupancy_paths:
-        chains = _chains(config, _load_schedules(config, thermal.zone_ids), strategies[0])
+        heating = _heating_bits(config, thermal.zone_ids, strategies)
+        chains = _chains(config, _load_schedules(config, thermal.zone_ids), heating[0])
         _, _, ever_below, ever_above = analysis.comfort_check(
-            _trajectories(config, thermal, gains, chains, strategies), config.band)
+            _trajectories(config, thermal, gains, chains, heating), config.band)
         ever = {strat.name: flags for strat, *flags in zip(strategies, ever_below, ever_above)}
 
     comparison = strategy_mod.compare_strategies(strategies, tariff,
@@ -443,7 +455,8 @@ def cmd_export(config: RunConfig, name: str, to_stdout: bool = False) -> int:
                               f"so that its temp file names fit in {NAME_MAX}; "
                               f"got {len(name.encode())}")
     thermal, gains, (strat,) = _load_inputs(config)
-    chains = _chains(config, _load_schedules(config, thermal.zone_ids), strat)
+    (heating,) = _heating_bits(config, thermal.zone_ids, [strat])
+    chains = _chains(config, _load_schedules(config, thermal.zone_ids), heating)
     table = markov.step_reward_table(chains, thermal, gains, config.thetas)
     models = prism.render_models(chains, table, config.thetas, thermal.delta, name)
     outputs = {f"{name}_theta{theta}.pm" if len(config.thetas) > 1 else f"{name}.pm": text

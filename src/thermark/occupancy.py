@@ -49,6 +49,9 @@ _STRIDE_SLICE_BYTES = 128 * 1024
 # bodies read inline are joined into batches of about this many bytes; 128
 # logs of 3.4 KB read about 12% faster in batches of 64 KiB than in one
 _BATCH_BYTES = 64 * 1024
+# a run of day blocks: where it starts, block bytes, block count, and where
+# in a block the occupied bits are
+_Run = tuple[int, int, int, np.ndarray]
 
 
 class OccupancyDataset(Record):
@@ -172,8 +175,9 @@ def parse_occupancy_csv(data: bytes | str) -> OccupancyDataset:
     once, and every day covers the same contiguous hour window. Lines may
     end in LF, CRLF or CR.
     """
-    read = _strided_or_body(data)
-    return read if isinstance(read, OccupancyDataset) else _read_each([read])[0]
+    body = _body(data)
+    read = _strided(body)
+    return read[0] if read is not None else _read_each([body])[0]
 
 
 def parse_occupancy_logs(logs: Iterable[bytes | str]) -> list[OccupancyDataset]:
@@ -185,14 +189,27 @@ def parse_occupancy_logs(logs: Iterable[bytes | str]) -> list[OccupancyDataset]:
     body of at least ``STRIDE_MIN_BYTES`` whose days all repeat the first
     day's lines byte for byte, apart from the day digits and the occupied
     bit, is read at once as fixed-stride day blocks by ``_read_strides``,
-    which checks every byte itself, so no two long logs are held at once.
-    The other bodies are read together by ``_read_batches``; if a batch
-    declines them, they are read one at a time, in order.
+    which checks every byte itself. The first body it reads is kept as the
+    reference until the call returns, so at most two long bodies are held
+    at once: a later body of the same length that differs from it only in
+    occupied bits, each ``0`` or ``1``, takes the reference's days and
+    hours with its own bits (``_read_like``), and any other goes to
+    ``_read_strides`` in turn. The other bodies are read together by
+    ``_read_batches``; if a batch declines them, they are read one at a
+    time, in order.
     """
     items: list[OccupancyDataset | bytes] = []  # a dataset, or a body to read as rows
+    reference = None  # the first body read as day blocks, its dataset and its runs
     try:
-        for item in map(_strided_or_body, logs):
-            items.append(item)
+        for log in logs:
+            body = _body(log)
+            if reference is not None and (dataset := _read_like(body, *reference)) is not None:
+                items.append(dataset)
+            elif (read := _strided(body)) is not None:
+                items.append(read[0])
+                reference = reference or (body, *read)
+            else:
+                items.append(body)
     except ValidationError:
         _read_each([item for item in items if isinstance(item, bytes)])  # earlier faults first
         raise
@@ -201,14 +218,10 @@ def parse_occupancy_logs(logs: Iterable[bytes | str]) -> list[OccupancyDataset]:
     return [next(read) if isinstance(item, bytes) else item for item in items]
 
 
-def _strided_or_body(log: bytes | str) -> OccupancyDataset | bytes:
-    """A log's dataset if its body is long and ``_read_strides`` reads it,
-    else its body; raises for a faulty header. Neither the log nor a body
-    read here outlives the call."""
-    body = _body(log)
-    if len(body) >= STRIDE_MIN_BYTES and (dataset := _read_strides(body)) is not None:
-        return dataset
-    return body
+def _strided(body: bytes) -> tuple[OccupancyDataset, list[_Run]] | None:
+    """``_read_strides`` of a long body; None for a body below
+    ``STRIDE_MIN_BYTES`` or one that it declines."""
+    return _read_strides(body) if len(body) >= STRIDE_MIN_BYTES else None
 
 
 def _body(data: bytes | str) -> bytes:
@@ -330,10 +343,10 @@ def _row_bytes(body: bytes) -> bytes | None:
     return body
 
 
-def _read_strides(data: bytes) -> OccupancyDataset | None:
-    """The dataset a body holds if every day repeats the first day's lines
-    byte for byte, apart from its day digits and occupied bits; None
-    otherwise.
+def _read_strides(data: bytes) -> tuple[OccupancyDataset, list[_Run]] | None:
+    """The dataset a body holds, and the runs it was read in, if every day
+    repeats the first day's lines byte for byte, apart from its day digits
+    and occupied bits; None otherwise.
 
     The head, the first 24 lines, may hold only digits, signs, commas and
     newlines; ``_read_rows`` reads it, and the first day's lines in it must
@@ -370,7 +383,7 @@ def _read_strides(data: bytes) -> OccupancyDataset | None:
     tail_at = np.cumsum(lengths) - lengths
     lines = np.arange(n_hours)
     a = np.frombuffer(data, np.uint8)
-    days, grids, at = [], [], 0
+    days, grids, runs, at = [], [], [], 0
     for _ in range(_STRIDE_RUNS):
         width = data.find(b",", at) - at
         if not 1 <= width <= _STRIDE_DAY_DIGITS:
@@ -392,7 +405,7 @@ def _read_strides(data: bytes) -> OccupancyDataset | None:
         mask[day_at], mask[occupied_at] = 0x0F, 0x01
         template = np.frombuffer(b"".join(b"0" * width + t for t in tails), np.uint8) | mask
         powers = 10 ** np.arange(width - 1, -1, -1, dtype=np.int64)
-        step = max(1, _STRIDE_SLICE_BYTES // block)
+        step = _slice_blocks(block)
         for part in (blocks[i:i + step] for i in range(0, len(blocks), step)):
             digits = part[:, day_at]
             if not (((part | mask) == template).all() and (digits == digits[:, :1]).all()
@@ -400,6 +413,7 @@ def _read_strides(data: bytes) -> OccupancyDataset | None:
                 return None
             days.append((digits[:, 0] - _ZERO).astype(np.int64) @ powers)
             grids.append(part[:, occupied_at] == _ZERO + 1)
+        runs.append((at, block, len(blocks), occupied_at))
         at += len(blocks) * block
         if at == len(data):
             break
@@ -410,7 +424,46 @@ def _read_strides(data: bytes) -> OccupancyDataset | None:
     if day[0] < 1 or (day[1:] <= day[:-1]).any():
         return None
     return OccupancyDataset(days=tuple(day.tolist()), hours=tuple(range(first, first + n_hours)),
-                            grid=_read_only(grid))
+                            grid=_read_only(grid)), runs
+
+
+def _read_like(data: bytes, reference: bytes, dataset: OccupancyDataset,
+               runs: list[_Run]) -> OccupancyDataset | None:
+    """The dataset a body holds if it is ``reference``, a body that
+    ``_read_strides`` read as ``dataset`` in ``runs``, with other occupied
+    bits; None otherwise, as for a body of another length.
+
+    Each run is walked in the slices of blocks that ``_read_strides``
+    checks, and in each the bodies are XORed into one reused buffer. The
+    reference holds ``0`` or ``1`` at every occupied column, so an XOR of
+    at most 1 there leaves ``data`` a ``0`` or ``1`` too, and the bytes that
+    differ must be exactly the occupied bits that differ: every other byte
+    is the reference's, and ``_read_strides`` would read ``data`` as
+    ``dataset``'s days and hours with the flipped bits.
+    """
+    if len(data) != len(reference):
+        return None
+    a, b = np.frombuffer(data, np.uint8), np.frombuffer(reference, np.uint8)
+    buffer = np.empty(max(min(count, _slice_blocks(block)) * block
+                          for _, block, count, _ in runs), np.uint8)
+    grids, row = [], 0
+    for at, block, count, occupied_at in runs:
+        step = _slice_blocks(block)
+        for start in range(at, at + count * block, step * block):
+            end = min(start + step * block, at + count * block)
+            xor = np.bitwise_xor(a[start:end], b[start:end], out=buffer[:end - start])
+            flips = xor.reshape(-1, block)[:, occupied_at]
+            if not (flips.max() <= 1 and np.count_nonzero(xor) == np.count_nonzero(flips)):
+                return None
+            grids.append(dataset.grid[row:row + len(flips)] ^ flips.view(bool))
+            row += len(flips)
+    return OccupancyDataset(days=dataset.days, hours=dataset.hours,
+                            grid=_read_only(np.concatenate(grids)))
+
+
+def _slice_blocks(block: int) -> int:
+    """How many day blocks of ``block`` bytes make one checked slice."""
+    return max(1, _STRIDE_SLICE_BYTES // block)
 
 
 def _read_lines(data: bytes) -> np.ndarray | None:

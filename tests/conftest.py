@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from thermark import DiscreteThermalModel, compose, load_building, temperature_trajectory
-from thermark.cli import RunConfig, _chains, _load_inputs, _load_schedules
+from thermark.cli import RunConfig, _chains, _heating_bits, _load_inputs, _load_schedules
 from thermark.occupancy import OccupancyDataset, StepMatrix, TransitionSchedule
 
 BENCH_A = np.array([[0.7001, 0.2999], [0.3007, 0.6993]])
@@ -84,7 +84,8 @@ def build_model(config: RunConfig):
     network, _ = load_building(config.building)
     thermal, _, (strat,) = _load_inputs(config)
     schedules = _load_schedules(config, thermal.zone_ids)
-    return network, thermal, compose(_chains(config, schedules, strat)), strat
+    (heating,) = _heating_bits(config, thermal.zone_ids, [strat])
+    return network, thermal, compose(_chains(config, schedules, heating)), strat
 
 
 def sample_dataset(schedule: TransitionSchedule, days: int, seed: int,

@@ -25,8 +25,8 @@ def read_grid(body: bytes) -> OccupancyDataset | None:
     """What ``parse_occupancy_csv`` reads in one body, or None where it
     raises: the day-block reader's dataset if the body is long and it reads
     it, else the row reader's."""
-    if len(body) >= occupancy.STRIDE_MIN_BYTES and (dataset := _read_strides(body)) is not None:
-        return dataset
+    if len(body) >= occupancy.STRIDE_MIN_BYTES and (read := _read_strides(body)) is not None:
+        return read[0]
     datasets = _read_inline([body])
     return None if datasets is None else datasets[0]
 
@@ -377,7 +377,8 @@ def long_log(days=5000, hours=range(24), seed=8):
 
 def read_strides(data):
     """What the stride reader makes of a file's body, as the file holds it."""
-    return _read_strides(data.partition(b"\n")[2])
+    read = _read_strides(data.partition(b"\n")[2])
+    return None if read is None else read[0]
 
 
 def full_days(*days):
@@ -526,7 +527,7 @@ class TestPieces:
         @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
         @hypothesis.given(st.one_of(mutated_bodies(st), day_block_bodies(st)))
         def agree(body):
-            dataset = _read_strides(body.encode())
+            dataset = read_strides(("day,hour,occupied\n" + body).encode())
             if dataset is not None:
                 strided.append(body)
                 assert dataset == read_grid(body.encode()), body  # the inline reader
@@ -754,6 +755,169 @@ class TestParseLogs:
         assert occupancy.parse_occupancy_logs([]) == []
 
 
+def logs_outcome(logs):
+    """What reading each log alone gives: every dataset, or the message of
+    the first log that raises."""
+    datasets = []
+    for log in logs:
+        try:
+            datasets.append(parse_occupancy_csv(log))
+        except ValidationError as exc:
+            return str(exc)
+    return datasets
+
+
+def batch_outcome(logs):
+    """``parse_occupancy_logs``'s datasets, or its message."""
+    try:
+        return occupancy.parse_occupancy_logs(logs)
+    except ValidationError as exc:
+        return str(exc)
+
+
+def assert_read_as_alone(logs, strides_calls):
+    """The batch's outcome, asserted equal to each log's alone; clears
+    ``strides_calls`` first, so that it then lists the batch's calls only."""
+    expected = logs_outcome(logs)
+    strides_calls.clear()
+    outcome = batch_outcome(logs)
+    assert outcome == expected
+    return outcome
+
+
+def occupied_bytes(data):
+    """Where each row's occupied byte is, past the header."""
+    a = np.frombuffer(data, np.uint8)
+    return np.flatnonzero(a == ord("\n"))[1:] - 1
+
+
+def bump(row, i):
+    """``row`` with its digit at ``i`` one higher, 9 wrapping to 0."""
+    return row[:i] + bytes([ord("0") + (row[i] - ord("0") + 1) % 10]) + row[i + 1:]
+
+
+@pytest.fixture
+def strides_calls(monkeypatch):
+    """The bodies ``_read_strides`` is called on, in order."""
+    calls = []
+    read_strides = occupancy._read_strides
+    monkeypatch.setattr(occupancy, "_read_strides",
+                        lambda body: calls.append(body) or read_strides(body))
+    return calls
+
+
+class TestSharedLayout:
+    """A long log of the layout of the first one read as day blocks, apart
+    from its occupied bits, is read by one XOR pass against it; every other
+    log gets what it gets alone, dataset or message."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_flipped_bits_read_as_alone(self, seed, strides_calls):
+        rng = np.random.default_rng(seed)
+        first = int(rng.integers(0, 12))
+        hours = range(first, int(rng.integers(first + 1, 24)))
+        # 1 500 days of 24 hours span four runs and three slices
+        days = int(rng.integers(3, 8)) * 50_000 // (10 * len(hours))
+        a = long_log(days=days, hours=hours, seed=seed)[0]
+        at = occupied_bytes(a)
+        logs = [a]
+        for flips in (0, 1, int(rng.integers(2, len(at))), len(at)):
+            b = np.frombuffer(a, np.uint8).copy()
+            b[rng.choice(at, flips, replace=False)] ^= 1
+            logs.append(b.tobytes())
+        assert len(a) > occupancy.STRIDE_MIN_BYTES
+        assert_read_as_alone(logs, strides_calls)
+        assert len(strides_calls) == 1
+
+    @pytest.fixture
+    def small_slices(self, monkeypatch):
+        """Slices of 4 KiB, so that a log of 200 days spans ten of them."""
+        monkeypatch.setattr(occupancy, "_STRIDE_SLICE_BYTES", 4096)
+
+    def edited(self, rng, where, edit):
+        """A log A of 200 days and a copy B with ``edit`` made on one of its
+        rows, the last or any."""
+        a, _ = long_log(days=200, seed=int(rng.integers(100)))
+        lines = a.split(b"\n")
+        i = len(lines) - 2 if where == "last" else int(rng.integers(1, len(lines) - 1))
+        lines[i] = edit(lines[i])
+        return a, b"\n".join(lines)
+
+    EDITS = {
+        "day-digit": lambda row: bump(row, row.index(b",") - 1),  # the day's last digit
+        "hour-digit": lambda row: bump(row, row.index(b",") + 1),  # the hour's first digit
+        "separator": lambda row: row.replace(b",", b";", 1),
+        "occupied-2": lambda row: row[:-1] + b"2",
+        "occupied-9": lambda row: row[:-1] + b"9",
+    }
+
+    @pytest.mark.parametrize("where", ["last", "any"])
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("edit", EDITS)
+    def test_other_bytes_read_as_alone(self, edit, seed, where, small_slices, strides_calls):
+        rng = np.random.default_rng([seed, len(edit)])
+        a, b = self.edited(rng, where, self.EDITS[edit])
+        assert len(a) > occupancy.STRIDE_MIN_BYTES and len(a) == len(b) and a != b
+        logs = [a, b, a]
+        assert_read_as_alone(logs, strides_calls)
+        assert len(strides_calls) == 2  # b is read alone; the second a like the first
+
+    @pytest.mark.parametrize("bit", [b"0", b"1"])
+    def test_a_2_where_the_reference_holds_either_bit(self, bit, small_slices, strides_calls):
+        a, _ = long_log(days=200)
+        at = occupied_bytes(a)
+        i = at[np.flatnonzero(np.frombuffer(a, np.uint8)[at] == bit[0])[-1]]
+        b = a[:i] + b"2" + a[i + 1:]
+        message = assert_read_as_alone([a, b], strides_calls)
+        assert message.endswith("occupied must be 0 or 1, got '2'")
+
+    def test_same_length_other_days(self, strides_calls):
+        grid = np.random.default_rng(3).random((1500, 24)) < 0.4
+        a, b = (dataset_to_csv(OccupancyDataset(days, tuple(range(24)), grid)).encode()
+                for days in (tuple(range(1000, 2500)), tuple(range(5000, 8000, 2))))
+        assert len(a) == len(b) and a != b
+        datasets = assert_read_as_alone([a, b], strides_calls)
+        assert datasets[0].days != datasets[1].days
+        assert len(strides_calls) == 2
+
+    def test_other_length(self, strides_calls):
+        a = long_log(days=1500)[0]
+        longer = a + full_days(1501).encode()
+        assert isinstance(assert_read_as_alone([a, long_log(days=1499)[0], longer, a],
+                                               strides_calls), list)
+        assert len(strides_calls) == 3
+        assert assert_read_as_alone([a, a + b"1501,0,1\n"], strides_calls) == (
+            "gap in data: day 1501 is missing hour 1")
+
+    @pytest.mark.parametrize("spoil", ["space", "shuffled"])
+    def test_reference_is_the_first_day_block_log(self, spoil, strides_calls):
+        a = long_log(days=1500)[0]
+        header, _, body = a.partition(b"\n")
+        rows = body.split(b"\n")[:-1]
+        if spoil == "space":
+            rows[7] = rows[7].replace(b",", b" ,", 1)
+        else:
+            rows[7], rows[8] = rows[8], rows[7]
+        first = b"\n".join([header, *rows]) + b"\n"
+        b = a[:-2] + (b"1\n" if a[-2:] == b"0\n" else b"0\n")
+        assert isinstance(assert_read_as_alone([first, a, b, first], strides_calls), list)
+        # ``first`` is declined twice; ``a`` is the reference and ``b`` is read like it
+        assert strides_calls == [first.partition(b"\n")[2], a.partition(b"\n")[2],
+                                 first.partition(b"\n")[2]]
+
+    def test_same_layout_takes_one_strides_read(self, strides_calls):
+        a = long_log(days=1500)[0]
+        b = a[:-2] + (b"1\n" if a[-2:] == b"0\n" else b"0\n")
+        assert_read_as_alone([a, b], strides_calls)
+        assert len(strides_calls) == 1
+        other = b.replace(b"\n1500,", b"\n1501,")  # the last day renumbered
+        assert_read_as_alone([a, other], strides_calls)
+        assert len(strides_calls) == 2
+        strides_calls.clear()
+        occupancy.parse_occupancy_logs([b])  # nothing is kept from an earlier call
+        assert len(strides_calls) == 1
+
+
 class TestBatchedIngestion:
     """The CLI reads every zone's log as one batch and estimates them all
     at once; each zone's chain is float for float the one-log route's."""
@@ -761,7 +925,7 @@ class TestBatchedIngestion:
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("kind", BATCH_CASES)
     def test_each_chain_equals_the_one_log_route(self, tmp_path, monkeypatch, kind, seed):
-        from thermark.cli import RunConfig, _chains, _load_schedules
+        from thermark.cli import RunConfig, _chains, _heating_bits, _load_schedules
         from thermark.strategy import HeatingStrategy
 
         rng = np.random.default_rng([seed, *map(ord, kind)])
@@ -796,7 +960,8 @@ class TestBatchedIngestion:
         read_each = occupancy._read_each
         monkeypatch.setattr(occupancy, "_read_each",
                             lambda bodies: one_at_a_time.extend(bodies) or read_each(bodies))
-        chains = _chains(config, _load_schedules(config, zone_ids), strat)
+        (heating,) = _heating_bits(config, zone_ids, [strat])
+        chains = _chains(config, _load_schedules(config, zone_ids), heating)
         monkeypatch.undo()
         if batched or not split:  # a batch of one log declines for neither reason
             assert (not one_at_a_time) == batched

@@ -1,14 +1,15 @@
 """Time in-process ``analyze`` and ``export`` along the zone axis, for this
 checkout against another one.
 
-For each zone count N, perfbench's generator writes a ring building and N
-20-day logs over the window 0-23 (K=23). Both checkouts' CLIs are loaded
-side by side, under two package names, and called in alternation with the
-same arguments (``analyze --strategy S2`` and ``export --strategy S6
+For each zone count N and log length, perfbench's generator writes a ring
+building and N logs of that many days over the window 0-23 (K=23). Both
+checkouts' CLIs are loaded side by side, under two package names, and
+called in alternation with the same arguments (``analyze --strategy S2`` and ``export --strategy S6
 --theta 1-9``). Each call is timed by perfbench's calibrated clock, so host
-drift moves both columns alike. Prints one Markdown row per N and command.
+drift moves both columns alike. Prints one Markdown row per N, log length
+and command.
 
-    python tools/n_axis.py --base <other checkout> [--n 7 32 128] [--calls 41]
+    python tools/n_axis.py --base <other checkout> [--n 7 32 128] [--days 20] [--calls 41]
 
 Run it from the root of this checkout; it writes only to a temporary
 directory.
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
+import itertools
 import shutil
 import statistics
 import sys
@@ -43,6 +45,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.partition("\n\n")[0])
     parser.add_argument("--base", type=Path, required=True, help="checkout to compare against")
     parser.add_argument("--n", type=int, nargs="+", default=[7, 32, 128], help="zone counts")
+    parser.add_argument("--days", type=int, nargs="+", default=[20], help="days per log")
     parser.add_argument("--calls", type=int, default=41, help="calls of each CLI per cell")
     args = parser.parse_args()
     sys.path.insert(0, str(ROOT / "perfbench"))
@@ -52,11 +55,12 @@ def main() -> None:
     clis = {"base": load_cli(args.base.resolve(), "thermark_base"),
             "this": load_cli(ROOT, "thermark_this")}
     clock = CalibratedClock()
-    print("| N | command | base | this checkout | ratio |\n| --- | --- | --- | --- | --- |")
+    print("| N | days | command | base | this checkout | ratio |\n"
+          "| --- | --- | --- | --- | --- | --- |")
     with tempfile.TemporaryDirectory() as tmp:
-        for n in args.n:
-            work = Path(tmp) / f"n{n}"
-            inst = workloads._generated("n_axis", work, 3, n=n, window=(0, 23), days=20,
+        for n, days in itertools.product(args.n, args.days):
+            work = Path(tmp) / f"n{n}-d{days}"
+            inst = workloads._generated("n_axis", work, 3, n=n, window=(0, 23), days=days,
                                         analyze_strategy="S2", cost_strategies=("S2",))
             for command, extra in COMMANDS.items():
                 out = work / "out"
@@ -67,11 +71,12 @@ def main() -> None:
                         shutil.rmtree(out, ignore_errors=True)
                         code, _, calibrated = clock.time(lambda: clis[name].main(argv))
                         if code != 0:
-                            raise SystemExit(f"{name} {command} at N={n} exited {code}")
+                            raise SystemExit(
+                                f"{name} {command} at N={n}, {days} days exited {code}")
                         times[name].append(calibrated)
                 base, this = (statistics.median(times[name][1:]) * 1e3 for name in clis)
-                print(f"| {n} | {command} | {base:.1f} ms | {this:.1f} ms | {this / base:.2f} |",
-                      flush=True)
+                print(f"| {n} | {days} | {command} | {base:.1f} ms | {this:.1f} ms "
+                      f"| {this / base:.2f} |", flush=True)
 
 
 if __name__ == "__main__":
