@@ -21,6 +21,7 @@ from .markov import (
     ZoneGains,
     assign_rewards,
     compose,
+    occupied_marginals,
     step_reward_table,
     unroll_zone,
 )
@@ -84,6 +85,7 @@ __all__ = [
     "estimate_transition_schedule",
     "export_properties",
     "load_building",
+    "occupied_marginals",
     "parse_occupancy_csv",
     "parse_strategy",
     "parse_tariff",

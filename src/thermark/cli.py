@@ -268,24 +268,31 @@ def _load_schedules(config: RunConfig, zone_ids: tuple[str, ...]) -> Schedules:
     """Every zone's windowed schedule and start label, in ``zone_ids``
     order, read and estimated as one batch. On any fault the zones are read
     and checked again one at a time, in order, so the error names the
-    first fault that reading meets, as the batch need not."""
+    first fault that reading meets, as the batch need not; a zone whose
+    log the batch found faulty is not read again, as it would give the
+    batch's message."""
     for zid in config.occupancy_paths:
         if zid not in zone_ids:
             raise ValidationError(f"--occupancy references unknown zone {zid!r}")
     paths = [config.occupancy_paths.get(zid) for zid in zone_ids]
+    fault = None
     if None not in paths:
         try:
             # the parser takes the files in turn and holds at most two long
-            # bodies at once: the first read as day blocks, which later logs
-            # of its layout are checked against, and the current one
+            # bodies at once: its reference, which later logs of its layout
+            # are checked against, and the current one
             return _window_schedules(config, zone_ids, occupancy.parse_occupancy_logs(
                 read_bytes(path, "occupancy") for path in paths))
+        except occupancy.LogFault as exc:
+            fault = exc
         except ValidationError:
             pass
     datasets = []
-    for zid in zone_ids:
+    for i, zid in enumerate(zone_ids):
         if zid not in config.occupancy_paths:
             raise ValidationError(f"no occupancy file given for zone {zid!r} (--occupancy)")
+        if fault is not None and fault.log == i:
+            raise ValidationError(f"{config.occupancy_paths[zid]}: {fault}")
         datasets.append(_read_dataset(config.occupancy_paths[zid]))
         _window_schedules(config, (zid,), datasets[-1:])
     return _window_schedules(config, zone_ids, datasets)
@@ -344,6 +351,13 @@ def _chains(config: RunConfig, schedules: Schedules,
         config.window[1] - config.window[0], schedules.initial_occupied)
 
 
+def _marginals(schedules: Schedules) -> np.ndarray:
+    """Every zone's (K+1,) occupancy marginals, rows in ``schedules`` order,
+    which no heating changes; computed once per command."""
+    return markov.occupied_marginals(schedules.p_vf, schedules.p_ff,
+                                     schedules.initial_occupied)
+
+
 def _load_inputs(config: RunConfig) -> tuple[DiscreteThermalModel, dict[str, ZoneGains],
                                               list[strategy_mod.HeatingStrategy]]:
     """The thermal model, the gains table and the resolved strategies,
@@ -371,16 +385,14 @@ def _load_inputs(config: RunConfig) -> tuple[DiscreteThermalModel, dict[str, Zon
 
 
 def _trajectories(config: RunConfig, thermal: DiscreteThermalModel,
-                  gains: dict[str, ZoneGains], chains: list[markov.ZoneChain],
+                  gains: dict[str, ZoneGains], marginals: np.ndarray,
                   heating: list[list[list[bool]]]) -> np.ndarray:
     """Expected temperatures of every strategy, (S, len(thetas), N), from one
-    run of the O(N^2 K) marginal recursion; ``heating`` holds each
-    strategy's ``_heating_bits`` in thermal order. The marginals do not depend
-    on heating, so ``chains``, one per zone in thermal order, may be any
-    strategy's."""
-    marginals = np.array([chain.occupied_marginals() for chain in chains]).T
+    run of the O(N^2 K) marginal recursion; ``marginals`` are the zones'
+    ``_marginals`` in thermal order, and ``heating`` holds each strategy's
+    ``_heating_bits`` in that order."""
     return analysis.direct_expected_temperatures(
-        thermal, gains, marginals, np.array(heating, dtype=float).swapaxes(1, 2), config.thetas)
+        thermal, gains, marginals.T, np.array(heating, dtype=float).swapaxes(1, 2), config.thetas)
 
 
 def cmd_analyze(config: RunConfig, dump_chain: bool = False) -> int:
@@ -396,7 +408,8 @@ def cmd_analyze(config: RunConfig, dump_chain: bool = False) -> int:
                 f"{DUMP_MAX_EDGES}; use fewer zones or a shorter window")
     heating = _heating_bits(config, zone_ids, [strat])
     chains = _chains(config, schedules, heating[0])
-    values = _trajectories(config, thermal, gains, chains, heating)
+    marginals = _marginals(schedules)
+    values = _trajectories(config, thermal, gains, marginals, heating)
     masks = tuple(mask[0] for mask in analysis.comfort_check(values, config.band))
 
     rows = [["theta_hour", "zone_id", "expected_temp_c"]]
@@ -405,7 +418,8 @@ def cmd_analyze(config: RunConfig, dump_chain: bool = False) -> int:
     outputs = {"trajectory.csv": _csv_text(rows),
                "comfort.json": _comfort_json(config.band, config.thetas, zone_ids, masks)}
     if dump_chain:
-        (rewards,) = markov.step_reward_table(chains, thermal, gains, config.thetas[:1])
+        (rewards,) = markov.step_reward_table(chains, thermal, gains, config.thetas[:1],
+                                              marginals)
         outputs["chain.json"] = markov.dump_model(markov.compose(chains), rewards,
                                                   config.thetas[0])
     _write_outputs(config.out_dir, outputs)
@@ -420,9 +434,9 @@ def cmd_cost(config: RunConfig) -> int:
     ever = {}
     if config.occupancy_paths:
         heating = _heating_bits(config, thermal.zone_ids, strategies)
-        chains = _chains(config, _load_schedules(config, thermal.zone_ids), heating[0])
-        _, _, ever_below, ever_above = analysis.comfort_check(
-            _trajectories(config, thermal, gains, chains, heating), config.band)
+        _, _, ever_below, ever_above = analysis.comfort_check(_trajectories(
+            config, thermal, gains, _marginals(_load_schedules(config, thermal.zone_ids)),
+            heating), config.band)
         ever = {strat.name: flags for strat, *flags in zip(strategies, ever_below, ever_above)}
 
     comparison = strategy_mod.compare_strategies(strategies, tariff,
@@ -456,8 +470,9 @@ def cmd_export(config: RunConfig, name: str, to_stdout: bool = False) -> int:
                               f"got {len(name.encode())}")
     thermal, gains, (strat,) = _load_inputs(config)
     (heating,) = _heating_bits(config, thermal.zone_ids, [strat])
-    chains = _chains(config, _load_schedules(config, thermal.zone_ids), heating)
-    table = markov.step_reward_table(chains, thermal, gains, config.thetas)
+    schedules = _load_schedules(config, thermal.zone_ids)
+    chains = _chains(config, schedules, heating)
+    table = markov.step_reward_table(chains, thermal, gains, config.thetas, _marginals(schedules))
     models = prism.render_models(chains, table, config.thetas, thermal.delta, name)
     outputs = {f"{name}_theta{theta}.pm" if len(config.thetas) > 1 else f"{name}.pm": text
                for theta, text in zip(config.thetas, models)}

@@ -62,18 +62,29 @@ class ZoneChain(Record):
     occ_given_empty: tuple[float, ...]
     occ_given_occupied: tuple[float, ...]
 
-    def occupied_marginals(self) -> list[float]:
-        """P(occupied at step k) for k = 0..K:
-        m[k+1] = m[k]*p_ff[k] + (1-m[k])*p_vf[k]."""
-        m = [float(self.initial_occupied)]
-        for p_vf, p_ff in zip(self.occ_given_empty, self.occ_given_occupied):
-            m.append(m[-1] * p_ff + (1.0 - m[-1]) * p_vf)
-        return m
-
     def step_matrix(self, k: int) -> np.ndarray:
         """2x2 matrix of step k -> k+1; row and column 0 are occupied, 1 empty."""
         p_occ, p_emp = self.occ_given_occupied[k], self.occ_given_empty[k]
         return np.array([[p_occ, 1.0 - p_occ], [p_emp, 1.0 - p_emp]])
+
+
+def occupied_marginals(
+    p_vf: np.ndarray | Sequence[Sequence[float]],
+    p_ff: np.ndarray | Sequence[Sequence[float]],
+    initial_occupied: Sequence[bool],
+) -> np.ndarray:
+    """P(occupied at step k) of N zones for k = 0..K, an (N, K+1) array,
+    from the rows of their (N, K) step probabilities (as for
+    :func:`unroll_zones`) and their start labels. One recursion steps every
+    zone at once, m[k+1] = m[k]*p_ff[k] + (1-m[k])*p_vf[k], with the float
+    operations, in their order, of a loop over one zone."""
+    p_vf, p_ff = np.asarray(p_vf, dtype=float), np.asarray(p_ff, dtype=float)
+    m = np.empty((p_vf.shape[1] + 1, len(p_vf)))
+    m[0] = initial_occupied
+    rows = list(m)
+    for prev, following, f, v in zip(rows, rows[1:], p_ff.T, p_vf.T):
+        np.add(prev * f, (1.0 - prev) * v, out=following)
+    return m.T
 
 
 def unroll_zone(
@@ -262,13 +273,16 @@ def step_reward_table(
     thermal: DiscreteThermalModel,
     gains: dict[str, ZoneGains],
     thetas: list[int] | tuple[int, ...] | range,
+    marginals: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-step reward of every zone, for each evaluation step in ``thetas``.
 
     Returns a (len(thetas), N, K+2) array in chain order: entry [t, m, k]
     is zone m's reward at step k (0..K+1, the sink last) for
-    ``thetas[t]``. The occupancy marginals and the powers A^0..A^max(theta)
-    are computed once for all thetas.
+    ``thetas[t]``. The occupancy marginals, the chains'
+    :func:`occupied_marginals` unless the caller passes that (N, K+1)
+    array, and the powers A^0..A^max(theta) are computed once for all
+    thetas.
     """
     chains = tuple(chains)
     if not chains:
@@ -290,7 +304,11 @@ def step_reward_table(
         powers.append(powers[-1] @ a)
 
     # gains[k - 1] enters at step k: occupants by marginal, radiator by bit
-    marginals = np.array([c.occupied_marginals() for c in chains])[:, :-1]
+    if marginals is None:
+        marginals = occupied_marginals([c.occ_given_empty for c in chains],
+                                       [c.occ_given_occupied for c in chains],
+                                       [c.initial_occupied for c in chains])
+    marginals = marginals[:, :-1]
     heating = np.array([c.heating[:-1] for c in chains], dtype=float)
     q_int = np.array([[gains[zid].q_int] for zid in zone_ids])
     q_rad = np.array([[gains[zid].q_rad] for zid in zone_ids])

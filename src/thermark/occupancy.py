@@ -183,39 +183,75 @@ def parse_occupancy_csv(data: bytes | str) -> OccupancyDataset:
 def parse_occupancy_logs(logs: Iterable[bytes | str]) -> list[OccupancyDataset]:
     """Parse several logs as one batch: each gets the dataset
     :func:`parse_occupancy_csv` gives it, and a fault raises the error
-    that function gives for the first faulty log.
+    that function gives for the first faulty log, as a :class:`LogFault`
+    that holds the log's position in ``logs``.
 
     The logs are taken in turn and each header is checked on its own. A
-    body of at least ``STRIDE_MIN_BYTES`` whose days all repeat the first
-    day's lines byte for byte, apart from the day digits and the occupied
-    bit, is read at once as fixed-stride day blocks by ``_read_strides``,
-    which checks every byte itself. The first body it reads is kept as the
-    reference until the call returns, so at most two long bodies are held
-    at once: a later body of the same length that differs from it only in
-    occupied bits, each ``0`` or ``1``, takes the reference's days and
-    hours with its own bits (``_read_like``), and any other goes to
-    ``_read_strides`` in turn. The other bodies are read together by
-    ``_read_batches``; if a batch declines them, they are read one at a
-    time, in order.
+    body of at least ``STRIDE_MIN_BYTES`` is first offered to
+    ``_read_strides``, which reads it at once as fixed-stride day blocks
+    if its days all repeat the first day's lines byte for byte, apart from
+    the day digits and the occupied bit, and checks every byte itself.
+    The first body that either reader reads in file order (nothing sorted,
+    no blank line, space or tab dropped) is kept as the reference until
+    the call returns, so at most two long bodies are held at once. While
+    there is none, the first body ``_read_strides`` does not read is read
+    alone by the general reader (``_read_first``); if that reader sorts it
+    or drops a byte, no later body is read alone. Each later body of the
+    reference's length is XORed against it: where it differs from the
+    reference only in occupied bits, each ``0`` or ``1``, it takes the
+    reference's days and hours with its own bits. Long bodies are checked
+    one at a time in the reference's slices (``_read_like``), short ones
+    stacked ``_BATCH_BYTES`` at a time (``_read_alike``). Every other body
+    goes to ``_read_strides`` if it is long, and the bodies left over are
+    read together by ``_read_batches``; if a batch declines them, they are
+    read one at a time, in order.
     """
     items: list[OccupancyDataset | bytes] = []  # a dataset, or a body to read as rows
-    reference = None  # the first body read as day blocks, its dataset and its runs
-    try:
-        for log in logs:
+    alike: list[int] = []  # the items that are short bodies of the reference's length
+    reference = None  # the first body read in file order, its dataset and its runs
+    seek = True  # whether the next body the day-block reader declines is read alone
+    for log in logs:
+        try:
             body = _body(log)
-            if reference is not None and (dataset := _read_like(body, *reference)) is not None:
-                items.append(dataset)
-            elif (read := _strided(body)) is not None:
-                items.append(read[0])
-                reference = reference or (body, *read)
-            else:
+        except ValidationError as exc:
+            _read_each(items)  # an earlier fault first
+            raise LogFault(str(exc), len(items)) from None
+        if reference is not None and len(body) == len(reference[0]):
+            if len(body) < STRIDE_MIN_BYTES:
+                alike.append(len(items))
                 items.append(body)
-    except ValidationError:
-        _read_each([item for item in items if isinstance(item, bytes)])  # earlier faults first
-        raise
-    bodies = [item for item in items if isinstance(item, bytes)]
-    read = iter(_read_batches(bodies) or _read_each(bodies))
+                continue
+            if (dataset := _read_like(body, *reference)) is not None:
+                items.append(dataset)
+                continue
+        if (read := _strided(body)) is not None:
+            items.append(read[0])
+            reference = reference or (body, *read)
+        elif seek and reference is None and (read := _read_first(body)) is not None:
+            # one writer likely wrote the logs alike: if this one is no
+            # reference, the rest are read in batches, not each alone
+            seek = False
+            items.append(read[0])
+            if read[1] is not None:
+                reference = (body, *read)
+        else:
+            items.append(body)
+    if alike:
+        for i, dataset in zip(alike, _read_alike([items[i] for i in alike], *reference)):
+            if dataset is not None:
+                items[i] = dataset
+    read = iter(_read_batches([item for item in items if isinstance(item, bytes)])
+                or _read_each(items))
     return [next(read) if isinstance(item, bytes) else item for item in items]
+
+
+class LogFault(ValidationError):
+    """The fault of one log read in a batch: the message
+    :func:`parse_occupancy_csv` gives it, and the log's position."""
+
+    def __init__(self, message: str, log: int) -> None:
+        super().__init__(message)
+        self.log = log
 
 
 def _strided(body: bytes) -> tuple[OccupancyDataset, list[_Run]] | None:
@@ -250,30 +286,50 @@ def _text(data: bytes) -> str:
     return data.decode("utf-8", "surrogatepass")
 
 
-def _read_batches(bodies: list[bytes]) -> list[OccupancyDataset] | None:
-    """Each body's dataset, the bodies joined in turn into batches of about
-    ``_BATCH_BYTES`` and each batch read once by ``_read_inline``; None if
-    any batch declines."""
-    datasets = []
+def _batches(bodies: list[bytes]) -> Iterator[list[bytes]]:
+    """The bodies in turn, in groups of about ``_BATCH_BYTES``."""
     ends = itertools.accumulate(map(len, bodies))
     for _, batch in itertools.groupby(zip(bodies, ends), lambda pair: pair[1] // _BATCH_BYTES):
-        read = _read_inline([body for body, _ in batch])
+        yield [body for body, _ in batch]
+
+
+def _read_batches(bodies: list[bytes]) -> list[OccupancyDataset] | None:
+    """Each body's dataset, each of the ``_batches`` read once by
+    ``_read_inline``; None if any batch declines."""
+    datasets = []
+    for batch in _batches(bodies):
+        read = _read_inline(batch)
         if read is None:
             return None
         datasets += read
     return datasets
 
 
-def _read_each(bodies: list[bytes]) -> list[OccupancyDataset]:
-    """Each body's dataset, read alone by ``_read_inline``; the first body
-    it rejects raises ``_fault``'s message."""
+def _read_each(items: list[OccupancyDataset | bytes]) -> list[OccupancyDataset]:
+    """The dataset of each body among ``items``, read alone by
+    ``_read_inline``; the first body it rejects raises ``_fault``'s message
+    as a :class:`LogFault` at that body's position in ``items``."""
     datasets = []
-    for body in bodies:
-        read = _read_inline([body])
-        if read is None:
-            raise _fault(_text(body))
-        datasets += read
+    for i, body in enumerate(items):
+        if isinstance(body, bytes):
+            read = _read_inline([body])
+            if read is None:
+                raise LogFault(str(_fault(_text(body))), i)
+            datasets += read
     return datasets
+
+
+def _read_first(body: bytes) -> tuple[OccupancyDataset, list[_Run] | None] | None:
+    """The dataset ``_read_inline`` reads in a body alone, and if it read
+    the body in file order, nothing sorted or dropped, the runs
+    ``_read_like`` walks; None if it rejects the body."""
+    read = _inline([body])
+    if read is None:
+        return None
+    (dataset,), in_order = read
+    if not (in_order and body.endswith(b"\n")):
+        return dataset, None
+    return dataset, _line_runs(body, len(dataset.hours))
 
 
 def _read_inline(bodies: list[bytes]) -> list[OccupancyDataset] | None:
@@ -284,19 +340,27 @@ def _read_inline(bodies: list[bytes]) -> list[OccupancyDataset] | None:
     read. Several bodies are read only if they share one hour window, so
     that each body's days are blocks of the joined rows; bodies over
     different hours decline."""
+    read = _inline(bodies)
+    return None if read is None else read[0]
+
+
+def _inline(bodies: list[bytes]) -> tuple[list[OccupancyDataset], bool] | None:
+    """``_read_inline``'s datasets, and whether every row was read where
+    it stands: no space, tab or blank line dropped and no body sorted."""
     bodies = [body if body.endswith(b"\n") else body + b"\n" for body in bodies]
-    data = _row_bytes(b"".join(bodies))
+    joined = b"".join(bodies)
+    data = _row_bytes(joined)
     if data is None:
         return None
     rows = _read_lines(data)
     if rows is None or not len(rows):
         return None
-    if len(bodies) == 1:
-        n_rows = [len(rows)]  # blank lines skipped
-    else:
-        n_rows = [body.count(b"\n") for body in bodies]
-        if len(rows) != sum(n_rows):
+    n_rows = [body.count(b"\n") for body in bodies]
+    in_order = len(data) == len(joined) and len(rows) == sum(n_rows)
+    if not in_order:
+        if len(bodies) > 1:
             return None  # a blank line skipped: which body's is not known
+        n_rows = [len(rows)]
     starts = list(itertools.accumulate(n_rows[:-1], initial=0))
     day, hour, occupied = rows.T
     first, last = int(hour.min()), int(hour.max())
@@ -312,6 +376,7 @@ def _read_inline(bodies: list[bytes]) -> list[OccupancyDataset] | None:
         day, hour, occupied = day[order], hour[order], occupied[order]
         if not _is_day_blocks(day, hour, first, n_hours, seams):
             return None
+        in_order = False
     days = [tuple(day[s:s + n:n_hours].tolist()) for s, n in zip(starts, n_rows)]
     # numpy reads a number beyond the int64 range as an int64 limit, a
     # negative one too as the largest; a day read as the largest can only
@@ -322,7 +387,7 @@ def _read_inline(bodies: list[bytes]) -> list[OccupancyDataset] | None:
     grid = _read_only(occupied.astype(bool))  # views of it are read-only too
     hours = tuple(range(first, last + 1))
     return [OccupancyDataset(days=d, hours=hours, grid=grid[s:s + n].reshape(-1, n_hours))
-            for d, s, n in zip(days, starts, n_rows)]
+            for d, s, n in zip(days, starts, n_rows)], in_order
 
 
 def _read_only(grid: np.ndarray) -> np.ndarray:
@@ -429,16 +494,16 @@ def _read_strides(data: bytes) -> tuple[OccupancyDataset, list[_Run]] | None:
 
 def _read_like(data: bytes, reference: bytes, dataset: OccupancyDataset,
                runs: list[_Run]) -> OccupancyDataset | None:
-    """The dataset a body holds if it is ``reference``, a body that
-    ``_read_strides`` read as ``dataset`` in ``runs``, with other occupied
-    bits; None otherwise, as for a body of another length.
+    """The dataset a body holds if it is ``reference``, a body read in
+    file order as ``dataset`` in ``runs``, with other occupied bits; None
+    otherwise, as for a body of another length.
 
     Each run is walked in the slices of blocks that ``_read_strides``
     checks, and in each the bodies are XORed into one reused buffer. The
     reference holds ``0`` or ``1`` at every occupied column, so an XOR of
     at most 1 there leaves ``data`` a ``0`` or ``1`` too, and the bytes that
     differ must be exactly the occupied bits that differ: every other byte
-    is the reference's, and ``_read_strides`` would read ``data`` as
+    is the reference's, and either reader would read ``data`` as
     ``dataset``'s days and hours with the flipped bits.
     """
     if len(data) != len(reference):
@@ -446,19 +511,59 @@ def _read_like(data: bytes, reference: bytes, dataset: OccupancyDataset,
     a, b = np.frombuffer(data, np.uint8), np.frombuffer(reference, np.uint8)
     buffer = np.empty(max(min(count, _slice_blocks(block)) * block
                           for _, block, count, _ in runs), np.uint8)
-    grids, row = [], 0
+    grids, row, n_hours = [], 0, len(dataset.hours)
     for at, block, count, occupied_at in runs:
         step = _slice_blocks(block)
         for start in range(at, at + count * block, step * block):
             end = min(start + step * block, at + count * block)
             xor = np.bitwise_xor(a[start:end], b[start:end], out=buffer[:end - start])
-            flips = xor.reshape(-1, block)[:, occupied_at]
+            flips = xor.reshape(-1, block)[:, occupied_at].reshape(-1, n_hours)
             if not (flips.max() <= 1 and np.count_nonzero(xor) == np.count_nonzero(flips)):
                 return None
             grids.append(dataset.grid[row:row + len(flips)] ^ flips.view(bool))
             row += len(flips)
     return OccupancyDataset(days=dataset.days, hours=dataset.hours,
                             grid=_read_only(np.concatenate(grids)))
+
+
+def _read_alike(bodies: list[bytes], reference: bytes, dataset: OccupancyDataset,
+                runs: list[_Run]) -> list[OccupancyDataset | None]:
+    """``_read_like`` of several bodies of the reference's length, each
+    group of ``_batches`` stacked into one ``(bodies, bytes)`` array and
+    XORed against the reference at once. Meant for short bodies: a group
+    holds about ``_BATCH_BYTES``, and the reference's occupied columns are
+    gathered from its runs as one index array."""
+    occupied_at = np.concatenate([
+        ((at + block * np.arange(count))[:, None] + columns).ravel()
+        for at, block, count, columns in runs])
+    ref = np.frombuffer(reference, np.uint8)
+    bits = np.ravel(dataset.grid).view(np.uint8)
+    read: list[OccupancyDataset | None] = []
+    for batch in _batches(bodies):
+        xor = np.frombuffer(b"".join(batch), np.uint8).reshape(len(batch), -1) ^ ref
+        flips = xor[:, occupied_at]
+        # the XOR bytes are never negative, so equal sums leave none but zeros
+        # outside the occupied columns
+        alike = (flips.max(axis=1) <= 1) & (xor.sum(axis=1) == flips.sum(axis=1))
+        grids = iter(_read_only((flips[alike] ^ bits).view(bool)))
+        read += (OccupancyDataset(days=dataset.days, hours=dataset.hours,
+                                  grid=next(grids).reshape(dataset.grid.shape))
+                 if same else None for same in alike.tolist())
+    return read
+
+
+def _line_runs(body: bytes, n_hours: int) -> list[_Run]:
+    """The runs of a body the general reader read in file order: its days
+    cut into pieces of about ``_STRIDE_SLICE_BYTES``, each piece one block,
+    whose occupied bytes are those before its newlines."""
+    ends = np.flatnonzero(np.frombuffer(body, np.uint8) == _NEWLINE) + 1  # where each line ends
+    day_ends = ends[n_hours - 1::n_hours]
+    last = np.flatnonzero(np.diff((day_ends - 1) // _STRIDE_SLICE_BYTES, append=-1))
+    runs, at, line = [], 0, 0
+    for end, lines in zip(day_ends[last].tolist(), ((last + 1) * n_hours).tolist()):
+        runs.append((at, end - at, 1, ends[line:lines] - 2 - at))
+        at, line = end, lines
+    return runs
 
 
 def _slice_blocks(block: int) -> int:

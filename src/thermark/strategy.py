@@ -4,10 +4,13 @@ A strategy is a per-zone set of hour-of-day slots during which the
 radiator runs; a tariff is a list of non-overlapping price bands. Each
 heated zone-hour is billed to the band containing the slot's start hour
 at radiator_kw * 1 h. Prices are integer minor currency units per kWh.
-Billing counts each band's heated zone-hours and takes one exact product
-per band: a band's energy is power * count and the total is
-power * sum(count * price), with the power read as the exact decimal it
-is written as; only the total is rounded, to whole minor units.
+Billing is done in integers. The power is read once per call as the
+ratio p/q of the exact decimal it is written as, and one hour→band table
+per tariff counts each band's heated zone-hours. A band's energy is
+p * count / q, the correctly rounded float of the exact product, and the
+total p * sum(count * price) / q is the one value rounded, half to even
+by ``divmod``, to whole minor units. The range checks compare integers
+against ``int(sys.float_info.max)``.
 
 Built-ins cover the six benchmark strategies: S1 all off, S2 both zones
 on over the 9..16 evaluation hours, S3/S4 single-zone variants of S2,
@@ -192,35 +195,48 @@ def strategy_cost(
     """Exact total cost in minor currency units plus per-band energies;
     every heated zone-hour must fall in a band, and the total and each
     band's energy must lie within the float range that ratios and reports use."""
-    return _strategy_cost(strategy, tariff, radiator_kw, tariff == table2_tariff())
+    (report,) = _bill([strategy], tariff, radiator_kw)
+    return report
 
 
-def _strategy_cost(strategy: HeatingStrategy, tariff: Tariff, radiator_kw: float,
-                   on_table2: bool) -> CostReport:
-    """:func:`strategy_cost`, told whether ``tariff`` equals table 2's."""
+def _bill(strategies: list[HeatingStrategy], tariff: Tariff,
+          radiator_kw: float) -> list[CostReport]:
+    """:func:`strategy_cost` of each strategy, in integers: the power is
+    read once as the ratio p/q of the decimal it is written as, and the
+    hour→band table is built once for the tariff."""
     if radiator_kw < 0:
         raise ValidationError(f"negative radiator power {radiator_kw}")
-    power = Fraction(str(radiator_kw))
-    counts = {band.name: 0 for band in tariff.bands}
-    for hours in strategy.schedule.values():
-        for h in sorted(hours):
-            counts[tariff.band_for_hour(h).name] += 1
-    price = {band.name: band.price_minor_per_kwh for band in tariff.bands}
-    total = round(power * sum(count * price[name] for name, count in counts.items()))
-    if total > sys.float_info.max:
-        raise ValidationError(f"strategy {strategy.name!r}: total cost is above "
-                              f"{sys.float_info.max:.4g} minor units")
-    energy = {name: power * count for name, count in counts.items()}
-    for name, kwh in energy.items():
-        if kwh > sys.float_info.max:
-            raise ValidationError(f"strategy {strategy.name!r}: energy in band {name!r} is "
-                                  f"above {sys.float_info.max:.4g} kWh")
-    return CostReport(
-        strategy=strategy.name,
-        band_energy_kwh={name: float(kwh) for name, kwh in energy.items()},
-        total_cost_minor=total,
-        notes=builtin_discrepancy_notes(strategy) if on_table2 else (),
-    )
+    p, q = Fraction(str(radiator_kw)).as_integer_ratio()
+    bands = tariff.bands
+    table = {h: i for i, band in enumerate(bands) for h in range(24) if band.covers(h)}
+    limit = int(sys.float_info.max)
+    on_table2 = tariff == table2_tariff()
+    reports = []
+    for strategy in strategies:
+        counts = [0] * len(bands)
+        for hours in strategy.schedule.values():
+            for h in sorted(hours):
+                counts[table[h] if h in table else bands.index(tariff.band_for_hour(h))] += 1
+        units = sum(count * band.price_minor_per_kwh for count, band in zip(counts, bands))
+        # p * units / q rounded half to even, as round() rounds a Fraction
+        total, rest = divmod(p * units, q)
+        if 2 * rest > q or 2 * rest == q and total % 2:
+            total += 1
+        if total > limit:
+            raise ValidationError(f"strategy {strategy.name!r}: total cost is above "
+                                  f"{sys.float_info.max:.4g} minor units")
+        for band, count in zip(bands, counts):
+            if p * count > limit * q:
+                raise ValidationError(f"strategy {strategy.name!r}: energy in band "
+                                      f"{band.name!r} is above {sys.float_info.max:.4g} kWh")
+        reports.append(CostReport(
+            strategy=strategy.name,
+            # int / int is the correctly rounded float of the exact ratio
+            band_energy_kwh={band.name: p * count / q for band, count in zip(bands, counts)},
+            total_cost_minor=total,
+            notes=builtin_discrepancy_notes(strategy) if on_table2 else (),
+        ))
+    return reports
 
 
 def builtin_discrepancy_notes(strategy: HeatingStrategy) -> tuple[str, ...]:
@@ -263,8 +279,7 @@ def compare_strategies(
     """
     if not strategies:
         raise ValidationError("compare_strategies needs at least one strategy")
-    on_table2 = tariff == table2_tariff()
-    reports = [_strategy_cost(s, tariff, radiator_kw, on_table2) for s in strategies]
+    reports = _bill(strategies, tariff, radiator_kw)
     nonzero = [r for r in reports if r.total_cost_minor > 0]
     flags: list[str] = []
     baseline = None

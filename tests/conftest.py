@@ -9,7 +9,8 @@ import random
 import numpy as np
 import pytest
 
-from thermark import DiscreteThermalModel, compose, load_building, temperature_trajectory
+from thermark import (DiscreteThermalModel, compose, load_building, occupied_marginals,
+                      temperature_trajectory)
 from thermark.cli import RunConfig, _chains, _heating_bits, _load_inputs, _load_schedules
 from thermark.occupancy import OccupancyDataset, StepMatrix, TransitionSchedule
 
@@ -110,6 +111,13 @@ def sample_dataset(schedule: TransitionSchedule, days: int, seed: int,
         hours=tuple(range(first_hour, first_hour + len(schedule) + 1)),
         grid=np.array(grid, dtype=bool),
     )
+
+
+def chain_marginals(chains) -> np.ndarray:
+    """The (N, K+1) occupancy marginals of zone chains."""
+    return occupied_marginals([c.occ_given_empty for c in chains],
+                              [c.occ_given_occupied for c in chains],
+                              [c.initial_occupied for c in chains])
 
 
 def dataset_to_csv(dataset: OccupancyDataset) -> str:

@@ -7,8 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (BENCH_A, BENCH_T0, forward_temps, make_schedule, matrix_power,
-                      random_schedule)
+from conftest import (BENCH_A, BENCH_T0, chain_marginals, forward_temps, make_schedule,
+                      matrix_power, random_schedule)
 from thermark import (
     DiscreteThermalModel,
     NumericalGuardError,
@@ -147,7 +147,7 @@ class TestCrossEngine:
             model = random_instance(rng)
             gains = {z: ZoneGains(float(rng.uniform(0, 2)), float(rng.uniform(0, 3)))
                      for z in ZONES}
-            marginals = np.array([c.occupied_marginals() for c in model.chains]).T
+            marginals = chain_marginals(model.chains).T
             heat = np.array([[model.heating_at(k)[j] for j in range(2)]
                              for k in range(10)], dtype=float)
             thetas = list(range(1, 10))
@@ -282,7 +282,7 @@ def ring_thermal(rng, zone_ids):
 
 
 def direct(model, thermal, gains, thetas):
-    marginals = np.array([c.occupied_marginals() for c in model.chains]).T
+    marginals = chain_marginals(model.chains).T
     heat = np.array([model.heating_at(k) for k in range(model.horizon + 1)], dtype=float)
     return direct_expected_temperatures(thermal, gains, marginals, heat, thetas)
 

@@ -177,6 +177,27 @@ class TestCost:
         payload = json.loads((tmp_path / "cost.json").read_text())
         assert payload["rows"][0]["total_cost_minor"] == 160  # 16 kWh at 10
 
+    def test_half_a_minor_unit_rounds_to_even(self, tmp_path):
+        # 0.5 kW for one hour at 1 and at 3 costs 0.5 and 1.5: half to even
+        # gives 0 and 2, where rounding half up would give 1 and 2
+        tariff = {"bands": [{"name": "one", "start": 8, "end": 9, "price_minor_per_kwh": 1},
+                            {"name": "three", "start": 9, "end": 10, "price_minor_per_kwh": 3}]}
+        (tmp_path / "tariff.json").write_text(json.dumps(tariff))
+        extra = ["--tariff", str(tmp_path / "tariff.json"), "--radiator-kw", "0.5"]
+        for name, hour in (("at-one", 8), ("at-three", 9)):
+            (tmp_path / f"{name}.json").write_text(
+                json.dumps({"name": name, "schedule": {"zone1": [hour]}}))
+            extra += ["--strategy", str(tmp_path / f"{name}.json")]
+        building = two_zone_benchmark_dir() / "building.json"
+        assert main(["cost", "--building", str(building), *extra,
+                     "--out", str(tmp_path / "out")]) == 0
+        rows = {r["strategy"]: r for r in
+                json.loads((tmp_path / "out" / "cost.json").read_text())["rows"]}
+        assert {name: r["total_cost_minor"] for name, r in rows.items()} == {
+            "at-one": 0, "at-three": 2}
+        assert rows["at-one"]["band_energy_kwh"] == {"one": 0.5, "three": 0.0}
+        assert rows["at-three"]["band_energy_kwh"] == {"one": 0.0, "three": 0.5}
+
     def test_unknown_strategy_exits_2(self, tmp_path):
         assert main(pinned_args("cost", tmp_path, strategy="S9")) == 2
 
@@ -494,6 +515,30 @@ class TestWindowHandling:
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {message.format(**paths)}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("faulty", ["zone1", "zone2"])
+    def test_a_rejected_log_is_row_checked_once(self, tmp_path, capsys, monkeypatch, faulty):
+        # two long logs of one layout, one with occupied 2 on its last row: the
+        # batch names the fault, and the zone-by-zone reading takes its message
+        rows = "".join(f"{d},{h},{d * h % 2}\n" for d in range(1, 501) for h in range(24))
+        paths = {}
+        for zid in ("zone1", "zone2"):
+            paths[zid] = tmp_path / f"{zid}.csv"
+            body = rows[:-2] + "2\n" if zid == faulty else rows
+            paths[zid].write_text("day,hour,occupied\n" + body)
+        assert len(rows) > thermark.occupancy.STRIDE_MIN_BYTES
+        calls = []
+        fault = thermark.occupancy._fault
+        monkeypatch.setattr(thermark.occupancy, "_fault",
+                            lambda body: calls.append(len(body)) or fault(body))
+        building = two_zone_benchmark_dir() / "building.json"
+        argv = ["analyze", "--building", str(building), "--window", "0-23",
+                *(a for zid, path in paths.items() for a in ("--occupancy", f"{zid}={path}")),
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {paths[faulty]}: line 12001: occupied must be 0 or 1, got '2'\n")
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("hours,code", [([16], 0), ([16, 17], 2)])
     def test_strategy_slot_at_the_window_end_exits_2(self, tmp_path, capsys, hours, code):

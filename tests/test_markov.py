@@ -9,8 +9,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import (BENCH_A, BENCH_T0, dense_layers, forward_temps, make_schedule,
-                      matrix_power, random_schedule)
+from conftest import (BENCH_A, BENCH_T0, chain_marginals, dense_layers, forward_temps,
+                      make_schedule, matrix_power, random_schedule)
 from thermark import (
     DiscreteThermalModel,
     ValidationError,
@@ -22,7 +22,7 @@ from thermark import (
     temperature_trajectory,
     unroll_zone,
 )
-from thermark.markov import SINK_LABEL, dump_model
+from thermark.markov import SINK_LABEL, dump_model, occupied_marginals
 
 
 def bench_gains():
@@ -186,6 +186,26 @@ def random_chains(rng, n, horizon):
     ]
 
 
+def loop_marginals(chain):
+    """One chain's occupancy marginals by the per-step loop, one float at a time."""
+    m = [float(chain.initial_occupied)]
+    for p_vf, p_ff in zip(chain.occ_given_empty, chain.occ_given_occupied):
+        m.append(m[-1] * p_ff + (1.0 - m[-1]) * p_vf)
+    return m
+
+
+class TestMarginals:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_all_zones_at_once_equal_the_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        chains = random_chains(rng, int(rng.integers(1, 40)), int(rng.integers(1, 30)))
+        marginals = occupied_marginals([c.occ_given_empty for c in chains],
+                                       [c.occ_given_occupied for c in chains],
+                                       [c.initial_occupied for c in chains])
+        assert marginals.shape == (len(chains), chains[0].horizon + 1)
+        assert np.array_equal(marginals, [loop_marginals(c) for c in chains])
+
+
 def product_edges(chains):
     """Every product edge from the zones' raw probabilities, one entry at a time."""
     horizon = chains[0].horizon
@@ -248,7 +268,7 @@ class TestLayers:
         thetas = range(1, horizon + 1)
         trajectory = temperature_trajectory(model, thermal, gains, thetas)
         heat = np.array([model.heating_at(k) for k in range(horizon + 1)], dtype=float)
-        marginals = np.array([c.occupied_marginals() for c in chains]).T
+        marginals = chain_marginals(chains).T
         direct = direct_expected_temperatures(thermal, gains, marginals, heat, thetas)
         assert np.max(np.abs(trajectory.values - direct)) <= 1e-12
 
@@ -260,7 +280,7 @@ class TestAssignRewards:
         model = compose([c1, c2])
         theta = 3
         rewarded = assign_rewards(model, bench_thermal, bench_gains(), theta)
-        marginals = np.array([c.occupied_marginals() for c in (c1, c2)]).T
+        marginals = chain_marginals([c1, c2]).T
         for zi, zid in enumerate(("zone1", "zone2")):
             per_step = rewarded.rewards[zid]
             assert per_step.shape == (1 + 9 + 1,)
@@ -380,7 +400,7 @@ class TestAssignRewards:
             for chain in chains:
                 q = gains[chain.zone_id]
                 step_gains[:, thermal.zone_index(chain.zone_id)] = (
-                    q.q_int * np.array(chain.occupied_marginals()[:-1])
+                    q.q_int * chain_marginals([chain])[0, :-1]
                     + q.q_rad * np.array(chain.heating[:-1], dtype=float))
             expected = np.zeros_like(table)
             for t, theta in enumerate(thetas):

@@ -13,6 +13,7 @@ from conftest import dataset_to_csv, make_schedule, random_schedule, sample_data
 from thermark import (
     ValidationError,
     estimate_transition_schedule,
+    occupied_marginals,
     parse_occupancy_csv,
     unroll_zone,
 )
@@ -639,9 +640,9 @@ class TestEstimate:
 
 
 def marginals(schedule, initial_occupied):
-    """A zone chain's occupancy marginals over every step of ``schedule``."""
-    return unroll_zone(schedule, [False] * (len(schedule) + 1), len(schedule),
-                       initial_occupied=initial_occupied).occupied_marginals()
+    """One zone's occupancy marginals over every step of ``schedule``."""
+    return occupied_marginals([[m.p_vf for m in schedule.matrices]],
+                              [[m.p_ff for m in schedule.matrices]], [initial_occupied])[0]
 
 
 class TestMarginals:
@@ -715,19 +716,23 @@ def log_bytes(rng, window, days, hours=None, spelling=()):
     return (text.replace("\n", "\r\n") if "crlf" in spelling else text).encode()
 
 
-# kind -> (each zone's log as (days, hours or None, spelling), whether the
-# batch reads the logs; logs over other hour windows, and several logs
-# one of which holds a blank line, are read one at a time)
+# kind -> (each zone's log as (days, hours or None, spelling), how many logs
+# each call of the general reader takes when the batches are not split. The
+# first log is read alone and, read in file order, becomes the reference; a
+# later log of its length is XORed against it and reaches no reader. Logs
+# over other hour windows, and several logs one of which holds a blank
+# line, are read one at a time after their batch declines
 BATCH_CASES = {
-    "different-day-counts": ([(1, None, ()), (7, None, ()), (30, None, ())], True),
-    "hours-wider-than-window": ([(9, "wide", ()), (12, "wide", ())], True),
-    "hour-windows-differ": ([(9, "wide", ()), (12, None, ()), (5, "full", ())], False),
-    "not-day-major": ([(8, "wide", ()), (11, "wide", ("shuffled",))], True),
+    "different-day-counts": ([(1, None, ()), (7, None, ()), (30, None, ())], [1, 2]),
+    "hours-wider-than-window": ([(9, "wide", ()), (12, "wide", ())], [1, 1]),
+    "hour-windows-differ": ([(9, "wide", ()), (12, None, ()), (5, "full", ())], [1, 2, 1, 1]),
+    "not-day-major": ([(8, "wide", ()), (11, "wide", ("shuffled",))], [1, 1]),
     "crlf-signs-zeros": ([(6, None, ("crlf",)), (9, None, ("signs", "zeros")),
-                          (4, None, ("crlf", "signs"))], True),
-    "blank-lines": ([(6, None, ()), (9, None, ("blank",))], False),
-    "long-log": ([(400, "full", ()), (10, "full", ("signs",)), (3, "full", ())], True),
-    "two-identical-logs": ([(10, None, ()), "same"], True),
+                          (4, None, ("crlf", "signs"))], [1, 2]),
+    "blank-lines": ([(6, None, ()), (9, None, ("blank",)), (7, None, ())], [1, 2, 1, 1]),
+    "blank-line-first": ([(6, None, ("blank",)), (9, None, ()), (7, None, ())], [1, 2]),
+    "long-log": ([(400, "full", ()), (10, "full", ("signs",)), (3, "full", ())], [2]),
+    "two-identical-logs": ([(10, None, ()), "same"], [1]),
 }
 
 
@@ -918,6 +923,197 @@ class TestSharedLayout:
         assert len(strides_calls) == 1
 
 
+@pytest.fixture
+def inline_calls(monkeypatch):
+    """How many bodies each call of the general reader takes, in order."""
+    calls = []
+    inline = occupancy._inline
+    monkeypatch.setattr(occupancy, "_inline",
+                        lambda bodies: calls.append(len(bodies)) or inline(bodies))
+    return calls
+
+
+def layout_logs(seed, n, days=20, hours=range(8, 18)):
+    """``n`` logs over the same days and hours, each with its own occupied bits."""
+    rng = np.random.default_rng(seed)
+    return [dataset_to_csv(OccupancyDataset(tuple(range(1, days + 1)), tuple(hours),
+                                            rng.random((days, len(hours))) < 0.4)).encode()
+            for _ in range(n)]
+
+
+def respelled(log, edit):
+    """``log`` with ``edit`` applied to the list of its rows."""
+    header, *rows = log.decode().splitlines()
+    edit(rows)
+    return "\n".join([header, *rows, ""]).encode()
+
+
+class TestReference:
+    """The first log either reader reads in file order is the reference, of
+    any length; a later short log of its length is read by one stacked XOR
+    check, and only a log that fails the check reaches a reader. The
+    general reader reads one log alone to find a reference."""
+
+    @pytest.mark.parametrize("batch_bytes", [None, 4096])
+    def test_same_layout_short_logs_take_one_general_read(self, monkeypatch, batch_bytes,
+                                                          inline_calls, strides_calls):
+        logs = layout_logs(1, 32)
+        assert len(logs[0]) < occupancy.STRIDE_MIN_BYTES
+        if batch_bytes:  # the stacked checks span eight batches
+            monkeypatch.setattr(occupancy, "_BATCH_BYTES", batch_bytes)
+        expected = logs_outcome(logs)
+        inline_calls.clear()
+        assert batch_outcome(logs) == expected
+        assert inline_calls == [1] and not strides_calls
+
+    SPOILED_FIRST = {
+        "shuffled": lambda rows: rows.reverse(),
+        "blank-line": lambda rows: rows.insert(5, ""),
+        "space": lambda rows: rows.__setitem__(3, rows[3].replace(",", ", ", 1)),
+    }
+
+    @pytest.mark.parametrize("spoil", SPOILED_FIRST)
+    def test_a_first_log_read_out_of_order_is_no_reference(self, spoil, inline_calls):
+        logs = layout_logs(2, 6)
+        logs[0] = respelled(logs[0], self.SPOILED_FIRST[spoil])
+        expected = logs_outcome(logs)
+        inline_calls.clear()
+        assert batch_outcome(logs) == expected
+        assert inline_calls == [1, 5]  # the first alone, then the rest in one batch
+
+    def test_a_later_day_block_log_is_the_reference(self, inline_calls, strides_calls):
+        # a first log that is no reference, then long logs of one layout
+        long_logs = layout_logs(6, 3, days=400, hours=range(24))
+        logs = [respelled(layout_logs(6, 1)[0], self.SPOILED_FIRST["shuffled"]), *long_logs]
+        expected = logs_outcome(logs)
+        inline_calls.clear()
+        strides_calls.clear()
+        assert batch_outcome(logs) == expected
+        assert inline_calls == [1] and len(strides_calls) == 1
+
+    def test_crlf_line_ends_leave_the_first_log_the_reference(self, inline_calls):
+        logs = layout_logs(3, 6)
+        logs[0] = logs[0].replace(b"\n", b"\r\n")
+        logs[4] = logs[4].replace(b"\n", b"\r\n")
+        expected = logs_outcome(logs)
+        inline_calls.clear()
+        assert batch_outcome(logs) == expected
+        assert inline_calls == [1]
+
+    EDITS = {  # each on the last day of a log of days 1..20 over 10 hours
+        "day-renumbered": lambda rows: rows.__setitem__(
+            slice(-10, None), [row.replace("20,", "21,", 1) for row in rows[-10:]]),
+        "separator": lambda rows: rows.__setitem__(-1, rows[-1].replace(",", ";", 1)),
+        "occupied-2": lambda rows: rows.__setitem__(-1, rows[-1][:-1] + "2"),
+    }
+
+    @pytest.mark.parametrize("edit, calls", [
+        ("day-renumbered", [1, 1]), ("separator", [1, 1, 1]), ("occupied-2", [1, 1, 1])])
+    def test_a_later_log_that_fails_the_check_is_read_alone(self, edit, calls, inline_calls):
+        logs = layout_logs(4, 12)
+        logs[7] = respelled(logs[7], self.EDITS[edit])
+        assert len(logs[7]) == len(logs[0]) and logs[7] != logs[0]
+        expected = logs_outcome(logs)
+        inline_calls.clear()
+        assert batch_outcome(logs) == expected
+        # the reference, then the log's batch; a rejected log is then read alone
+        assert inline_calls == calls
+
+    def test_a_long_reference_read_by_rows(self, monkeypatch, inline_calls, strides_calls):
+        # an hour spelled two ways, so the day-block reader declines each log
+        monkeypatch.setattr(occupancy, "_STRIDE_SLICE_BYTES", 4096)
+        logs = [respelled(log, lambda rows: rows.__setitem__(
+            slice(8, None, 48), [row.replace(",8,", ",08,") for row in rows[8::48]]))
+            for log in layout_logs(5, 3, days=400, hours=range(24))]
+        logs.append(logs[1].replace(b"\n400,", b"\n401,"))  # its last day renumbered
+        assert len(logs[0]) > occupancy.STRIDE_MIN_BYTES
+        expected = logs_outcome(logs)
+        inline_calls.clear()
+        strides_calls.clear()
+        assert batch_outcome(logs) == expected
+        # the first log is the reference, the next two are read like it, and
+        # the last one fails the check in its last slice
+        assert inline_calls == [1, 1] and len(strides_calls) == 2
+
+
+SPOILS = ("byte", "occupied-2", "shuffled", "blank", "space", "crlf", "length")
+
+
+def spoiled(rows, kind, seed):
+    """``rows`` with one spoil made on them; the same seed makes the same
+    spoil on rows of the same count."""
+    rng = np.random.default_rng(seed)
+    if not rows:
+        return rows
+    j = int(rng.integers(len(rows)))
+    if kind == "byte" and len(rows[j]) > 1:  # any byte but the occupied one, changed
+        at = int(rng.integers(len(rows[j]) - 1))
+        rows[j] = rows[j][:at] + rng.choice([c for c in "0123456789,;+" if c != rows[j][at]]) + (
+            rows[j][at + 1:])
+    elif kind == "occupied-2" and rows[j]:
+        rows[j] = rows[j][:-1] + "2"
+    elif kind == "shuffled":
+        rows[:] = [rows[i] for i in rng.permutation(len(rows))]
+    elif kind == "blank":
+        rows.insert(j, "")
+    elif kind == "space":
+        rows[j] = rows[j].replace(",", " ,", 1)
+    elif kind == "length":
+        rows[:] = rows[:-1] if rng.random() < 0.5 else rows + rows[-1:]
+    return rows
+
+
+def shared_layout_logs(st):
+    """Two to six logs over one layout, short or long, each with its own
+    occupied bits. One spoil may be made alike on every log, which leaves
+    them one layout, and one to three on single logs: a non-occupied byte
+    changed, an occupied 2, rows shuffled, a blank line, a space, CRLF line
+    ends or one row more or less."""
+
+    @st.composite
+    def logs(draw):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        first = draw(st.integers(0, 20))
+        hours = range(first, draw(st.integers(first, 23)) + 1)
+        spelled = [draw(st.sampled_from([str(h), f"0{h}", f"+{h}"])) for h in hours]
+        long = draw(st.booleans())
+        # every row takes at least 6 bytes
+        n_days = occupancy.STRIDE_MIN_BYTES // (6 * len(hours)) + 1 if long else draw(
+            st.integers(1, 30))
+        days = (draw(st.integers(0, 999)) + np.cumsum(rng.integers(1, 3, n_days))).tolist()
+        lines = [f"{d},{h}," for d in days for h in spelled]
+        logs = [[line + str(bit) for line, bit in zip(lines, rng.integers(0, 2, len(lines)))]
+                for _ in range(draw(st.integers(2, 6)))]
+        crlf = set()
+        # an occupied 2 on every log would leave no log to compare with the first
+        shared = draw(st.sampled_from((None, *(kind for kind in SPOILS if kind != "occupied-2"))))
+        spoils = [(i, shared, 0) for i in range(len(logs))] if shared else []
+        spoils += draw(st.lists(st.tuples(st.integers(0, len(logs) - 1), st.sampled_from(SPOILS),
+                                          st.integers(1, 2**32 - 1)), min_size=1, max_size=3))
+        for i, kind, seed in spoils:
+            if kind == "crlf":
+                crlf.add(i)
+            else:
+                spoiled(logs[i], kind, seed)
+        return ["\r\n".join(["day,hour,occupied", *rows, ""]) if i in crlf else
+                "\n".join(["day,hour,occupied", *rows, ""]) for i, rows in enumerate(logs)]
+
+    return logs()
+
+
+def test_shared_layout_logs_read_as_alone():
+    """Logs that share a layout, some spoiled, give each log's own dataset,
+    or the first faulty log's message."""
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(shared_layout_logs(hypothesis.strategies))
+    def check(logs):
+        assert batch_outcome(logs) == logs_outcome(logs)
+
+    check()
+
+
 class TestBatchedIngestion:
     """The CLI reads every zone's log as one batch and estimates them all
     at once; each zone's chain is float for float the one-log route's."""
@@ -932,7 +1128,7 @@ class TestBatchedIngestion:
         start = int(rng.integers(1, 18))
         window = (start, start + int(rng.integers(1, 6)))
         wide = range(start - 1, min(window[1] + 2, 24))
-        specs, batched = BATCH_CASES[kind]
+        specs, reads = BATCH_CASES[kind]
         logs = []
         for spec in specs:
             if spec == "same":
@@ -956,15 +1152,17 @@ class TestBatchedIngestion:
         split = bool(seed % 2)  # the logs read inline go in several batches
         if split:
             monkeypatch.setattr(occupancy, "_BATCH_BYTES", int(rng.integers(100, 400)))
-        one_at_a_time = []
-        read_each = occupancy._read_each
-        monkeypatch.setattr(occupancy, "_read_each",
-                            lambda bodies: one_at_a_time.extend(bodies) or read_each(bodies))
+        calls = []
+        inline = occupancy._inline
+        monkeypatch.setattr(occupancy, "_inline",
+                            lambda bodies: calls.append(len(bodies)) or inline(bodies))
         (heating,) = _heating_bits(config, zone_ids, [strat])
         chains = _chains(config, _load_schedules(config, zone_ids), heating)
         monkeypatch.undo()
-        if batched or not split:  # a batch of one log declines for neither reason
-            assert (not one_at_a_time) == batched
+        if split:  # smaller batches decline no more often and read no log twice
+            assert sum(calls) <= sum(reads)
+        else:
+            assert calls == reads
 
         expected = []
         for zid, data in zip(zone_ids, logs):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import prism_eval
-from conftest import build_model, forward_temps, make_schedule, random_schedule
+from conftest import build_model, chain_marginals, forward_temps, make_schedule, random_schedule
 from test_cli import pinned_args, read_trajectory
 from thermark import (
     DiscreteThermalModel,
@@ -188,7 +188,7 @@ def direct_route(chains, thermal, gains, thetas):
     """(len(thetas), N) expected temperatures from the marginal recursion."""
     by_id = {c.zone_id: c for c in chains}
     ordered = [by_id[zid] for zid in thermal.zone_ids]
-    marginals = np.array([c.occupied_marginals() for c in ordered]).T
+    marginals = chain_marginals(ordered).T
     heating = np.array([c.heating for c in ordered]).T
     return direct_expected_temperatures(thermal, gains, marginals, heating, thetas)
 

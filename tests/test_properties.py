@@ -23,7 +23,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from conftest import dense_layers, forward_temps  # noqa: E402
+from conftest import chain_marginals, dense_layers, forward_temps  # noqa: E402
 from thermark import (  # noqa: E402
     DiscreteThermalModel,
     HeatingStrategy,
@@ -85,7 +85,7 @@ def test_forward_pass_matches_direct_recursion_in_any_zone_order(instance):
     thetas = range(1, horizon + 1)
     trajectory = temperature_trajectory(compose(chains), thermal, gains, thetas)
 
-    marginals = np.array([c.occupied_marginals() for c in chains]).T
+    marginals = chain_marginals(chains).T
     heat = np.array([c.heating for c in chains], dtype=float).T
     direct = direct_expected_temperatures(thermal, gains, marginals, heat, thetas)
     assert np.max(np.abs(trajectory.values - direct)) <= 1e-9

@@ -1,13 +1,14 @@
-"""Time in-process ``analyze`` and ``export`` along the zone axis, for this
-checkout against another one.
+"""Time in-process ``analyze``, ``cost`` and ``export`` along the zone axis,
+for this checkout against another one.
 
 For each zone count N and log length, perfbench's generator writes a ring
 building and N logs of that many days over the window 0-23 (K=23). Both
 checkouts' CLIs are loaded side by side, under two package names, and
-called in alternation with the same arguments (``analyze --strategy S2`` and ``export --strategy S6
---theta 1-9``). Each call is timed by perfbench's calibrated clock, so host
-drift moves both columns alike. Prints one Markdown row per N, log length
-and command.
+called in alternation with the same arguments (``analyze --strategy S2``,
+``cost`` over S1..S6 and ``export --strategy S6 --theta 1-9``). Each call
+is timed by perfbench's calibrated clock, so host drift moves both columns
+alike. Prints one Markdown row per N, log length and command; N must be at
+least 2, as S3 and S4 heat two zones.
 
     python tools/n_axis.py --base <other checkout> [--n 7 32 128] [--days 20] [--calls 41]
 
@@ -27,7 +28,10 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-COMMANDS = {"analyze": ["--strategy", "S2"], "export": ["--strategy", "S6", "--theta", "1-9"]}
+COMMANDS = {"analyze": ["--strategy", "S2"],
+            "cost": [arg for name in ("S1", "S2", "S3", "S4", "S5", "S6")
+                     for arg in ("--strategy", name)],
+            "export": ["--strategy", "S6", "--theta", "1-9"]}
 
 
 def load_cli(checkout: Path, name: str):
