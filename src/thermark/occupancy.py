@@ -49,8 +49,9 @@ _STRIDE_SLICE_BYTES = 128 * 1024
 # bodies read inline are joined into batches of about this many bytes; 128
 # logs of 3.4 KB read about 12% faster in batches of 64 KiB than in one
 _BATCH_BYTES = 64 * 1024
-# a run of day blocks: where it starts, block bytes, block count, and where
-# in a block the occupied bits are
+# a run of equal blocks of whole days (one day each from the day-block
+# reader, a piece of several from _line_runs): where it starts, block bytes,
+# block count, and where in a block the occupied bits are
 _Run = tuple[int, int, int, np.ndarray]
 
 
