@@ -158,8 +158,16 @@ def _atomic_write(path: Path, text: str | Iterable[str]) -> None:
     file ``.<name>.<n>.tmp`` beside ``path`` (the first ``n`` from 0 whose
     name is free), then rename it onto ``path``. The directory must exist;
     a failed write removes the temp file."""
+    _write_in(path.parent, os.path.join(path.parent, ""), path.name, text)
+
+
+def _write_in(directory: Path, prefix: str, name: str, text: str | Iterable[str]) -> None:
+    """:func:`_atomic_write` of ``directory / name``. The system calls take
+    string paths, ``prefix`` (``directory`` joined with an empty name, so
+    ending in a separator) then a file name; a message's path is built from
+    ``directory`` only when it is raised, so it reads as the ``Path`` does."""
     for n in itertools.count():
-        tmp = path.parent / f".{path.name}.{n}.tmp"
+        tmp = f"{prefix}.{name}.{n}.tmp"
         try:
             # the kernel applies the umask, as for a plainly created file
             fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
@@ -168,7 +176,7 @@ def _atomic_write(path: Path, text: str | Iterable[str]) -> None:
             continue
         except OSError as exc:
             raise ValidationError(
-                f"cannot write to {path.parent}: {exc.strerror or exc}") from None
+                f"cannot write to {directory}: {exc.strerror or exc}") from None
     try:
         try:
             for piece in [text] if isinstance(text, str) else text:
@@ -177,10 +185,10 @@ def _atomic_write(path: Path, text: str | Iterable[str]) -> None:
                     data = data[os.write(fd, data):]
         finally:
             os.close(fd)
-        os.replace(tmp, path)
+        os.replace(tmp, prefix + name)
     except OSError as exc:
         os.unlink(tmp)
-        raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from None
+        raise ValidationError(f"cannot write {directory / name}: {exc.strerror or exc}") from None
     except BaseException:
         os.unlink(tmp)
         raise
@@ -254,14 +262,16 @@ def _schedule_json(schedule: TransitionSchedule, days: int, warnings: list[str])
 
 
 def _write_outputs(out_dir: Path, files: dict[str, str | Iterable[str]]) -> None:
-    """Create ``out_dir``, and its parents, unless it exists, then write
-    each file into it through :func:`_atomic_write`, in order."""
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ValidationError(f"cannot write to {out_dir}: {exc.strerror or exc}") from None
+    """Create ``out_dir``, and its parents, unless it is a directory, then
+    write each file into it through :func:`_atomic_write`, in order."""
+    prefix = os.path.join(out_dir, "")  # the directory's string, joined once
+    if not os.path.isdir(prefix):
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ValidationError(f"cannot write to {out_dir}: {exc.strerror or exc}") from None
     for name, text in files.items():
-        _atomic_write(out_dir / name, text)
+        _write_in(out_dir, prefix, name, text)
 
 
 def _load_schedules(config: RunConfig, zone_ids: tuple[str, ...]) -> Schedules:
@@ -407,7 +417,9 @@ def cmd_analyze(config: RunConfig, dump_chain: bool = False) -> int:
                 f"--dump-chain: the product chain has {edges} edges, above the limit of "
                 f"{DUMP_MAX_EDGES}; use fewer zones or a shorter window")
     heating = _heating_bits(config, zone_ids, [strat])
-    chains = _chains(config, schedules, heating[0])
+    # only chain.json reads the chains; built before the trajectories, so that
+    # errors come in one order with or without --dump-chain
+    chains = _chains(config, schedules, heating[0]) if dump_chain else []
     marginals = _marginals(schedules)
     values = _trajectories(config, thermal, gains, marginals, heating)
     masks = tuple(mask[0] for mask in analysis.comfort_check(values, config.band))

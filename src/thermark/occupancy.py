@@ -209,7 +209,10 @@ def parse_occupancy_logs(logs: Iterable[bytes | str]) -> list[OccupancyDataset]:
     """
     items: list[OccupancyDataset | bytes] = []  # a dataset, or a body to read as rows
     alike: list[int] = []  # the items that are short bodies of the reference's length
-    reference = None  # the first body read in file order, its dataset and its runs
+    # the first body read in file order, its dataset and what later bodies of
+    # its length are checked by: a long body's runs (_read_like), a short
+    # one's occupied-byte index (_read_alike)
+    reference = None
     seek = True  # whether the next body the day-block reader declines is read alone
     for log in logs:
         try:
@@ -218,6 +221,8 @@ def parse_occupancy_logs(logs: Iterable[bytes | str]) -> list[OccupancyDataset]:
             _read_each(items)  # an earlier fault first
             raise LogFault(str(exc), len(items)) from None
         if reference is not None and len(body) == len(reference[0]):
+            # the same length test as the one that chose the reference's index
+            # or runs below: a strided reference is never short
             if len(body) < STRIDE_MIN_BYTES:
                 alike.append(len(items))
                 items.append(body)
@@ -232,9 +237,13 @@ def parse_occupancy_logs(logs: Iterable[bytes | str]) -> list[OccupancyDataset]:
             # one writer likely wrote the logs alike: if this one is no
             # reference, the rest are read in batches, not each alone
             seek = False
-            items.append(read[0])
-            if read[1] is not None:
-                reference = (body, *read)
+            dataset, newlines = read
+            items.append(dataset)
+            if newlines is not None:
+                # each line's occupied byte is the one before its newline; the
+                # length test is the dispatch's above, so each reader gets its own
+                reference = (body, dataset, newlines - 1 if len(body) < STRIDE_MIN_BYTES
+                             else _line_runs(newlines, len(dataset.hours)))
         else:
             items.append(body)
     if alike:
@@ -320,17 +329,15 @@ def _read_each(items: list[OccupancyDataset | bytes]) -> list[OccupancyDataset]:
     return datasets
 
 
-def _read_first(body: bytes) -> tuple[OccupancyDataset, list[_Run] | None] | None:
+def _read_first(body: bytes) -> tuple[OccupancyDataset, np.ndarray | None] | None:
     """The dataset ``_read_inline`` reads in a body alone, and if it read
-    the body in file order, nothing sorted or dropped, the runs
-    ``_read_like`` walks; None if it rejects the body."""
+    the body in file order, nothing sorted or dropped, where the body's
+    newlines are; None if it rejects the body."""
     read = _inline([body])
     if read is None:
         return None
-    (dataset,), in_order = read
-    if not (in_order and body.endswith(b"\n")):
-        return dataset, None
-    return dataset, _line_runs(body, len(dataset.hours))
+    (dataset,), newlines = read
+    return dataset, newlines if body.endswith(b"\n") else None
 
 
 def _read_inline(bodies: list[bytes]) -> list[OccupancyDataset] | None:
@@ -345,17 +352,19 @@ def _read_inline(bodies: list[bytes]) -> list[OccupancyDataset] | None:
     return None if read is None else read[0]
 
 
-def _inline(bodies: list[bytes]) -> tuple[list[OccupancyDataset], bool] | None:
-    """``_read_inline``'s datasets, and whether every row was read where
-    it stands: no space, tab or blank line dropped and no body sorted."""
+def _inline(bodies: list[bytes]) -> tuple[list[OccupancyDataset], np.ndarray | None] | None:
+    """``_read_inline``'s datasets, and if every row was read where it
+    stands (no space, tab or blank line dropped and no body sorted) where
+    each row's newline is in the joined bodies; else None in its place."""
     bodies = [body if body.endswith(b"\n") else body + b"\n" for body in bodies]
     joined = b"".join(bodies)
     data = _row_bytes(joined)
     if data is None:
         return None
-    rows = _read_lines(data)
-    if rows is None or not len(rows):
+    read = _read_lines(data)
+    if read is None or not len(read[0]):
         return None
+    rows, newlines = read
     n_rows = [body.count(b"\n") for body in bodies]
     in_order = len(data) == len(joined) and len(rows) == sum(n_rows)
     if not in_order:
@@ -388,7 +397,7 @@ def _inline(bodies: list[bytes]) -> tuple[list[OccupancyDataset], bool] | None:
     grid = _read_only(occupied.astype(bool))  # views of it are read-only too
     hours = tuple(range(first, last + 1))
     return [OccupancyDataset(days=d, hours=hours, grid=grid[s:s + n].reshape(-1, n_hours))
-            for d, s, n in zip(days, starts, n_rows)], in_order
+            for d, s, n in zip(days, starts, n_rows)], newlines if in_order else None
 
 
 def _read_only(grid: np.ndarray) -> np.ndarray:
@@ -434,9 +443,10 @@ def _read_strides(data: bytes) -> tuple[OccupancyDataset, list[_Run]] | None:
     head = data[:head_end]
     if head.translate(None, _STRIDE_ALPHABET):
         return None
-    rows = _read_rows(head)
-    if rows is None:
+    read = _read_rows(head)
+    if read is None:
         return None
+    rows = read[0]
     n_hours = int((rows[:, 0] != rows[0, 0]).argmax()) or len(rows)
     first = int(rows[0, 1])
     if first < 0 or first + n_hours > 24 or (
@@ -528,15 +538,12 @@ def _read_like(data: bytes, reference: bytes, dataset: OccupancyDataset,
 
 
 def _read_alike(bodies: list[bytes], reference: bytes, dataset: OccupancyDataset,
-                runs: list[_Run]) -> list[OccupancyDataset | None]:
+                occupied_at: np.ndarray) -> list[OccupancyDataset | None]:
     """``_read_like`` of several bodies of the reference's length, each
     group of ``_batches`` stacked into one ``(bodies, bytes)`` array and
     XORed against the reference at once. Meant for short bodies: a group
-    holds about ``_BATCH_BYTES``, and the reference's occupied columns are
-    gathered from its runs as one index array."""
-    occupied_at = np.concatenate([
-        ((at + block * np.arange(count))[:, None] + columns).ravel()
-        for at, block, count, columns in runs])
+    holds about ``_BATCH_BYTES``. ``occupied_at`` indexes the reference's
+    occupied bytes, in the order of ``dataset``'s grid."""
     ref = np.frombuffer(reference, np.uint8)
     bits = np.ravel(dataset.grid).view(np.uint8)
     read: list[OccupancyDataset | None] = []
@@ -553,11 +560,12 @@ def _read_alike(bodies: list[bytes], reference: bytes, dataset: OccupancyDataset
     return read
 
 
-def _line_runs(body: bytes, n_hours: int) -> list[_Run]:
-    """The runs of a body the general reader read in file order: its days
-    cut into pieces of about ``_STRIDE_SLICE_BYTES``, each piece one block,
-    whose occupied bytes are those before its newlines."""
-    ends = np.flatnonzero(np.frombuffer(body, np.uint8) == _NEWLINE) + 1  # where each line ends
+def _line_runs(newlines: np.ndarray, n_hours: int) -> list[_Run]:
+    """The runs of a body the general reader read in file order, from where
+    its newlines are: its days cut into pieces of about
+    ``_STRIDE_SLICE_BYTES``, each piece one block, whose occupied bytes are
+    those before its newlines."""
+    ends = newlines + 1  # where each line ends
     day_ends = ends[n_hours - 1::n_hours]
     last = np.flatnonzero(np.diff((day_ends - 1) // _STRIDE_SLICE_BYTES, append=-1))
     runs, at, line = [], 0, 0
@@ -572,55 +580,58 @@ def _slice_blocks(block: int) -> int:
     return max(1, _STRIDE_SLICE_BYTES // block)
 
 
-def _read_lines(data: bytes) -> np.ndarray | None:
-    """``_read_rows`` of whole lines, blank lines skipped; a body of blank
-    lines alone holds no rows."""
-    rows = _read_rows(data)
-    if rows is None and (data.startswith(b"\n") or b"\n\n" in data):
+def _read_lines(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+    """``_read_rows`` of whole lines, blank lines skipped, so that the
+    newlines are those of ``data`` without them; a body of blank lines
+    alone holds no rows."""
+    read = _read_rows(data)
+    if read is None and (data.startswith(b"\n") or b"\n\n" in data):
         # a blank line fails the layout test; look for one only then, as the
         # search costs more than that test on a long body
         while b"\n\n" in data:
             data = data.replace(b"\n\n", b"\n")
         data = data.removeprefix(b"\n")
-        rows = _read_rows(data) if data else np.empty((0, 3), np.int64)
-    return rows
+        read = (_read_rows(data) if data
+                else (np.empty((0, 3), np.int64), np.empty(0, np.intp)))
+    return read
 
 
-def _read_rows(data: bytes) -> np.ndarray | None:
-    """The ``(rows, 3)`` int64 block of whole lines, or None if their
-    layout is wrong."""
-    n_rows = _row_count(data)
-    if not n_rows:
+def _read_rows(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+    """The ``(rows, 3)`` int64 block of whole lines and where each row's
+    newline is, or None if their layout is wrong."""
+    newlines = _row_ends(data)
+    if newlines is None:
         return None
+    n_rows = len(newlines)
     # the checks leave exactly three tokens per row; with ``count`` numpy
     # allocates once instead of growing 4096 values at a time, but it would
     # fill a shortfall with garbage, so the count must be known to be right
     return np.fromstring(data.replace(b"\n", b","), np.int64, count=3 * n_rows,
-                         sep=",").reshape(n_rows, 3)
+                         sep=",").reshape(n_rows, 3), newlines
 
 
-def _row_count(data: bytes) -> int:
-    """How many rows ``data`` holds if every line is ``day,hour,occupied``
-    with no empty field, a one-byte occupied field and a sign only at the
-    start of a day or hour followed by a digit; 0 otherwise, also for any
-    blank line."""
+def _row_ends(data: bytes) -> np.ndarray | None:
+    """Where each row's newline is, if every line of ``data`` is
+    ``day,hour,occupied`` with no empty field, a one-byte occupied field
+    and a sign only at the start of a day or hour followed by a digit;
+    None otherwise, also for no rows or any blank line."""
     a = np.frombuffer(data, np.uint8)
     commas = (a == _COMMA).nonzero()[0]
     lines = (a == _NEWLINE).nonzero()[0]  # where each row ends
     n_rows = len(lines)
     if not n_rows or len(commas) != 2 * n_rows:
-        return 0
+        return None
     day_end, hour_end = commas[0::2], commas[1::2]
     # the separators run comma, comma, newline with a field before each
     if (day_end[0] < 1 or (hour_end - day_end).min() < 2 or ((lines - hour_end) != 2).any()
             or n_rows > 1 and (day_end[1:] - lines[:-1]).min() < 2):
-        return 0
+        return None
     if b"+" in data or b"-" in data:
         signs = ((a == _PLUS) | (a == _MINUS)).nonzero()[0]
         before, after = a[signs - 1], a[signs + 1]  # a[-1] is the final newline
         if not (((before == _COMMA) | (before == _NEWLINE)) & (after >= _ZERO)).all():
-            return 0
-    return n_rows
+            return None
+    return lines
 
 
 def _is_day_blocks(day: np.ndarray, hour: np.ndarray, first: int, n_hours: int,

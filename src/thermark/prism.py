@@ -23,10 +23,22 @@ step theta, so :func:`render_models` renders them once for all thetas.
 Output is deterministic: equal inputs give byte-identical text, and every
 numeric literal is the shortest representation that round-trips to the
 stored double.
+
+The text costs little more than its numbers. All spelled-out modules with
+one start label share one skeleton, their text with the identifier left
+as a placeholder and each probability and its complement as a ``%s``; a
+zone's module is the skeleton filled by one ``%`` and one ``str.replace``.
+Each distinct probability is formatted once per call, with its
+complement, however many zones and steps share it, as the ratios of a
+log's small day counts repeat. Each reward line starts with a
+``step_<zone>=k : `` prefix built once per call, so a theta's reward
+blocks cost the formatting of their nonzero values. The bytes are those
+of formatting every line in place, as ``tests/prism_reference.py`` does.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 
@@ -36,6 +48,7 @@ from .errors import ValidationError
 from .markov import ZoneChain
 
 _IDENT_RE = re.compile(r"[^A-Za-z0-9_]")
+_NO_REWARDS = "  // no nonzero rewards for this zone\n"
 
 
 def _fmt(x: float) -> str:
@@ -118,53 +131,64 @@ def render_models(
         raise ValidationError(
             f"negative reward unsupported by target: zone {zid!r}, step {step}")
 
-    lines = [f"// modules synchronize on step labels t1..t{horizon + 1}; t_sink loops the",
-             "// absorbing final state", "", "dtmc", ""]
-
+    # one skeleton per start label: "@" stands for the identifier, and each
+    # probability and its complement for a %s, filled in per spelled-out zone
+    skeletons = {label: _module_skeleton(horizon, label) for label in {
+        bool(chain.initial_occupied) for chain in chains}}
     # (probabilities, start label) of each spelled-out module -> its identifier
     spelled: dict[tuple, str] = {}
+    modules: list[str] = []
+    numbers: dict[float, tuple[str, str]] = {}  # each probability's text and its complement's
     for chain in chains:
         ident = idents[chain.zone_id]
         key = (chain.occ_given_empty, chain.occ_given_occupied, chain.initial_occupied)
         twin = spelled.setdefault(key, ident)
         if twin != ident:
-            lines += [f"module zone_{ident} = zone_{twin} "
-                      f"[ step_{twin}=step_{ident}, occ_{twin}=occ_{ident} ] endmodule", ""]
+            modules.append(f"module zone_{ident} = zone_{twin} "
+                           f"[ step_{twin}=step_{ident}, occ_{twin}=occ_{ident} ] endmodule\n\n")
             continue
-
-        init_occ = 1 if chain.initial_occupied else 0
-        lines += [f"module zone_{ident}", f"  step_{ident} : [0..{horizon + 1}] init 0;",
-                  f"  occ_{ident} : [0..1] init {init_occ};", ""]
         # step 0 leaves the start label only, a later step either occupancy
-        for k, sources in enumerate([(init_occ,)] + [(1, 0)] * (horizon - 1)):
-            for occ in sources:
-                p = (chain.occ_given_occupied if occ else chain.occ_given_empty)[k]
-                lines.append(f"  [t{k + 1}] step_{ident}={k} & occ_{ident}={occ} -> "
-                             f"{_fmt(p)}:(step_{ident}'={k + 1})&(occ_{ident}'=1) + "
-                             f"{_fmt(1.0 - p)}:(step_{ident}'={k + 1})&(occ_{ident}'=0);")
-        lines += [f"  [t{horizon + 1}] step_{ident}={horizon} -> "
-                  f"1:(step_{ident}'={horizon + 1})&(occ_{ident}'=0);",
-                  f"  [t_sink] step_{ident}={horizon + 1} -> 1:(step_{ident}'={horizon + 1});",
-                  "endmodule", ""]
+        start = chain.occ_given_occupied if chain.initial_occupied else chain.occ_given_empty
+        probabilities = [start[0], *itertools.chain.from_iterable(
+            zip(chain.occ_given_occupied[1:], chain.occ_given_empty[1:]))]
+        for p in probabilities:
+            if p not in numbers:
+                numbers[p] = (_fmt(p), _fmt(1.0 - p))
+        modules.append(skeletons[bool(chain.initial_occupied)].replace("@", ident) % tuple(
+            itertools.chain.from_iterable(map(numbers.__getitem__, probabilities))))
 
-    shared = "".join(f"{line}\n" for line in lines)
+    shared = (f"// modules synchronize on step labels t1..t{horizon + 1}; t_sink loops the\n"
+              "// absorbing final state\n\ndtmc\n\n" + "".join(modules))
 
+    # each zone's reward block opens and each of its lines starts the same for every theta
+    heads = [f'rewards "zone_{idents[zid]}"\n' for zid in zone_ids]
+    prefixes = [[f"  step_{idents[zid]}={k} : " for k in range(horizon + 2)] for zid in zone_ids]
     texts = []
     for theta, rewards in zip(thetas, values.tolist()):
-        blocks: list[str] = []
-        for zid, per_step in zip(zone_ids, rewards):
-            ident = idents[zid]
-            blocks.append(f'rewards "zone_{ident}"')
+        blocks = []
+        for head, starts, per_step in zip(heads, prefixes, rewards):
             # only an integer-valued reward needs _fmt; repr is the rest's text
-            entries = [f"  step_{ident}={k} : "
-                       f"{_fmt(value) if value.is_integer() else repr(value)};"
-                       for k, value in enumerate(per_step) if value != 0.0]
-            blocks += entries or ["  // no nonzero rewards for this zone"]
-            blocks.append("endrewards")
-            blocks.append("")
+            entries = "".join([f"{start}{_fmt(value) if value.is_integer() else repr(value)};\n"
+                               for start, value in zip(starts, per_step) if value != 0.0])
+            blocks.append(f"{head}{entries or _NO_REWARDS}endrewards\n")
         texts.append(
             f"// {name}: {len(zone_ids)}-zone occupancy/thermal reward model\n"
             f"// horizon K={horizon}, theta={theta}, step length {_fmt(delta)} h\n"
             + shared + "\n".join(blocks)
         )
     return texts
+
+
+def _module_skeleton(horizon: int, initial_occupied: bool) -> str:
+    """The text of a spelled-out module with start label ``initial_occupied``:
+    ``@`` in place of its identifier, and ``%s`` in place of each probability
+    and of its complement, in the order of its commands."""
+    init_occ = int(initial_occupied)
+    lines = ["module zone_@", f"  step_@ : [0..{horizon + 1}] init 0;",
+             f"  occ_@ : [0..1] init {init_occ};", ""]
+    for k, sources in enumerate([(init_occ,)] + [(1, 0)] * (horizon - 1)):
+        lines += [f"  [t{k + 1}] step_@={k} & occ_@={occ} -> %s:(step_@'={k + 1})&(occ_@'=1) + "
+                  f"%s:(step_@'={k + 1})&(occ_@'=0);" for occ in sources]
+    lines += [f"  [t{horizon + 1}] step_@={horizon} -> 1:(step_@'={horizon + 1})&(occ_@'=0);",
+              f"  [t_sink] step_@={horizon + 1} -> 1:(step_@'={horizon + 1});", "endmodule", ""]
+    return "".join(f"{line}\n" for line in lines)

@@ -1210,6 +1210,59 @@ class TestOutputFiles:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["trajectory.csv"]
         assert not any((tmp_path / "trajectory.csv").iterdir())
 
+    @pytest.mark.parametrize("out, shown", [
+        (None, "trajectory.csv"),  # the default --out, the working directory
+        (".", "trajectory.csv"),
+        ("sub", "sub/trajectory.csv"),
+        ("./sub/", "sub/trajectory.csv"),
+        ("{tmp}/sub", "{tmp}/sub/trajectory.csv"),
+    ])
+    def test_failed_write_names_the_target_as_given(self, tmp_path, monkeypatch, capsys, out,
+                                                    shown):
+        monkeypatch.chdir(tmp_path)
+        args = pinned_args("analyze", out and out.format(tmp=tmp_path))
+        if out is None:
+            del args[args.index("--out"):args.index("--out") + 2]
+        (tmp_path / (out or ".").format(tmp=tmp_path) / "trajectory.csv").mkdir(parents=True)
+        assert main(args) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write {shown.format(tmp=tmp_path)}: Is a directory\n")
+
+    @pytest.mark.parametrize("out, shown", [
+        (None, "."), ("sub", "sub"), ("./sub/", "sub"), ("{tmp}/sub", "{tmp}/sub")])
+    def test_failed_open_names_the_directory_as_given(self, tmp_path, monkeypatch, capsys, out,
+                                                      shown):
+        import errno
+
+        import thermark.cli
+
+        def fail(*args):
+            raise PermissionError(errno.EACCES, "Permission denied")
+
+        monkeypatch.chdir(tmp_path)
+        args = pinned_args("analyze", out and out.format(tmp=tmp_path))
+        if out is None:
+            del args[args.index("--out"):args.index("--out") + 2]
+        monkeypatch.setattr(thermark.cli.os, "open", fail)
+        assert main(args) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write to {shown.format(tmp=tmp_path)}: Permission denied\n")
+
+    @pytest.mark.parametrize("out, shown", [
+        ("afile", "afile: File exists"),
+        ("afile/sub", "afile/sub: Not a directory"),
+        ("./afile/sub/", "afile/sub: Not a directory"),
+        ("{tmp}/afile/sub", "{tmp}/afile/sub: Not a directory"),
+    ])
+    def test_out_that_cannot_be_made_is_named_as_given(self, tmp_path, monkeypatch, capsys,
+                                                       out, shown):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "afile").write_text("kept")
+        assert main(pinned_args("analyze", out.format(tmp=tmp_path))) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write to {shown.format(tmp=tmp_path)}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
+
     def test_mode_matches_a_plainly_created_file(self, tmp_path):
         import stat
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import prism_eval
+import prism_reference
 from conftest import build_model, chain_marginals, forward_temps, make_schedule, random_schedule
 from test_cli import pinned_args, read_trajectory
 from thermark import (
@@ -28,6 +29,7 @@ from thermark import (
 )
 from thermark.cli import RunConfig, main
 from thermark.datasets import two_zone_benchmark_dir
+from thermark.markov import ZoneChain
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -334,6 +336,73 @@ class TestRenderModels:
         table[1][1][2] = value
         with pytest.raises(ValidationError, match=r"^non-finite reward: zone 'zone2', step 2$"):
             render_models(chains, table, [1, 2], bench_thermal.delta)
+
+
+# zone ids whose identifiers need a prefix, or clash once sanitised and are numbered
+ZONE_IDS = ("zone1", "zone2", "a-b", "a_b", "a.b", "1", "z_1", "hall", "Kitchen", "r9")
+
+
+class TestRenderBytes:
+    """``render_models`` writes the bytes of the line-by-line renderer in
+    ``prism_reference``."""
+
+    def test_matches_the_line_by_line_renderer(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        # ratios of small denominators, as 20-day logs give, so zones repeat
+        # values; 0 and 1 among them
+        ratios = st.integers(1, 6).flatmap(lambda d: st.integers(0, d).map(lambda n: n / d))
+        rewards = st.one_of(st.just(0.0), st.integers(1, 40).map(float),
+                            ratios.map(lambda p: 17 * p), st.floats(0.0, 1e300, allow_nan=False))
+
+        @st.composite
+        def instances(draw):
+            n, horizon = draw(st.integers(1, 8)), draw(st.integers(1, 23))
+            zone_ids = draw(st.lists(st.sampled_from(ZONE_IDS), min_size=n, max_size=n,
+                                     unique=True))
+            rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+            pool = draw(st.lists(ratios, min_size=1, max_size=6))
+            chains = []
+            for zid in zone_ids:
+                p_vf, p_ff = (tuple(rng.choice(pool, horizon).tolist()) for _ in range(2))
+                start = draw(st.booleans())
+                kind = draw(st.sampled_from(["own", "twin", "half", "start"])) if chains else "own"
+                if kind != "own":
+                    other = draw(st.sampled_from(chains))
+                    if kind == "twin":  # renamed from the first zone with its schedule
+                        p_vf, p_ff, start = (other.occ_given_empty, other.occ_given_occupied,
+                                             other.initial_occupied)
+                    elif kind == "half":  # shares one of the two rows, spelled out
+                        if draw(st.booleans()):
+                            p_vf = other.occ_given_empty
+                        else:
+                            p_ff = other.occ_given_occupied
+                    else:  # the same rows from the other start label, spelled out
+                        p_vf, p_ff = other.occ_given_empty, other.occ_given_occupied
+                        start = not other.initial_occupied
+                chains.append(ZoneChain(zone_id=zid, horizon=horizon, initial_occupied=start,
+                                        heating=(False,) * (horizon + 1),
+                                        occ_given_empty=p_vf, occ_given_occupied=p_ff))
+            thetas = sorted(draw(st.sets(st.integers(1, horizon), min_size=1)))
+            table = rng.choice(draw(st.lists(rewards, min_size=1, max_size=6)),
+                               (len(thetas), n, horizon + 2))
+            table[:, draw(st.lists(st.integers(0, n - 1), max_size=n))] = 0.0  # zero gains
+            return (chains, table if draw(st.booleans()) else table.tolist(), thetas,
+                    draw(st.sampled_from([1.0, 0.5])))
+
+        @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(instances())
+        def agree(instance):
+            assert render_models(*instance, "m") == prism_reference.render_models(*instance, "m")
+            seen.append(instance)
+
+        seen = []
+        agree()
+        # the examples reach twins, both start labels and zero-gain zones
+        texts = "".join(prism_reference.render_models(*inst, "m")[0] for inst in seen)
+        assert re.search(r"^module zone_\w+ = zone_\w+", texts, re.M)
+        assert " : [0..1] init 0;" in texts and " : [0..1] init 1;" in texts
+        assert "  // no nonzero rewards for this zone\n" in texts
 
 
 def first_fault(table, thetas, zone_ids):

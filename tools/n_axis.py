@@ -2,7 +2,8 @@
 for this checkout against another one.
 
 For each zone count N and log length, perfbench's generator writes a ring
-building and N logs of that many days over the window 0-23 (K=23). Both
+building and N logs of that many days over the window (0-23 by default,
+K=23; ``--window 8-17`` is the ``zones`` workload's K=9). Both
 checkouts' CLIs are loaded side by side, under two package names, and
 called in alternation with the same arguments (``analyze --strategy S2``,
 ``cost`` over S1..S6 and ``export --strategy S6 --theta 1-9``). Each call
@@ -11,6 +12,7 @@ alike. Prints one Markdown row per N, log length and command; N must be at
 least 2, as S3 and S4 heat two zones.
 
     python tools/n_axis.py --base <other checkout> [--n 7 32 128] [--days 20] [--calls 41]
+                           [--window 0-23]
 
 Run it from the root of this checkout; it writes only to a temporary
 directory.
@@ -51,7 +53,9 @@ def main() -> None:
     parser.add_argument("--n", type=int, nargs="+", default=[7, 32, 128], help="zone counts")
     parser.add_argument("--days", type=int, nargs="+", default=[20], help="days per log")
     parser.add_argument("--calls", type=int, default=41, help="calls of each CLI per cell")
+    parser.add_argument("--window", default="0-23", help="operating hours of the logs, e.g. 8-17")
     args = parser.parse_args()
+    window = tuple(int(hour) for hour in args.window.split("-"))
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
     from kernel import CalibratedClock
@@ -64,7 +68,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         for n, days in itertools.product(args.n, args.days):
             work = Path(tmp) / f"n{n}-d{days}"
-            inst = workloads._generated("n_axis", work, 3, n=n, window=(0, 23), days=days,
+            inst = workloads._generated("n_axis", work, 3, n=n, window=window, days=days,
                                         analyze_strategy="S2", cost_strategies=("S2",))
             for command, extra in COMMANDS.items():
                 out = work / "out"
