@@ -153,18 +153,13 @@ def _csv_text(rows: Iterable[list]) -> str:
     return buffer.getvalue()
 
 
-def _atomic_write(path: Path, text: str | Iterable[str]) -> None:
-    """Write ``text``, or each of its pieces in turn, as UTF-8 to the temp
-    file ``.<name>.<n>.tmp`` beside ``path`` (the first ``n`` from 0 whose
-    name is free), then rename it onto ``path``. The directory must exist;
-    a failed write removes the temp file."""
-    _write_in(path.parent, os.path.join(path.parent, ""), path.name, text)
-
-
 def _write_in(directory: Path, prefix: str, name: str, text: str | Iterable[str]) -> None:
-    """:func:`_atomic_write` of ``directory / name``. The system calls take
-    string paths, ``prefix`` (``directory`` joined with an empty name, so
-    ending in a separator) then a file name; a message's path is built from
+    """Write ``text``, or each of its pieces in turn, as UTF-8 to the temp
+    file ``.<name>.<n>.tmp`` in ``directory`` (the first ``n`` from 0 whose
+    name is free), then rename it onto ``name``. The directory must exist;
+    a failed write removes the temp file. The system calls take string
+    paths, ``prefix`` (``directory`` joined with an empty name, so ending
+    in a separator) then a file name; a message's path is built from
     ``directory`` only when it is raised, so it reads as the ``Path`` does."""
     for n in itertools.count():
         tmp = f"{prefix}.{name}.{n}.tmp"
@@ -263,7 +258,7 @@ def _schedule_json(schedule: TransitionSchedule, days: int, warnings: list[str])
 
 def _write_outputs(out_dir: Path, files: dict[str, str | Iterable[str]]) -> None:
     """Create ``out_dir``, and its parents, unless it is a directory, then
-    write each file into it through :func:`_atomic_write`, in order."""
+    write each file into it through :func:`_write_in`, in order."""
     prefix = os.path.join(out_dir, "")  # the directory's string, joined once
     if not os.path.isdir(prefix):
         try:
@@ -290,9 +285,10 @@ def _load_schedules(config: RunConfig, zone_ids: tuple[str, ...]) -> Schedules:
         try:
             # the parser takes the files in turn and holds at most two long
             # bodies at once: its reference, which later logs of its layout
-            # are checked against, and the current one
+            # are checked against, and the current one. A long log is mapped,
+            # and the parser closes each mapping once it is read
             return _window_schedules(config, zone_ids, occupancy.parse_occupancy_logs(
-                read_bytes(path, "occupancy") for path in paths))
+                read_bytes(path, "occupancy", occupancy.STRIDE_MIN_BYTES) for path in paths))
         except occupancy.LogFault as exc:
             fault = exc
         except ValidationError:
@@ -309,8 +305,9 @@ def _load_schedules(config: RunConfig, zone_ids: tuple[str, ...]) -> Schedules:
 
 
 def _read_dataset(path: Path) -> occupancy.OccupancyDataset:
-    """Read and parse one occupancy log; any failure names the file."""
-    data = read_bytes(path, "occupancy")
+    """Read and parse one occupancy log, a long one mapped and read in
+    place; any failure names the file."""
+    data = read_bytes(path, "occupancy", occupancy.STRIDE_MIN_BYTES)
     try:
         return occupancy.parse_occupancy_csv(data)
     except ValidationError as exc:

@@ -23,11 +23,15 @@ import bisect
 import itertools
 import re
 from collections.abc import Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_utf8
 from .records import Record
+
+if TYPE_CHECKING:
+    import mmap
 
 CSV_HEADER = ("day", "hour", "occupied")
 # every byte a data row may hold; anything else rejects the body. The stride
@@ -163,10 +167,14 @@ class TransitionSchedule(Record):
             raise ValidationError(f"schedule has no step {step}") from None
 
 
-def parse_occupancy_csv(data: bytes | str) -> OccupancyDataset:
+def parse_occupancy_csv(data: bytes | str | mmap.mmap) -> OccupancyDataset:
     """Parse a ``day,hour,occupied`` CSV into a dataset.
 
-    ``data`` is the file's bytes (UTF-8) or its text. The header is
+    ``data`` is the file's bytes (UTF-8), its text, or a read-only mapping
+    of the file, which the parser owns: it is read in place if the
+    day-block reader reads it, else copied out and checked as strictly as
+    :func:`thermark.errors.read_bytes` checks a file it reads, and either
+    way closed before the call returns. The header is
     ``day,hour,occupied`` (case and spaces around names ignored). Every
     other line is blank (spaces and tabs only) or a row
     ``day,hour,occupied``: day and hour are ASCII integers with an optional
@@ -176,16 +184,23 @@ def parse_occupancy_csv(data: bytes | str) -> OccupancyDataset:
     once, and every day covers the same contiguous hour window. Lines may
     end in LF, CRLF or CR.
     """
-    body = _body(data)
-    read = _strided(body)
-    return read[0] if read is not None else _read_each([body])[0]
+    data, start = _body(data)
+    read = _strided(data, start)
+    if read is not None:
+        _close(data)
+        return read[0]
+    if not isinstance(data, bytes):  # a mapping the day-block reader declined
+        data, start = _body(data, in_place=False)
+    return _read_each([data[start:]])[0]
 
 
-def parse_occupancy_logs(logs: Iterable[bytes | str]) -> list[OccupancyDataset]:
+def parse_occupancy_logs(logs: Iterable[bytes | str | mmap.mmap]) -> list[OccupancyDataset]:
     """Parse several logs as one batch: each gets the dataset
     :func:`parse_occupancy_csv` gives it, and a fault raises the error
     that function gives for the first faulty log, as a :class:`LogFault`
-    that holds the log's position in ``logs``.
+    that holds the log's position in ``logs``. A mapping is owned as
+    :func:`parse_occupancy_csv` owns one: each is closed once read, the
+    reference's when the call returns or raises.
 
     The logs are taken in turn and each header is checked on its own. A
     body of at least ``STRIDE_MIN_BYTES`` is first offered to
@@ -198,61 +213,85 @@ def parse_occupancy_logs(logs: Iterable[bytes | str]) -> list[OccupancyDataset]:
     there is none, the first body ``_read_strides`` does not read is read
     alone by the general reader (``_read_first``); if that reader sorts it
     or drops a byte, no later body is read alone. Each later body of the
-    reference's length is XORed against it: where it differs from the
+    reference's length, whatever its header's, is XORed against it, body
+    to body: where it differs from the
     reference only in occupied bits, each ``0`` or ``1``, it takes the
     reference's days and hours with its own bits. Long bodies are checked
     one at a time in the reference's slices (``_read_like``), short ones
     stacked ``_BATCH_BYTES`` at a time (``_read_alike``). Every other body
     goes to ``_read_strides`` if it is long, and the bodies left over are
     read together by ``_read_batches``; if a batch declines them, they are
-    read one at a time, in order.
+    read one at a time, in order. A long body is read by those two where it
+    lies, in ``(buffer, start)``, a mapping's in the file; only a body that
+    both decline is copied out.
     """
     items: list[OccupancyDataset | bytes] = []  # a dataset, or a body to read as rows
     alike: list[int] = []  # the items that are short bodies of the reference's length
-    # the first body read in file order, its dataset and what later bodies of
-    # its length are checked by: a long body's runs (_read_like), a short
-    # one's occupied-byte index (_read_alike)
+    # the first body read in file order: its buffer, where it starts there, its
+    # dataset and what later bodies of its length are checked by: a long body's
+    # runs (_read_like), a short one's occupied-byte index (_read_alike)
     reference = None
     seek = True  # whether the next body the day-block reader declines is read alone
-    for log in logs:
-        try:
-            body = _body(log)
-        except ValidationError as exc:
-            _read_each(items)  # an earlier fault first
-            raise LogFault(str(exc), len(items)) from None
-        if reference is not None and len(body) == len(reference[0]):
-            # the same length test as the one that chose the reference's index
-            # or runs below: a strided reference is never short
-            if len(body) < STRIDE_MIN_BYTES:
-                alike.append(len(items))
-                items.append(body)
+    try:
+        for log in logs:
+            data, start = _opened(log, items)
+            size = len(data) - start
+            if reference is not None and size == len(reference[0]) - reference[1]:
+                # the same length test as the one that chose the reference's index
+                # or runs below: a strided reference is never short
+                if size < STRIDE_MIN_BYTES:
+                    alike.append(len(items))
+                    items.append(data[start:])
+                    continue
+                if (dataset := _read_like(data, start, *reference)) is not None:
+                    _close(data)
+                    items.append(dataset)
+                    continue
+            if (read := _strided(data, start)) is not None:
+                items.append(read[0])
+                if reference is None:
+                    reference = (data, start, *read)
+                else:
+                    _close(data)
                 continue
-            if (dataset := _read_like(body, *reference)) is not None:
+            if not isinstance(data, bytes):  # a mapping that neither reader read
+                data, start = _opened(data, items, in_place=False)
+            body = data[start:]
+            if seek and reference is None and (read := _read_first(body)) is not None:
+                # one writer likely wrote the logs alike: if this one is no
+                # reference, the rest are read in batches, not each alone
+                seek = False
+                dataset, newlines = read
                 items.append(dataset)
-                continue
-        if (read := _strided(body)) is not None:
-            items.append(read[0])
-            reference = reference or (body, *read)
-        elif seek and reference is None and (read := _read_first(body)) is not None:
-            # one writer likely wrote the logs alike: if this one is no
-            # reference, the rest are read in batches, not each alone
-            seek = False
-            dataset, newlines = read
-            items.append(dataset)
-            if newlines is not None:
-                # each line's occupied byte is the one before its newline; the
-                # length test is the dispatch's above, so each reader gets its own
-                reference = (body, dataset, newlines - 1 if len(body) < STRIDE_MIN_BYTES
-                             else _line_runs(newlines, len(dataset.hours)))
-        else:
-            items.append(body)
-    if alike:
-        for i, dataset in zip(alike, _read_alike([items[i] for i in alike], *reference)):
-            if dataset is not None:
-                items[i] = dataset
+                if newlines is not None:
+                    # each line's occupied byte is the one before its newline; the
+                    # length test is the dispatch's above, so each reader gets its own
+                    reference = (body, 0, dataset, newlines - 1 if len(body) < STRIDE_MIN_BYTES
+                                 else _line_runs(newlines, len(dataset.hours)))
+            else:
+                items.append(body)
+        if alike:
+            for i, dataset in zip(alike, _read_alike([items[i] for i in alike], *reference)):
+                if dataset is not None:
+                    items[i] = dataset
+    finally:
+        if reference is not None:
+            _close(reference[0])
     read = iter(_read_batches([item for item in items if isinstance(item, bytes)])
                 or _read_each(items))
     return [next(read) if isinstance(item, bytes) else item for item in items]
+
+
+def _opened(log: bytes | str | mmap.mmap, items: list[OccupancyDataset | bytes],
+            in_place: bool = True) -> tuple[bytes | mmap.mmap, int]:
+    """``_body`` of a log read in a batch after ``items``; a fault raises
+    the first fault among ``items``, else its own, as a :class:`LogFault`
+    at the log's position."""
+    try:
+        return _body(log, in_place)
+    except ValidationError as exc:
+        _read_each(items)  # an earlier fault first
+        raise LogFault(str(exc), len(items)) from None
 
 
 class LogFault(ValidationError):
@@ -264,15 +303,33 @@ class LogFault(ValidationError):
         self.log = log
 
 
-def _strided(body: bytes) -> tuple[OccupancyDataset, list[_Run]] | None:
+def _strided(data: bytes | mmap.mmap, start: int) -> tuple[OccupancyDataset, list[_Run]] | None:
     """``_read_strides`` of a long body; None for a body below
     ``STRIDE_MIN_BYTES`` or one that it declines."""
-    return _read_strides(body) if len(body) >= STRIDE_MIN_BYTES else None
+    return _read_strides(data, start) if len(data) - start >= STRIDE_MIN_BYTES else None
 
 
-def _body(data: bytes | str) -> bytes:
-    """A log's bytes after its header, line ends made LF; raises for a log
-    that is not UTF-8, is empty or has the wrong header."""
+def _body(data: bytes | str | mmap.mmap, in_place: bool = True) -> tuple[bytes | mmap.mmap, int]:
+    """A log's bytes, line ends made LF, and where its body starts past the
+    header; raises for a log that is not UTF-8, is empty or has the wrong
+    header.
+
+    A mapping is kept as it is, to be read in place, if ``in_place`` and
+    its header is right, ASCII and free of CR and its body is long enough
+    for the day-block reader: a body either reader accepts holds only
+    ``_STRIDE_ALPHABET`` bytes, so it is UTF-8 and its line ends are LF.
+    Any other mapping is copied out and closed, and its bytes are checked
+    as strictly as :func:`thermark.errors.read_bytes` checks a file it
+    reads."""
+    if not isinstance(data, (bytes, str)):
+        end = data.find(b"\n")
+        if (in_place and 0 <= end < len(data) - STRIDE_MIN_BYTES
+                and (header := data[:end]).isascii() and b"\r" not in header
+                and _is_header(header)):
+            return data, end + 1
+        mapping, data = data, data[:]
+        mapping.close()
+        check_utf8(data)
     if isinstance(data, str):
         data = data.encode("utf-8", "surrogatepass")
     elif not data.isascii():
@@ -284,11 +341,25 @@ def _body(data: bytes | str) -> bytes:
         raise ValidationError("no records: file is empty")
     if b"\r" in data:
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    header, _, body = data.partition(b"\n")
-    if header != b"day,hour,occupied" and tuple(
-            h.strip().lower() for h in _text(header).split(",")) != CSV_HEADER:
-        raise ValidationError(f"expected header 'day,hour,occupied', got {_text(header)!r}")
-    return body
+    end = data.find(b"\n")
+    if end < 0:
+        end = len(data)
+    if not _is_header(data[:end]):
+        raise ValidationError(f"expected header 'day,hour,occupied', got {_text(data[:end])!r}")
+    return data, min(end + 1, len(data))
+
+
+def _is_header(header: bytes) -> bool:
+    """Whether a header line names the three columns, case and spaces
+    around the names ignored."""
+    return header == b"day,hour,occupied" or tuple(
+        h.strip().lower() for h in _text(header).split(",")) == CSV_HEADER
+
+
+def _close(data: bytes | mmap.mmap) -> None:
+    """Close ``data`` if it is a mapping: a parser owns one it is handed."""
+    if not isinstance(data, bytes):
+        data.close()
 
 
 def _text(data: bytes) -> str:
@@ -418,10 +489,12 @@ def _row_bytes(body: bytes) -> bytes | None:
     return body
 
 
-def _read_strides(data: bytes) -> tuple[OccupancyDataset, list[_Run]] | None:
-    """The dataset a body holds, and the runs it was read in, if every day
-    repeats the first day's lines byte for byte, apart from its day digits
-    and occupied bits; None otherwise.
+def _read_strides(data: bytes | mmap.mmap,
+                  start: int) -> tuple[OccupancyDataset, list[_Run]] | None:
+    """The dataset the body at ``start`` in ``data`` holds, and the runs it
+    was read in, where they start in the body, if every day repeats the
+    first day's lines byte for byte, apart from its day digits and occupied
+    bits; None otherwise.
 
     The head, the first 24 lines, may hold only digits, signs, commas and
     newlines; ``_read_rows`` reads it, and the first day's lines in it must
@@ -435,12 +508,12 @@ def _read_strides(data: bytes) -> tuple[OccupancyDataset, list[_Run]] | None:
     last block (as when the body does not end in a newline) or more than
     19 runs decline the body.
     """
-    head_end = 0
+    head_end = start
     for _ in range(24):
         if not (end := data.find(b"\n", head_end) + 1):
             break
         head_end = end
-    head = data[:head_end]
+    head = data[start:head_end]
     if head.translate(None, _STRIDE_ALPHABET):
         return None
     read = _read_rows(head)
@@ -459,7 +532,7 @@ def _read_strides(data: bytes) -> tuple[OccupancyDataset, list[_Run]] | None:
     tail_at = np.cumsum(lengths) - lengths
     lines = np.arange(n_hours)
     a = np.frombuffer(data, np.uint8)
-    days, grids, runs, at = [], [], [], 0
+    days, grids, runs, at = [], [], [], start
     for _ in range(_STRIDE_RUNS):
         width = data.find(b",", at) - at
         if not 1 <= width <= _STRIDE_DAY_DIGITS:
@@ -489,7 +562,7 @@ def _read_strides(data: bytes) -> tuple[OccupancyDataset, list[_Run]] | None:
                 return None
             days.append((digits[:, 0] - _ZERO).astype(np.int64) @ powers)
             grids.append(part[:, occupied_at] == _ZERO + 1)
-        runs.append((at, block, len(blocks), occupied_at))
+        runs.append((at - start, block, len(blocks), occupied_at))
         at += len(blocks) * block
         if at == len(data):
             break
@@ -503,11 +576,13 @@ def _read_strides(data: bytes) -> tuple[OccupancyDataset, list[_Run]] | None:
                             grid=_read_only(grid)), runs
 
 
-def _read_like(data: bytes, reference: bytes, dataset: OccupancyDataset,
+def _read_like(data: bytes | mmap.mmap, start: int, reference: bytes | mmap.mmap,
+               reference_start: int, dataset: OccupancyDataset,
                runs: list[_Run]) -> OccupancyDataset | None:
-    """The dataset a body holds if it is ``reference``, a body read in
-    file order as ``dataset`` in ``runs``, with other occupied bits; None
-    otherwise, as for a body of another length.
+    """The dataset the body at ``start`` in ``data`` holds if it is the one
+    at ``reference_start`` in ``reference``, a body read in file order as
+    ``dataset`` in ``runs``, with other occupied bits; None otherwise, as
+    for a body of another length.
 
     Each run is walked in the slices of blocks that ``_read_strides``
     checks, and in each the bodies are XORed into one reused buffer. The
@@ -517,17 +592,18 @@ def _read_like(data: bytes, reference: bytes, dataset: OccupancyDataset,
     is the reference's, and either reader would read ``data`` as
     ``dataset``'s days and hours with the flipped bits.
     """
-    if len(data) != len(reference):
+    if len(data) - start != len(reference) - reference_start:
         return None
-    a, b = np.frombuffer(data, np.uint8), np.frombuffer(reference, np.uint8)
+    a = np.frombuffer(data, np.uint8, offset=start)
+    b = np.frombuffer(reference, np.uint8, offset=reference_start)
     buffer = np.empty(max(min(count, _slice_blocks(block)) * block
                           for _, block, count, _ in runs), np.uint8)
     grids, row, n_hours = [], 0, len(dataset.hours)
     for at, block, count, occupied_at in runs:
         step = _slice_blocks(block)
-        for start in range(at, at + count * block, step * block):
-            end = min(start + step * block, at + count * block)
-            xor = np.bitwise_xor(a[start:end], b[start:end], out=buffer[:end - start])
+        for begin in range(at, at + count * block, step * block):
+            end = min(begin + step * block, at + count * block)
+            xor = np.bitwise_xor(a[begin:end], b[begin:end], out=buffer[:end - begin])
             flips = xor.reshape(-1, block)[:, occupied_at].reshape(-1, n_hours)
             if not (flips.max() <= 1 and np.count_nonzero(xor) == np.count_nonzero(flips)):
                 return None
@@ -537,14 +613,15 @@ def _read_like(data: bytes, reference: bytes, dataset: OccupancyDataset,
                             grid=_read_only(np.concatenate(grids)))
 
 
-def _read_alike(bodies: list[bytes], reference: bytes, dataset: OccupancyDataset,
+def _read_alike(bodies: list[bytes], reference: bytes, start: int, dataset: OccupancyDataset,
                 occupied_at: np.ndarray) -> list[OccupancyDataset | None]:
     """``_read_like`` of several bodies of the reference's length, each
     group of ``_batches`` stacked into one ``(bodies, bytes)`` array and
     XORed against the reference at once. Meant for short bodies: a group
-    holds about ``_BATCH_BYTES``. ``occupied_at`` indexes the reference's
-    occupied bytes, in the order of ``dataset``'s grid."""
-    ref = np.frombuffer(reference, np.uint8)
+    holds about ``_BATCH_BYTES``. The reference's body starts at ``start``
+    in it, and ``occupied_at`` indexes the body's occupied bytes, in the
+    order of ``dataset``'s grid."""
+    ref = np.frombuffer(reference, np.uint8, offset=start)
     bits = np.ravel(dataset.grid).view(np.uint8)
     read: list[OccupancyDataset | None] = []
     for batch in _batches(bodies):

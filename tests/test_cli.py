@@ -1164,11 +1164,11 @@ class TestOutputFiles:
             "comfort.json", "trajectory.csv", "trajectory.csv.tmp"]
 
     def test_taken_temp_name_moves_on(self, tmp_path):
-        from thermark.cli import _atomic_write
+        from thermark.cli import _write_outputs
 
         (tmp_path / ".out.txt.0.tmp").write_text("stale")
         (tmp_path / ".out.txt.1.tmp").mkdir()
-        _atomic_write(tmp_path / "out.txt", ["te", "xt"])
+        _write_outputs(tmp_path, {"out.txt": ["te", "xt"]})
         assert (tmp_path / "out.txt").read_text() == "text"
         assert (tmp_path / ".out.txt.0.tmp").read_text() == "stale"
         assert sorted(p.name for p in tmp_path.iterdir()) == [
@@ -1182,7 +1182,7 @@ class TestOutputFiles:
 
         monkeypatch.setattr(thermark.cli.os, "replace", fail)
         with pytest.raises(ValidationError, match=r"cannot write .*out\.txt: replace failed"):
-            thermark.cli._atomic_write(tmp_path / "out.txt", "text")
+            thermark.cli._write_outputs(tmp_path, {"out.txt": "text"})
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("call, message", [
@@ -1198,7 +1198,7 @@ class TestOutputFiles:
 
         monkeypatch.setattr(thermark.cli.os, call, fail)
         with pytest.raises(ValidationError, match=message):
-            thermark.cli._atomic_write(tmp_path / "out.txt", "text")
+            thermark.cli._write_outputs(tmp_path, {"out.txt": "text"})
         monkeypatch.undo()
         assert not any(tmp_path.iterdir())
 
@@ -1266,9 +1266,9 @@ class TestOutputFiles:
     def test_mode_matches_a_plainly_created_file(self, tmp_path):
         import stat
 
-        from thermark.cli import _atomic_write
+        from thermark.cli import _write_outputs
 
-        _atomic_write(tmp_path / "atomic.txt", "text")
+        _write_outputs(tmp_path, {"atomic.txt": "text"})
         (tmp_path / "plain.txt").write_text("text")
         modes = {stat.S_IMODE((tmp_path / name).stat().st_mode)
                  for name in ("atomic.txt", "plain.txt")}
@@ -1279,12 +1279,12 @@ class TestOutputFiles:
         # the umask in force at each write applies, not one read earlier
         import stat
 
-        from thermark.cli import _atomic_write
+        from thermark.cli import _write_outputs
 
-        _atomic_write(tmp_path / "before.txt", "text")
+        _write_outputs(tmp_path, {"before.txt": "text"})
         previous = os.umask(umask)
         try:
-            _atomic_write(tmp_path / "atomic.txt", "text")
+            _write_outputs(tmp_path, {"atomic.txt": "text"})
             (tmp_path / "plain.txt").write_text("text")
         finally:
             os.umask(previous)
@@ -1362,16 +1362,130 @@ class TestInputFiles:
 
         log = tmp_path / "locked.csv"
         log.write_text(seven_day_log_csv().read_text())
-        real_read_bytes = pathlib.Path.read_bytes
+        real_open = pathlib.Path.open
 
-        def read_bytes(self):
+        def open_(self, *args, **kwargs):
             if self == log:
                 raise PermissionError(13, "Permission denied", str(self))
-            return real_read_bytes(self)
+            return real_open(self, *args, **kwargs)
 
-        monkeypatch.setattr(pathlib.Path, "read_bytes", read_bytes)
+        monkeypatch.setattr(pathlib.Path, "open", open_)
         assert main(occupancy_args(command, log, tmp_path / "out")) == 2
         assert_one_line_error(capsys, str(log), "cannot read: Permission denied")
+
+
+def long_log_bytes(days=500):
+    """A day-block log of 24-hour days, never occupied at hour 0, and far
+    longer than ``STRIDE_MIN_BYTES``."""
+    rows = "".join(f"{d},{h},{d * h // 3 % 2}\n" for d in range(1, days + 1) for h in range(24))
+    return f"day,hour,occupied\n{rows}".encode()
+
+
+def swap_days(data, day):
+    """``data`` with the lines of ``day`` and the day after it swapped."""
+    lines = data.split(b"\n")
+    at = lines.index(f"{day},0,0".encode())
+    lines[at:at + 48] = lines[at + 24:at + 48] + lines[at:at + 24]
+    return b"\n".join(lines)
+
+
+# edits of a long log that the day-block reader or the header check declines,
+# or that give a mapped log a header of another length, and whether the
+# edited log alone exits 2
+MAPPED_EDITS = {
+    "crlf": (lambda d: d.replace(b"\n", b"\r\n"), False),
+    "space": (lambda d: d.replace(b"\n250,5,", b"\n250, 5,"), False),
+    "latin-1": (lambda d: d.replace(b"\n250,5,", b"\n250,5\xe9,"), True),
+    "surrogate": (lambda d: d.replace(b"\n250,5,", b"\n250,5\xed\xa0\x80,"), True),
+    "capitalised-header": (lambda d: d.replace(b"day,hour,occupied", b"Day,Hour,Occupied"), False),
+    "longer-header": (lambda d: d.replace(b"day,hour,occupied", b"day, hour, occupied"), False),
+    "truncated-last-day": (lambda d: d[:d.rindex(b"\n", 0, -1) + 1], True),
+    "days-out-of-order": (lambda d: swap_days(d, 250), False),
+}
+
+
+class TestMappedLogs:
+    """A log of at least ``STRIDE_MIN_BYTES`` is mapped and read in place;
+    every run gives what it gave when every log was read whole: exit code,
+    message and output bytes."""
+
+    def run(self, capsys, command, logs, out):
+        """Exit code, stderr and output files of ``command`` on ``logs``
+        (one for estimate, two zones' for analyze)."""
+        if command == "estimate":
+            argv = ["estimate", str(logs[0])]
+        else:
+            argv = ["analyze", "--building", str(two_zone_benchmark_dir() / "building.json"),
+                    "--window", "0-23", "--occupancy", f"zone1={logs[0]}",
+                    "--occupancy", f"zone2={logs[1]}"]
+        code = main([*argv, "--out", str(out)])
+        files = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
+        return code, capsys.readouterr().err, files
+
+    @pytest.mark.parametrize("faulty", [False, True], ids=["", "occupied-2"])
+    @pytest.mark.parametrize("edit", MAPPED_EDITS)
+    @pytest.mark.parametrize("command", ["estimate", "analyze"])
+    def test_run_matches_reading_whole(self, tmp_path, capsys, monkeypatch, command, edit,
+                                       faulty):
+        import thermark.errors
+
+        edited, exits_2 = MAPPED_EDITS[edit]
+        data = long_log_bytes()
+        if faulty:
+            data = data.replace(b"\n300,7,0\n", b"\n300,7,2\n")
+        first, second = tmp_path / "zone1.csv", tmp_path / "zone2.csv"
+        first.write_bytes(long_log_bytes())
+        second.write_bytes(edited(data))
+        logs = [second] if command == "estimate" else [first, second]
+        mapped = []
+        mapper = thermark.errors._mapped
+        monkeypatch.setattr(thermark.errors, "_mapped",
+                            lambda fd, size: mapped.append(mapper(fd, size)) or mapped[-1])
+        outcome = self.run(capsys, command, logs, tmp_path / "mapped")
+        monkeypatch.setattr(thermark.errors, "_mapped", lambda fd, size: None)
+        assert outcome == self.run(capsys, command, logs, tmp_path / "whole")
+        assert mapped and all(m is not None for m in mapped)
+        code, err, files = outcome
+        if faulty or exits_2:
+            assert code == 2 and not files
+            assert err.startswith(f"error: {second}: ") and err.count("\n") == 1, err
+        else:
+            assert code == 0 and err == ""
+
+    def test_file_that_cannot_be_mapped_is_read_whole(self, tmp_path, capsys, monkeypatch):
+        import errno
+        import mmap
+
+        def fail(*args, **kwargs):
+            raise OSError(errno.ENODEV, "No such device")
+
+        log = tmp_path / "log.csv"
+        log.write_bytes(long_log_bytes())
+        mapped = self.run(capsys, "estimate", [log], tmp_path / "out")
+        monkeypatch.setattr(mmap, "mmap", fail)
+        assert self.run(capsys, "estimate", [log], tmp_path / "out") == mapped
+        assert mapped[0] == 0
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+    @pytest.mark.parametrize("edit", [None, "crlf", "latin-1", "truncated-last-day", "missing"])
+    @pytest.mark.parametrize("command", ["estimate", "analyze"])
+    def test_no_descriptor_outlives_a_run(self, tmp_path, capsys, command, edit):
+        import gc
+
+        first, second = tmp_path / "zone1.csv", tmp_path / "zone2.csv"
+        first.write_bytes(long_log_bytes())
+        if edit != "missing":
+            second.write_bytes(MAPPED_EDITS[edit][0](long_log_bytes()) if edit else
+                               long_log_bytes().replace(b"\n9,", b"\n09,"))
+        logs = [second] if command == "estimate" else [first, second]
+        before = len(os.listdir("/proc/self/fd"))
+        gc.disable()  # a mapping left to the collector would still count
+        try:
+            code = self.run(capsys, command, logs, tmp_path / "out")[0]
+            assert len(os.listdir("/proc/self/fd")) == before
+        finally:
+            gc.enable()
+        assert code == (0 if edit in (None, "crlf") else 2)
 
 
 def subprocess_env():
@@ -1464,3 +1578,12 @@ def test_import_loads_no_thread_pool():
     out = subprocess.run([sys.executable, "-c", check], env=subprocess_env(), capture_output=True,
                          text=True, timeout=60, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_import_maps_nothing():
+    # mmap is imported when the first long log is mapped, so a fresh process
+    # that maps none does not pay for its import
+    check = "import sys, thermark.cli; print('mmap' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", check], env=subprocess_env(), capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "False"

@@ -19,6 +19,7 @@ from thermark import (
 )
 from thermark import occupancy
 from thermark.datasets import seven_day_log_csv
+from thermark.errors import read_bytes
 from thermark.occupancy import OccupancyDataset, _fault, _read_inline, _read_strides
 
 
@@ -26,7 +27,7 @@ def read_grid(body: bytes) -> OccupancyDataset | None:
     """What ``parse_occupancy_csv`` reads in one body, or None where it
     raises: the day-block reader's dataset if the body is long and it reads
     it, else the row reader's."""
-    if len(body) >= occupancy.STRIDE_MIN_BYTES and (read := _read_strides(body)) is not None:
+    if len(body) >= occupancy.STRIDE_MIN_BYTES and (read := _read_strides(body, 0)) is not None:
         return read[0]
     datasets = _read_inline([body])
     return None if datasets is None else datasets[0]
@@ -378,7 +379,7 @@ def long_log(days=5000, hours=range(24), seed=8):
 
 def read_strides(data):
     """What the stride reader makes of a file's body, as the file holds it."""
-    read = _read_strides(data.partition(b"\n")[2])
+    read = _read_strides(data, data.index(b"\n") + 1)
     return None if read is None else read[0]
 
 
@@ -807,7 +808,7 @@ def strides_calls(monkeypatch):
     calls = []
     read_strides = occupancy._read_strides
     monkeypatch.setattr(occupancy, "_read_strides",
-                        lambda body: calls.append(body) or read_strides(body))
+                        lambda data, start: calls.append(data[start:]) or read_strides(data, start))
     return calls
 
 
@@ -1112,6 +1113,131 @@ def test_shared_layout_logs_read_as_alone():
         assert batch_outcome(logs) == logs_outcome(logs)
 
     check()
+
+
+def opened(paths, made):
+    """Each file read as the CLI reads a log, a long one mapped, in turn;
+    ``made`` collects the mappings."""
+    for path in paths:
+        log = read_bytes(path, "occupancy", occupancy.STRIDE_MIN_BYTES)
+        if not isinstance(log, bytes):
+            made.append(log)
+        yield log
+
+
+def read_whole(paths):
+    """Each file read whole, as the CLI read every log before long ones
+    were mapped; a read's message drops the path."""
+    for path in paths:
+        try:
+            yield read_bytes(path, "occupancy")
+        except ValidationError as exc:
+            raise ValidationError(str(exc).removeprefix(f"{path}: ")) from None
+
+
+def mapped_outcome(tmp_path, logs):
+    """``batch_outcome`` of ``logs`` written to files and read back as the
+    CLI reads them, asserted equal to that of the files read whole and
+    every mapping asserted closed; the outcome and the mappings made."""
+    paths = []
+    for i, data in enumerate(logs):
+        paths.append(tmp_path / f"log{i}.csv")
+        paths[-1].write_bytes(data)
+    made = []
+    outcome = batch_outcome(opened(paths, made))
+    assert all(log.closed for log in made)
+    assert outcome == batch_outcome(read_whole(paths))
+    return outcome, made
+
+
+class TestMappedLogs:
+    """A long log is mapped and read where it lies; it reads as its bytes
+    do, dataset or message, and its mapping is closed once read."""
+
+    def test_mapped_log_reads_as_its_bytes(self, tmp_path):
+        data, dataset = long_log()
+        (tmp_path / "log.csv").write_bytes(data)
+        (log,) = opened([tmp_path / "log.csv"], [])
+        assert not isinstance(log, bytes)
+        grid = parse_occupancy_csv(log)
+        # closing fails while any array still views the mapping, so no grid does
+        assert log.closed
+        assert grid == parse_occupancy_csv(data) == dataset
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d.replace(b"\n", b"\r\n"),
+        lambda d: d.replace(b"\n2500,7,", b"\n2500, 7,"),
+        lambda d: d.replace(b"\n2500,7,", b"\n2500,7\xe9,"),
+        lambda d: d.replace(b"\n2500,7,", b"\n2500,7\xed\xa0\x80,"),  # strict UTF-8 rejects it
+        lambda d: d.replace(b"day,hour,occupied", b"Day,Hour,Occupied"),
+        lambda d: d.replace(b"day,hour,occupied", b"\xe9day,hour,occupied"),
+        lambda d: d.replace(b"day,hour,occupied", b"day,hour,occupied\r"),
+        lambda d: d.replace(b"day,hour,occupied", b"\rday,hour,occupied"),
+        lambda d: d[:d.rindex(b"\n", 0, -1) + 1],
+        lambda d: d.replace(b"\n2500,", b"\n9999,"),
+        lambda d: d[:-1],
+        lambda d: d.replace(b"\n", b" "),
+        lambda d: b"day,hour,occupied\n" + b" " * occupancy.STRIDE_MIN_BYTES,
+    ], ids=["crlf", "space", "latin-1", "surrogate", "capitalised-header", "non-ascii-header",
+            "cr-ended-header", "cr-led-header", "truncated-last-day", "day-out-of-order",
+            "no-final-newline", "no-newline", "blank-body"])
+    def test_edited_log_reads_as_its_bytes(self, tmp_path, edit):
+        data = edit(long_log(days=1500)[0])
+        (tmp_path / "log.csv").write_bytes(data)
+        try:
+            expected = parse_occupancy_csv(next(read_whole([tmp_path / "log.csv"])))
+        except ValidationError as exc:
+            expected = str(exc)
+        made = []
+        (log,) = opened([tmp_path / "log.csv"], made)
+        try:
+            outcome = parse_occupancy_csv(log)
+        except ValidationError as exc:
+            outcome = str(exc)
+        assert outcome == expected
+        assert made and all(log.closed for log in made)
+
+    def test_batch_reads_as_the_bytes(self, tmp_path, strides_calls):
+        a = long_log(days=1500)[0]
+        at = occupied_bytes(a)
+        flipped = np.frombuffer(a, np.uint8).copy()
+        flipped[at[::7]] ^= 1
+        flipped = flipped.tobytes()
+        logs = [a, flipped, flipped.replace(b"day,hour,occupied", b"Day, Hour, Occupied"),
+                long_log(days=1499)[0], a.replace(b"\n", b"\r\n"), flipped[:-2] + b"1\n",
+                TestParseLogs.GOOD.encode()]
+        outcome, made = mapped_outcome(tmp_path, logs)
+        assert len(made) == 6
+        # in each batch a and the 1499-day log are read as day blocks; the
+        # rest, whatever their header, CRLF made LF, are XORed against a
+        assert len(strides_calls) == 4
+        assert outcome == logs_outcome(logs)
+
+    @pytest.mark.parametrize("fault, message", [
+        (b"2", "line 36001: occupied must be 0 or 1, got '2'"),
+        (b"\xe9", "not UTF-8 text (byte 318448)"),
+        (b"\xed\xa0\x80", "not UTF-8 text (byte 318448)"),  # a surrogate, which strict UTF-8 rejects
+    ], ids=["occupied-2", "latin-1", "surrogate"])
+    def test_batch_fault_closes_every_mapping(self, tmp_path, fault, message):
+        a = long_log(days=1500)[0]
+        logs = [a, a, a[:-2] + fault + b"\n", a]
+        assert mapped_outcome(tmp_path, logs)[0] == message
+
+
+def test_shared_layout_mapped_logs_read_as_their_bytes(tmp_path):
+    """``test_shared_layout_logs_read_as_alone``'s logs, written to files
+    and read back as the CLI reads them, a long one mapped."""
+    hypothesis = pytest.importorskip("hypothesis")
+
+    made = []
+
+    @hypothesis.settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(shared_layout_logs(hypothesis.strategies))
+    def check(logs):
+        made.extend(mapped_outcome(tmp_path, [log.encode() for log in logs])[1])
+
+    check()
+    assert len(made) > 25  # the property reaches the mapped route
 
 
 class TestBatchedIngestion:
