@@ -13,6 +13,11 @@ stay-in-state defaults), occupancy marginals, the forward recursion of
 expected temperatures, each point's comfort class, and band sums in
 integers. ``export``'s models are answered by the text-only evaluator in
 ``prism_eval``.
+
+A second kind of instance reaches every route by which the occupancy
+parser reads a log: up to twelve zones of 24-hour logs of 10 to 1 500
+days, on either side of ``STRIDE_MIN_BYTES``, some sharing one layout,
+some spelled in ways the fast readers decline, and at most one faulty.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from pathlib import Path
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, assume, given, settings  # noqa: E402
+from hypothesis import HealthCheck, assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import prism_eval  # noqa: E402
@@ -155,6 +160,9 @@ def arguments(case: dict, root: Path) -> list[str]:
     paths = {}
     for i, z in enumerate(case["zones"]):
         paths[z["id"]] = root / f"log{i}.csv"
+        if "log" in z:  # a log spelled by its instance
+            paths[z["id"]].write_bytes(z["log"])
+            continue
         paths[z["id"]].write_text("day,hour,occupied\n" + "".join(
             f"{day},{hour},{int(bit)}\n" for day, row in enumerate(z["grid"], 1)
             for hour, bit in zip(z["hours"], row)))
@@ -242,3 +250,188 @@ def test_export_and_estimate_match_the_reference(case):
                                   p_ff=p_ff, p_fv=1.0 - p_ff, p_vf=p_vf, p_vv=1.0 - p_vf))
             # one division of two day counts per probability, so they agree exactly
             assert schedule["steps"] == steps
+
+
+# spellings that the day-block reader and the reference check decline, each
+# made on one row list; the general reader reads each as the plain log
+SPELLINGS = {
+    "crlf": None,  # applied when the rows are joined
+    "space": lambda rows, j: rows.__setitem__(j, rows[j].replace(",", ", ", 1)),
+    "shuffled": lambda rows, j: random.Random(j).shuffle(rows),
+    "blank-line": lambda rows, j: rows.insert(j, ""),
+    "plus-day": lambda rows, j: rows.__setitem__(j, "+" + rows[j]),
+    "zero-padded-day": lambda rows, j: rows.__setitem__(j, "0" + rows[j]),
+}
+# faults that make a log fail when it is read alone
+FAULTS = {
+    "occupied-2": lambda rows, j: rows.__setitem__(j, rows[j][:-1] + "2"),
+    "gap": lambda rows, j: rows.__delitem__(j),
+    "duplicate": lambda rows, j: rows.insert(j, rows[j]),
+    "separator": lambda rows, j: rows.__setitem__(j, rows[j].replace(",", ";", 1)),
+}
+
+
+@st.composite
+def long_log_instances(draw) -> dict:
+    """Buildings of one to twelve zones whose logs cover every hour of the
+    day, over one to three layouts (the same days, so the same bytes apart
+    from the occupied bits) of 10 to 1 500 days, on either side of
+    ``STRIDE_MIN_BYTES``. Drawn zones spell their log in a way that the
+    fast readers decline, and one zone's log may be faulty. The grids and
+    logs are left to :func:`long_log_case`, which keeps a failing
+    example's printout short."""
+    n = draw(st.integers(1, 12))
+    zone_ids = [f"zone{i}" for i in draw(st.permutations(range(n)))]
+    start, horizon = draw(st.integers(6, 9)), draw(st.integers(2, 6))
+    layouts = [(draw(st.integers(1, 5000)), draw(st.one_of(st.integers(10, 170),
+                                                           st.integers(180, 1500))))
+               for _ in range(draw(st.integers(1, 3)))]
+    zones = [dict(
+        id=zid, capacitance=draw(st.sampled_from([1.5, 2.0, 3.0])),
+        resistance=draw(st.sampled_from([1.5, 2.0, 4.0])),
+        initial_temp=draw(st.sampled_from([16.3, 18.1, 19.7, 20.6, 21.4, 22.9])),
+        layout=draw(st.sampled_from(layouts)), seed=draw(st.integers(0, 2 ** 32)),
+        # the window's start hour is occupied on every day or on none
+        first=draw(st.booleans()), p=draw(st.sampled_from([0.0, 0.3, 0.5, 1.0])),
+        spelling=draw(st.none() | st.sampled_from(sorted(SPELLINGS)))) for zid in zone_ids]
+    lo = draw(st.integers(1, horizon))
+    return dict(
+        zones=zones, start=start, horizon=horizon,
+        fault=draw(st.none() | st.tuples(st.integers(0, n - 1), st.sampled_from(sorted(FAULTS)))),
+        # at most one edge out of each zone keeps the discretisation stable
+        edges=[[a, b] for a in zone_ids
+               if (b := draw(st.sampled_from([None, *zone_ids]))) not in (None, a)],
+        delta=draw(st.sampled_from([0.5, 1.0])),
+        occupancy_order=draw(st.permutations(zone_ids)),
+        bare_gains=None, zone_gains={},
+        strategy=dict(name="mine", schedule={
+            zid: sorted(draw(st.sets(st.integers(start, start + horizon - 1))))
+            for zid in zone_ids if draw(st.booleans())}),
+        bands=[dict(name="day", start=0, end=24, price_minor_per_kwh=1)],
+        thetas=list(range(lo, draw(st.integers(lo, horizon)) + 1)),
+        band=draw(st.sampled_from([(15.0, 18.0), (19.0, 21.0), (20.0, 22.0)])),
+    )
+
+
+def long_log_case(case: dict) -> dict:
+    """``case`` with each zone's grid and log bytes, as :func:`reference`
+    and :func:`arguments` take them."""
+    lines = {}
+    zones = []
+    for i, zone in enumerate(case["zones"]):
+        first, days = zone["layout"]
+        if zone["layout"] not in lines:
+            lines[zone["layout"]] = [f"{day},{hour}," for day in range(first, first + days)
+                                     for hour in range(24)]
+        rng = random.Random(zone["seed"])
+        grid = [[zone["first"] if hour == case["start"] else rng.random() < zone["p"]
+                 for hour in range(24)] for _ in range(days)]
+        rows = [line + "01"[bit] for line, bit in zip(lines[zone["layout"]],
+                                                     (bit for row in grid for bit in row))]
+        if zone["spelling"] not in (None, "crlf"):
+            SPELLINGS[zone["spelling"]](rows, rng.randrange(len(rows)))
+        if case["fault"] is not None and case["fault"][0] == i:
+            FAULTS[case["fault"][1]](rows, rng.randrange(len(rows)))
+        end = "\r\n" if zone["spelling"] == "crlf" else "\n"
+        zones.append(dict(zone, hours=list(range(24)), grid=grid,
+                          log=end.join(["day,hour,occupied", *rows, ""]).encode()))
+    return dict(case, zones=zones)
+
+
+def route_example(first: str, fault: str | None = None) -> dict:
+    """An instance whose logs take every ingestion route but one of the
+    reference checks: short logs of one layout, two stacks of them, the
+    last log shuffled so that it fails its stack, long logs of another
+    layout, and short logs of their own spellings. The ``first`` ("short"
+    or "long") layout's logs come first, so one of them is the reference;
+    it is never occupied, so that a ``fault`` in the second log differs
+    from it wherever it lies."""
+    layouts = {"short": (1, 120), "long": (1, 400)}
+    logs = [*[("short", None)] * 5, ("short", "shuffled"), ("long", None), ("long", None),
+            ("short", "space"), ("short", "plus-day")]
+    logs.sort(key=lambda log: log[0] != first)
+    zones = [dict(id=f"zone{i}", capacitance=2.0, resistance=2.0, initial_temp=19.7,
+                  layout=layouts[layout], seed=i, first=False, p=0.5 if i else 0.0,
+                  spelling=spelling)
+             for i, (layout, spelling) in enumerate(logs)]
+    return dict(zones=zones, start=8, horizon=4, fault=fault and (1, fault),
+                edges=[["zone0", "zone1"]],
+                delta=1.0, occupancy_order=[z["id"] for z in zones], bare_gains=None,
+                zone_gains={}, strategy=dict(name="mine", schedule={"zone0": [9, 10]}),
+                bands=[dict(name="day", start=0, end=24, price_minor_per_kwh=1)],
+                thetas=[1, 2, 3, 4], band=(19.0, 21.0))
+
+
+@pytest.fixture
+def routes(monkeypatch):
+    """How often each ingestion route reads a body, counted by wrappers
+    around the readers."""
+    from thermark import occupancy
+
+    counts = dict.fromkeys([
+        "day blocks", "long reference check", "stacked reference check",
+        "one body after a failed stack", "general reader alone", "general reader in batches",
+        "mapped body"], 0)
+
+    def count(name, routes_of):
+        read = getattr(occupancy, name)
+
+        def counted(*args, **kwargs):
+            result = read(*args, **kwargs)
+            for route in routes_of(args, result):
+                counts[route] += 1
+            return result
+
+        monkeypatch.setattr(occupancy, name, counted)
+
+    count("_read_strides", lambda args, read: ["day blocks"] * (read is not None))
+    count("_read_like", lambda args, read: ["long reference check"] * (read is not None))
+    count("_read_alike", lambda args, read: ["stacked reference check"] * (read.count(None) < len(read))
+          + ["one body after a failed stack"] * read.count(None))
+    count("_inline", lambda args, read: ["general reader alone" if len(args[0]) == 1
+                                         else "general reader in batches"])
+    count("_body", lambda args, read: ["mapped body"] * (not isinstance(read[0], bytes)))
+    return counts
+
+
+def test_long_and_respelled_logs_match_the_reference(routes, capsys):
+    """``analyze`` on long, shared-layout, respelled and faulty logs gives
+    the reference's trajectory and comfort, or for a faulty log the one
+    stderr line that ``estimate`` gives on that log; every ingestion route
+    reads some body."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(long_log_instances())
+    @example(route_example("short"))
+    @example(route_example("long"))
+    @example(route_example("short", "occupied-2"))
+    @example(route_example("long", "occupied-2"))
+    def check(case):
+        case = long_log_case(case)
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            args = [*arguments(case, root), "--band", "{}-{}".format(*case["band"])]
+            capsys.readouterr()
+            code = main(["analyze", *args, "--out", str(root / "a")])
+            err = capsys.readouterr().err
+            if case["fault"] is not None:
+                assert code == 2 and err.count("\n") == 1
+                log = root / f"log{case['fault'][0]}.csv"
+                assert main(["estimate", str(log), "--out", str(root / "e")]) == 2
+                assert capsys.readouterr().err == err
+                return
+            assert code == 0, err
+            with open(root / "a" / "trajectory.csv", newline="") as f:
+                _, *rows = csv.reader(f)
+            comfort = json.loads((root / "a" / "comfort.json").read_text())
+        expected = reference(case)["mine"]
+        values = [v for point in expected["trajectory"] for v in point]
+        assert [float(row[2]) for row in rows] == pytest.approx(values, rel=1e-9, abs=1e-9)
+        edges = [abs(v - edge) > 1e-6 for v in values for edge in case["band"]]
+        if all(edges):  # a point on a band edge would be classed by rounding
+            assert [point["classification"] for point in comfort["points"]] == [
+                label for labels in expected["classes"] for label in labels]
+
+    check()
+    assert all(routes.values()), routes
