@@ -40,7 +40,7 @@ _STRIDE_ALPHABET = b"0123456789+-,\n"
 _ROW_ALPHABET = _STRIDE_ALPHABET + b" \t"
 _INTEGER = re.compile(r"[ \t]*[+-]?[0-9]+[ \t]*")
 _SPLIT_NUMBER = re.compile(rb"[0-9+-][ \t]+[0-9+-]")  # a space or tab inside a number
-_COMMA, _NEWLINE, _PLUS, _MINUS, _ZERO, _NINE = b",\n+-09"
+_COMMA, _NEWLINE, _PLUS, _MINUS, _ZERO = b",\n+-0"
 _MAX_DAY = 2**63 - 1  # the largest day an int64 column holds
 # a body at least this long is first tried as fixed-stride day blocks; the
 # inline reader is faster below about 15 KB, a 180-day, 10-hour log
@@ -50,8 +50,9 @@ _STRIDE_RUNS = 19  # runs of equal day width; unpadded days of 1 to 18 digits ma
 # day blocks checked at once, so no temporary grows with the body; one
 # compare per run over a 1.1 MB log made 1-2 MB of them and ran slower
 _STRIDE_SLICE_BYTES = 128 * 1024
-# bodies read inline are joined into batches of about this many bytes; 128
-# logs of 3.4 KB read about 12% faster in batches of 64 KiB than in one
+# bodies read inline, and short bodies checked against the reference, are
+# joined into batches of about this many bytes; 128 logs of 3.4 KB read
+# about 12% faster inline in batches of 64 KiB than in one
 _BATCH_BYTES = 64 * 1024
 # a run of equal blocks of whole days (one day each from the day-block
 # reader, a piece of several from _line_runs): where it starts, block bytes,
@@ -184,14 +185,7 @@ def parse_occupancy_csv(data: bytes | str | mmap.mmap) -> OccupancyDataset:
     once, and every day covers the same contiguous hour window. Lines may
     end in LF, CRLF or CR.
     """
-    data, start = _body(data)
-    read = _strided(data, start)
-    if read is not None:
-        _close(data)
-        return read[0]
-    if not isinstance(data, bytes):  # a mapping the day-block reader declined
-        data, start = _body(data, in_place=False)
-    return _read_each([data[start:]])[0]
+    return parse_occupancy_logs([data])[0]
 
 
 def parse_occupancy_logs(logs: Iterable[bytes | str | mmap.mmap]) -> list[OccupancyDataset]:
@@ -203,33 +197,30 @@ def parse_occupancy_logs(logs: Iterable[bytes | str | mmap.mmap]) -> list[Occupa
     reference's when the call returns or raises.
 
     The logs are taken in turn and each header is checked on its own. A
-    body of at least ``STRIDE_MIN_BYTES`` is first offered to
-    ``_read_strides``, which reads it at once as fixed-stride day blocks
-    if its days all repeat the first day's lines byte for byte, apart from
-    the day digits and the occupied bit, and checks every byte itself.
-    The first body that either reader reads in file order (nothing sorted,
-    no blank line, space or tab dropped) is kept as the reference until
-    the call returns, so at most two long bodies are held at once. While
-    there is none, the first body ``_read_strides`` does not read is read
-    alone by the general reader (``_read_first``); if that reader sorts it
-    or drops a byte, no later body is read alone. Each later body of the
-    reference's length, whatever its header's, is XORed against it, body
-    to body: where it differs from the
-    reference only in occupied bits, each ``0`` or ``1``, it takes the
-    reference's days and hours with its own bits. Long bodies are checked
-    one at a time in the reference's slices (``_read_like``), short ones
-    stacked ``_BATCH_BYTES`` at a time (``_read_alike``). Every other body
-    goes to ``_read_strides`` if it is long, and the bodies left over are
-    read together by ``_read_batches``; if a batch declines them, they are
-    read one at a time, in order. A long body is read by those two where it
-    lies, in ``(buffer, start)``, a mapping's in the file; only a body that
-    both decline is copied out.
+    body is read by checking it against a template, byte for byte apart
+    from some allowed columns (``_differences``), where it can be:
+    ``_read_strides`` checks a body of at least ``STRIDE_MIN_BYTES``
+    against its own first day, apart from the day digits and occupied
+    bits, and ``_read_like`` checks a body against the reference, apart
+    from the occupied bits. The reference is the first body that either
+    reader reads in file order (nothing sorted, no blank line, space or
+    tab dropped), kept until the call returns, so at most two long bodies
+    are held at once. While there is none, the first body that
+    ``_read_strides`` does not read is read alone by the general reader; if
+    that reader sorts it or drops a byte, no later body is read alone.
+    Each later body of the reference's length, whatever its header's, is
+    checked against it: a long one alone, where it lies, short ones
+    stacked ``_BATCH_BYTES`` at a time, and the bodies of a stack that
+    fails one at a time. Every body left over is read by the general
+    reader, in batches (``_read_batches``), or one at a time, in order, if
+    a batch declines; only a long body that every reader declines is
+    copied out of its mapping.
     """
     items: list[OccupancyDataset | bytes] = []  # a dataset, or a body to read as rows
     alike: list[int] = []  # the items that are short bodies of the reference's length
     # the first body read in file order: its buffer, where it starts there, its
-    # dataset and what later bodies of its length are checked by: a long body's
-    # runs (_read_like), a short one's occupied-byte index (_read_alike)
+    # dataset and its runs; the general reader's reference holds its newlines
+    # until a second body of its length arrives
     reference = None
     seek = True  # whether the next body the day-block reader declines is read alone
     try:
@@ -237,17 +228,18 @@ def parse_occupancy_logs(logs: Iterable[bytes | str | mmap.mmap]) -> list[Occupa
             data, start = _opened(log, items)
             size = len(data) - start
             if reference is not None and size == len(reference[0]) - reference[1]:
-                # the same length test as the one that chose the reference's index
-                # or runs below: a strided reference is never short
+                if not isinstance(reference[3], list):
+                    reference = (*reference[:3], _line_runs(reference[3], len(reference[2].hours)))
                 if size < STRIDE_MIN_BYTES:
                     alike.append(len(items))
                     items.append(data[start:])
                     continue
-                if (dataset := _read_like(data, start, *reference)) is not None:
+                read = _read_like(np.frombuffer(data, np.uint8, offset=start)[None], *reference)
+                if read is not None:
                     _close(data)
-                    items.append(dataset)
+                    items += read
                     continue
-            if (read := _strided(data, start)) is not None:
+            if size >= STRIDE_MIN_BYTES and (read := _read_strides(data, start)) is not None:
                 items.append(read[0])
                 if reference is None:
                     reference = (data, start, *read)
@@ -257,28 +249,31 @@ def parse_occupancy_logs(logs: Iterable[bytes | str | mmap.mmap]) -> list[Occupa
             if not isinstance(data, bytes):  # a mapping that neither reader read
                 data, start = _opened(data, items, in_place=False)
             body = data[start:]
-            if seek and reference is None and (read := _read_first(body)) is not None:
+            if seek and reference is None and (read := _inline([body])) is not None:
                 # one writer likely wrote the logs alike: if this one is no
                 # reference, the rest are read in batches, not each alone
                 seek = False
-                dataset, newlines = read
+                (dataset,), newlines = read
                 items.append(dataset)
-                if newlines is not None:
-                    # each line's occupied byte is the one before its newline; the
-                    # length test is the dispatch's above, so each reader gets its own
-                    reference = (body, 0, dataset, newlines - 1 if len(body) < STRIDE_MIN_BYTES
-                                 else _line_runs(newlines, len(dataset.hours)))
+                if newlines is not None and body.endswith(b"\n"):
+                    reference = (body, 0, dataset, newlines)
             else:
                 items.append(body)
-        if alike:
-            for i, dataset in zip(alike, _read_alike([items[i] for i in alike], *reference)):
+        at = iter(alike)
+        for batch in _batches([items[i] for i in alike]):
+            stack = np.frombuffer(b"".join(batch), np.uint8).reshape(len(batch), -1)
+            read = _read_like(stack, *reference)
+            if read is None and len(stack) > 1:  # some body differs elsewhere: check each
+                read = [(_read_like(stack[i:i + 1], *reference) or [None])[0]
+                        for i in range(len(stack))]
+            for dataset, i in zip(read or [None], at):  # the list first: zip stops on it
                 if dataset is not None:
                     items[i] = dataset
     finally:
         if reference is not None:
             _close(reference[0])
-    read = iter(_read_batches([item for item in items if isinstance(item, bytes)])
-                or _read_each(items))
+    bodies = [item for item in items if isinstance(item, bytes)]
+    read = iter(bodies and (_read_batches(bodies) or _read_each(items)))
     return [next(read) if isinstance(item, bytes) else item for item in items]
 
 
@@ -301,12 +296,6 @@ class LogFault(ValidationError):
     def __init__(self, message: str, log: int) -> None:
         super().__init__(message)
         self.log = log
-
-
-def _strided(data: bytes | mmap.mmap, start: int) -> tuple[OccupancyDataset, list[_Run]] | None:
-    """``_read_strides`` of a long body; None for a body below
-    ``STRIDE_MIN_BYTES`` or one that it declines."""
-    return _read_strides(data, start) if len(data) - start >= STRIDE_MIN_BYTES else None
 
 
 def _body(data: bytes | str | mmap.mmap, in_place: bool = True) -> tuple[bytes | mmap.mmap, int]:
@@ -376,57 +365,42 @@ def _batches(bodies: list[bytes]) -> Iterator[list[bytes]]:
 
 def _read_batches(bodies: list[bytes]) -> list[OccupancyDataset] | None:
     """Each body's dataset, each of the ``_batches`` read once by
-    ``_read_inline``; None if any batch declines."""
+    ``_inline``; None if any batch declines."""
     datasets = []
     for batch in _batches(bodies):
-        read = _read_inline(batch)
+        read = _inline(batch)
         if read is None:
             return None
-        datasets += read
+        datasets += read[0]
     return datasets
 
 
 def _read_each(items: list[OccupancyDataset | bytes]) -> list[OccupancyDataset]:
     """The dataset of each body among ``items``, read alone by
-    ``_read_inline``; the first body it rejects raises ``_fault``'s message
+    ``_inline``; the first body it rejects raises ``_fault``'s message
     as a :class:`LogFault` at that body's position in ``items``."""
     datasets = []
     for i, body in enumerate(items):
         if isinstance(body, bytes):
-            read = _read_inline([body])
+            read = _inline([body])
             if read is None:
                 raise LogFault(str(_fault(_text(body))), i)
-            datasets += read
+            datasets += read[0]
     return datasets
 
 
-def _read_first(body: bytes) -> tuple[OccupancyDataset, np.ndarray | None] | None:
-    """The dataset ``_read_inline`` reads in a body alone, and if it read
-    the body in file order, nothing sorted or dropped, where the body's
-    newlines are; None if it rejects the body."""
-    read = _inline([body])
-    if read is None:
-        return None
-    (dataset,), newlines = read
-    return dataset, newlines if body.endswith(b"\n") else None
-
-
-def _read_inline(bodies: list[bytes]) -> list[OccupancyDataset] | None:
-    """The datasets of bodies read as rows, or None: their bytes
-    are checked and then take one structural pass, the layout of the
-    separators and all three columns read at once, then array checks over
-    the columns. The checks leave numpy only ``[+-]?[0-9]+`` tokens to
-    read. Several bodies are read only if they share one hour window, so
-    that each body's days are blocks of the joined rows; bodies over
-    different hours decline."""
-    read = _inline(bodies)
-    return None if read is None else read[0]
-
-
 def _inline(bodies: list[bytes]) -> tuple[list[OccupancyDataset], np.ndarray | None] | None:
-    """``_read_inline``'s datasets, and if every row was read where it
-    stands (no space, tab or blank line dropped and no body sorted) where
-    each row's newline is in the joined bodies; else None in its place."""
+    """The general reader: the datasets of bodies read as rows, and if
+    every row was read where it stands (no space, tab or blank line dropped
+    and no body sorted) where each row's newline is in the joined bodies,
+    else None in its place; None if it rejects the bodies.
+
+    Their bytes are checked and then take one structural pass, the layout
+    of the separators and all three columns read at once, then array
+    checks over the columns. The checks leave numpy only ``[+-]?[0-9]+``
+    tokens to read. Several bodies are read only if they share one hour
+    window, so that each body's days are blocks of the joined rows; bodies
+    over different hours decline."""
     bodies = [body if body.endswith(b"\n") else body + b"\n" for body in bodies]
     joined = b"".join(bodies)
     data = _row_bytes(joined)
@@ -498,15 +472,16 @@ def _read_strides(data: bytes | mmap.mmap,
 
     The head, the first 24 lines, may hold only digits, signs, commas and
     newlines; ``_read_rows`` reads it, and the first day's lines in it must
-    hold one row per hour in ascending order. The body is then walked in runs of days of
-    equal digit count, each a zero-copy ``(days, block bytes)`` view
-    checked by columns, ``_STRIDE_SLICE_BYTES`` of blocks at a time: the
-    first day's bytes everywhere else, the same decimal digits on every
-    line of a block, occupied 0 or 1. So every byte of the body is checked
-    here. Days are read from their digit columns; a day of more than 18
-    digits, a day below 1, days that do not strictly ascend, a partial
-    last block (as when the body does not end in a newline) or more than
-    19 runs decline the body.
+    hold one row per hour in ascending order. The body is then walked in
+    runs of days of equal digit count, each a zero-copy ``(days, block
+    bytes)`` view checked by ``_differences``, ``_STRIDE_SLICE_BYTES`` of
+    blocks at a time, against the first day's block with its day digits
+    and occupied bits ``0``: the template's bytes everywhere else, the same
+    decimal digits on every line of a block, occupied 0 or 1. So every byte
+    of the body is checked here. Days are read from their digit columns; a
+    day of more than 18 digits, a day below 1, days that do not strictly
+    ascend, a partial last block (as when the body does not end in a
+    newline) or more than 19 runs decline the body.
     """
     head_end = start
     for _ in range(24):
@@ -545,23 +520,24 @@ def _read_strides(data: bytes | mmap.mmap,
         blocks = blocks[:len(blocks) if ends.all() else ends.argmin()]
         if not len(blocks):
             return None
-        day_at = (tail_at + lines * width)[:, None] + np.arange(width)
         occupied_at = tail_at + lengths - 2 + (lines + 1) * width
-        # b | 0x0F is 0x3F only for 0-9 and :;<=>?, and b | 0x01 is 0x31
-        # only for 0 or 1: one compare checks every byte but the day digits'
-        # upper bound
-        mask = np.zeros(block, np.uint8)
-        mask[day_at], mask[occupied_at] = 0x0F, 0x01
-        template = np.frombuffer(b"".join(b"0" * width + t for t in tails), np.uint8) | mask
+        day_at = (tail_at + lines * width)[:, None] + np.arange(width)
+        # a byte XORed with "0" is at most 9 only for a digit, and then its value
+        template = np.frombuffer(b"".join(b"0" * width + t for t in tails), np.uint8)
+        allowed = np.concatenate([occupied_at, day_at.ravel()])
         powers = 10 ** np.arange(width - 1, -1, -1, dtype=np.int64)
         step = _slice_blocks(block)
+        buffer = np.empty(min(step, len(blocks)) * block, np.uint8)
         for part in (blocks[i:i + step] for i in range(0, len(blocks), step)):
-            digits = part[:, day_at]
-            if not (((part | mask) == template).all() and (digits == digits[:, :1]).all()
-                    and (digits[:, 0] <= _NINE).all()):
+            picked = _differences(part, template, allowed, buffer)
+            if picked is None:
                 return None
-            days.append((digits[:, 0] - _ZERO).astype(np.int64) @ powers)
-            grids.append(part[:, occupied_at] == _ZERO + 1)
+            bits, digits = picked[:, :n_hours], picked[:, n_hours:].reshape(len(part), n_hours, -1)
+            if not (bits.max() <= 1 and digits[:, 0].max() <= 9
+                    and (digits == digits[:, :1]).all()):
+                return None
+            days.append(digits[:, 0].astype(np.int64) @ powers)
+            grids.append(bits.astype(bool))  # a copy: no view holds the digits
         runs.append((at - start, block, len(blocks), occupied_at))
         at += len(blocks) * block
         if at == len(data):
@@ -576,79 +552,65 @@ def _read_strides(data: bytes | mmap.mmap,
                             grid=_read_only(grid)), runs
 
 
-def _read_like(data: bytes | mmap.mmap, start: int, reference: bytes | mmap.mmap,
-               reference_start: int, dataset: OccupancyDataset,
-               runs: list[_Run]) -> OccupancyDataset | None:
-    """The dataset the body at ``start`` in ``data`` holds if it is the one
-    at ``reference_start`` in ``reference``, a body read in file order as
-    ``dataset`` in ``runs``, with other occupied bits; None otherwise, as
-    for a body of another length.
+def _read_like(stack: np.ndarray, reference: bytes | mmap.mmap, start: int,
+               dataset: OccupancyDataset, runs: list[_Run]) -> list[OccupancyDataset] | None:
+    """The dataset of each body in ``stack``, a ``(bodies, bytes)`` array of
+    bodies of the reference's length, if each is the body at ``start`` in
+    ``reference``, read in file order as ``dataset`` in ``runs``, with
+    other occupied bits; None if any body differs from it elsewhere.
 
     Each run is walked in the slices of blocks that ``_read_strides``
-    checks, and in each the bodies are XORed into one reused buffer. The
-    reference holds ``0`` or ``1`` at every occupied column, so an XOR of
-    at most 1 there leaves ``data`` a ``0`` or ``1`` too, and the bytes that
-    differ must be exactly the occupied bits that differ: every other byte
-    is the reference's, and either reader would read ``data`` as
-    ``dataset``'s days and hours with the flipped bits.
+    checks, each slice of every body checked against the reference's by
+    ``_differences``. The reference holds ``0`` or ``1`` at every occupied
+    column, so a difference of at most 1 there leaves a body a ``0`` or
+    ``1`` too, and every other byte is the reference's: either reader
+    would read the body as ``dataset``'s days and hours with the flipped
+    bits.
     """
-    if len(data) - start != len(reference) - reference_start:
-        return None
-    a = np.frombuffer(data, np.uint8, offset=start)
-    b = np.frombuffer(reference, np.uint8, offset=reference_start)
-    buffer = np.empty(max(min(count, _slice_blocks(block)) * block
-                          for _, block, count, _ in runs), np.uint8)
+    ref = np.frombuffer(reference, np.uint8, offset=start)
+    buffer = np.empty(len(stack) * max(min(count, _slice_blocks(block)) * block
+                                       for _, block, count, _ in runs), np.uint8)
     grids, row, n_hours = [], 0, len(dataset.hours)
     for at, block, count, occupied_at in runs:
         step = _slice_blocks(block)
-        for begin in range(at, at + count * block, step * block):
-            end = min(begin + step * block, at + count * block)
-            xor = np.bitwise_xor(a[begin:end], b[begin:end], out=buffer[:end - begin])
-            flips = xor.reshape(-1, block)[:, occupied_at].reshape(-1, n_hours)
-            if not (flips.max() <= 1 and np.count_nonzero(xor) == np.count_nonzero(flips)):
+        bodies = stack[:, at:at + count * block].reshape(len(stack), count, block)
+        blocks = ref[at:at + count * block].reshape(count, block)
+        for i in range(0, count, step):
+            flips = _differences(bodies[:, i:i + step], blocks[i:i + step], occupied_at, buffer)
+            if flips is None or flips.max() > 1:
                 return None
-            grids.append(dataset.grid[row:row + len(flips)] ^ flips.view(bool))
-            row += len(flips)
-    return OccupancyDataset(days=dataset.days, hours=dataset.hours,
-                            grid=_read_only(np.concatenate(grids)))
+            flips = flips.reshape(len(stack), -1, n_hours).view(bool)
+            grids.append(dataset.grid[row:row + flips.shape[1]] ^ flips)
+            row += flips.shape[1]
+    return [OccupancyDataset(days=dataset.days, hours=dataset.hours, grid=grid)
+            for grid in _read_only(np.concatenate(grids, axis=1))]
 
 
-def _read_alike(bodies: list[bytes], reference: bytes, start: int, dataset: OccupancyDataset,
-                occupied_at: np.ndarray) -> list[OccupancyDataset | None]:
-    """``_read_like`` of several bodies of the reference's length, each
-    group of ``_batches`` stacked into one ``(bodies, bytes)`` array and
-    XORed against the reference at once. Meant for short bodies: a group
-    holds about ``_BATCH_BYTES``. The reference's body starts at ``start``
-    in it, and ``occupied_at`` indexes the body's occupied bytes, in the
-    order of ``dataset``'s grid."""
-    ref = np.frombuffer(reference, np.uint8, offset=start)
-    bits = np.ravel(dataset.grid).view(np.uint8)
-    read: list[OccupancyDataset | None] = []
-    for batch in _batches(bodies):
-        xor = np.frombuffer(b"".join(batch), np.uint8).reshape(len(batch), -1) ^ ref
-        flips = xor[:, occupied_at]
-        # the XOR bytes are never negative, so equal sums leave none but zeros
-        # outside the occupied columns
-        alike = (flips.max(axis=1) <= 1) & (xor.sum(axis=1) == flips.sum(axis=1))
-        grids = iter(_read_only((flips[alike] ^ bits).view(bool)))
-        read += (OccupancyDataset(days=dataset.days, hours=dataset.hours,
-                                  grid=next(grids).reshape(dataset.grid.shape))
-                 if same else None for same in alike.tolist())
-    return read
+def _differences(part: np.ndarray, template: np.ndarray, allowed: np.ndarray,
+                 out: np.ndarray) -> np.ndarray | None:
+    """``part``, a ``(..., block)`` array, XORed with ``template`` into the
+    reused buffer ``out``, at the ``allowed`` columns of each block, if
+    ``part`` differs from ``template`` nowhere else; None otherwise."""
+    xor = np.bitwise_xor(part, template, out=out[:part.size].reshape(part.shape))
+    picked = xor[..., allowed]
+    # the allowed columns are distinct, so equal counts leave no byte outside them
+    return picked if np.count_nonzero(xor) == np.count_nonzero(picked) else None
 
 
 def _line_runs(newlines: np.ndarray, n_hours: int) -> list[_Run]:
     """The runs of a body the general reader read in file order, from where
     its newlines are: its days cut into pieces of about
     ``_STRIDE_SLICE_BYTES``, each piece one block, whose occupied bytes are
-    those before its newlines."""
-    ends = newlines + 1  # where each line ends
-    day_ends = ends[n_hours - 1::n_hours]
-    last = np.flatnonzero(np.diff((day_ends - 1) // _STRIDE_SLICE_BYTES, append=-1))
-    runs, at, line = [], 0, 0
-    for end, lines in zip(day_ends[last].tolist(), ((last + 1) * n_hours).tolist()):
-        runs.append((at, end - at, 1, ends[line:lines] - 2 - at))
-        at, line = end, lines
+    those before its newlines. A short body is one piece."""
+    day_ends = newlines[n_hours - 1::n_hours] + 1
+    runs, at, day = [], 0, 0
+    while day < len(day_ends):
+        # the piece holds every day that ends in the slice this one ends in
+        limit = ((int(day_ends[day]) - 1) // _STRIDE_SLICE_BYTES + 1) * _STRIDE_SLICE_BYTES
+        last = int(day_ends.searchsorted(limit, "right"))
+        end = int(day_ends[last - 1])
+        runs.append((at, end - at, 1, newlines[day * n_hours:last * n_hours] - 1 - at))
+        at, day = end, last
     return runs
 
 

@@ -20,17 +20,16 @@ from thermark import (
 from thermark import occupancy
 from thermark.datasets import seven_day_log_csv
 from thermark.errors import read_bytes
-from thermark.occupancy import OccupancyDataset, _fault, _read_inline, _read_strides
+from thermark.occupancy import OccupancyDataset, _fault, _read_strides
 
 
 def read_grid(body: bytes) -> OccupancyDataset | None:
     """What ``parse_occupancy_csv`` reads in one body, or None where it
-    raises: the day-block reader's dataset if the body is long and it reads
-    it, else the row reader's."""
-    if len(body) >= occupancy.STRIDE_MIN_BYTES and (read := _read_strides(body, 0)) is not None:
-        return read[0]
-    datasets = _read_inline([body])
-    return None if datasets is None else datasets[0]
+    raises."""
+    try:
+        return parse_occupancy_csv(b"day,hour,occupied\n" + body)
+    except ValidationError:
+        return None
 
 
 @pytest.fixture
@@ -545,15 +544,15 @@ class TestPieces:
         assert strided == parse_occupancy_csv(data) == dataset
 
     def test_long_log_takes_no_body_sized_temporary(self):
-        body = long_log()[0].partition(b"\n")[2]
+        data, expected = long_log()
         tracemalloc.start()
         try:
-            dataset = read_grid(body)
+            dataset = parse_occupancy_csv(data)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert dataset is not None
-        assert peak < len(body) / 2
+        assert dataset == expected
+        assert peak < len(data) / 2
 
     @pytest.mark.parametrize("edit, verdict", [
         (lambda d: d.replace(b"\n2500,7,", b"\n2500,07,"), None),
