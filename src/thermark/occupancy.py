@@ -260,7 +260,7 @@ def parse_occupancy_logs(logs: Iterable[bytes | str | mmap.mmap]) -> list[Occupa
             else:
                 items.append(body)
         at = iter(alike)
-        for batch in _batches([items[i] for i in alike]):
+        for batch in _batches([items[i] for i in alike]) if alike else ():
             stack = np.frombuffer(b"".join(batch), np.uint8).reshape(len(batch), -1)
             read = _read_like(stack, *reference)
             if read is None and len(stack) > 1:  # some body differs elsewhere: check each
@@ -529,8 +529,7 @@ def _read_strides(data: bytes | mmap.mmap,
         step = _slice_blocks(block)
         buffer = np.empty(min(step, len(blocks)) * block, np.uint8)
         for part in (blocks[i:i + step] for i in range(0, len(blocks), step)):
-            picked = _differences(part, template, allowed, buffer)
-            if picked is None:
+            if (picked := _differences(part, template, allowed, buffer)) is None:
                 return None
             bits, digits = picked[:, :n_hours], picked[:, n_hours:].reshape(len(part), n_hours, -1)
             if not (bits.max() <= 1 and digits[:, 0].max() <= 9
