@@ -345,7 +345,8 @@ def route_example(first: str, fault: str | None = None) -> dict:
     layout, and short logs of their own spellings. The ``first`` ("short"
     or "long") layout's logs come first, so one of them is the reference;
     it is never occupied, so that a ``fault`` in the second log differs
-    from it wherever it lies."""
+    from it wherever it lies. A separator fault keeps that log at the
+    reference's length, so that only the check can reject it."""
     layouts = {"short": (1, 120), "long": (1, 400)}
     logs = [*[("short", None)] * 5, ("short", "shuffled"), ("long", None), ("long", None),
             ("short", "space"), ("short", "plus-day")]
@@ -416,6 +417,8 @@ def test_long_and_respelled_logs_match_the_reference(routes, capsys):
     @example(route_example("long"))
     @example(route_example("short", "occupied-2"))
     @example(route_example("long", "occupied-2"))
+    @example(route_example("short", "separator"))
+    @example(route_example("long", "separator"))
     def check(case):
         case = long_log_case(case)
         with tempfile.TemporaryDirectory() as tmp:
