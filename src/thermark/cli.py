@@ -65,8 +65,9 @@ class RunConfig(Record):
     radiator_kw: float = 1.0
 
     def gains_for(self, zone_ids: tuple[str, ...]) -> dict[str, ZoneGains]:
+        known = set(zone_ids)
         for zid in self.gains:
-            if zid is not None and zid not in zone_ids:
+            if zid is not None and zid not in known:
                 raise ValidationError(f"--gains references unknown zone {zid!r}")
         default = self.gains.get(None, DEFAULT_GAINS)
         table = {}
@@ -276,8 +277,9 @@ def _load_schedules(config: RunConfig, zone_ids: tuple[str, ...]) -> Schedules:
     first fault that reading meets, as the batch need not; a zone whose
     log the batch found faulty is not read again, as it would give the
     batch's message."""
+    known = set(zone_ids)
     for zid in config.occupancy_paths:
-        if zid not in zone_ids:
+        if zid not in known:
             raise ValidationError(f"--occupancy references unknown zone {zid!r}")
     paths = [config.occupancy_paths.get(zid) for zid in zone_ids]
     fault = None
@@ -559,6 +561,97 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the action kinds that build_parser's subcommands hold, besides -h; the pass reads these
+_ARGV_KINDS = {argparse._StoreAction: "store", argparse._AppendAction: "append",
+               argparse._StoreTrueAction: "flag"}
+
+
+@functools.cache
+def _argv_table(command: str) -> tuple | None:
+    """The action table of ``command``'s parser in :func:`build_parser`, as
+    :func:`_read_argv` reads it: each option string's ``(dest, kind, type
+    or const)``, the positional dests in order, every dest's default in
+    the order ``parse_args`` sets them (the subcommand's dest first), and
+    the required dests. None for a name that is no subcommand, or for a
+    parser that holds an action of a kind the pass does not read."""
+    (commands,) = (action for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+    parser = commands.choices.get(command)
+    if parser is None:
+        return None
+    options, positionals, defaults, required = {}, [], {commands.dest: command}, set()
+    for action in parser._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue  # not in the table, so -h and --help go to argparse
+        kind = _ARGV_KINDS.get(type(action))
+        # argparse converts a string default by the type when the option is not given
+        if kind is None or action.choices is not None or (
+                isinstance(action.default, str) and action.type is not None):
+            return None
+        if action.required or not action.option_strings:
+            required.add(action.dest)
+        if not action.option_strings:
+            positionals.append(action.dest)
+        for option in action.option_strings:
+            options[option] = (action.dest, kind, action.const if kind == "flag" else action.type)
+        defaults[action.dest] = action.default
+    return options, tuple(positionals), defaults, frozenset(required)
+
+
+def _read_argv(argv: list[str]) -> argparse.Namespace | None:
+    """The Namespace that ``build_parser().parse_args(argv)`` gives, read in
+    one pass over ``argv`` from the subcommand's :func:`_argv_table`, or
+    None for any argv this pass does not take as it is. It takes a
+    subcommand's name, then its exact option strings, each store or append
+    option followed by one value that does not start with ``-``, and its
+    positionals; anything else goes to argparse, which stays the one
+    grammar and writes every help text and error: an abbreviation,
+    ``--opt=value``, ``-h``, ``--``, a value that starts with ``-`` or is
+    missing, a missing required option, a positional too many, or a value
+    that the option's type rejects. argparse copies an append option's list
+    at each use, and before Python 3.13 finds the next option by a search
+    over all that remain, so N repeats cost it O(N^2); this pass is O(N)."""
+    table = _argv_table(argv[0]) if argv else None
+    if table is None:
+        return None
+    options, positionals, defaults, required = table
+    values, lists, seen = dict(defaults), {}, set()
+    free = iter(positionals)
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):  # argparse reads an empty token as a positional too
+            dest = next(free, None)
+            if dest is None:
+                return None
+            values[dest] = token
+        elif (entry := options.get(token)) is None:
+            return None
+        else:
+            dest, kind, arg = entry
+            if kind == "flag":
+                values[dest] = arg
+            else:
+                value = next(tokens, None)
+                if value is None or value.startswith("-"):
+                    return None
+                if arg is not None:
+                    try:
+                        value = arg(value)
+                    except (TypeError, ValueError, argparse.ArgumentTypeError):
+                        return None
+                if kind == "store":
+                    values[dest] = value
+                elif dest in lists:
+                    lists[dest].append(value)
+                else:  # the default copied, as argparse does, so that it stays as it is
+                    lists[dest] = [*(values[dest] or ()), value]
+        seen.add(dest)
+    if not required <= seen:
+        return None
+    values.update(lists)
+    return argparse.Namespace(**values)
+
+
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     strategies = tuple(args.strategy) or (
         strategy_mod.BUILTIN_STRATEGY_NAMES if args.command == "cost" else ("S1",))
@@ -607,11 +700,14 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_argv(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         # argparse before Python 3.13 reads the value of "--opt=--" as [], not "--"
-        for arg in itertools.takewhile("--".__ne__, sys.argv[1:] if argv is None else argv):
+        for arg in itertools.takewhile("--".__ne__, argv):
             option, _, value = arg.partition("=")
             if option.startswith("--") and value == "--":
                 raise ValidationError(f"{option} cannot take the value '--'")

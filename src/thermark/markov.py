@@ -296,7 +296,8 @@ def step_reward_table(
     _check_zones(zone_ids, thermal, gains)
 
     # chain order may differ from the thermal matrix order
-    rows = [thermal.zone_index(zid) for zid in zone_ids]
+    index = {zid: i for i, zid in enumerate(thermal.zone_ids)}
+    rows = [index[zid] for zid in zone_ids]  # _check_zones found each one there
     t0 = np.asarray(thermal.initial_temps, dtype=float)
     a = np.asarray(thermal.a, dtype=float)
     powers = [np.eye(len(a))]

@@ -154,8 +154,9 @@ def parse_strategy(path: Path, zone_ids: tuple[str, ...]) -> HeatingStrategy:
     """
     raw = read_json(path, "strategy", STRATEGY_SCHEMA)
     schedule = {z: frozenset(hours) for z, hours in raw["schedule"].items()}
+    known = set(zone_ids)
     for z in schedule:
-        if z not in zone_ids:
+        if z not in known:
             raise ValidationError(f"strategy references unknown zone id {z!r}")
     for z, hours in schedule.items():
         for h in hours:

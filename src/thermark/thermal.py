@@ -80,13 +80,20 @@ class ContinuousStateSpace(Record):
         row_sums = a.sum(axis=1)
         if np.max(np.abs(row_sums), initial=0.0) > ROW_SUM_TOL:
             raise ValidationError("a_hat rows must sum to 0 for a closed network")
-        off_diag = a - np.diag(np.diag(a))
-        if np.any(off_diag < 0.0) or np.any(np.diag(a) > 0.0):
+        # one pass over each matrix, and none builds a copy with its diagonal cleared:
+        # a coupling below 0 is a negative entry that is not on the diagonal
+        diagonal = a.diagonal()
+        if (np.count_nonzero(a < 0.0) > np.count_nonzero(diagonal < 0.0)
+                or (diagonal > 0.0).any()):
             raise ValidationError(
                 "a_hat must have non-negative couplings and non-positive diagonal"
             )
+        # off the diagonal every entry is 0 (NaN is not), and on it each is
+        # positive and finite
         b = np.asarray(self.b_hat, dtype=float)
-        if np.any(b - np.diag(np.diag(b)) != 0.0) or np.any(np.diag(b) <= 0.0):
+        diagonal = b.diagonal()
+        if (np.count_nonzero(b != 0.0) > np.count_nonzero(diagonal != 0.0)
+                or not ((diagonal > 0.0) & (diagonal < np.inf)).all()):
             raise ValidationError("b_hat must be diagonal with positive entries")
 
 
@@ -114,10 +121,15 @@ class DiscreteThermalModel(Record):
                 raise ValidationError(f"{name} must be {n}x{n}, got {shape}")
         if not self.delta > 0:
             raise ValidationError(f"delta must be positive, got {self.delta}")
+        # a NaN carries through min and max, so an a whose least and greatest
+        # entries lie in [0, 1] is finite and stable, found in two passes
+        stable = 0.0 <= a.min(initial=0.0) and a.max(initial=0.0) <= 1.0
         for name in ("a", "b", "initial_temps"):
+            if name == "a" and stable:
+                continue
             if not np.isfinite(np.asarray(getattr(self, name), dtype=float)).all():
                 raise ValidationError(f"{name} must hold finite numbers only")
-        if (a < 0.0).any() or (a > 1.0).any():
+        if not stable:
             raise NumericalGuardError(
                 "unstable discretisation: entries of a fall outside [0, 1]; "
                 "use a smaller step length"
@@ -157,11 +169,14 @@ def discretize_forward_euler(
 ) -> DiscreteThermalModel:
     """Forward-Euler step: a = I + delta * a_hat, b = delta * b_hat; the
     model rejects a delta that is not positive."""
-    n = len(ss.zone_ids)
-    a = np.eye(n) + delta * np.asarray(ss.a_hat, dtype=float)
+    a = delta * np.asarray(ss.a_hat, dtype=float)
+    # in place of adding the identity: its zeros turn a -0.0 into 0.0, and
+    # 1.0 + x has the bits of x + 1.0
+    a += 0.0
+    a.flat[::len(a) + 1] += 1.0
     b = delta * np.asarray(ss.b_hat, dtype=float)
     if initial_temps is None:
-        initial_temps = np.zeros(n)
+        initial_temps = np.zeros(len(ss.zone_ids))
     return DiscreteThermalModel(
         a=a,
         b=b,

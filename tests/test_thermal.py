@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from thermark import (
+    ContinuousStateSpace,
+    DiscreteThermalModel,
     NumericalGuardError,
     RCNetwork,
     ValidationError,
@@ -152,6 +154,91 @@ class TestDiscretize:
             new_spread = t.max() - t.min()
             assert new_spread <= spread + 1e-12
             spread = new_spread
+
+
+def continuous_fault(a: np.ndarray, b: np.ndarray) -> str | None:
+    """ContinuousStateSpace's checks as first written, on copies of each
+    matrix with its diagonal cleared: the start of the first message, or None."""
+    if np.max(np.abs(a.sum(axis=1)), initial=0.0) > 1e-12:
+        return "a_hat rows"
+    if np.any(a - np.diag(np.diag(a)) < 0.0) or np.any(np.diag(a) > 0.0):
+        return "a_hat must"
+    if np.any(b - np.diag(np.diag(b)) != 0.0) or np.any(np.diag(b) <= 0.0):
+        return "b_hat must"
+    return None
+
+
+def discrete_fault(a: np.ndarray, b: np.ndarray, t0: np.ndarray) -> str | None:
+    """DiscreteThermalModel's value checks as first written, one pass per check."""
+    for name, values in (("a", a), ("b", b), ("initial_temps", t0)):
+        if not np.isfinite(values).all():
+            return f"{name} must"
+    if (a < 0.0).any() or (a > 1.0).any():
+        return "unstable"
+    return None
+
+
+def raised(make) -> str | None:
+    try:
+        make()
+    except (ValidationError, NumericalGuardError) as exc:
+        return str(exc)
+    return None
+
+
+# entries that a check must see wherever they stand
+ODD_ENTRIES = [np.nan, np.inf, -np.inf, -0.0, 0.0, -1e-300, 1e-300, -1.0, 1.0 + 2 ** -52, 2.0,
+               1e308]
+
+
+class TestModelChecks:
+    """The models' checks, which take fewer passes than they were first
+    written with, name the same first fault as the first writing."""
+
+    def test_checks_match_their_first_writing(self):
+        rng = np.random.default_rng(5)
+        for _ in range(1000):
+            n = int(rng.integers(2, 5))
+            ss = build_state_space(random_closed_network(rng, n))
+            a_hat, b_hat = ss.a_hat.copy(), ss.b_hat.copy()
+            a = discretize_forward_euler(ss, 0.1).a.copy()
+            b, t0 = b_hat.copy(), rng.uniform(10, 20, n)
+            for target in rng.choice(6, size=int(rng.integers(1, 4))):
+                entry = ODD_ENTRIES[rng.integers(len(ODD_ENTRIES))]
+                if target == 5:  # a shift within one row of a_hat keeps its sum
+                    i, j = (int(k) for k in rng.integers(0, n, size=2))
+                    with np.errstate(all="ignore"):
+                        a_hat[i, j] += entry
+                        a_hat[i, i] -= entry
+                    continue
+                values = (a_hat, b_hat, a, b, t0)[target]
+                at = tuple(int(i) for i in rng.integers(0, n, size=values.ndim))
+                if rng.integers(0, 2) and values.ndim == 2:
+                    at = (at[0], at[0])  # on the diagonal
+                values[at] = entry
+            ids = tuple(f"z{i}" for i in range(n))
+            with np.errstate(all="ignore"):
+                got = raised(lambda: ContinuousStateSpace(a_hat=a_hat, b_hat=b_hat, zone_ids=ids))
+                expected = continuous_fault(a_hat, b_hat)
+            assert (got or "").startswith(expected or "@") or got is expected is None, got
+            got = raised(lambda: DiscreteThermalModel(a=a, b=b, delta=1.0, initial_temps=t0,
+                                                      zone_ids=ids))
+            expected = discrete_fault(a, b, t0)
+            assert (got or "").startswith(expected or "@") or got is expected is None, got
+
+    def test_discretize_has_the_bits_of_identity_plus_step(self):
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            n = int(rng.integers(2, 9))
+            ss = build_state_space(random_closed_network(rng, n))
+            delta = float(rng.uniform(0.01, 0.5) / np.max(np.abs(np.diag(ss.a_hat))))
+            model = discretize_forward_euler(ss, delta)
+            assert model.a.tobytes() == (np.eye(n) + delta * ss.a_hat).tobytes()
+            assert model.b.tobytes() == (delta * ss.b_hat).tobytes()
+        # an off-diagonal -0.0 becomes 0.0, as adding the identity makes it
+        ss = ContinuousStateSpace(a_hat=np.array([[-1.0, 1.0], [-0.0, 0.0]]), b_hat=np.eye(2),
+                                  zone_ids=("z1", "z2"))
+        assert not np.signbit(discretize_forward_euler(ss, 0.5).a).any()
 
 
 class TestMatrixPower:
