@@ -80,8 +80,8 @@ class ContinuousStateSpace(Record):
         row_sums = a.sum(axis=1)
         if np.max(np.abs(row_sums), initial=0.0) > ROW_SUM_TOL:
             raise ValidationError("a_hat rows must sum to 0 for a closed network")
-        # one pass over each matrix, and none builds a copy with its diagonal cleared:
-        # a coupling below 0 is a negative entry that is not on the diagonal
+        # a coupling below 0 is a negative entry that is not on the diagonal, so
+        # counting the negative entries of a and of its diagonal finds one
         diagonal = a.diagonal()
         if (np.count_nonzero(a < 0.0) > np.count_nonzero(diagonal < 0.0)
                 or (diagonal > 0.0).any()):
@@ -170,8 +170,8 @@ def discretize_forward_euler(
     """Forward-Euler step: a = I + delta * a_hat, b = delta * b_hat; the
     model rejects a delta that is not positive."""
     a = delta * np.asarray(ss.a_hat, dtype=float)
-    # in place of adding the identity: its zeros turn a -0.0 into 0.0, and
-    # 1.0 + x has the bits of x + 1.0
+    # I + delta * a_hat without building I: the identity's zeros turn a -0.0
+    # into 0.0, and 1.0 + x has the bits of x + 1.0
     a += 0.0
     a.flat[::len(a) + 1] += 1.0
     b = delta * np.asarray(ss.b_hat, dtype=float)

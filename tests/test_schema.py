@@ -107,7 +107,7 @@ def cases(draw) -> tuple[object, list]:
     return schema, values
 
 
-@settings(max_examples=600, deadline=None, derandomize=True, database=None,
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(case=cases())
 def test_the_column_check_agrees_with_the_walk(case):
