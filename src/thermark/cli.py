@@ -584,11 +584,12 @@ def _argv_table(command: str) -> tuple | None:
         if isinstance(action, argparse._HelpAction):
             continue  # not in the table, so -h and --help go to argparse
         kind = _ARGV_KINDS.get(type(action))
-        # argparse converts a string default by the type when the option is not given
-        if kind is None or action.choices is not None or (
+        # the pass reads one value per option or positional, or none for a flag, and
+        # no choices; argparse converts a string default by the type when it is used
+        if kind is None or action.nargs not in (None, 0) or action.choices is not None or (
                 isinstance(action.default, str) and action.type is not None):
             return None
-        if action.required or not action.option_strings:
+        if action.required:  # argparse marks a one-value positional required
             required.add(action.dest)
         if not action.option_strings:
             positionals.append(action.dest)
