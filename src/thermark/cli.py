@@ -567,19 +567,22 @@ _ARGV_KINDS = {argparse._StoreAction: "store", argparse._AppendAction: "append",
 
 
 @functools.cache
-def _argv_table(command: str) -> tuple | None:
-    """The action table of ``command``'s parser in :func:`build_parser`, as
-    :func:`_read_argv` reads it: each option string's ``(dest, kind, type
-    or const)``, the positional dests in order, every dest's default in
-    the order ``parse_args`` sets them (the subcommand's dest first), and
-    the required dests. None for a name that is no subcommand, or for a
-    parser that holds an action of a kind the pass does not read."""
+def _argv_tables() -> dict[str, tuple]:
+    """The action table of each subcommand's parser in :func:`build_parser`,
+    by name, as :func:`_read_argv` reads it: each option string's ``(dest,
+    kind, type or const)``, the positional dests in order, every dest's
+    default in the order ``parse_args`` sets them (the subcommand's dest
+    first), and the required dests. A parser that holds an action of a kind
+    the pass does not read has no table."""
     (commands,) = (action for action in build_parser()._actions
                    if isinstance(action, argparse._SubParsersAction))
-    parser = commands.choices.get(command)
-    if parser is None:
-        return None
-    options, positionals, defaults, required = {}, [], {commands.dest: command}, set()
+    return {command: table for command, parser in commands.choices.items()
+            if (table := _argv_table(commands.dest, command, parser)) is not None}
+
+
+def _argv_table(dest: str, command: str, parser: argparse.ArgumentParser) -> tuple | None:
+    """One subcommand's table for :func:`_argv_tables`, or None."""
+    options, positionals, defaults, required = {}, [], {dest: command}, set()
     for action in parser._actions:
         if isinstance(action, argparse._HelpAction):
             continue  # not in the table, so -h and --help go to argparse
@@ -601,8 +604,9 @@ def _argv_table(command: str) -> tuple | None:
 
 def _read_argv(argv: list[str]) -> argparse.Namespace | None:
     """The Namespace that ``build_parser().parse_args(argv)`` gives, read in
-    one pass over ``argv`` from the subcommand's :func:`_argv_table`, or
-    None for any argv this pass does not take as it is. It takes a
+    one pass over ``argv`` from the subcommand's table in
+    :func:`_argv_tables`, or None for any argv this pass does not take as
+    it is. It takes a
     subcommand's name, then its exact option strings, each store or append
     option followed by one value that does not start with ``-``, and its
     positionals; anything else goes to argparse, which stays the one
@@ -612,7 +616,7 @@ def _read_argv(argv: list[str]) -> argparse.Namespace | None:
     that the option's type rejects. argparse copies an append option's list
     at each use, and before Python 3.13 finds the next option by a search
     over all that remain, so N repeats cost it O(N^2); this pass is O(N)."""
-    table = _argv_table(argv[0]) if argv else None
+    table = _argv_tables().get(argv[0]) if argv else None
     if table is None:
         return None
     options, positionals, defaults, required = table

@@ -231,11 +231,7 @@ def _walk(value: object, schema: object) -> None:
     else:
         (fixed,) = schema
         members = enumerate(value)
-    # when every member fits, as they do in a valid file, no loop runs; else the
-    # loops find the first member that does not. A leaf of the expected kind
-    # passes in them; anything else is walked
-    if fixed is not None and _all_fit(list(value.values()) if form is dict else value, fixed):
-        members = ()
+    # a leaf of the expected kind passes in these loops; anything else is walked
     try:
         if fixed is None:
             for step, member, item in members:
@@ -253,52 +249,6 @@ def _walk(value: object, schema: object) -> None:
         exc = _Mismatch(f"{value[step]!r} is listed twice")
         exc.steps.append(step)
         raise exc
-
-
-def _all_fit(values: list, schema: object) -> bool:
-    """Whether every one of ``values`` matches ``schema``, checked a column
-    at a time: a list of objects as one list per key, a list of lists as
-    their members in one list, and each list of leaves by one census of its
-    types and one check over all of it, with no call per value. False as
-    soon as a column holds a value that may not match; :func:`_walk` then
-    goes member by member and names the first mismatch."""
-    form = type(schema)
-    kinds = set(map(type, values))
-    if form is type:
-        if schema is Name:
-            return kinds <= {str} and all(values) and "".join(values).isprintable()
-        if schema is not float:
-            return kinds <= {schema}
-        if not kinds <= {float, int}:
-            return False
-        try:
-            finite = all(map(math.isfinite, values))
-        except OverflowError:  # an integer that no float holds
-            return False
-        # an integer a little beyond the float range rounds to a finite float
-        limit = sys.float_info.max
-        return finite and (int not in kinds or -limit <= min(values) and max(values) <= limit)
-    if form is dict:
-        if not kinds <= {dict}:
-            return False
-        if str in schema:
-            return _all_fit([item for member in values for item in member.values()], schema[str])
-        given = 0
-        for key, item in schema.items():
-            name = key.rstrip("?")
-            column = [member[name] for member in values if name in member]
-            if name == key and len(column) < len(values) or not _all_fit(column, item):
-                return False
-            given += len(column)
-        return given == sum(map(len, values))  # no member holds a key the schema does not name
-    if not kinds <= {list}:
-        return False
-    if form is tuple:
-        return set(map(len, values)) <= {len(schema) - 1} and all(
-            _all_fit([member[i] for member in values], item) for i, item in enumerate(schema[1:]))
-    (item,) = schema
-    return _all_fit([part for member in values for part in member], item) and (
-        form is list or all(len(set(member)) == len(member) for member in values))
 
 
 def json_error(source: object, steps: Iterable[str | int], problem: str) -> ValidationError:

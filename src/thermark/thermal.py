@@ -121,15 +121,11 @@ class DiscreteThermalModel(Record):
                 raise ValidationError(f"{name} must be {n}x{n}, got {shape}")
         if not self.delta > 0:
             raise ValidationError(f"delta must be positive, got {self.delta}")
-        # a NaN carries through min and max, so an a whose least and greatest
-        # entries lie in [0, 1] is finite and stable, found in two passes
-        stable = 0.0 <= a.min(initial=0.0) and a.max(initial=0.0) <= 1.0
         for name in ("a", "b", "initial_temps"):
-            if name == "a" and stable:
-                continue
             if not np.isfinite(np.asarray(getattr(self, name), dtype=float)).all():
                 raise ValidationError(f"{name} must hold finite numbers only")
-        if not stable:
+        # the least and greatest entries, with no boolean array per bound
+        if not 0.0 <= a.min(initial=0.0) or not a.max(initial=0.0) <= 1.0:
             raise NumericalGuardError(
                 "unstable discretisation: entries of a fall outside [0, 1]; "
                 "use a smaller step length"

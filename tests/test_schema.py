@@ -1,128 +1,12 @@
-"""The column check of ``errors.read_json``'s walk against the walk itself.
-
-``errors._all_fit`` checks a list of values against one schema a column at
-a time. It may say False for values that match, as the walk then checks
-them one by one, but never True for values that do not; and for values
-whose strings are all printable it says exactly what the walk says.
-"""
+"""The name rule of ``errors.read_json``'s walk: ``is_name`` takes a
+printable text without a category look-up per character."""
 
 from __future__ import annotations
 
-import copy
 import sys
 import unicodedata
 
-import pytest
-
-hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, given, settings  # noqa: E402
-from hypothesis import strategies as st  # noqa: E402
-
-from thermark.errors import Name, _all_fit, _Mismatch, _walk, is_name  # noqa: E402
-from thermark.strategy import STRATEGY_SCHEMA, TARIFF_SCHEMA  # noqa: E402
-from thermark.thermal import BUILDING_SCHEMA  # noqa: E402
-
-BIG = int(sys.float_info.max)
-# values a mutation puts in place of another: integers at and past the float
-# range (BIG + 1 rounds to a finite float), non-finite floats, booleans,
-# names with a control character (U+0085 is one) or with other characters
-# that are not printable, and containers
-ODD = [0, 1, -1, BIG, -BIG, BIG + 1, -BIG - 1, 10 ** 400, 0.5, -0.0, float("inf"),
-       float("-inf"), float("nan"), True, False, None, "", "a", "zone1", "a\nb", "a\x85b",
-       "a\xa0b", "a\u2028b", [], [1.0], [[1.0]], ["a", "b"], {}, {"a": 1}]
-SCHEMAS = [BUILDING_SCHEMA, STRATEGY_SCHEMA, TARIFF_SCHEMA, [Name], [float], {int},
-           [("two", str, str)], {str: [float]}, {"a": int, "b?": [Name]}]
-
-
-def valid(schema: object) -> st.SearchStrategy:
-    """Values that match ``schema``."""
-    form = type(schema)
-    if schema is Name:
-        return st.sampled_from(["zone1", "a b", "é", "a\xa0b", "a\u2028b"])
-    if schema is str:
-        return st.sampled_from(["", "x", "a\nb"])
-    if schema is int:
-        return st.integers(-2 ** 70, 2 ** 70)
-    if schema is float:
-        return st.one_of(st.floats(allow_nan=False, allow_infinity=False),
-                         st.sampled_from([BIG, -BIG, 7]))
-    if form is tuple:
-        return st.tuples(*map(valid, schema[1:])).map(list)
-    if form is list:
-        return st.lists(valid(schema[0]), max_size=4)
-    if form is set:
-        return st.lists(valid(next(iter(schema))), max_size=4, unique=True)
-    if str in schema:
-        return st.dictionaries(st.sampled_from(["a", "b", "c"]), valid(schema[str]), max_size=3)
-    return st.fixed_dictionaries(
-        {key: valid(item) for key, item in schema.items() if not key.endswith("?")},
-        optional={key[:-1]: valid(item) for key, item in schema.items() if key.endswith("?")})
-
-
-def containers(value):
-    if isinstance(value, (dict, list)):
-        yield value
-        for item in value.values() if isinstance(value, dict) else value:
-            yield from containers(item)
-
-
-def strings(value):
-    """Every string inside ``value``, keys too."""
-    if isinstance(value, str):
-        yield value
-    elif isinstance(value, dict):
-        yield from value
-        for item in value.values():
-            yield from strings(item)
-    elif isinstance(value, list):
-        for item in value:
-            yield from strings(item)
-
-
-@st.composite
-def cases(draw) -> tuple[object, list]:
-    """A schema and a list of values that match it, then up to two
-    mutations: a member's value replaced, a key removed or added, a member
-    repeated."""
-    schema = draw(st.sampled_from(SCHEMAS))
-    odd = st.sampled_from(ODD).map(copy.deepcopy)  # a copy, as a mutation may change it
-    values = draw(st.lists(valid(schema), max_size=4))
-    for _ in range(draw(st.sampled_from([0, 1, 1, 2]))):
-        node = draw(st.sampled_from(list(containers(values))))
-        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
-        kind = draw(st.sampled_from(["value", "value", "delete", "add", "repeat"]))
-        if kind == "add" or not keys:
-            if isinstance(node, dict):
-                node[draw(st.sampled_from(["a", "b", "zones", "edges", "extra"]))] = draw(odd)
-            else:
-                node.append(draw(odd))
-            continue
-        key = draw(st.sampled_from(keys))
-        if kind == "value":
-            node[key] = draw(odd)
-        elif kind == "delete":
-            del node[key]
-        elif isinstance(node, list):
-            node.insert(key, node[key])
-    return schema, values
-
-
-@settings(max_examples=300, deadline=None, derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(case=cases())
-def test_the_column_check_agrees_with_the_walk(case):
-    schema, values = case
-    try:
-        for value in values:
-            _walk(value, schema)
-        walks = True
-    except _Mismatch:
-        walks = False
-    fits = _all_fit(values, schema)
-    hypothesis.event(f"walk {walks}, columns {fits}")
-    assert walks or not fits, values
-    if all(text.isprintable() for text in strings(values)):
-        assert fits == walks, values
+from thermark.errors import is_name
 
 
 def test_no_control_character_is_printable():
@@ -131,18 +15,3 @@ def test_no_control_character_is_printable():
                 if chr(code).isprintable() and unicodedata.category(chr(code)) == "Cc"]
     assert [is_name(text) for text in ["a", "a b", "é", "a\xa0b", "", "a\nb", "a\x85b"]] == [
         True, True, True, True, False, False, False]
-
-
-
-# each column's members fit but its last, which does not
-@pytest.mark.parametrize("schema, column", [
-    (float, [1.0, BIG + 1]), (float, [2, -BIG - 1]), (float, [0.5, 10 ** 400]),
-    (float, [0.5, True]), (float, [0.5, float("nan")]), (int, [1, 2.0]), (str, ["a", None]),
-    (Name, ["a", ""]), (Name, ["a", "b\x85"]), (("two", str, str), [["a", "b"], ["a"]]),
-    (("two", str, str), [["a", "b"], ["a", "b", "c"]]), ({int}, [[1, 2], [3, 3]]),
-    ({"a": int}, [{"a": 1}, {"a": 1, "b": 2}]), ({"a": int, "b?": int}, [{"a": 1}, {"b": 1}]),
-    ({str: int}, [{"a": 1}, {"b": "x"}]), ([float], [[1.0], 1.0]),
-])
-def test_one_mismatch_in_a_column_is_seen(schema, column):
-    assert _all_fit(column[:-1], schema)
-    assert not _all_fit(column, schema)
