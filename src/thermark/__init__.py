@@ -7,11 +7,9 @@ cost, and exports the models for external probabilistic model checking.
 """
 
 from .analysis import (
-    TemperatureTrajectory,
     brute_force_expected_temperature,
     comfort_check,
     direct_expected_temperatures,
-    temperature_trajectory,
 )
 from .errors import NumericalGuardError, ThermarkError, ValidationError
 from .markov import (
@@ -28,7 +26,6 @@ from .markov import (
 from .occupancy import (
     OccupancyDataset,
     TransitionSchedule,
-    estimate_transition_schedule,
     parse_occupancy_csv,
 )
 from .prism import export_properties, render_models
@@ -66,7 +63,6 @@ __all__ = [
     "RCNetwork",
     "RewardedModel",
     "Tariff",
-    "TemperatureTrajectory",
     "ThermarkError",
     "TransitionSchedule",
     "ValidationError",
@@ -82,7 +78,6 @@ __all__ = [
     "compose",
     "direct_expected_temperatures",
     "discretize_forward_euler",
-    "estimate_transition_schedule",
     "export_properties",
     "load_building",
     "occupied_marginals",
@@ -93,6 +88,5 @@ __all__ = [
     "step_reward_table",
     "strategy_cost",
     "table2_tariff",
-    "temperature_trajectory",
     "unroll_zone",
 ]

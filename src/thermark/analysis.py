@@ -1,31 +1,22 @@
 """Expected zone temperatures as expected cumulative rewards.
 
-Three evaluation routes are provided:
+:func:`direct_expected_temperatures` is the one evaluation route. It
+never builds the composed model: the expected gain at step k only needs
+each zone's occupancy marginal at step k-1 and the deterministic heating
+bit, so the whole trajectory is the forward recursion
+E[k+1] = A @ E[k] + Q[k+1], costing O(N^2) per step. Given a stack of
+heating arrays, one recursion steps every strategy with one stacked
+product per step.
 
-* :func:`temperature_trajectory` runs one forward pass over the composed
-  chain's per-step zone factors. Over the 2^N states s of step k the pass
-  carries p_k(s) = P(X_k = s) and m_k(s) = E[T_k 1{X_k = s}], and steps
-  them with m_{k+1} = P_k^T (m_k A^T + p_k g_k) and p_{k+1} = p_k P_k,
-  where g_k(s) is the heat gain of state s during hour k (its own
-  occupancy bits and the step's heating bits). P_k is the Kronecker
-  product of the zones' 2x2 step matrices, so it is applied one zone axis
-  at a time, in O(N 2^N) per carried column, and never built.
-  E[T_theta] is the sum of m_theta over the states, so the route reads
-  every factor :func:`thermark.markov.compose` stacked, and one pass up to
-  the largest theta serves every theta. It never reads the rewards.
-* :func:`direct_expected_temperatures` skips the composed model entirely:
-  because the expected gain at step k only needs each zone's occupancy
-  marginal at step k-1 and the deterministic heating bit, the whole
-  trajectory is the forward recursion E[k+1] = A @ E[k] + Q[k+1], costing
-  O(N^2) per step. Given a stack of heating arrays, one recursion steps
-  every strategy with one stacked product per step.
-* :func:`brute_force_expected_temperature` enumerates every occupancy
-  path, runs the per-path temperature recursion, and averages under the
-  exact path measure. It is deliberately built from the zone chains' raw
-  transition probabilities and gains rather than the factors or the
-  assigned rewards, so agreement with the forward pass validates
-  :func:`thermark.markov.compose`. It alone takes a
-  :class:`thermark.markov.RewardedModel`, for its theta, thermal model and gains.
+:func:`brute_force_expected_temperature` is an exhaustive check of it,
+kept here because the benchmark's correctness check calls it. It
+enumerates every occupancy path, runs the per-path temperature recursion
+and averages under the exact path measure. It is built from the zone
+chains' raw transition probabilities and gains rather than the composed
+model's factors or the assigned rewards, and it alone takes a
+:class:`thermark.markov.RewardedModel`, for its theta, thermal model and
+gains. The tests hold a third route, the forward pass over the composed
+model's factors, which checks :func:`thermark.markov.compose` against both.
 """
 
 from __future__ import annotations
@@ -35,11 +26,10 @@ import itertools
 import numpy as np
 
 from .errors import NumericalGuardError, ValidationError
-from .markov import ComposedModel, RewardedModel, ZoneGains, _check_zones
-from .records import Record
+from .markov import RewardedModel, ZoneGains
 from .thermal import DiscreteThermalModel
 
-ORACLE_MAX_PATH_BITS = 22
+ORACLE_MAX_PATH_BITS = 22  # the guard of the path oracle, which perfbench/checks.py reads
 
 
 def direct_expected_temperatures(
@@ -92,6 +82,7 @@ def direct_expected_temperatures(
     return values if stacked else values[0]
 
 
+# perfbench/checks.py reads this function
 def brute_force_expected_temperature(rewarded: RewardedModel, theta: int) -> dict[str, float]:
     """Exhaustive path-enumeration oracle for the expected temperature.
 
@@ -115,7 +106,7 @@ def brute_force_expected_temperature(rewarded: RewardedModel, theta: int) -> dic
     if n * model.horizon > ORACLE_MAX_PATH_BITS:
         raise NumericalGuardError(
             f"path enumeration over {n} zones x {model.horizon} steps exceeds "
-            f"2^{ORACLE_MAX_PATH_BITS} paths; use temperature_trajectory instead"
+            f"2^{ORACLE_MAX_PATH_BITS} paths; use direct_expected_temperatures instead"
         )
 
     thermal = rewarded.thermal
@@ -175,60 +166,6 @@ def brute_force_expected_temperature(rewarded: RewardedModel, theta: int) -> dic
         zid: float(np.sum(prob * temps[:, thermal.zone_index(zid)]))
         for zid in model.zone_ids
     }
-
-
-class TemperatureTrajectory(Record):
-    """Expected temperature per (theta, zone)."""
-
-    zone_ids: tuple[str, ...]
-    thetas: tuple[int, ...]
-    values: np.ndarray  # (len(thetas), len(zone_ids))
-
-
-def temperature_trajectory(
-    model: ComposedModel,
-    thermal: DiscreteThermalModel,
-    gains: dict[str, ZoneGains],
-    theta_range: list[int] | tuple[int, ...] | range,
-) -> TemperatureTrajectory:
-    """Evaluate expected temperatures over a theta range, in the model's
-    zone order, by one forward pass over the composed model's factors up
-    to the largest theta (see the module docstring)."""
-    thetas = tuple(theta_range)
-    if not thetas:
-        raise ValidationError("empty theta range")
-    if min(thetas) < 1 or max(thetas) > model.horizon:
-        raise ValidationError(
-            f"theta range {thetas} outside 1..{model.horizon}"
-        )
-    zone_ids = model.zone_ids
-    n = len(zone_ids)
-    _check_zones(zone_ids, thermal, gains)
-    # A and T0 permuted from thermal order into chain order
-    order = [thermal.zone_index(zid) for zid in zone_ids]
-    a_t = np.asarray(thermal.a, dtype=float)[np.ix_(order, order)].T
-    t0 = np.asarray(thermal.initial_temps, dtype=float)[order]
-    # occupant gain of every state of a step, rows in state order
-    occupant = np.array(list(itertools.product((1.0, 0.0), repeat=n)))
-    occupant *= [gains[zid].q_int for zid in zone_ids]
-    q_rad = np.array([gains[zid].q_rad for zid in zone_ids])
-
-    # carried[:, :n] is m_k and carried[:, n] is p_k
-    start = int("".join("0" if c.initial_occupied else "1" for c in model.chains), 2)
-    carried = np.zeros((2 ** n, n + 1))
-    carried[start] = [*t0, 1.0]
-    expected = [t0]
-    for k in range(max(thetas)):
-        m, p = carried[:, :n], carried[:, n:]
-        gain = occupant + q_rad * np.array(model.heating_at(k), dtype=float)
-        carried = np.concatenate([m @ a_t + p * gain, p], axis=1)
-        # P_k^T one zone at a time: zone j's bit is axis 1 of this view
-        for j, factor in enumerate(model.factors[k]):
-            carried = np.matmul(factor.T, carried.reshape(2 ** j, 2, -1)).reshape(2 ** n, -1)
-        expected.append(carried[:, :n].sum(axis=0))
-    return TemperatureTrajectory(
-        zone_ids=zone_ids, thetas=thetas, values=np.array(expected)[list(thetas)]
-    )
 
 
 def comfort_check(values: np.ndarray, band: tuple[float, float]

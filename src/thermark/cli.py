@@ -33,7 +33,6 @@ import numpy as np
 from . import analysis, markov, occupancy, prism, strategy as strategy_mod
 from .errors import NumericalGuardError, ThermarkError, ValidationError, is_name, read_bytes
 from .markov import ZoneGains
-from .occupancy import TransitionSchedule
 from .records import Record
 from .thermal import DiscreteThermalModel, load_building
 
@@ -245,14 +244,20 @@ def _cost_json(comparison: strategy_mod.StrategyComparison, zone_ids: tuple[str,
             f'  "rows": {_block(rows, "  ")}\n}}\n')
 
 
-def _schedule_json(schedule: TransitionSchedule, days: int, warnings: list[str]) -> str:
-    """schedule.json; each probability was checked to lie in [0, 1]."""
-    steps = (f'    {{\n      "hour_from": {h0},\n      "hour_to": {h1},\n      "p_ff": {m.p_ff!r},'
-             f'\n      "p_fv": {m.p_fv!r},\n      "p_vf": {m.p_vf!r},\n      "p_vv": {m.p_vv!r},'
-             f'\n      "step": {m.step}\n    }}'
-             for m, h0, h1 in zip(schedule.matrices, schedule.hours, schedule.hours[1:]))
-    diagnostics = (f'    {{\n      "condition": {_quote(d.condition)},\n      "hour": {d.hour},\n'
-                   f'      "reason": {_quote(d.reason)}\n    }}' for d in schedule.diagnostics)
+def _schedule_json(hours: tuple[int, ...], p_vf: np.ndarray, p_ff: np.ndarray,
+                   occupied: np.ndarray, days: int, warnings: list[str]) -> str:
+    """schedule.json from one log's ``estimate_steps`` rows, the (H-1,) probabilities in
+    [0, 1] and the (H,) days occupied at each of the H ``hours``. A step whose hour no day
+    was empty (or occupied) at defaulted to stay-in-state, and is flagged."""
+    steps = (f'    {{\n      "hour_from": {h0},\n      "hour_to": {h1},\n      "p_ff": {f!r},'
+             f'\n      "p_fv": {1.0 - f!r},\n      "p_vf": {v!r},\n      "p_vv": {1.0 - v!r},'
+             f'\n      "step": {k}\n    }}'
+             for k, (v, f, h0, h1) in enumerate(zip(p_vf.tolist(), p_ff.tolist(), hours,
+                                                    hours[1:])))
+    diagnostics = (f'    {{\n      "condition": "{c}",\n      "hour": {hour},\n      "reason": '
+                   f'"no day was {c} at this hour; defaulted to stay-in-state"\n    }}'
+                   for hour, n in zip(hours[:-1], occupied.tolist())
+                   for c, unseen in (("empty", n == days), ("occupied", n == 0)) if unseen)
     return (f'{{\n  "days": {days},\n  "diagnostics": {_block(diagnostics, "  ")},\n'
             f'  "steps": {_block(steps, "  ")},\n  "warnings": {_strings(warnings, "  ")}\n}}\n')
 
@@ -497,10 +502,12 @@ def cmd_export(config: RunConfig, name: str, to_stdout: bool = False) -> int:
 
 def cmd_estimate(csv_path: Path, out_dir: Path, to_stdout: bool = False) -> int:
     dataset = _read_dataset(csv_path)
-    schedule = occupancy.estimate_transition_schedule(dataset)
-    warnings = ([f"low sample: only {dataset.day_count} day(s) in the dataset"]
-                if dataset.day_count < 5 else [])
-    text = _schedule_json(schedule, dataset.day_count, warnings)
+    if len(dataset.hours) < 2:
+        raise ValidationError("need at least two hours to estimate transitions")
+    (p_vf,), (p_ff,), (occupied,), _ = occupancy.estimate_steps([dataset.grid])
+    days = dataset.day_count
+    warnings = [f"low sample: only {days} day(s) in the dataset"] if days < 5 else []
+    text = _schedule_json(dataset.hours, p_vf, p_ff, occupied, days, warnings)
     if to_stdout:
         sys.stdout.write(text)
     else:

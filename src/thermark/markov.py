@@ -43,13 +43,6 @@ from .thermal import DiscreteThermalModel
 SINK_LABEL = "t_sink"
 
 
-class Transition(Record):
-    source: int
-    target: int
-    probability: float
-    label: str
-
-
 class ZoneChain(Record):
     """Layered occupancy chain of a single zone over horizon K, held as its
     per-step occupancy probabilities and heating bits."""
@@ -87,6 +80,7 @@ def occupied_marginals(
     return m.T
 
 
+# perfbench/checks.py reads this function; the CLI unrolls with unroll_zones
 def unroll_zone(
     schedule: TransitionSchedule,
     heating: list[bool] | tuple[bool, ...],
@@ -185,11 +179,6 @@ class ComposedModel(Record):
         states.append(ComposedState(len(states), self.horizon + 1, None, None))
         return tuple(states)
 
-    @property
-    def transitions(self) -> tuple[Transition, ...]:
-        """Every product edge in state order, built from the factors on each read."""
-        return tuple(itertools.starmap(Transition, self.edges()))
-
     def edges(self) -> Iterator[tuple[int, int, float, str]]:
         """Every product edge as (source, target, probability, label), in
         state order, walked one row at a time from each step's Kronecker
@@ -213,6 +202,7 @@ class ComposedModel(Record):
         return tuple(c.heating[step] for c in self.chains)
 
 
+# perfbench/checks.py reads this function, as does the CLI's --dump-chain
 def compose(chains: list[ZoneChain] | tuple[ZoneChain, ...]) -> ComposedModel:
     """Synchronized product of zone chains sharing one horizon.
 
@@ -244,6 +234,7 @@ class ZoneGains(Record):
     q_rad: float
 
 
+# perfbench/checks.py reads this record, through assign_rewards
 class RewardedModel(Record):
     """A composed model with per-zone, per-step rewards for one theta: the oracle's input."""
 
@@ -337,6 +328,7 @@ def step_reward_table(
     return table
 
 
+# perfbench/checks.py reads this function
 def assign_rewards(
     model: ComposedModel,
     thermal: DiscreteThermalModel,

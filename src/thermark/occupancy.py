@@ -9,8 +9,8 @@ log yields a 2x2 stochastic matrix by counting day-level transitions:
 
 with the complementary entries filled so each row sums to exactly 1.
 Hours where a conditioning state never occurs (e.g. rooms that are never
-occupied at opening time) default to stay-in-state and are flagged in the
-diagnostics instead of failing.
+occupied at opening time) default to stay-in-state instead of failing;
+the counts of days occupied at each hour show where that happened.
 
 Several logs are read as one batch (:func:`parse_occupancy_logs`) and
 counted as one (:func:`estimate_steps`), each getting the values it gets
@@ -90,12 +90,14 @@ class OccupancyDataset(Record):
     def day_count(self) -> int:
         return len(self.days)
 
+    # perfbench/tracing.py reads len(records) after each parse
     @property
     def records(self) -> Mapping[tuple[int, int], bool]:
         """Read-only ``(day, hour) -> occupied`` view of ``grid``."""
         return _Records(self)
 
 
+# OccupancyDataset.records' view, kept for perfbench/tracing.py
 class _Records(Mapping):
     """A dataset's grid seen as a mapping, keys in day-major order."""
 
@@ -121,6 +123,7 @@ class _Records(Mapping):
         return self._dataset.grid.size
 
 
+# perfbench/checks.py reads this record, to build a TransitionSchedule
 class StepMatrix(Record):
     """Stochastic occupancy matrix for one hour boundary.
 
@@ -145,27 +148,11 @@ class StepMatrix(Record):
             raise ValidationError(f"step {self.step}: occupied row does not sum to 1")
 
 
-class Diagnostic(Record):
-    hour: int
-    condition: str  # "empty" or "occupied"
-    reason: str
-
-
+# perfbench/checks.py reads this record, as unroll_zone's input
 class TransitionSchedule(Record):
-    """One StepMatrix per hour boundary, step k covering hour[k] -> hour[k+1]."""
+    """One StepMatrix per hour boundary, step k covering the k-th hour to the next."""
 
     matrices: tuple[StepMatrix, ...]
-    hours: tuple[int, ...] = ()
-    diagnostics: tuple[Diagnostic, ...] = ()
-
-    def __len__(self) -> int:
-        return len(self.matrices)
-
-    def matrix(self, step: int) -> StepMatrix:
-        try:
-            return self.matrices[step]
-        except IndexError:
-            raise ValidationError(f"schedule has no step {step}") from None
 
 
 def parse_occupancy_csv(data: bytes | str | mmap.mmap) -> OccupancyDataset:
@@ -725,30 +712,6 @@ def _fault(body: str) -> ValidationError:
                 return ValidationError(f"gap in data: day {d} is missing hour {h}")
     # reached only if the two readers disagree about the grammar
     return ValidationError("occupancy rows could not be read")
-
-
-def estimate_transition_schedule(dataset: OccupancyDataset) -> TransitionSchedule:
-    """Estimate per-hour transition matrices by raw day counting.
-
-    An hour whose conditioning state never occurs defaults to
-    stay-in-state and is flagged in diagnostics.
-    """
-    hours = dataset.hours
-    if len(hours) < 2:
-        raise ValidationError("need at least two hours to estimate transitions")
-    # a log of no days is counted as one empty day: every step defaults
-    # either way, and the diagnostics read the true day count
-    grid = dataset.grid if dataset.day_count else np.zeros((1, len(hours)), bool)
-    p_vf, p_ff, occupied, _ = (a.tolist()[0] for a in estimate_steps([grid]))
-    matrices: list[StepMatrix] = []
-    diags: list[Diagnostic] = []
-    for k, (v, f, n) in enumerate(zip(p_vf, p_ff, occupied)):
-        for condition, unseen in (("empty", n == dataset.day_count), ("occupied", n == 0)):
-            if unseen:
-                diags.append(Diagnostic(hour=hours[k], condition=condition, reason=(
-                    f"no day was {condition} at this hour; defaulted to stay-in-state")))
-        matrices.append(StepMatrix(step=k, p_vf=v, p_vv=1.0 - v, p_ff=f, p_fv=1.0 - f))
-    return TransitionSchedule(matrices=tuple(matrices), hours=hours, diagnostics=tuple(diags))
 
 
 def estimate_steps(grids: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:

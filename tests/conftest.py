@@ -9,8 +9,8 @@ import random
 import numpy as np
 import pytest
 
-from thermark import (DiscreteThermalModel, compose, load_building, occupied_marginals,
-                      temperature_trajectory)
+from oracles import composed_expected_temperatures
+from thermark import DiscreteThermalModel, compose, load_building, occupied_marginals
 from thermark.cli import RunConfig, _chains, _heating_bits, _load_inputs, _load_schedules
 from thermark.occupancy import OccupancyDataset, StepMatrix, TransitionSchedule
 
@@ -73,9 +73,22 @@ def matrix_power(a, k: int) -> np.ndarray:
     return out
 
 
+def composed_values(model, thermal, gains, thetas) -> np.ndarray:
+    """E[T_theta] per (theta, zone), zones in the model's chain order, by
+    the forward pass of ``oracles.py`` over the composed model's factors."""
+    order = [thermal.zone_index(zid) for zid in model.zone_ids]
+    return composed_expected_temperatures(
+        model.factors, np.array([c.heating for c in model.chains], dtype=float).T,
+        [c.initial_occupied for c in model.chains],
+        np.asarray(thermal.a, dtype=float)[np.ix_(order, order)],
+        np.asarray(thermal.initial_temps, dtype=float)[order],
+        np.array([gains[zid].q_int for zid in model.zone_ids]),
+        np.array([gains[zid].q_rad for zid in model.zone_ids]), thetas)
+
+
 def forward_temps(model, thermal, gains, theta: int) -> dict[str, float]:
     """E[T_theta] per zone by the forward pass over the composed model."""
-    (values,) = temperature_trajectory(model, thermal, gains, [theta]).values
+    (values,) = composed_values(model, thermal, gains, [theta])
     return dict(zip(model.zone_ids, values.tolist()))
 
 
@@ -91,12 +104,11 @@ def build_model(config: RunConfig):
 
 def sample_dataset(schedule: TransitionSchedule, days: int, seed: int,
                    initial_occupied_prob: float = 0.0,
-                   first_hour: int | None = None) -> OccupancyDataset:
+                   first_hour: int = 0) -> OccupancyDataset:
     """A synthetic dataset whose rows follow ``schedule``: days 1..days each
-    start occupied with probability ``initial_occupied_prob`` and then
-    evolve by the per-step matrices. Deterministic for a fixed seed."""
-    if first_hour is None:
-        first_hour = schedule.hours[0] if schedule.hours else 0
+    start occupied with probability ``initial_occupied_prob`` at
+    ``first_hour`` and then evolve by the per-step matrices. Deterministic
+    for a fixed seed."""
     rng = random.Random(seed)
     grid = []
     for _ in range(days):
@@ -108,7 +120,7 @@ def sample_dataset(schedule: TransitionSchedule, days: int, seed: int,
         grid.append(row)
     return OccupancyDataset(
         days=tuple(range(1, days + 1)),
-        hours=tuple(range(first_hour, first_hour + len(schedule) + 1)),
+        hours=tuple(range(first_hour, first_hour + len(schedule.matrices) + 1)),
         grid=np.array(grid, dtype=bool),
     )
 

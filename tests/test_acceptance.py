@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import shutil
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from conftest import BENCH_A, BENCH_T0, build_model, make_schedule, matrix_power, random_schedule
+from conftest import (BENCH_A, BENCH_T0, build_model, composed_values, make_schedule,
+                      matrix_power, random_schedule)
 from thermark import (
     ZoneGains,
     assign_rewards,
@@ -25,18 +27,17 @@ from thermark import (
     build_state_space,
     compose,
     discretize_forward_euler,
-    estimate_transition_schedule,
     export_properties,
     parse_occupancy_csv,
     render_models,
     step_reward_table,
     strategy_cost,
     table2_tariff,
-    temperature_trajectory,
     unroll_zone,
 )
 from thermark.cli import RunConfig
 from thermark.datasets import two_zone_benchmark_dir, seven_day_log_csv
+from thermark.occupancy import estimate_steps
 from thermark.strategy import compare_strategies
 from thermark.thermal import RCNetwork, Zone
 from test_prism import GOLDEN
@@ -68,8 +69,7 @@ class TestCriterion1Occupancy:
     def test_morning_estimate(self):
         start = time.perf_counter()
         dataset = parse_occupancy_csv(seven_day_log_csv().read_text())
-        schedule = estimate_transition_schedule(dataset)
-        p = schedule.matrix(0).p_vf
+        p = estimate_steps([dataset.grid])[0][0, 0].item()
         elapsed = time.perf_counter() - start
         ok = (
             abs(p - 3 / 7) <= 1e-15
@@ -122,7 +122,7 @@ class TestCriterion3EngineOracle:
                     initial_occupied=bool(rng.integers(0, 2)),
                 ))
             model = compose(chains)
-            values = temperature_trajectory(model, thermal, gains, range(1, 10)).values
+            values = composed_values(model, thermal, gains, range(1, 10))
             for theta in range(1, 10):
                 rewarded = assign_rewards(model, thermal, gains, theta)
                 engine = dict(zip(model.zone_ids, values[theta - 1].tolist()))
@@ -143,7 +143,7 @@ class TestCriterion4ClosedForms:
         ])
         zero = {z: ZoneGains(0.0, 0.0) for z in ZONES}
         worst = 0.0
-        values = temperature_trajectory(model, thermal, zero, range(1, 10)).values
+        values = composed_values(model, thermal, zero, range(1, 10))
         for theta in range(1, 10):
             temps = dict(zip(model.zone_ids, values[theta - 1].tolist()))
             closed = matrix_power(BENCH_A, theta) @ BENCH_T0
@@ -154,8 +154,8 @@ class TestCriterion4ClosedForms:
         s6_model = compose([
             unroll_zone(make_schedule(0.4), heat, 9, zone_id=z) for z in ZONES
         ])
-        temps = dict(zip(s6_model.zone_ids, temperature_trajectory(
-            s6_model, thermal, bench_gains(), [1]).values[0].tolist()))
+        temps = dict(zip(s6_model.zone_ids, composed_values(
+            s6_model, thermal, bench_gains(), [1])[0].tolist()))
         s6_ok = (abs(temps["zone1"] - 18.9002) <= 1e-3
                  and abs(temps["zone2"] - 18.1014) <= 1e-3)
         ok = worst <= 1e-12 and s6_ok
@@ -179,8 +179,8 @@ def bundled_trajectories():
             strategies=(name,),
         )
         _, thermal, model, _ = build_model(config)
-        trajectories[name] = temperature_trajectory(
-            model, thermal, bench_gains(), range(1, 10))
+        trajectories[name] = SimpleNamespace(thetas=tuple(range(1, 10)), values=composed_values(
+            model, thermal, bench_gains(), range(1, 10)))
     elapsed = time.perf_counter() - start
     return trajectories, elapsed
 
@@ -268,8 +268,8 @@ class TestCriterion6Structure:
             ]
             model = compose(chains)
             sums: dict[int, float] = {}
-            for t in model.transitions:
-                sums[t.source] = sums.get(t.source, 0.0) + t.probability
+            for source, _, probability, _ in model.edges():
+                sums[source] = sums.get(source, 0.0) + probability
             invariants_ok &= all(abs(v - 1.0) <= 1e-12 for v in sums.values())
             gains = {c.zone_id: ZoneGains(float(rng.uniform(0, 2)), float(rng.uniform(0, 3)))
                      for c in chains}

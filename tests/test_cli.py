@@ -393,6 +393,13 @@ class TestEstimate:
         assert main(["estimate", str(path), "--out", str(tmp_path)]) == 0
         assert json.loads((tmp_path / "schedule.json").read_text())["warnings"] == warnings
 
+    def test_one_hour_log_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "one.csv"
+        path.write_text("day,hour,occupied\n1,8,1\n2,8,0\n")
+        assert main(["estimate", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert_one_line_error(capsys, "need at least two hours to estimate transitions")
+        assert not (tmp_path / "out").exists()
+
     def test_stdout(self, capsys, tmp_path):
         assert main(["estimate", str(seven_day_log_csv()), "--stdout"]) == 0
         out = capsys.readouterr().out
@@ -596,16 +603,15 @@ def bench_config(strategy):
 def composed_comfort(strategy):
     """comfort.json's content from the composed-engine trajectory, classed
     point by point: the reference route."""
-    from conftest import build_model
-    from thermark.analysis import temperature_trajectory
+    from conftest import build_model, composed_values
 
     config = bench_config(strategy)
     _, thermal, model, _ = build_model(config)
     gains = config.gains_for(thermal.zone_ids)
-    trajectory = temperature_trajectory(model, thermal, gains, config.thetas)
+    trajectory = composed_values(model, thermal, gains, config.thetas)
     (low, high), zone_ids = config.band, thermal.zone_ids
     classes = [["below" if v < low else "above" if v > high else "within" for v in row]
-               for row in trajectory.values.tolist()]
+               for row in trajectory.tolist()]
     return {
         "band": {"low": low, "high": high},
         "points": [{"theta": theta, "zone": zid, "classification": label}

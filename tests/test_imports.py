@@ -1,16 +1,21 @@
 """Every top-level import in the package is read somewhere in its module,
-and so is every private top-level function, class and constant."""
+and so is every private top-level function, class and constant; and every
+name the benchmark harness imports from the package is still there."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
 import thermark
+from thermark import parse_occupancy_csv
+from thermark.datasets import seven_day_log_csv
 
 PACKAGE = Path(thermark.__file__).parent
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -86,3 +91,42 @@ def test_scanner_finds_an_unread_private_name():
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_no_unread_private_name(module):
     assert unread_private_names((PACKAGE / module).read_text()) == []
+
+
+def package_imports(source: str) -> list[tuple[str, str | None]]:
+    """Every (module, name) a source imports from the package, at any depth;
+    ``import thermark.x`` gives (``thermark.x``, None)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and (
+                node.module == "thermark" or node.module.startswith("thermark.")):
+            found += [(node.module, alias.name) for alias in node.names]
+        elif isinstance(node, ast.Import):
+            found += [(alias.name, None) for alias in node.names
+                      if alias.name.partition(".")[0] == "thermark"]
+    return found
+
+
+def test_scanner_finds_package_imports():
+    source = ("import os\nimport thermark.cli\nfrom thermark import cli, analysis as a\n"
+              "def f():\n    from thermark.markov import compose\n    from .x import y\n")
+    assert package_imports(source) == [
+        ("thermark.cli", None), ("thermark", "cli"), ("thermark", "analysis"),
+        ("thermark.markov", "compose")]
+
+
+@pytest.mark.parametrize("harness", sorted(p.name for p in PERFBENCH.glob("*.py")))
+def test_benchmark_imports_resolve(harness):
+    # the benchmark's files are frozen, so a name they import must stay
+    missing = []
+    for module, name in package_imports((PERFBENCH / harness).read_text()):
+        imported = importlib.import_module(module)
+        if name is not None and not hasattr(imported, name):
+            missing.append(f"{module}.{name}")
+    assert missing == []
+
+
+def test_benchmark_reads_dataset_records():
+    # perfbench/tracing.py counts the rows of each parse as len(dataset.records)
+    dataset = parse_occupancy_csv(seven_day_log_csv().read_bytes())
+    assert len(dataset.records) == dataset.grid.size == 7 * 10

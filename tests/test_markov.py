@@ -9,8 +9,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import (BENCH_A, BENCH_T0, chain_marginals, dense_layers, forward_temps,
-                      make_schedule, matrix_power, random_schedule)
+from conftest import (BENCH_A, BENCH_T0, chain_marginals, composed_values, dense_layers,
+                      forward_temps, make_schedule, matrix_power, random_schedule)
 from thermark import (
     DiscreteThermalModel,
     ValidationError,
@@ -19,7 +19,6 @@ from thermark import (
     compose,
     direct_expected_temperatures,
     step_reward_table,
-    temperature_trajectory,
     unroll_zone,
 )
 from thermark.markov import SINK_LABEL, dump_model, occupied_marginals
@@ -46,14 +45,14 @@ class TestUnroll:
         model = compose([chain])
         assert len(model.states) == 1 + 2 * 9 + 1 == 20
         # initial fan-out, four per interior boundary, two into the sink, self-loop
-        assert len(model.transitions) == 2 + 4 * 8 + 2 + 1 == 37
+        assert len(list(model.edges())) == 2 + 4 * 8 + 2 + 1 == 37
 
     def test_smallest_horizon_structure(self):
         schedule = make_schedule(p_vf=[0.3], p_ff=[0.8])
         chain = unroll_zone(schedule, [False, False], horizon=1, zone_id="z")
         model = compose([chain])
         assert [s.index for s in model.states] == [0, 1, 2, 3]
-        assert [(t.source, t.target, t.probability, t.label) for t in model.transitions] == [
+        assert list(model.edges()) == [
             (0, 1, 0.3, "t1"), (0, 2, 0.7, "t1"), (1, 3, 1.0, "t2"), (2, 3, 1.0, "t2"),
             (3, 3, 1.0, SINK_LABEL),
         ]
@@ -72,13 +71,13 @@ class TestUnroll:
     def test_transition_labels_follow_steps(self):
         chain, _ = two_chains()
         model = compose([chain])
-        for t in model.transitions:
-            src = model.states[t.source]
-            if t.label == SINK_LABEL:
+        for source, target, _, label in model.edges():
+            src = model.states[source]
+            if label == SINK_LABEL:
                 assert src.occupied is None
             else:
-                assert t.label == f"t{src.step + 1}"
-                assert model.states[t.target].step == src.step + 1
+                assert label == f"t{src.step + 1}"
+                assert model.states[target].step == src.step + 1
 
     def test_deterministic_occupancy_single_spine(self):
         schedule = make_schedule(p_vf=1.0, p_ff=1.0)
@@ -133,8 +132,8 @@ class TestCompose:
         ]
         model = compose(chains)
         sums = {}
-        for t in model.transitions:
-            sums[t.source] = sums.get(t.source, 0.0) + t.probability
+        for source, _, probability, _ in model.edges():
+            sums[source] = sums.get(source, 0.0) + probability
         assert all(abs(v - 1.0) <= 1e-12 for v in sums.values())
 
     def test_mismatched_horizons_rejected(self):
@@ -232,7 +231,7 @@ def product_edges(chains):
 
 
 class TestLayers:
-    def test_transitions_view_equals_per_entry_products(self):
+    def test_edges_equal_per_entry_products(self):
         rng = np.random.default_rng(41)
         # one fixed single zone: its fan-out, the sink edges and the t_sink loop
         single = unroll_zone(make_schedule(p_vf=[0.3, 0.6], p_ff=[0.8, 0.1]), [False] * 3, 2,
@@ -243,8 +242,7 @@ class TestLayers:
             n, horizon = len(chains), chains[0].horizon
             model = compose(chains)
             assert model.factors.shape == (horizon, n, 2, 2)
-            edges = [(t.source, t.target, t.probability, t.label) for t in model.transitions]
-            assert edges == product_edges(chains)
+            assert list(model.edges()) == product_edges(chains)
 
     def test_eight_zones_mass_and_direct_recursion(self):
         rng = np.random.default_rng(88)
@@ -266,11 +264,11 @@ class TestLayers:
         gains = {z: ZoneGains(float(rng.uniform(0, 2)), float(rng.uniform(0, 3)))
                  for z in zone_ids}
         thetas = range(1, horizon + 1)
-        trajectory = temperature_trajectory(model, thermal, gains, thetas)
+        trajectory = composed_values(model, thermal, gains, thetas)
         heat = np.array([model.heating_at(k) for k in range(horizon + 1)], dtype=float)
         marginals = chain_marginals(chains).T
         direct = direct_expected_temperatures(thermal, gains, marginals, heat, thetas)
-        assert np.max(np.abs(trajectory.values - direct)) <= 1e-12
+        assert np.max(np.abs(trajectory - direct)) <= 1e-12
 
 
 class TestAssignRewards:
@@ -467,7 +465,7 @@ class TestDump:
         assert dump["zones"] == ["zone1", "zone2"]
         assert dump["theta"] == 2
         assert len(dump["states"]) == 38
-        assert len(dump["transitions"]) == len(model.transitions)
+        assert len(dump["transitions"]) == len(list(model.edges()))
         assert dump["states"][0]["rewards"]["zone1"] == rewards[0, 0]
         assert [s["rewards"]["zone2"] for s in dump["states"][1:5]] == [rewards[1, 1]] * 4
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import re
 import tracemalloc
 from collections.abc import Mapping
@@ -10,16 +11,12 @@ import numpy as np
 import pytest
 
 from conftest import dataset_to_csv, make_schedule, random_schedule, sample_dataset
-from thermark import (
-    ValidationError,
-    estimate_transition_schedule,
-    occupied_marginals,
-    parse_occupancy_csv,
-    unroll_zone,
-)
+from thermark import ValidationError, occupied_marginals, parse_occupancy_csv
 from thermark import occupancy
+from thermark.cli import _schedule_json
 from thermark.datasets import seven_day_log_csv
 from thermark.errors import read_bytes
+from thermark.markov import unroll_zones
 from thermark.occupancy import OccupancyDataset, _fault, _read_strides
 
 
@@ -35,6 +32,13 @@ def read_grid(body: bytes) -> OccupancyDataset | None:
 @pytest.fixture
 def benchmark_dataset():
     return parse_occupancy_csv(seven_day_log_csv().read_text())
+
+
+def schedule_payload(dataset: OccupancyDataset) -> dict:
+    """``estimate``'s schedule.json of one log, read back: its steps from
+    ``estimate_steps`` and the hours flagged as defaulted."""
+    (p_vf,), (p_ff,), (occupied,), _ = occupancy.estimate_steps([dataset.grid])
+    return json.loads(_schedule_json(dataset.hours, p_vf, p_ff, occupied, dataset.day_count, []))
 
 
 class TestParse:
@@ -281,9 +285,9 @@ class TestColumnarMatchesPerRowReference:
         assert dataset.hours == ref_hours
         assert np.array_equal(dataset.grid, [[records[(d, h)] for h in ref_hours] for d in days])
 
-        schedule = estimate_transition_schedule(dataset)
+        (p_vf,), (p_ff,), _, _ = occupancy.estimate_steps([dataset.grid])
         expected = reference_estimate(days, ref_hours, records)
-        got = [(m.p_vf, m.p_vv, m.p_ff, m.p_fv) for m in schedule.matrices]
+        got = [(v, 1.0 - v, f, 1.0 - f) for v, f in zip(p_vf.tolist(), p_ff.tolist())]
         assert [[p.hex() for p in step] for step in got] == \
             [[p.hex() for p in step] for step in expected]
 
@@ -576,44 +580,41 @@ class TestPieces:
 
 class TestEstimate:
     def test_morning_transition_of_benchmark(self, benchmark_dataset):
-        schedule = estimate_transition_schedule(benchmark_dataset)
-        first = schedule.matrix(0)  # 8 am -> 9 am
-        assert first.p_vf == pytest.approx(3 / 7, abs=1e-15)
-        assert first.p_vv == pytest.approx(4 / 7, abs=1e-15)
-        assert f"{first.p_vf:.2f}" == "0.43"
+        first = schedule_payload(benchmark_dataset)["steps"][0]  # 8 am -> 9 am
+        assert first["p_vf"] == pytest.approx(3 / 7, abs=1e-15)
+        assert first["p_vv"] == pytest.approx(4 / 7, abs=1e-15)
+        assert f"{first['p_vf']:.2f}" == "0.43"
 
     def test_last_transition_of_benchmark(self, benchmark_dataset):
-        schedule = estimate_transition_schedule(benchmark_dataset)
-        last = schedule.matrix(8)  # 4 pm -> 5 pm
-        assert last.p_vf == pytest.approx(0.5, abs=1e-15)
-        assert last.p_ff == pytest.approx(1 / 3, abs=1e-15)
+        last = schedule_payload(benchmark_dataset)["steps"][8]  # 4 pm -> 5 pm
+        assert last["p_vf"] == pytest.approx(0.5, abs=1e-15)
+        assert last["p_ff"] == pytest.approx(1 / 3, abs=1e-15)
 
     def test_rows_sum_exactly_to_one(self, benchmark_dataset):
-        schedule = estimate_transition_schedule(benchmark_dataset)
-        for m in schedule.matrices:
-            assert m.p_vf + m.p_vv == 1.0
-            assert m.p_ff + m.p_fv == 1.0
+        for step in schedule_payload(benchmark_dataset)["steps"]:
+            assert step["p_vf"] + step["p_vv"] == 1.0
+            assert step["p_ff"] + step["p_fv"] == 1.0
 
     def test_opening_hour_occupied_row_defaults(self, benchmark_dataset):
         # nobody is ever in the room at 8 am, so that row cannot be estimated
-        schedule = estimate_transition_schedule(benchmark_dataset)
-        assert schedule.matrix(0).p_ff == 1.0
-        flagged = [d for d in schedule.diagnostics if d.hour == 8]
+        payload = schedule_payload(benchmark_dataset)
+        assert payload["steps"][0]["p_ff"] == 1.0
+        flagged = [d for d in payload["diagnostics"] if d["hour"] == 8]
         assert len(flagged) == 1
-        assert flagged[0].condition == "occupied"
+        assert flagged[0]["condition"] == "occupied"
 
     def test_always_occupied_dataset(self):
         rows = ["day,hour,occupied"]
         for d in range(1, 4):
             for h in range(8, 12):
                 rows.append(f"{d},{h},1")
-        schedule = estimate_transition_schedule(parse_occupancy_csv("\n".join(rows)))
-        assert all(m.p_ff == 1.0 for m in schedule.matrices)
-        assert all(d.condition == "empty" for d in schedule.diagnostics)
-        assert len(schedule.diagnostics) == len(schedule.matrices)
+        payload = schedule_payload(parse_occupancy_csv("\n".join(rows)))
+        assert all(step["p_ff"] == 1.0 for step in payload["steps"])
+        assert all(d["condition"] == "empty" for d in payload["diagnostics"])
+        assert len(payload["diagnostics"]) == len(payload["steps"])
 
     def test_estimates_invariant_under_day_permutation(self, benchmark_dataset):
-        base = estimate_transition_schedule(benchmark_dataset)
+        base = schedule_payload(benchmark_dataset)
         # relabel days in reverse order
         remap = {d: max(benchmark_dataset.days) + 1 - d for d in benchmark_dataset.days}
         shuffled = parse_occupancy_csv(
@@ -623,18 +624,16 @@ class TestEstimate:
                 for h in benchmark_dataset.hours
             )
         )
-        other = estimate_transition_schedule(shuffled)
-        for a, b in zip(base.matrices, other.matrices):
-            assert a == b
+        assert schedule_payload(shuffled) == base
 
     def test_reestimation_converges_to_the_generator(self):
         rng = np.random.default_rng(5)
         truth = random_schedule(rng, 9)
         dataset = sample_dataset(truth, days=10_000, seed=99, initial_occupied_prob=0.5)
-        estimate = estimate_transition_schedule(dataset)
+        (p_vf,), (p_ff,), _, _ = occupancy.estimate_steps([dataset.grid])
         worst = max(
-            max(abs(e.p_vf - t.p_vf), abs(e.p_ff - t.p_ff))
-            for e, t in zip(estimate.matrices, truth.matrices)
+            max(abs(v - t.p_vf), abs(f - t.p_ff))
+            for v, f, t in zip(p_vf.tolist(), p_ff.tolist(), truth.matrices)
         )
         assert worst < 0.05
 
@@ -647,8 +646,8 @@ def marginals(schedule, initial_occupied):
 
 class TestMarginals:
     def test_one_step_from_benchmark(self, benchmark_dataset):
-        schedule = estimate_transition_schedule(benchmark_dataset)
-        m = marginals(schedule, initial_occupied=False)
+        p_vf, p_ff, _, _ = occupancy.estimate_steps([benchmark_dataset.grid])
+        (m,) = occupied_marginals(p_vf, p_ff, [False])
         assert m[0] == 0.0
         assert m[1] == pytest.approx(3 / 7, abs=1e-15)
 
@@ -1293,10 +1292,8 @@ class TestBatchedIngestion:
         for zid, data in zip(zone_ids, logs):
             dataset = parse_occupancy_csv(data)
             columns = slice(start - dataset.hours[0], window[1] - dataset.hours[0] + 1)
-            windowed = OccupancyDataset(dataset.days, tuple(range(start, window[1] + 1)),
-                                        dataset.grid[:, columns])
-            expected.append(unroll_zone(
-                estimate_transition_schedule(windowed), strat.heating_bits(zid, window),
-                window[1] - start, zone_id=zid, initial_occupied=bool(windowed.grid[0, 0])))
+            p_vf, p_ff, _, _ = occupancy.estimate_steps([dataset.grid[:, columns]])
+            expected += unroll_zones((zid,), p_vf, p_ff, [strat.heating_bits(zid, window)],
+                                     window[1] - start, [bool(dataset.grid[0, columns.start])])
         assert repr(chains) == repr(expected)  # every float's repr is its exact value
         assert chains == expected

@@ -23,7 +23,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from conftest import chain_marginals, dense_layers, forward_temps  # noqa: E402
+from conftest import chain_marginals, composed_values, dense_layers, forward_temps  # noqa: E402
 from thermark import (  # noqa: E402
     DiscreteThermalModel,
     HeatingStrategy,
@@ -35,7 +35,6 @@ from thermark import (  # noqa: E402
     compose,
     direct_expected_temperatures,
     strategy_cost,
-    temperature_trajectory,
     unroll_zone,
 )
 from thermark.analysis import ORACLE_MAX_PATH_BITS  # noqa: E402
@@ -83,16 +82,15 @@ def test_forward_pass_matches_direct_recursion_in_any_zone_order(instance):
     thermal, chains, gains, order = instance
     horizon = chains[0].horizon
     thetas = range(1, horizon + 1)
-    trajectory = temperature_trajectory(compose(chains), thermal, gains, thetas)
+    trajectory = composed_values(compose(chains), thermal, gains, thetas)
 
     marginals = chain_marginals(chains).T
     heat = np.array([c.heating for c in chains], dtype=float).T
     direct = direct_expected_temperatures(thermal, gains, marginals, heat, thetas)
-    assert np.max(np.abs(trajectory.values - direct)) <= 1e-9
+    assert np.max(np.abs(trajectory - direct)) <= 1e-9
 
-    permuted = temperature_trajectory(compose([chains[i] for i in order]), thermal, gains,
-                                      thetas)
-    assert np.max(np.abs(permuted.values - trajectory.values[:, order])) <= 1e-12
+    permuted = composed_values(compose([chains[i] for i in order]), thermal, gains, thetas)
+    assert np.max(np.abs(permuted - trajectory[:, order])) <= 1e-12
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None,
@@ -134,8 +132,8 @@ def test_expected_temperature_is_monotone_in_heating_bits(instance, data):
     bumped[m] = chains[m].replace(heating=tuple(
         bit or step == k for step, bit in enumerate(chains[m].heating)))
     thetas = range(1, chains[0].horizon + 1)
-    base = temperature_trajectory(compose(chains), thermal, gains, thetas).values
-    more = temperature_trajectory(compose(bumped), thermal, gains, thetas).values
+    base = composed_values(compose(chains), thermal, gains, thetas)
+    more = composed_values(compose(bumped), thermal, gains, thetas)
     assert np.all(more >= base - 1e-12)
 
 

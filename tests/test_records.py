@@ -9,7 +9,6 @@ import pytest
 
 from thermark import (
     NumericalGuardError,
-    TemperatureTrajectory,
     ValidationError,
     ZoneGains,
     assign_rewards,
@@ -19,7 +18,7 @@ from thermark import (
 )
 from thermark.cli import RunConfig
 from thermark.datasets import two_zone_benchmark_dir
-from thermark.occupancy import Diagnostic, OccupancyDataset, StepMatrix, TransitionSchedule
+from thermark.occupancy import OccupancyDataset, StepMatrix, TransitionSchedule
 from thermark.records import Record
 from thermark.strategy import TariffBand
 from thermark.thermal import DiscreteThermalModel, RCNetwork, Zone
@@ -54,8 +53,8 @@ class TestValueSemantics:
         assert len({step(), step(), step(step=1)}) == 2
 
     def test_other_classes_never_equal(self):
-        assert Diagnostic(8, "empty", "x") != (8, "empty", "x")
-        assert Zone("z", 1.0, 1.0, 0.0) != Diagnostic("z", 1.0, 1.0)
+        assert TariffBand("day", 8, 9, 5) != ("day", 8, 9, 5)
+        assert Zone("day", 8, 9, 5) != TariffBand("day", 8, 9, 5)
 
     def test_unhashable_field_makes_record_unhashable(self):
         config = RunConfig(building=Path("b.json"))
@@ -82,12 +81,10 @@ class TestValueSemantics:
         assert compose([chain]) != compose([chain.replace(occ_given_empty=(0.5,))])
         assert compose([chain]) != compose([chain.replace(zone_id="y")])
 
-        values = np.array([[20.0, 21.5]])
-        trajectory = TemperatureTrajectory(("a", "b"), (1,), values)
-        assert trajectory == TemperatureTrajectory(("a", "b"), (1,), values.copy())
-        assert trajectory != TemperatureTrajectory(("a", "b"), (1,), values + 0.5)
-        assert trajectory != TemperatureTrajectory(("a", "b"), (2,), values)
-        for record in (thermal, compose([chain]), trajectory):
+        model = compose([chain])
+        assert model == model.replace(factors=model.factors.copy())
+        assert model != model.replace(factors=model.factors[..., ::-1])
+        for record in (thermal, model):
             with pytest.raises(TypeError):
                 hash(record)
 
@@ -110,12 +107,12 @@ class TestValueSemantics:
 
 class TestConstruction:
     def test_repr_lists_fields_in_order(self):
-        assert repr(Diagnostic(8, "empty", "never")) == (
-            "Diagnostic(hour=8, condition='empty', reason='never')")
+        assert repr(TariffBand("day", 8, 9, 5)) == (
+            "TariffBand(name='day', start=8, end=9, price_minor_per_kwh=5)")
 
     def test_defaults(self):
-        schedule = TransitionSchedule(matrices=(step(),))
-        assert schedule.hours == () and schedule.diagnostics == ()
+        config = RunConfig(building=Path("b"))
+        assert config.strategies == ("S1",) and config.tariff == "table2"
 
     def test_shared_default_mappings_are_read_only(self):
         a, b = RunConfig(building=Path("a")), RunConfig(building=Path("b"))
@@ -129,13 +126,14 @@ class TestConstruction:
         assert b.gains == {} and b.occupancy_paths == {}
 
     def test_positional_and_keyword_arguments(self):
-        assert Diagnostic(8, "empty", "x") == Diagnostic(reason="x", hour=8, condition="empty")
+        assert TariffBand("day", 8, 9, 5) == TariffBand(
+            "day", price_minor_per_kwh=5, end=9, start=8)
 
     @pytest.mark.parametrize("call", [
-        lambda: Diagnostic(8, "empty"),
-        lambda: Diagnostic(8, "empty", "x", "y"),
-        lambda: Diagnostic(8, "empty", "x", colour="red"),
-        lambda: Diagnostic(8, "empty", "x", hour=9),
+        lambda: ZoneGains(0.7),
+        lambda: ZoneGains(0.7, 1.5, 2.0),
+        lambda: ZoneGains(0.7, 1.5, colour="red"),
+        lambda: ZoneGains(0.7, 1.5, q_int=0.5),
     ], ids=["missing", "extra-positional", "unknown", "repeated"])
     def test_bad_arguments_raise_type_error(self, call):
         with pytest.raises(TypeError):

@@ -18,7 +18,6 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from thermark.cli import _comfort_json, _cost_json, _schedule_json  # noqa: E402
-from thermark.occupancy import Diagnostic, StepMatrix, TransitionSchedule  # noqa: E402
 from thermark.strategy import CostReport, StrategyComparison  # noqa: E402
 
 # a quote, a backslash, non-ASCII text (one character outside the BMP), a line
@@ -109,23 +108,26 @@ def test_schedule_json(data):
     draw = data.draw
     start = draw(st.integers(0, 22))
     hours = tuple(range(start, draw(st.integers(start + 1, 23)) + 1))
-    matrices = []
-    for k in range(len(hours) - 1):
-        p_vf, p_ff = draw(probabilities), draw(probabilities)
-        matrices.append(StepMatrix(step=k, p_vf=p_vf, p_vv=1.0 - p_vf, p_ff=p_ff, p_fv=1.0 - p_ff))
-    diagnostics = tuple(Diagnostic(hour=draw(st.sampled_from(hours)),
-                                   condition=draw(st.sampled_from(["empty", "occupied"])),
-                                   reason=draw(names))
-                        for _ in range(draw(st.integers(0, 3))))
-    schedule = TransitionSchedule(matrices=tuple(matrices), hours=hours, diagnostics=diagnostics)
+    steps = len(hours) - 1
+    p_vf = np.array(draw(st.lists(probabilities, min_size=steps, max_size=steps)))
+    p_ff = np.array(draw(st.lists(probabilities, min_size=steps, max_size=steps)))
     days = draw(st.integers(1, 10 ** 6))
+    # hours that no day was empty at and hours that no day was occupied at are drawn often
+    occupied = np.array(draw(st.lists(st.sampled_from([0, days]) | st.integers(0, days),
+                                      min_size=len(hours), max_size=len(hours))))
     warnings = draw(st.lists(names, max_size=2))
-    assert _schedule_json(schedule, days, warnings) == dumps({
-        "steps": [{"step": m.step, "hour_from": hours[i], "hour_to": hours[i + 1],
-                   "p_vf": m.p_vf, "p_vv": m.p_vv, "p_ff": m.p_ff, "p_fv": m.p_fv}
-                  for i, m in enumerate(matrices)],
-        "diagnostics": [{"hour": d.hour, "condition": d.condition, "reason": d.reason}
-                        for d in diagnostics],
+    assert _schedule_json(hours, p_vf, p_ff, occupied, days, warnings) == dumps({
+        "steps": [{"step": k, "hour_from": hours[k], "hour_to": hours[k + 1],
+                   "p_vf": float(v), "p_vv": 1.0 - float(v),
+                   "p_ff": float(f), "p_fv": 1.0 - float(f)}
+                  for k, (v, f) in enumerate(zip(p_vf, p_ff))],
+        "diagnostics": [{"hour": hours[k], "condition": condition,
+                         "reason": f"no day was {condition} at this hour; "
+                                   "defaulted to stay-in-state"}
+                        for k in range(steps)
+                        for condition, unseen in (("empty", occupied[k] == days),
+                                                  ("occupied", occupied[k] == 0))
+                        if unseen],
         "days": days,
         "warnings": warnings,
     })
@@ -133,9 +135,9 @@ def test_schedule_json(data):
 
 def test_empty_containers():
     """Diagnostics, warnings, flags, notes and band energies may all be empty."""
-    schedule = TransitionSchedule(matrices=(StepMatrix(0, 0.5, 0.5, 1.0, 0.0),), hours=(8, 9))
-    assert _schedule_json(schedule, 1, []) == dumps({
-        "days": 1, "diagnostics": [], "warnings": [],
+    assert _schedule_json((8, 9), np.array([0.5]), np.array([1.0]), np.array([1, 1]), 2,
+                          []) == dumps({
+        "days": 2, "diagnostics": [], "warnings": [],
         "steps": [{"step": 0, "hour_from": 8, "hour_to": 9,
                    "p_vf": 0.5, "p_vv": 0.5, "p_ff": 1.0, "p_fv": 0.0}]})
     row = CostReport(strategy="S1", band_energy_kwh={}, total_cost_minor=0, notes=())
