@@ -12,7 +12,7 @@ Hours where a conditioning state never occurs (e.g. rooms that are never
 occupied at opening time) default to stay-in-state instead of failing;
 the counts of days occupied at each hour show where that happened.
 
-Several logs are read as one batch (:func:`parse_occupancy_logs`) and
+Several logs are read in one call (:func:`parse_occupancy_logs`) and
 counted as one (:func:`estimate_steps`), each getting the values it gets
 alone; the one-log functions call the same code with one log.
 """
@@ -50,9 +50,10 @@ _STRIDE_RUNS = 19  # runs of equal day width; unpadded days of 1 to 18 digits ma
 # day blocks checked at once, so no temporary grows with the body; one
 # compare per run over a 1.1 MB log made 1-2 MB of them and ran slower
 _STRIDE_SLICE_BYTES = 128 * 1024
-# bodies read inline, and short bodies checked against the reference, are
-# joined into batches of about this many bytes; 128 logs of 3.4 KB read
-# about 12% faster inline in batches of 64 KiB than in one
+# short bodies checked against the reference are stacked about this many
+# bytes at a time, which bounds the stack and its XOR buffer. On a 2-vCPU
+# Xeon, 128 same-layout 20-day logs of 1.5 KB took within 10% of their time
+# in one stack, and 512 of them 15-35% longer in one stack
 _BATCH_BYTES = 64 * 1024
 # a run of equal blocks of whole days (one day each from the day-block
 # reader, a piece of several from _line_runs): where it starts, block bytes,
@@ -176,7 +177,7 @@ def parse_occupancy_csv(data: bytes | str | mmap.mmap) -> OccupancyDataset:
 
 
 def parse_occupancy_logs(logs: Iterable[bytes | str | mmap.mmap]) -> list[OccupancyDataset]:
-    """Parse several logs as one batch: each gets the dataset
+    """Parse several logs in one call: each gets the dataset
     :func:`parse_occupancy_csv` gives it, and a fault raises the error
     that function gives for the first faulty log, as a :class:`LogFault`
     that holds the log's position in ``logs``. A mapping is owned as
@@ -189,19 +190,18 @@ def parse_occupancy_logs(logs: Iterable[bytes | str | mmap.mmap]) -> list[Occupa
     ``_read_strides`` checks a body of at least ``STRIDE_MIN_BYTES``
     against its own first day, apart from the day digits and occupied
     bits, and ``_read_like`` checks a body against the reference, apart
-    from the occupied bits. The reference is the first body that either
-    reader reads in file order (nothing sorted, no blank line, space or
-    tab dropped), kept until the call returns, so at most two long bodies
-    are held at once. While there is none, the first body that
-    ``_read_strides`` does not read is read alone by the general reader; if
-    that reader sorts it or drops a byte, no later body is read alone.
-    Each later body of the reference's length, whatever its header's, is
-    checked against it: a long one alone, where it lies, short ones
-    stacked ``_BATCH_BYTES`` at a time, and the bodies of a stack that
-    fails one at a time. Every body left over is read by the general
-    reader, in batches (``_read_batches``), or one at a time, in order, if
-    a batch declines; only a long body that every reader declines is
-    copied out of its mapping.
+    from the occupied bits. Every other body is read alone by the general
+    reader (``_inline``), where it lies. The reference is the first body
+    that the day-block or the general reader reads in file order (nothing
+    sorted, no blank line, space or tab dropped), kept until the call
+    returns, so at most two long bodies are held at once. Each later body
+    of the reference's length, whatever its header's, is checked against
+    it: a long one alone, where it lies, short ones stacked
+    ``_BATCH_BYTES`` at a time, and the bodies of a stack that fails one at
+    a time. The short bodies that fail their check, and those the general
+    reader rejects, are read at the end, one at a time and in order, by
+    ``_read_each``, which raises the first fault; only a long body that
+    every reader declines is copied out of its mapping.
     """
     items: list[OccupancyDataset | bytes] = []  # a dataset, or a body to read as rows
     alike: list[int] = []  # the items that are short bodies of the reference's length
@@ -209,7 +209,6 @@ def parse_occupancy_logs(logs: Iterable[bytes | str | mmap.mmap]) -> list[Occupa
     # dataset and its runs; the general reader's reference holds its newlines
     # until a second body of its length arrives
     reference = None
-    seek = True  # whether the next body the day-block reader declines is read alone
     try:
         for log in logs:
             data, start = _opened(log, items)
@@ -236,16 +235,14 @@ def parse_occupancy_logs(logs: Iterable[bytes | str | mmap.mmap]) -> list[Occupa
             if not isinstance(data, bytes):  # a mapping that neither reader read
                 data, start = _opened(data, items, in_place=False)
             body = data[start:]
-            if seek and reference is None and (read := _inline([body])) is not None:
-                # one writer likely wrote the logs alike: if this one is no
-                # reference, the rest are read in batches, not each alone
-                seek = False
-                (dataset,), newlines = read
-                items.append(dataset)
-                if newlines is not None and body.endswith(b"\n"):
-                    reference = (body, 0, dataset, newlines)
-            else:
+            read = _inline(body)
+            if read is None:  # a fault, raised in order by _read_each
                 items.append(body)
+                continue
+            dataset, newlines = read
+            items.append(dataset)
+            if reference is None and newlines is not None and body.endswith(b"\n"):
+                reference = (body, 0, dataset, newlines)
         at = iter(alike)
         for batch in _batches([items[i] for i in alike]) if alike else ():
             stack = np.frombuffer(b"".join(batch), np.uint8).reshape(len(batch), -1)
@@ -259,8 +256,7 @@ def parse_occupancy_logs(logs: Iterable[bytes | str | mmap.mmap]) -> list[Occupa
     finally:
         if reference is not None:
             _close(reference[0])
-    bodies = [item for item in items if isinstance(item, bytes)]
-    read = iter(bodies and (_read_batches(bodies) or _read_each(items)))
+    read = iter(_read_each(items))
     return [next(read) if isinstance(item, bytes) else item for item in items]
 
 
@@ -350,18 +346,6 @@ def _batches(bodies: list[bytes]) -> Iterator[list[bytes]]:
         yield [body for body, _ in batch]
 
 
-def _read_batches(bodies: list[bytes]) -> list[OccupancyDataset] | None:
-    """Each body's dataset, each of the ``_batches`` read once by
-    ``_inline``; None if any batch declines."""
-    datasets = []
-    for batch in _batches(bodies):
-        read = _inline(batch)
-        if read is None:
-            return None
-        datasets += read[0]
-    return datasets
-
-
 def _read_each(items: list[OccupancyDataset | bytes]) -> list[OccupancyDataset]:
     """The dataset of each body among ``items``, read alone by
     ``_inline``; the first body it rejects raises ``_fault``'s message
@@ -369,67 +353,55 @@ def _read_each(items: list[OccupancyDataset | bytes]) -> list[OccupancyDataset]:
     datasets = []
     for i, body in enumerate(items):
         if isinstance(body, bytes):
-            read = _inline([body])
+            read = _inline(body)
             if read is None:
                 raise LogFault(str(_fault(_text(body))), i)
-            datasets += read[0]
+            datasets.append(read[0])
     return datasets
 
 
-def _inline(bodies: list[bytes]) -> tuple[list[OccupancyDataset], np.ndarray | None] | None:
-    """The general reader: the datasets of bodies read as rows, and if
-    every row was read where it stands (no space, tab or blank line dropped
-    and no body sorted) where each row's newline is in the joined bodies,
-    else None in its place; None if it rejects the bodies.
+def _inline(body: bytes) -> tuple[OccupancyDataset, np.ndarray | None] | None:
+    """The general reader: the dataset of a body read as rows, and if every
+    row was read where it stands (no space, tab or blank line dropped and
+    the body not sorted) where each row's newline is, else None in its
+    place; None if it rejects the body.
 
-    Their bytes are checked and then take one structural pass, the layout
+    Its bytes are checked and then take one structural pass, the layout
     of the separators and all three columns read at once, then array
     checks over the columns. The checks leave numpy only ``[+-]?[0-9]+``
-    tokens to read. Several bodies are read only if they share one hour
-    window, so that each body's days are blocks of the joined rows; bodies
-    over different hours decline."""
-    bodies = [body if body.endswith(b"\n") else body + b"\n" for body in bodies]
-    joined = b"".join(bodies)
-    data = _row_bytes(joined)
+    tokens to read."""
+    if not body.endswith(b"\n"):
+        body += b"\n"
+    data = _row_bytes(body)
     if data is None:
         return None
     read = _read_lines(data)
     if read is None or not len(read[0]):
         return None
     rows, newlines = read
-    n_rows = [body.count(b"\n") for body in bodies]
-    in_order = len(data) == len(joined) and len(rows) == sum(n_rows)
-    if not in_order:
-        if len(bodies) > 1:
-            return None  # a blank line skipped: which body's is not known
-        n_rows = [len(rows)]
-    starts = list(itertools.accumulate(n_rows[:-1], initial=0))
+    in_order = len(data) == len(body) and len(rows) == body.count(b"\n")
     day, hour, occupied = rows.T
     first, last = int(hour.min()), int(hour.max())
     n_hours = last - first + 1
-    if (day.min() < 1 or first < 0 or last > 23 or occupied.max() > 1
-            or any(n % n_hours for n in n_rows)):
+    if day.min() < 1 or first < 0 or last > 23 or occupied.max() > 1 or len(rows) % n_hours:
         return None
-    # the day block before each later body's first, whose day it need not exceed
-    seams = [s // n_hours - 1 for s in starts[1:]]
-    if not _is_day_blocks(day, hour, first, n_hours, seams):
-        # not in day-major order: sort each body by day, then hour, and look again
-        order = np.lexsort((hour, day, np.repeat(np.arange(len(bodies)), n_rows)))
+    if not _is_day_blocks(day, hour, first, n_hours):
+        # not in day-major order: sort by day, then hour, and look again
+        order = np.lexsort((hour, day))
         day, hour, occupied = day[order], hour[order], occupied[order]
-        if not _is_day_blocks(day, hour, first, n_hours, seams):
+        if not _is_day_blocks(day, hour, first, n_hours):
             return None
         in_order = False
-    days = [tuple(day[s:s + n:n_hours].tolist()) for s, n in zip(starts, n_rows)]
+    days = tuple(day[::n_hours].tolist())
     # numpy reads a number beyond the int64 range as an int64 limit, a
     # negative one too as the largest; a day read as the largest can only
-    # be a body's last day, so then read the days exactly
-    if any(d[-1] == _MAX_DAY for d in days) and not all(
+    # be the last day, so then read the days exactly
+    if days[-1] == _MAX_DAY and not all(
             1 <= int(line.partition(b",")[0]) <= _MAX_DAY for line in data.splitlines() if line):
         return None
-    grid = _read_only(occupied.astype(bool))  # views of it are read-only too
-    hours = tuple(range(first, last + 1))
-    return [OccupancyDataset(days=d, hours=hours, grid=grid[s:s + n].reshape(-1, n_hours))
-            for d, s, n in zip(days, starts, n_rows)], newlines if in_order else None
+    grid = _read_only(occupied.astype(bool)).reshape(-1, n_hours)  # a read-only view
+    return (OccupancyDataset(days=days, hours=tuple(range(first, last + 1)), grid=grid),
+            newlines if in_order else None)
 
 
 def _read_only(grid: np.ndarray) -> np.ndarray:
@@ -659,17 +631,13 @@ def _row_ends(data: bytes) -> np.ndarray | None:
     return lines
 
 
-def _is_day_blocks(day: np.ndarray, hour: np.ndarray, first: int, n_hours: int,
-                   seams: list[int]) -> bool:
+def _is_day_blocks(day: np.ndarray, hour: np.ndarray, first: int, n_hours: int) -> bool:
     """Whether each block of ``n_hours`` rows is one day's hours ``first,
     first+1, ...`` in order, with the days strictly ascending from block to
-    block, except from each block in ``seams`` to the next."""
+    block."""
     day = day.reshape(-1, n_hours)
-    later = day[1:, 0] > day[:-1, 0]
-    if seams:
-        later[seams] = True
     return bool((hour.reshape(-1, n_hours) == np.arange(first, first + n_hours)).all()
-                and (day == day[:, :1]).all() and later.all())
+                and (day == day[:, :1]).all() and (day[1:, 0] > day[:-1, 0]).all())
 
 
 def _fault(body: str) -> ValidationError:

@@ -204,14 +204,17 @@ def load_building(path: str | Path) -> tuple[RCNetwork, DiscreteThermalModel]:
           "explicit_discrete": {"a": [[...]], "b": [[...]], "delta": x}
         }
 
-    Ids are names (:class:`errors.Name`) and every ``x`` and matrix entry a
-    finite JSON number. ``edges`` and ``delta`` (1 by default) are optional.
-    ``explicit_discrete`` is optional too; when present it overrides the
-    forward-Euler derivation and its matrices, whose rows must be of equal
-    length, are taken literally (in the zone order of the ``zones`` list).
+    ``zones`` holds at least one zone. Ids are names (:class:`errors.Name`)
+    and every ``x`` and matrix entry a finite JSON number. ``edges`` and
+    ``delta`` (1 by default) are optional. ``explicit_discrete`` is
+    optional too; when present it overrides the forward-Euler derivation
+    and its matrices, whose rows must be of equal length, are taken
+    literally (in the zone order of the ``zones`` list).
     """
     path = Path(path)
     raw = read_json(path, "building", BUILDING_SCHEMA)
+    if not raw["zones"]:
+        raise json_error(path, ("zones",), "expected at least one zone")
     zones = tuple(Zone(z["id"], float(z["capacitance"]), float(z["resistance"]),
                        float(z["initial_temp"])) for z in raw["zones"])
     network = RCNetwork(zones=zones, edges=tuple(map(tuple, raw.get("edges", ()))))

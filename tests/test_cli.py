@@ -914,6 +914,18 @@ class TestBuildingChecks:
         assert_one_line_error(capsys, "b must be 2x2, got (3, 3)")
         assert not out.exists()
 
+    # analyze and export ended in a traceback, and cost wrote a row of zeros
+    @pytest.mark.parametrize("command", ["analyze", "cost", "export"])
+    def test_a_building_with_no_zones_exits_2(self, tmp_path, capsys, command):
+        building, strategy = tmp_path / "building.json", tmp_path / "strategy.json"
+        building.write_text(json.dumps({"zones": []}))
+        strategy.write_text(json.dumps({"name": "X", "schedule": {}}))
+        out = tmp_path / "out"
+        assert main([command, "--building", str(building), "--strategy", str(strategy),
+                     "--out", str(out)]) == 2
+        assert_one_line_error(capsys, f"error: {building}: zones: expected at least one zone\n")
+        assert not out.exists()
+
     # nothing is coerced: one line names the file, the key path and the expected type
     @pytest.mark.parametrize("edit,reason", [
         (lambda text: text.replace("1.37", "1" + "0" * 400),

@@ -715,22 +715,21 @@ def log_bytes(rng, window, days, hours=None, spelling=()):
     return (text.replace("\n", "\r\n") if "crlf" in spelling else text).encode()
 
 
-# kind -> (each zone's log as (days, hours or None, spelling), how many logs
-# each call of the general reader takes when the batches are not split. The
-# first log is read alone and, read in file order, becomes the reference; a
-# later log of its length is XORed against it and reaches no reader. Logs
-# over other hour windows, and several logs one of which holds a blank
-# line, are read one at a time after their batch declines
+# kind -> (each zone's log as (days, hours or None, spelling), one 1 per
+# call of the general reader). Each log that the day-block reader does not
+# read is read alone, once; the first one read in file order becomes the
+# reference, and a later log of its length is XORed against it and
+# reaches no reader
 BATCH_CASES = {
-    "different-day-counts": ([(1, None, ()), (7, None, ()), (30, None, ())], [1, 2]),
+    "different-day-counts": ([(1, None, ()), (7, None, ()), (30, None, ())], [1, 1, 1]),
     "hours-wider-than-window": ([(9, "wide", ()), (12, "wide", ())], [1, 1]),
-    "hour-windows-differ": ([(9, "wide", ()), (12, None, ()), (5, "full", ())], [1, 2, 1, 1]),
+    "hour-windows-differ": ([(9, "wide", ()), (12, None, ()), (5, "full", ())], [1, 1, 1]),
     "not-day-major": ([(8, "wide", ()), (11, "wide", ("shuffled",))], [1, 1]),
     "crlf-signs-zeros": ([(6, None, ("crlf",)), (9, None, ("signs", "zeros")),
-                          (4, None, ("crlf", "signs"))], [1, 2]),
-    "blank-lines": ([(6, None, ()), (9, None, ("blank",)), (7, None, ())], [1, 2, 1, 1]),
-    "blank-line-first": ([(6, None, ("blank",)), (9, None, ()), (7, None, ())], [1, 2]),
-    "long-log": ([(400, "full", ()), (10, "full", ("signs",)), (3, "full", ())], [2]),
+                          (4, None, ("crlf", "signs"))], [1, 1, 1]),
+    "blank-lines": ([(6, None, ()), (9, None, ("blank",)), (7, None, ())], [1, 1, 1]),
+    "blank-line-first": ([(6, None, ("blank",)), (9, None, ()), (7, None, ())], [1, 1, 1]),
+    "long-log": ([(400, "full", ()), (10, "full", ("signs",)), (3, "full", ())], [1, 1]),
     "two-identical-logs": ([(10, None, ()), "same"], [1]),
 }
 
@@ -753,7 +752,7 @@ class TestParseLogs:
 
     def test_each_log_gets_its_own_dataset(self):
         logs = [self.GOOD, long_log(days=300)[0], self.GOOD.replace("1,9,1", "1,9,0"),
-                "day,hour,occupied\n\n2,8,1\n2,9,1\n"]  # a blank line: read one at a time
+                "day,hour,occupied\n\n2,8,1\n2,9,1\n"]  # a blank line: read by rows
         assert occupancy.parse_occupancy_logs(iter(logs)) == [parse_occupancy_csv(log)
                                                               for log in logs]
         assert occupancy.parse_occupancy_logs([]) == []
@@ -924,11 +923,10 @@ class TestSharedLayout:
 
 @pytest.fixture
 def inline_calls(monkeypatch):
-    """How many bodies each call of the general reader takes, in order."""
+    """One 1 per call of the general reader, which reads one body."""
     calls = []
     inline = occupancy._inline
-    monkeypatch.setattr(occupancy, "_inline",
-                        lambda bodies: calls.append(len(bodies)) or inline(bodies))
+    monkeypatch.setattr(occupancy, "_inline", lambda body: calls.append(1) or inline(body))
     return calls
 
 
@@ -950,8 +948,7 @@ def respelled(log, edit):
 class TestReference:
     """The first log either reader reads in file order is the reference, of
     any length; a later short log of its length is read by one stacked XOR
-    check, and only a log that fails the check reaches a reader. The
-    general reader reads one log alone to find a reference."""
+    check, and only a log that fails the check reaches a reader again."""
 
     @pytest.mark.parametrize("batch_bytes", [None, 4096])
     def test_same_layout_short_logs_take_one_general_read(self, monkeypatch, batch_bytes,
@@ -978,7 +975,7 @@ class TestReference:
         expected = logs_outcome(logs)
         inline_calls.clear()
         assert batch_outcome(logs) == expected
-        assert inline_calls == [1, 5]  # the first alone, then the rest in one batch
+        assert inline_calls == [1, 1]  # the second is the reference, the rest are checked
 
     def test_a_later_day_block_log_is_the_reference(self, inline_calls, strides_calls):
         # a first log that is no reference, then long logs of one layout
@@ -1007,7 +1004,7 @@ class TestReference:
     }
 
     @pytest.mark.parametrize("edit, calls", [
-        ("day-renumbered", [1, 1]), ("separator", [1, 1, 1]), ("occupied-2", [1, 1, 1])])
+        ("day-renumbered", [1, 1]), ("separator", [1, 1]), ("occupied-2", [1, 1])])
     def test_a_later_log_that_fails_the_check_is_read_alone(self, edit, calls, inline_calls):
         logs = layout_logs(4, 12)
         logs[7] = respelled(logs[7], self.EDITS[edit])
@@ -1015,7 +1012,7 @@ class TestReference:
         expected = logs_outcome(logs)
         inline_calls.clear()
         assert batch_outcome(logs) == expected
-        # the reference, then the log's batch; a rejected log is then read alone
+        # the reference, then the log that fails the check, read alone
         assert inline_calls == calls
 
     def test_a_long_reference_read_by_rows(self, monkeypatch, inline_calls, strides_calls):
@@ -1273,20 +1270,13 @@ class TestBatchedIngestion:
         strat = HeatingStrategy(name="h", schedule={
             zid: frozenset(rng.choice(np.arange(*window), 2).tolist()) for zid in zone_ids})
 
-        split = bool(seed % 2)  # the logs read inline go in several batches
-        if split:
-            monkeypatch.setattr(occupancy, "_BATCH_BYTES", int(rng.integers(100, 400)))
         calls = []
         inline = occupancy._inline
-        monkeypatch.setattr(occupancy, "_inline",
-                            lambda bodies: calls.append(len(bodies)) or inline(bodies))
+        monkeypatch.setattr(occupancy, "_inline", lambda body: calls.append(1) or inline(body))
         (heating,) = _heating_bits(config, zone_ids, [strat])
         chains = _chains(config, _load_schedules(config, zone_ids), heating)
         monkeypatch.undo()
-        if split:  # smaller batches decline no more often and read no log twice
-            assert sum(calls) <= sum(reads)
-        else:
-            assert calls == reads
+        assert calls == reads
 
         expected = []
         for zid, data in zip(zone_ids, logs):
