@@ -79,13 +79,14 @@ class RunConfig(Record):
 
 
 class Schedules(Record):
-    """Every zone's windowed step probabilities, rows in ``zone_ids`` order,
-    and its deterministic start label."""
+    """Every zone's windowed step probabilities, deterministic start label
+    and occupancy marginals, rows in ``zone_ids`` order."""
 
     zone_ids: tuple[str, ...]
     p_vf: np.ndarray  # (N, K): P(occupied at k+1 | empty at k)
     p_ff: np.ndarray  # (N, K): P(occupied at k+1 | occupied at k)
     initial_occupied: list[bool]
+    marginals: np.ndarray  # (N, K+1): P(occupied at k), which no heating changes
 
 
 def _parse_range(text: str, what: str) -> tuple[int, int]:
@@ -276,39 +277,65 @@ def _write_outputs(out_dir: Path, files: dict[str, str | Iterable[str]]) -> None
 
 
 def _load_schedules(config: RunConfig, zone_ids: tuple[str, ...]) -> Schedules:
-    """Every zone's windowed schedule and start label, in ``zone_ids``
-    order, read and estimated as one batch. On any fault the zones are read
-    and checked again one at a time, in order, so the error names the
-    first fault that reading meets, as the batch need not; a zone whose
-    log the batch found faulty is not read again, as it would give the
-    batch's message."""
+    """Every zone's windowed schedule, marginals and start label, in
+    ``zone_ids`` order, each log read once and all estimated in one count.
+    The error names the first zone in order with a fault: no log given, a
+    file that cannot be read or a log the parser rejects, then a log that
+    does not cover the window or a start hour whose days are mixed."""
     known = set(zone_ids)
     for zid in config.occupancy_paths:
         if zid not in known:
             raise ValidationError(f"--occupancy references unknown zone {zid!r}")
-    paths = [config.occupancy_paths.get(zid) for zid in zone_ids]
     fault = None
-    if None not in paths:
-        try:
-            # the parser takes the files in turn and holds at most two long
-            # bodies at once: its reference, which later logs of its layout
-            # are checked against, and the current one. A long log is mapped,
-            # and the parser closes each mapping once it is read
-            return _window_schedules(config, zone_ids, occupancy.parse_occupancy_logs(
-                read_bytes(path, "occupancy", occupancy.STRIDE_MIN_BYTES) for path in paths))
-        except occupancy.LogFault as exc:
-            fault = exc
-        except ValidationError:
-            pass
-    datasets = []
-    for i, zid in enumerate(zone_ids):
-        if zid not in config.occupancy_paths:
-            raise ValidationError(f"no occupancy file given for zone {zid!r} (--occupancy)")
-        if fault is not None and fault.log == i:
-            raise ValidationError(f"{config.occupancy_paths[zid]}: {fault}")
-        datasets.append(_read_dataset(config.occupancy_paths[zid]))
-        _window_schedules(config, (zid,), datasets[-1:])
-    return _window_schedules(config, zone_ids, datasets)
+
+    def logs():
+        """Each zone's log in turn, up to the first that cannot be read, whose
+        error is kept in ``fault``."""
+        nonlocal fault
+        for zid in zone_ids:
+            if zid not in config.occupancy_paths:
+                fault = ValidationError(f"no occupancy file given for zone {zid!r} (--occupancy)")
+                return
+            try:
+                data = read_bytes(config.occupancy_paths[zid], "occupancy",
+                                  occupancy.STRIDE_MIN_BYTES)
+            except ValidationError as exc:
+                fault = exc
+                return
+            yield data
+
+    try:
+        # the parser takes the files in turn and holds at most two long
+        # bodies at once: its reference, which later logs of its layout
+        # are checked against, and the current one. A long log is mapped,
+        # and the parser closes each mapping once it is read
+        datasets = occupancy.parse_occupancy_logs(logs())
+    except occupancy.LogFault as exc:
+        datasets = exc.datasets
+        fault = ValidationError(f"{config.occupancy_paths[zone_ids[len(datasets)]]}: {exc}")
+    start, end = config.window
+    initial_occupied = []
+    for zid, dataset in zip(zone_ids, datasets):
+        if dataset.hours[0] > start or dataset.hours[-1] < end:
+            raise ValidationError(
+                f"zone {zid!r}: dataset hours {dataset.hours[0]}-{dataset.hours[-1]} "
+                f"do not cover the window {start}-{end}"
+            )
+        occupied = int(np.count_nonzero(dataset.grid[:, start - dataset.hours[0]]))
+        if 0 < occupied < dataset.day_count:
+            raise ValidationError(
+                f"zone {zid!r}: occupancy at the window start hour {start} is mixed "
+                f"({occupied / dataset.day_count:.2f} of days); the chain needs a "
+                f"deterministic start"
+            )
+        initial_occupied.append(occupied > 0)
+    if fault is not None:
+        raise fault
+    # the window's columns, read-only views taken without a copy
+    p_vf, p_ff, _, _ = occupancy.estimate_steps(
+        [d.grid[:, start - d.hours[0]:end - d.hours[0] + 1] for d in datasets])
+    return Schedules(zone_ids, p_vf, p_ff, initial_occupied,
+                     markov.occupied_marginals(p_vf, p_ff, initial_occupied))
 
 
 def _read_dataset(path: Path) -> occupancy.OccupancyDataset:
@@ -319,33 +346,6 @@ def _read_dataset(path: Path) -> occupancy.OccupancyDataset:
         return occupancy.parse_occupancy_csv(data)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
-
-
-def _window_schedules(config: RunConfig, zone_ids: tuple[str, ...],
-                      datasets: list[occupancy.OccupancyDataset]) -> Schedules:
-    """Estimate every zone's schedule on the operating window's hours only,
-    all in one count. Raises for the first zone whose log does not cover
-    the window, else for the first whose days do not all start alike."""
-    start, end = config.window
-    for zid, dataset in zip(zone_ids, datasets):
-        if dataset.hours[0] > start or dataset.hours[-1] < end:
-            raise ValidationError(
-                f"zone {zid!r}: dataset hours {dataset.hours[0]}-{dataset.hours[-1]} "
-                f"do not cover the window {start}-{end}"
-            )
-    # the window's columns, read-only views taken without a copy
-    p_vf, p_ff, occupied, days = occupancy.estimate_steps(
-        [d.grid[:, start - d.hours[0]:end - d.hours[0] + 1] for d in datasets])
-    at_start = occupied[:, 0]
-    mixed = np.flatnonzero((at_start != 0) & (at_start != days))
-    if len(mixed):
-        i = mixed[0]
-        raise ValidationError(
-            f"zone {zone_ids[i]!r}: occupancy at the window start hour {start} is mixed "
-            f"({int(at_start[i]) / int(days[i]):.2f} of days); the chain needs a "
-            f"deterministic start"
-        )
-    return Schedules(zone_ids, p_vf, p_ff, (at_start == days).tolist())
 
 
 def _heating_bits(config: RunConfig, zone_ids: tuple[str, ...],
@@ -363,13 +363,6 @@ def _chains(config: RunConfig, schedules: Schedules,
     return markov.unroll_zones(
         schedules.zone_ids, schedules.p_vf, schedules.p_ff, heating,
         config.window[1] - config.window[0], schedules.initial_occupied)
-
-
-def _marginals(schedules: Schedules) -> np.ndarray:
-    """Every zone's (K+1,) occupancy marginals, rows in ``schedules`` order,
-    which no heating changes; computed once per command."""
-    return markov.occupied_marginals(schedules.p_vf, schedules.p_ff,
-                                     schedules.initial_occupied)
 
 
 def _load_inputs(config: RunConfig) -> tuple[DiscreteThermalModel, dict[str, ZoneGains],
@@ -403,7 +396,7 @@ def _trajectories(config: RunConfig, thermal: DiscreteThermalModel,
                   heating: list[list[list[bool]]]) -> np.ndarray:
     """Expected temperatures of every strategy, (S, len(thetas), N), from one
     run of the O(N^2 K) marginal recursion; ``marginals`` are the zones'
-    ``_marginals`` in thermal order, and ``heating`` holds each strategy's
+    ``Schedules.marginals`` in thermal order, and ``heating`` holds each strategy's
     ``_heating_bits`` in that order."""
     return analysis.direct_expected_temperatures(
         thermal, gains, marginals.T, np.array(heating, dtype=float).swapaxes(1, 2), config.thetas)
@@ -424,8 +417,7 @@ def cmd_analyze(config: RunConfig, dump_chain: bool = False) -> int:
     # only chain.json reads the chains; built before the trajectories, so that
     # errors come in one order with or without --dump-chain
     chains = _chains(config, schedules, heating[0]) if dump_chain else []
-    marginals = _marginals(schedules)
-    values = _trajectories(config, thermal, gains, marginals, heating)
+    values = _trajectories(config, thermal, gains, schedules.marginals, heating)
     masks = tuple(mask[0] for mask in analysis.comfort_check(values, config.band))
 
     rows = [["theta_hour", "zone_id", "expected_temp_c"]]
@@ -435,7 +427,7 @@ def cmd_analyze(config: RunConfig, dump_chain: bool = False) -> int:
                "comfort.json": _comfort_json(config.band, config.thetas, zone_ids, masks)}
     if dump_chain:
         (rewards,) = markov.step_reward_table(chains, thermal, gains, config.thetas[:1],
-                                              marginals)
+                                              schedules.marginals)
         outputs["chain.json"] = markov.dump_model(markov.compose(chains), rewards,
                                                   config.thetas[0])
     _write_outputs(config.out_dir, outputs)
@@ -451,7 +443,7 @@ def cmd_cost(config: RunConfig) -> int:
     if config.occupancy_paths:
         heating = _heating_bits(config, thermal.zone_ids, strategies)
         _, _, ever_below, ever_above = analysis.comfort_check(_trajectories(
-            config, thermal, gains, _marginals(_load_schedules(config, thermal.zone_ids)),
+            config, thermal, gains, _load_schedules(config, thermal.zone_ids).marginals,
             heating), config.band)
         ever = {strat.name: flags for strat, *flags in zip(strategies, ever_below, ever_above)}
 
@@ -488,7 +480,7 @@ def cmd_export(config: RunConfig, name: str, to_stdout: bool = False) -> int:
     (heating,) = _heating_bits(config, thermal.zone_ids, [strat])
     schedules = _load_schedules(config, thermal.zone_ids)
     chains = _chains(config, schedules, heating)
-    table = markov.step_reward_table(chains, thermal, gains, config.thetas, _marginals(schedules))
+    table = markov.step_reward_table(chains, thermal, gains, config.thetas, schedules.marginals)
     models = prism.render_models(chains, table, config.thetas, thermal.delta, name)
     outputs = {f"{name}_theta{theta}.pm" if len(config.thetas) > 1 else f"{name}.pm": text
                for theta, text in zip(config.thetas, models)}

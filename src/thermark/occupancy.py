@@ -180,7 +180,7 @@ def parse_occupancy_logs(logs: Iterable[bytes | str | mmap.mmap]) -> list[Occupa
     """Parse several logs in one call: each gets the dataset
     :func:`parse_occupancy_csv` gives it, and a fault raises the error
     that function gives for the first faulty log, as a :class:`LogFault`
-    that holds the log's position in ``logs``. A mapping is owned as
+    that holds the datasets of the logs before it. A mapping is owned as
     :func:`parse_occupancy_csv` owns one: each is closed once read, the
     reference's when the call returns or raises.
 
@@ -200,7 +200,8 @@ def parse_occupancy_logs(logs: Iterable[bytes | str | mmap.mmap]) -> list[Occupa
     ``_BATCH_BYTES`` at a time, and the bodies of a stack that fails one at
     a time. The short bodies that fail their check, and those the general
     reader rejects, are read at the end, one at a time and in order, by
-    ``_read_each``, which raises the first fault; only a long body that
+    ``_read_each``, which returns every log's dataset in order or raises
+    the first fault; only a long body that
     every reader declines is copied out of its mapping.
     """
     items: list[OccupancyDataset | bytes] = []  # a dataset, or a body to read as rows
@@ -256,29 +257,28 @@ def parse_occupancy_logs(logs: Iterable[bytes | str | mmap.mmap]) -> list[Occupa
     finally:
         if reference is not None:
             _close(reference[0])
-    read = iter(_read_each(items))
-    return [next(read) if isinstance(item, bytes) else item for item in items]
+    return _read_each(items)
 
 
 def _opened(log: bytes | str | mmap.mmap, items: list[OccupancyDataset | bytes],
             in_place: bool = True) -> tuple[bytes | mmap.mmap, int]:
     """``_body`` of a log read in a batch after ``items``; a fault raises
-    the first fault among ``items``, else its own, as a :class:`LogFault`
-    at the log's position."""
+    the first fault among ``items``, else its own with every item's
+    dataset, as a :class:`LogFault`."""
     try:
         return _body(log, in_place)
     except ValidationError as exc:
-        _read_each(items)  # an earlier fault first
-        raise LogFault(str(exc), len(items)) from None
+        raise LogFault(str(exc), _read_each(items)) from None  # an earlier fault first
 
 
 class LogFault(ValidationError):
     """The fault of one log read in a batch: the message
-    :func:`parse_occupancy_csv` gives it, and the log's position."""
+    :func:`parse_occupancy_csv` gives it, and the datasets of the logs
+    before it, so that its position is their count."""
 
-    def __init__(self, message: str, log: int) -> None:
+    def __init__(self, message: str, datasets: list[OccupancyDataset]) -> None:
         super().__init__(message)
-        self.log = log
+        self.datasets = datasets
 
 
 def _body(data: bytes | str | mmap.mmap, in_place: bool = True) -> tuple[bytes | mmap.mmap, int]:
@@ -347,16 +347,17 @@ def _batches(bodies: list[bytes]) -> Iterator[list[bytes]]:
 
 
 def _read_each(items: list[OccupancyDataset | bytes]) -> list[OccupancyDataset]:
-    """The dataset of each body among ``items``, read alone by
-    ``_inline``; the first body it rejects raises ``_fault``'s message
-    as a :class:`LogFault` at that body's position in ``items``."""
+    """Every item's dataset in order, a body's read alone by ``_inline``;
+    the first body it rejects raises ``_fault``'s message as a
+    :class:`LogFault` holding the datasets before it."""
     datasets = []
-    for i, body in enumerate(items):
-        if isinstance(body, bytes):
-            read = _inline(body)
+    for item in items:
+        if isinstance(item, bytes):
+            read = _inline(item)
             if read is None:
-                raise LogFault(str(_fault(_text(body))), i)
-            datasets.append(read[0])
+                raise LogFault(str(_fault(_text(item))), datasets)
+            item = read[0]
+        datasets.append(item)
     return datasets
 
 

@@ -77,8 +77,12 @@ class ContinuousStateSpace(Record):
 
     def __post_init__(self) -> None:
         a = np.asarray(self.a_hat, dtype=float)
-        row_sums = a.sum(axis=1)
-        if np.max(np.abs(row_sums), initial=0.0) > ROW_SUM_TOL:
+        row_sums = np.abs(a.sum(axis=1))
+        # rounding leaves a row's sum off by an amount that grows with its
+        # entries, so the tolerance scales with the row's largest magnitude
+        # where that is above 1; an infinite sum fails the check
+        if ((row_sums > ROW_SUM_TOL * np.abs(a).max(axis=1, initial=1.0)).any()
+                or np.isinf(row_sums).any()):
             raise ValidationError("a_hat rows must sum to 0 for a closed network")
         # a coupling below 0 is a negative entry that is not on the diagonal, so
         # counting the negative entries of a and of its diagonal finds one
@@ -149,12 +153,21 @@ def build_state_space(network: RCNetwork) -> ContinuousStateSpace:
     ids = network.zone_ids
     n = len(ids)
     index = {zid: i for i, zid in enumerate(ids)}
-    coupling = np.array([1.0 / (z.capacitance * z.resistance) for z in network.zones])
+    zones = network.zones
     rows = [index[a] for a, _ in network.edges]
     a_hat = np.zeros((n, n))
-    a_hat[rows, [index[b] for _, b in network.edges]] = coupling[rows]
-    np.fill_diagonal(a_hat, -a_hat.sum(axis=1))  # each row's sum, its diagonal still zero
-    b_hat = np.diag([1.0 / z.capacitance for z in network.zones])
+    # a product C*R that underflows leaves an infinite coupling, and a row of
+    # couplings whose sum overflows an infinite diagonal: either is named below
+    with np.errstate(divide="ignore", over="ignore"):
+        coupling = 1.0 / np.array([z.capacitance * z.resistance for z in zones])
+        a_hat[rows, [index[b] for _, b in network.edges]] = coupling[rows]
+        np.fill_diagonal(a_hat, -a_hat.sum(axis=1))  # each row's sum, its diagonal still zero
+    overflowed = np.flatnonzero(np.isinf(a_hat.diagonal()))
+    if len(overflowed):
+        z = zones[overflowed[0]]
+        raise ValidationError(f"zone {z.id!r}: the couplings 1/(C*R) of capacitance "
+                              f"{z.capacitance} and resistance {z.resistance} overflow")
+    b_hat = np.diag([1.0 / z.capacitance for z in zones])
     return ContinuousStateSpace(a_hat=a_hat, b_hat=b_hat, zone_ids=ids)
 
 
@@ -165,12 +178,13 @@ def discretize_forward_euler(
 ) -> DiscreteThermalModel:
     """Forward-Euler step: a = I + delta * a_hat, b = delta * b_hat; the
     model rejects a delta that is not positive."""
-    a = delta * np.asarray(ss.a_hat, dtype=float)
+    with np.errstate(over="ignore"):  # an infinite entry fails the model's check
+        a = delta * np.asarray(ss.a_hat, dtype=float)
+        b = delta * np.asarray(ss.b_hat, dtype=float)
     # I + delta * a_hat without building I: the identity's zeros turn a -0.0
     # into 0.0, and 1.0 + x has the bits of x + 1.0
     a += 0.0
     a.flat[::len(a) + 1] += 1.0
-    b = delta * np.asarray(ss.b_hat, dtype=float)
     if initial_temps is None:
         initial_temps = np.zeros(len(ss.zone_ids))
     return DiscreteThermalModel(

@@ -502,8 +502,12 @@ class TestWindowHandling:
          "the chain needs a deterministic start"),
         ({"zone1": "bad-row", "zone3": None}, ["--occupancy", "attic={zone1}"],
          "--occupancy references unknown zone 'attic'"),
+        ({"zone1": None, "zone2": "bad-row"}, [], "occupancy file not found: {zone1}"),
+        ({"zone1": "uncovered", "zone3": "no-flag"}, [],
+         "zone 'zone1': dataset hours 9-11 do not cover the window 8-17"),
     ], ids=["uncovered-before-bad-row", "bad-row-before-mixed-start",
-            "mixed-start-before-missing-file", "unknown-zone-before-all"])
+            "mixed-start-before-missing-file", "unknown-zone-before-all",
+            "missing-file-before-bad-row", "uncovered-before-no-occupancy-flag"])
     def test_first_fault_in_zone_order_is_named(self, tmp_path, capsys, logs, extra, message):
         zone_ids = ("zone1", "zone2", "zone3")
         (tmp_path / "building.json").write_text(json.dumps({
@@ -513,11 +517,12 @@ class TestWindowHandling:
         paths = {z: tmp_path / f"{z}.csv" for z in zone_ids}
         for zid, path in paths.items():
             kind = logs.get(zid, "good")
-            if kind is not None:
+            if kind in self.LOGS:  # None: no file; "no-flag": no --occupancy either
                 path.write_text("day,hour,occupied\n" + self.LOGS[kind])
         out = tmp_path / "out"
         argv = ["analyze", "--building", str(tmp_path / "building.json"),
-                *(a for zid, path in paths.items() for a in ("--occupancy", f"{zid}={path}")),
+                *(a for zid, path in paths.items() if logs.get(zid) != "no-flag"
+                  for a in ("--occupancy", f"{zid}={path}")),
                 *(a.format(**paths) for a in extra), "--out", str(out)]
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {message.format(**paths)}\n"
@@ -546,6 +551,23 @@ class TestWindowHandling:
         assert capsys.readouterr().err == (
             f"error: {paths[faulty]}: line 12001: occupied must be 0 or 1, got '2'\n")
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("n", [2, 7])
+    def test_each_log_is_read_once(self, tmp_path, capsys, monkeypatch, n):
+        # the last of n logs is rejected, and the message needs no second read
+        args = ring_args(tmp_path, n)
+        args.remove("--dump-chain")
+        bad = tmp_path / "bad.csv"
+        bad.write_text("day,hour,occupied\n" + self.LOGS["bad-row"])
+        args[-1] = f"zone{n - 1}={bad}"
+        reads = []
+        read_bytes = thermark.cli.read_bytes
+        monkeypatch.setattr(thermark.cli, "read_bytes",
+                            lambda path, *rest: reads.append(path) or read_bytes(path, *rest))
+        assert main(args) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: line 3: occupied must be 0 or 1, got '2'\n")
+        assert reads == [tmp_path / "log.csv"] * (n - 1) + [bad]
 
     @pytest.mark.parametrize("hours,code", [([16], 0), ([16, 17], 2)])
     def test_strategy_slot_at_the_window_end_exits_2(self, tmp_path, capsys, hours, code):
@@ -912,6 +934,23 @@ class TestBuildingChecks:
         args[args.index("--building") + 1] = str(path)
         assert main(args) == 2
         assert_one_line_error(capsys, "b must be 2x2, got (3, 3)")
+        assert not out.exists()
+
+    # C*R of 0 ended in a ZeroDivisionError traceback, and a subnormal C*R
+    # printed a numpy RuntimeWarning before the error line
+    @pytest.mark.parametrize("size", [1e-200, 1e-160])
+    def test_a_coupling_that_overflows_exits_2(self, tmp_path, capsys, size):
+        spec = bench_building(capacitance=size, resistance=size)
+        del spec["explicit_discrete"]
+        path = tmp_path / "building.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "out"
+        args = pinned_args("analyze", out)
+        args[args.index("--building") + 1] = str(path)
+        assert main(args) == 2
+        assert capsys.readouterr().err == (
+            f"error: zone 'zone1': the couplings 1/(C*R) of capacitance {size} and "
+            f"resistance {size} overflow\n")
         assert not out.exists()
 
     # analyze and export ended in a traceback, and cost wrote a row of zeros

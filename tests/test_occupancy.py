@@ -739,16 +739,21 @@ class TestParseLogs:
     BAD_ROW = "day,hour,occupied\n1,8,0\n1,9,2\n"
     BAD_HEADER = "day,hour\n1,8,0\n"
 
-    @pytest.mark.parametrize("logs, message", [
-        ([GOOD, BAD_ROW, BAD_HEADER], "line 3: occupied must be 0 or 1, got '2'"),
-        ([GOOD, BAD_HEADER, BAD_ROW], "expected header 'day,hour,occupied', got 'day,hour'"),
-        ([BAD_ROW, ""], "line 3: occupied must be 0 or 1, got '2'"),
-        ([GOOD, "", BAD_ROW], "no records: file is empty"),
-    ], ids=["row-before-header", "header-before-row", "row-before-empty", "empty-before-row"])
-    def test_the_first_faulty_log_names_the_error(self, logs, message):
-        # each log's own error, as parse_occupancy_csv gives it, of the first faulty one
-        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+    @pytest.mark.parametrize("logs, message, position", [
+        ([GOOD, BAD_ROW, BAD_HEADER], "line 3: occupied must be 0 or 1, got '2'", 1),
+        ([GOOD, BAD_HEADER, BAD_ROW], "expected header 'day,hour,occupied', got 'day,hour'", 1),
+        ([BAD_ROW, ""], "line 3: occupied must be 0 or 1, got '2'", 0),
+        ([GOOD, "", BAD_ROW], "no records: file is empty", 1),
+        ([long_log(days=300)[0], GOOD, long_log(days=300)[0].replace(b"1,8,", b"1,8,2,")],
+         "line 10: expected 3 fields, got 4", 2),
+    ], ids=["row-before-header", "header-before-row", "row-before-empty", "empty-before-row",
+            "long-log-last"])
+    def test_the_first_faulty_log_names_the_error(self, logs, message, position):
+        # each log's own error, as parse_occupancy_csv gives it, of the first
+        # faulty one, with the datasets of the logs before it
+        with pytest.raises(occupancy.LogFault, match=f"^{re.escape(message)}$") as fault:
             occupancy.parse_occupancy_logs(logs)
+        assert fault.value.datasets == [parse_occupancy_csv(log) for log in logs[:position]]
 
     def test_each_log_gets_its_own_dataset(self):
         logs = [self.GOOD, long_log(days=300)[0], self.GOOD.replace("1,9,1", "1,9,0"),

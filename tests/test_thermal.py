@@ -158,8 +158,11 @@ class TestDiscretize:
 
 def continuous_fault(a: np.ndarray, b: np.ndarray) -> str | None:
     """ContinuousStateSpace's checks as first written, on copies of each
-    matrix with its diagonal cleared: the start of the first message, or None."""
-    if np.max(np.abs(a.sum(axis=1)), initial=0.0) > 1e-12:
+    matrix with its diagonal cleared: the start of the first message, or None.
+    A row's sum may be off by 1e-12 times its largest magnitude, or 1e-12
+    if that is below 1, and must not be infinite."""
+    sums = np.abs(a.sum(axis=1))
+    if np.any((sums > 1e-12 * np.maximum(1.0, np.abs(a).max(axis=1))) | (sums == np.inf)):
         return "a_hat rows"
     if np.any(a - np.diag(np.diag(a)) < 0.0) or np.any(np.diag(a) > 0.0):
         return "a_hat must"
@@ -295,6 +298,26 @@ class TestLoadBuilding:
         path.write_text(json.dumps(payload))
         _, model = load_building(path)
         assert np.allclose(model.a, [[0.5812, 0.4188], [0.1789, 0.8211]], atol=5e-5)
+
+    def test_stable_stiff_building_loads(self, tmp_path):
+        # rows of about 2e4, whose sums round past an absolute 1e-12, under a
+        # stable Euler step
+        rng = np.random.default_rng(0)
+        ids = [f"z{i}" for i in range(4)]
+        payload = {
+            "zones": [{"id": z, "capacitance": float(rng.uniform(0.01, 0.013)),
+                       "resistance": float(rng.uniform(0.01, 0.0121)), "initial_temp": 20.0}
+                      for z in ids],
+            "edges": [[a, b] for a in ids for b in ids if a != b],
+            "delta": 1e-5,
+        }
+        path = tmp_path / "building.json"
+        path.write_text(json.dumps(payload))
+        _, model = load_building(path)
+        temps = model.initial_temps
+        for _ in range(1000):
+            temps = model.a @ temps + model.b @ np.ones(4)
+        assert np.isfinite(temps).all() and (temps > 20.0).all()
 
     def test_missing_file_is_validation_error(self, tmp_path):
         with pytest.raises(ValidationError, match="not found"):
