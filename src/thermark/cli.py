@@ -297,18 +297,15 @@ def _load_schedules(config: RunConfig, zone_ids: tuple[str, ...]) -> Schedules:
                 fault = ValidationError(f"no occupancy file given for zone {zid!r} (--occupancy)")
                 return
             try:
-                data = read_bytes(config.occupancy_paths[zid], "occupancy",
-                                  occupancy.STRIDE_MIN_BYTES)
+                data = read_bytes(config.occupancy_paths[zid], "occupancy")
             except ValidationError as exc:
                 fault = exc
                 return
             yield data
 
     try:
-        # the parser takes the files in turn and holds at most two long
-        # bodies at once: its reference, which later logs of its layout
-        # are checked against, and the current one. A long log is mapped,
-        # and the parser closes each mapping once it is read
+        # the parser takes the logs in turn and keeps none once read but
+        # its reference, which later logs of its layout are checked against
         datasets = occupancy.parse_occupancy_logs(logs())
     except occupancy.LogFault as exc:
         datasets = exc.datasets
@@ -339,9 +336,8 @@ def _load_schedules(config: RunConfig, zone_ids: tuple[str, ...]) -> Schedules:
 
 
 def _read_dataset(path: Path) -> occupancy.OccupancyDataset:
-    """Read and parse one occupancy log, a long one mapped and read in
-    place; any failure names the file."""
-    data = read_bytes(path, "occupancy", occupancy.STRIDE_MIN_BYTES)
+    """Read and parse one occupancy log; any failure names the file."""
+    data = read_bytes(path, "occupancy")
     try:
         return occupancy.parse_occupancy_csv(data)
     except ValidationError as exc:

@@ -6,16 +6,10 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import stat
 import sys
 import unicodedata
 from collections.abc import Iterable
 from pathlib import Path
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import mmap
 
 
 class ThermarkError(Exception):
@@ -44,48 +38,22 @@ def is_name(text: str) -> bool:
                            or not any(unicodedata.category(c) == "Cc" for c in text))
 
 
-def read_bytes(path: Path, kind: str, map_from: int | None = None) -> bytes | mmap.mmap:
-    """Read a UTF-8 input file as bytes; any failure is a one-line error
-    naming it.
+def read_bytes(path: Path, kind: str) -> bytes:
+    """An input file's bytes, unchecked; a file that cannot be read is a
+    one-line :class:`ValidationError` naming it.
 
     ``kind`` names the file's role in the not-found message, e.g.
-    ``"building"``. A directory, an unreadable file and bytes that are not
-    UTF-8 each raise :class:`ValidationError`.
-
-    With ``map_from``, a regular file of at least that many bytes is mapped
-    read-only instead, and the mapping is returned unchecked: the caller
-    reads it in place, checks by :func:`check_utf8` whatever it copies out,
-    and closes it. Truncating a file while it is mapped ends the process
-    with SIGBUS; appending to it or replacing it by rename is safe.
+    ``"building"``. A directory and an unreadable file raise. The reader
+    of each format checks its bytes: :func:`read_text` those of a JSON
+    file, the occupancy parser those of a log.
     """
     try:
-        with path.open("rb", buffering=0) as file:  # unbuffered: read whole or mapped
-            if map_from is not None and (mapped := _mapped(file.fileno(), map_from)) is not None:
-                return mapped
-            data = file.read()
+        with path.open("rb", buffering=0) as file:  # unbuffered: one read of the whole file
+            return file.read()
     except FileNotFoundError:
         raise ValidationError(f"{kind} file not found: {path}") from None
     except OSError as exc:
         raise ValidationError(f"{path}: cannot read: {exc.strerror or exc}") from None
-    try:
-        return check_utf8(data)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
-
-
-def _mapped(fd: int, size: int) -> mmap.mmap | None:
-    """A read-only mapping of ``fd`` if it is a regular file of at least
-    ``size`` bytes that the system maps, else None. The mapping holds its
-    own descriptor until it is closed."""
-    info = os.fstat(fd)
-    if not (stat.S_ISREG(info.st_mode) and info.st_size >= size):
-        return None
-    import mmap  # imported on first use, as a command that maps no file need not pay for it
-
-    try:
-        return mmap.mmap(fd, 0, access=mmap.ACCESS_READ)
-    except (OSError, ValueError):  # a file system that maps no files, a file just emptied
-        return None
 
 
 def check_utf8(data: bytes) -> bytes:
@@ -100,8 +68,13 @@ def check_utf8(data: bytes) -> bytes:
 
 
 def read_text(path: Path, kind: str) -> str:
-    """:func:`read_bytes` decoded, with CRLF and CR line ends read as LF."""
-    text = read_bytes(path, kind).decode("utf-8")
+    """:func:`read_bytes` checked as UTF-8 and decoded, with CRLF and CR
+    line ends read as LF; bytes that are not UTF-8 raise naming the file."""
+    data = read_bytes(path, kind)
+    try:
+        text = check_utf8(data).decode("utf-8")
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return text

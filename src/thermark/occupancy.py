@@ -23,15 +23,11 @@ import bisect
 import itertools
 import re
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ValidationError, check_utf8
 from .records import Record
-
-if TYPE_CHECKING:
-    import mmap
 
 CSV_HEADER = ("day", "hour", "occupied")
 # every byte a data row may hold; anything else rejects the body. The stride
@@ -156,14 +152,11 @@ class TransitionSchedule(Record):
     matrices: tuple[StepMatrix, ...]
 
 
-def parse_occupancy_csv(data: bytes | str | mmap.mmap) -> OccupancyDataset:
+def parse_occupancy_csv(data: bytes | str) -> OccupancyDataset:
     """Parse a ``day,hour,occupied`` CSV into a dataset.
 
-    ``data`` is the file's bytes (UTF-8), its text, or a read-only mapping
-    of the file, which the parser owns: it is read in place if the
-    day-block reader reads it, else copied out and checked as strictly as
-    :func:`thermark.errors.read_bytes` checks a file it reads, and either
-    way closed before the call returns. The header is
+    ``data`` is the file's bytes, which must be UTF-8, strictly (no encoded
+    surrogate), or its text, read as its UTF-8 bytes. The header is
     ``day,hour,occupied`` (case and spaces around names ignored). Every
     other line is blank (spaces and tabs only) or a row
     ``day,hour,occupied``: day and hour are ASCII integers with an optional
@@ -176,33 +169,35 @@ def parse_occupancy_csv(data: bytes | str | mmap.mmap) -> OccupancyDataset:
     return parse_occupancy_logs([data])[0]
 
 
-def parse_occupancy_logs(logs: Iterable[bytes | str | mmap.mmap]) -> list[OccupancyDataset]:
+def parse_occupancy_logs(logs: Iterable[bytes | str]) -> list[OccupancyDataset]:
     """Parse several logs in one call: each gets the dataset
     :func:`parse_occupancy_csv` gives it, and a fault raises the error
     that function gives for the first faulty log, as a :class:`LogFault`
-    that holds the datasets of the logs before it. A mapping is owned as
-    :func:`parse_occupancy_csv` owns one: each is closed once read, the
-    reference's when the call returns or raises.
+    that holds the datasets of the logs before it.
 
-    The logs are taken in turn and each header is checked on its own. A
-    body is read by checking it against a template, byte for byte apart
+    The logs are taken in turn. A body of at least ``STRIDE_MIN_BYTES``
+    under a plain header, one that is right, ASCII and free of CR, is
+    handed to the two fast readers as it lies in the log's bytes, with no
+    UTF-8 or CR pass: a body either accepts holds only ``_STRIDE_ALPHABET``
+    bytes, so it is UTF-8 and its line ends are LF. Every other log, and a
+    long body that both fast readers decline, is checked in full first
+    (``_body``): strict UTF-8, CR made LF, then the header.
+
+    A body is read by checking it against a template, byte for byte apart
     from some allowed columns (``_differences``), where it can be:
-    ``_read_strides`` checks a body of at least ``STRIDE_MIN_BYTES``
-    against its own first day, apart from the day digits and occupied
-    bits, and ``_read_like`` checks a body against the reference, apart
-    from the occupied bits. Every other body is read alone by the general
-    reader (``_inline``), where it lies. The reference is the first body
-    that the day-block or the general reader reads in file order (nothing
-    sorted, no blank line, space or tab dropped), kept until the call
-    returns, so at most two long bodies are held at once. Each later body
-    of the reference's length, whatever its header's, is checked against
-    it: a long one alone, where it lies, short ones stacked
-    ``_BATCH_BYTES`` at a time, and the bodies of a stack that fails one at
-    a time. The short bodies that fail their check, and those the general
-    reader rejects, are read at the end, one at a time and in order, by
-    ``_read_each``, which returns every log's dataset in order or raises
-    the first fault; only a long body that
-    every reader declines is copied out of its mapping.
+    ``_read_strides`` checks a long body against its own first day, apart
+    from the day digits and occupied bits, and ``_read_like`` checks a body
+    against the reference, apart from the occupied bits. Every other body
+    is read alone by the general reader (``_inline``). The reference is the
+    first body that the day-block or the general reader reads in file order
+    (nothing sorted, no blank line, space or tab dropped), kept until the
+    call returns; no other log is kept once read. Each later body of the
+    reference's length, whatever its header's, is checked against it: a
+    long one alone, short ones stacked ``_BATCH_BYTES`` at a time, and the
+    bodies of a stack that fails one at a time. The short bodies that fail
+    their check, and those the general reader rejects, are read at the end,
+    one at a time and in order, by ``_read_each``, which returns every
+    log's dataset in order or raises the first fault.
     """
     items: list[OccupancyDataset | bytes] = []  # a dataset, or a body to read as rows
     alike: list[int] = []  # the items that are short bodies of the reference's length
@@ -210,63 +205,68 @@ def parse_occupancy_logs(logs: Iterable[bytes | str | mmap.mmap]) -> list[Occupa
     # dataset and its runs; the general reader's reference holds its newlines
     # until a second body of its length arrives
     reference = None
-    try:
-        for log in logs:
-            data, start = _opened(log, items)
-            size = len(data) - start
-            if reference is not None and size == len(reference[0]) - reference[1]:
-                if not isinstance(reference[3], list):
-                    reference = (*reference[:3], _line_runs(reference[3], len(reference[2].hours)))
-                if size < STRIDE_MIN_BYTES:
-                    alike.append(len(items))
-                    items.append(data[start:])
-                    continue
-                read = _read_like(np.frombuffer(data, np.uint8, offset=start)[None], *reference)
-                if read is not None:
-                    _close(data)
-                    items += read
-                    continue
-            if size >= STRIDE_MIN_BYTES and (read := _read_strides(data, start)) is not None:
-                items.append(read[0])
-                if reference is None:
-                    reference = (data, start, *read)
-                else:
-                    _close(data)
+    for log in logs:
+        data = log.encode("utf-8", "surrogatepass") if isinstance(log, str) else log
+        plain = _plain_start(data)  # a long body under a plain header goes unchecked
+        data, start = (data, plain) if plain else _opened(data, items)
+        size = len(data) - start
+        if reference is not None and size == len(reference[0]) - reference[1]:
+            if not isinstance(reference[3], list):
+                reference = (*reference[:3], _line_runs(reference[3], len(reference[2].hours)))
+            if size < STRIDE_MIN_BYTES:
+                alike.append(len(items))
+                items.append(data[start:])
                 continue
-            if not isinstance(data, bytes):  # a mapping that neither reader read
-                data, start = _opened(data, items, in_place=False)
-            body = data[start:]
-            read = _inline(body)
-            if read is None:  # a fault, raised in order by _read_each
-                items.append(body)
+            read = _read_like(np.frombuffer(data, np.uint8, offset=start)[None], *reference)
+            if read is not None:
+                items += read
                 continue
-            dataset, newlines = read
-            items.append(dataset)
-            if reference is None and newlines is not None and body.endswith(b"\n"):
-                reference = (body, 0, dataset, newlines)
-        at = iter(alike)
-        for batch in _batches([items[i] for i in alike]) if alike else ():
-            stack = np.frombuffer(b"".join(batch), np.uint8).reshape(len(batch), -1)
-            read = _read_like(stack, *reference)
-            if read is None and len(stack) > 1:  # some body differs elsewhere: check each
-                read = [(_read_like(stack[i:i + 1], *reference) or [None])[0]
-                        for i in range(len(stack))]
-            for dataset, i in zip(read or [None], at):  # the list first: zip stops on it
-                if dataset is not None:
-                    items[i] = dataset
-    finally:
-        if reference is not None:
-            _close(reference[0])
+        if size >= STRIDE_MIN_BYTES and (read := _read_strides(data, start)) is not None:
+            items.append(read[0])
+            if reference is None:
+                reference = (data, start, *read)
+            continue
+        if plain:  # both fast readers declined it: check it in full
+            data, start = _opened(data, items)
+        body = data[start:]
+        read = _inline(body)
+        if read is None:  # a fault, raised in order by _read_each
+            items.append(body)
+            continue
+        dataset, newlines = read
+        items.append(dataset)
+        if reference is None and newlines is not None and body.endswith(b"\n"):
+            reference = (body, 0, dataset, newlines)
+    at = iter(alike)
+    for batch in _batches([items[i] for i in alike]) if alike else ():
+        stack = np.frombuffer(b"".join(batch), np.uint8).reshape(len(batch), -1)
+        read = _read_like(stack, *reference)
+        if read is None and len(stack) > 1:  # some body differs elsewhere: check each
+            read = [(_read_like(stack[i:i + 1], *reference) or [None])[0]
+                    for i in range(len(stack))]
+        for dataset, i in zip(read or [None], at):  # the list first: zip stops on it
+            if dataset is not None:
+                items[i] = dataset
     return _read_each(items)
 
 
-def _opened(log: bytes | str | mmap.mmap, items: list[OccupancyDataset | bytes],
-            in_place: bool = True) -> tuple[bytes | mmap.mmap, int]:
+def _plain_start(data: bytes) -> int:
+    """Where the body starts past a plain header, one that is right, ASCII
+    and free of CR, if the body is long enough for the day-block reader;
+    else 0. Only the header is looked at."""
+    end = data.find(b"\n")
+    if (0 <= end < len(data) - STRIDE_MIN_BYTES and (header := data[:end]).isascii()
+            and b"\r" not in header and _is_header(header)):
+        return end + 1
+    return 0
+
+
+def _opened(data: bytes, items: list[OccupancyDataset | bytes]) -> tuple[bytes, int]:
     """``_body`` of a log read in a batch after ``items``; a fault raises
     the first fault among ``items``, else its own with every item's
     dataset, as a :class:`LogFault`."""
     try:
-        return _body(log, in_place)
+        return _body(data)
     except ValidationError as exc:
         raise LogFault(str(exc), _read_each(items)) from None  # an earlier fault first
 
@@ -281,34 +281,12 @@ class LogFault(ValidationError):
         self.datasets = datasets
 
 
-def _body(data: bytes | str | mmap.mmap, in_place: bool = True) -> tuple[bytes | mmap.mmap, int]:
-    """A log's bytes, line ends made LF, and where its body starts past the
-    header; raises for a log that is not UTF-8, is empty or has the wrong
-    header.
-
-    A mapping is kept as it is, to be read in place, if ``in_place`` and
-    its header is right, ASCII and free of CR and its body is long enough
-    for the day-block reader: a body either reader accepts holds only
-    ``_STRIDE_ALPHABET`` bytes, so it is UTF-8 and its line ends are LF.
-    Any other mapping is copied out and closed, and its bytes are checked
-    as strictly as :func:`thermark.errors.read_bytes` checks a file it
-    reads."""
-    if not isinstance(data, (bytes, str)):
-        end = data.find(b"\n")
-        if (in_place and 0 <= end < len(data) - STRIDE_MIN_BYTES
-                and (header := data[:end]).isascii() and b"\r" not in header
-                and _is_header(header)):
-            return data, end + 1
-        mapping, data = data, data[:]
-        mapping.close()
-        check_utf8(data)
-    if isinstance(data, str):
-        data = data.encode("utf-8", "surrogatepass")
-    elif not data.isascii():
-        try:
-            _text(data)
-        except UnicodeDecodeError as exc:
-            raise ValidationError(f"not UTF-8 text (byte {exc.start})") from None
+def _body(data: bytes) -> tuple[bytes, int]:
+    """A log's bytes, checked in full, line ends made LF, and where its
+    body starts past the header; raises for a log that is not UTF-8
+    (strictly, as :func:`thermark.errors.check_utf8` checks), is empty or
+    has the wrong header."""
+    check_utf8(data)
     if not data:
         raise ValidationError("no records: file is empty")
     if b"\r" in data:
@@ -317,26 +295,15 @@ def _body(data: bytes | str | mmap.mmap, in_place: bool = True) -> tuple[bytes |
     if end < 0:
         end = len(data)
     if not _is_header(data[:end]):
-        raise ValidationError(f"expected header 'day,hour,occupied', got {_text(data[:end])!r}")
+        raise ValidationError(f"expected header 'day,hour,occupied', got {data[:end].decode()!r}")
     return data, min(end + 1, len(data))
 
 
 def _is_header(header: bytes) -> bool:
-    """Whether a header line names the three columns, case and spaces
-    around the names ignored."""
+    """Whether a header line of UTF-8 bytes names the three columns, case
+    and spaces around the names ignored."""
     return header == b"day,hour,occupied" or tuple(
-        h.strip().lower() for h in _text(header).split(",")) == CSV_HEADER
-
-
-def _close(data: bytes | mmap.mmap) -> None:
-    """Close ``data`` if it is a mapping: a parser owns one it is handed."""
-    if not isinstance(data, bytes):
-        data.close()
-
-
-def _text(data: bytes) -> str:
-    """UTF-8 bytes as text; text handed to the parser comes back unchanged."""
-    return data.decode("utf-8", "surrogatepass")
+        h.strip().lower() for h in header.decode().split(",")) == CSV_HEADER
 
 
 def _batches(bodies: list[bytes]) -> Iterator[list[bytes]]:
@@ -355,7 +322,7 @@ def _read_each(items: list[OccupancyDataset | bytes]) -> list[OccupancyDataset]:
         if isinstance(item, bytes):
             read = _inline(item)
             if read is None:
-                raise LogFault(str(_fault(_text(item))), datasets)
+                raise LogFault(str(_fault(item.decode())), datasets)
             item = read[0]
         datasets.append(item)
     return datasets
@@ -423,8 +390,7 @@ def _row_bytes(body: bytes) -> bytes | None:
     return body
 
 
-def _read_strides(data: bytes | mmap.mmap,
-                  start: int) -> tuple[OccupancyDataset, list[_Run]] | None:
+def _read_strides(data: bytes, start: int) -> tuple[OccupancyDataset, list[_Run]] | None:
     """The dataset the body at ``start`` in ``data`` holds, and the runs it
     was read in, where they start in the body, if every day repeats the
     first day's lines byte for byte, apart from its day digits and occupied
@@ -511,7 +477,7 @@ def _read_strides(data: bytes | mmap.mmap,
                             grid=_read_only(grid)), runs
 
 
-def _read_like(stack: np.ndarray, reference: bytes | mmap.mmap, start: int,
+def _read_like(stack: np.ndarray, reference: bytes, start: int,
                dataset: OccupancyDataset, runs: list[_Run]) -> list[OccupancyDataset] | None:
     """The dataset of each body in ``stack``, a ``(bodies, bytes)`` array of
     bodies of the reference's length, if each is the body at ``start`` in

@@ -156,19 +156,24 @@ def build_state_space(network: RCNetwork) -> ContinuousStateSpace:
     zones = network.zones
     rows = [index[a] for a, _ in network.edges]
     a_hat = np.zeros((n, n))
-    # a product C*R that underflows leaves an infinite coupling, and a row of
-    # couplings whose sum overflows an infinite diagonal: either is named below
+    # a product C*R that underflows leaves an infinite coupling, a row of
+    # couplings whose sum overflows an infinite diagonal, and a subnormal C an
+    # infinite 1/C: each is named below
     with np.errstate(divide="ignore", over="ignore"):
         coupling = 1.0 / np.array([z.capacitance * z.resistance for z in zones])
         a_hat[rows, [index[b] for _, b in network.edges]] = coupling[rows]
         np.fill_diagonal(a_hat, -a_hat.sum(axis=1))  # each row's sum, its diagonal still zero
+        heating = 1.0 / np.array([z.capacitance for z in zones])
     overflowed = np.flatnonzero(np.isinf(a_hat.diagonal()))
     if len(overflowed):
         z = zones[overflowed[0]]
         raise ValidationError(f"zone {z.id!r}: the couplings 1/(C*R) of capacitance "
                               f"{z.capacitance} and resistance {z.resistance} overflow")
-    b_hat = np.diag([1.0 / z.capacitance for z in zones])
-    return ContinuousStateSpace(a_hat=a_hat, b_hat=b_hat, zone_ids=ids)
+    overflowed = np.flatnonzero(np.isinf(heating))
+    if len(overflowed):
+        z = zones[overflowed[0]]
+        raise ValidationError(f"zone {z.id!r}: 1/C of capacitance {z.capacitance} overflows")
+    return ContinuousStateSpace(a_hat=a_hat, b_hat=np.diag(heating), zone_ids=ids)
 
 
 def discretize_forward_euler(
@@ -177,10 +182,17 @@ def discretize_forward_euler(
     initial_temps: np.ndarray | None = None,
 ) -> DiscreteThermalModel:
     """Forward-Euler step: a = I + delta * a_hat, b = delta * b_hat; the
-    model rejects a delta that is not positive."""
-    with np.errstate(over="ignore"):  # an infinite entry fails the model's check
+    model rejects a delta that is not positive, and a positive one that
+    overflows an entry is named with the zone of the entry's row."""
+    with np.errstate(over="ignore"):
         a = delta * np.asarray(ss.a_hat, dtype=float)
         b = delta * np.asarray(ss.b_hat, dtype=float)
+    # each row's diagonal is its largest entry in magnitude, so an entry that
+    # overflows leaves its row's diagonal infinite too
+    overflowed = np.flatnonzero(np.isinf(a.diagonal()) | np.isinf(b.diagonal()))
+    if delta > 0 and len(overflowed):
+        raise ValidationError(f"zone {ss.zone_ids[overflowed[0]]!r}: delta {delta} times "
+                              f"its rates 1/(C*R) or 1/C overflows")
     # I + delta * a_hat without building I: the identity's zeros turn a -0.0
     # into 0.0, and 1.0 + x has the bits of x + 1.0
     a += 0.0

@@ -953,6 +953,28 @@ class TestBuildingChecks:
             f"resistance {size} overflow\n")
         assert not out.exists()
 
+    # a 1/C that overflowed printed "b_hat must be diagonal with positive
+    # entries", and a delta that overflowed delta * a_hat "a must hold finite
+    # numbers only"; neither named the input to change
+    @pytest.mark.parametrize("capacitance, resistance, delta, message", [
+        (1e-310, 1e300, 1.0, "zone 'zone1': 1/C of capacitance 1e-310 overflows"),
+        (1e-150, 1e-150, 1e100,
+         "zone 'zone1': delta 1e+100 times its rates 1/(C*R) or 1/C overflows"),
+    ], ids=["heating-rate", "delta"])
+    def test_an_overflow_names_its_input(self, tmp_path, capsys, capacitance, resistance, delta,
+                                         message):
+        spec = bench_building(capacitance=capacitance, resistance=resistance)
+        del spec["explicit_discrete"]
+        spec["delta"] = delta
+        path = tmp_path / "building.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "out"
+        args = pinned_args("analyze", out)
+        args[args.index("--building") + 1] = str(path)
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     # analyze and export ended in a traceback, and cost wrote a row of zeros
     @pytest.mark.parametrize("command", ["analyze", "cost", "export"])
     def test_a_building_with_no_zones_exits_2(self, tmp_path, capsys, command):
@@ -1431,6 +1453,59 @@ class TestInputFiles:
         assert_one_line_error(capsys, str(log), "cannot read: Permission denied")
 
 
+# each input file's role: its kind in the not-found message, its valid
+# bytes, and the bytes after which one that is not UTF-8 goes
+INPUT_FILES = {
+    "building": ("building", lambda: (two_zone_benchmark_dir() / "building.json").read_bytes(),
+                 b"{"),
+    "strategy": ("strategy", lambda: b'{"name": "X", "schedule": {"zone1": [9]}}', b"{"),
+    "tariff": ("tariff", lambda: (two_zone_benchmark_dir() / "tariff.json").read_bytes(), b"{"),
+    "short-log": ("occupancy", lambda: seven_day_log_csv().read_bytes(), b"\n1,9"),
+    "long-log": ("occupancy", lambda: long_log_bytes(), b"\n250,5"),
+}
+
+
+# a doubled or a missing path prefix passes a test of fragments; these
+# compare the whole stderr line
+@pytest.mark.parametrize("fault", ["missing", "unreadable", "not-utf-8"])
+@pytest.mark.parametrize("role", INPUT_FILES)
+def test_an_input_file_fault_is_one_whole_line(tmp_path, capsys, monkeypatch, role, fault):
+    import pathlib
+
+    files = {kind: tmp_path / f"valid-{kind}.json" for kind in ("building", "strategy", "tariff")}
+    for kind, path in files.items():
+        path.write_bytes(INPUT_FILES[kind][1]())
+    files["occupancy"] = seven_day_log_csv()
+    kind, content, marker = INPUT_FILES[role]
+    path = files[kind] = tmp_path / f"{role}.{'csv' if kind == 'occupancy' else 'json'}"
+    data = content()
+    at = data.index(marker) + len(marker)
+    if fault == "not-utf-8":
+        path.write_bytes(data[:at] + b"\xe9" + data[at:])
+    elif fault == "unreadable":
+        path.write_bytes(data)
+        real_open = pathlib.Path.open
+
+        def open_(self, *args, **kwargs):
+            if self == path:
+                raise PermissionError(13, "Permission denied", str(self))
+            return real_open(self, *args, **kwargs)
+
+        monkeypatch.setattr(pathlib.Path, "open", open_)
+    out = tmp_path / "out"
+    assert main(["cost", "--building", str(files["building"]), "--strategy",
+                 str(files["strategy"]), "--tariff", str(files["tariff"]),
+                 "--occupancy", f"zone1={files['occupancy']}",
+                 "--occupancy", f"zone2={two_zone_benchmark_dir() / 'occupancy_zone2.csv'}",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == {
+        "missing": f"error: {kind} file not found: {path}\n",
+        "unreadable": f"error: {path}: cannot read: Permission denied\n",
+        "not-utf-8": f"error: {path}: not UTF-8 text (byte {at})\n",
+    }[fault]
+    assert not out.exists()
+
+
 def long_log_bytes(days=500):
     """A day-block log of 24-hour days, never occupied at hour 0, and far
     longer than ``STRIDE_MIN_BYTES``."""
@@ -1447,9 +1522,9 @@ def swap_days(data, day):
 
 
 # edits of a long log that the day-block reader or the header check declines,
-# or that give a mapped log a header of another length, and whether the
+# or that give a long log a header of another length, and whether the
 # edited log alone exits 2
-MAPPED_EDITS = {
+LONG_EDITS = {
     "crlf": (lambda d: d.replace(b"\n", b"\r\n"), False),
     "space": (lambda d: d.replace(b"\n250,5,", b"\n250, 5,"), False),
     "latin-1": (lambda d: d.replace(b"\n250,5,", b"\n250,5\xe9,"), True),
@@ -1461,10 +1536,10 @@ MAPPED_EDITS = {
 }
 
 
-class TestMappedLogs:
-    """A log of at least ``STRIDE_MIN_BYTES`` is mapped and read in place;
-    every run gives what it gave when every log was read whole: exit code,
-    message and output bytes."""
+class TestLongLogs:
+    """A log of at least ``STRIDE_MIN_BYTES`` is read whole and its body
+    handed to the fast readers unchecked; every run gives what it gives
+    when both decline every body: exit code, message and output bytes."""
 
     def run(self, capsys, command, logs, out):
         """Exit code, stderr and output files of ``command`` on ``logs``
@@ -1480,13 +1555,13 @@ class TestMappedLogs:
         return code, capsys.readouterr().err, files
 
     @pytest.mark.parametrize("faulty", [False, True], ids=["", "occupied-2"])
-    @pytest.mark.parametrize("edit", MAPPED_EDITS)
+    @pytest.mark.parametrize("edit", LONG_EDITS)
     @pytest.mark.parametrize("command", ["estimate", "analyze"])
-    def test_run_matches_reading_whole(self, tmp_path, capsys, monkeypatch, command, edit,
-                                       faulty):
-        import thermark.errors
+    def test_run_matches_the_general_reader(self, tmp_path, capsys, monkeypatch, command, edit,
+                                            faulty):
+        import thermark.occupancy
 
-        edited, exits_2 = MAPPED_EDITS[edit]
+        edited, exits_2 = LONG_EDITS[edit]
         data = long_log_bytes()
         if faulty:
             data = data.replace(b"\n300,7,0\n", b"\n300,7,2\n")
@@ -1494,34 +1569,16 @@ class TestMappedLogs:
         first.write_bytes(long_log_bytes())
         second.write_bytes(edited(data))
         logs = [second] if command == "estimate" else [first, second]
-        mapped = []
-        mapper = thermark.errors._mapped
-        monkeypatch.setattr(thermark.errors, "_mapped",
-                            lambda fd, size: mapped.append(mapper(fd, size)) or mapped[-1])
-        outcome = self.run(capsys, command, logs, tmp_path / "mapped")
-        monkeypatch.setattr(thermark.errors, "_mapped", lambda fd, size: None)
-        assert outcome == self.run(capsys, command, logs, tmp_path / "whole")
-        assert mapped and all(m is not None for m in mapped)
+        outcome = self.run(capsys, command, logs, tmp_path / "fast")
+        monkeypatch.setattr(thermark.occupancy, "_read_strides", lambda data, start: None)
+        monkeypatch.setattr(thermark.occupancy, "_read_like", lambda *args: None)
+        assert outcome == self.run(capsys, command, logs, tmp_path / "general")
         code, err, files = outcome
         if faulty or exits_2:
             assert code == 2 and not files
             assert err.startswith(f"error: {second}: ") and err.count("\n") == 1, err
         else:
             assert code == 0 and err == ""
-
-    def test_file_that_cannot_be_mapped_is_read_whole(self, tmp_path, capsys, monkeypatch):
-        import errno
-        import mmap
-
-        def fail(*args, **kwargs):
-            raise OSError(errno.ENODEV, "No such device")
-
-        log = tmp_path / "log.csv"
-        log.write_bytes(long_log_bytes())
-        mapped = self.run(capsys, "estimate", [log], tmp_path / "out")
-        monkeypatch.setattr(mmap, "mmap", fail)
-        assert self.run(capsys, "estimate", [log], tmp_path / "out") == mapped
-        assert mapped[0] == 0
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
     @pytest.mark.parametrize("edit", [None, "crlf", "latin-1", "truncated-last-day", "missing"])
@@ -1532,11 +1589,11 @@ class TestMappedLogs:
         first, second = tmp_path / "zone1.csv", tmp_path / "zone2.csv"
         first.write_bytes(long_log_bytes())
         if edit != "missing":
-            second.write_bytes(MAPPED_EDITS[edit][0](long_log_bytes()) if edit else
+            second.write_bytes(LONG_EDITS[edit][0](long_log_bytes()) if edit else
                                long_log_bytes().replace(b"\n9,", b"\n09,"))
         logs = [second] if command == "estimate" else [first, second]
         before = len(os.listdir("/proc/self/fd"))
-        gc.disable()  # a mapping left to the collector would still count
+        gc.disable()  # a file left to the collector would still count
         try:
             code = self.run(capsys, command, logs, tmp_path / "out")[0]
             assert len(os.listdir("/proc/self/fd")) == before
@@ -1635,12 +1692,3 @@ def test_import_loads_no_thread_pool():
     out = subprocess.run([sys.executable, "-c", check], env=subprocess_env(), capture_output=True,
                          text=True, timeout=60, check=True)
     assert out.stdout.strip() == "[]"
-
-
-def test_import_maps_nothing():
-    # mmap is imported when the first long log is mapped, so a fresh process
-    # that maps none does not pay for its import
-    check = "import sys, thermark.cli; print('mmap' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", check], env=subprocess_env(), capture_output=True,
-                         text=True, timeout=60, check=True)
-    assert out.stdout.strip() == "False"

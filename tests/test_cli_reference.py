@@ -371,7 +371,7 @@ def routes(monkeypatch):
 
     counts = dict.fromkeys([
         "day blocks", "long reference check", "stacked reference check",
-        "one body after a failed stack", "general reader", "mapped body"], 0)
+        "one body after a failed stack", "general reader", "long body handed over unchecked"], 0)
 
     def count(name, routes_of):
         read = getattr(occupancy, name)
@@ -398,7 +398,7 @@ def routes(monkeypatch):
     count("_read_strides", lambda args, read: ["day blocks"] * (read is not None))
     count("_read_like", checks)
     count("_inline", lambda args, read: ["general reader"])
-    count("_body", lambda args, read: ["mapped body"] * (not isinstance(read[0], bytes)))
+    count("_plain_start", lambda args, start: ["long body handed over unchecked"] * (start > 0))
     return counts
 
 

@@ -82,6 +82,19 @@ class TestParse:
         with pytest.raises(ValidationError, match="header"):
             parse_occupancy_csv("a,b,c\n1,8,0\n")
 
+    # an encoded surrogate was read, as a lenient decode reads it, into a row
+    # fault ("line 3: day and hour must be integers") where the CLI, whose
+    # file reader checked strictly, named the byte
+    @pytest.mark.parametrize("long", [False, True], ids=["short", "long"])
+    def test_bytes_are_checked_as_strict_utf8(self, long):
+        data = long_log(days=1500)[0] if long else b"day,hour,occupied\n1,8,0\n1,9,1\n"
+        at = data.index(b"\n1,9,") + len(b"\n1,9")
+        data = data[:at] + b"\xed\xa0\x80" + data[at:]
+        assert occupancy._plain_start(data) == (len(H) if long else 0)
+        assert read_strides(data) is None
+        with pytest.raises(ValidationError, match=f"^not UTF-8 text \\(byte {at}\\)$"):
+            parse_occupancy_csv(data)
+
 
 H = "day,hour,occupied\n"
 
@@ -1115,89 +1128,53 @@ def test_shared_layout_logs_read_as_alone():
     check()
 
 
-def opened(paths, made):
-    """Each file read as the CLI reads a log, a long one mapped, in turn;
-    ``made`` collects the mappings."""
-    for path in paths:
-        log = read_bytes(path, "occupancy", occupancy.STRIDE_MIN_BYTES)
-        if not isinstance(log, bytes):
-            made.append(log)
-        yield log
+def declined_outcome(monkeypatch, logs):
+    """``batch_outcome`` of ``logs`` with both fast readers declining every
+    body, so that each log is checked in full and read by the general
+    reader."""
+    with monkeypatch.context() as declined:
+        declined.setattr(occupancy, "_read_strides", lambda data, start: None)
+        declined.setattr(occupancy, "_read_like", lambda *args: None)
+        return batch_outcome(logs)
 
 
-def read_whole(paths):
-    """Each file read whole, as the CLI read every log before long ones
-    were mapped; a read's message drops the path."""
-    for path in paths:
-        try:
-            yield read_bytes(path, "occupancy")
-        except ValidationError as exc:
-            raise ValidationError(str(exc).removeprefix(f"{path}: ")) from None
+class TestUncheckedLongLogs:
+    """A long body under a plain header is handed to the fast readers as it
+    lies in the log's bytes, unchecked; it reads as it does when both
+    decline it and the log is checked in full, dataset or message."""
 
-
-def mapped_outcome(tmp_path, logs):
-    """``batch_outcome`` of ``logs`` written to files and read back as the
-    CLI reads them, asserted equal to that of the files read whole and
-    every mapping asserted closed; the outcome and the mappings made."""
-    paths = []
-    for i, data in enumerate(logs):
-        paths.append(tmp_path / f"log{i}.csv")
-        paths[-1].write_bytes(data)
-    made = []
-    outcome = batch_outcome(opened(paths, made))
-    assert all(log.closed for log in made)
-    assert outcome == batch_outcome(read_whole(paths))
-    return outcome, made
-
-
-class TestMappedLogs:
-    """A long log is mapped and read where it lies; it reads as its bytes
-    do, dataset or message, and its mapping is closed once read."""
-
-    def test_mapped_log_reads_as_its_bytes(self, tmp_path):
+    def test_long_log_reads_as_its_bytes(self, tmp_path, monkeypatch):
         data, dataset = long_log()
         (tmp_path / "log.csv").write_bytes(data)
-        (log,) = opened([tmp_path / "log.csv"], [])
-        assert not isinstance(log, bytes)
-        grid = parse_occupancy_csv(log)
-        # closing fails while any array still views the mapping, so no grid does
-        assert log.closed
-        assert grid == parse_occupancy_csv(data) == dataset
+        log = read_bytes(tmp_path / "log.csv", "occupancy")
+        assert occupancy._plain_start(log) == len(H)
+        assert parse_occupancy_csv(log) == dataset
+        assert declined_outcome(monkeypatch, [log]) == [dataset]
 
     @pytest.mark.parametrize("edit", [
         lambda d: d.replace(b"\n", b"\r\n"),
-        lambda d: d.replace(b"\n2500,7,", b"\n2500, 7,"),
-        lambda d: d.replace(b"\n2500,7,", b"\n2500,7\xe9,"),
-        lambda d: d.replace(b"\n2500,7,", b"\n2500,7\xed\xa0\x80,"),  # strict UTF-8 rejects it
+        lambda d: d.replace(b"\n1250,7,", b"\n1250, 7,"),
+        lambda d: d.replace(b"\n1250,7,", b"\n1250,7\xe9,"),
+        lambda d: d.replace(b"\n1250,7,", b"\n1250,7\xed\xa0\x80,"),  # strict UTF-8 rejects it
         lambda d: d.replace(b"day,hour,occupied", b"Day,Hour,Occupied"),
         lambda d: d.replace(b"day,hour,occupied", b"\xe9day,hour,occupied"),
         lambda d: d.replace(b"day,hour,occupied", b"day,hour,occupied\r"),
         lambda d: d.replace(b"day,hour,occupied", b"\rday,hour,occupied"),
         lambda d: d[:d.rindex(b"\n", 0, -1) + 1],
-        lambda d: d.replace(b"\n2500,", b"\n9999,"),
+        lambda d: d.replace(b"\n1250,", b"\n9999,"),
         lambda d: d[:-1],
         lambda d: d.replace(b"\n", b" "),
         lambda d: b"day,hour,occupied\n" + b" " * occupancy.STRIDE_MIN_BYTES,
     ], ids=["crlf", "space", "latin-1", "surrogate", "capitalised-header", "non-ascii-header",
             "cr-ended-header", "cr-led-header", "truncated-last-day", "day-out-of-order",
             "no-final-newline", "no-newline", "blank-body"])
-    def test_edited_log_reads_as_its_bytes(self, tmp_path, edit):
-        data = edit(long_log(days=1500)[0])
-        (tmp_path / "log.csv").write_bytes(data)
-        try:
-            expected = parse_occupancy_csv(next(read_whole([tmp_path / "log.csv"])))
-        except ValidationError as exc:
-            expected = str(exc)
-        made = []
-        (log,) = opened([tmp_path / "log.csv"], made)
-        try:
-            outcome = parse_occupancy_csv(log)
-        except ValidationError as exc:
-            outcome = str(exc)
-        assert outcome == expected
-        assert made and all(log.closed for log in made)
+    def test_edited_log_reads_as_its_bytes(self, monkeypatch, edit):
+        data = long_log(days=1500)[0]
+        assert edit(data) != data
+        data = edit(data)
+        assert batch_outcome([data]) == declined_outcome(monkeypatch, [data])
 
-    def test_batch_reads_as_the_bytes(self, tmp_path, strides_calls):
+    def test_batch_reads_as_the_bytes(self, monkeypatch, strides_calls):
         a = long_log(days=1500)[0]
         at = occupied_bytes(a)
         flipped = np.frombuffer(a, np.uint8).copy()
@@ -1206,38 +1183,48 @@ class TestMappedLogs:
         logs = [a, flipped, flipped.replace(b"day,hour,occupied", b"Day, Hour, Occupied"),
                 long_log(days=1499)[0], a.replace(b"\n", b"\r\n"), flipped[:-2] + b"1\n",
                 TestParseLogs.GOOD.encode()]
-        outcome, made = mapped_outcome(tmp_path, logs)
-        assert len(made) == 6
-        # in each batch a and the 1499-day log are read as day blocks; the
-        # rest, whatever their header, CRLF made LF, are XORed against a
-        assert len(strides_calls) == 4
-        assert outcome == logs_outcome(logs)
+        expected = logs_outcome(logs)
+        assert declined_outcome(monkeypatch, logs) == expected
+        strides_calls.clear()
+        assert batch_outcome(logs) == expected
+        # a and the 1499-day log are read as day blocks; the rest, whatever
+        # their header, CRLF made LF, are XORed against a
+        assert len(strides_calls) == 2
 
     @pytest.mark.parametrize("fault, message", [
         (b"2", "line 36001: occupied must be 0 or 1, got '2'"),
         (b"\xe9", "not UTF-8 text (byte 318448)"),
         (b"\xed\xa0\x80", "not UTF-8 text (byte 318448)"),  # a surrogate, which strict UTF-8 rejects
     ], ids=["occupied-2", "latin-1", "surrogate"])
-    def test_batch_fault_closes_every_mapping(self, tmp_path, fault, message):
+    def test_batch_fault_is_the_declined_reading(self, monkeypatch, fault, message):
         a = long_log(days=1500)[0]
         logs = [a, a, a[:-2] + fault + b"\n", a]
-        assert mapped_outcome(tmp_path, logs)[0] == message
+        assert batch_outcome(logs) == declined_outcome(monkeypatch, logs) == message
 
 
-def test_shared_layout_mapped_logs_read_as_their_bytes(tmp_path):
-    """``test_shared_layout_logs_read_as_alone``'s logs, written to files
-    and read back as the CLI reads them, a long one mapped."""
+def test_shared_layout_long_logs_read_as_declined(monkeypatch):
+    """``test_shared_layout_logs_read_as_alone``'s logs as bytes, read as
+    they are when both fast readers decline every body."""
     hypothesis = pytest.importorskip("hypothesis")
 
-    made = []
+    unchecked = []  # the body start of each log the batch hands over unchecked
+    plain_start = occupancy._plain_start
+
+    def counted(data):
+        unchecked.append(plain_start(data))
+        return unchecked[-1]
 
     @hypothesis.settings(max_examples=50, deadline=None, derandomize=True, database=None)
     @hypothesis.given(shared_layout_logs(hypothesis.strategies))
     def check(logs):
-        made.extend(mapped_outcome(tmp_path, [log.encode() for log in logs])[1])
+        logs = [log.encode() for log in logs]
+        expected = declined_outcome(monkeypatch, logs)
+        with monkeypatch.context() as counting:
+            counting.setattr(occupancy, "_plain_start", counted)
+            assert batch_outcome(logs) == expected
 
     check()
-    assert len(made) > 25  # the property reaches the mapped route
+    assert sum(map(bool, unchecked)) > 25  # the property reaches the unchecked route
 
 
 class TestBatchedIngestion:

@@ -95,6 +95,16 @@ class TestBuildStateSpace:
                 edges=(),
             )
 
+    def test_a_heating_rate_that_overflows_names_its_zone(self):
+        # C*R is normal but 1/C overflows; the b_hat check named no zone
+        net = RCNetwork(zones=(*two_zone_network().zones[:1],
+                               Zone(id="z2", capacitance=1e-310, resistance=1e300,
+                                    initial_temp=16.0)),
+                        edges=(("z1", "z2"), ("z2", "z1")))
+        with pytest.raises(ValidationError) as info:
+            build_state_space(net)
+        assert str(info.value) == "zone 'z2': 1/C of capacitance 1e-310 overflows"
+
     def test_duplicate_ids_and_undeclared_edge_ends_rejected(self):
         zone = Zone(id="z", capacitance=1.0, resistance=1.0, initial_temp=0.0)
         with pytest.raises(ValidationError, match="unique"):
@@ -115,6 +125,23 @@ class TestDiscretize:
         ss = build_state_space(two_zone_network())
         with pytest.raises(ValidationError, match="delta"):
             discretize_forward_euler(ss, delta=0.0)
+
+    @pytest.mark.parametrize("capacitance, resistance", [(1e-150, 1e-150), (1e-250, 1e250)],
+                             ids=["couplings", "heating"])
+    def test_a_delta_that_overflows_names_itself_and_the_zone(self, capacitance, resistance):
+        # the step overflows delta * a_hat (C*R of 1e-300) or delta * b_hat
+        # (1/C of 1e250); the model's check named neither delta nor a zone
+        net = RCNetwork(zones=(*two_zone_network().zones[:1],
+                               Zone(id="z2", capacitance=capacitance, resistance=resistance,
+                                    initial_temp=16.0)),
+                        edges=(("z1", "z2"), ("z2", "z1")))
+        with pytest.raises(ValidationError) as info:
+            discretize_forward_euler(build_state_space(net), delta=1e100)
+        assert str(info.value) == (
+            "zone 'z2': delta 1e+100 times its rates 1/(C*R) or 1/C overflows")
+        # a delta that is not positive is named as such first
+        with pytest.raises(ValidationError, match="^delta must be positive, got -1e[+]100$"):
+            discretize_forward_euler(build_state_space(net), delta=-1e100)
 
     def test_isolated_zone_keeps_identity(self):
         net = RCNetwork(
