@@ -4,9 +4,9 @@
 never builds the composed model: the expected gain at step k only needs
 each zone's occupancy marginal at step k-1 and the deterministic heating
 bit, so the whole trajectory is the forward recursion
-E[k+1] = A @ E[k] + Q[k+1], costing O(N^2) per step. Given a stack of
-heating arrays, one recursion steps every strategy with one stacked
-product per step.
+E[k+1] = A @ E[k] + Q[k+1], costing O(N^2) per step: the loop of
+:func:`thermark.markov.forward_recursion`, which the PRISM reward table
+runs on its reward columns, here run on one (N, 1) column per strategy.
 
 :func:`brute_force_expected_temperature` is an exhaustive check of it,
 kept here because the benchmark's correctness check calls it. It
@@ -26,7 +26,7 @@ import itertools
 import numpy as np
 
 from .errors import NumericalGuardError, ValidationError
-from .markov import RewardedModel, ZoneGains
+from .markov import RewardedModel, ZoneGains, expected_gains, forward_recursion
 from .thermal import DiscreteThermalModel
 
 ORACLE_MAX_PATH_BITS = 22  # the guard of the path oracle, which perfbench/checks.py reads
@@ -54,8 +54,7 @@ def direct_expected_temperatures(
     marginals = np.asarray(marginals, dtype=float)
     heat = np.asarray(heating, dtype=float)
     stacked = heat.ndim == 3
-    if not stacked:
-        heat = heat[None]
+    heat = heat if stacked else heat[None]
     n = len(thermal.zone_ids)
     if marginals.shape[1] != n or heat.ndim != 3 or heat.shape[2] != n:
         raise ValidationError("marginals/heating column count must match the zone count")
@@ -63,21 +62,15 @@ def direct_expected_temperatures(
     if min(thetas) < 1 or max_theta > marginals.shape[0] - 1 or max_theta > heat.shape[1] - 1:
         raise ValidationError("theta range exceeds the available schedule steps")
 
-    q_int = np.array([gains[zid].q_int for zid in thermal.zone_ids])
-    q_rad = np.array([gains[zid].q_rad for zid in thermal.zone_ids])
-    a = np.asarray(thermal.a, dtype=float)
-
-    # expected[k, s] is strategy s's E[T_k] as an (N, 1) column
-    expected = np.empty((max_theta + 1, len(heat), n, 1))
-    expected[0, :, :, 0] = thermal.initial_temps
     # gains near the float limit overflow to inf or nan without a warning;
     # the comfort checks reject the non-finite trajectory with one error line
     with np.errstate(over="ignore", invalid="ignore"):
         # gain[k - 1, s], produced during hour k - 1, enters at step k
-        gain = (q_int * marginals[:max_theta, None] + q_rad * heat[:, :max_theta].swapaxes(0, 1))
-        for before, after, produced in zip(expected, expected[1:], gain[..., None]):
-            np.matmul(a, before, out=after)
-            after += produced
+        gain = expected_gains(gains, thermal.zone_ids, marginals[:max_theta, None],
+                              heat[:, :max_theta].swapaxes(0, 1))
+        # expected[k, s] is strategy s's E[T_k] as an (N, 1) column
+        expected = forward_recursion(np.asarray(thermal.a, dtype=float),
+                                     np.reshape(thermal.initial_temps, (n, 1)), gain[..., None])
     values = expected[thetas, :, :, 0].swapaxes(0, 1)
     return values if stacked else values[0]
 

@@ -711,6 +711,11 @@ def main(argv: list[str] | None = None) -> int:
             option, _, value = arg.partition("=")
             if option.startswith("--") and value == "--":
                 raise ValidationError(f"{option} cannot take the value '--'")
+        # an empty --theta would read as none given, the full window, and an
+        # empty --out as the working directory
+        for option in ("theta", "out"):
+            if getattr(args, option, None) == "":
+                raise ValidationError(f"--{option} cannot take an empty value")
         if args.command == "estimate":
             return cmd_estimate(Path(args.occupancy_csv), Path(args.out),
                                 to_stdout=args.stdout)

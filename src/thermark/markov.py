@@ -13,14 +13,15 @@ step at a time to yield every product edge.
 Rewards encode expected temperature and depend only on the step, so they
 are held as one value per step and zone, computed from the zone chains
 alone by :func:`step_reward_table`; every state of a step carries its
-step's value. For an evaluation step ``theta``, the
-initial state of zone m carries row_m(A^theta) @ T[0]; a state at step k
-(1 <= k <= theta) carries row_m(A^(theta-k)) @ Q_k where Q_k[j] is the
-expected heat gain produced by zone j during hour k-1 (internal gain times
-the probability zone j was occupied, plus radiator gain if zone j's
-heating was on). States past theta and the sink carry zero. The cumulative
-reward over steps 0..theta then telescopes to the forward solution of
-T[k+1] = A T[k] + Q[k], so its expectation is the expected temperature.
+step's value. For an evaluation step ``theta``, the initial state of zone
+m carries (A^theta T[0])[m]; a state at step k (1 <= k <= theta) carries
+(A^(theta-k) Q_k)[m] where Q_k[j] is the expected heat gain produced by
+zone j during hour k-1 (internal gain times the probability zone j was
+occupied, plus radiator gain if zone j's heating was on). States past
+theta and the sink carry zero. The cumulative reward over steps 0..theta
+then telescopes to the forward solution of T[k+1] = A T[k] + Q[k], so its
+expectation is the expected temperature. Column k at theta+1 is A times
+column k at theta, so the table is that recursion on columns (Horner's rule).
 
 Gains are read from the *previous* step's labels: heat delivered during
 hour k-1 raises the temperature observed at step k.
@@ -234,6 +235,27 @@ class ZoneGains(Record):
     q_rad: float
 
 
+def expected_gains(gains: dict[str, ZoneGains], zone_ids: Sequence[str],
+                   marginals: np.ndarray, heating: np.ndarray) -> np.ndarray:
+    """Expected heat gain of ``zone_ids``, the last axis of ``marginals`` and
+    ``heating``: internal gain by occupancy marginal plus radiator gain by bit."""
+    q_int = np.array([gains[zid].q_int for zid in zone_ids])
+    q_rad = np.array([gains[zid].q_rad for zid in zone_ids])
+    return q_int * marginals + q_rad * heating
+
+
+def forward_recursion(a: np.ndarray, start: np.ndarray, added: np.ndarray) -> np.ndarray:
+    """x[0] = start and x[k+1] = a @ x[k] + added[k], stacked as x[0..len(added)]:
+    the thermal recursion on columns. Each x[k] has the shape of ``added[k]``,
+    an (N, c) block or a stack of them, and ``start`` is broadcast to it."""
+    x = np.empty((len(added) + 1, *added.shape[1:]))
+    x[0] = start
+    for before, after, term in zip(x, x[1:], added):
+        np.matmul(a, before, out=after)
+        after += term
+    return x
+
+
 # perfbench/checks.py reads this record, through assign_rewards
 class RewardedModel(Record):
     """A composed model with per-zone, per-step rewards for one theta: the oracle's input."""
@@ -272,15 +294,14 @@ def step_reward_table(
     is zone m's reward at step k (0..K+1, the sink last) for
     ``thetas[t]``. The occupancy marginals, the chains'
     :func:`occupied_marginals` unless the caller passes that (N, K+1)
-    array, and the powers A^0..A^max(theta) are computed once for all
-    thetas.
+    array, and one :func:`forward_recursion` to max(theta) serve all thetas.
     """
     chains = tuple(chains)
     if not chains:
         raise ValidationError("rewards need at least one chain")
     zone_ids = tuple(c.zone_id for c in chains)
     horizon = chains[0].horizon
-    thetas = tuple(thetas)
+    thetas = list(thetas)
     for theta in thetas:
         if not 1 <= theta <= horizon:
             raise ValidationError(f"theta must be within 1..{horizon}, got {theta}")
@@ -289,42 +310,27 @@ def step_reward_table(
     # chain order may differ from the thermal matrix order
     index = {zid: i for i, zid in enumerate(thermal.zone_ids)}
     rows = [index[zid] for zid in zone_ids]  # _check_zones found each one there
-    t0 = np.asarray(thermal.initial_temps, dtype=float)
-    a = np.asarray(thermal.a, dtype=float)
-    powers = [np.eye(len(a))]
-    for _ in range(max(thetas, default=0)):
-        powers.append(powers[-1] @ a)
-
-    # gains[k - 1] enters at step k: occupants by marginal, radiator by bit
     if marginals is None:
         marginals = occupied_marginals([c.occ_given_empty for c in chains],
                                        [c.occ_given_occupied for c in chains],
                                        [c.initial_occupied for c in chains])
-    marginals = marginals[:, :-1]
-    heating = np.array([c.heating[:-1] for c in chains], dtype=float)
-    q_int = np.array([[gains[zid].q_int] for zid in zone_ids])
-    q_rad = np.array([[gains[zid].q_rad] for zid in zone_ids])
-    vectors = np.zeros((horizon + 1, len(rows)))  # T[0], then the gains entering at steps 1..K
-    table = np.zeros((len(thetas), len(chains), horizon + 2))
+    width = max(thetas, default=0) + 1  # the columns of steps 0..max(theta)
 
     # gains near the float limit overflow to inf or nan without a warning;
     # the PRISM renderer rejects a non-finite entry with one error line
     with np.errstate(over="ignore", invalid="ignore"):
-        vectors[0] = t0
-        vectors[1:, rows] = (q_int * marginals + q_rad * heating).T
-        # (theta + 1, N, 1, N) rows of A^theta..A^0, each zone's row, in chain order
-        power_rows = np.array(powers)[:, rows, None, :]
-        for t, theta in enumerate(thetas):
-            # entry [m, k] is row_m(A^(theta-k)) . v_k, each one (1, N) @ (N, 1)
-            # product of the stack, which numpy hands to the BLAS ddot that
-            # ndarray.dot calls on two vectors, so every entry keeps its bits; a
-            # gemv or gemm over the same numbers sums in another order and moves
-            # the last bits of some. numpy's dot of two one-element vectors is
-            # a plain product, which keeps the sign of a zero that ddot drops
-            column = vectors[:theta + 1, None, :, None]
-            products = (np.matmul(power_rows[theta::-1], column) if len(rows) > 1
-                        else power_rows[theta::-1] * column)
-            table[t, :, :theta + 1] = products[..., 0, 0].T
+        gain = expected_gains(gains, zone_ids, marginals[:, :width - 1].T,
+                              np.array([c.heating[:width - 1] for c in chains], dtype=float).T)
+        # in thermal order, T[0] starts column 0 and gain[k - 1], entering at step k, column k
+        start = np.zeros((len(rows), width))
+        start[:, 0] = thermal.initial_temps
+        added = np.zeros((width - 1, len(rows), width))
+        steps = np.arange(1, width)[:, None]
+        added[steps - 1, rows, steps] = gain
+        blocks = forward_recursion(np.asarray(thermal.a, dtype=float), start, added)
+    # a column past theta is a @ 0 + 0.0 at every step, an exact 0.0, as a is finite
+    table = np.zeros((len(thetas), len(chains), horizon + 2))
+    table[:, :, :width] = blocks[thetas][:, rows]
     return table
 
 

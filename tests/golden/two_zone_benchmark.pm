@@ -56,11 +56,11 @@ module zone_zone2
 endmodule
 
 rewards "zone_zone1"
-  step_zone1=0 : 17.001590283057052;
-  step_zone1=1 : 1.4999999999999998;
-  step_zone1=2 : 1.6986087708093065;
+  step_zone1=0 : 17.00159028305705;
+  step_zone1=1 : 1.5;
+  step_zone1=2 : 1.6986087708093067;
   step_zone1=3 : 0.25122081663872603;
-  step_zone1=4 : 0.22358878520672493;
+  step_zone1=4 : 0.22358878520672495;
   step_zone1=5 : 0.21106037852025916;
   step_zone1=6 : 0.18913941305189771;
   step_zone1=7 : 0.15122178827777777;
@@ -69,13 +69,13 @@ rewards "zone_zone1"
 endrewards
 
 rewards "zone_zone2"
-  step_zone2=0 : 17.001073030626028;
-  step_zone2=1 : 1.5000000000000004;
-  step_zone2=2 : 1.698306132992025;
+  step_zone2=0 : 17.001073030626024;
+  step_zone2=1 : 1.5;
+  step_zone2=2 : 1.6983061329920248;
   step_zone2=3 : 0.25063673221837485;
   step_zone2=4 : 0.22362830965693756;
-  step_zone2=5 : 0.21274269112319755;
-  step_zone2=6 : 0.19954577690995107;
+  step_zone2=5 : 0.21274269112319757;
+  step_zone2=6 : 0.1995457769099511;
   step_zone2=7 : 0.1791378512777778;
   step_zone2=8 : 0.11155394444444444;
   step_zone2=9 : 0.09333333333333332;

@@ -264,17 +264,19 @@ class TestExport:
 
     def test_bundled_theta_range_is_pinned(self, tmp_path, capsys):
         # sha256 of every file of `export --strategy S6 --theta 1-9` on the
-        # bundled data, recorded before the modules were shared between thetas
+        # bundled data, recorded before the modules were shared between thetas;
+        # those of theta 3..9 again when the reward table became Horner's rule,
+        # which moved the last bit of some reward literals
         pinned = {
             "building_theta1.pm": "dd7c204bc3a3dc77e04fb850be64560ee29aa31f663f40309acdead48bae37e1",
             "building_theta2.pm": "5e0413db1d742049dcc791ae8bf9e6ffcccdb7bd9f4422c51337d4c6d9c75c76",
-            "building_theta3.pm": "e77c5cdae840f69b3d495695b944b4c153a033ed11fdb684b505d92dc8ed56d4",
-            "building_theta4.pm": "23b4affbe2d6498e9eeff7e943cdf4985862ec83b64714fbdb3bfb581d36e01f",
-            "building_theta5.pm": "17b597d563b9e05f2dbf17751bcda35d079f5aba50c56deb25fc412212d5a29e",
-            "building_theta6.pm": "6faf3fced15bb8972bf4c659e2529720203621db27ef42f1d060d75ff9ddbc72",
-            "building_theta7.pm": "e0f5283d7acb2e362ed32f4d414b0034d970d7567615eac4b475a5b91b041353",
-            "building_theta8.pm": "4f814b7cdd8f8ed60de91038edf7a675bb7904c304a0a5c28a7ef50f9a1ac4c3",
-            "building_theta9.pm": "3e69b8a78b60f9540fea74c9c77477ad6ec3a52a36ae70b31fc6d6fffa310c8a",
+            "building_theta3.pm": "7b243f3d7107b155b59516fc9ca6c8f06d664b11d1625e6ed236990c5dce78f5",
+            "building_theta4.pm": "313e3f1bca0e9f9cc91fd54c54909b245960529e8ee09d213c30797b0d54946b",
+            "building_theta5.pm": "311f29859e084f0e90f7919ce74477ba593c0698b6fcfb6459da5805289e1b3f",
+            "building_theta6.pm": "982fe60318ba54905e11ed2142624d79c24cadf36042d761d1b67ba623a724f1",
+            "building_theta7.pm": "9d5d5997afefa27f2c1b2ea65037971b09a26af4e8e69034aefbd2b31e5d64a7",
+            "building_theta8.pm": "059fa80837433268cce0fd514df59000b1d0008f538f886fd1f1a7a87bc596a9",
+            "building_theta9.pm": "b3d2bc7e956fadbd7f038da0db66bc48f1ddf5678fb0eca91caad28085b1ed6f",
             "building.props": "d65ba40451c4b281bbfd4d16ff656b4c4217daa8130bd7f42280b81648aabce0",
         }
         assert main(pinned_args("export", tmp_path, extra=["--theta", "1-9"])) == 0
@@ -843,6 +845,21 @@ class TestArgumentChecks:
         assert main([*args, f"{option}=--"]) == 2
         assert_one_line_error(capsys, f"{option} cannot take the value '--'")
         assert not out.exists() and not Path("--").exists()
+
+    # an empty --theta once ran the full window, and an empty --out wrote
+    # into the working directory, both with exit 0
+    @pytest.mark.parametrize("command,option", [
+        ("analyze", "--theta"), ("cost", "--theta"), ("export", "--theta"),
+        ("analyze", "--out"), ("cost", "--out"), ("export", "--out"), ("estimate", "--out")])
+    @pytest.mark.parametrize("joined", [False, True], ids=["apart", "joined"])
+    def test_empty_option_value_exits_2(self, tmp_path, monkeypatch, capsys, command, option,
+                                        joined):
+        monkeypatch.chdir(tmp_path)
+        args = ([command, str(two_zone_benchmark_dir() / "occupancy_zone1.csv")]
+                if command == "estimate" else pinned_args(command, tmp_path / "out"))
+        assert main([*args, *([f"{option}="] if joined else [option, ""])]) == 2
+        assert_one_line_error(capsys, f"{option} cannot take an empty value")
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_radiator_power_exits_2(self, tmp_path, capsys, value):

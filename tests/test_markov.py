@@ -37,6 +37,23 @@ def two_chains(schedule=None, heat1=None, heat2=None, horizon=9):
     return c1, c2
 
 
+def random_rewarded_zones(rng, n, horizon=None):
+    """A random n-zone thermal model with rows of A summing below 1, one
+    chain per zone in a shuffled order, and random gains, for a random
+    horizon below 24 unless one is given."""
+    horizon = horizon or int(rng.integers(1, 24))
+    zone_ids = tuple(f"z{i}" for i in range(n))
+    a = rng.random((n, n))
+    a *= rng.uniform(0.5, 1.0) / a.sum(axis=1, keepdims=True)
+    thermal = DiscreteThermalModel(a=a, b=np.eye(n), delta=1.0,
+                                   initial_temps=rng.uniform(10, 25, n), zone_ids=zone_ids)
+    chains = [unroll_zone(random_schedule(rng, horizon), rng.random(horizon + 1) < 0.5,
+                          horizon, zone_id=str(zid), initial_occupied=bool(rng.integers(0, 2)))
+              for zid in rng.permutation(zone_ids)]
+    gains = {zid: ZoneGains(*rng.uniform(0, 3, 2).tolist()) for zid in zone_ids}
+    return thermal, chains, gains, horizon
+
+
 class TestUnroll:
     # a zone chain holds only its per-step probabilities; its states and edges
     # are those of the single-zone product
@@ -366,34 +383,19 @@ class TestAssignRewards:
         assert e_prime["zone1"] == pytest.approx(propagated[0], abs=1e-12)
         assert e_prime["zone2"] == pytest.approx(propagated[1], abs=1e-12)
 
-    def test_table_entries_are_single_dot_products(self):
-        # every entry is one row of a power of A dotted with one vector, bit
-        # for bit. The table stacks them as (1, N) @ (N, 1) products, and
-        # numpy hands each such product to the BLAS ddot that ndarray.dot
-        # calls on two vectors; a gemv or gemm over the same rows sums in
-        # blocks of another order and moves the last bits of some PRISM
-        # rewards. N of 16 and 64 run the ddot kernel's unrolled blocks
+    def test_table_matches_the_power_ladder(self):
+        # entry [m, k] of theta is row m of A^(theta-k) dotted with the gain
+        # entering at step k (T[0] at k = 0); the table steps its columns by
+        # Horner's rule, so it matches the powers of A to rounding. N of 16
+        # and 64 sum over blocks that a BLAS kernel unrolls
         rng = np.random.default_rng(19)
         for n in [int(rng.integers(1, 9)) for _ in range(40)] + [16, 64]:
-            horizon = int(rng.integers(1, 24))
-            zone_ids = tuple(f"z{i}" for i in range(n))
-            a = rng.random((n, n))
-            a *= rng.uniform(0.5, 1.0) / a.sum(axis=1, keepdims=True)
-            thermal = DiscreteThermalModel(a=a, b=np.eye(n), delta=1.0,
-                                           initial_temps=rng.uniform(10, 25, n),
-                                           zone_ids=zone_ids)
-            chains = [unroll_zone(random_schedule(rng, horizon), rng.random(horizon + 1) < 0.5,
-                                  horizon, zone_id=str(zid),
-                                  initial_occupied=bool(rng.integers(0, 2)))
-                      for zid in rng.permutation(zone_ids)]
-            gains = {zid: ZoneGains(*rng.uniform(0, 3, 2).tolist()) for zid in zone_ids}
+            thermal, chains, gains, horizon = random_rewarded_zones(rng, n)
             thetas = sorted(rng.choice(np.arange(1, horizon + 1), replace=False,
                                        size=int(rng.integers(1, horizon + 1))).tolist())
             table = step_reward_table(chains, thermal, gains, thetas)
 
-            powers = [np.eye(n)]
-            for _ in range(max(thetas)):
-                powers.append(powers[-1] @ a)
+            powers = [matrix_power(thermal.a, p) for p in range(max(thetas) + 1)]
             step_gains = np.zeros((horizon, n))
             for chain in chains:
                 q = gains[chain.zone_id]
@@ -404,20 +406,36 @@ class TestAssignRewards:
             for t, theta in enumerate(thetas):
                 for m, chain in enumerate(chains):
                     row = thermal.zone_index(chain.zone_id)
-                    expected[t, m, 0] = np.dot(powers[theta][row], thermal.initial_temps)
+                    expected[t, m, 0] = powers[theta][row] @ thermal.initial_temps
                     for k in range(1, theta + 1):
-                        expected[t, m, k] = np.dot(powers[theta - k][row], step_gains[k - 1])
-            assert table.tobytes() == expected.tobytes()
+                        expected[t, m, k] = powers[theta - k][row] @ step_gains[k - 1]
+            np.testing.assert_allclose(table, expected, rtol=1e-14, atol=0)
 
-    def test_one_zone_entry_keeps_the_sign_of_zero(self):
-        # numpy's dot of two one-element vectors is their plain product; the
-        # ddot route adds it to 0.0, which would turn -0.0 into 0.0
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_columns_sum_to_the_direct_recursion(self, n):
+        # the cumulative reward up to theta telescopes to E[T_theta]; at these
+        # sizes no path enumeration or PRISM evaluation reaches
+        rng = np.random.default_rng(n)
+        thermal, chains, gains, horizon = random_rewarded_zones(rng, n, horizon=23)
+        thetas = range(1, horizon + 1)
+        table = step_reward_table(chains, thermal, gains, thetas)
+        order = [thermal.zone_index(c.zone_id) for c in chains]
+        marginals, heat = np.zeros((horizon + 1, n)), np.zeros((horizon + 1, n))
+        marginals[:, order] = chain_marginals(chains).T
+        heat[:, order] = np.array([c.heating for c in chains], dtype=float).T
+        direct = direct_expected_temperatures(thermal, gains, marginals, heat, thetas)
+        np.testing.assert_allclose(table.sum(axis=2), direct[:, order], rtol=1e-12, atol=0)
+
+    def test_a_negative_zero_gain_enters_as_zero(self):
+        # a gain enters its column as a @ 0 + gain, 0.0 for a >= 0, and T[0]'s
+        # column gets + 0.0 at every step; 0.0 + -0.0 and -0.0 + 0.0 are 0.0,
+        # so no entry keeps the sign of a zero
         thermal = DiscreteThermalModel(a=np.array([[0.5]]), b=np.eye(1), delta=1.0,
                                        initial_temps=np.array([-0.0]), zone_ids=("z",))
-        chain = unroll_zone(make_schedule(0.5), [False] * 10, 9, zone_id="z")
+        chain = unroll_zone(make_schedule(0.5), [True] * 10, 9, zone_id="z")
         table = step_reward_table([chain], thermal, {"z": ZoneGains(-0.0, -0.0)}, [1, 9])
-        assert np.signbit(table[:, 0, :10]).tolist() == [[True, True] + [False] * 8,
-                                                         [True] * 10]
+        assert table.tolist() == [[[0.0] * 11]] * 2
+        assert not np.signbit(table).any()
 
     def test_zone_order_invariance(self, bench_thermal):
         schedule_a = make_schedule(p_vf=0.4, p_ff=0.7)
